@@ -137,12 +137,17 @@ fn bench_double_buffered_gemm() {
     bench("gemm_variants/double_buffered", 10, || {
         let mut cg = CoreGroup::new(ExecMode::Functional);
         let mut out = vec![0.0f32; dims.m * dims.n];
-        swdnn::gemm::gemm_double_buffered(
+        let scheme = swdnn::TilingScheme {
+            buffering: swdnn::Buffering::Double,
+            ..swdnn::TilingScheme::hand(dims)
+        };
+        swdnn::gemm::gemm_with_scheme(
             &mut cg,
             dims,
             Trans::No,
             Trans::No,
             0.0,
+            scheme,
             Some(GemmOperands {
                 a: &a,
                 b: &b,

@@ -8,8 +8,8 @@
 
 use std::fmt::Write as _;
 
-use swdnn::gemm::{time_model, time_model_double_buffered, time_model_no_rlc, TilePlan};
-use swdnn::GemmDims;
+use swdnn::gemm::time_model_no_rlc;
+use swdnn::{Buffering, GemmDims, TilingScheme};
 use swio::{IoModel, Layout};
 use swnet::{allreduce, Algorithm, NetParams, RankMap, ReduceEngine, Topology};
 use swprof::Report;
@@ -26,10 +26,14 @@ pub fn run(_args: &[String]) -> (String, Report) {
     writeln!(out, "    (plus the double-buffered design-space probe)").unwrap();
     for (m, n, k) in [(512, 512, 512), (1024, 1024, 1024), (4096, 4096, 1024)] {
         let dims = GemmDims::new(m, n, k);
-        let plan = TilePlan::choose(dims);
-        let with = time_model(dims, 0.0, plan).seconds();
-        let without = time_model_no_rlc(dims, plan).seconds();
-        let db = time_model_double_buffered(dims, 0.0, plan).seconds();
+        let hand = TilingScheme::hand(dims);
+        let double = TilingScheme {
+            buffering: Buffering::Double,
+            ..hand
+        };
+        let with = hand.time_model(dims, 0.0).seconds();
+        let without = time_model_no_rlc(dims, hand.tile).seconds();
+        let db = double.time_model(dims, 0.0).seconds();
         writeln!(
             out,
             "  {m}x{n}x{k}: RLC {:.3} ms, no-RLC {:.3} ms ({:.2}x from Principle 4),              double-buffered {:.3} ms ({:.2}x further)",

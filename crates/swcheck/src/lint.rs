@@ -7,8 +7,8 @@ use sw26010::{KernelPlan, PlanViolation};
 use swdnn::shapes::PoolMethod;
 use swdnn::transform::TransShape;
 use swdnn::{
-    bn, conv_implicit, elementwise, fused, gemm, im2col, lrn, pool, softmax, transform, ConvShape,
-    GemmDims, PoolShape,
+    bn, conv_implicit, elementwise, fused, im2col, lrn, pool, softmax, transform, Buffering,
+    ConvShape, ConvTiles, GemmDims, ImplicitPass, PoolShape, TilingScheme,
 };
 use swtune::shapes::vgg_conv_shapes;
 
@@ -37,14 +37,18 @@ pub fn conv_shape_plans(shape: &ConvShape) -> Vec<KernelPlan> {
     // col_cols); the backward GEMMs transpose the same three extents, so
     // their tile plans are drawn from the same dimension set.
     let dims = GemmDims::new(shape.out_c, shape.col_cols(), shape.col_rows());
-    let tile = gemm::TilePlan::choose(dims);
-    plans.push(gemm::kernel_plan(tile));
-    plans.push(gemm::kernel_plan_double_buffered(tile));
+    let hand = TilingScheme::hand(dims);
+    let double = TilingScheme {
+        buffering: Buffering::Double,
+        ..hand
+    };
+    plans.push(hand.kernel_plan());
+    plans.push(double.kernel_plan());
     plans.push(im2col::im2col_plan(shape));
     plans.push(im2col::col2im_plan(shape));
     // Implicit path, gated exactly like the strategy chooser.
     if conv_implicit::supports_forward(shape) {
-        plans.push(conv_implicit::forward_plan(shape));
+        plans.push(ConvTiles::hand_forward(shape).kernel_plan(ImplicitPass::Forward));
         let ts = TransShape {
             batch: shape.batch,
             channels: shape.in_c,
@@ -55,8 +59,10 @@ pub fn conv_shape_plans(shape: &ConvShape) -> Vec<KernelPlan> {
         plans.push(transform::kernel_plan("swdnn.rcnb_to_nchw", &ts));
     }
     if conv_implicit::supports_backward(shape) {
-        plans.push(conv_implicit::backward_input_plan(shape));
-        plans.push(conv_implicit::backward_weights_plan(shape));
+        plans.push(ConvTiles::hand_backward_input(shape).kernel_plan(ImplicitPass::BackwardInput));
+        plans.push(
+            ConvTiles::hand_backward_weights(shape).kernel_plan(ImplicitPass::BackwardWeights),
+        );
     }
     plans
 }

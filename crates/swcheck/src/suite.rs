@@ -11,7 +11,7 @@ use swdnn::shapes::PoolMethod;
 use swdnn::transform::TransShape;
 use swdnn::{
     bn, conv_explicit, conv_implicit, elementwise, gemm, im2col, lrn, pool, softmax, transform,
-    ConvShape, GemmDims, PoolShape, Trans,
+    Broadcast, Buffering, ConvShape, GemmDims, PoolShape, TilingScheme, Trans,
 };
 
 use crate::sanitize::{check_traces, Violation};
@@ -54,36 +54,43 @@ fn vec_filled(seed: u64, len: usize) -> Vec<f32> {
     v
 }
 
+/// The three variants of the one GEMM body: the hand scheme, the same
+/// tile with prefetched loads, and with DMA-replicated strips.
+pub fn gemm_variants(dims: GemmDims) -> [TilingScheme; 3] {
+    let hand = TilingScheme::hand(dims);
+    [
+        hand,
+        TilingScheme {
+            buffering: Buffering::Double,
+            ..hand
+        },
+        TilingScheme {
+            broadcast: Broadcast::DmaReplicate,
+            ..hand
+        },
+    ]
+}
+
 fn drive_gemm(cg: &mut CoreGroup) {
     let dims = GemmDims::new(40, 36, 24);
     let a = vec_filled(1, dims.m * dims.k);
     let b = vec_filled(2, dims.k * dims.n);
-    let mut c = vec_filled(3, dims.m * dims.n);
-    gemm::gemm(
-        cg,
-        dims,
-        Trans::No,
-        Trans::No,
-        0.5,
-        Some(gemm::GemmOperands {
-            a: &a,
-            b: &b,
-            c: &mut c,
-        }),
-    );
-    let mut c2 = vec_filled(3, dims.m * dims.n);
-    gemm::gemm_double_buffered(
-        cg,
-        dims,
-        Trans::No,
-        Trans::No,
-        0.5,
-        Some(gemm::GemmOperands {
-            a: &a,
-            b: &b,
-            c: &mut c2,
-        }),
-    );
+    for scheme in gemm_variants(dims) {
+        let mut c = vec_filled(3, dims.m * dims.n);
+        gemm::gemm_with_scheme(
+            cg,
+            dims,
+            Trans::No,
+            Trans::No,
+            0.5,
+            scheme,
+            Some(gemm::GemmOperands {
+                a: &a,
+                b: &b,
+                c: &mut c,
+            }),
+        );
+    }
 }
 
 fn drive_conv_explicit(cg: &mut CoreGroup) {

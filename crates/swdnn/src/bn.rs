@@ -94,12 +94,7 @@ pub fn forward(
     ops: Option<BnFwdOperands<'_>>,
 ) -> LaunchReport {
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: forward_time(batch, channels, spatial),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, forward_time(batch, channels, spatial));
     }
     let ops = ops.expect("functional BN requires operands");
     let len = batch * channels * spatial;
@@ -214,12 +209,7 @@ pub fn backward(
     ops: Option<BnBwdOperands<'_>>,
 ) -> LaunchReport {
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: backward_time(batch, channels, spatial),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, backward_time(batch, channels, spatial));
     }
     let ops = ops.expect("functional BN requires operands");
     let len = batch * channels * spatial;
@@ -563,12 +553,7 @@ pub fn forward_inference(
                 2,
                 3,
             );
-        let report = LaunchReport {
-            elapsed: SimTime::from_seconds(t),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, SimTime::from_seconds(t));
     }
     let (input, gamma, beta, mean, var, output) =
         io.expect("functional BN inference requires operands");

@@ -90,12 +90,7 @@ pub fn forward_with_scheme(
     ops: Option<ConvFwdOperands<'_>>,
 ) -> LaunchReport {
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: forward_time_with_scheme(shape, scheme),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, forward_time_with_scheme(shape, scheme));
     }
     let ops = ops.expect("functional conv requires operands");
     assert_eq!(ops.input.len(), shape.input_len());
@@ -151,13 +146,11 @@ pub fn backward_with_schemes(
     if !cg.mode().is_functional() {
         // Timing mode has no operand optionality information; charge the
         // full backward (both gradients), the common case during training.
-        let report = LaunchReport {
-            elapsed: backward_weights_time_with_scheme(shape, schemes.backward_weights)
+        return crate::charge_model(
+            cg,
+            backward_weights_time_with_scheme(shape, schemes.backward_weights)
                 + backward_input_time_with_scheme(shape, schemes.backward_input),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        );
     }
     let mut ops = ops.expect("functional conv requires operands");
     let per_in = shape.in_c * shape.in_h * shape.in_w;

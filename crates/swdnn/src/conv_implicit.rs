@@ -15,15 +15,27 @@
 //! what the register buses and vector pipelines need (the paper gates it
 //! at 64 channels) — which the [`supports_forward`]/[`supports_backward`]
 //! predicates encode for the mixed-strategy chooser.
+//!
+//! ## What is written here and what is shared
+//!
+//! The three passes (forward, input gradient, weight gradient) are
+//! broadcast GEMMs over different index spaces, so each keeps its own
+//! loop nest and its own addressing into the `(R, C, N, B)` / `(K, K,
+//! N_o, N_i)` layouts — that is all this module writes out. Inside a
+//! launch every pass runs the tile core of [`crate::tile`], the same one
+//! [`crate::gemm`] runs: the LDM buffers and the [`KernelPlan`] come from
+//! one [`TileLayout`] ([`ConvTiles::kernel_plan`]), tiles are loaded,
+//! multiplied over the buses and stored by its operations, and the time
+//! models below are sums of its per-phase cost terms weighted by each
+//! pass's trip counts. Counter (`Stats`) models do not exist for these
+//! kernels yet; timing-only execution reports time only.
 
-use sw26010::arch::MESH_DIM;
-use sw26010::rlc::{transfer_cycles, RLC_HOP_CYCLES};
-use sw26010::{
-    dma, CoreGroup, Cpe, KernelPlan, LaunchReport, MemView, MemViewMut, PlanViolation, RlcPattern,
-    SimTime,
-};
+use sw26010::arch::{ATHREAD_LAUNCH_OVERHEAD_SECONDS, MESH_DIM};
+use sw26010::{CoreGroup, KernelPlan, LaunchReport, MemView, MemViewMut, PlanViolation, SimTime};
 
+use crate::scheme::{Broadcast, Buffering};
 use crate::shapes::ConvShape;
+use crate::tile::{self, Operand, TileAddr, TileLayout};
 
 /// Tile edge for a channel-like dimension.
 fn pick_tile(d: usize) -> usize {
@@ -108,9 +120,20 @@ impl ConvTiles {
         }
     }
 
+    /// The LDM buffer table of the `pass` kernel under these tiles: the
+    /// broadcast GEMM's, with synchronous loads.
+    fn layout(&self, pass: ImplicitPass) -> TileLayout {
+        TileLayout::new(
+            pass.plan_name(),
+            (self.mt, self.nt, self.kt),
+            Buffering::Single,
+            Broadcast::RowCol,
+        )
+    }
+
     /// The LDM descriptor of the `pass` kernel under these tiles.
     pub fn kernel_plan(&self, pass: ImplicitPass) -> KernelPlan {
-        tile_kernel_plan(pass.plan_name(), self.mt, self.nt, self.kt)
+        self.layout(pass).kernel_plan()
     }
 
     /// Structural feasibility for `pass` on `shape`: positive extents, a
@@ -147,35 +170,6 @@ fn guard_tiles(tiles: ConvTiles, pass: ImplicitPass, shape: &ConvShape) {
     }
 }
 
-/// Shared LDM descriptor of the broadcast-GEMM core: five f64 tiles plus
-/// one f32 staging buffer, exactly as each mesh kernel allocates them.
-fn tile_kernel_plan(name: &str, mt: usize, nt: usize, kt: usize) -> KernelPlan {
-    KernelPlan::new(name, 64)
-        .buffer("a64", mt * kt * 8)
-        .buffer("b64", kt * nt * 8)
-        .buffer("c64", mt * nt * 8)
-        .buffer("abuf", mt * kt * 8)
-        .buffer("bbuf", kt * nt * 8)
-        .buffer("stage", mt.max(kt) * nt.max(kt) * 4)
-        .rlc(RlcPattern::RowAndColBroadcast)
-        .inflight_dma(1)
-}
-
-/// Static LDM descriptor of the implicit forward kernel for `shape`.
-pub fn forward_plan(shape: &ConvShape) -> KernelPlan {
-    ConvTiles::hand_forward(shape).kernel_plan(ImplicitPass::Forward)
-}
-
-/// Static LDM descriptor of the implicit backward-by-input kernel.
-pub fn backward_input_plan(shape: &ConvShape) -> KernelPlan {
-    ConvTiles::hand_backward_input(shape).kernel_plan(ImplicitPass::BackwardInput)
-}
-
-/// Static LDM descriptor of the implicit backward-by-weights kernel.
-pub fn backward_weights_plan(shape: &ConvShape) -> KernelPlan {
-    ConvTiles::hand_backward_weights(shape).kernel_plan(ImplicitPass::BackwardWeights)
-}
-
 /// Strategy gate, forward: the paper's implicit plan needs >= 64 input
 /// channels to feed the 256-bit SIMD and register communication.
 pub fn supports_forward(shape: &ConvShape) -> bool {
@@ -207,90 +201,6 @@ pub struct ImplicitBwdOperands<'a> {
     pub w_grad: Option<&'a mut [f32]>,
 }
 
-/// Stage an `(rows x block)` group of batch-fibre blocks into `stage` and
-/// widen into the zero-padded f64 `tile` of extents `tr x tc`, optionally
-/// transposing. `base` addresses element `(0, 0)`; consecutive rows are
-/// `stride` elements apart.
-#[allow(clippy::too_many_arguments)]
-fn load_fibre_tile(
-    cpe: &mut Cpe,
-    src: MemView<'_>,
-    base: usize,
-    block: usize,
-    stride: usize,
-    rows: usize,
-    tr: usize,
-    tc: usize,
-    transpose: bool,
-    stage: &mut [f32],
-    tile: &mut [f64],
-) {
-    if rows == 0 || block == 0 {
-        cpe.compute((tr * tc) as u64, || tile.fill(0.0));
-        return;
-    }
-    cpe.dma_get_strided(src, base, block, stride, rows, stage);
-    cpe.compute((tr * tc) as u64, || {
-        tile.fill(0.0);
-        if transpose {
-            for r in 0..rows {
-                for c in 0..block {
-                    tile[c * tc + r] = stage[r * block + c] as f64;
-                }
-            }
-        } else {
-            for r in 0..rows {
-                for c in 0..block {
-                    tile[r * tc + c] = stage[r * block + c] as f64;
-                }
-            }
-        }
-    });
-}
-
-/// The 8-step broadcast-and-accumulate core shared by all three kernels.
-#[allow(clippy::too_many_arguments)]
-fn rlc_steps(
-    cpe: &mut Cpe,
-    a64: &[f64],
-    b64: &[f64],
-    abuf: &mut [f64],
-    bbuf: &mut [f64],
-    c64: &mut [f64],
-    mt: usize,
-    nt: usize,
-    kt: usize,
-) {
-    let (i, j) = (cpe.row(), cpe.col());
-    for t in 0..MESH_DIM {
-        if j == t {
-            cpe.rlc_row_bcast(a64);
-        } else {
-            cpe.rlc_row_recv(t, abuf);
-        }
-        if i == t {
-            cpe.rlc_col_bcast(b64);
-        } else {
-            cpe.rlc_col_recv(t, bbuf);
-        }
-        let at: &[f64] = if j == t { a64 } else { abuf };
-        let bt: &[f64] = if i == t { b64 } else { bbuf };
-        cpe.compute((2 * mt * nt * kt) as u64, || {
-            for r in 0..mt {
-                for tt in 0..kt {
-                    let av = at[r * kt + tt];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for cc in 0..nt {
-                        c64[r * nt + cc] += av * bt[tt * nt + cc];
-                    }
-                }
-            }
-        });
-    }
-}
-
 /// Implicit forward convolution under the hand-picked tiles.
 pub fn forward(
     cg: &mut CoreGroup,
@@ -312,12 +222,7 @@ pub fn forward_with_tiles(
     guard_shape(shape);
     guard_tiles(tiles, ImplicitPass::Forward, shape);
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: forward_time_with(shape, tiles),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, forward_time_with(shape, tiles));
     }
     let ops = ops.expect("functional conv requires operands");
     assert_eq!(ops.input.len(), shape.input_len());
@@ -341,7 +246,8 @@ pub fn forward_with_tiles(
     let weights = MemView::new(ops.weights);
     let output = MemViewMut::new(ops.output);
 
-    let kplan = tiles.kernel_plan(ImplicitPass::Forward);
+    let layout = tiles.layout(ImplicitPass::Forward);
+    let kplan = layout.kernel_plan();
     let mut total = LaunchReport::default();
     for pm in 0..panels_m {
         for pn in 0..panels_n {
@@ -353,15 +259,9 @@ pub fn forward_with_tiles(
                 let (x_out, b0) = (col0 / b, col0 % b);
                 let vn = if x_out < ow { nt } else { 0 };
 
-                let mut a64 = cpe.ldm.alloc_f64(mt * kt);
-                let mut b64 = cpe.ldm.alloc_f64(kt * nt);
-                let mut c64 = cpe.ldm.alloc_f64(mt * nt);
-                let mut abuf = cpe.ldm.alloc_f64(mt * kt);
-                let mut bbuf = cpe.ldm.alloc_f64(kt * nt);
-                let mut stage = cpe.ldm.alloc_f32(mt.max(kt) * nt.max(kt));
-
+                let mut ws = layout.alloc(cpe);
                 for oy in 0..oh {
-                    cpe.compute((mt * nt) as u64, || c64.fill(0.0));
+                    ws.zero_c(cpe);
                     for ky in 0..s.k {
                         let y = (oy * s.stride + ky) as isize - s.pad as isize;
                         if y < 0 || y as usize >= ih {
@@ -369,72 +269,45 @@ pub fn forward_with_tiles(
                         }
                         let y = y as usize;
                         for kx in 0..s.k {
+                            // The input column this tap reads, unless it is padding.
                             let x = (x_out * s.stride + kx) as isize - s.pad as isize;
-                            let x_ok = x >= 0 && (x as usize) < iw;
+                            let x = usize::try_from(x).ok().filter(|&x| x < iw);
                             for pk in 0..panels_k {
                                 // Own W tile: rows m0.., channel cols by j.
                                 let kw0 = pk * MESH_DIM * kt + j * kt;
                                 let vkw = ni.saturating_sub(kw0).min(kt);
-                                load_fibre_tile(
-                                    cpe,
-                                    weights,
-                                    ((ky * s.k + kx) * no + m0) * ni + kw0,
-                                    if vm > 0 { vkw } else { 0 },
-                                    ni,
-                                    vm,
-                                    mt,
-                                    kt,
-                                    false,
-                                    &mut stage,
-                                    &mut a64,
-                                );
+                                let w_tile = TileAddr {
+                                    base: ((ky * s.k + kx) * no + m0) * ni + kw0,
+                                    block: vkw,
+                                    stride: ni,
+                                    rows: vm,
+                                    transpose: false,
+                                };
+                                ws.load(cpe, Operand::A, weights, w_tile);
                                 // Own X tile: channel rows by i, batch fibre cols.
                                 let kx0 = pk * MESH_DIM * kt + i * kt;
                                 let vkx = ni.saturating_sub(kx0).min(kt);
-                                let x_rows = if x_ok && vn > 0 { vkx } else { 0 };
-                                load_fibre_tile(
-                                    cpe,
-                                    input,
-                                    if x_ok {
-                                        ((y * iw + x as usize) * ni + kx0) * b + b0
-                                    } else {
-                                        0
-                                    },
-                                    vn,
-                                    b,
-                                    x_rows,
-                                    kt,
-                                    nt,
-                                    false,
-                                    &mut stage,
-                                    &mut b64,
-                                );
-                                rlc_steps(
-                                    cpe, &a64, &b64, &mut abuf, &mut bbuf, &mut c64, mt, nt, kt,
-                                );
+                                let x_tile = TileAddr {
+                                    base: ((y * iw + x.unwrap_or(0)) * ni + kx0) * b + b0,
+                                    block: vn,
+                                    stride: b,
+                                    rows: if x.is_some() { vkx } else { 0 },
+                                    transpose: false,
+                                };
+                                ws.load(cpe, Operand::B, input, x_tile);
+                                ws.panel_product(cpe);
                             }
                         }
                     }
                     // Store the finished output tile for this row.
-                    if vm > 0 && vn > 0 {
-                        cpe.compute((mt * nt) as u64, || {
-                            for r in 0..vm {
-                                for cc in 0..vn {
-                                    stage[r * vn + cc] = c64[r * nt + cc] as f32;
-                                }
-                            }
-                        });
-                        cpe.dma_put_strided(
-                            output,
-                            ((oy * ow + x_out) * no + m0) * b + b0,
-                            vn,
-                            b,
-                            vm,
-                            &stage,
-                        );
-                    } else {
-                        cpe.charge_flops((mt * nt) as u64);
-                    }
+                    let out_at = TileAddr {
+                        base: ((oy * ow + x_out) * no + m0) * b + b0,
+                        block: vn,
+                        stride: b,
+                        rows: vm,
+                        transpose: false,
+                    };
+                    ws.store_c(cpe, output, out_at);
                 }
             });
             total.merge(&report);
@@ -471,13 +344,11 @@ pub fn backward_with_tiles(
     guard_tiles(input_tiles, ImplicitPass::BackwardInput, shape);
     guard_tiles(weight_tiles, ImplicitPass::BackwardWeights, shape);
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: backward_weights_time_with(shape, weight_tiles)
+        return crate::charge_model(
+            cg,
+            backward_weights_time_with(shape, weight_tiles)
                 + backward_input_time_with(shape, input_tiles),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        );
     }
     let mut ops = ops.expect("functional conv requires operands");
     if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
@@ -556,7 +427,8 @@ fn backward_input_mesh(
     let dy = MemView::new(out_grad);
     let dx = MemViewMut::new(in_grad);
 
-    let kplan = tiles.kernel_plan(ImplicitPass::BackwardInput);
+    let layout = tiles.layout(ImplicitPass::BackwardInput);
+    let kplan = layout.kernel_plan();
     let mut total = LaunchReport::default();
     for pm in 0..panels_m {
         for pn in 0..panels_n {
@@ -568,15 +440,9 @@ fn backward_input_mesh(
                 let (x_in, b0) = (col0 / b, col0 % b);
                 let vn = if x_in < iw { nt } else { 0 };
 
-                let mut a64 = cpe.ldm.alloc_f64(mt * kt);
-                let mut b64 = cpe.ldm.alloc_f64(kt * nt);
-                let mut c64 = cpe.ldm.alloc_f64(mt * nt);
-                let mut abuf = cpe.ldm.alloc_f64(mt * kt);
-                let mut bbuf = cpe.ldm.alloc_f64(kt * nt);
-                let mut stage = cpe.ldm.alloc_f32(mt.max(kt) * nt.max(kt));
-
+                let mut ws = layout.alloc(cpe);
                 for y in 0..ih {
-                    cpe.compute((mt * nt) as u64, || c64.fill(0.0));
+                    ws.zero_c(cpe);
                     for ky in 0..s.k {
                         let oy_num = y as isize + s.pad as isize - ky as isize;
                         if oy_num < 0 || !(oy_num as usize).is_multiple_of(s.stride) {
@@ -598,65 +464,37 @@ fn backward_input_mesh(
                                 // so load channel-major and transpose.
                                 let ko0 = pk * MESH_DIM * kt + j * kt;
                                 let vko = no.saturating_sub(ko0).min(kt);
-                                load_fibre_tile(
-                                    cpe,
-                                    w_view,
-                                    ((ky * s.k + kx) * no + ko0) * ni + m0,
-                                    if vko > 0 { vm } else { 0 },
-                                    ni,
-                                    vko,
-                                    mt,
-                                    kt,
-                                    true,
-                                    &mut stage,
-                                    &mut a64,
-                                );
+                                let w_tile = TileAddr {
+                                    base: ((ky * s.k + kx) * no + ko0) * ni + m0,
+                                    block: vm,
+                                    stride: ni,
+                                    rows: vko,
+                                    transpose: true,
+                                };
+                                ws.load(cpe, Operand::A, w_view, w_tile);
                                 // Own dY tile: out-channel rows by i.
                                 let ko0i = pk * MESH_DIM * kt + i * kt;
                                 let vkoi = no.saturating_sub(ko0i).min(kt);
-                                let rows = if ox_ok && vn > 0 { vkoi } else { 0 };
-                                load_fibre_tile(
-                                    cpe,
-                                    dy,
-                                    if ox_ok {
-                                        ((oy * ow + ox) * no + ko0i) * b + b0
-                                    } else {
-                                        0
-                                    },
-                                    vn,
-                                    b,
-                                    rows,
-                                    kt,
-                                    nt,
-                                    false,
-                                    &mut stage,
-                                    &mut b64,
-                                );
-                                rlc_steps(
-                                    cpe, &a64, &b64, &mut abuf, &mut bbuf, &mut c64, mt, nt, kt,
-                                );
+                                let dy_tile = TileAddr {
+                                    base: ((oy * ow + ox) * no + ko0i) * b + b0,
+                                    block: vn,
+                                    stride: b,
+                                    rows: if ox_ok { vkoi } else { 0 },
+                                    transpose: false,
+                                };
+                                ws.load(cpe, Operand::B, dy, dy_tile);
+                                ws.panel_product(cpe);
                             }
                         }
                     }
-                    if vm > 0 && vn > 0 {
-                        cpe.compute((mt * nt) as u64, || {
-                            for r in 0..vm {
-                                for cc in 0..vn {
-                                    stage[r * vn + cc] = c64[r * nt + cc] as f32;
-                                }
-                            }
-                        });
-                        cpe.dma_put_strided(
-                            dx,
-                            ((y * iw + x_in) * ni + m0) * b + b0,
-                            vn,
-                            b,
-                            vm,
-                            &stage,
-                        );
-                    } else {
-                        cpe.charge_flops((mt * nt) as u64);
-                    }
+                    let dx_at = TileAddr {
+                        base: ((y * iw + x_in) * ni + m0) * b + b0,
+                        block: vn,
+                        stride: b,
+                        rows: vm,
+                        transpose: false,
+                    };
+                    ws.store_c(cpe, dx, dx_at);
                 }
             });
             total.merge(&report);
@@ -690,7 +528,8 @@ fn backward_weights_mesh(
     let dy = MemView::new(out_grad);
     let dw = MemViewMut::new(w_grad);
 
-    let kplan = tiles.kernel_plan(ImplicitPass::BackwardWeights);
+    let layout = tiles.layout(ImplicitPass::BackwardWeights);
+    let kplan = layout.kernel_plan();
     let mut total = LaunchReport::default();
     for ky in 0..s.k {
         for kx in 0..s.k {
@@ -703,14 +542,8 @@ fn backward_weights_mesh(
                         let n0 = pn * MESH_DIM * ntw + j * ntw;
                         let vnw = ni.saturating_sub(n0).min(ntw);
 
-                        let mut a64 = cpe.ldm.alloc_f64(mt * kt);
-                        let mut b64 = cpe.ldm.alloc_f64(kt * ntw);
-                        let mut c64 = cpe.ldm.alloc_f64(mt * ntw);
-                        let mut abuf = cpe.ldm.alloc_f64(mt * kt);
-                        let mut bbuf = cpe.ldm.alloc_f64(kt * ntw);
-                        let mut stage = cpe.ldm.alloc_f32(mt.max(kt) * ntw.max(kt));
-
-                        cpe.compute((mt * ntw) as u64, || c64.fill(0.0));
+                        let mut ws = layout.alloc(cpe);
+                        ws.zero_c(cpe);
                         for oy in 0..oh {
                             let y = (oy * s.stride + ky) as isize - s.pad as isize;
                             if y < 0 || y as usize >= ih {
@@ -722,24 +555,14 @@ fn backward_weights_mesh(
                                 // (x_out, b) cols by j.
                                 let cj0 = pk * MESH_DIM * kt + j * kt;
                                 let (xo_j, b0_j) = (cj0 / b, cj0 % b);
-                                let a_rows = if xo_j < ow { vm } else { 0 };
-                                load_fibre_tile(
-                                    cpe,
-                                    dy,
-                                    if xo_j < ow {
-                                        ((oy * ow + xo_j) * no + m0) * b + b0_j
-                                    } else {
-                                        0
-                                    },
-                                    kt,
-                                    b,
-                                    a_rows,
-                                    mt,
-                                    kt,
-                                    false,
-                                    &mut stage,
-                                    &mut a64,
-                                );
+                                let dy_tile = TileAddr {
+                                    base: ((oy * ow + xo_j) * no + m0) * b + b0_j,
+                                    block: kt,
+                                    stride: b,
+                                    rows: if xo_j < ow { vm } else { 0 },
+                                    transpose: false,
+                                };
+                                ws.load(cpe, Operand::A, dy, dy_tile);
                                 // Own X^T tile: shared (x_out, b) rows by i,
                                 // in-channel cols n0..; load channel-major
                                 // (block over b) and transpose.
@@ -747,49 +570,26 @@ fn backward_weights_mesh(
                                 let (xo_i, b0_i) = (ci0 / b, ci0 % b);
                                 let x = xo_i as isize * s.stride as isize + kx as isize
                                     - s.pad as isize;
-                                let x_ok = xo_i < ow && x >= 0 && (x as usize) < iw;
-                                let rows = if x_ok { vnw } else { 0 };
-                                load_fibre_tile(
-                                    cpe,
-                                    x_view,
-                                    if x_ok {
-                                        ((y * iw + x as usize) * ni + n0) * b + b0_i
-                                    } else {
-                                        0
-                                    },
-                                    kt,
-                                    b,
-                                    rows,
-                                    kt,
-                                    ntw,
-                                    true,
-                                    &mut stage,
-                                    &mut b64,
-                                );
-                                rlc_steps(
-                                    cpe, &a64, &b64, &mut abuf, &mut bbuf, &mut c64, mt, ntw, kt,
-                                );
+                                let x = usize::try_from(x).ok().filter(|&x| xo_i < ow && x < iw);
+                                let x_tile = TileAddr {
+                                    base: ((y * iw + x.unwrap_or(0)) * ni + n0) * b + b0_i,
+                                    block: kt,
+                                    stride: b,
+                                    rows: if x.is_some() { vnw } else { 0 },
+                                    transpose: true,
+                                };
+                                ws.load(cpe, Operand::B, x_view, x_tile);
+                                ws.panel_product(cpe);
                             }
                         }
-                        if vm > 0 && vnw > 0 {
-                            cpe.compute((mt * ntw) as u64, || {
-                                for r in 0..vm {
-                                    for cc in 0..vnw {
-                                        stage[r * vnw + cc] = c64[r * ntw + cc] as f32;
-                                    }
-                                }
-                            });
-                            cpe.dma_put_strided(
-                                dw,
-                                ((ky * s.k + kx) * no + m0) * ni + n0,
-                                vnw,
-                                ni,
-                                vm,
-                                &stage,
-                            );
-                        } else {
-                            cpe.charge_flops((mt * ntw) as u64);
-                        }
+                        let dw_at = TileAddr {
+                            base: ((ky * s.k + kx) * no + m0) * ni + n0,
+                            block: vnw,
+                            stride: ni,
+                            rows: vm,
+                            transpose: false,
+                        };
+                        ws.store_c(cpe, dw, dw_at);
                     });
                     total.merge(&report);
                 }
@@ -803,11 +603,46 @@ fn backward_weights_mesh(
 // Timing models
 // ---------------------------------------------------------------------
 
+/// Seconds of one bus step on these tiles. The product term goes through
+/// seconds and back to cycles before it joins the bus terms; that round
+/// trip is not the identity in f64, and the blessed Table II times were
+/// computed with it, so it stays.
 fn step_time(mt: usize, nt: usize, kt: usize) -> f64 {
-    let sa = transfer_cycles(mt * kt * 8);
-    let sb = transfer_cycles(kt * nt * 8);
-    let comp = crate::gemm_flop_time((2 * mt * nt * kt) as u64).seconds() * sw26010::arch::CLOCK_HZ;
-    SimTime::from_cycles(2.0 * sa + 2.0 * sb + 2.0 * RLC_HOP_CYCLES + comp).seconds()
+    let product =
+        crate::gemm_flop_time((2 * mt * nt * kt) as u64).seconds() * sw26010::arch::CLOCK_HZ;
+    tile::bus_step_seconds(mt, nt, kt, product)
+}
+
+/// Seconds of one inner trip — one K panel of one filter tap: the left
+/// and right tile loads, then the 8 bus steps.
+fn inner_time(a: tile::LoadCost, b: tile::LoadCost, tiles: ConvTiles) -> f64 {
+    a.dma + a.widen + b.dma + b.widen + MESH_DIM as f64 * step_time(tiles.mt, tiles.nt, tiles.kt)
+}
+
+/// `(output row, vertical tap)` pairs that land inside the input —
+/// coordinate-mapped padding skips the rest. The forward pass walks them
+/// row-major, the weight-gradient pass tap-major.
+fn valid_row_taps(s: &ConvShape) -> usize {
+    (0..s.out_h())
+        .flat_map(|oy| (0..s.k).map(move |ky| (oy * s.stride + ky) as isize - s.pad as isize))
+        .filter(|&y| y >= 0 && (y as usize) < s.in_h)
+        .count()
+}
+
+/// The forward / input-gradient model: every launch makes `trips` inner
+/// trips and, once per row of its output, zero-fills, converts and
+/// stores the C tile (`c`).
+fn row_pass_time(
+    launches: usize,
+    trips: f64,
+    t_inner: f64,
+    rows: usize,
+    c: tile::LoadCost,
+) -> SimTime {
+    let per_row_store = 2.0 * c.widen + c.dma;
+    let per_launch =
+        ATHREAD_LAUNCH_OVERHEAD_SECONDS + trips * t_inner + rows as f64 * per_row_store;
+    SimTime::from_seconds(launches as f64 * per_launch)
 }
 
 /// Duration of the implicit forward pass for the whole batch.
@@ -818,38 +653,13 @@ pub fn forward_time(shape: &ConvShape) -> SimTime {
 /// [`forward_time`] under explicit tiles — the tuner's cost model.
 pub fn forward_time_with(shape: &ConvShape, tiles: ConvTiles) -> SimTime {
     let s = *shape;
-    let b = s.batch;
-    let (no, ni) = (s.out_c, s.in_c);
-    let (ow, ih, oh) = (s.out_w(), s.in_h, s.out_h());
     let ConvTiles { mt, nt, kt } = tiles;
-    let panels_m = no.div_ceil(MESH_DIM * mt);
-    let panels_n = (ow * b).div_ceil(MESH_DIM * nt);
-    let panels_k = ni.div_ceil(MESH_DIM * kt);
-
-    // Valid vertical taps summed over output rows (coordinate-mapped
-    // padding skips the rest).
-    let valid_ky: usize = (0..oh)
-        .map(|oy| {
-            (0..s.k)
-                .filter(|ky| {
-                    let y = (oy * s.stride + ky) as isize - s.pad as isize;
-                    y >= 0 && (y as usize) < ih
-                })
-                .count()
-        })
-        .sum();
-
-    let t_inner = dma::strided_time(kt * 4, mt, 64).seconds() // W tile
-        + crate::gemm_flop_time((mt * kt) as u64).seconds()
-        + dma::strided_time(nt * 4, kt, 64).seconds() // X tile
-        + crate::gemm_flop_time((kt * nt) as u64).seconds()
-        + MESH_DIM as f64 * step_time(mt, nt, kt);
-    let per_row_store = 2.0 * crate::gemm_flop_time((mt * nt) as u64).seconds()
-        + dma::strided_time(nt * 4, mt, 64).seconds();
-    let per_launch = sw26010::arch::ATHREAD_LAUNCH_OVERHEAD_SECONDS
-        + valid_ky as f64 * s.k as f64 * panels_k as f64 * t_inner
-        + oh as f64 * per_row_store;
-    SimTime::from_seconds((panels_m * panels_n) as f64 * per_launch)
+    let launches = s.out_c.div_ceil(MESH_DIM * mt) * (s.out_w() * s.batch).div_ceil(MESH_DIM * nt);
+    let panels_k = s.in_c.div_ceil(MESH_DIM * kt);
+    // W tile, X tile.
+    let t_inner = inner_time(tile::load_cost(kt, mt), tile::load_cost(nt, kt), tiles);
+    let trips = valid_row_taps(&s) as f64 * s.k as f64 * panels_k as f64;
+    row_pass_time(launches, trips, t_inner, s.out_h(), tile::load_cost(nt, mt))
 }
 
 /// Duration of the implicit input-gradient pass for the whole batch.
@@ -860,38 +670,24 @@ pub fn backward_input_time(shape: &ConvShape) -> SimTime {
 /// [`backward_input_time`] under explicit tiles.
 pub fn backward_input_time_with(shape: &ConvShape, tiles: ConvTiles) -> SimTime {
     let s = *shape;
-    let b = s.batch;
-    let (no, ni) = (s.out_c, s.in_c);
-    let (iw, ih, oh) = (s.in_w, s.in_h, s.out_h());
     let ConvTiles { mt, nt, kt } = tiles;
-    let panels_m = ni.div_ceil(MESH_DIM * mt);
-    let panels_n = (iw * b).div_ceil(MESH_DIM * nt);
-    let panels_k = no.div_ceil(MESH_DIM * kt);
+    let launches = s.in_c.div_ceil(MESH_DIM * mt) * (s.in_w * s.batch).div_ceil(MESH_DIM * nt);
+    let panels_k = s.out_c.div_ceil(MESH_DIM * kt);
 
-    let valid_ky: usize = (0..ih)
-        .map(|y| {
-            (0..s.k)
-                .filter(|ky| {
-                    let oy_num = y as isize + s.pad as isize - *ky as isize;
-                    oy_num >= 0
-                        && (oy_num as usize).is_multiple_of(s.stride)
-                        && (oy_num as usize / s.stride) < oh
-                })
-                .count()
+    // (input row, vertical tap) pairs that map onto an output row.
+    let valid_ky = (0..s.in_h)
+        .flat_map(|y| (0..s.k).map(move |ky| y as isize + s.pad as isize - ky as isize))
+        .filter(|&oy_num| {
+            oy_num >= 0
+                && (oy_num as usize).is_multiple_of(s.stride)
+                && (oy_num as usize / s.stride) < s.out_h()
         })
-        .sum();
+        .count();
 
-    let t_inner = dma::strided_time(mt * 4, kt, 64).seconds() // W^T tile
-        + crate::gemm_flop_time((mt * kt) as u64).seconds()
-        + dma::strided_time(nt * 4, kt, 64).seconds() // dY tile
-        + crate::gemm_flop_time((kt * nt) as u64).seconds()
-        + MESH_DIM as f64 * step_time(mt, nt, kt);
-    let per_row_store = 2.0 * crate::gemm_flop_time((mt * nt) as u64).seconds()
-        + dma::strided_time(nt * 4, mt, 64).seconds();
-    let per_launch = sw26010::arch::ATHREAD_LAUNCH_OVERHEAD_SECONDS
-        + valid_ky as f64 * s.k as f64 * panels_k as f64 * t_inner
-        + ih as f64 * per_row_store;
-    SimTime::from_seconds((panels_m * panels_n) as f64 * per_launch)
+    // W^T tile, dY tile.
+    let t_inner = inner_time(tile::load_cost(mt, kt), tile::load_cost(nt, kt), tiles);
+    let trips = valid_ky as f64 * s.k as f64 * panels_k as f64;
+    row_pass_time(launches, trips, t_inner, s.in_h, tile::load_cost(nt, mt))
 }
 
 /// Duration of the implicit weight-gradient pass for the whole batch.
@@ -902,37 +698,19 @@ pub fn backward_weights_time(shape: &ConvShape) -> SimTime {
 /// [`backward_weights_time`] under explicit tiles.
 pub fn backward_weights_time_with(shape: &ConvShape, tiles: ConvTiles) -> SimTime {
     let s = *shape;
-    let b = s.batch;
-    let (no, ni) = (s.out_c, s.in_c);
-    let (ow, ih, oh) = (s.out_w(), s.in_h, s.out_h());
     let ConvTiles { mt, nt: ntw, kt } = tiles;
-    let panels_m = no.div_ceil(MESH_DIM * mt);
-    let panels_n = ni.div_ceil(MESH_DIM * ntw);
-    let panels_k = (ow * b).div_ceil(MESH_DIM * kt);
+    let launches = s.out_c.div_ceil(MESH_DIM * mt) * s.in_c.div_ceil(MESH_DIM * ntw);
+    let panels_k = (s.out_w() * s.batch).div_ceil(MESH_DIM * kt);
 
-    let per_tap_rows = |ky: usize| {
-        (0..oh)
-            .filter(|oy| {
-                let y = (oy * s.stride + ky) as isize - s.pad as isize;
-                y >= 0 && (y as usize) < ih
-            })
-            .count()
-    };
-    let valid_rows: usize = (0..s.k).map(per_tap_rows).sum();
-
-    let t_inner = dma::strided_time(kt * 4, mt, 64).seconds() // dY tile
-        + crate::gemm_flop_time((mt * kt) as u64).seconds()
-        + dma::strided_time(kt * 4, ntw, 64).seconds() // X^T tile
-        + crate::gemm_flop_time((kt * ntw) as u64).seconds()
-        + MESH_DIM as f64 * step_time(mt, ntw, kt);
-    let per_launch_fixed = sw26010::arch::ATHREAD_LAUNCH_OVERHEAD_SECONDS
-        + 2.0 * crate::gemm_flop_time((mt * ntw) as u64).seconds()
-        + dma::strided_time(ntw * 4, mt, 64).seconds();
-    // One launch batch per (ky, kx); valid_rows is summed over ky, and kx
-    // multiplies uniformly.
-    let total = (panels_m * panels_n) as f64
+    // dY tile, X^T tile.
+    let t_inner = inner_time(tile::load_cost(kt, mt), tile::load_cost(kt, ntw), tiles);
+    let c = tile::load_cost(ntw, mt);
+    let per_launch_fixed = ATHREAD_LAUNCH_OVERHEAD_SECONDS + 2.0 * c.widen + c.dma;
+    // One launch batch per (ky, kx); the valid rows are summed over ky,
+    // and kx multiplies uniformly.
+    let total = launches as f64
         * (s.k as f64 * s.k as f64 * per_launch_fixed
-            + s.k as f64 * valid_rows as f64 * panels_k as f64 * t_inner);
+            + s.k as f64 * valid_row_taps(&s) as f64 * panels_k as f64 * t_inner);
     SimTime::from_seconds(total)
 }
 

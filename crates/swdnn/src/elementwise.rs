@@ -72,12 +72,7 @@ pub fn unary_map(
     f: impl Fn(f32) -> f32 + Sync,
 ) -> LaunchReport {
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: stream_time(len, 1, 1, flops_per_elem),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, stream_time(len, 1, 1, flops_per_elem));
     }
     let (input, output) = io.expect("functional map requires operands");
     assert_eq!(input.len(), len);
@@ -115,12 +110,7 @@ pub fn binary_map(
     f: impl Fn(f32, f32) -> f32 + Sync,
 ) -> LaunchReport {
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: stream_time(len, 2, 1, flops_per_elem),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, stream_time(len, 2, 1, flops_per_elem));
     }
     let (a, b, out) = io.expect("functional map requires operands");
     assert_eq!(a.len(), len);
@@ -241,12 +231,7 @@ pub fn axpy(
     io: Option<(&[f32], &mut [f32])>,
 ) -> LaunchReport {
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: stream_time(len, 2, 1, 2),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, stream_time(len, 2, 1, 2));
     }
     let (x, y) = io.expect("functional axpy requires operands");
     assert_eq!(x.len(), len);
@@ -292,12 +277,7 @@ pub fn bias_forward(
                 + dma::continuous_time(channels * 4, 64).seconds()
                 + row_stream_time(batch * channels, spatial, CHUNK, 2, 1),
         );
-        let report = LaunchReport {
-            elapsed: t,
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, t);
     }
     let (bias, data) = io.expect("functional bias requires operands");
     assert_eq!(bias.len(), channels);
@@ -349,12 +329,7 @@ pub fn bias_backward(
             + dma::continuous_time(4, 64).seconds();
         let t = sw26010::arch::ATHREAD_LAUNCH_OVERHEAD_SECONDS
             + channels.div_ceil(64) as f64 * per_channel;
-        let report = LaunchReport {
-            elapsed: SimTime::from_seconds(t),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, SimTime::from_seconds(t));
     }
     let (dy, db) = io.expect("functional bias requires operands");
     assert_eq!(dy.len(), len);
@@ -519,12 +494,7 @@ pub fn bias_rows(
             sw26010::arch::ATHREAD_LAUNCH_OVERHEAD_SECONDS
                 + row_stream_time(rows, row_len, CHUNK, 3, 1),
         );
-        let report = LaunchReport {
-            elapsed: t,
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, t);
     }
     let (bias, data) = io.expect("functional bias requires operands");
     assert_eq!(bias.len(), row_len);
@@ -576,12 +546,7 @@ pub fn col_sums(
             + dma::continuous_time(COL_CHUNK * 4, 64).seconds();
         let t =
             sw26010::arch::ATHREAD_LAUNCH_OVERHEAD_SECONDS + chunks.div_ceil(64) as f64 * per_chunk;
-        let report = LaunchReport {
-            elapsed: SimTime::from_seconds(t),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, SimTime::from_seconds(t));
     }
     let (m, out) = io.expect("functional col_sums requires operands");
     assert_eq!(m.len(), rows * cols);
@@ -639,12 +604,7 @@ pub fn copy_blocks(
     if !cg.mode().is_functional() {
         let t = sw26010::arch::ATHREAD_LAUNCH_OVERHEAD_SECONDS
             + row_stream_time(nblocks, block_len, CHUNK, 2, 0);
-        let report = LaunchReport {
-            elapsed: SimTime::from_seconds(t),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, SimTime::from_seconds(t));
     }
     let (src, src_off, src_stride, dst, dst_off, dst_stride) =
         io.expect("functional copy requires operands");
@@ -741,12 +701,7 @@ mod tests_extra {
 /// In-place scale: `x *= alpha`.
 pub fn scale(cg: &mut CoreGroup, len: usize, alpha: f32, io: Option<&mut [f32]>) -> LaunchReport {
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: stream_time(len, 1, 1, 1),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, stream_time(len, 1, 1, 1));
     }
     let x = io.expect("functional scale requires operands");
     assert_eq!(x.len(), len);
@@ -776,11 +731,7 @@ pub fn scale(cg: &mut CoreGroup, len: usize, alpha: f32, io: Option<&mut [f32]>)
 /// (LARS norm computations, gradient diagnostics).
 pub fn sumsq(cg: &mut CoreGroup, len: usize, io: Option<&[f32]>) -> (f64, LaunchReport) {
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: stream_time(len, 1, 0, 2),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
+        let report = crate::charge_model(cg, stream_time(len, 1, 0, 2));
         cg.mpe_compute(64);
         return (0.0, report);
     }

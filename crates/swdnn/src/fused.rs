@@ -77,11 +77,8 @@ pub fn forward(
 ) -> LaunchReport {
     if !cg.mode().is_functional() {
         let conv = conv_explicit::forward(cg, shape, None);
-        let epi = LaunchReport {
-            elapsed: epilogue_time(shape.batch, shape.out_c, shape.out_h() * shape.out_w()),
-            stats: Default::default(),
-        };
-        cg.charge(epi.elapsed);
+        let spatial = shape.out_h() * shape.out_w();
+        let epi = crate::charge_model(cg, epilogue_time(shape.batch, shape.out_c, spatial));
         let mut total = conv;
         total.merge(&epi);
         return total;

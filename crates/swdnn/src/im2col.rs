@@ -140,12 +140,7 @@ pub fn im2col_with_strategy(
 ) -> LaunchReport {
     guard_shape(shape);
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: time_model_im2col_with(shape, strategy),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, time_model_im2col_with(shape, strategy));
     }
     let ops = ops.expect("functional im2col requires operands");
     assert_eq!(ops.image.len(), shape.in_c * shape.in_h * shape.in_w);
@@ -266,12 +261,7 @@ pub fn col2im_with_strategy(
 ) -> LaunchReport {
     guard_shape(shape);
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: time_model_col2im_with(shape, strategy),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, time_model_col2im_with(shape, strategy));
     }
     let ops = ops.expect("functional col2im requires operands");
     assert_eq!(ops.image.len(), shape.in_c * shape.in_h * shape.in_w);

@@ -26,6 +26,7 @@ pub mod reference;
 pub mod scheme;
 pub mod shapes;
 pub mod softmax;
+mod tile;
 pub mod transform;
 
 pub use conv_explicit::ExplicitSchemes;
@@ -35,10 +36,26 @@ pub use scheme::{Broadcast, Buffering, TilingScheme};
 pub use shapes::{ConvShape, GemmDims, PoolMethod, PoolShape, ShapeError, Trans};
 
 use sw26010::arch::{CPE_DP_FLOPS_PER_CYCLE, KERNEL_COMPUTE_EFFICIENCY};
-use sw26010::SimTime;
+use sw26010::{CoreGroup, LaunchReport, SimTime};
 
 /// Duration of `flops` vector operations at the tuned-kernel rate — the
 /// unit the per-kernel timing models are built from.
 pub fn gemm_flop_time(flops: u64) -> SimTime {
-    SimTime::from_cycles(flops as f64 / (CPE_DP_FLOPS_PER_CYCLE * KERNEL_COMPUTE_EFFICIENCY))
+    SimTime::from_cycles(flop_cycles(flops))
+}
+
+/// Cycles of `flops` vector operations at the tuned-kernel rate.
+pub(crate) fn flop_cycles(flops: u64) -> f64 {
+    flops as f64 / (CPE_DP_FLOPS_PER_CYCLE * KERNEL_COMPUTE_EFFICIENCY)
+}
+
+/// What every kernel does in timing-only mode: charge its modelled
+/// duration to the core group's timeline and report it. (Only the GEMM
+/// has a counter model to report alongside.)
+pub(crate) fn charge_model(cg: &mut CoreGroup, elapsed: SimTime) -> LaunchReport {
+    cg.charge(elapsed);
+    LaunchReport {
+        elapsed,
+        stats: Default::default(),
+    }
 }

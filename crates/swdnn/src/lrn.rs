@@ -79,12 +79,10 @@ pub fn forward(
     io: Option<(&[f32], &mut [f32])>,
 ) -> LaunchReport {
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: time_model(batch, channels, height, width, p.local_size, 2),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(
+            cg,
+            time_model(batch, channels, height, width, p.local_size, 2),
+        );
     }
     let (input, output) = io.expect("functional LRN requires operands");
     let len = batch * channels * height * width;
@@ -152,12 +150,10 @@ pub fn backward(
     io: Option<(&[f32], &[f32], &mut [f32])>,
 ) -> LaunchReport {
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: time_model(batch, channels, height, width, 2 * p.local_size, 3),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(
+            cg,
+            time_model(batch, channels, height, width, 2 * p.local_size, 3),
+        );
     }
     let (input, out_grad, in_grad) = io.expect("functional LRN requires operands");
     let len = batch * channels * height * width;

@@ -66,12 +66,7 @@ pub fn forward(
 ) -> LaunchReport {
     guard_shape(shape);
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: forward_time(shape),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, forward_time(shape));
     }
     let ops = ops.expect("functional pooling requires operands");
     assert_eq!(ops.input.len(), shape.input_len());
@@ -188,12 +183,7 @@ pub fn backward(
 ) -> LaunchReport {
     guard_shape(shape);
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: backward_time(shape),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, backward_time(shape));
     }
     let ops = ops.expect("functional pooling requires operands");
     assert_eq!(ops.out_grad.len(), shape.output_len());

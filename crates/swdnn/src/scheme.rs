@@ -1,23 +1,27 @@
 //! Declarative tiling schemes for the CPE-mesh GEMM family.
 //!
-//! A [`TilingScheme`] bundles everything that used to be hard-wired into
-//! the kernels as `TilePlan::choose` + static constants: the LDM block
-//! extents (`mt`/`nt`/`kt`), the DMA staging depth (single vs
-//! double-buffered loads) and the register-communication pattern (row+col
-//! broadcasts vs per-CPE DMA replication). Kernels take the scheme as a
-//! value — [`crate::gemm::gemm_with_scheme`] — so the `swtune` searcher
-//! can enumerate the space, while the hand-picked defaults become just
-//! one point in it ([`TilingScheme::hand`]).
+//! A [`TilingScheme`] is the whole description of a GEMM kernel: the LDM
+//! block extents (`mt`/`nt`/`kt`), the DMA staging depth (synchronous vs
+//! prefetched tile loads) and how tiles reach the CPEs (row+col bus
+//! broadcasts vs per-CPE DMA replication). This module defines the type
+//! and what makes a value of it admissible; [`crate::gemm`] holds the
+//! one kernel body the scheme parameterises and derives the rest from
+//! it there — [`TilingScheme::kernel_plan`] from the LDM buffer table
+//! the kernel allocates, [`TilingScheme::time_model`] and
+//! [`TilingScheme::stats_model`] from the shared per-phase cost terms.
+//! The strategy enums are parameters of that one body, not selectors
+//! between sibling kernels. The `swtune` searcher enumerates the space;
+//! the hand-picked default is just one point in it
+//! ([`TilingScheme::hand`]).
 //!
 //! Feasibility is part of the type's contract: [`TilingScheme::validate`]
-//! goes through the same [`KernelPlan::validate`] the launch path
-//! enforces, so an infeasible scheme is rejected with the named-buffer
-//! diagnostic in release builds — there is no `debug_assert!`-only path
-//! left.
+//! goes through the same [`sw26010::KernelPlan::validate`] the launch
+//! path enforces, so an infeasible scheme is rejected with the
+//! named-buffer diagnostic in release builds.
 
-use sw26010::{KernelPlan, PlanViolation, SimTime, Stats};
+use sw26010::PlanViolation;
 
-use crate::gemm::{self, TilePlan};
+use crate::gemm::TilePlan;
 use crate::shapes::GemmDims;
 
 /// DMA staging depth of the tile loads.
@@ -62,47 +66,22 @@ impl TilingScheme {
         }
     }
 
-    /// The launch-metadata descriptor of the kernel this scheme selects.
-    pub fn kernel_plan(&self) -> KernelPlan {
-        match (self.broadcast, self.buffering) {
-            (Broadcast::RowCol, Buffering::Single) => gemm::kernel_plan(self.tile),
-            (Broadcast::RowCol, Buffering::Double) => gemm::kernel_plan_double_buffered(self.tile),
-            (Broadcast::DmaReplicate, _) => gemm::kernel_plan_no_rlc(self.tile),
-        }
-    }
-
-    /// Structural feasibility: positive extents and an LDM-fitting
-    /// working set for the *selected* kernel variant (double buffering
-    /// and DMA replication both cost more LDM than the base kernel).
+    /// Structural feasibility: positive extents, a strategy pair the
+    /// kernel implements, and an LDM-fitting working set for *this*
+    /// variant (double buffering and DMA replication both cost more LDM
+    /// than the base kernel). Replicated strips have no prefetch path, so
+    /// `(DmaReplicate, Double)` is not a kernel and is rejected.
     pub fn validate(&self) -> Result<(), PlanViolation> {
-        if self.tile.mt == 0 || self.tile.nt == 0 || self.tile.kt == 0 {
+        let TilePlan { mt, nt, kt } = self.tile;
+        let no_such_kernel =
+            self.broadcast == Broadcast::DmaReplicate && self.buffering == Buffering::Double;
+        if mt == 0 || nt == 0 || kt == 0 || no_such_kernel {
             return Err(PlanViolation::BadGeometry {
-                plan: self.kernel_plan().name,
+                plan: format!("{} ({})", self.kernel_plan().name, self.label()),
                 n_cpes: 0,
             });
         }
         self.kernel_plan().validate()
-    }
-
-    /// Predicted duration of [`crate::gemm::gemm_with_scheme`] under this
-    /// scheme — the cost model the autotuner searches with, identical to
-    /// what timing-only execution charges.
-    pub fn time_model(&self, dims: GemmDims, beta: f32) -> SimTime {
-        match (self.broadcast, self.buffering) {
-            (Broadcast::RowCol, Buffering::Single) => gemm::time_model(dims, beta, self.tile),
-            (Broadcast::RowCol, Buffering::Double) => {
-                gemm::time_model_double_buffered(dims, beta, self.tile)
-            }
-            (Broadcast::DmaReplicate, _) => gemm::time_model_no_rlc_scheme(dims, beta, self.tile),
-        }
-    }
-
-    /// Predicted counter totals under this scheme.
-    pub fn stats_model(&self, dims: GemmDims, beta: f32) -> Stats {
-        match self.broadcast {
-            Broadcast::RowCol => gemm::stats_model(dims, beta, self.tile),
-            Broadcast::DmaReplicate => gemm::stats_model_no_rlc(dims, beta, self.tile),
-        }
     }
 
     /// Compact display form, e.g. `16x24x32+db` or `8x8x8+norlc`.
@@ -121,6 +100,7 @@ impl TilingScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Trans;
 
     #[test]
     fn hand_scheme_is_feasible_for_extreme_dims() {
@@ -156,6 +136,33 @@ mod tests {
             norlc.validate(),
             Err(PlanViolation::LdmOverflow { .. })
         ));
+    }
+
+    #[test]
+    fn replicated_strips_cannot_be_double_buffered() {
+        // There is no prefetch path over replicated strips: running the
+        // pair single-buffered would mislabel it `+db+norlc`.
+        let s = TilingScheme {
+            tile: TilePlan {
+                mt: 2,
+                nt: 2,
+                kt: 2,
+            },
+            buffering: Buffering::Double,
+            broadcast: Broadcast::DmaReplicate,
+        };
+        match s.validate() {
+            Err(PlanViolation::BadGeometry { plan, .. }) => {
+                assert!(plan.contains("+db+norlc"), "{plan}")
+            }
+            other => panic!("expected BadGeometry, got {other:?}"),
+        }
+        let refused = std::panic::catch_unwind(|| {
+            let mut cg = sw26010::CoreGroup::new(sw26010::ExecMode::TimingOnly);
+            let dims = GemmDims::new(16, 16, 16);
+            crate::gemm::gemm_with_scheme(&mut cg, dims, Trans::No, Trans::No, 0.0, s, None)
+        });
+        assert!(refused.is_err(), "the kernel entry must refuse the pair");
     }
 
     #[test]

@@ -40,12 +40,7 @@ pub fn forward(
     ops: Option<SoftmaxFwdOperands<'_>>,
 ) -> LaunchReport {
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: forward_time(batch, classes),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, forward_time(batch, classes));
     }
     let ops = ops.expect("functional softmax requires operands");
     assert_eq!(ops.logits.len(), batch * classes);
@@ -108,12 +103,7 @@ pub fn backward(
     ops: Option<SoftmaxBwdOperands<'_>>,
 ) -> LaunchReport {
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: backward_time(batch, classes),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, backward_time(batch, classes));
     }
     let ops = ops.expect("functional softmax requires operands");
     assert_eq!(ops.probs.len(), batch * classes);

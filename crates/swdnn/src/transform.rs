@@ -56,12 +56,7 @@ pub fn nchw_to_rcnb(
     io: Option<(&[f32], &mut [f32])>,
 ) -> LaunchReport {
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: time_model(shape),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, time_model(shape));
     }
     let (input, output) = io.expect("functional transform requires operands");
     assert_eq!(input.len(), shape.len());
@@ -125,12 +120,7 @@ pub fn rcnb_to_nchw(
     io: Option<(&[f32], &mut [f32])>,
 ) -> LaunchReport {
     if !cg.mode().is_functional() {
-        let report = LaunchReport {
-            elapsed: time_model(shape),
-            stats: Default::default(),
-        };
-        cg.charge(report.elapsed);
-        return report;
+        return crate::charge_model(cg, time_model(shape));
     }
     let (input, output) = io.expect("functional transform requires operands");
     assert_eq!(input.len(), shape.len());

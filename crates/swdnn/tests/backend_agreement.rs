@@ -180,11 +180,11 @@ fn check_gemm(dims: GemmDims, ta: Trans, tb: Trans, beta: f32, double_buffered: 
             b: &b,
             c: &mut c,
         });
+        let mut scheme = swdnn::TilingScheme::hand(dims);
         if double_buffered {
-            swdnn::gemm::gemm_double_buffered(&mut cg, dims, ta, tb, beta, ops);
-        } else {
-            swdnn::gemm::gemm(&mut cg, dims, ta, tb, beta, ops);
+            scheme.buffering = swdnn::Buffering::Double;
         }
+        swdnn::gemm::gemm_with_scheme(&mut cg, dims, ta, tb, beta, scheme, ops);
         c
     };
     let want = run(ExecMode::Functional);

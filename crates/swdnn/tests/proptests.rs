@@ -8,8 +8,8 @@
 //! dependencies and every failure reproduces exactly.
 
 use sw26010::{CoreGroup, ExecMode};
-use swdnn::gemm::{gemm, time_model, GemmOperands, TilePlan};
-use swdnn::{reference, ConvShape, GemmDims, PoolMethod, PoolShape, Trans};
+use swdnn::gemm::{gemm, GemmOperands};
+use swdnn::{reference, ConvShape, GemmDims, PoolMethod, PoolShape, TilingScheme, Trans};
 
 /// Deterministic case generator (SplitMix64).
 struct CaseRng {
@@ -95,8 +95,8 @@ fn gemm_time_model_is_monotone_in_k() {
         let k = rng.range(8, 512);
         let d1 = GemmDims::new(m, n, k);
         let d2 = GemmDims::new(m, n, 2 * k);
-        let t1 = time_model(d1, 0.0, TilePlan::choose(d1)).seconds();
-        let t2 = time_model(d2, 0.0, TilePlan::choose(d2)).seconds();
+        let t1 = TilingScheme::hand(d1).time_model(d1, 0.0).seconds();
+        let t2 = TilingScheme::hand(d2).time_model(d2, 0.0).seconds();
         assert!(t2 >= t1 * 0.99, "doubling k shrank time: {t1} -> {t2}");
     }
 }

@@ -89,7 +89,7 @@ impl ServeOutcome {
     /// Sorted per-request latencies of admitted requests.
     pub fn latencies(&self) -> Vec<f64> {
         let mut v: Vec<f64> = self.served.iter().map(|s| s.latency()).collect();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        v.sort_by(f64::total_cmp);
         v
     }
 
@@ -157,6 +157,49 @@ pub fn poisson_trace_tiered(seed: u64, qps: f64, n: usize, tiers: &[u8]) -> Vec<
         .collect()
 }
 
+/// The one admission check of both simulators ([`simulate`] and
+/// [`crate::resilient::simulate_ft`]): at least one replica, a non-zero
+/// batch limit, an SLO a full batch can meet, and arrival times that are
+/// finite and non-negative. Returns the trace in processing order —
+/// `(arrival, id)` ascending — and the queueing budget (SLO minus the
+/// worst-case full-batch execution time).
+///
+/// `-0.0` counts as negative, so on the accepted domain `total_cmp` and
+/// numeric order coincide and hostile inputs are a typed error instead
+/// of a panic (or of a silently arbitrary order).
+pub(crate) fn admit(
+    trace: &[Request],
+    replicas: usize,
+    cfg: &BatchConfig,
+    latency: &mut dyn FnMut(usize) -> f64,
+) -> Result<(Vec<Request>, f64), ServeError> {
+    if replicas == 0 {
+        return Err(ServeError::NoReplicas);
+    }
+    if cfg.max_batch == 0 {
+        return Err(ServeError::ZeroMaxBatch);
+    }
+    let worst = latency(cfg.max_batch);
+    let budget = cfg.slo - worst;
+    if budget.is_nan() || budget < 0.0 {
+        return Err(ServeError::InfeasibleSlo {
+            slo: cfg.slo,
+            max_batch: cfg.max_batch,
+            worst,
+        });
+    }
+    let unordered = |r: &&Request| !(r.arrival.is_finite() && r.arrival.is_sign_positive());
+    if let Some(bad) = trace.iter().find(unordered) {
+        return Err(ServeError::BadArrival {
+            id: bad.id,
+            arrival: bad.arrival,
+        });
+    }
+    let mut requests: Vec<Request> = trace.to_vec();
+    requests.sort_by(|a, b| a.arrival.total_cmp(&b.arrival).then(a.id.cmp(&b.id)));
+    Ok((requests, budget))
+}
+
 /// Simulate serving `trace` on `replicas` identical replicas. `latency`
 /// maps a batch size to its execution time in seconds (the engine
 /// buckets internally); it must be monotone in the batch size.
@@ -166,28 +209,7 @@ pub fn simulate(
     cfg: &BatchConfig,
     latency: &mut dyn FnMut(usize) -> f64,
 ) -> Result<ServeOutcome, ServeError> {
-    if replicas == 0 {
-        return Err(ServeError::NoReplicas);
-    }
-    if cfg.max_batch == 0 {
-        return Err(ServeError::ZeroMaxBatch);
-    }
-    let worst = latency(cfg.max_batch);
-    let budget = cfg.slo - worst;
-    if budget < 0.0 {
-        return Err(ServeError::InfeasibleSlo {
-            slo: cfg.slo,
-            max_batch: cfg.max_batch,
-            worst,
-        });
-    }
-    let mut requests: Vec<Request> = trace.to_vec();
-    requests.sort_by(|a, b| {
-        a.arrival
-            .partial_cmp(&b.arrival)
-            .unwrap()
-            .then(a.id.cmp(&b.id))
-    });
+    let (requests, budget) = admit(trace, replicas, cfg, latency)?;
 
     let mut out = ServeOutcome {
         busy: vec![0.0; replicas],

@@ -36,6 +36,9 @@ pub enum ServeError {
         max_batch: usize,
         worst: f64,
     },
+    /// A request's arrival time is NaN, infinite or negative (`-0.0`
+    /// included), so the trace has no arrival order to simulate.
+    BadArrival { id: u64, arrival: f64 },
     /// Every replica is declared crashed before the trace begins — the
     /// resilience layer cannot serve anything.
     AllReplicasDead,
@@ -69,6 +72,10 @@ impl fmt::Display for ServeError {
             } => write!(
                 f,
                 "SLO {slo:.6}s infeasible: a full batch of {max_batch} takes {worst:.6}s"
+            ),
+            ServeError::BadArrival { id, arrival } => write!(
+                f,
+                "request {id} arrives at {arrival}: arrivals must be finite and non-negative"
             ),
             ServeError::AllReplicasDead => {
                 write!(f, "every replica is crashed before the trace begins")

@@ -672,31 +672,10 @@ pub fn simulate_ft(
     session: &mut ServeFaultSession,
     latency: &mut dyn FnMut(usize) -> f64,
 ) -> Result<FtServeOutcome, ServeError> {
-    if replicas == 0 {
-        return Err(ServeError::NoReplicas);
-    }
-    if cfg.max_batch == 0 {
-        return Err(ServeError::ZeroMaxBatch);
-    }
-    let worst = latency(cfg.max_batch);
-    let budget = cfg.slo - worst;
-    if budget < 0.0 {
-        return Err(ServeError::InfeasibleSlo {
-            slo: cfg.slo,
-            max_batch: cfg.max_batch,
-            worst,
-        });
-    }
+    let (trace, budget) = crate::batcher::admit(trace, replicas, cfg, latency)?;
     if (0..replicas).all(|r| session.crash_time(r).is_some_and(|t| t <= 0.0)) {
         return Err(ServeError::AllReplicasDead);
     }
-    let mut trace: Vec<Request> = trace.to_vec();
-    trace.sort_by(|a, b| {
-        a.arrival
-            .partial_cmp(&b.arrival)
-            .unwrap_or(Ordering::Equal)
-            .then(a.id.cmp(&b.id))
-    });
     let crash_pending: Vec<Option<f64>> = (0..replicas).map(|r| session.crash_time(r)).collect();
     let sim = Sim {
         cfg: *cfg,

@@ -214,7 +214,11 @@ impl TuneDb {
     }
 
     /// Parse and *validate* a DB: a version or invalidation-key mismatch
-    /// is an error — stale caches must be regenerated, never reused.
+    /// is an error — stale caches must be regenerated, never reused —
+    /// and so is a degenerate shape or a plan its kernel would refuse
+    /// (zero extent, LDM overflow, non-dividing fibre tile,
+    /// double-buffered replication): a hand-edited DB fails here with
+    /// the layer named, not with a panic at its first launch.
     pub fn parse(text: &str) -> Result<TuneDb, String> {
         let v = Json::parse(text)?;
         let version = field(&v, "version")?
@@ -240,22 +244,36 @@ impl TuneDb {
             .as_arr()
             .ok_or("tune db: `layers` is not an array")?
         {
+            let name = str_field(lv, "name")?;
             let shape = parse_shape(field(lv, "shape")?)?;
+            shape
+                .validate()
+                .map_err(|e| format!("tune db: layer `{name}`: {e}"))?;
             let mut passes = Vec::new();
             for pv in field(lv, "passes")?
                 .as_arr()
                 .ok_or("tune db: `passes` is not an array")?
             {
+                let pass = parse_pass_key(str_field(pv, "pass")?)?;
+                let plan = parse_plan(field(pv, "plan")?)?;
+                match &plan {
+                    TunedPlan::Explicit(s) => s.validate(),
+                    TunedPlan::Implicit(t) => t.validate(pass, &shape),
+                }
+                .map_err(|v| {
+                    let (key, label) = (pass_key(pass), plan.label());
+                    format!("tune db: layer `{name}` pass `{key}`: infeasible plan `{label}`: {v}")
+                })?;
                 passes.push(PassTuning {
-                    pass: parse_pass_key(str_field(pv, "pass")?)?,
-                    plan: parse_plan(field(pv, "plan")?)?,
+                    pass,
+                    plan,
                     tuned_seconds: f64_field(pv, "tuned_seconds")?,
                     hand_seconds: f64_field(pv, "hand_seconds")?,
                     candidates: usize_field(pv, "candidates")?,
                 });
             }
             layers.push(LayerTuning {
-                name: str_field(lv, "name")?.to_string(),
+                name: name.to_string(),
                 shape,
                 passes,
             });
@@ -312,6 +330,78 @@ mod tests {
             .replace(SPACE_VERSION, "gemm-v0.conv-v0");
         let err = TuneDb::parse(&text).unwrap_err();
         assert!(err.contains("stale"), "{err}");
+    }
+
+    /// Re-render `small_db()` with pass `key`'s plan replaced by `plan`.
+    fn with_plan(key: &str, plan: TunedPlan) -> String {
+        let mut db = small_db();
+        let pass = parse_pass_key(key).unwrap();
+        let slot = db.layers[0].passes.iter_mut().find(|p| p.pass == pass);
+        slot.unwrap().plan = plan;
+        db.render()
+    }
+
+    #[test]
+    fn infeasible_or_degenerate_plans_are_parse_errors() {
+        let tile = |mt, nt, kt| TilePlan { mt, nt, kt };
+        let explicit = |tile, buffering, broadcast| {
+            TunedPlan::Explicit(TilingScheme {
+                tile,
+                buffering,
+                broadcast,
+            })
+        };
+        for (key, plan, why) in [
+            // Zero extent.
+            (
+                "fwd",
+                explicit(tile(0, 8, 8), Buffering::Single, Broadcast::RowCol),
+                "0 CPEs",
+            ),
+            // 64^3 tiles overflow LDM many times over.
+            (
+                "dw",
+                explicit(tile(64, 64, 64), Buffering::Single, Broadcast::RowCol),
+                "overflows LDM",
+            ),
+            // A pair no kernel implements (used to run single-buffered).
+            (
+                "dx",
+                explicit(tile(2, 2, 2), Buffering::Double, Broadcast::DmaReplicate),
+                "+db+norlc",
+            ),
+            // The fibre tile (nt) must divide the batch of 16.
+            (
+                "fwd",
+                TunedPlan::Implicit(ConvTiles {
+                    mt: 4,
+                    nt: 5,
+                    kt: 4,
+                }),
+                "im:4x5x4",
+            ),
+            (
+                "dw",
+                TunedPlan::Implicit(ConvTiles {
+                    mt: 64,
+                    nt: 64,
+                    kt: 16,
+                }),
+                "overflows LDM",
+            ),
+        ] {
+            let err = TuneDb::parse(&with_plan(key, plan)).unwrap_err();
+            assert!(err.contains("infeasible plan"), "{err}");
+            assert!(err.contains("layer `small`"), "{err}");
+            assert!(err.contains(why), "expected `{why}` in: {err}");
+        }
+    }
+
+    #[test]
+    fn degenerate_shape_is_a_parse_error() {
+        let text = small_db().render().replace("\"in_h\": 14", "\"in_h\": 0");
+        let err = TuneDb::parse(&text).unwrap_err();
+        assert!(err.contains("layer `small`"), "{err}");
     }
 
     #[test]
