@@ -253,7 +253,9 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Run independent work units on `threads` scoped OS threads.
+/// Run independent work units on `threads` threads: the caller's own
+/// plus `threads - 1` scoped OS threads, so no worker is spawned only to
+/// have the caller sleep in the join.
 ///
 /// Units are distributed round-robin; since every unit's result is
 /// fully determined by the unit itself (host mirrors never share
@@ -276,14 +278,13 @@ where
         buckets[i % threads].push(t);
     }
     let f = &f;
+    let mut buckets = buckets.into_iter();
+    let own = buckets.next().expect("at least two buckets");
     std::thread::scope(|s| {
         for bucket in buckets {
-            s.spawn(move || {
-                for t in bucket {
-                    f(t);
-                }
-            });
+            s.spawn(move || bucket.into_iter().for_each(f));
         }
+        own.into_iter().for_each(f);
     });
 }
 

@@ -96,6 +96,12 @@ pub fn forward_with_scheme(
     assert_eq!(ops.input.len(), shape.input_len());
     assert_eq!(ops.weights.len(), shape.weight_len());
     assert_eq!(ops.output.len(), shape.output_len());
+    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+        im2col::guard_shape(shape);
+        gemm::check_scheme(scheme);
+        crate::host::conv_explicit_forward(threads, shape, ops.input, ops.weights, ops.output);
+        return LaunchReport::default();
+    }
     let per_in = shape.in_c * shape.in_h * shape.in_w;
     let per_out = shape.out_c * shape.out_h() * shape.out_w();
     let mut cols = vec![0.0f32; shape.col_rows() * shape.col_cols()];
@@ -153,6 +159,28 @@ pub fn backward_with_schemes(
         );
     }
     let mut ops = ops.expect("functional conv requires operands");
+    if let Some(w_grad) = &ops.w_grad {
+        assert_eq!(w_grad.len(), shape.weight_len());
+    }
+    if let Some(in_grad) = &ops.in_grad {
+        assert_eq!(in_grad.len(), shape.input_len());
+    }
+    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+        // The rejections the per-image kernels make on the mesh path.
+        im2col::guard_shape(shape);
+        gemm::check_scheme(schemes.backward_weights);
+        gemm::check_scheme(schemes.backward_input);
+        crate::host::conv_explicit_backward(
+            threads,
+            shape,
+            ops.input,
+            ops.weights,
+            ops.out_grad,
+            ops.in_grad,
+            ops.w_grad,
+        );
+        return LaunchReport::default();
+    }
     let per_in = shape.in_c * shape.in_h * shape.in_w;
     let per_out = shape.out_c * shape.out_h() * shape.out_w();
     let col_len = shape.col_rows() * shape.col_cols();
@@ -160,7 +188,6 @@ pub fn backward_with_schemes(
     let mut total = LaunchReport::default();
 
     if let Some(w_grad) = ops.w_grad.as_deref_mut() {
-        assert_eq!(w_grad.len(), shape.weight_len());
         for b in 0..shape.batch {
             total.merge(&im2col::im2col(
                 cg,
@@ -188,7 +215,6 @@ pub fn backward_with_schemes(
     }
 
     if let Some(in_grad) = ops.in_grad.as_deref_mut() {
-        assert_eq!(in_grad.len(), shape.input_len());
         for b in 0..shape.batch {
             // dCols (KKNi x CoRo) = W^T * dY_b, then col2im.
             total.merge(&gemm::gemm_with_scheme(

@@ -8,13 +8,16 @@
 //! they exist purely for wall-clock speed.
 //!
 //! Parallelism comes from [`swbackend::par_tasks`]: work is split into
-//! units whose results are fully determined by the unit itself (a row of
-//! C, a channel's statistics, one image's softmax), so the thread count
-//! never affects results. The bit-agreement property tests in
+//! units whose results are fully determined by the unit itself (a run of
+//! C's columns, a channel's statistics, one image's softmax), so the
+//! thread count never affects results. The bit-agreement property tests in
 //! `tests/backend_agreement.rs` pin every mirror against the mesh.
 
-use swbackend::par_tasks;
+use std::cell::RefCell;
 
+use swbackend::{par_tasks, resolve_threads};
+
+use crate::conv_explicit;
 use crate::elementwise::CHUNK;
 use crate::lrn::{self, LrnParams};
 use crate::shapes::{ConvShape, GemmDims, PoolMethod, PoolShape, Trans};
@@ -23,6 +26,34 @@ use crate::transform::TransShape;
 // ---------------------------------------------------------------------
 // GEMM
 // ---------------------------------------------------------------------
+
+/// Register tile of the GEMM micro-kernel: `GEMM_MR` rows of A against
+/// `GEMM_NR` columns of B. The zero-skip is a branch per (row, k), so
+/// rows multiply the hard-to-predict branches of a sparse A (ReLU-masked
+/// activations and gradients) while columns amortise them: one wide row
+/// measured fastest on dense and sparse operands alike.
+pub const GEMM_MR: usize = 1;
+/// See [`GEMM_MR`]. Twelve SSE2 registers of accumulators: the widest
+/// row the baseline x86-64 target keeps out of memory.
+pub const GEMM_NR: usize = 24;
+/// Products below this many flops (`2mnk`) run on the calling thread: a
+/// fork costs about as long as this much work takes.
+pub const GEMM_FORK_FLOPS: usize = 1 << 20;
+
+/// Per-thread buffers the GEMM-backed mirrors reuse across calls: the
+/// packed A panels, one packed B panel per task, and the explicit conv
+/// plan's column matrix. Whoever reads a buffer has overwritten that
+/// part of it first, so a previous call's contents never reach a result.
+#[derive(Default)]
+struct Scratch {
+    a: Vec<f64>,
+    b: Vec<f64>,
+    cols: Vec<f32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
 
 /// `C = A*B + beta*C`, mirroring the mesh GEMM: per-element f64
 /// accumulator seeded with the f32 product `beta * c`, plain ascending-k
@@ -39,34 +70,172 @@ pub fn gemm(
     b: &[f32],
     c: &mut [f32],
 ) {
-    let (m, n, k) = (dims.m, dims.n, dims.k);
-    let rows: Vec<(usize, &mut [f32])> = c.chunks_mut(n.max(1)).enumerate().collect();
-    par_tasks(threads, rows, |(i, crow)| {
-        for (j, cv) in crow.iter_mut().enumerate() {
-            let mut acc: f64 = if beta != 0.0 {
-                (beta * *cv) as f64
-            } else {
-                0.0
-            };
-            for kk in 0..k {
-                let av = if ta.is_trans() {
-                    a[kk * m + i]
-                } else {
-                    a[i * k + kk]
-                };
-                if av == 0.0 {
-                    continue;
+    SCRATCH.with_borrow_mut(|s| {
+        pack_a(ta, dims, a, &mut s.a);
+        gemm_packed(threads, dims, tb, beta, &s.a, b, c, &mut s.b);
+    });
+}
+
+/// Widen rows (A) or columns (B) `x0..x1` of an operand into `W`-wide
+/// panels over the whole of `k`: entry `(x, kk)` lands at
+/// `[kk * W + (x - x0) % W]` of panel `(x - x0) / W`, and a ragged last
+/// panel is zero-filled. `k_major` says `src` holds that entry at
+/// `[kk * extent + x]` rather than `[x * k + kk]` — the only place a
+/// transposition flag is looked at.
+fn pack<const W: usize>(
+    k_major: bool,
+    extent: usize,
+    k: usize,
+    src: &[f32],
+    (x0, x1): (usize, usize),
+    out: &mut [f64],
+) {
+    // f32 per cache line: the transposing gather below takes that many
+    // k-steps of every source row at a time, so each line is fetched
+    // once however far apart (and however aliased) the rows are.
+    const LINE: usize = 16;
+    for (p, panel) in out.chunks_exact_mut(W * k).enumerate() {
+        let base = x0 + p * W;
+        let valid = W.min(x1 - base);
+        if k_major {
+            for (kk, step) in panel.chunks_exact_mut(W).enumerate() {
+                for (d, s) in step[..valid].iter_mut().zip(&src[kk * extent + base..]) {
+                    *d = *s as f64;
                 }
-                let bv = if tb.is_trans() {
-                    b[j * k + kk]
-                } else {
-                    b[kk * n + j]
-                };
-                acc += av as f64 * bv as f64;
             }
-            *cv = acc as f32;
+        } else {
+            for (blk, steps) in panel.chunks_mut(LINE * W).enumerate() {
+                for x in 0..valid {
+                    let line = &src[(base + x) * k + blk * LINE..];
+                    for (step, s) in steps.chunks_exact_mut(W).zip(line) {
+                        step[x] = *s as f64;
+                    }
+                }
+            }
+        }
+        if valid < W {
+            for step in panel.chunks_exact_mut(W) {
+                step[valid..].fill(0.0);
+            }
+        }
+    }
+}
+
+/// All of A as `GEMM_MR`-row panels (what [`gemm_packed`] multiplies by).
+fn pack_a(ta: Trans, dims: GemmDims, a: &[f32], out: &mut Vec<f64>) {
+    out.resize(dims.m.div_ceil(GEMM_MR) * GEMM_MR * dims.k, 0.0);
+    if dims.k > 0 {
+        pack::<GEMM_MR>(ta.is_trans(), dims.m, dims.k, a, (0, dims.m), out);
+    }
+}
+
+/// The GEMM behind [`gemm`], on an A already packed by [`pack_a`] (the
+/// explicit conv plan packs its weights once for the whole batch). A
+/// task owns a run of `GEMM_NR`-column panels of C over all rows; it
+/// packs one panel of B at a time into its slice of `bp` and sweeps it
+/// down the A panels. Every element of C is produced by one [`tile`]
+/// call whatever the partition, so the thread count cannot change a bit.
+#[allow(clippy::too_many_arguments)]
+fn gemm_packed(
+    threads: usize,
+    dims: GemmDims,
+    tb: Trans,
+    beta: f32,
+    ap: &[f64],
+    b: &[f32],
+    c: &mut [f32],
+    bp: &mut Vec<f64>,
+) {
+    let GemmDims { m, n, k } = dims;
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        // Nothing to reduce: C is its own seed.
+        for v in c.iter_mut() {
+            *v = if beta != 0.0 { beta * *v } else { 0.0 };
+        }
+        return;
+    }
+    let panels = n.div_ceil(GEMM_NR);
+    let ntasks = if 2 * m * n * k < GEMM_FORK_FLOPS {
+        1
+    } else {
+        resolve_threads(threads).min(panels)
+    };
+    // Columns per task, in whole panels.
+    let span = panels.div_ceil(ntasks) * GEMM_NR;
+    bp.resize(n.div_ceil(span) * k * GEMM_NR, 0.0);
+    let mut tasks: Vec<ColumnRun<'_>> = bp
+        .chunks_exact_mut(k * GEMM_NR)
+        .enumerate()
+        .map(|(t, bpanel)| ColumnRun {
+            j0: t * span,
+            rows: Vec::with_capacity(m),
+            bpanel,
+        })
+        .collect();
+    for row in c.chunks_exact_mut(n) {
+        for (task, segment) in tasks.iter_mut().zip(row.chunks_mut(span)) {
+            task.rows.push(segment);
+        }
+    }
+    par_tasks(threads, tasks, |mut task: ColumnRun<'_>| {
+        let width = task.rows[0].len();
+        for j in (0..width).step_by(GEMM_NR) {
+            let vn = GEMM_NR.min(width - j);
+            let cols = (task.j0 + j, task.j0 + j + vn);
+            pack::<GEMM_NR>(!tb.is_trans(), n, k, b, cols, task.bpanel);
+            for (apanel, crows) in ap
+                .chunks_exact(k * GEMM_MR)
+                .zip(task.rows.chunks_mut(GEMM_MR))
+            {
+                tile(beta, apanel, task.bpanel, crows, j, vn);
+            }
         }
     });
+}
+
+/// One task's share of a GEMM: columns `j0..` of C as one segment per
+/// row, and the buffer it packs its B panels into.
+struct ColumnRun<'a> {
+    j0: usize,
+    rows: Vec<&'a mut [f32]>,
+    bpanel: &'a mut [f64],
+}
+
+/// The micro-kernel: one `GEMM_MR x GEMM_NR` tile of C, columns
+/// `j..j + vn` of `crows`, from whole-`k` panels of A and B. Each element
+/// follows the float sequence of the mesh's `tile_product` exactly: an
+/// f64 accumulator seeded with the f32 product `beta * c` (or +0.0), one
+/// add per ascending `k`, *no* add where A is zero (a skipped `0 * inf`
+/// or `-0.0 + 0.0` is not an added zero), one rounding to f32 at the
+/// end. Only the independent columns are left to the vectoriser.
+fn tile(beta: f32, ap: &[f64], bp: &[f64], crows: &mut [&mut [f32]], j: usize, vn: usize) {
+    let mut acc = [[0.0f64; GEMM_NR]; GEMM_MR];
+    if beta != 0.0 {
+        for (sums, crow) in acc.iter_mut().zip(crows.iter()) {
+            for (s, v) in sums.iter_mut().zip(&crow[j..j + vn]) {
+                *s = (beta * *v) as f64;
+            }
+        }
+    }
+    let (asteps, bsteps) = (ap.as_chunks::<GEMM_MR>().0, bp.as_chunks::<GEMM_NR>().0);
+    for (avals, bvals) in asteps.iter().zip(bsteps) {
+        for (sums, av) in acc.iter_mut().zip(avals) {
+            if *av == 0.0 {
+                continue;
+            }
+            for (s, bv) in sums.iter_mut().zip(bvals) {
+                *s += av * bv;
+            }
+        }
+    }
+    for (sums, crow) in acc.iter().zip(crows.iter_mut()) {
+        for (v, s) in crow[j..j + vn].iter_mut().zip(sums) {
+            *v = *s as f32;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -136,6 +305,72 @@ fn tap_source(i: usize, tap: usize, stride: usize, pad: usize, out_dim: usize) -
     }
     let o = num / stride;
     (o < out_dim).then_some(o)
+}
+
+// ---------------------------------------------------------------------
+// Explicit convolution (im2col -> GEMM -> col2im, NCHW)
+// ---------------------------------------------------------------------
+
+/// Explicit-plan forward over the whole batch: per image, im2col then
+/// `W x cols`. The weights are packed once for the batch and `cols`
+/// lives in the thread's scratch (im2col overwrites all of it).
+pub fn conv_explicit_forward(
+    threads: usize,
+    shape: &ConvShape,
+    input: &[f32],
+    weights: &[f32],
+    output: &mut [f32],
+) {
+    let dims = conv_explicit::fwd_gemm_dims(shape);
+    let per_in = shape.in_c * shape.in_h * shape.in_w;
+    let per_out = shape.out_c * shape.col_cols();
+    SCRATCH.with_borrow_mut(|Scratch { a, b, cols }| {
+        pack_a(Trans::No, dims, weights, a);
+        cols.resize(dims.k * dims.n, 0.0);
+        for bi in 0..shape.batch {
+            im2col(threads, shape, &input[bi * per_in..][..per_in], cols);
+            let out = &mut output[bi * per_out..][..per_out];
+            gemm_packed(threads, dims, Trans::No, 0.0, a, cols, out, b);
+        }
+    });
+}
+
+/// Explicit-plan backward over the whole batch. `w_grad` is overwritten:
+/// image 0 stores `dY_0 x cols_0^T`, every later image adds its own
+/// through the GEMM's beta, rounding to f32 in between as the mesh does.
+/// `in_grad` is `col2im(W^T x dY_b)` per image, `W^T` packed once.
+pub fn conv_explicit_backward(
+    threads: usize,
+    shape: &ConvShape,
+    input: &[f32],
+    weights: &[f32],
+    out_grad: &[f32],
+    in_grad: Option<&mut [f32]>,
+    w_grad: Option<&mut [f32]>,
+) {
+    let per_in = shape.in_c * shape.in_h * shape.in_w;
+    let per_out = shape.out_c * shape.col_cols();
+    SCRATCH.with_borrow_mut(|Scratch { a, b, cols }| {
+        cols.resize(shape.col_rows() * shape.col_cols(), 0.0);
+        if let Some(w_grad) = w_grad {
+            let dims = conv_explicit::bwd_weights_gemm_dims(shape);
+            for bi in 0..shape.batch {
+                im2col(threads, shape, &input[bi * per_in..][..per_in], cols);
+                pack_a(Trans::No, dims, &out_grad[bi * per_out..][..per_out], a);
+                let beta = if bi == 0 { 0.0 } else { 1.0 };
+                gemm_packed(threads, dims, Trans::Yes, beta, a, cols, w_grad, b);
+            }
+        }
+        if let Some(in_grad) = in_grad {
+            let dims = conv_explicit::bwd_input_gemm_dims(shape);
+            pack_a(Trans::Yes, dims, weights, a);
+            for bi in 0..shape.batch {
+                let dy = &out_grad[bi * per_out..][..per_out];
+                gemm_packed(threads, dims, Trans::No, 0.0, a, dy, cols, b);
+                col2im(threads, shape, cols, &mut in_grad[bi * per_in..][..per_in]);
+            }
+        }
+    });
 }
 
 // ---------------------------------------------------------------------

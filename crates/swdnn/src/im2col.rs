@@ -108,7 +108,7 @@ pub fn col2im_plan_with(shape: &ConvShape, strategy: Im2colStrategy) -> KernelPl
 }
 
 /// Panic with the typed shape diagnostic if `shape` is degenerate.
-fn guard_shape(shape: &ConvShape) {
+pub(crate) fn guard_shape(shape: &ConvShape) {
     if let Err(e) = shape.validate() {
         panic!("swdnn.im2col rejected shape: {e}");
     }

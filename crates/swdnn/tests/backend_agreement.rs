@@ -202,7 +202,7 @@ fn check_gemm(dims: GemmDims, ta: Trans, tb: Trans, beta: f32, double_buffered: 
 fn gemm_agrees_across_backends() {
     let mut rng = CaseRng::new(0xB17_0001);
     for _ in 0..8 {
-        let dims = GemmDims::new(rng.range(1, 48), rng.range(1, 48), rng.range(1, 48));
+        let dims = GemmDims::new(rng.range(1, 200), rng.range(1, 200), rng.range(1, 200));
         let ta = if rng.flag() { Trans::Yes } else { Trans::No };
         let tb = if rng.flag() { Trans::Yes } else { Trans::No };
         let beta = if rng.flag() { 1.0 } else { 0.0 };
@@ -224,6 +224,134 @@ fn double_buffered_gemm_agrees_across_backends() {
             if rng.flag() { 1.0 } else { 0.0 },
             true,
         );
+    }
+}
+
+/// One GEMM on `mode`, hand scheme, from the given operands.
+#[allow(clippy::too_many_arguments)]
+fn gemm_on(
+    mode: ExecMode,
+    dims: GemmDims,
+    ta: Trans,
+    tb: Trans,
+    beta: f32,
+    a: &[f32],
+    b: &[f32],
+    c0: &[f32],
+) -> Vec<f32> {
+    let mut c = c0.to_vec();
+    let mut cg = CoreGroup::new(mode);
+    let ops = Some(GemmOperands { a, b, c: &mut c });
+    swdnn::gemm::gemm(&mut cg, dims, ta, tb, beta, ops);
+    c
+}
+
+/// `m` and `n` on both sides of every blocking edge of the host kernel
+/// — the register tile, and the column split between forked tasks — in
+/// all four transpositions, with dead, plain and scaling betas, from a
+/// single k-step to a long reduction, on one, two and three threads.
+#[test]
+fn gemm_agrees_across_block_edges() {
+    use swdnn::host::{GEMM_FORK_FLOPS, GEMM_MR, GEMM_NR};
+    let straddle = |edge: usize| {
+        let mut v = vec![1, edge - 1, edge, edge + 1, 2 * edge + 3];
+        v.retain(|x| *x > 0);
+        v.sort_unstable();
+        v.dedup();
+        v
+    };
+    let (ms, ns, ks) = (straddle(GEMM_MR), straddle(GEMM_NR), [1, 7, 64, 300]);
+    let mut cases: Vec<(usize, usize, usize)> = Vec::new();
+    for &m in &ms {
+        for &n in &ns {
+            cases.extend(ks.iter().map(|&k| (m, n, k)));
+        }
+    }
+    // Wide enough to fork, so that two and three tasks split the column
+    // panels between them: a whole number of panels, one column short of
+    // it (a ragged last task) and one over (a last panel of one column).
+    let (m, k) = (2 * GEMM_MR + 3, 300);
+    let n = (GEMM_FORK_FLOPS.div_ceil(2 * m * k * GEMM_NR) + 2) * GEMM_NR;
+    cases.extend([(m, n - 1, k), (m, n, k), (m, n + 1, k)]);
+    for (m, n, k) in cases {
+        let dims = GemmDims::new(m, n, k);
+        let a = sparse_values(m * k, 1);
+        let b = values(k * n, 2);
+        let c0 = values(m * n, 3);
+        for (ta, tb) in [
+            (Trans::No, Trans::No),
+            (Trans::No, Trans::Yes),
+            (Trans::Yes, Trans::No),
+            (Trans::Yes, Trans::Yes),
+        ] {
+            for beta in [0.0, 1.0, -0.5] {
+                let want = gemm_on(ExecMode::Functional, dims, ta, tb, beta, &a, &b, &c0);
+                for threads in [1, 2, 3] {
+                    let mode = ExecMode::HostNative { threads };
+                    assert_bits_eq(
+                        &format!("gemm {dims:?} ta={ta:?} tb={tb:?} beta={beta} threads={threads}"),
+                        &gemm_on(mode, dims, ta, tb, beta, &a, &b, &c0),
+                        &want,
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A zero in A *skips* its k-step; it does not add a zero product. The
+/// two differ exactly where this test looks: a zero (of either sign)
+/// opposite a NaN or an infinity in B would poison the sum, and adding
+/// `+0.0` to an accumulator seeded with `-0.0` would flip its sign.
+#[test]
+fn gemm_zero_skip_is_not_add_zero() {
+    let n = swdnn::host::GEMM_NR + 1;
+    let dims = GemmDims::new(3, n, 5);
+    #[rustfmt::skip]
+    let a = [
+        0.0, -0.0, 1.5, 0.0, 2.0, // zeros opposite every hostile row of B
+        0.0, -0.0, 0.0, -0.0, 0.0, // skipped entirely: C keeps its seed
+        -1.0, 0.5, 0.25, 3.0, -2.0, // no zeros: meets the hostile rows
+    ];
+    let mut b = values(5 * n, 4);
+    for j in 0..n {
+        b[j] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][j % 3];
+        b[n + j] = [f32::NEG_INFINITY, f32::NAN, f32::INFINITY][j % 3];
+        b[3 * n + j] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][j % 3];
+    }
+    // Seeds: beta * c is -0.0 all along row 1, whichever sign beta has.
+    for (beta, zero) in [(1.0, -0.0f32), (-0.5, 0.0)] {
+        let mut c0 = values(3 * n, 5);
+        c0[n..2 * n].fill(zero);
+        let want = gemm_on(
+            ExecMode::Functional,
+            dims,
+            Trans::No,
+            Trans::No,
+            beta,
+            &a,
+            &b,
+            &c0,
+        );
+        assert!(want[..n].iter().all(|v| v.is_finite()), "row 0: {want:?}");
+        assert!(
+            want[n..2 * n]
+                .iter()
+                .all(|v| v.to_bits() == (-0.0f32).to_bits()),
+            "row 1: {want:?}"
+        );
+        assert!(
+            want[2 * n..].iter().all(|v| !v.is_finite()),
+            "row 2: {want:?}"
+        );
+        for threads in [1, 2, 3] {
+            let mode = ExecMode::HostNative { threads };
+            assert_bits_eq(
+                &format!("hostile gemm beta={beta} threads={threads}"),
+                &gemm_on(mode, dims, Trans::No, Trans::No, beta, &a, &b, &c0),
+                &want,
+            );
+        }
     }
 }
 
@@ -396,6 +524,101 @@ fn explicit_conv_agrees_across_backends() {
             let (dx, dw) = run_bwd(mode);
             assert_bits_eq(&format!("explicit bwd-in {i}"), &dx, &want_dx);
             assert_bits_eq(&format!("explicit bwd-w {i}"), &dw, &want_dw);
+        }
+    }
+}
+
+/// Explicit conv forward, backward and the fused conv+BN+ReLU forward
+/// of one shape on `cg`: `[output, in_grad, w_grad, fused output]`.
+fn explicit_passes(shape: &ConvShape, cg: &mut CoreGroup) -> [Vec<f32>; 4] {
+    let input = values(shape.input_len(), 9);
+    let weights = sparse_values(shape.weight_len(), 10);
+    let out_grad = sparse_values(shape.output_len(), 11);
+    let channel = |seed: u64| values(shape.out_c, seed);
+    let var: Vec<f32> = channel(16).iter().map(|v| v * v + 0.1).collect();
+
+    let mut out = vec![f32::NAN; shape.output_len()];
+    swdnn::conv_explicit::forward(
+        cg,
+        shape,
+        Some(ConvFwdOperands {
+            input: &input,
+            weights: &weights,
+            output: &mut out,
+        }),
+    );
+    let mut in_grad = vec![f32::NAN; shape.input_len()];
+    let mut w_grad = vec![f32::NAN; shape.weight_len()];
+    swdnn::conv_explicit::backward(
+        cg,
+        shape,
+        Some(ConvBwdOperands {
+            input: &input,
+            weights: &weights,
+            out_grad: &out_grad,
+            in_grad: Some(&mut in_grad),
+            w_grad: Some(&mut w_grad),
+        }),
+    );
+    let mut fused = vec![f32::NAN; shape.output_len()];
+    swdnn::fused::forward(
+        cg,
+        shape,
+        1e-5,
+        Some(swdnn::fused::ConvBnReluOperands {
+            input: &input,
+            weights: &weights,
+            bias: Some(&channel(12)),
+            gamma: &channel(13),
+            beta: &channel(14),
+            mean: &channel(15),
+            var: &var,
+            output: &mut fused,
+        }),
+    );
+    [out, in_grad, w_grad, fused]
+}
+
+/// The host path keeps `cols` and its pack buffers in per-thread scratch
+/// across calls. Two shapes back to back on one core group and thread,
+/// the larger first (its GEMMs fork), so the smaller one finds every
+/// buffer full of the other's data: nothing it did not write itself may
+/// reach a result.
+#[test]
+fn explicit_conv_ignores_stale_scratch() {
+    let shapes = [
+        ConvShape {
+            batch: 3,
+            in_c: 8,
+            in_h: 16,
+            in_w: 16,
+            out_c: 32,
+            k: 3,
+            stride: 1,
+            pad: 1,
+        },
+        ConvShape {
+            batch: 4,
+            in_c: 3,
+            in_h: 7,
+            in_w: 7,
+            out_c: 5,
+            k: 3,
+            stride: 2,
+            pad: 1,
+        },
+    ];
+    let want = shapes.map(|s| explicit_passes(&s, &mut CoreGroup::new(ExecMode::Functional)));
+    for mode in HOST_MODES {
+        let mut cg = CoreGroup::new(mode);
+        for (i, (shape, want)) in shapes.iter().zip(&want).enumerate() {
+            let got = explicit_passes(shape, &mut cg);
+            for (pass, (got, want)) in ["fwd", "bwd-in", "bwd-w", "fused"]
+                .iter()
+                .zip(got.iter().zip(want))
+            {
+                assert_bits_eq(&format!("{mode:?} shape {i} explicit {pass}"), got, want);
+            }
         }
     }
 }

@@ -107,9 +107,15 @@ impl Engine {
             }
         };
         let net = &mut self.nets[idx].1;
-        let mut padded = vec![0.0f32; b * per];
-        padded[..input.len()].copy_from_slice(input);
-        net.set_input(&self.graph.input, &padded);
+        {
+            // The images, then zero rows up to the bucket (none when the
+            // batch fills it), written straight into the input blob.
+            let mut blob = net.blob_mut(&self.graph.input);
+            assert_eq!(blob.len(), b * per, "input blob is not bucket x image");
+            let (rows, pad) = blob.data_mut().split_at_mut(input.len());
+            rows.copy_from_slice(input);
+            pad.fill(0.0);
+        }
         net.forward(&mut self.cg);
         let out = net.blob(&self.graph.output);
         let data = out.data();
