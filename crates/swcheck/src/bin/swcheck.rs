@@ -36,8 +36,8 @@ fn write_json(path: &str, doc: &swjson::Json) {
 /// power-of-two-complete topology, a topology with a partial trailing
 /// supernode, and the configuration a `ShrinkAndContinue` recovery
 /// produces (non-power-of-two survivor count, which sends the tree
-/// algorithms back to the ring with the natural mapping — the
-/// `allreduce_any` rule).
+/// algorithms back to the ring with the natural mapping — the rule
+/// `swtrain::ClusterTrainer::recover` applies).
 fn comm_cases(ranks: usize) -> Vec<(String, CommSpec)> {
     let ranks = ranks.max(8);
     let tree_ranks = ranks.next_power_of_two();

@@ -7,7 +7,7 @@
 use sw26010::{CoreGroup, ExecMode};
 use swcaffe_core::{models, Net};
 use swnet::{allreduce, Algorithm, NetParams, RankMap, ReduceEngine, Topology};
-use swtrain::{build_buckets, overlapped_allreduce, pack_gradients};
+use swtrain::{build_buckets, overlapped_allreduce_ft, pack_gradients};
 
 fn train_step(cg: &mut CoreGroup) -> (Net, Vec<swcaffe_core::GradReady>) {
     let def = models::tiny_cnn(2, 3);
@@ -84,7 +84,7 @@ fn training_step_is_clean_and_bit_identical_under_sanitizer() {
         );
         let buckets = build_buckets(&events, 4096);
         assert!(buckets.len() > 1, "want multiple buckets");
-        overlapped_allreduce(
+        overlapped_allreduce_ft(
             &topo,
             &params,
             RankMap::RoundRobin,
@@ -92,7 +92,9 @@ fn training_step_is_clean_and_bit_identical_under_sanitizer() {
             elems,
             &buckets,
             Some(&mut seg),
-        );
+            None,
+        )
+        .unwrap();
         for (rank, (a, b)) in mono.iter().zip(&seg).enumerate() {
             for (i, (x, y)) in a.iter().zip(b).enumerate() {
                 assert_eq!(

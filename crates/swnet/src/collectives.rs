@@ -44,7 +44,9 @@ pub struct AllreduceReport {
 }
 
 /// In-simulation all-reduce (sum) over `p = topo.nodes` buffers of `elems`
-/// f32 each. `data`, when provided, is indexed by *physical* rank.
+/// f32 each. `data`, when provided, is indexed by *physical* rank. This is
+/// [`allreduce_segment_ft`] over the whole buffer with no fault session,
+/// so it cannot fail.
 pub fn allreduce(
     topo: &Topology,
     params: &NetParams,
@@ -53,31 +55,16 @@ pub fn allreduce(
     elems: usize,
     data: Option<&mut [Vec<f32>]>,
 ) -> AllreduceReport {
-    allreduce_segment(topo, params, map, algo, elems, 0..elems, data)
+    allreduce_segment_ft(topo, params, map, algo, elems, 0..elems, data, None)
+        .expect("infallible without fault injection")
 }
 
-/// Fault-aware [`allreduce`]: consults the fault session on both the
-/// timing path (degraded links, stragglers, detection timeouts, retry
-/// cost) and the functional path (checksummed messages, deterministic
-/// retransmission) and aborts with a [`CollectiveFault`] instead of
-/// silently computing garbage when a peer is dead or a message exhausts
-/// its retry budget.
-pub fn allreduce_ft(
-    topo: &Topology,
-    params: &NetParams,
-    map: RankMap,
-    algo: Algorithm,
-    elems: usize,
-    data: Option<&mut [Vec<f32>]>,
-    faults: Option<&mut FaultSession>,
-) -> Result<AllreduceReport, CollectiveFault> {
-    allreduce_segment_ft(topo, params, map, algo, elems, 0..elems, data, faults)
-}
-
-/// Segment-level all-reduce: reduce only `segment` of a packed buffer of
-/// `total_elems`, such that the union of disjoint segment reductions is
-/// **bit-identical** to one monolithic packed all-reduce. This is the
-/// primitive behind bucketed, backward-overlapped gradient reduction.
+/// Segment-level, fault-aware all-reduce: the core every collective entry
+/// runs. It reduces only `segment` of a packed buffer of `total_elems`
+/// (pass `0..total_elems` for the whole buffer), such that the union of
+/// disjoint segment reductions is **bit-identical** to one monolithic
+/// packed all-reduce. This is the primitive behind bucketed,
+/// backward-overlapped gradient reduction.
 ///
 /// How each algorithm achieves that:
 ///
@@ -98,20 +85,13 @@ pub fn allreduce_ft(
 ///
 /// The cost model charges each segment run its own start-up latencies
 /// and per-step straggler jitter — the realistic price of bucketing.
-pub fn allreduce_segment(
-    topo: &Topology,
-    params: &NetParams,
-    map: RankMap,
-    algo: Algorithm,
-    total_elems: usize,
-    segment: std::ops::Range<usize>,
-    data: Option<&mut [Vec<f32>]>,
-) -> AllreduceReport {
-    allreduce_segment_ft(topo, params, map, algo, total_elems, segment, data, None)
-        .expect("infallible without fault injection")
-}
-
-/// Fault-aware [`allreduce_segment`]; see [`allreduce_ft`].
+///
+/// With a fault session (`faults: Some`), both the timing path (degraded
+/// links, stragglers, detection timeouts, retry cost) and the functional
+/// path (checksummed messages, deterministic retransmission) consult it,
+/// and the collective aborts with a [`CollectiveFault`] instead of
+/// silently computing garbage when a peer is dead or a message exhausts
+/// its retry budget. With `faults: None` it cannot fail.
 #[allow(clippy::too_many_arguments)]
 pub fn allreduce_segment_ft(
     topo: &Topology,
@@ -579,7 +559,7 @@ mod tests {
                     allreduce(&topo, &params, map, algo, elems, Some(&mut mono));
                     let mut seg_elapsed = SimTime::ZERO;
                     for w in cuts.windows(2) {
-                        let r = allreduce_segment(
+                        let r = allreduce_segment_ft(
                             &topo,
                             &params,
                             map,
@@ -587,7 +567,9 @@ mod tests {
                             elems,
                             w[0]..w[1],
                             Some(&mut seg),
-                        );
+                            None,
+                        )
+                        .unwrap();
                         seg_elapsed += r.elapsed;
                     }
                     assert!(seg_elapsed.seconds() > 0.0);
@@ -621,7 +603,7 @@ mod tests {
         let mut total = 0u64;
         let mut cross = 0u64;
         for w in [0usize, 1000, 2500, 4096].windows(2) {
-            let r = allreduce_segment(
+            let r = allreduce_segment_ft(
                 &topo,
                 &params,
                 RankMap::RoundRobin,
@@ -629,7 +611,9 @@ mod tests {
                 elems,
                 w[0]..w[1],
                 None,
-            );
+                None,
+            )
+            .unwrap();
             total += r.total_bytes;
             cross += r.cross_bytes;
         }
@@ -660,31 +644,6 @@ mod tests {
         );
         assert_eq!(r.elapsed, SimTime::ZERO);
     }
-}
-
-/// All-reduce with automatic algorithm choice for arbitrary node counts:
-/// recursive halving/doubling (with the topology-aware map) when the node
-/// count is a power of two, ring otherwise. Real jobs are scheduled at
-/// power-of-two scales on TaihuLight, but a library should not panic on
-/// 96 nodes.
-pub fn allreduce_any(
-    topo: &Topology,
-    params: &NetParams,
-    map: RankMap,
-    elems: usize,
-    data: Option<&mut [Vec<f32>]>,
-) -> AllreduceReport {
-    let algo = if topo.nodes.is_power_of_two() {
-        Algorithm::RecursiveHalvingDoubling
-    } else {
-        Algorithm::Ring
-    };
-    let map = if topo.nodes.is_power_of_two() {
-        map
-    } else {
-        RankMap::Natural
-    };
-    allreduce(topo, params, map, algo, elems, data)
 }
 
 #[cfg(test)]
@@ -734,12 +693,13 @@ mod fault_tests {
             let mut session =
                 FaultSession::new(FaultPlan::new(2024).corruption(0.3).max_retries(8));
             session.begin_iteration(0);
-            let rep = allreduce_ft(
+            let rep = allreduce_segment_ft(
                 &topo,
                 &params,
                 RankMap::RoundRobin,
                 algo,
                 elems,
+                0..elems,
                 Some(&mut faulty),
                 Some(&mut session),
             )
@@ -771,23 +731,25 @@ mod fault_tests {
         let mut session = FaultSession::new(FaultPlan::new(1).crash(3, 2).detect_timeout_s(0.5));
         session.begin_iteration(1);
         let mut data = rough_data(p, 64);
-        assert!(allreduce_ft(
+        assert!(allreduce_segment_ft(
             &topo,
             &params,
             RankMap::Natural,
             Algorithm::RecursiveHalvingDoubling,
             64,
+            0..64,
             Some(&mut data),
             Some(&mut session),
         )
         .is_ok());
         session.begin_iteration(2);
-        let err = allreduce_ft(
+        let err = allreduce_segment_ft(
             &topo,
             &params,
             RankMap::Natural,
             Algorithm::RecursiveHalvingDoubling,
             64,
+            0..64,
             None,
             Some(&mut session),
         )
@@ -811,12 +773,13 @@ mod fault_tests {
         // rate ~ 1: every attempt of every message corrupts.
         let mut session = FaultSession::new(FaultPlan::new(5).corruption(0.999).max_retries(2));
         session.begin_iteration(0);
-        let err = allreduce_ft(
+        let err = allreduce_segment_ft(
             &topo,
             &params,
             RankMap::Natural,
             Algorithm::Ring,
             256,
+            0..256,
             None,
             Some(&mut session),
         )
@@ -842,12 +805,13 @@ mod fault_tests {
         );
         let mut session = FaultSession::new(FaultPlan::new(9).degrade_link(0, 4.0, 5..6));
         session.begin_iteration(4);
-        let before = allreduce_ft(
+        let before = allreduce_segment_ft(
             &topo,
             &params,
             RankMap::Natural,
             Algorithm::RecursiveHalvingDoubling,
             elems,
+            0..elems,
             None,
             Some(&mut session),
         )
@@ -858,12 +822,13 @@ mod fault_tests {
             "outside the window the timing must be bit-identical"
         );
         session.begin_iteration(5);
-        let during = allreduce_ft(
+        let during = allreduce_segment_ft(
             &topo,
             &params,
             RankMap::Natural,
             Algorithm::RecursiveHalvingDoubling,
             elems,
+            0..elems,
             None,
             Some(&mut session),
         )
@@ -892,46 +857,17 @@ mod fault_tests {
         );
         let mut session = FaultSession::new(FaultPlan::new(11).straggle(2, 3.0, 0..100));
         session.begin_iteration(1);
-        let slow = allreduce_ft(
+        let slow = allreduce_segment_ft(
             &topo,
             &params,
             RankMap::Natural,
             Algorithm::Ring,
             elems,
+            0..elems,
             None,
             Some(&mut session),
         )
         .unwrap();
         assert!(slow.elapsed.seconds() > 1.5 * healthy.elapsed.seconds());
-    }
-}
-
-#[cfg(test)]
-mod any_tests {
-    use super::*;
-    use crate::cost::ReduceEngine;
-
-    #[test]
-    fn allreduce_any_handles_odd_node_counts() {
-        for p in [3usize, 5, 6, 7, 12, 8, 16] {
-            let topo = Topology::with_supernode(p, (p / 2).max(1));
-            let params = NetParams::sunway(ReduceEngine::CpeClusters);
-            let mut data: Vec<Vec<f32>> = (0..p)
-                .map(|r| (0..17).map(|i| (r + i) as f32).collect())
-                .collect();
-            let mut want = vec![0.0f32; 17];
-            for row in &data {
-                for (w, v) in want.iter_mut().zip(row) {
-                    *w += v;
-                }
-            }
-            let r = allreduce_any(&topo, &params, RankMap::RoundRobin, 17, Some(&mut data));
-            assert!(r.elapsed.seconds() > 0.0, "p={p}");
-            for row in &data {
-                for (g, w) in row.iter().zip(&want) {
-                    assert!((g - w).abs() < 1e-3, "p={p}");
-                }
-            }
-        }
     }
 }

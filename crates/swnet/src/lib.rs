@@ -22,10 +22,7 @@ pub mod primitives;
 pub mod schedule;
 pub mod topology;
 
-pub use collectives::{
-    allreduce, allreduce_any, allreduce_ft, allreduce_segment, allreduce_segment_ft, Algorithm,
-    AllreduceReport,
-};
+pub use collectives::{allreduce, allreduce_segment_ft, Algorithm, AllreduceReport};
 pub use cost::{step_time_faulty, NetParams, ReduceEngine, Transfer};
 pub use primitives::{broadcast, parameter_server_round, reduce, CollectiveReport};
 pub use schedule::{

@@ -1,4 +1,6 @@
-//! Deterministic dynamic batcher over a virtual clock.
+//! Deterministic dynamic batching over a virtual clock: the policy's
+//! types, the arrival-trace generators, the admission check and the
+//! fault-free entry point [`simulate`].
 //!
 //! The simulation is a pure function of the arrival trace, the latency
 //! model and the configuration — no wall clock, no OS scheduling, no
@@ -11,12 +13,15 @@
 //! full-batch execution time) is about to run out. Requests whose
 //! budget already expired before the earliest possible dispatch are
 //! shed — so every *admitted* request provably meets the SLO.
-
-use std::collections::VecDeque;
+//!
+//! There is one serving simulator: [`simulate`] runs the event loop of
+//! [`crate::resilient`] with nothing to inject.
 
 use swcaffe_core::rng::SplitMix64;
+use swfault::serve::{ServeFaultPlan, ServeFaultSession};
 
 use crate::error::ServeError;
+use crate::resilient::{simulate_ft, ResilienceConfig};
 
 /// Dynamic-batching configuration.
 #[derive(Debug, Clone, Copy)]
@@ -69,6 +74,11 @@ pub struct BatchRecord {
 }
 
 /// Result of a serving simulation.
+///
+/// `served` and `batches` are in resolution order — the order the
+/// batches' responses completed on the virtual clock — not in dispatch
+/// order, so `served` need not be id-monotone even though admission is
+/// FIFO: sort by `(dispatch, id)` to see the dispatch order.
 #[derive(Debug, Clone, Default)]
 pub struct ServeOutcome {
     pub served: Vec<ServedRequest>,
@@ -157,12 +167,11 @@ pub fn poisson_trace_tiered(seed: u64, qps: f64, n: usize, tiers: &[u8]) -> Vec<
         .collect()
 }
 
-/// The one admission check of both simulators ([`simulate`] and
-/// [`crate::resilient::simulate_ft`]): at least one replica, a non-zero
-/// batch limit, an SLO a full batch can meet, and arrival times that are
-/// finite and non-negative. Returns the trace in processing order —
-/// `(arrival, id)` ascending — and the queueing budget (SLO minus the
-/// worst-case full-batch execution time).
+/// The admission check of the serving event loop: at least one replica,
+/// a non-zero batch limit, an SLO a full batch can meet, and arrival
+/// times that are finite and non-negative. Returns the trace in
+/// processing order — `(arrival, id)` ascending — and the queueing
+/// budget (SLO minus the worst-case full-batch execution time).
 ///
 /// `-0.0` counts as negative, so on the accepted domain `total_cmp` and
 /// numeric order coincide and hostile inputs are a typed error instead
@@ -200,102 +209,18 @@ pub(crate) fn admit(
     Ok((requests, budget))
 }
 
-/// Simulate serving `trace` on `replicas` identical replicas. `latency`
-/// maps a batch size to its execution time in seconds (the engine
-/// buckets internally); it must be monotone in the batch size.
+/// Simulate fault-free serving of `trace` on `replicas` identical
+/// replicas. `latency` maps a batch size to its execution time in seconds
+/// (the engine buckets internally); it must be monotone in the batch
+/// size. This is [`simulate_ft`]'s event loop with an empty fault plan
+/// and the default [`ResilienceConfig`].
 pub fn simulate(
     trace: &[Request],
     replicas: usize,
     cfg: &BatchConfig,
     latency: &mut dyn FnMut(usize) -> f64,
 ) -> Result<ServeOutcome, ServeError> {
-    let (requests, budget) = admit(trace, replicas, cfg, latency)?;
-
-    let mut out = ServeOutcome {
-        busy: vec![0.0; replicas],
-        queue_budget: budget,
-        ..Default::default()
-    };
-    let mut free = vec![0.0f64; replicas];
-    let mut queue: VecDeque<Request> = VecDeque::new();
-    let mut i = 0usize;
-
-    while i < requests.len() || !queue.is_empty() {
-        // Earliest-free replica, lowest index on ties.
-        let r = (0..replicas)
-            .reduce(|best, k| if free[k] < free[best] { k } else { best })
-            .unwrap();
-        let t_free = free[r];
-
-        while i < requests.len() && requests[i].arrival <= t_free {
-            queue.push_back(requests[i]);
-            i += 1;
-        }
-        if queue.is_empty() {
-            // Idle: jump the clock to the next arrival (and co-arrivals).
-            let t = requests[i].arrival;
-            while i < requests.len() && requests[i].arrival <= t {
-                queue.push_back(requests[i]);
-                i += 1;
-            }
-        }
-
-        let now = t_free.max(queue.front().unwrap().arrival);
-        // Shed requests that can no longer be dispatched inside their
-        // budget even by the earliest-free replica. FIFO order means
-        // deadlines are monotone, so only the front can be expired.
-        while let Some(front) = queue.front() {
-            if front.arrival + budget < now {
-                out.shed.push(front.id);
-                queue.pop_front();
-            } else {
-                break;
-            }
-        }
-        if queue.is_empty() {
-            continue;
-        }
-
-        // Coalesce: wait for more arrivals until the batch fills or the
-        // coalescing timer fires. The timer is anchored at the earliest
-        // queued arrival and clamped to its budget, so waiting can never
-        // push an admitted request past the SLO.
-        let horizon = queue.front().unwrap().arrival + cfg.timeout.min(budget);
-        let mut dispatch = now;
-        while queue.len() < cfg.max_batch && i < requests.len() && requests[i].arrival <= horizon {
-            dispatch = dispatch.max(requests[i].arrival);
-            queue.push_back(requests[i]);
-            i += 1;
-        }
-        if queue.len() < cfg.max_batch {
-            // Timed out waiting: the timer fires at the horizon.
-            dispatch = dispatch.max(horizon).max(now);
-        }
-
-        let size = queue.len().min(cfg.max_batch);
-        let exec = latency(size);
-        let completion = dispatch + exec;
-        let mut ids = Vec::with_capacity(size);
-        for _ in 0..size {
-            let req = queue.pop_front().unwrap();
-            ids.push(req.id);
-            out.served.push(ServedRequest {
-                id: req.id,
-                arrival: req.arrival,
-                dispatch,
-                completion,
-                replica: r,
-            });
-        }
-        out.batches.push(BatchRecord {
-            replica: r,
-            dispatch,
-            completion,
-            request_ids: ids,
-        });
-        out.busy[r] += exec;
-        out.makespan = out.makespan.max(completion);
-        free[r] = completion;
-    }
-    Ok(out)
+    let mut session = ServeFaultSession::new(ServeFaultPlan::new(0));
+    let res = ResilienceConfig::default();
+    simulate_ft(trace, replicas, cfg, &res, &mut session, latency).map(|o| o.outcome)
 }

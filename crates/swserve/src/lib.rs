@@ -9,20 +9,23 @@
 //! - [`engine`]: execute a frozen graph on one core group through
 //!   `swbackend::dispatch` — the same engine runs on the simulated
 //!   SW26010 mesh, host-native threads, or timing-only.
-//! - [`batcher`]: a deterministic virtual-time dynamic batcher that
-//!   coalesces an open-loop arrival stream into batches under a latency
-//!   SLO and dispatches them across replicas.
-//! - [`resilient`]: the fault-tolerance layer over the batcher — per-
-//!   replica health state machine, deadline-aware retry with failover,
-//!   hedged dispatch, snapshot re-warm and tiered brown-out degradation,
-//!   all driven by a seeded `swfault` serving fault plan.
+//! - [`batcher`]: the deterministic virtual-time dynamic-batching
+//!   policy that coalesces an open-loop arrival stream into batches
+//!   under a latency SLO and dispatches them across replicas — its
+//!   types, trace generators, admission check and fault-free entry
+//!   [`simulate`].
+//! - [`resilient`]: the one serving event loop, which runs that policy
+//!   with the fault-tolerance layer built in — per-replica health state
+//!   machine, deadline-aware retry with failover, hedged dispatch,
+//!   snapshot re-warm and tiered brown-out degradation, all driven by a
+//!   seeded `swfault` serving fault plan (empty for [`simulate`]).
 //! - [`error`]: the typed [`ServeError`] every fallible serving path
 //!   returns instead of panicking.
 //!
 //! [`Cluster`] ties them together: one engine per core group (the
 //! chip's four CGs serve as independent replicas, mirroring how
-//! `swtrain` uses them as data-parallel trainers), driven by the
-//! batcher over a shared virtual clock.
+//! `swtrain` uses them as data-parallel trainers), driven by the event
+//! loop over a shared virtual clock.
 
 pub mod batcher;
 pub mod engine;
@@ -72,7 +75,7 @@ impl Cluster {
     }
 
     /// Memoized per-bucket latency table covering batches `1..=max`,
-    /// indexed by bucket exponent — lets the simulation loops read the
+    /// indexed by bucket exponent — lets the simulation loop read the
     /// latency model infallibly after one fallible warm-up.
     fn latency_lut(&mut self, max: usize) -> Result<Vec<f64>, ServeError> {
         let top = engine::bucket(max.max(1));
@@ -88,8 +91,8 @@ impl Cluster {
         Ok(lut)
     }
 
-    /// Drive the batcher over `trace` with this cluster's replicas and
-    /// latency model.
+    /// Serve `trace` fault-free ([`batcher::simulate`]) with this
+    /// cluster's replicas and latency model.
     pub fn serve(
         &mut self,
         trace: &[Request],
@@ -102,7 +105,7 @@ impl Cluster {
         })
     }
 
-    /// Drive the fault-tolerant batcher over `trace` under `plan`. The
+    /// Drive the serving event loop over `trace` under `plan`. The
     /// per-request SLO, retry budget and brown-out policy come from
     /// `cfg`/`res`; every fault comes from the seeded plan, so the whole
     /// outcome replays bit-identically.

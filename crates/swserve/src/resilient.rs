@@ -1,13 +1,20 @@
-//! Fault-tolerant serving: the resilience layer over the deterministic
-//! batcher.
+//! The serving event loop: the batching policy of [`crate::batcher`]
+//! with the resilience layer built in.
 //!
-//! [`simulate_ft`] extends the virtual-clock batching simulation of
-//! [`crate::batcher`] with everything that goes wrong in production —
-//! replica crashes, latency degradation, stragglers, transient response
-//! corruption — as declared by a seeded `swfault` [`ServeFaultPlan`].
+//! [`simulate_ft`] is the only serving simulator. It runs the
+//! virtual-clock batching policy under everything that goes wrong in
+//! production — replica crashes, latency degradation, stragglers,
+//! transient response corruption — as declared by a seeded `swfault`
+//! [`ServeFaultPlan`](swfault::serve::ServeFaultPlan);
+//! [`crate::batcher::simulate`] and [`crate::Cluster::serve`] are this
+//! loop with an empty plan.
 //! Everything stays a pure function of the trace, the latency model, the
 //! configuration and the plan seed, so outcomes are byte-identical
 //! across reruns, plan replays and functional backends.
+//!
+//! The loop walks the admitted trace with a cursor merged against an
+//! event heap, so an arrival is never a heap entry; outcomes are
+//! recorded in resolution (completion) order.
 //!
 //! The moving parts, per the design doc's §10:
 //!
@@ -39,8 +46,7 @@
 //!   admission so paying traffic keeps its SLO (tier 3).
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use swfault::serve::{ServeFaultReport, ServeFaultSession};
 use swprof::ServeHealthCounters;
@@ -132,8 +138,8 @@ impl Default for ResilienceConfig {
 /// the resilience layer's own accounting.
 #[derive(Debug, Clone)]
 pub struct FtServeOutcome {
-    /// Served/shed/batches/busy/makespan, as in the fault-free batcher.
-    /// `shed` holds every dropped request id regardless of reason.
+    /// Served/shed/batches/busy/makespan, in resolution order. `shed`
+    /// holds every dropped request id regardless of reason.
     pub outcome: ServeOutcome,
     /// Shed counts grouped by request tier, ascending.
     pub shed_by_tier: Vec<(u8, u64)>,
@@ -205,11 +211,13 @@ enum Ev {
     FlightDead(usize),
     /// A rewarming replica rejoins healthy.
     Rewarmed(usize),
-    /// A request arrives.
-    Arrive(usize),
     /// Re-evaluate dispatch (coalescing timer / retry backoff expiry).
     Wake,
 }
+
+/// Event class of an arrival: arrivals are not heap events, but they
+/// order against them as if they were, between `Rewarmed` and `Wake`.
+const ARRIVAL_CLASS: u8 = 3;
 
 /// Heap key: (time, class, insertion seq) with total f64 order — the
 /// deterministic processing order the byte-identical replays rely on.
@@ -251,6 +259,9 @@ struct Sim<'a> {
     replicas: usize,
 
     state: Vec<Health>,
+    /// Share of replicas currently `Healthy` or `Degraded`, kept by
+    /// `record`.
+    live_frac: f64,
     free: Vec<f64>,
     crash_pending: Vec<Option<f64>>,
     clean_streak: Vec<u32>,
@@ -260,6 +271,10 @@ struct Sim<'a> {
     flights: Vec<Flight>,
     batches_tbl: Vec<LogicalBatch>,
     heap: BinaryHeap<Scheduled>,
+    /// Instants (`f64` bits) with a `Wake` in the heap: a second wake at
+    /// the same instant would only repeat a `try_dispatch` that has
+    /// nothing left to do, so it is never pushed.
+    wakes: BTreeSet<u64>,
     ev_seq: u64,
     batch_seq: u64,
 
@@ -275,8 +290,12 @@ impl<'a> Sim<'a> {
             Ev::FlightDone(_) => 0,
             Ev::FlightDead(_) => 1,
             Ev::Rewarmed(_) => 2,
-            Ev::Arrive(_) => 3,
-            Ev::Wake => 4,
+            Ev::Wake => {
+                if !self.wakes.insert(at.to_bits()) {
+                    return;
+                }
+                ARRIVAL_CLASS + 1
+            }
         };
         let seq = self.ev_seq;
         self.ev_seq += 1;
@@ -285,6 +304,8 @@ impl<'a> Sim<'a> {
 
     fn record(&mut self, replica: usize, at: f64, to: Health) {
         self.state[replica] = to;
+        let live = (0..self.replicas).filter(|&r| self.live(r)).count();
+        self.live_frac = live as f64 / self.replicas as f64;
         self.transitions.push(HealthTransition { replica, at, to });
     }
 
@@ -292,13 +313,9 @@ impl<'a> Sim<'a> {
         matches!(self.state[r], Health::Healthy | Health::Degraded)
     }
 
-    fn live_count(&self) -> usize {
-        (0..self.replicas).filter(|&r| self.live(r)).count()
-    }
-
     /// Brown-out-adjusted (timeout, max_batch) for the current capacity.
     fn effective(&mut self) -> (f64, usize) {
-        let frac = self.live_count() as f64 / self.replicas as f64;
+        let frac = self.live_frac;
         let mut timeout = self.cfg.timeout;
         let mut max_batch = self.cfg.max_batch;
         if frac < 1.0 {
@@ -313,8 +330,7 @@ impl<'a> Sim<'a> {
 
     /// Is admission currently shedding `tier` (brown-out tier 3)?
     fn brownout_sheds(&self, tier: u8) -> bool {
-        let frac = self.live_count() as f64 / self.replicas as f64;
-        frac <= 0.25 && tier < self.res.brownout.shed_below_tier
+        self.live_frac <= 0.25 && tier < self.res.brownout.shed_below_tier
     }
 
     fn shed(&mut self, req: Request, brownout: bool) {
@@ -339,21 +355,27 @@ impl<'a> Sim<'a> {
     }
 
     /// Insert an attempt keeping the queue sorted by (arrival, id) —
-    /// FIFO admission order survives retries and rejoins.
+    /// FIFO admission order survives retries and rejoins. Equal keys keep
+    /// their insertion order. A fresh arrival sorts last, so it is
+    /// appended without a search.
     fn enqueue(&mut self, q: QReq) {
-        let pos = self
-            .queue
-            .iter()
-            .position(|e| (e.req.arrival, e.req.id) > (q.req.arrival, q.req.id))
-            .unwrap_or(self.queue.len());
-        self.queue.insert(pos, q);
+        let key = (q.req.arrival, q.req.id);
+        let not_after = |e: &QReq| (e.req.arrival, e.req.id) <= key;
+        if self.queue.back().is_none_or(not_after) {
+            self.queue.push_back(q);
+        } else {
+            let pos = self.queue.partition_point(not_after);
+            self.queue.insert(pos, q);
+        }
     }
 
     /// All copies of `batch` failed: retry within the deadline budget or
     /// shed. `now` is when the last copy's failure became known.
     fn fail_batch(&mut self, bi: usize, now: f64) {
-        let b = self.batches_tbl[bi].clone();
+        let b = &mut self.batches_tbl[bi];
         debug_assert!(!b.resolved && b.failed == b.copies);
+        b.resolved = true;
+        let reqs = std::mem::take(&mut b.reqs);
         if b.dead_copy {
             self.health.failovers += 1;
         }
@@ -365,7 +387,7 @@ impl<'a> Sim<'a> {
             .find(|f| f.batch == bi)
             .map(|f| f.seq)
             .unwrap_or(0);
-        for q in &b.reqs {
+        for q in reqs {
             let attempts = q.attempts + 1;
             if attempts >= self.res.max_attempts {
                 self.shed(q.req, false);
@@ -380,7 +402,6 @@ impl<'a> Sim<'a> {
                 ready: now + backoff,
             });
         }
-        self.batches_tbl[bi].resolved = true;
         self.push_ev(now, Ev::Wake);
     }
 
@@ -389,8 +410,9 @@ impl<'a> Sim<'a> {
     /// never be late — SLO safety by construction).
     fn resolve_batch(&mut self, fi: usize) {
         let f = self.flights[fi];
-        let bi = f.batch;
-        let reqs = self.batches_tbl[bi].reqs.clone();
+        let b = &mut self.batches_tbl[f.batch];
+        b.resolved = true;
+        let reqs = std::mem::take(&mut b.reqs);
         let mut ids = Vec::with_capacity(reqs.len());
         let mut any_late = false;
         for q in &reqs {
@@ -415,7 +437,6 @@ impl<'a> Sim<'a> {
             request_ids: ids,
         });
         self.out.makespan = self.out.makespan.max(f.completion);
-        self.batches_tbl[bi].resolved = true;
         if f.hedge {
             self.health.hedge_wins += 1;
         }
@@ -535,7 +556,7 @@ impl<'a> Sim<'a> {
     }
 
     /// Pick a dispatchable replica at `now`: earliest free among the
-    /// live ones, lowest index on ties — the base batcher's rotation.
+    /// live ones, lowest index on ties — the batching policy's rotation.
     /// Degraded replicas stay in it (hedging covers the risk); Dead and
     /// Rewarming ones are out until they rejoin.
     fn pick_replica(&self, now: f64) -> Option<usize> {
@@ -623,31 +644,50 @@ impl<'a> Sim<'a> {
         }
     }
 
+    /// Process events and arrivals in `(at, class, seq)` order until both
+    /// run out. The admitted trace is already in arrival order, so it is
+    /// walked with a cursor: a heap event goes first only when its
+    /// `(at, class)` is below the next arrival's `(arrival, ARRIVAL_CLASS)`.
     fn run(mut self) -> FtServeOutcome {
-        for i in 0..self.trace.len() {
-            let at = self.trace[i].arrival;
-            self.push_ev(at, Ev::Arrive(i));
-        }
-        while let Some(s) = self.heap.pop() {
-            match s.ev {
-                Ev::FlightDone(fi) => self.on_flight_done(fi),
-                Ev::FlightDead(fi) => self.on_flight_dead(fi, s.at),
-                Ev::Rewarmed(r) => self.on_rewarmed(r, s.at),
-                Ev::Arrive(i) => {
-                    let req = self.trace[i];
-                    if self.brownout_sheds(req.tier) {
-                        self.shed(req, true);
-                    } else {
-                        self.enqueue(QReq {
-                            req,
-                            attempts: 0,
-                            ready: req.arrival,
-                        });
+        let mut next = 0;
+        loop {
+            let arrival = self.trace.get(next).copied();
+            let event_first = match (self.heap.peek(), arrival) {
+                (Some(s), Some(req)) => {
+                    s.at.total_cmp(&req.arrival)
+                        .then(s.class.cmp(&ARRIVAL_CLASS))
+                        .is_lt()
+                }
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            let now = if event_first {
+                let s = self.heap.pop().expect("peeked");
+                match s.ev {
+                    Ev::FlightDone(fi) => self.on_flight_done(fi),
+                    Ev::FlightDead(fi) => self.on_flight_dead(fi, s.at),
+                    Ev::Rewarmed(r) => self.on_rewarmed(r, s.at),
+                    Ev::Wake => {
+                        self.wakes.remove(&s.at.to_bits());
                     }
                 }
-                Ev::Wake => {}
-            }
-            self.try_dispatch(s.at);
+                s.at
+            } else {
+                let req = self.trace[next];
+                next += 1;
+                if self.brownout_sheds(req.tier) {
+                    self.shed(req, true);
+                } else {
+                    self.enqueue(QReq {
+                        req,
+                        attempts: 0,
+                        ready: req.arrival,
+                    });
+                }
+                req.arrival
+            };
+            self.try_dispatch(now);
         }
         debug_assert!(self.queue.is_empty(), "event loop drained with queued work");
         FtServeOutcome {
@@ -660,10 +700,11 @@ impl<'a> Sim<'a> {
     }
 }
 
-/// Simulate fault-tolerant serving of `trace` on `replicas` replicas
-/// under the fault plan walked by `session`. `latency` maps a batch
-/// size to its healthy execution seconds (monotone); all stretch factors
-/// come from the plan. See the module docs for the policy.
+/// Simulate serving `trace` on `replicas` replicas under the fault plan
+/// walked by `session` (an empty plan is fault-free serving). `latency`
+/// maps a batch size to its healthy execution seconds (monotone); all
+/// stretch factors come from the plan. See the module docs for the
+/// policy.
 pub fn simulate_ft(
     trace: &[Request],
     replicas: usize,
@@ -677,6 +718,12 @@ pub fn simulate_ft(
         return Err(ServeError::AllReplicasDead);
     }
     let crash_pending: Vec<Option<f64>> = (0..replicas).map(|r| session.crash_time(r)).collect();
+    let out = ServeOutcome {
+        served: Vec::with_capacity(trace.len()),
+        busy: vec![0.0; replicas],
+        queue_budget: budget,
+        ..Default::default()
+    };
     let sim = Sim {
         cfg: *cfg,
         res: *res,
@@ -684,6 +731,7 @@ pub fn simulate_ft(
         latency,
         replicas,
         state: vec![Health::Healthy; replicas],
+        live_frac: 1.0,
         free: vec![0.0; replicas],
         crash_pending,
         clean_streak: vec![0; replicas],
@@ -692,13 +740,10 @@ pub fn simulate_ft(
         flights: Vec::new(),
         batches_tbl: Vec::new(),
         heap: BinaryHeap::new(),
+        wakes: BTreeSet::new(),
         ev_seq: 0,
         batch_seq: 0,
-        out: ServeOutcome {
-            busy: vec![0.0; replicas],
-            queue_budget: budget,
-            ..Default::default()
-        },
+        out,
         shed_by_tier: Vec::new(),
         transitions: Vec::new(),
         health: ServeHealthCounters::default(),

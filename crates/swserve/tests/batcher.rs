@@ -80,7 +80,10 @@ fn batches_respect_limits_and_fifo_order() {
         assert!(b.completion > b.dispatch);
     }
     // Admission is FIFO: served ids in dispatch order are increasing.
-    let ids: Vec<u64> = out.served.iter().map(|s| s.id).collect();
+    // `served` is in completion order, so sort by (dispatch, id) first.
+    let mut by_dispatch = out.served.clone();
+    by_dispatch.sort_by(|a, b| a.dispatch.total_cmp(&b.dispatch).then(a.id.cmp(&b.id)));
+    let ids: Vec<u64> = by_dispatch.iter().map(|s| s.id).collect();
     let mut sorted = ids.clone();
     sorted.sort_unstable();
     assert_eq!(ids, sorted, "FIFO admission order violated");

@@ -1,13 +1,10 @@
-//! Hostile arrival traces: both serving simulators share one admission
-//! check, so a trace with no usable arrival order is the same typed
-//! error from either — never a panic (`partial_cmp().unwrap()` on a
-//! NaN), never a silently arbitrary order (NaN sorted as equal to
-//! everything).
+//! Hostile arrival traces: the serving event loop's one admission check
+//! turns a trace with no usable arrival order into a typed error —
+//! never a panic (`partial_cmp().unwrap()` on a NaN), never a silently
+//! arbitrary order (NaN sorted as equal to everything).
 
-use swfault::serve::{ServeFaultPlan, ServeFaultSession};
 use swserve::batcher::{simulate, BatchConfig, Request, ServeOutcome};
-use swserve::resilient::simulate_ft;
-use swserve::{ResilienceConfig, ServeError};
+use swserve::ServeError;
 
 fn model_latency(b: usize) -> f64 {
     0.002 + 0.0001 * b as f64
@@ -27,30 +24,19 @@ fn request(id: u64, arrival: f64) -> Request {
     }
 }
 
-fn plain(trace: &[Request], cfg: &BatchConfig) -> Result<ServeOutcome, ServeError> {
+fn serve(trace: &[Request], cfg: &BatchConfig) -> Result<ServeOutcome, ServeError> {
     simulate(trace, 4, cfg, &mut model_latency)
 }
 
-fn fault_free(trace: &[Request], cfg: &BatchConfig) -> Result<ServeOutcome, ServeError> {
-    let mut session = ServeFaultSession::new(ServeFaultPlan::new(1));
-    let res = ResilienceConfig::default();
-    simulate_ft(trace, 4, cfg, &res, &mut session, &mut model_latency).map(|o| o.outcome)
-}
-
 #[test]
-fn unordered_arrivals_are_a_typed_error_from_both_simulators() {
+fn unordered_arrivals_are_a_typed_error() {
     for bad in [f64::NAN, -1.0e-3, -0.0, f64::INFINITY, f64::NEG_INFINITY] {
         let trace = [request(0, 0.001), request(7, bad), request(2, 0.002)];
-        for (who, got) in [
-            ("simulate", plain(&trace, &CFG)),
-            ("simulate_ft", fault_free(&trace, &CFG)),
-        ] {
-            match got {
-                Err(ServeError::BadArrival { id: 7, arrival }) => {
-                    assert_eq!(arrival.to_bits(), bad.to_bits(), "{who}")
-                }
-                other => panic!("{who} on arrival {bad}: expected BadArrival, got {other:?}"),
+        match serve(&trace, &CFG) {
+            Err(ServeError::BadArrival { id: 7, arrival }) => {
+                assert_eq!(arrival.to_bits(), bad.to_bits())
             }
+            other => panic!("arrival {bad}: expected BadArrival, got {other:?}"),
         }
     }
 }
@@ -63,11 +49,7 @@ fn a_nan_slo_is_infeasible_not_unbounded() {
     };
     let trace = [request(0, 0.001)];
     assert!(matches!(
-        plain(&trace, &cfg),
-        Err(ServeError::InfeasibleSlo { .. })
-    ));
-    assert!(matches!(
-        fault_free(&trace, &cfg),
+        serve(&trace, &cfg),
         Err(ServeError::InfeasibleSlo { .. })
     ));
 }
@@ -82,7 +64,7 @@ fn duplicate_arrivals_are_served_in_id_order_whatever_the_input_order() {
     trace.push(request(5, 0.004));
     let reversed: Vec<Request> = trace.iter().rev().copied().collect();
 
-    let want = plain(&trace, &CFG).unwrap();
+    let want = serve(&trace, &CFG).unwrap();
     assert_eq!(want.served.len() + want.shed.len(), trace.len());
     for b in &want.batches {
         let firsts: Vec<(u64, u64)> = b
@@ -98,31 +80,23 @@ fn duplicate_arrivals_are_served_in_id_order_whatever_the_input_order() {
             "batch not in (arrival, id) order: {firsts:?}"
         );
     }
-    for (who, got) in [
-        ("simulate, reversed input", plain(&reversed, &CFG).unwrap()),
-        ("simulate_ft", fault_free(&trace, &CFG).unwrap()),
-        (
-            "simulate_ft, reversed input",
-            fault_free(&reversed, &CFG).unwrap(),
-        ),
-    ] {
-        let key = |o: &ServeOutcome| {
-            let mut v: Vec<(u64, u64, u64, usize)> = o
-                .served
-                .iter()
-                .map(|s| {
-                    (
-                        s.id,
-                        s.dispatch.to_bits(),
-                        s.completion.to_bits(),
-                        s.replica,
-                    )
-                })
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(key(&got), key(&want), "{who}");
-        assert_eq!(got.shed.len(), want.shed.len(), "{who}");
-    }
+    let got = serve(&reversed, &CFG).unwrap();
+    let key = |o: &ServeOutcome| {
+        let mut v: Vec<(u64, u64, u64, usize)> = o
+            .served
+            .iter()
+            .map(|s| {
+                (
+                    s.id,
+                    s.dispatch.to_bits(),
+                    s.completion.to_bits(),
+                    s.replica,
+                )
+            })
+            .collect();
+        v.sort_unstable();
+        v
+    };
+    assert_eq!(key(&got), key(&want), "reversed input");
+    assert_eq!(got.shed.len(), want.shed.len(), "reversed input");
 }

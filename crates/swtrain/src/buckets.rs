@@ -21,7 +21,7 @@
 //!   `backward + comm`.
 //!
 //! Each segment runs the **monolithic schedule restricted to the
-//! segment** ([`swnet::allreduce_segment`]), so the union of bucket
+//! segment** ([`swnet::allreduce_segment_ft`]), so the union of bucket
 //! reductions performs exactly the monolithic packed reduce's
 //! element-wise operations: functional mode is bit-identical to the
 //! paper's scheme for every [`Algorithm`]. The serialized packed reduce
@@ -143,24 +143,12 @@ pub struct OverlapOutcome {
 /// channel, charging each against the backward timeline. In functional
 /// mode (`data` present) the buckets' unions reproduce the monolithic
 /// packed reduce bit for bit.
-pub fn overlapped_allreduce(
-    topo: &Topology,
-    params: &NetParams,
-    map: RankMap,
-    algo: Algorithm,
-    total_elems: usize,
-    buckets: &[GradBucket],
-    data: Option<&mut [Vec<f32>]>,
-) -> OverlapOutcome {
-    overlapped_allreduce_ft(topo, params, map, algo, total_elems, buckets, data, None)
-        .expect("infallible without fault injection")
-}
-
-/// Fault-aware [`overlapped_allreduce`]: each bucket's segmented reduce
-/// consults the fault session (see [`swnet::allreduce_segment_ft`]), so
-/// detection timeouts, degraded links, and retransmissions land on the
-/// overlapped timeline and a dead rank or exhausted retry budget aborts
-/// the whole bucketed sequence with a [`CollectiveFault`].
+///
+/// With a fault session, each bucket's segmented reduce consults it (see
+/// [`swnet::allreduce_segment_ft`]), so detection timeouts, degraded
+/// links, and retransmissions land on the overlapped timeline and a dead
+/// rank or exhausted retry budget aborts the whole bucketed sequence with
+/// a [`CollectiveFault`]. With `faults: None` it cannot fail.
 #[allow(clippy::too_many_arguments)]
 pub fn overlapped_allreduce_ft(
     topo: &Topology,
@@ -267,7 +255,7 @@ impl OverlapModel {
         )
         .elapsed;
         let buckets = build_buckets(&self.events, self.bucket_bytes);
-        let o = overlapped_allreduce(
+        let o = overlapped_allreduce_ft(
             &topo,
             &self.net,
             self.rank_map,
@@ -275,7 +263,9 @@ impl OverlapModel {
             self.total_elems,
             &buckets,
             None,
-        );
+            None,
+        )
+        .expect("infallible without fault injection");
         let exposed =
             SimTime::from_seconds((o.comm_finish.seconds() - self.compute.seconds()).max(0.0));
         OverlapPoint {
@@ -396,7 +386,7 @@ mod tests {
             );
             let buckets = build_buckets(&events, 4096);
             assert!(buckets.len() > 1, "test wants multiple buckets");
-            overlapped_allreduce(
+            overlapped_allreduce_ft(
                 &topo,
                 &params,
                 RankMap::RoundRobin,
@@ -404,7 +394,9 @@ mod tests {
                 elems,
                 &buckets,
                 Some(&mut seg),
-            );
+                None,
+            )
+            .unwrap();
             for (rank, (a, b)) in mono.iter().zip(&seg).enumerate() {
                 for (i, (x, y)) in a.iter().zip(b).enumerate() {
                     assert_eq!(
@@ -424,7 +416,7 @@ mod tests {
         let params = NetParams::sunway_allreduce(ReduceEngine::CpeClusters);
         let buckets = build_buckets(&events, 4 * 500);
         assert_eq!(buckets.len(), 2);
-        let o = overlapped_allreduce(
+        let o = overlapped_allreduce_ft(
             &topo,
             &params,
             RankMap::RoundRobin,
@@ -432,7 +424,9 @@ mod tests {
             1000,
             &buckets,
             None,
-        );
+            None,
+        )
+        .unwrap();
         // The second bucket is gated on its ready time (10 s), far past
         // the first bucket's finish, so the channel idles in between:
         // finish > 10 s but busy time stays well below it.

@@ -11,7 +11,8 @@ use sw26010::arch::CORE_GROUPS;
 use sw26010::{ExecMode, SimTime};
 use swcaffe_core::{snapshot, NetDef, SolverConfig};
 use swnet::{
-    allreduce, allreduce_ft, Algorithm, CollectiveFault, FaultSession, NetParams, RankMap, Topology,
+    allreduce, allreduce_segment_ft, Algorithm, CollectiveFault, FaultSession, NetParams, RankMap,
+    Topology,
 };
 
 use crate::buckets::{build_buckets, merge_events, overlapped_allreduce_ft};
@@ -189,12 +190,13 @@ impl ClusterTrainer {
         let elems = self.chips[0].param_elems();
         let comm = match self.config.comm {
             CommMode::Serialized => {
-                allreduce_ft(
+                allreduce_segment_ft(
                     &topo,
                     &self.config.net,
                     self.config.rank_map,
                     self.config.algorithm,
                     elems,
+                    0..elems,
                     functional.then_some(&mut grads[..]),
                     faults.as_deref_mut(),
                 )?
@@ -303,9 +305,9 @@ impl ClusterTrainer {
                     self.chips.remove(r);
                 }
                 self.config.nodes = self.chips.len();
-                // Mirror `allreduce_any`: RHD and binomial require a
-                // power-of-two rank count, so an awkward survivor count
-                // falls back to the ring with the natural mapping.
+                // RHD and binomial require a power-of-two rank count, so
+                // an awkward survivor count falls back to the ring with
+                // the natural mapping.
                 if !self.config.nodes.is_power_of_two()
                     && matches!(
                         self.config.algorithm,
@@ -365,7 +367,7 @@ pub enum Recovery {
     /// Drop the dead ranks and continue on the survivors: chips are
     /// removed, the topology shrinks, the algorithm falls back to
     /// Ring/Natural when the survivor count stops being a power of two
-    /// (the [`swnet::allreduce_any`] rule), and gradient averaging
+    /// (RHD and binomial need one), and gradient averaging
     /// rescales to the live node count. Training continues from the last
     /// completed iteration — no work is lost, but parallelism degrades.
     ShrinkAndContinue,
@@ -622,7 +624,7 @@ mod fault_tests {
         assert_eq!(cluster.config.nodes, 3);
         assert_eq!(cluster.chips.len(), 3);
         // 3 survivors: RHD needs a power of two, so the job falls back
-        // to the ring with the natural mapping (the allreduce_any rule).
+        // to the ring with the natural mapping.
         assert_eq!(cluster.config.algorithm, Algorithm::Ring);
         assert_eq!(cluster.config.rank_map, RankMap::Natural);
         assert!(faults.report.recovery_s > 0.0);

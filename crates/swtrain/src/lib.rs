@@ -28,8 +28,8 @@ pub mod sync;
 pub mod trainer;
 
 pub use buckets::{
-    build_buckets, merge_events, overlapped_allreduce, overlapped_allreduce_ft, GradBucket,
-    OverlapModel, OverlapOutcome, OverlapPoint, DEFAULT_BUCKET_BYTES,
+    build_buckets, merge_events, overlapped_allreduce_ft, GradBucket, OverlapModel, OverlapOutcome,
+    OverlapPoint, DEFAULT_BUCKET_BYTES,
 };
 pub use cluster::{ClusterConfig, ClusterIteration, ClusterTrainer, CommMode, Recovery};
 pub use packing::{pack_gradients, pack_params, unpack_gradients, unpack_params};
