@@ -8,13 +8,21 @@
 //! With [`CheckMode::Record`] enabled the core group additionally keeps a
 //! [`KernelTrace`] per launch for the `swcheck` sanitizer; recording is
 //! off by default and costs nothing when off.
+//!
+//! A planned launch ([`CoreGroup::run_planned`] /
+//! [`CoreGroup::try_run_planned`]) executes as its plan's [`RlcPattern`]
+//! says: a plan declaring [`RlcPattern::None`] runs its CPE bodies one
+//! after another on the calling thread, any other pattern on one host
+//! thread per CPE (see [`crate::mesh`]). Unplanned launches
+//! ([`CoreGroup::run`] / [`CoreGroup::run_named`]) always take the
+//! threaded path.
 
 use crate::arch::MPE_PEAK_FLOPS;
 use crate::check::{CheckMode, KernelTrace};
 use crate::cpe::Cpe;
 use crate::dma;
-use crate::mesh::{run_mesh, run_mesh_traced};
-use crate::plan::{KernelPlan, PlanViolation};
+use crate::mesh::run_mesh_inner;
+use crate::plan::{KernelPlan, PlanViolation, RlcPattern};
 use crate::stats::{LaunchReport, Stats};
 use crate::time::{ExecMode, SimTime};
 
@@ -87,28 +95,19 @@ impl CoreGroup {
     where
         F: Fn(&mut Cpe) + Sync,
     {
-        let report = match self.check {
-            CheckMode::Off => run_mesh(self.mode, n_cpes, kernel),
-            CheckMode::Record => {
-                let (report, trace) = run_mesh_traced(self.mode, n_cpes, name, kernel);
-                self.traces.push(trace);
-                report
-            }
-        };
-        self.stats.merge(&report.stats);
-        self.elapsed += report.elapsed;
-        report
+        self.launch(name, n_cpes, None, &kernel)
     }
 
     /// Launch a kernel through its registered [`KernelPlan`]: the plan is
     /// validated first, so a shape whose working set cannot fit LDM is
     /// rejected with a named-buffer diagnostic *before* anything runs.
+    /// The plan's [`RlcPattern`] chooses the execution path (module docs).
     pub fn run_planned<F>(&mut self, plan: &KernelPlan, kernel: F) -> LaunchReport
     where
         F: Fn(&mut Cpe) + Sync,
     {
         plan.assert_valid();
-        self.run_named(&plan.name, plan.n_cpes, kernel)
+        self.launch(&plan.name, plan.n_cpes, Some(plan.rlc), &kernel)
     }
 
     /// Like [`CoreGroup::run_planned`], but an invalid plan is returned
@@ -124,7 +123,27 @@ impl CoreGroup {
         F: Fn(&mut Cpe) + Sync,
     {
         plan.validate()?;
-        Ok(self.run_named(&plan.name, plan.n_cpes, kernel))
+        Ok(self.launch(&plan.name, plan.n_cpes, Some(plan.rlc), &kernel))
+    }
+
+    /// Run one launch (`rlc`: the plan's pattern, `None` when unplanned)
+    /// and accumulate its time, counters and trace.
+    fn launch<F>(
+        &mut self,
+        name: &str,
+        n_cpes: usize,
+        rlc: Option<RlcPattern>,
+        kernel: &F,
+    ) -> LaunchReport
+    where
+        F: Fn(&mut Cpe) + Sync,
+    {
+        let (report, trace) =
+            run_mesh_inner(self.mode, n_cpes, name, rlc, self.check.is_on(), kernel);
+        self.traces.extend(trace);
+        self.stats.merge(&report.stats);
+        self.elapsed += report.elapsed;
+        report
     }
 
     /// MPE-mediated memory copy (Principle 2's slow path, 9.9 GB/s).
@@ -243,6 +262,67 @@ mod tests {
         let traces = cg.take_traces();
         assert_eq!(traces[0].name, "tiny");
         assert_eq!(traces[0].n_cpes, 4);
+    }
+
+    #[test]
+    fn plan_pattern_chooses_the_execution_path() {
+        use std::sync::Mutex;
+        let caller = std::thread::current().id();
+        for (rlc, on_caller) in [(RlcPattern::None, true), (RlcPattern::RowBroadcast, false)] {
+            let ran = Mutex::new(Vec::new());
+            let plan = KernelPlan::new("path", 5).rlc(rlc);
+            CoreGroup::new(ExecMode::TimingOnly).run_planned(&plan, |cpe| {
+                let here = std::thread::current().id() == caller;
+                ran.lock().unwrap().push((cpe.idx(), here));
+            });
+            let mut ran = ran.into_inner().unwrap();
+            if !on_caller {
+                ran.sort();
+            }
+            let expect: Vec<_> = (0..5).map(|i| (i, on_caller)).collect();
+            assert_eq!(ran, expect, "{rlc:?}");
+        }
+    }
+
+    /// Launch `kernel` on two CPEs under a plan declaring no RLC.
+    fn run_independent(name: &str, check: CheckMode, kernel: impl Fn(&mut Cpe) + Sync) {
+        let mut cg = CoreGroup::new(ExecMode::Functional);
+        cg.set_check(check);
+        cg.run_planned(&KernelPlan::new(name, 2), kernel);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel `misuse.send` CPE (0, 0) called rlc_row_send \
+                               in an independent launch")]
+    fn independent_launch_rejects_rlc_send() {
+        run_independent("misuse.send", CheckMode::Off, |cpe| {
+            cpe.rlc_row_send(1 - cpe.col(), &[1.0])
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel `misuse.recv` CPE (0, 0) called rlc_col_recv \
+                               in an independent launch")]
+    fn independent_launch_rejects_rlc_recv() {
+        run_independent("misuse.recv", CheckMode::Record, |cpe| {
+            cpe.rlc_col_recv(1, &mut [0.0])
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel `misuse.bcast` CPE (0, 0) called rlc_col_bcast \
+                               in an independent launch")]
+    fn independent_launch_rejects_rlc_bcast() {
+        run_independent("misuse.bcast", CheckMode::Off, |cpe| {
+            cpe.rlc_col_bcast(&[1.0])
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel `misuse.sync` CPE (0, 0) called sync \
+                               in an independent launch")]
+    fn independent_launch_rejects_sync() {
+        run_independent("misuse.sync", CheckMode::Record, |cpe| cpe.sync());
     }
 
     #[test]

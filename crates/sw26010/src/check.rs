@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use crate::dma::DmaDir;
+use crate::plan::RlcPattern;
 use crate::rlc::Axis;
 
 /// Whether a core group records sanitizer events.
@@ -169,6 +170,9 @@ pub struct CpeTrace {
 pub struct KernelTrace {
     pub name: String,
     pub n_cpes: usize,
+    /// The launching plan's declared register-communication pattern;
+    /// [`RlcPattern::None`] for an unplanned launch.
+    pub rlc: RlcPattern,
     pub per_cpe: Vec<CpeTrace>,
 }
 

@@ -1,13 +1,19 @@
 //! The per-CPE execution context handed to mesh kernels.
 //!
-//! A kernel is a closure `Fn(&mut Cpe)` executed by 64 (or fewer) real
-//! threads. The context exposes exactly the resources a CPE has on
-//! silicon: its 64 KB LDM, a DMA engine to main memory, row/column
-//! register communication, the vector pipelines, and the mesh barrier.
-//! Everything else (direct loads from main memory in particular) is
-//! deliberately absent — gld/gst-style accesses are what Principle 2 says
-//! to avoid, and kernels written against this API physically cannot issue
-//! them.
+//! A kernel is a closure `Fn(&mut Cpe)` executed once per CPE of a launch
+//! (see [`crate::mesh`] for how). The context exposes exactly the
+//! resources a CPE has on silicon: its 64 KB LDM, a DMA engine to main
+//! memory, row/column register communication, the vector pipelines, and
+//! the mesh barrier. Everything else (direct loads from main memory in
+//! particular) is deliberately absent — gld/gst-style accesses are what
+//! Principle 2 says to avoid, and kernels written against this API
+//! physically cannot issue them.
+//!
+//! The register buses and the barrier exist only in a threaded launch,
+//! which shares one [`MeshLinks`] between its CPEs. An independent launch
+//! (a plan declaring [`RlcPattern::None`](crate::plan::RlcPattern::None))
+//! builds none, and a register-communication or barrier call there panics
+//! with the plan's name and the CPE's coordinates.
 //!
 //! Under a checked launch (see [`crate::check`]) every operation
 //! additionally appends a typed event to a per-CPE log and participates
@@ -15,6 +21,7 @@
 //! writes the simulated clocks, so checked and unchecked runs produce
 //! bit-identical data and timings.
 
+use std::sync::mpsc::Receiver;
 use std::sync::{Condvar, Mutex};
 
 use crate::arch::{CPE_DP_FLOPS_PER_CYCLE, KERNEL_COMPUTE_EFFICIENCY, MESH_DIM};
@@ -134,6 +141,21 @@ impl MeshBarrier {
     }
 }
 
+/// The register buses and barrier the CPEs of one threaded launch share.
+pub(crate) struct MeshLinks {
+    fabric: RlcFabric,
+    barrier: MeshBarrier,
+}
+
+impl MeshLinks {
+    pub(crate) fn new(n_cpes: usize) -> Self {
+        MeshLinks {
+            fabric: RlcFabric::new(),
+            barrier: MeshBarrier::new(n_cpes),
+        }
+    }
+}
+
 /// Execution context of one CPE inside a mesh kernel launch.
 pub struct Cpe<'l> {
     row: usize,
@@ -141,14 +163,16 @@ pub struct Cpe<'l> {
     idx: usize,
     n_active: usize,
     mode: ExecMode,
+    /// Name of the launching kernel (its plan's name when planned).
+    kernel: &'l str,
     /// The CPE's scratch-pad allocator.
     pub ldm: Ldm,
     clock: SimTime,
     dma_engine_free_at: SimTime,
     stats: Stats,
-    fabric: &'l RlcFabric,
-    ports: CpePorts,
-    barrier: &'l MeshBarrier,
+    /// The launch's shared buses and barrier plus this CPE's receive
+    /// ports; `None` in an independent launch.
+    links: Option<(&'l MeshLinks, CpePorts)>,
     /// Sanitizer event log; `None` outside checked launches.
     log: Option<EventLog>,
     /// Launch-wide liveness state; `None` outside checked launches.
@@ -165,12 +189,11 @@ impl<'l> Cpe<'l> {
         idx: usize,
         n_active: usize,
         mode: ExecMode,
-        fabric: &'l RlcFabric,
-        barrier: &'l MeshBarrier,
+        kernel: &'l str,
+        links: Option<&'l MeshLinks>,
         log: Option<EventLog>,
         check: Option<&'l LaunchCheck>,
     ) -> Self {
-        let ports = fabric.take_ports(idx);
         let mut ldm = Ldm::new();
         if let Some(log) = &log {
             ldm.attach_log(log.clone());
@@ -181,13 +204,12 @@ impl<'l> Cpe<'l> {
             idx,
             n_active,
             mode,
+            kernel,
             ldm,
             clock: SimTime::ZERO,
             dma_engine_free_at: SimTime::ZERO,
             stats: Stats::default(),
-            fabric,
-            ports,
-            barrier,
+            links: links.map(|l| (l, l.fabric.take_ports(idx))),
             log,
             check,
             outstanding: Vec::new(),
@@ -270,6 +292,35 @@ impl<'l> Cpe<'l> {
         }
         self.stalled_on = Some(blocked);
         std::panic::panic_any(StallMarker);
+    }
+
+    // ---- mesh links (threaded launches only) ----------------------------
+
+    /// The launch's shared buses and barrier, for operation `op`.
+    fn links(&self, op: &str) -> &'l MeshLinks {
+        match &self.links {
+            Some((links, _)) => links,
+            None => self.independent_misuse(op),
+        }
+    }
+
+    /// This CPE's receive FIFO from `port` on `axis`, for operation `op`.
+    fn rx(&self, op: &str, axis: Axis, port: usize) -> &Receiver<RlcMsg> {
+        match (&self.links, axis) {
+            (Some((_, ports)), Axis::Row) => &ports.row[port],
+            (Some((_, ports)), Axis::Col) => &ports.col[port],
+            (None, _) => self.independent_misuse(op),
+        }
+    }
+
+    #[cold]
+    fn independent_misuse(&self, op: &str) -> ! {
+        panic!(
+            "kernel `{}` CPE ({}, {}) called {op} in an independent launch: its plan \
+             declares RlcPattern::None, so the CPE bodies run one after another with no \
+             register buses and no barrier; declare the pattern the kernel uses",
+            self.kernel, self.row, self.col
+        )
     }
 
     // ---- DMA ----------------------------------------------------------
@@ -482,14 +533,14 @@ impl<'l> Cpe<'l> {
 
     /// Deliver one message on the row bus, with bounded waiting under a
     /// checked launch so a full FIFO can be diagnosed as a stall.
-    fn deliver_row(&mut self, dst_col: usize, msg: RlcMsg) {
+    fn deliver_row(&mut self, fabric: &RlcFabric, dst_col: usize, msg: RlcMsg) {
         match self.check {
-            None => self.fabric.send_row(self.row, self.col, dst_col, msg),
+            None => fabric.send_row(self.row, self.col, dst_col, msg),
             Some(check) => {
                 let mut msg = msg;
                 let mut watch = StallWatch::new(check);
                 loop {
-                    match self.fabric.try_send_row(self.row, self.col, dst_col, msg) {
+                    match fabric.try_send_row(self.row, self.col, dst_col, msg) {
                         SendAttempt::Sent => return,
                         SendAttempt::Full(m) => {
                             msg = m;
@@ -512,14 +563,14 @@ impl<'l> Cpe<'l> {
     }
 
     /// Deliver one message on the column bus (see [`Cpe::deliver_row`]).
-    fn deliver_col(&mut self, dst_row: usize, msg: RlcMsg) {
+    fn deliver_col(&mut self, fabric: &RlcFabric, dst_row: usize, msg: RlcMsg) {
         match self.check {
-            None => self.fabric.send_col(self.col, self.row, dst_row, msg),
+            None => fabric.send_col(self.col, self.row, dst_row, msg),
             Some(check) => {
                 let mut msg = msg;
                 let mut watch = StallWatch::new(check);
                 loop {
-                    match self.fabric.try_send_col(self.col, self.row, dst_row, msg) {
+                    match fabric.try_send_col(self.col, self.row, dst_row, msg) {
                         SendAttempt::Sent => return,
                         SendAttempt::Full(m) => {
                             msg = m;
@@ -543,6 +594,7 @@ impl<'l> Cpe<'l> {
 
     /// P2P send on the row bus to `(self.row, dst_col)`.
     pub fn rlc_row_send(&mut self, dst_col: usize, data: &[f64]) {
+        let fabric = &self.links("rlc_row_send").fabric;
         let bytes = std::mem::size_of_val(data);
         self.rlc_charge_send(bytes);
         let msg = RlcMsg {
@@ -555,12 +607,13 @@ impl<'l> Cpe<'l> {
             bytes,
             range: MemRange::of_slice(data),
         });
-        self.deliver_row(dst_col, msg);
+        self.deliver_row(fabric, dst_col, msg);
         self.progress_bump();
     }
 
     /// P2P send on the column bus to `(dst_row, self.col)`.
     pub fn rlc_col_send(&mut self, dst_row: usize, data: &[f64]) {
+        let fabric = &self.links("rlc_col_send").fabric;
         let bytes = std::mem::size_of_val(data);
         self.rlc_charge_send(bytes);
         let msg = RlcMsg {
@@ -573,7 +626,7 @@ impl<'l> Cpe<'l> {
             bytes,
             range: MemRange::of_slice(data),
         });
-        self.deliver_col(dst_row, msg);
+        self.deliver_col(fabric, dst_row, msg);
         self.progress_bump();
     }
 
@@ -582,6 +635,7 @@ impl<'l> Cpe<'l> {
     /// The bus is occupied once regardless of receiver count, which is what
     /// makes broadcast GEMM so effective (Principle 4).
     pub fn rlc_row_bcast(&mut self, data: &[f64]) {
+        let fabric = &self.links("rlc_row_bcast").fabric;
         let bytes = std::mem::size_of_val(data);
         self.rlc_charge_send(bytes);
         let row_width = self.active_row_width();
@@ -597,7 +651,7 @@ impl<'l> Cpe<'l> {
                     bytes,
                     range: MemRange::of_slice(data),
                 });
-                self.deliver_row(dst_col, msg);
+                self.deliver_row(fabric, dst_col, msg);
             }
         }
         self.progress_bump();
@@ -605,6 +659,7 @@ impl<'l> Cpe<'l> {
 
     /// Broadcast on the column bus to the other active CPEs in this column.
     pub fn rlc_col_bcast(&mut self, data: &[f64]) {
+        let fabric = &self.links("rlc_col_bcast").fabric;
         let bytes = std::mem::size_of_val(data);
         self.rlc_charge_send(bytes);
         let col_height = self.active_col_height();
@@ -620,32 +675,25 @@ impl<'l> Cpe<'l> {
                     bytes,
                     range: MemRange::of_slice(data),
                 });
-                self.deliver_col(dst_row, msg);
+                self.deliver_col(fabric, dst_row, msg);
             }
         }
         self.progress_bump();
     }
 
-    /// Receive one message from the given port, with bounded waiting under
-    /// a checked launch.
-    fn recv_msg(&mut self, axis: Axis, port: usize, peer: usize) -> RlcMsg {
+    /// Receive one message from the given port for operation `op`, with
+    /// bounded waiting under a checked launch.
+    fn recv_msg(&mut self, op: &str, axis: Axis, port: usize, peer: usize) -> RlcMsg {
         match self.check {
-            None => {
-                let rx = match axis {
-                    Axis::Row => &self.ports.row[port],
-                    Axis::Col => &self.ports.col[port],
-                };
-                rx.recv().expect("RLC sender dropped mid-kernel")
-            }
+            None => self
+                .rx(op, axis, port)
+                .recv()
+                .expect("RLC sender dropped mid-kernel"),
             Some(check) => {
                 use std::sync::mpsc::RecvTimeoutError;
                 let mut watch = StallWatch::new(check);
                 loop {
-                    let r = match axis {
-                        Axis::Row => self.ports.row[port].recv_timeout(STALL_SLICE),
-                        Axis::Col => self.ports.col[port].recv_timeout(STALL_SLICE),
-                    };
-                    match r {
+                    match self.rx(op, axis, port).recv_timeout(STALL_SLICE) {
                         Ok(msg) => return msg,
                         Err(RecvTimeoutError::Timeout) => {
                             if watch.timed_out() {
@@ -664,7 +712,7 @@ impl<'l> Cpe<'l> {
     /// Receive from `(self.row, src_col)` on the row bus into `buf`.
     pub fn rlc_row_recv(&mut self, src_col: usize, buf: &mut [f64]) {
         let peer = self.row * MESH_DIM + src_col;
-        let msg = self.recv_msg(Axis::Row, src_col, peer);
+        let msg = self.recv_msg("rlc_row_recv", Axis::Row, src_col, peer);
         self.record(|| CpeEvent::RlcRecv {
             axis: Axis::Row,
             peer,
@@ -678,7 +726,7 @@ impl<'l> Cpe<'l> {
     /// Receive from `(src_row, self.col)` on the column bus into `buf`.
     pub fn rlc_col_recv(&mut self, src_row: usize, buf: &mut [f64]) {
         let peer = src_row * MESH_DIM + self.col;
-        let msg = self.recv_msg(Axis::Col, src_row, peer);
+        let msg = self.recv_msg("rlc_col_recv", Axis::Col, src_row, peer);
         self.record(|| CpeEvent::RlcRecv {
             axis: Axis::Col,
             peer,
@@ -759,12 +807,13 @@ impl<'l> Cpe<'l> {
 
     /// Mesh-wide barrier; local clocks are reconciled to the maximum.
     pub fn sync(&mut self) {
+        let barrier = &self.links("sync").barrier;
         self.sync_count += 1;
         let n = self.sync_count;
         self.record(|| CpeEvent::Barrier { n });
         self.clock = match self.check {
-            None => self.barrier.wait(self.idx, self.clock),
-            Some(check) => match self.barrier.wait_checked(self.clock, check) {
+            None => barrier.wait(self.idx, self.clock),
+            Some(check) => match barrier.wait_checked(self.clock, check) {
                 Some(t) => t,
                 None => self.stall_unwind(BlockedOn::Barrier),
             },

@@ -11,9 +11,10 @@
 //! happens: kernels are closures over a [`cpe::Cpe`] context that exposes
 //! exactly the hardware resources (LDM allocation, continuous/strided DMA,
 //! row/column register communication, vector pipelines, mesh barrier).
-//! Kernels execute *functionally* on real host threads — data really moves,
-//! register-communication FIFOs really block — while every operation is
-//! charged to a calibrated timing model:
+//! Kernels execute *functionally* — data really moves, and a kernel whose
+//! plan declares register communication runs one host thread per CPE, so
+//! its FIFOs really block (see [`mesh`] for the launch paths) — while
+//! every operation is charged to a calibrated timing model:
 //!
 //! * DMA bandwidth as a function of transfer size, stride block size and
 //!   CPE concurrency, calibrated to Fig. 2 of the swCaffe paper;

@@ -1,12 +1,30 @@
 //! Mesh kernel launch: the simulator's equivalent of `athread_spawn` /
 //! `athread_join`.
 //!
-//! A launch runs the kernel closure on `n_cpes` real host threads, each
-//! with its own [`Cpe`] context (LDM, DMA engine, RLC ports, local clock).
-//! Register-communication receives block exactly as the hardware FIFOs do,
-//! so a mis-scheduled kernel deadlocks in simulation the same way it would
-//! on silicon. The launch's simulated duration is the spawn overhead plus
-//! the latest per-CPE finish time.
+//! A launch runs the kernel closure once per CPE on the first `n_cpes`
+//! CPEs, each with its own [`Cpe`] context (LDM, DMA engine, local
+//! clock). The launching plan's declared [`RlcPattern`] alone chooses how
+//! those bodies execute:
+//!
+//! * **Threaded** — plans that declare register communication, and every
+//!   unplanned launch ([`run_mesh`], [`run_mesh_traced`],
+//!   `CoreGroup::run`/`run_named`): one scoped host thread per CPE, all
+//!   sharing the register buses and the mesh barrier. RLC receives block
+//!   exactly as the hardware FIFOs do, so a mis-scheduled kernel
+//!   deadlocks in simulation the same way it would on silicon.
+//! * **Independent** — plans that declare [`RlcPattern::None`]: the bodies
+//!   run one after another on the launching thread, in index order, with
+//!   no thread spawned and no buses or barrier built. A body that neither
+//!   communicates nor synchronises cannot observe the other CPEs: DMA
+//!   timing depends on the number of active CPEs, not on concurrency, and
+//!   the disjoint-write contract of [`crate::view`] already forbids
+//!   cross-CPE read-after-write inside one launch. So data, simulated
+//!   time, counters, event logs and LDM high water are bit-identical to the
+//!   threaded path. An RLC or barrier call in such a launch panics with
+//!   the plan's name and the CPE.
+//!
+//! The launch's simulated duration is the spawn overhead plus the latest
+//! per-CPE finish time.
 //!
 //! [`run_mesh_traced`] is the sanitizer entry point: same semantics and
 //! bit-identical timing, but every CPE records a typed event log and
@@ -19,8 +37,8 @@ use std::rc::Rc;
 
 use crate::arch::{ATHREAD_LAUNCH_OVERHEAD_SECONDS, CPES_PER_CG};
 use crate::check::{CpeTrace, KernelTrace, LaunchCheck, StallMarker};
-use crate::cpe::{Cpe, MeshBarrier};
-use crate::rlc::RlcFabric;
+use crate::cpe::{Cpe, MeshLinks};
+use crate::plan::RlcPattern;
 use crate::stats::{LaunchReport, Stats};
 use crate::time::{ExecMode, SimTime};
 
@@ -33,8 +51,7 @@ pub fn run_mesh<F>(mode: ExecMode, n_cpes: usize, kernel: F) -> LaunchReport
 where
     F: Fn(&mut Cpe) + Sync,
 {
-    let (report, _) = run_mesh_inner(mode, n_cpes, None, &kernel);
-    report
+    run_mesh_inner(mode, n_cpes, "unnamed", None, false, &kernel).0
 }
 
 /// Run `kernel` under the sanitizer: identical data and simulated timing,
@@ -50,21 +67,22 @@ pub fn run_mesh_traced<F>(
 where
     F: Fn(&mut Cpe) + Sync,
 {
-    let (report, per_cpe) = run_mesh_inner(mode, n_cpes, Some(name), &kernel);
-    let trace = KernelTrace {
-        name: name.to_string(),
-        n_cpes,
-        per_cpe: per_cpe.expect("traced launch must produce traces"),
-    };
-    (report, trace)
+    let (report, trace) = run_mesh_inner(mode, n_cpes, name, None, true, &kernel);
+    (report, trace.expect("traced launch must produce a trace"))
 }
 
-fn run_mesh_inner<F>(
+/// The one launch routine behind every entry point. `rlc` is the
+/// launching plan's declared pattern, `None` for an unplanned launch;
+/// `Some(RlcPattern::None)` selects the independent path. `traced` arms
+/// the sanitizer and returns the launch's [`KernelTrace`].
+pub(crate) fn run_mesh_inner<F>(
     mode: ExecMode,
     n_cpes: usize,
-    traced: Option<&str>,
+    name: &str,
+    rlc: Option<RlcPattern>,
+    traced: bool,
     kernel: &F,
-) -> (LaunchReport, Option<Vec<CpeTrace>>)
+) -> (LaunchReport, Option<KernelTrace>)
 where
     F: Fn(&mut Cpe) + Sync,
 {
@@ -72,83 +90,80 @@ where
         (1..=CPES_PER_CG).contains(&n_cpes),
         "launch must use 1..=64 CPEs, got {n_cpes}"
     );
-    let fabric = RlcFabric::new();
-    let barrier = MeshBarrier::new(n_cpes);
-    let check = traced.map(|_| LaunchCheck::new());
-    let fabric_ref = &fabric;
-    let barrier_ref = &barrier;
+    let links = (rlc != Some(RlcPattern::None)).then(|| MeshLinks::new(n_cpes));
+    let check = traced.then(LaunchCheck::new);
+    let links_ref = links.as_ref();
     let check_ref = check.as_ref();
 
     type CpeResult = Result<(SimTime, Stats, Option<CpeTrace>), Box<dyn std::any::Any + Send>>;
 
-    let per_cpe: Vec<CpeResult> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n_cpes)
-            .map(|idx| {
-                s.spawn(move || -> CpeResult {
-                    let log = check_ref.map(|_| Rc::new(RefCell::new(Vec::new())));
-                    let mut cpe =
-                        Cpe::new(idx, n_cpes, mode, fabric_ref, barrier_ref, log, check_ref);
-                    if check_ref.is_none() {
-                        // Unchecked fast path: no unwind catching, panics
-                        // surface through the join below exactly as before.
-                        kernel(&mut cpe);
-                        return Ok(cpe.finish());
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| kernel(&mut cpe))) {
-                        Ok(()) => Ok(cpe.finish()),
-                        // A stall unwind (this CPE gave up on a blocked op)
-                        // or collateral damage of another CPE's stall
-                        // (disconnected channel, barrier timeout): keep the
-                        // partial trace — it carries the diagnostic.
-                        Err(p) if p.is::<StallMarker>() => Ok(cpe.finish()),
-                        Err(p) if check_ref.is_some_and(|c| c.is_stalled()) => {
-                            drop(p);
-                            Ok(cpe.finish())
-                        }
-                        Err(p) => Err(p),
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
+    let body = |idx: usize| -> CpeResult {
+        let log = check_ref.map(|_| Rc::new(RefCell::new(Vec::new())));
+        let mut cpe = Cpe::new(idx, n_cpes, mode, name, links_ref, log, check_ref);
+        if check_ref.is_none() {
+            // Unchecked fast path: no unwind catching; a panic surfaces
+            // through the join, or straight to the caller when independent.
+            kernel(&mut cpe);
+            return Ok(cpe.finish());
+        }
+        match catch_unwind(AssertUnwindSafe(|| kernel(&mut cpe))) {
+            Ok(()) => Ok(cpe.finish()),
+            // A stall unwind (this CPE gave up on a blocked op) or
+            // collateral damage of another CPE's stall (disconnected
+            // channel, barrier timeout): keep the partial trace — it
+            // carries the diagnostic.
+            Err(p) if p.is::<StallMarker>() => Ok(cpe.finish()),
+            Err(p) if check_ref.is_some_and(|c| c.is_stalled()) => {
+                drop(p);
+                Ok(cpe.finish())
+            }
+            Err(p) => Err(p),
+        }
+    };
+
+    let per_cpe: Vec<CpeResult> = match links_ref {
+        None => (0..n_cpes).map(body).collect(),
+        Some(_) => std::thread::scope(|s| {
+            let body = &body;
+            let handles: Vec<_> = (0..n_cpes).map(|idx| s.spawn(move || body(idx))).collect();
+            handles
+                .into_iter()
                 // Re-raise with the original payload so `should_panic`
                 // expectations see the kernel's own message.
-                Err(p) => resume_unwind(p),
-            })
-            .collect()
-    });
+                .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
+                .collect()
+        }),
+    };
 
     let mut stats = Stats::default();
     let mut max_clock = SimTime::ZERO;
-    let mut traces = traced.map(|_| Vec::with_capacity(n_cpes));
+    let mut traces = Vec::new();
     for r in per_cpe {
-        let (clock, s, trace) = match r {
-            Ok(v) => v,
-            // A genuine kernel panic under tracing: re-raise it on the
-            // launching thread with the original payload.
-            Err(p) => resume_unwind(p),
-        };
+        // A genuine kernel panic under tracing: re-raise it on the
+        // launching thread with the original payload.
+        let (clock, s, trace) = r.unwrap_or_else(|p| resume_unwind(p));
         stats.merge(&s);
         max_clock = max_clock.max(clock);
-        if let (Some(ts), Some(t)) = (traces.as_mut(), trace) {
-            ts.push(t);
-        }
+        traces.extend(trace);
     }
     stats.launches = 1;
     let report = LaunchReport {
         elapsed: SimTime::from_seconds(ATHREAD_LAUNCH_OVERHEAD_SECONDS) + max_clock,
         stats,
     };
-    (report, traces)
+    let trace = traced.then(|| KernelTrace {
+        name: name.to_string(),
+        n_cpes,
+        rlc: rlc.unwrap_or_default(),
+        per_cpe: traces,
+    });
+    (report, trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::{BlockedOn, CpeEvent};
+    use crate::check::{BlockedOn, CpeEvent, MemRange};
     use crate::view::{MemView, MemViewMut};
 
     #[test]
@@ -335,50 +350,190 @@ mod tests {
         });
     }
 
+    /// `events` with every host address replaced by (LDM allocation id,
+    /// offset), so the logs of two runs compare equal.
+    fn rebased(events: &[CpeEvent]) -> Vec<CpeEvent> {
+        fn rebase(live: &[(u64, MemRange)], r: MemRange) -> MemRange {
+            let (id, buf) = live
+                .iter()
+                .rev()
+                .find(|(_, b)| b.lo <= r.lo && r.hi <= b.hi)
+                .expect("every range lies in an LDM buffer");
+            let lo = ((*id as usize) << 32) | (r.lo - buf.lo);
+            MemRange {
+                lo,
+                hi: lo + r.len(),
+            }
+        }
+        let mut live: Vec<(u64, MemRange)> = Vec::new();
+        events
+            .iter()
+            .map(|e| {
+                let mut e = e.clone();
+                match &mut e {
+                    CpeEvent::LdmAlloc { id, range, .. } => {
+                        live.push((*id, *range));
+                        *range = rebase(&live, *range);
+                    }
+                    CpeEvent::DmaIssue { range, .. }
+                    | CpeEvent::RlcSend { range, .. }
+                    | CpeEvent::RlcRecv { range, .. }
+                    | CpeEvent::LdmFree { range, .. } => *range = rebase(&live, *range),
+                    _ => {}
+                }
+                e
+            })
+            .collect()
+    }
+
     #[test]
     fn traced_run_is_bit_identical_and_records_events() {
-        fn add_one(cpe: &mut Cpe, src: MemView<'_>, out: MemViewMut<'_>) {
+        /// Every operation an independent body may use: async and sync
+        /// DMA, strided DMA, accumulate, LDM alloc/free and compute. With
+        /// `sync`, the CPEs also skew their clocks and meet at the mesh
+        /// barrier, which only the threaded path supports.
+        fn body(
+            cpe: &mut Cpe,
+            src: MemView<'_>,
+            out: MemViewMut<'_>,
+            acc: MemViewMut<'_>,
+            sync: bool,
+        ) {
             let n = 64;
+            let base = cpe.idx() * n;
             let mut buf = cpe.ldm.alloc_f32(n);
-            let h = cpe.dma_get_async(src, cpe.idx() * n, &mut buf);
+            let h = cpe.dma_get_async(src, base, &mut buf);
             cpe.dma_wait(h);
+            {
+                let mut strided = cpe.ldm.alloc_f32(n / 2);
+                cpe.dma_get_strided(src, base, 8, 16, 4, &mut strided);
+                cpe.compute(n as u64 / 2, || {
+                    for (b, s) in buf.iter_mut().zip(strided.iter()) {
+                        *b += 2.0 * s;
+                    }
+                });
+            }
+            let mut tail = cpe.ldm.alloc_f32(n / 4);
+            cpe.dma_get(src, base + 3 * n / 4, &mut tail);
             cpe.compute(n as u64, || {
                 for v in buf.iter_mut() {
                     *v += 1.0;
                 }
             });
-            cpe.sync();
-            cpe.dma_put(out, cpe.idx() * n, &buf);
+            if sync {
+                // Skewed on both sides of the barrier, so the launch time
+                // depends on the barrier reconciling every clock to the max.
+                let (idx, last) = (cpe.idx() as u64, cpe.n_active() as u64 - 1);
+                cpe.charge_flops(100 * idx);
+                cpe.sync();
+                cpe.charge_flops(100 * (last - idx));
+            }
+            cpe.dma_put_strided(out, base, 16, 32, 2, &buf[..n / 2]);
+            let h = cpe.dma_put_async(out, base + 16, &buf[n / 2..3 * n / 4]);
+            cpe.dma_wait(h);
+            cpe.dma_put(out, base + 48, &tail);
+            cpe.dma_accumulate(acc, base, &buf);
         }
         let src_data: Vec<f32> = (0..4096).map(|i| i as f32).collect();
         let src = MemView::new(&src_data);
-        let mut plain_out = vec![0.0f32; 4096];
-        let out = MemViewMut::new(&mut plain_out);
-        let plain = run_mesh(ExecMode::Functional, 64, move |cpe| add_one(cpe, src, out));
-        let mut traced_out = vec![0.0f32; 4096];
-        let out = MemViewMut::new(&mut traced_out);
-        let (traced, trace) = run_mesh_traced(ExecMode::Functional, 64, "add_one", move |cpe| {
-            add_one(cpe, src, out)
-        });
-        assert_eq!(plain_out, traced_out, "tracing must not perturb data");
-        assert_eq!(
-            plain.elapsed.seconds().to_bits(),
-            traced.elapsed.seconds().to_bits(),
-            "tracing must not perturb simulated time"
-        );
-        assert_eq!(plain.stats, traced.stats);
-        assert_eq!(trace.name, "add_one");
-        assert_eq!(trace.per_cpe.len(), 64);
-        assert!(!trace.stalled());
-        assert_eq!(trace.ldm_high_water(), 64 * 4);
-        let events = &trace.per_cpe[0].events;
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, CpeEvent::DmaIssue { seq: 0, .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, CpeEvent::Barrier { n: 1 })));
-        assert!(trace.per_cpe.iter().all(|c| c.leaked_dma.is_empty()));
+        for n_cpes in [1, 7, 64] {
+            for mode in [ExecMode::Functional, ExecMode::TimingOnly] {
+                let run = |rlc: Option<RlcPattern>, traced: bool, sync: bool| {
+                    let mut out = vec![0.0f32; 64 * n_cpes];
+                    let mut acc: Vec<f32> = (0..64 * n_cpes).map(|i| i as f32 * 0.5).collect();
+                    let (o, a) = (MemViewMut::new(&mut out), MemViewMut::new(&mut acc));
+                    let kernel = move |cpe: &mut Cpe| body(cpe, src, o, a, sync);
+                    let (report, trace) =
+                        run_mesh_inner(mode, n_cpes, "equiv", rlc, traced, &kernel);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    (bits(&out), bits(&acc), report, trace)
+                };
+                let independent = Some(RlcPattern::None);
+                let threaded = run(None, false, false);
+                let what = format!("{n_cpes} CPEs, {mode:?}");
+                let mut traces = Vec::new();
+                for (rlc, traced) in [(None, true), (independent, false), (independent, true)] {
+                    let other = run(rlc, traced, false);
+                    let path = format!("{what}, rlc {rlc:?}, traced {traced}");
+                    assert_eq!(threaded.0, other.0, "{path}: output");
+                    assert_eq!(threaded.1, other.1, "{path}: accumulated output");
+                    assert_eq!(
+                        threaded.2.elapsed.seconds().to_bits(),
+                        other.2.elapsed.seconds().to_bits(),
+                        "{path}: simulated time"
+                    );
+                    assert_eq!(threaded.2.stats, other.2.stats, "{path}: stats");
+                    traces.extend(other.3);
+                }
+                if mode.is_functional() {
+                    assert_ne!(threaded.0, vec![0; 64 * n_cpes], "{what}: kernel wrote");
+                }
+                let [a, b] = &traces[..] else {
+                    panic!("{what}: two traced runs, two traces")
+                };
+                assert_eq!(
+                    (a.name.as_str(), a.n_cpes, a.rlc),
+                    ("equiv", n_cpes, RlcPattern::None)
+                );
+                assert_eq!(
+                    (b.name.as_str(), b.n_cpes, b.rlc),
+                    ("equiv", n_cpes, RlcPattern::None)
+                );
+                assert_eq!(a.per_cpe.len(), n_cpes);
+                assert_eq!(b.per_cpe.len(), n_cpes);
+                for (x, y) in a.per_cpe.iter().zip(&b.per_cpe) {
+                    assert_eq!((x.idx, x.row, x.col), (y.idx, y.row, y.col));
+                    assert_eq!(
+                        rebased(&x.events),
+                        rebased(&y.events),
+                        "{what}: CPE {}",
+                        x.idx
+                    );
+                    assert_eq!(x.ldm_high_water, y.ldm_high_water);
+                    assert!(x.leaked_dma.is_empty() && y.leaked_dma.is_empty());
+                    assert!(x.stall.is_none() && y.stall.is_none());
+                }
+                assert_eq!(a.ldm_high_water(), (64 + 32) * 4);
+                let events = &a.per_cpe[0].events;
+                assert!(events
+                    .iter()
+                    .any(|e| matches!(e, CpeEvent::DmaIssue { seq: 0, .. })));
+                assert!(events
+                    .iter()
+                    .any(|e| matches!(e, CpeEvent::LdmFree { id: 1, .. })));
+
+                // A synchronising kernel on the threaded path: the checked
+                // barrier must reconcile clocks exactly as the plain one.
+                let plain = run(None, false, true);
+                let (o, acc, report, trace) = run(None, true, true);
+                let trace = trace.expect("traced launch returns a trace");
+                assert_eq!(plain.0, o, "{what}, sync: output");
+                assert_eq!(plain.1, acc, "{what}, sync: accumulated output");
+                assert_eq!(
+                    plain.2.elapsed.seconds().to_bits(),
+                    report.elapsed.seconds().to_bits(),
+                    "{what}, sync: simulated time"
+                );
+                assert_eq!(plain.2.stats, report.stats, "{what}, sync: stats");
+                assert!(
+                    plain.2.elapsed.seconds() > threaded.2.elapsed.seconds() || n_cpes == 1,
+                    "{what}: the barrier waits for the slowest CPE"
+                );
+                assert_eq!(trace.name, "equiv");
+                assert_eq!(trace.per_cpe.len(), n_cpes);
+                assert!(!trace.stalled());
+                for c in &trace.per_cpe {
+                    assert!(
+                        c.events
+                            .iter()
+                            .any(|e| matches!(e, CpeEvent::Barrier { n: 1 })),
+                        "{what}: CPE {} records the barrier",
+                        c.idx
+                    );
+                    assert!(c.leaked_dma.is_empty());
+                }
+            }
+        }
     }
 
     #[test]

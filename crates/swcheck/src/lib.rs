@@ -9,7 +9,8 @@
 //!   barrier, and LDM alloc/free on every CPE) and proves
 //!   happens-before properties — no use of a buffer before its
 //!   `dma_wait`, no double-waits or leaked handles, matched send/recv
-//!   counts on both buses, uniform barrier arrival — and classifies
+//!   counts on both buses, uniform barrier arrival, no declared
+//!   register-communication pattern left unused — and classifies
 //!   stalled launches as deadlock or barrier divergence with per-CPE
 //!   blocked-on diagnostics.
 //! * **Static lint** ([`lint`]): validates the [`sw26010::KernelPlan`]

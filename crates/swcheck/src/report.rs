@@ -19,6 +19,7 @@ fn kind_slug(kind: &ViolationKind) -> &'static str {
         ViolationKind::Deadlock { .. } => "deadlock",
         ViolationKind::BarrierDivergence { .. } => "barrier_divergence",
         ViolationKind::PlanExceeded { .. } => "plan_exceeded",
+        ViolationKind::UnusedRlcDeclared { .. } => "unused_rlc_declared",
     }
 }
 

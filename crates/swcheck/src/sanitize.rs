@@ -8,11 +8,14 @@
 //! launch that was unwound by the stall detector is classified instead
 //! of count-checked: all-barrier stalls are barrier divergence, anything
 //! else is a deadlock, each reported with per-CPE blocked-on detail.
+//! Finally the trace is held to the [`RlcPattern`] its plan declared: a
+//! declared pattern puts the launch on the threaded path, so one that
+//! never uses the buses (or the barrier) is reported.
 
 use sw26010::arch::MESH_DIM;
 use sw26010::dma::DmaDir;
 use sw26010::rlc::Axis;
-use sw26010::{BlockedOn, CpeEvent, CpeTrace, KernelPlan, KernelTrace, MemRange};
+use sw26010::{BlockedOn, CpeEvent, CpeTrace, KernelPlan, KernelTrace, MemRange, RlcPattern};
 
 /// Where and what went wrong in one kernel launch.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,6 +61,10 @@ pub enum ViolationKind {
         observed: usize,
         planned: usize,
     },
+    /// The plan declares register communication, which runs the launch
+    /// on one host thread per CPE, but no CPE sent, received or entered
+    /// the barrier: the kernel should declare [`RlcPattern::None`].
+    UnusedRlcDeclared { pattern: RlcPattern },
 }
 
 fn mesh_coord(idx: usize) -> (usize, usize) {
@@ -116,6 +123,12 @@ impl std::fmt::Display for ViolationKind {
                 f,
                 "execution exceeded its kernel plan: {what} observed {observed} \
                  vs {planned} planned"
+            ),
+            ViolationKind::UnusedRlcDeclared { pattern } => write!(
+                f,
+                "plan declares RlcPattern::{pattern:?} but no CPE used a register bus \
+                 or the barrier; declare RlcPattern::None to run the CPE bodies on the \
+                 launching thread"
             ),
         }
     }
@@ -314,6 +327,27 @@ fn check_barriers(trace: &KernelTrace, out: &mut Vec<Violation>) {
     }
 }
 
+/// A plan that declares register communication keeps its launch on the
+/// threaded path; the trace must show that it needed it.
+fn check_declared_rlc(trace: &KernelTrace, out: &mut Vec<Violation>) {
+    if trace.rlc == RlcPattern::None {
+        return;
+    }
+    let uses_mesh = trace.per_cpe.iter().flat_map(|c| &c.events).any(|e| {
+        matches!(
+            e,
+            CpeEvent::RlcSend { .. } | CpeEvent::RlcRecv { .. } | CpeEvent::Barrier { .. }
+        )
+    });
+    if !uses_mesh {
+        out.push(Violation {
+            kernel: trace.name.clone(),
+            cpe: None,
+            kind: ViolationKind::UnusedRlcDeclared { pattern: trace.rlc },
+        });
+    }
+}
+
 /// Turn a stalled launch into a liveness diagnosis.
 fn classify_stall(trace: &KernelTrace, out: &mut Vec<Violation>) {
     let stalled: Vec<&CpeTrace> = trace.per_cpe.iter().filter(|c| c.stall.is_some()).collect();
@@ -371,6 +405,7 @@ pub fn check_trace(trace: &KernelTrace) -> Vec<Violation> {
     } else {
         check_rlc_matching(trace, &mut out);
         check_barriers(trace, &mut out);
+        check_declared_rlc(trace, &mut out);
     }
     out
 }
@@ -409,6 +444,7 @@ mod tests {
         KernelTrace {
             name: "t".into(),
             n_cpes: 1,
+            rlc: RlcPattern::None,
             per_cpe: vec![CpeTrace {
                 idx: 0,
                 row: 0,
@@ -496,6 +532,7 @@ mod tests {
         let t = KernelTrace {
             name: "pair".into(),
             n_cpes: 2,
+            rlc: RlcPattern::PointToPoint,
             per_cpe: vec![
                 CpeTrace {
                     idx: 0,

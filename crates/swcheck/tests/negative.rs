@@ -2,7 +2,7 @@
 //! the sanitizer with the right violation kind — this is the proof the
 //! checker actually checks something.
 
-use sw26010::{CoreGroup, ExecMode, MemView, MemViewMut};
+use sw26010::{CoreGroup, ExecMode, KernelPlan, MemView, MemViewMut, RlcPattern};
 use swcheck::{check_traces, Violation, ViolationKind};
 
 fn run_and_check(
@@ -158,4 +158,29 @@ fn plan_high_water_mismatch_is_caught() {
         )),
         "{v:?}"
     );
+}
+
+#[test]
+fn unused_rlc_declaration_is_caught() {
+    let src = vec![1.0f32; 64 * 16];
+    let sv = MemView::new(&src);
+    // BUG: the plan claims row broadcasts, which keeps the launch on one
+    // thread per CPE, but the body never touches a bus or the barrier.
+    let plan = KernelPlan::new("inject.unused_rlc", 64)
+        .buffer("buf", 64)
+        .rlc(RlcPattern::RowBroadcast);
+    let mut cg = CoreGroup::new_checked(ExecMode::Functional);
+    cg.run_planned(&plan, move |cpe| {
+        let mut buf = cpe.ldm.alloc_f32(16);
+        cpe.dma_get(sv, cpe.idx() * 16, &mut buf);
+    });
+    let v = check_traces(&cg.take_traces());
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert_eq!(
+        v[0].kind,
+        ViolationKind::UnusedRlcDeclared {
+            pattern: RlcPattern::RowBroadcast
+        }
+    );
+    assert!(v[0].to_string().contains("RlcPattern::None"), "{}", v[0]);
 }
