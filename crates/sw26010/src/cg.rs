@@ -9,19 +9,20 @@
 //! [`KernelTrace`] per launch for the `swcheck` sanitizer; recording is
 //! off by default and costs nothing when off.
 //!
-//! A planned launch ([`CoreGroup::run_planned`] /
-//! [`CoreGroup::try_run_planned`]) executes as its plan's [`RlcPattern`]
-//! says: a plan declaring [`RlcPattern::None`] runs its CPE bodies one
-//! after another on the calling thread, any other pattern on one host
-//! thread per CPE (see [`crate::mesh`]). Unplanned launches
-//! ([`CoreGroup::run`] / [`CoreGroup::run_named`]) always take the
-//! threaded path.
+//! Every launch runs its CPE bodies on the calling thread (see
+//! [`crate::mesh`]). A kernel whose CPEs never wait for each other is a
+//! `Fn(&mut Cpe)` and may be launched planned ([`CoreGroup::run_planned`]
+//! / [`CoreGroup::try_run_planned`]) or unplanned ([`CoreGroup::run`] /
+//! [`CoreGroup::run_named`]). A kernel that communicates or synchronises
+//! is an `AsyncFn(&mut Cpe)` launched through
+//! [`CoreGroup::run_planned_async`], whose plan declares the
+//! [`RlcPattern`] that builds the register buses and the barrier.
 
 use crate::arch::MPE_PEAK_FLOPS;
 use crate::check::{CheckMode, KernelTrace};
 use crate::cpe::Cpe;
 use crate::dma;
-use crate::mesh::run_mesh_inner;
+use crate::mesh;
 use crate::plan::{KernelPlan, PlanViolation, RlcPattern};
 use crate::stats::{LaunchReport, Stats};
 use crate::time::{ExecMode, SimTime};
@@ -84,7 +85,7 @@ impl CoreGroup {
     /// accumulate its time and counters.
     pub fn run<F>(&mut self, n_cpes: usize, kernel: F) -> LaunchReport
     where
-        F: Fn(&mut Cpe) + Sync,
+        F: Fn(&mut Cpe),
     {
         self.run_named("unnamed", n_cpes, kernel)
     }
@@ -93,21 +94,32 @@ impl CoreGroup {
     /// traces and diagnostics.
     pub fn run_named<F>(&mut self, name: &str, n_cpes: usize, kernel: F) -> LaunchReport
     where
-        F: Fn(&mut Cpe) + Sync,
+        F: Fn(&mut Cpe),
     {
-        self.launch(name, n_cpes, None, &kernel)
+        let kernel = async |cpe: &mut Cpe<'_>| kernel(cpe);
+        self.launch(name, n_cpes, RlcPattern::None, &kernel)
     }
 
     /// Launch a kernel through its registered [`KernelPlan`]: the plan is
     /// validated first, so a shape whose working set cannot fit LDM is
     /// rejected with a named-buffer diagnostic *before* anything runs.
-    /// The plan's [`RlcPattern`] chooses the execution path (module docs).
     pub fn run_planned<F>(&mut self, plan: &KernelPlan, kernel: F) -> LaunchReport
     where
-        F: Fn(&mut Cpe) + Sync,
+        F: Fn(&mut Cpe),
+    {
+        self.run_planned_async(plan, async |cpe: &mut Cpe<'_>| kernel(cpe))
+    }
+
+    /// Like [`CoreGroup::run_planned`], for a kernel whose CPEs await
+    /// register communication or the barrier. The buses and barrier exist
+    /// when the plan declares an [`RlcPattern`] other than
+    /// [`RlcPattern::None`].
+    pub fn run_planned_async<F>(&mut self, plan: &KernelPlan, kernel: F) -> LaunchReport
+    where
+        F: AsyncFn(&mut Cpe<'_>),
     {
         plan.assert_valid();
-        self.launch(&plan.name, plan.n_cpes, Some(plan.rlc), &kernel)
+        self.launch(&plan.name, plan.n_cpes, plan.rlc, &kernel)
     }
 
     /// Like [`CoreGroup::run_planned`], but an invalid plan is returned
@@ -120,26 +132,21 @@ impl CoreGroup {
         kernel: F,
     ) -> Result<LaunchReport, PlanViolation>
     where
-        F: Fn(&mut Cpe) + Sync,
+        F: Fn(&mut Cpe),
     {
         plan.validate()?;
-        Ok(self.launch(&plan.name, plan.n_cpes, Some(plan.rlc), &kernel))
+        let kernel = async |cpe: &mut Cpe<'_>| kernel(cpe);
+        Ok(self.launch(&plan.name, plan.n_cpes, plan.rlc, &kernel))
     }
 
-    /// Run one launch (`rlc`: the plan's pattern, `None` when unplanned)
-    /// and accumulate its time, counters and trace.
-    fn launch<F>(
-        &mut self,
-        name: &str,
-        n_cpes: usize,
-        rlc: Option<RlcPattern>,
-        kernel: &F,
-    ) -> LaunchReport
+    /// Run one launch (`rlc`: the plan's pattern, [`RlcPattern::None`]
+    /// when unplanned) and accumulate its time, counters and trace.
+    fn launch<F>(&mut self, name: &str, n_cpes: usize, rlc: RlcPattern, kernel: &F) -> LaunchReport
     where
-        F: Fn(&mut Cpe) + Sync,
+        F: AsyncFn(&mut Cpe<'_>),
     {
         let (report, trace) =
-            run_mesh_inner(self.mode, n_cpes, name, rlc, self.check.is_on(), kernel);
+            mesh::launch(self.mode, n_cpes, name, rlc, self.check.is_on(), kernel);
         self.traces.extend(trace);
         self.stats.merge(&report.stats);
         self.elapsed += report.elapsed;
@@ -265,38 +272,49 @@ mod tests {
     }
 
     #[test]
-    fn plan_pattern_chooses_the_execution_path() {
-        use std::sync::Mutex;
+    fn every_launch_runs_on_the_calling_thread() {
         let caller = std::thread::current().id();
-        for (rlc, on_caller) in [(RlcPattern::None, true), (RlcPattern::RowBroadcast, false)] {
-            let ran = Mutex::new(Vec::new());
-            let plan = KernelPlan::new("path", 5).rlc(rlc);
-            CoreGroup::new(ExecMode::TimingOnly).run_planned(&plan, |cpe| {
-                let here = std::thread::current().id() == caller;
-                ran.lock().unwrap().push((cpe.idx(), here));
-            });
-            let mut ran = ran.into_inner().unwrap();
-            if !on_caller {
-                ran.sort();
+        let ran = std::cell::RefCell::new(Vec::new());
+        let note = |cpe: &Cpe| {
+            let here = std::thread::current().id() == caller;
+            ran.borrow_mut().push((cpe.idx(), here));
+        };
+        let mut cg = CoreGroup::new(ExecMode::TimingOnly);
+        cg.run(5, |cpe| note(cpe));
+        cg.run_planned(&KernelPlan::new("path", 5), |cpe| note(cpe));
+        let plan = KernelPlan::new("path", 5).rlc(RlcPattern::RowBroadcast);
+        cg.run_planned_async(&plan, async |cpe| {
+            if cpe.col() == 4 {
+                cpe.rlc_row_bcast(&[1.0]).await;
+            } else {
+                cpe.rlc_row_recv(4, &mut [0.0]).await;
             }
-            let expect: Vec<_> = (0..5).map(|i| (i, on_caller)).collect();
-            assert_eq!(ran, expect, "{rlc:?}");
-        }
+            note(cpe);
+        });
+        // The sync bodies run in index order. The broadcast's receivers
+        // suspend on their first poll and finish on their second, after
+        // the sender.
+        let sync: Vec<_> = (0..5).map(|i| (i, true)).collect();
+        let bcast = [4, 0, 1, 2, 3].map(|i| (i, true));
+        assert_eq!(
+            ran.into_inner(),
+            [&sync[..], &sync[..], &bcast[..]].concat()
+        );
     }
 
     /// Launch `kernel` on two CPEs under a plan declaring no RLC.
-    fn run_independent(name: &str, check: CheckMode, kernel: impl Fn(&mut Cpe) + Sync) {
+    fn run_independent(name: &str, check: CheckMode, kernel: impl AsyncFn(&mut Cpe<'_>)) {
         let mut cg = CoreGroup::new(ExecMode::Functional);
         cg.set_check(check);
-        cg.run_planned(&KernelPlan::new(name, 2), kernel);
+        cg.run_planned_async(&KernelPlan::new(name, 2), kernel);
     }
 
     #[test]
     #[should_panic(expected = "kernel `misuse.send` CPE (0, 0) called rlc_row_send \
                                in an independent launch")]
     fn independent_launch_rejects_rlc_send() {
-        run_independent("misuse.send", CheckMode::Off, |cpe| {
-            cpe.rlc_row_send(1 - cpe.col(), &[1.0])
+        run_independent("misuse.send", CheckMode::Off, async |cpe| {
+            cpe.rlc_row_send(1 - cpe.col(), &[1.0]).await
         });
     }
 
@@ -304,8 +322,8 @@ mod tests {
     #[should_panic(expected = "kernel `misuse.recv` CPE (0, 0) called rlc_col_recv \
                                in an independent launch")]
     fn independent_launch_rejects_rlc_recv() {
-        run_independent("misuse.recv", CheckMode::Record, |cpe| {
-            cpe.rlc_col_recv(1, &mut [0.0])
+        run_independent("misuse.recv", CheckMode::Record, async |cpe| {
+            cpe.rlc_col_recv(1, &mut [0.0]).await
         });
     }
 
@@ -313,8 +331,8 @@ mod tests {
     #[should_panic(expected = "kernel `misuse.bcast` CPE (0, 0) called rlc_col_bcast \
                                in an independent launch")]
     fn independent_launch_rejects_rlc_bcast() {
-        run_independent("misuse.bcast", CheckMode::Off, |cpe| {
-            cpe.rlc_col_bcast(&[1.0])
+        run_independent("misuse.bcast", CheckMode::Off, async |cpe| {
+            cpe.rlc_col_bcast(&[1.0]).await
         });
     }
 
@@ -322,7 +340,9 @@ mod tests {
     #[should_panic(expected = "kernel `misuse.sync` CPE (0, 0) called sync \
                                in an independent launch")]
     fn independent_launch_rejects_sync() {
-        run_independent("misuse.sync", CheckMode::Record, |cpe| cpe.sync());
+        run_independent("misuse.sync", CheckMode::Record, async |cpe| {
+            cpe.sync().await
+        });
     }
 
     #[test]

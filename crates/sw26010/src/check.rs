@@ -9,16 +9,15 @@
 //! in-flight DMA destination, every handle waited exactly once, matched
 //! send/recv counts, …) without perturbing what it observes.
 //!
-//! Recording also arms *liveness* checking: blocking operations (RLC
-//! receives, full-FIFO sends, the mesh barrier) switch to bounded waits
-//! and declare a stall when the whole mesh stops making progress, so a
-//! deadlocked kernel produces a diagnostic instead of hanging the test
-//! suite forever.
+//! Recording also turns a deadlock into data. The launch executor (see
+//! [`crate::mesh`]) detects a deadlock exactly: a full round of the CPE
+//! bodies with no FIFO push or pop, no barrier arrival and no body
+//! finished. A checked launch then returns with each blocked CPE's
+//! [`BlockedOn`] in its trace for `swcheck` to classify; an unchecked one
+//! panics.
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Duration;
 
 use crate::dma::DmaDir;
 use crate::plan::RlcPattern;
@@ -30,7 +29,8 @@ pub enum CheckMode {
     /// No recording; zero overhead beyond an `Option` branch per call.
     #[default]
     Off,
-    /// Record every CPE event and arm stall detection.
+    /// Record every CPE event; a deadlock returns a trace instead of
+    /// panicking.
     Record,
 }
 
@@ -120,7 +120,7 @@ pub enum CpeEvent {
     LdmFree { id: u64, range: MemRange },
 }
 
-/// What a stalled CPE was blocked on when the mesh stopped progressing.
+/// What a CPE was blocked on when the mesh stopped progressing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockedOn {
     /// Waiting to receive from mesh index `from` on `axis`.
@@ -145,11 +145,6 @@ impl std::fmt::Display for BlockedOn {
     }
 }
 
-/// Panic payload used to unwind a stalled CPE thread; the blocked-on
-/// detail is stored on the `Cpe` before panicking so the trace keeps it.
-#[derive(Debug, Clone, Copy)]
-pub struct StallMarker;
-
 /// Everything the sanitizer learned about one CPE during a launch.
 #[derive(Debug, Clone, Default)]
 pub struct CpeTrace {
@@ -159,7 +154,7 @@ pub struct CpeTrace {
     pub events: Vec<CpeEvent>,
     /// DMA requests issued but never waited by kernel end.
     pub leaked_dma: Vec<u64>,
-    /// Set when the CPE was unwound by the stall detector.
+    /// Set when the launch deadlocked with this CPE blocked.
     pub stall: Option<BlockedOn>,
     /// LDM working-set high water mark in bytes.
     pub ldm_high_water: usize,
@@ -177,7 +172,7 @@ pub struct KernelTrace {
 }
 
 impl KernelTrace {
-    /// True when any CPE was unwound by the stall detector.
+    /// True when the launch deadlocked.
     pub fn stalled(&self) -> bool {
         self.per_cpe.iter().any(|c| c.stall.is_some())
     }
@@ -195,85 +190,6 @@ impl KernelTrace {
 /// Per-CPE event log, shared with the LDM allocator of the same CPE so
 /// allocator events interleave with DMA/RLC events in program order.
 pub type EventLog = Rc<RefCell<Vec<CpeEvent>>>;
-
-/// How long one bounded wait lasts before the waiter re-checks mesh-wide
-/// progress.
-pub(crate) const STALL_SLICE: Duration = Duration::from_millis(20);
-/// Consecutive slices without any mesh-wide progress before a stall is
-/// declared (total patience: `STALL_SLICE * STALL_STRIKES`).
-pub(crate) const STALL_STRIKES: u32 = 8;
-
-/// Launch-wide liveness state shared by all CPEs of a checked launch.
-#[derive(Debug, Default)]
-pub struct LaunchCheck {
-    /// Bumped by every completed CPE operation; a blocked CPE only
-    /// declares a stall after the counter stops moving mesh-wide.
-    progress: AtomicU64,
-    stalled: AtomicBool,
-}
-
-impl LaunchCheck {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    pub fn bump(&self) {
-        self.progress.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn progress(&self) -> u64 {
-        self.progress.load(Ordering::Relaxed)
-    }
-
-    pub fn declare_stall(&self) {
-        self.stalled.store(true, Ordering::Release);
-    }
-
-    pub fn is_stalled(&self) -> bool {
-        self.stalled.load(Ordering::Acquire)
-    }
-}
-
-/// Bounded-wait bookkeeping for one blocked operation: tracks whether the
-/// mesh made progress between timeout slices and converts sustained
-/// silence into a stall verdict.
-pub(crate) struct StallWatch<'c> {
-    check: &'c LaunchCheck,
-    last_progress: u64,
-    strikes: u32,
-}
-
-impl<'c> StallWatch<'c> {
-    pub(crate) fn new(check: &'c LaunchCheck) -> Self {
-        StallWatch {
-            check,
-            last_progress: check.progress(),
-            strikes: 0,
-        }
-    }
-
-    /// Called after each timed-out wait slice. Returns `true` when the
-    /// operation should give up and declare a stall.
-    pub(crate) fn timed_out(&mut self) -> bool {
-        if self.check.is_stalled() {
-            // Somebody else already declared; unwind as collateral.
-            return true;
-        }
-        let now = self.check.progress();
-        if now != self.last_progress {
-            self.last_progress = now;
-            self.strikes = 0;
-            return false;
-        }
-        self.strikes += 1;
-        if self.strikes >= STALL_STRIKES {
-            self.check.declare_stall();
-            return true;
-        }
-        false
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -306,22 +222,5 @@ mod tests {
         assert_eq!(r.len(), 64);
         let empty: &[f32] = &[];
         assert!(MemRange::of_slice(empty).is_empty());
-    }
-
-    #[test]
-    fn stall_watch_requires_sustained_silence() {
-        let check = LaunchCheck::new();
-        let mut w = StallWatch::new(&check);
-        for _ in 0..STALL_STRIKES - 1 {
-            assert!(!w.timed_out());
-        }
-        // Progress elsewhere on the mesh resets the strike count.
-        check.bump();
-        assert!(!w.timed_out());
-        for _ in 0..STALL_STRIKES - 1 {
-            assert!(!w.timed_out());
-        }
-        assert!(w.timed_out());
-        assert!(check.is_stalled());
     }
 }

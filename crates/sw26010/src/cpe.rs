@@ -1,7 +1,8 @@
 //! The per-CPE execution context handed to mesh kernels.
 //!
-//! A kernel is a closure `Fn(&mut Cpe)` executed once per CPE of a launch
-//! (see [`crate::mesh`] for how). The context exposes exactly the
+//! A kernel is a closure run once per CPE of a launch (see [`crate::mesh`]
+//! for how): `Fn(&mut Cpe)` when its CPEs never wait for each other,
+//! `AsyncFn(&mut Cpe)` when they do. The context exposes exactly the
 //! resources a CPE has on silicon: its 64 KB LDM, a DMA engine to main
 //! memory, row/column register communication, the vector pipelines, and
 //! the mesh barrier. Everything else (direct loads from main memory in
@@ -9,29 +10,30 @@
 //! Principle 2 says to avoid, and kernels written against this API
 //! physically cannot issue them.
 //!
-//! The register buses and the barrier exist only in a threaded launch,
-//! which shares one [`MeshLinks`] between its CPEs. An independent launch
-//! (a plan declaring [`RlcPattern::None`](crate::plan::RlcPattern::None))
-//! builds none, and a register-communication or barrier call there panics
+//! The operations that can block on another CPE — register sends and
+//! receives and [`Cpe::sync`] — are `async fn`s: they suspend the CPE's
+//! body while a FIFO is full or empty or the barrier is incomplete, and
+//! the launch's executor resumes it once a peer has moved. The buses and
+//! the barrier (`MeshLinks`) exist only in a launch whose plan declares
+//! register communication; under a plan declaring
+//! [`RlcPattern::None`](crate::plan::RlcPattern::None) such a call panics
 //! with the plan's name and the CPE's coordinates.
 //!
 //! Under a checked launch (see [`crate::check`]) every operation
-//! additionally appends a typed event to a per-CPE log and participates
-//! in mesh-wide stall detection. The instrumentation never reads or
-//! writes the simulated clocks, so checked and unchecked runs produce
-//! bit-identical data and timings.
+//! additionally appends a typed event to a per-CPE log. The
+//! instrumentation never reads or writes the simulated clocks, so checked
+//! and unchecked runs produce bit-identical data and timings.
 
-use std::sync::mpsc::Receiver;
-use std::sync::{Condvar, Mutex};
+use std::cell::Cell;
+use std::future::poll_fn;
+use std::iter::once;
+use std::task::Poll;
 
 use crate::arch::{CPE_DP_FLOPS_PER_CYCLE, KERNEL_COMPUTE_EFFICIENCY, MESH_DIM};
-use crate::check::{
-    BlockedOn, CpeEvent, CpeTrace, EventLog, LaunchCheck, MemRange, StallMarker, StallWatch,
-    STALL_SLICE,
-};
+use crate::check::{BlockedOn, CpeEvent, CpeTrace, EventLog, MemRange};
 use crate::dma;
 use crate::ldm::Ldm;
-use crate::rlc::{transfer_cycles, Axis, CpePorts, RlcFabric, RlcMsg, SendAttempt, RLC_HOP_CYCLES};
+use crate::rlc::{transfer_cycles, Axis, RlcFifos, RlcMsg, RLC_HOP_CYCLES};
 use crate::stats::Stats;
 use crate::time::{ExecMode, SimTime};
 use crate::view::{MemView, MemViewMut};
@@ -58,101 +60,75 @@ pub struct DmaHandle {
 /// local clock equals the mesh-wide maximum, which is what a hardware
 /// barrier does to wall time.
 ///
-/// Implemented as a generation-counted condition variable rather than
-/// `std::sync::Barrier` so checked launches can wait with a timeout and
-/// convert barrier divergence (some CPEs never arrive) into a stall
-/// diagnostic instead of a hang.
-pub struct MeshBarrier {
+/// A generation counter with a running maximum of the arrivals' clocks:
+/// the last arrival releases the generation, and the CPEs waiting on it
+/// see the generation move on their next poll.
+struct MeshBarrier {
     n: usize,
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
+    arrived: Cell<usize>,
+    generation: Cell<u64>,
     /// Running max of the arrivals' clocks for the current generation.
-    max: f64,
+    max: Cell<f64>,
     /// Reconciled clock of the previous generation.
-    result: f64,
+    result: Cell<f64>,
 }
 
 impl MeshBarrier {
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         assert!(n >= 1, "barrier needs at least one participant");
         MeshBarrier {
             n,
-            state: Mutex::new(BarrierState {
-                arrived: 0,
-                generation: 0,
-                max: 0.0,
-                result: 0.0,
-            }),
-            cv: Condvar::new(),
+            arrived: Cell::new(0),
+            generation: Cell::new(0),
+            max: Cell::new(0.0),
+            result: Cell::new(0.0),
         }
     }
 
-    /// Enter the barrier with `local` time; returns the mesh-wide maximum.
-    pub fn wait(&self, _slot: usize, local: SimTime) -> SimTime {
-        self.wait_inner(local, None)
-            .expect("unchecked barrier wait cannot time out")
+    /// Enter with `local` time; returns the generation to wait on.
+    fn arrive(&self, local: SimTime) -> u64 {
+        let gen = self.generation.get();
+        self.max.set(self.max.get().max(local.seconds()));
+        self.arrived.set(self.arrived.get() + 1);
+        if self.arrived.get() == self.n {
+            self.result.set(self.max.get());
+            self.max.set(0.0);
+            self.arrived.set(0);
+            self.generation.set(gen + 1);
+        }
+        gen
     }
 
-    /// Bounded-wait variant for checked launches; returns `None` when the
-    /// mesh stopped progressing with this CPE still inside the barrier.
-    pub(crate) fn wait_checked(&self, local: SimTime, check: &LaunchCheck) -> Option<SimTime> {
-        self.wait_inner(local, Some(check))
-    }
-
-    fn wait_inner(&self, local: SimTime, check: Option<&LaunchCheck>) -> Option<SimTime> {
-        let mut st = self.state.lock().expect("mesh barrier poisoned");
-        st.max = st.max.max(local.seconds());
-        st.arrived += 1;
-        if st.arrived == self.n {
-            st.result = st.max;
-            st.max = 0.0;
-            st.arrived = 0;
-            st.generation += 1;
-            self.cv.notify_all();
-            return Some(SimTime::from_seconds(st.result));
-        }
-        let gen = st.generation;
-        let mut watch = check.map(StallWatch::new);
-        while st.generation == gen {
-            match &mut watch {
-                None => st = self.cv.wait(st).expect("mesh barrier poisoned"),
-                Some(w) => {
-                    let (guard, timeout) = self
-                        .cv
-                        .wait_timeout(st, STALL_SLICE)
-                        .expect("mesh barrier poisoned");
-                    st = guard;
-                    if st.generation != gen {
-                        break;
-                    }
-                    if timeout.timed_out() && w.timed_out() {
-                        return None;
-                    }
-                }
-            }
-        }
-        Some(SimTime::from_seconds(st.result))
+    /// The mesh-wide maximum once generation `gen` has been released.
+    fn released(&self, gen: u64) -> Option<SimTime> {
+        (self.generation.get() != gen).then(|| SimTime::from_seconds(self.result.get()))
     }
 }
 
-/// The register buses and barrier the CPEs of one threaded launch share.
+/// The register buses and barrier the CPEs of one launch share, plus the
+/// progress count the executor's deadlock detection reads.
 pub(crate) struct MeshLinks {
-    fabric: RlcFabric,
+    fifos: RlcFifos,
     barrier: MeshBarrier,
+    /// FIFO pushes and pops and barrier arrivals so far.
+    progress: Cell<u64>,
 }
 
 impl MeshLinks {
     pub(crate) fn new(n_cpes: usize) -> Self {
         MeshLinks {
-            fabric: RlcFabric::new(),
+            fifos: RlcFifos::new(),
             barrier: MeshBarrier::new(n_cpes),
+            progress: Cell::new(0),
         }
+    }
+
+    pub(crate) fn progress(&self) -> u64 {
+        self.progress.get()
+    }
+
+    fn bump(&self) {
+        self.progress.set(self.progress.get() + 1);
     }
 }
 
@@ -170,18 +146,17 @@ pub struct Cpe<'l> {
     clock: SimTime,
     dma_engine_free_at: SimTime,
     stats: Stats,
-    /// The launch's shared buses and barrier plus this CPE's receive
-    /// ports; `None` in an independent launch.
-    links: Option<(&'l MeshLinks, CpePorts)>,
+    /// The launch's shared buses and barrier; `None` when its plan
+    /// declares no register communication.
+    links: Option<&'l MeshLinks>,
     /// Sanitizer event log; `None` outside checked launches.
     log: Option<EventLog>,
-    /// Launch-wide liveness state; `None` outside checked launches.
-    check: Option<&'l LaunchCheck>,
     /// Sequence numbers of issued-but-unwaited DMA requests.
     outstanding: Vec<u64>,
     next_dma_seq: u64,
     sync_count: u64,
-    stalled_on: Option<BlockedOn>,
+    /// What the CPE's body is suspended on, while it is.
+    blocked_on: Option<BlockedOn>,
 }
 
 impl<'l> Cpe<'l> {
@@ -192,7 +167,6 @@ impl<'l> Cpe<'l> {
         kernel: &'l str,
         links: Option<&'l MeshLinks>,
         log: Option<EventLog>,
-        check: Option<&'l LaunchCheck>,
     ) -> Self {
         let mut ldm = Ldm::new();
         if let Some(log) = &log {
@@ -209,13 +183,12 @@ impl<'l> Cpe<'l> {
             clock: SimTime::ZERO,
             dma_engine_free_at: SimTime::ZERO,
             stats: Stats::default(),
-            links: links.map(|l| (l, l.fabric.take_ports(idx))),
+            links,
             log,
-            check,
             outstanding: Vec::new(),
             next_dma_seq: 0,
             sync_count: 0,
-            stalled_on: None,
+            blocked_on: None,
         }
     }
 
@@ -261,7 +234,7 @@ impl<'l> Cpe<'l> {
             col: self.col,
             events: log.borrow_mut().split_off(0),
             leaked_dma: self.outstanding.clone(),
-            stall: self.stalled_on,
+            stall: self.blocked_on,
             ldm_high_water: self.ldm.high_water(),
         });
         (self.clock, stats, trace)
@@ -276,49 +249,45 @@ impl<'l> Cpe<'l> {
         }
     }
 
-    #[inline]
-    fn progress_bump(&self) {
-        if let Some(check) = self.check {
-            check.bump();
-        }
+    /// What the body is suspended on; `None` once it has finished or
+    /// while it runs.
+    pub(crate) fn blocked_on(&self) -> Option<BlockedOn> {
+        self.blocked_on
     }
 
-    /// Unwind this CPE because the mesh stopped progressing while it was
-    /// blocked on `blocked`. The trace keeps everything recorded so far
-    /// plus the blocked-on detail; `run_mesh_traced` catches the marker.
-    fn stall_unwind(&mut self, blocked: BlockedOn) -> ! {
-        if let Some(check) = self.check {
-            check.declare_stall();
-        }
-        self.stalled_on = Some(blocked);
-        std::panic::panic_any(StallMarker);
-    }
-
-    // ---- mesh links (threaded launches only) ----------------------------
+    // ---- mesh links (launches whose plan declares RLC) -------------------
 
     /// The launch's shared buses and barrier, for operation `op`.
     fn links(&self, op: &str) -> &'l MeshLinks {
-        match &self.links {
-            Some((links, _)) => links,
+        match self.links {
+            Some(links) => links,
             None => self.independent_misuse(op),
         }
     }
 
-    /// This CPE's receive FIFO from `port` on `axis`, for operation `op`.
-    fn rx(&self, op: &str, axis: Axis, port: usize) -> &Receiver<RlcMsg> {
-        match (&self.links, axis) {
-            (Some((_, ports)), Axis::Row) => &ports.row[port],
-            (Some((_, ports)), Axis::Col) => &ports.col[port],
-            (None, _) => self.independent_misuse(op),
-        }
+    /// Suspend until `ready` yields a value, recording `on` as what the
+    /// CPE waits for while it does.
+    async fn suspend_until<T>(&mut self, on: BlockedOn, mut ready: impl FnMut() -> Option<T>) -> T {
+        let blocked_on = &mut self.blocked_on;
+        poll_fn(|_| match ready() {
+            Some(v) => {
+                *blocked_on = None;
+                Poll::Ready(v)
+            }
+            None => {
+                *blocked_on = Some(on);
+                Poll::Pending
+            }
+        })
+        .await
     }
 
     #[cold]
     fn independent_misuse(&self, op: &str) -> ! {
         panic!(
             "kernel `{}` CPE ({}, {}) called {op} in an independent launch: its plan \
-             declares RlcPattern::None, so the CPE bodies run one after another with no \
-             register buses and no barrier; declare the pattern the kernel uses",
+             declares RlcPattern::None, so the launch has no register buses and no \
+             barrier; declare the pattern the kernel uses",
             self.kernel, self.row, self.col
         )
     }
@@ -491,7 +460,6 @@ impl<'l> Cpe<'l> {
             bytes: get + put,
             range,
         });
-        self.progress_bump();
         DmaHandle { complete_at, seq }
     }
 
@@ -506,7 +474,6 @@ impl<'l> Cpe<'l> {
                 self.outstanding.swap_remove(p);
                 self.record(|| CpeEvent::DmaWait { seq: h.seq });
                 self.clock = self.clock.max(h.complete_at);
-                self.progress_bump();
             }
             None if self.log.is_some() => {
                 self.record(|| CpeEvent::DmaWaitStale { seq: h.seq });
@@ -531,210 +498,111 @@ impl<'l> Cpe<'l> {
         self.functional().then(|| data.to_vec().into_boxed_slice())
     }
 
-    /// Deliver one message on the row bus, with bounded waiting under a
-    /// checked launch so a full FIFO can be diagnosed as a stall.
-    fn deliver_row(&mut self, fabric: &RlcFabric, dst_col: usize, msg: RlcMsg) {
-        match self.check {
-            None => fabric.send_row(self.row, self.col, dst_col, msg),
-            Some(check) => {
-                let mut msg = msg;
-                let mut watch = StallWatch::new(check);
-                loop {
-                    match fabric.try_send_row(self.row, self.col, dst_col, msg) {
-                        SendAttempt::Sent => return,
-                        SendAttempt::Full(m) => {
-                            msg = m;
-                            std::thread::sleep(STALL_SLICE);
-                            if watch.timed_out() {
-                                self.stall_unwind(BlockedOn::RlcSend {
-                                    axis: Axis::Row,
-                                    to: self.row * MESH_DIM + dst_col,
-                                });
-                            }
-                        }
-                        SendAttempt::Disconnected => self.stall_unwind(BlockedOn::RlcSend {
-                            axis: Axis::Row,
-                            to: self.row * MESH_DIM + dst_col,
-                        }),
-                    }
-                }
-            }
-        }
+    /// Deliver one message on `axis` to mesh index `to`, suspending while
+    /// its FIFO is full.
+    async fn deliver(&mut self, links: &'l MeshLinks, axis: Axis, to: usize, msg: RlcMsg) {
+        let from = match axis {
+            Axis::Row => self.col,
+            Axis::Col => self.row,
+        };
+        assert!(to != self.idx, "RLC send to self");
+        let fifos = &links.fifos;
+        let full = BlockedOn::RlcSend { axis, to };
+        self.suspend_until(full, || fifos.has_room(axis, to, from).then_some(()))
+            .await;
+        fifos.push(axis, to, from, msg);
+        links.bump();
     }
 
-    /// Deliver one message on the column bus (see [`Cpe::deliver_row`]).
-    fn deliver_col(&mut self, fabric: &RlcFabric, dst_row: usize, msg: RlcMsg) {
-        match self.check {
-            None => fabric.send_col(self.col, self.row, dst_row, msg),
-            Some(check) => {
-                let mut msg = msg;
-                let mut watch = StallWatch::new(check);
-                loop {
-                    match fabric.try_send_col(self.col, self.row, dst_row, msg) {
-                        SendAttempt::Sent => return,
-                        SendAttempt::Full(m) => {
-                            msg = m;
-                            std::thread::sleep(STALL_SLICE);
-                            if watch.timed_out() {
-                                self.stall_unwind(BlockedOn::RlcSend {
-                                    axis: Axis::Col,
-                                    to: dst_row * MESH_DIM + self.col,
-                                });
-                            }
-                        }
-                        SendAttempt::Disconnected => self.stall_unwind(BlockedOn::RlcSend {
-                            axis: Axis::Col,
-                            to: dst_row * MESH_DIM + self.col,
-                        }),
-                    }
-                }
-            }
+    /// Send `data` on `axis` to each of the mesh indices `peers`: one bus
+    /// occupation, one message per receiver.
+    async fn send(
+        &mut self,
+        op: &str,
+        axis: Axis,
+        peers: impl Iterator<Item = usize>,
+        data: &[f64],
+    ) {
+        let links = self.links(op);
+        let bytes = std::mem::size_of_val(data);
+        self.rlc_charge_send(bytes);
+        for peer in peers {
+            let msg = RlcMsg {
+                sent_at: self.clock,
+                data: self.payload(data),
+            };
+            self.record(|| CpeEvent::RlcSend {
+                axis,
+                peer,
+                bytes,
+                range: MemRange::of_slice(data),
+            });
+            self.deliver(links, axis, peer, msg).await;
         }
     }
 
     /// P2P send on the row bus to `(self.row, dst_col)`.
-    pub fn rlc_row_send(&mut self, dst_col: usize, data: &[f64]) {
-        let fabric = &self.links("rlc_row_send").fabric;
-        let bytes = std::mem::size_of_val(data);
-        self.rlc_charge_send(bytes);
-        let msg = RlcMsg {
-            sent_at: self.clock,
-            data: self.payload(data),
-        };
-        self.record(|| CpeEvent::RlcSend {
-            axis: Axis::Row,
-            peer: self.row * MESH_DIM + dst_col,
-            bytes,
-            range: MemRange::of_slice(data),
-        });
-        self.deliver_row(fabric, dst_col, msg);
-        self.progress_bump();
+    pub async fn rlc_row_send(&mut self, dst_col: usize, data: &[f64]) {
+        let peer = self.row * MESH_DIM + dst_col;
+        self.send("rlc_row_send", Axis::Row, once(peer), data).await;
     }
 
     /// P2P send on the column bus to `(dst_row, self.col)`.
-    pub fn rlc_col_send(&mut self, dst_row: usize, data: &[f64]) {
-        let fabric = &self.links("rlc_col_send").fabric;
-        let bytes = std::mem::size_of_val(data);
-        self.rlc_charge_send(bytes);
-        let msg = RlcMsg {
-            sent_at: self.clock,
-            data: self.payload(data),
-        };
-        self.record(|| CpeEvent::RlcSend {
-            axis: Axis::Col,
-            peer: dst_row * MESH_DIM + self.col,
-            bytes,
-            range: MemRange::of_slice(data),
-        });
-        self.deliver_col(fabric, dst_row, msg);
-        self.progress_bump();
+    pub async fn rlc_col_send(&mut self, dst_row: usize, data: &[f64]) {
+        let peer = dst_row * MESH_DIM + self.col;
+        self.send("rlc_col_send", Axis::Col, once(peer), data).await;
     }
 
     /// Broadcast on the row bus to the other active CPEs in this row.
     ///
     /// The bus is occupied once regardless of receiver count, which is what
     /// makes broadcast GEMM so effective (Principle 4).
-    pub fn rlc_row_bcast(&mut self, data: &[f64]) {
-        let fabric = &self.links("rlc_row_bcast").fabric;
-        let bytes = std::mem::size_of_val(data);
-        self.rlc_charge_send(bytes);
-        let row_width = self.active_row_width();
-        for dst_col in 0..row_width {
-            if dst_col != self.col {
-                let msg = RlcMsg {
-                    sent_at: self.clock,
-                    data: self.payload(data),
-                };
-                self.record(|| CpeEvent::RlcSend {
-                    axis: Axis::Row,
-                    peer: self.row * MESH_DIM + dst_col,
-                    bytes,
-                    range: MemRange::of_slice(data),
-                });
-                self.deliver_row(fabric, dst_col, msg);
-            }
-        }
-        self.progress_bump();
+    pub async fn rlc_row_bcast(&mut self, data: &[f64]) {
+        let (row0, me) = (self.row * MESH_DIM, self.idx);
+        let peers = (0..self.active_row_width()).map(|c| row0 + c);
+        let peers = peers.filter(|&p| p != me);
+        self.send("rlc_row_bcast", Axis::Row, peers, data).await;
     }
 
     /// Broadcast on the column bus to the other active CPEs in this column.
-    pub fn rlc_col_bcast(&mut self, data: &[f64]) {
-        let fabric = &self.links("rlc_col_bcast").fabric;
-        let bytes = std::mem::size_of_val(data);
-        self.rlc_charge_send(bytes);
-        let col_height = self.active_col_height();
-        for dst_row in 0..col_height {
-            if dst_row != self.row {
-                let msg = RlcMsg {
-                    sent_at: self.clock,
-                    data: self.payload(data),
-                };
-                self.record(|| CpeEvent::RlcSend {
-                    axis: Axis::Col,
-                    peer: dst_row * MESH_DIM + self.col,
-                    bytes,
-                    range: MemRange::of_slice(data),
-                });
-                self.deliver_col(fabric, dst_row, msg);
-            }
-        }
-        self.progress_bump();
+    pub async fn rlc_col_bcast(&mut self, data: &[f64]) {
+        let (col, me) = (self.col, self.idx);
+        let peers = (0..self.active_col_height()).map(|r| r * MESH_DIM + col);
+        let peers = peers.filter(|&p| p != me);
+        self.send("rlc_col_bcast", Axis::Col, peers, data).await;
     }
 
-    /// Receive one message from the given port for operation `op`, with
-    /// bounded waiting under a checked launch.
-    fn recv_msg(&mut self, op: &str, axis: Axis, port: usize, peer: usize) -> RlcMsg {
-        match self.check {
-            None => self
-                .rx(op, axis, port)
-                .recv()
-                .expect("RLC sender dropped mid-kernel"),
-            Some(check) => {
-                use std::sync::mpsc::RecvTimeoutError;
-                let mut watch = StallWatch::new(check);
-                loop {
-                    match self.rx(op, axis, port).recv_timeout(STALL_SLICE) {
-                        Ok(msg) => return msg,
-                        Err(RecvTimeoutError::Timeout) => {
-                            if watch.timed_out() {
-                                self.stall_unwind(BlockedOn::RlcRecv { axis, from: peer });
-                            }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            self.stall_unwind(BlockedOn::RlcRecv { axis, from: peer });
-                        }
-                    }
-                }
-            }
-        }
+    /// Receive one message from mesh index `peer` at bus position `from`
+    /// on `axis` into `buf`, suspending while the FIFO is empty.
+    async fn recv(&mut self, op: &str, axis: Axis, from: usize, peer: usize, buf: &mut [f64]) {
+        let links = self.links(op);
+        let (fifos, to) = (&links.fifos, self.idx);
+        let empty = BlockedOn::RlcRecv { axis, from: peer };
+        let msg = self
+            .suspend_until(empty, || fifos.pop(axis, to, from))
+            .await;
+        links.bump();
+        self.record(|| CpeEvent::RlcRecv {
+            axis,
+            peer,
+            bytes: std::mem::size_of_val(buf),
+            range: MemRange::of_slice(buf),
+        });
+        self.finish_recv(msg, buf);
     }
 
     /// Receive from `(self.row, src_col)` on the row bus into `buf`.
-    pub fn rlc_row_recv(&mut self, src_col: usize, buf: &mut [f64]) {
+    pub async fn rlc_row_recv(&mut self, src_col: usize, buf: &mut [f64]) {
         let peer = self.row * MESH_DIM + src_col;
-        let msg = self.recv_msg("rlc_row_recv", Axis::Row, src_col, peer);
-        self.record(|| CpeEvent::RlcRecv {
-            axis: Axis::Row,
-            peer,
-            bytes: std::mem::size_of_val(buf),
-            range: MemRange::of_slice(buf),
-        });
-        self.finish_recv(msg, buf);
-        self.progress_bump();
+        self.recv("rlc_row_recv", Axis::Row, src_col, peer, buf)
+            .await;
     }
 
     /// Receive from `(src_row, self.col)` on the column bus into `buf`.
-    pub fn rlc_col_recv(&mut self, src_row: usize, buf: &mut [f64]) {
+    pub async fn rlc_col_recv(&mut self, src_row: usize, buf: &mut [f64]) {
         let peer = src_row * MESH_DIM + self.col;
-        let msg = self.recv_msg("rlc_col_recv", Axis::Col, src_row, peer);
-        self.record(|| CpeEvent::RlcRecv {
-            axis: Axis::Col,
-            peer,
-            bytes: std::mem::size_of_val(buf),
-            range: MemRange::of_slice(buf),
-        });
-        self.finish_recv(msg, buf);
-        self.progress_bump();
+        self.recv("rlc_col_recv", Axis::Col, src_row, peer, buf)
+            .await;
     }
 
     fn finish_recv(&mut self, msg: RlcMsg, buf: &mut [f64]) {
@@ -776,7 +644,6 @@ impl<'l> Cpe<'l> {
         self.stats.flops += flops;
         let cycles = flops as f64 / (CPE_DP_FLOPS_PER_CYCLE * KERNEL_COMPUTE_EFFICIENCY);
         self.clock += SimTime::from_cycles(cycles);
-        self.progress_bump();
     }
 
     /// Charge `flops` and, in functional mode, run the math.
@@ -793,99 +660,82 @@ impl<'l> Cpe<'l> {
     pub fn charge_scalar_ops(&mut self, ops: u64) {
         self.stats.flops += ops;
         self.clock += SimTime::from_cycles(ops as f64);
-        self.progress_bump();
     }
 
     /// Advance the local clock by an explicit duration (fixed-function
     /// costs such as SIMD shuffles modelled at a coarser grain).
     pub fn charge_time(&mut self, t: SimTime) {
         self.clock += t;
-        self.progress_bump();
     }
 
     // ---- synchronisation -------------------------------------------------
 
     /// Mesh-wide barrier; local clocks are reconciled to the maximum.
-    pub fn sync(&mut self) {
-        let barrier = &self.links("sync").barrier;
+    pub async fn sync(&mut self) {
+        let links = self.links("sync");
         self.sync_count += 1;
         let n = self.sync_count;
         self.record(|| CpeEvent::Barrier { n });
-        self.clock = match self.check {
-            None => barrier.wait(self.idx, self.clock),
-            Some(check) => match barrier.wait_checked(self.clock, check) {
-                Some(t) => t,
-                None => self.stall_unwind(BlockedOn::Barrier),
-            },
-        };
+        let barrier = &links.barrier;
+        let gen = barrier.arrive(self.clock);
+        links.bump();
+        self.clock = self
+            .suspend_until(BlockedOn::Barrier, || barrier.released(gen))
+            .await;
         // The DMA engine cannot be busy past a barrier.
         self.dma_engine_free_at = self.dma_engine_free_at.max(self.clock);
-        self.progress_bump();
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
+    use crate::cg::CoreGroup;
+    use crate::plan::{KernelPlan, RlcPattern};
+
+    /// Each CPE's clock after each of its barriers, when CPE `i` of `n`
+    /// charges `before(i)` before the first and `after(i)` before each of
+    /// the `rounds - 1` later ones.
+    fn barrier_clocks(
+        n: usize,
+        rounds: usize,
+        before: impl Fn(usize) -> f64,
+        after: impl Fn(usize) -> f64,
+    ) -> Vec<Vec<f64>> {
+        let seen = RefCell::new(vec![Vec::new(); n]);
+        let plan = KernelPlan::new("barrier", n).rlc(RlcPattern::PointToPoint);
+        CoreGroup::new(ExecMode::TimingOnly).run_planned_async(&plan, async |cpe| {
+            let i = cpe.idx();
+            cpe.charge_time(SimTime::from_seconds(before(i)));
+            for round in 0..rounds {
+                if round > 0 {
+                    cpe.charge_time(SimTime::from_seconds(after(i)));
+                }
+                cpe.sync().await;
+                seen.borrow_mut()[i].push(cpe.now().seconds());
+            }
+        });
+        seen.into_inner()
+    }
 
     #[test]
     fn barrier_reconciles_to_max_clock() {
-        let b = std::sync::Arc::new(MeshBarrier::new(4));
-        let results: Vec<SimTime> = std::thread::scope(|s| {
-            (0..4usize)
-                .map(|i| {
-                    let b = std::sync::Arc::clone(&b);
-                    s.spawn(move || b.wait(i, SimTime::from_seconds(i as f64)))
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
-        });
-        for r in results {
-            assert_eq!(r.seconds(), 3.0);
-        }
+        // The latest clock arrives neither first nor last.
+        let clocks = barrier_clocks(4, 1, |i| [1.0, 3.0, 0.0, 2.0][i], |_| 0.0);
+        assert_eq!(clocks, vec![vec![3.0]; 4]);
     }
 
     #[test]
     fn barrier_is_reusable_across_generations() {
-        let b = std::sync::Arc::new(MeshBarrier::new(2));
-        let outs: Vec<(SimTime, SimTime)> = std::thread::scope(|s| {
-            (0..2usize)
-                .map(|i| {
-                    let b = std::sync::Arc::clone(&b);
-                    s.spawn(move || {
-                        let first = b.wait(i, SimTime::from_seconds(1.0 + i as f64));
-                        let second =
-                            b.wait(i, first + SimTime::from_seconds(10.0 * (i + 1) as f64));
-                        (first, second)
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
-        });
-        for (first, second) in outs {
-            assert_eq!(first.seconds(), 2.0);
-            assert_eq!(second.seconds(), 22.0);
-        }
+        let clocks = barrier_clocks(2, 2, |i| 1.0 + i as f64, |i| 10.0 * (i + 1) as f64);
+        assert_eq!(clocks, vec![vec![2.0, 22.0]; 2]);
     }
 
     #[test]
     fn single_participant_barrier_returns_immediately() {
-        let b = MeshBarrier::new(1);
-        assert_eq!(b.wait(0, SimTime::from_seconds(4.5)).seconds(), 4.5);
-        assert_eq!(b.wait(0, SimTime::from_seconds(6.5)).seconds(), 6.5);
-    }
-
-    #[test]
-    fn checked_barrier_times_out_when_peers_never_arrive() {
-        let b = MeshBarrier::new(2);
-        let check = LaunchCheck::new();
-        // Nobody else will ever arrive: the bounded wait must give up.
-        let r = b.wait_checked(SimTime::from_seconds(1.0), &check);
-        assert!(r.is_none());
-        assert!(check.is_stalled());
+        let clocks = barrier_clocks(1, 2, |_| 4.5, |_| 2.0);
+        assert_eq!(clocks, vec![vec![4.5, 6.5]]);
     }
 }

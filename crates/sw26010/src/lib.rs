@@ -11,10 +11,11 @@
 //! happens: kernels are closures over a [`cpe::Cpe`] context that exposes
 //! exactly the hardware resources (LDM allocation, continuous/strided DMA,
 //! row/column register communication, vector pipelines, mesh barrier).
-//! Kernels execute *functionally* — data really moves, and a kernel whose
-//! plan declares register communication runs one host thread per CPE, so
-//! its FIFOs really block (see [`mesh`] for the launch paths) — while
-//! every operation is charged to a calibrated timing model:
+//! Kernels execute *functionally* — data really moves, and the CPE bodies
+//! of a launch run as cooperative tasks on the launching thread, so a
+//! register receive really waits for its sender and a wrong schedule
+//! really deadlocks (see [`mesh`]) — while every operation is charged to
+//! a calibrated timing model:
 //!
 //! * DMA bandwidth as a function of transfer size, stride block size and
 //!   CPE concurrency, calibrated to Fig. 2 of the swCaffe paper;
@@ -25,14 +26,14 @@
 //! * MPE-mediated copies at 9.9 GB/s (why Principle 2 exists).
 //!
 //! ```
-//! use sw26010::{run_mesh, ExecMode, MemView, MemViewMut};
+//! use sw26010::{CoreGroup, ExecMode, MemView, MemViewMut};
 //!
 //! // Scale a vector by 2 on all 64 CPEs: DMA in, compute, DMA out.
 //! let input = vec![1.0f32; 64 * 256];
 //! let mut output = vec![0.0f32; 64 * 256];
 //! let src = MemView::new(&input);
 //! let dst = MemViewMut::new(&mut output);
-//! let report = run_mesh(ExecMode::Functional, 64, |cpe| {
+//! let report = CoreGroup::new(ExecMode::Functional).run(64, |cpe| {
 //!     let n = 256;
 //!     let mut buf = cpe.ldm.alloc_f32(n);
 //!     cpe.dma_get(src, cpe.idx() * n, &mut buf);
@@ -67,7 +68,6 @@ pub use check::{BlockedOn, CheckMode, CpeEvent, CpeTrace, KernelTrace, MemRange}
 pub use chip::Chip;
 pub use cpe::{Cpe, DmaHandle};
 pub use ldm::{Ldm, LdmBuf, LdmOverflow};
-pub use mesh::{run_mesh, run_mesh_traced};
 pub use phase::{PhaseRecorder, ScopeRecord};
 pub use plan::{KernelPlan, PlanBuffer, PlanViolation, RlcPattern};
 pub use stats::{LaunchReport, Stats};

@@ -1,147 +1,96 @@
 //! Mesh kernel launch: the simulator's equivalent of `athread_spawn` /
 //! `athread_join`.
 //!
-//! A launch runs the kernel closure once per CPE on the first `n_cpes`
-//! CPEs, each with its own [`Cpe`] context (LDM, DMA engine, local
-//! clock). The launching plan's declared [`RlcPattern`] alone chooses how
-//! those bodies execute:
+//! A launch runs the kernel once per CPE on the first `n_cpes` CPEs, each
+//! with its own [`Cpe`] context (LDM, DMA engine, local clock), and every
+//! launch runs on the launching thread. Each CPE body is a future; a
+//! small executor polls them round-robin in index order until all have
+//! finished. A body suspends only inside the operations that wait for a
+//! peer — a register receive from an empty FIFO, a send into a full one,
+//! a barrier its peers have not all reached — so a body that never
+//! communicates (every `Fn(&mut Cpe)` kernel) finishes on its first poll,
+//! and the launch is the bodies one after another in index order. A
+//! receive's completion time depends only on the message's send time, and
+//! a wait on a full FIFO charges nothing, so data, simulated time,
+//! counters, event logs and LDM high water do not depend on the
+//! interleaving.
 //!
-//! * **Threaded** — plans that declare register communication, and every
-//!   unplanned launch ([`run_mesh`], [`run_mesh_traced`],
-//!   `CoreGroup::run`/`run_named`): one scoped host thread per CPE, all
-//!   sharing the register buses and the mesh barrier. RLC receives block
-//!   exactly as the hardware FIFOs do, so a mis-scheduled kernel
-//!   deadlocks in simulation the same way it would on silicon.
-//! * **Independent** — plans that declare [`RlcPattern::None`]: the bodies
-//!   run one after another on the launching thread, in index order, with
-//!   no thread spawned and no buses or barrier built. A body that neither
-//!   communicates nor synchronises cannot observe the other CPEs: DMA
-//!   timing depends on the number of active CPEs, not on concurrency, and
-//!   the disjoint-write contract of [`crate::view`] already forbids
-//!   cross-CPE read-after-write inside one launch. So data, simulated
-//!   time, counters, event logs and LDM high water are bit-identical to the
-//!   threaded path. An RLC or barrier call in such a launch panics with
-//!   the plan's name and the CPE.
+//! The register buses and the barrier are built only when the launching
+//! plan declares a [`RlcPattern`] other than [`RlcPattern::None`]; under
+//! `None` an RLC or barrier call panics with the plan's name and the CPE.
+//!
+//! Deadlock is detected exactly, with no timeout: a full round of polls
+//! with no FIFO push or pop, no barrier arrival and no body finished
+//! leaves the mesh in the state it started the round in, so no later
+//! round can differ. A checked launch then returns with every blocked
+//! CPE's [`BlockedOn`](crate::check::BlockedOn) in its trace, for
+//! `swcheck` to classify; an unchecked launch panics naming the kernel
+//! and every blocked CPE. Bodies may await only [`Cpe`] operations.
 //!
 //! The launch's simulated duration is the spawn overhead plus the latest
 //! per-CPE finish time.
-//!
-//! [`run_mesh_traced`] is the sanitizer entry point: same semantics and
-//! bit-identical timing, but every CPE records a typed event log and
-//! blocking operations wait with a timeout, so a deadlocked kernel is
-//! unwound with per-CPE blocked-on diagnostics instead of hanging.
 
 use std::cell::RefCell;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Waker};
 
 use crate::arch::{ATHREAD_LAUNCH_OVERHEAD_SECONDS, CPES_PER_CG};
-use crate::check::{CpeTrace, KernelTrace, LaunchCheck, StallMarker};
+use crate::check::KernelTrace;
 use crate::cpe::{Cpe, MeshLinks};
 use crate::plan::RlcPattern;
 use crate::stats::{LaunchReport, Stats};
 use crate::time::{ExecMode, SimTime};
 
-/// Run `kernel` on the first `n_cpes` CPEs (row-major) of one core group's
-/// 8x8 mesh.
-///
-/// `kernel` must be deterministic given the CPE identity; all 64 instances
-/// run concurrently on host threads.
-pub fn run_mesh<F>(mode: ExecMode, n_cpes: usize, kernel: F) -> LaunchReport
-where
-    F: Fn(&mut Cpe) + Sync,
-{
-    run_mesh_inner(mode, n_cpes, "unnamed", None, false, &kernel).0
-}
-
-/// Run `kernel` under the sanitizer: identical data and simulated timing,
-/// plus a complete per-CPE event trace for `swcheck` to analyze. Blocking
-/// operations use bounded waits, so a deadlocked or diverged kernel
-/// returns (with `stall` diagnostics in the trace) instead of hanging.
-pub fn run_mesh_traced<F>(
-    mode: ExecMode,
-    n_cpes: usize,
-    name: &str,
-    kernel: F,
-) -> (LaunchReport, KernelTrace)
-where
-    F: Fn(&mut Cpe) + Sync,
-{
-    let (report, trace) = run_mesh_inner(mode, n_cpes, name, None, true, &kernel);
-    (report, trace.expect("traced launch must produce a trace"))
-}
-
 /// The one launch routine behind every entry point. `rlc` is the
-/// launching plan's declared pattern, `None` for an unplanned launch;
-/// `Some(RlcPattern::None)` selects the independent path. `traced` arms
-/// the sanitizer and returns the launch's [`KernelTrace`].
-pub(crate) fn run_mesh_inner<F>(
+/// launching plan's declared pattern ([`RlcPattern::None`] for an
+/// unplanned launch); the buses and barrier exist only for another
+/// pattern. `traced` arms the sanitizer and returns the launch's
+/// [`KernelTrace`].
+pub(crate) fn launch<F>(
     mode: ExecMode,
     n_cpes: usize,
     name: &str,
-    rlc: Option<RlcPattern>,
+    rlc: RlcPattern,
     traced: bool,
     kernel: &F,
 ) -> (LaunchReport, Option<KernelTrace>)
 where
-    F: Fn(&mut Cpe) + Sync,
+    F: AsyncFn(&mut Cpe<'_>),
 {
     assert!(
         (1..=CPES_PER_CG).contains(&n_cpes),
         "launch must use 1..=64 CPEs, got {n_cpes}"
     );
-    let links = (rlc != Some(RlcPattern::None)).then(|| MeshLinks::new(n_cpes));
-    let check = traced.then(LaunchCheck::new);
-    let links_ref = links.as_ref();
-    let check_ref = check.as_ref();
-
-    type CpeResult = Result<(SimTime, Stats, Option<CpeTrace>), Box<dyn std::any::Any + Send>>;
-
-    let body = |idx: usize| -> CpeResult {
-        let log = check_ref.map(|_| Rc::new(RefCell::new(Vec::new())));
-        let mut cpe = Cpe::new(idx, n_cpes, mode, name, links_ref, log, check_ref);
-        if check_ref.is_none() {
-            // Unchecked fast path: no unwind catching; a panic surfaces
-            // through the join, or straight to the caller when independent.
-            kernel(&mut cpe);
-            return Ok(cpe.finish());
-        }
-        match catch_unwind(AssertUnwindSafe(|| kernel(&mut cpe))) {
-            Ok(()) => Ok(cpe.finish()),
-            // A stall unwind (this CPE gave up on a blocked op) or
-            // collateral damage of another CPE's stall (disconnected
-            // channel, barrier timeout): keep the partial trace — it
-            // carries the diagnostic.
-            Err(p) if p.is::<StallMarker>() => Ok(cpe.finish()),
-            Err(p) if check_ref.is_some_and(|c| c.is_stalled()) => {
-                drop(p);
-                Ok(cpe.finish())
-            }
-            Err(p) => Err(p),
-        }
-    };
-
-    let per_cpe: Vec<CpeResult> = match links_ref {
-        None => (0..n_cpes).map(body).collect(),
-        Some(_) => std::thread::scope(|s| {
-            let body = &body;
-            let handles: Vec<_> = (0..n_cpes).map(|idx| s.spawn(move || body(idx))).collect();
-            handles
-                .into_iter()
-                // Re-raise with the original payload so `should_panic`
-                // expectations see the kernel's own message.
-                .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
-                .collect()
-        }),
-    };
+    let links = (rlc != RlcPattern::None).then(|| MeshLinks::new(n_cpes));
+    let mut cpes: Vec<Cpe> = (0..n_cpes)
+        .map(|idx| {
+            let log = traced.then(|| Rc::new(RefCell::new(Vec::new())));
+            Cpe::new(idx, n_cpes, mode, name, links.as_ref(), log)
+        })
+        .collect();
+    let bodies = cpes
+        .iter_mut()
+        .map(|cpe| Box::pin(kernel(cpe)) as Pin<Box<dyn Future<Output = ()> + '_>>)
+        .collect();
+    let deadlocked = poll_round_robin(bodies, || links.as_ref().map_or(0, MeshLinks::progress));
+    if deadlocked && !traced {
+        let blocked: Vec<String> = cpes
+            .iter()
+            .filter_map(|c| {
+                let on = c.blocked_on()?;
+                Some(format!("CPE ({}, {}) blocked on {on}", c.row(), c.col()))
+            })
+            .collect();
+        panic!("kernel `{name}` deadlocked: {}", blocked.join("; "));
+    }
 
     let mut stats = Stats::default();
     let mut max_clock = SimTime::ZERO;
     let mut traces = Vec::new();
-    for r in per_cpe {
-        // A genuine kernel panic under tracing: re-raise it on the
-        // launching thread with the original payload.
-        let (clock, s, trace) = r.unwrap_or_else(|p| resume_unwind(p));
+    for cpe in cpes {
+        let (clock, s, trace) = cpe.finish();
         stats.merge(&s);
         max_clock = max_clock.max(clock);
         traces.extend(trace);
@@ -154,23 +103,74 @@ where
     let trace = traced.then(|| KernelTrace {
         name: name.to_string(),
         n_cpes,
-        rlc: rlc.unwrap_or_default(),
+        rlc,
         per_cpe: traces,
     });
     (report, trace)
 }
 
+/// Poll `bodies` round-robin in index order until all have finished, or
+/// until a full round moves nothing: no body finishes and `progress`
+/// (the launch's FIFO and barrier operations) stays put. Returns `true`
+/// in that case, a deadlock, leaving the blocked bodies unfinished.
+fn poll_round_robin(
+    mut bodies: Vec<Pin<Box<dyn Future<Output = ()> + '_>>>,
+    progress: impl Fn() -> u64,
+) -> bool {
+    let mut cx = Context::from_waker(Waker::noop());
+    while !bodies.is_empty() {
+        let before = (progress(), bodies.len());
+        bodies.retain_mut(|body| body.as_mut().poll(&mut cx).is_pending());
+        if (progress(), bodies.len()) == before {
+            return true;
+        }
+    }
+    false
+}
+
 #[cfg(test)]
 mod tests {
+    use std::future::Future;
+    use std::pin::pin;
+    use std::task::{Context, Poll, Waker};
+
     use super::*;
+    use crate::cg::CoreGroup;
     use crate::check::{BlockedOn, CpeEvent, MemRange};
+    use crate::plan::KernelPlan;
     use crate::view::{MemView, MemViewMut};
+
+    fn run<F: Fn(&mut Cpe)>(mode: ExecMode, n_cpes: usize, kernel: F) -> LaunchReport {
+        CoreGroup::new(mode).run(n_cpes, kernel)
+    }
+
+    /// Launch a communicating `kernel` under a plan declaring `rlc`.
+    fn run_async<F>(mode: ExecMode, n_cpes: usize, rlc: RlcPattern, kernel: F) -> LaunchReport
+    where
+        F: AsyncFn(&mut Cpe<'_>),
+    {
+        let plan = KernelPlan::new("mesh_test", n_cpes).rlc(rlc);
+        CoreGroup::new(mode).run_planned_async(&plan, kernel)
+    }
+
+    /// Like [`run_async`] on a checked core group; returns the trace.
+    fn run_async_traced<F>(n_cpes: usize, name: &str, kernel: F) -> KernelTrace
+    where
+        F: AsyncFn(&mut Cpe<'_>),
+    {
+        let plan = KernelPlan::new(name, n_cpes).rlc(RlcPattern::PointToPoint);
+        let mut cg = CoreGroup::new_checked(ExecMode::Functional);
+        cg.run_planned_async(&plan, kernel);
+        cg.take_traces()
+            .pop()
+            .expect("checked launch records a trace")
+    }
 
     #[test]
     fn all_64_cpes_run_with_identity() {
         let mut seen = vec![0.0f32; 64];
         let out = MemViewMut::new(&mut seen);
-        run_mesh(ExecMode::Functional, 64, |cpe| {
+        run(ExecMode::Functional, 64, |cpe| {
             let v = [cpe.idx() as f32 + 1.0];
             cpe.dma_put(out, cpe.idx(), &v);
             assert_eq!(cpe.idx(), cpe.row() * 8 + cpe.col());
@@ -182,7 +182,7 @@ mod tests {
 
     #[test]
     fn launch_time_includes_spawn_overhead() {
-        let r = run_mesh(ExecMode::Functional, 8, |_| {});
+        let r = run(ExecMode::Functional, 8, |_| {});
         assert!(r.elapsed.seconds() >= ATHREAD_LAUNCH_OVERHEAD_SECONDS);
         assert_eq!(r.stats.launches, 1);
     }
@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn launch_time_is_max_over_cpes() {
         // One CPE does far more work; the launch takes its time.
-        let r = run_mesh(ExecMode::TimingOnly, 64, |cpe| {
+        let r = run(ExecMode::TimingOnly, 64, |cpe| {
             if cpe.idx() == 13 {
                 cpe.charge_flops(1_000_000);
             } else {
@@ -205,15 +205,20 @@ mod tests {
 
     #[test]
     fn barrier_reconciles_clocks() {
-        let r = run_mesh(ExecMode::TimingOnly, 16, |cpe| {
-            if cpe.idx() == 0 {
-                cpe.charge_flops(800_000);
-            }
-            cpe.sync();
-            // After the barrier every CPE is at the straggler's time; more
-            // work strictly extends the launch.
-            cpe.charge_flops(800);
-        });
+        let r = run_async(
+            ExecMode::TimingOnly,
+            16,
+            RlcPattern::PointToPoint,
+            async |cpe| {
+                if cpe.idx() == 0 {
+                    cpe.charge_flops(800_000);
+                }
+                cpe.sync().await;
+                // After the barrier every CPE is at the straggler's time;
+                // more work strictly extends the launch.
+                cpe.charge_flops(800);
+            },
+        );
         let straggler =
             800_000.0 / (8.0 * crate::arch::KERNEL_COMPUTE_EFFICIENCY) / crate::arch::CLOCK_HZ;
         let tail = 800.0 / (8.0 * crate::arch::KERNEL_COMPUTE_EFFICIENCY) / crate::arch::CLOCK_HZ;
@@ -225,15 +230,20 @@ mod tests {
         // CPE (0, c) sends its value to (0, (c+1) % 8); verify arrival.
         let mut results = vec![0.0f32; 8];
         let out = MemViewMut::new(&mut results);
-        run_mesh(ExecMode::Functional, 8, |cpe| {
-            let me = [cpe.col() as f64 * 10.0];
-            let dst = (cpe.col() + 1) % 8;
-            let src = (cpe.col() + 7) % 8;
-            cpe.rlc_row_send(dst, &me);
-            let mut buf = [0.0f64];
-            cpe.rlc_row_recv(src, &mut buf);
-            cpe.dma_put(out, cpe.col(), &[buf[0] as f32]);
-        });
+        run_async(
+            ExecMode::Functional,
+            8,
+            RlcPattern::PointToPoint,
+            async |cpe| {
+                let me = [cpe.col() as f64 * 10.0];
+                let dst = (cpe.col() + 1) % 8;
+                let src = (cpe.col() + 7) % 8;
+                cpe.rlc_row_send(dst, &me).await;
+                let mut buf = [0.0f64];
+                cpe.rlc_row_recv(src, &mut buf).await;
+                cpe.dma_put(out, cpe.col(), &[buf[0] as f32]);
+            },
+        );
         for (c, r) in results.iter().enumerate() {
             let src = (c + 7) % 8;
             assert_eq!(*r, src as f32 * 10.0);
@@ -244,17 +254,22 @@ mod tests {
     fn row_broadcast_reaches_all_active_row_members() {
         let mut results = vec![0.0f32; 64];
         let out = MemViewMut::new(&mut results);
-        run_mesh(ExecMode::Functional, 64, |cpe| {
-            // Column 3 of each row broadcasts row*100.
-            if cpe.col() == 3 {
-                cpe.rlc_row_bcast(&[cpe.row() as f64 * 100.0]);
-                cpe.dma_put(out, cpe.idx(), &[cpe.row() as f32 * 100.0]);
-            } else {
-                let mut buf = [0.0f64];
-                cpe.rlc_row_recv(3, &mut buf);
-                cpe.dma_put(out, cpe.idx(), &[buf[0] as f32]);
-            }
-        });
+        run_async(
+            ExecMode::Functional,
+            64,
+            RlcPattern::RowBroadcast,
+            async |cpe| {
+                // Column 3 of each row broadcasts row*100.
+                if cpe.col() == 3 {
+                    cpe.rlc_row_bcast(&[cpe.row() as f64 * 100.0]).await;
+                    cpe.dma_put(out, cpe.idx(), &[cpe.row() as f32 * 100.0]);
+                } else {
+                    let mut buf = [0.0f64];
+                    cpe.rlc_row_recv(3, &mut buf).await;
+                    cpe.dma_put(out, cpe.idx(), &[buf[0] as f32]);
+                }
+            },
+        );
         for (idx, r) in results.iter().enumerate() {
             assert_eq!(*r, (idx / 8) as f32 * 100.0);
         }
@@ -264,16 +279,21 @@ mod tests {
     fn col_broadcast_reaches_column() {
         let mut results = vec![0.0f32; 64];
         let out = MemViewMut::new(&mut results);
-        run_mesh(ExecMode::Functional, 64, |cpe| {
-            if cpe.row() == 5 {
-                cpe.rlc_col_bcast(&[cpe.col() as f64 + 0.5]);
-                cpe.dma_put(out, cpe.idx(), &[cpe.col() as f32 + 0.5]);
-            } else {
-                let mut buf = [0.0f64];
-                cpe.rlc_col_recv(5, &mut buf);
-                cpe.dma_put(out, cpe.idx(), &[buf[0] as f32]);
-            }
-        });
+        run_async(
+            ExecMode::Functional,
+            64,
+            RlcPattern::ColBroadcast,
+            async |cpe| {
+                if cpe.row() == 5 {
+                    cpe.rlc_col_bcast(&[cpe.col() as f64 + 0.5]).await;
+                    cpe.dma_put(out, cpe.idx(), &[cpe.col() as f32 + 0.5]);
+                } else {
+                    let mut buf = [0.0f64];
+                    cpe.rlc_col_recv(5, &mut buf).await;
+                    cpe.dma_put(out, cpe.idx(), &[buf[0] as f32]);
+                }
+            },
+        );
         for (idx, r) in results.iter().enumerate() {
             assert_eq!(*r, (idx % 8) as f32 + 0.5);
         }
@@ -285,7 +305,7 @@ mod tests {
         let mut dst_data = vec![0.0f32; 1024];
         let src = MemView::new(&src_data);
         let dst = MemViewMut::new(&mut dst_data);
-        let r = run_mesh(ExecMode::TimingOnly, 1, |cpe| {
+        let r = run(ExecMode::TimingOnly, 1, |cpe| {
             let mut buf = cpe.ldm.alloc_f32(1024);
             cpe.dma_get(src, 0, &mut buf);
             cpe.dma_put(dst, 0, &buf);
@@ -304,11 +324,11 @@ mod tests {
         let src_data = vec![1.0f32; 4096];
         let src = MemView::new(&src_data);
         let run = |mode| {
-            run_mesh(mode, 64, |cpe| {
+            run_async(mode, 64, RlcPattern::PointToPoint, async |cpe| {
                 let mut buf = cpe.ldm.alloc_f32(64);
                 cpe.dma_get(src, cpe.idx() * 64, &mut buf);
                 cpe.charge_flops(1000);
-                cpe.sync();
+                cpe.sync().await;
             })
         };
         let f = run(ExecMode::Functional);
@@ -323,12 +343,12 @@ mod tests {
         let src_data = vec![0.0f32; 1 << 16];
         let src = MemView::new(&src_data);
         // Sequential: get then compute. Overlapped: async get, compute, wait.
-        let seq = run_mesh(ExecMode::TimingOnly, 1, |cpe| {
+        let seq = run(ExecMode::TimingOnly, 1, |cpe| {
             let mut buf = cpe.ldm.alloc_f32(8192);
             cpe.dma_get(src, 0, &mut buf);
             cpe.charge_flops(40_000);
         });
-        let ovl = run_mesh(ExecMode::TimingOnly, 1, |cpe| {
+        let ovl = run(ExecMode::TimingOnly, 1, |cpe| {
             let mut buf = cpe.ldm.alloc_f32(8192);
             let h = cpe.dma_get_async(src, 0, &mut buf);
             cpe.charge_flops(40_000);
@@ -342,7 +362,7 @@ mod tests {
     fn double_wait_panics_unchecked() {
         let src_data = vec![0.0f32; 256];
         let src = MemView::new(&src_data);
-        run_mesh(ExecMode::Functional, 1, |cpe| {
+        run(ExecMode::Functional, 1, |cpe| {
             let mut buf = cpe.ldm.alloc_f32(256);
             let h = cpe.dma_get_async(src, 0, &mut buf);
             cpe.dma_wait(h);
@@ -386,14 +406,33 @@ mod tests {
             .collect()
     }
 
+    /// Drive a future that never suspends to completion.
+    fn now<T>(f: impl Future<Output = T>) -> T {
+        match pin!(f).poll(&mut Context::from_waker(Waker::noop())) {
+            Poll::Ready(v) => v,
+            Poll::Pending => panic!("a non-communicating body suspended"),
+        }
+    }
+
+    /// How a test launch is made.
+    #[derive(Debug, Clone, Copy)]
+    enum Entry {
+        /// `CoreGroup::run_named` with a sync body.
+        Unplanned,
+        /// `CoreGroup::run_planned` with a sync body, plan `RlcPattern::None`.
+        Planned,
+        /// `CoreGroup::run_planned_async` under a plan declaring the pattern.
+        Async(RlcPattern),
+    }
+
     #[test]
     fn traced_run_is_bit_identical_and_records_events() {
         /// Every operation an independent body may use: async and sync
         /// DMA, strided DMA, accumulate, LDM alloc/free and compute. With
         /// `sync`, the CPEs also skew their clocks and meet at the mesh
-        /// barrier, which only the threaded path supports.
-        fn body(
-            cpe: &mut Cpe,
+        /// barrier, which needs a plan declaring register communication.
+        async fn body(
+            cpe: &mut Cpe<'_>,
             src: MemView<'_>,
             out: MemViewMut<'_>,
             acc: MemViewMut<'_>,
@@ -425,7 +464,7 @@ mod tests {
                 // depends on the barrier reconciling every clock to the max.
                 let (idx, last) = (cpe.idx() as u64, cpe.n_active() as u64 - 1);
                 cpe.charge_flops(100 * idx);
-                cpe.sync();
+                cpe.sync().await;
                 cpe.charge_flops(100 * (last - idx));
             }
             cpe.dma_put_strided(out, base, 16, 32, 2, &buf[..n / 2]);
@@ -438,60 +477,78 @@ mod tests {
         let src = MemView::new(&src_data);
         for n_cpes in [1, 7, 64] {
             for mode in [ExecMode::Functional, ExecMode::TimingOnly] {
-                let run = |rlc: Option<RlcPattern>, traced: bool, sync: bool| {
+                let run = |entry: Entry, traced: bool, sync: bool| {
                     let mut out = vec![0.0f32; 64 * n_cpes];
                     let mut acc: Vec<f32> = (0..64 * n_cpes).map(|i| i as f32 * 0.5).collect();
                     let (o, a) = (MemViewMut::new(&mut out), MemViewMut::new(&mut acc));
-                    let kernel = move |cpe: &mut Cpe| body(cpe, src, o, a, sync);
-                    let (report, trace) =
-                        run_mesh_inner(mode, n_cpes, "equiv", rlc, traced, &kernel);
+                    let mut cg = match traced {
+                        true => CoreGroup::new_checked(mode),
+                        false => CoreGroup::new(mode),
+                    };
+                    let plan = KernelPlan::new("equiv", n_cpes);
+                    let report = match entry {
+                        Entry::Unplanned => cg.run_named("equiv", n_cpes, |cpe| {
+                            now(body(cpe, src, o, a, sync));
+                        }),
+                        Entry::Planned => {
+                            cg.run_planned(&plan, |cpe| now(body(cpe, src, o, a, sync)))
+                        }
+                        Entry::Async(rlc) => cg.run_planned_async(&plan.rlc(rlc), async |cpe| {
+                            body(cpe, src, o, a, sync).await
+                        }),
+                    };
                     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    (bits(&out), bits(&acc), report, trace)
+                    (bits(&out), bits(&acc), report, cg.take_traces().pop())
                 };
-                let independent = Some(RlcPattern::None);
-                let threaded = run(None, false, false);
+                let reference = run(Entry::Unplanned, false, false);
                 let what = format!("{n_cpes} CPEs, {mode:?}");
                 let mut traces = Vec::new();
-                for (rlc, traced) in [(None, true), (independent, false), (independent, true)] {
-                    let other = run(rlc, traced, false);
-                    let path = format!("{what}, rlc {rlc:?}, traced {traced}");
-                    assert_eq!(threaded.0, other.0, "{path}: output");
-                    assert_eq!(threaded.1, other.1, "{path}: accumulated output");
+                let p2p = RlcPattern::PointToPoint;
+                for (entry, traced) in [
+                    (Entry::Unplanned, true),
+                    (Entry::Planned, false),
+                    (Entry::Planned, true),
+                    (Entry::Async(RlcPattern::None), false),
+                    (Entry::Async(RlcPattern::None), true),
+                    (Entry::Async(p2p), false),
+                    (Entry::Async(p2p), true),
+                ] {
+                    let other = run(entry, traced, false);
+                    let path = format!("{what}, {entry:?}, traced {traced}");
+                    assert_eq!(reference.0, other.0, "{path}: output");
+                    assert_eq!(reference.1, other.1, "{path}: accumulated output");
                     assert_eq!(
-                        threaded.2.elapsed.seconds().to_bits(),
+                        reference.2.elapsed.seconds().to_bits(),
                         other.2.elapsed.seconds().to_bits(),
                         "{path}: simulated time"
                     );
-                    assert_eq!(threaded.2.stats, other.2.stats, "{path}: stats");
-                    traces.extend(other.3);
+                    assert_eq!(reference.2.stats, other.2.stats, "{path}: stats");
+                    assert_eq!(other.3.is_some(), traced, "{path}: trace");
+                    traces.extend(other.3.map(|t| (entry, t)));
                 }
                 if mode.is_functional() {
-                    assert_ne!(threaded.0, vec![0; 64 * n_cpes], "{what}: kernel wrote");
+                    assert_ne!(reference.0, vec![0; 64 * n_cpes], "{what}: kernel wrote");
                 }
-                let [a, b] = &traces[..] else {
-                    panic!("{what}: two traced runs, two traces")
-                };
-                assert_eq!(
-                    (a.name.as_str(), a.n_cpes, a.rlc),
-                    ("equiv", n_cpes, RlcPattern::None)
-                );
-                assert_eq!(
-                    (b.name.as_str(), b.n_cpes, b.rlc),
-                    ("equiv", n_cpes, RlcPattern::None)
-                );
-                assert_eq!(a.per_cpe.len(), n_cpes);
-                assert_eq!(b.per_cpe.len(), n_cpes);
-                for (x, y) in a.per_cpe.iter().zip(&b.per_cpe) {
-                    assert_eq!((x.idx, x.row, x.col), (y.idx, y.row, y.col));
-                    assert_eq!(
-                        rebased(&x.events),
-                        rebased(&y.events),
-                        "{what}: CPE {}",
-                        x.idx
-                    );
-                    assert_eq!(x.ldm_high_water, y.ldm_high_water);
-                    assert!(x.leaked_dma.is_empty() && y.leaked_dma.is_empty());
-                    assert!(x.stall.is_none() && y.stall.is_none());
+                let (_, a) = &traces[0];
+                for (entry, b) in &traces {
+                    let rlc = match entry {
+                        Entry::Async(p) => *p,
+                        _ => RlcPattern::None,
+                    };
+                    assert_eq!((b.name.as_str(), b.n_cpes, b.rlc), ("equiv", n_cpes, rlc));
+                    assert_eq!(b.per_cpe.len(), n_cpes);
+                    for (x, y) in a.per_cpe.iter().zip(&b.per_cpe) {
+                        assert_eq!((x.idx, x.row, x.col), (y.idx, y.row, y.col));
+                        assert_eq!(
+                            rebased(&x.events),
+                            rebased(&y.events),
+                            "{what}, {entry:?}: CPE {}",
+                            x.idx
+                        );
+                        assert_eq!(x.ldm_high_water, y.ldm_high_water);
+                        assert!(y.leaked_dma.is_empty());
+                        assert!(y.stall.is_none());
+                    }
                 }
                 assert_eq!(a.ldm_high_water(), (64 + 32) * 4);
                 let events = &a.per_cpe[0].events;
@@ -502,10 +559,10 @@ mod tests {
                     .iter()
                     .any(|e| matches!(e, CpeEvent::LdmFree { id: 1, .. })));
 
-                // A synchronising kernel on the threaded path: the checked
-                // barrier must reconcile clocks exactly as the plain one.
-                let plain = run(None, false, true);
-                let (o, acc, report, trace) = run(None, true, true);
+                // A synchronising kernel: the checked barrier must
+                // reconcile clocks exactly as the unchecked one.
+                let plain = run(Entry::Async(p2p), false, true);
+                let (o, acc, report, trace) = run(Entry::Async(p2p), true, true);
                 let trace = trace.expect("traced launch returns a trace");
                 assert_eq!(plain.0, o, "{what}, sync: output");
                 assert_eq!(plain.1, acc, "{what}, sync: accumulated output");
@@ -516,7 +573,7 @@ mod tests {
                 );
                 assert_eq!(plain.2.stats, report.stats, "{what}, sync: stats");
                 assert!(
-                    plain.2.elapsed.seconds() > threaded.2.elapsed.seconds() || n_cpes == 1,
+                    plain.2.elapsed.seconds() > reference.2.elapsed.seconds() || n_cpes == 1,
                     "{what}: the barrier waits for the slowest CPE"
                 );
                 assert_eq!(trace.name, "equiv");
@@ -539,13 +596,13 @@ mod tests {
     #[test]
     fn traced_deadlock_unwinds_with_diagnostics() {
         // Every CPE of a pair waits for the other to send first: a classic
-        // cyclic RLC wait. Untraced this would hang; traced it must return
-        // with both CPEs marked blocked on the receive.
-        let (_, trace) = run_mesh_traced(ExecMode::Functional, 2, "deadlock", |cpe| {
+        // cyclic RLC wait. Checked, the launch returns with both CPEs
+        // marked blocked on the receive.
+        let trace = run_async_traced(2, "deadlock", async |cpe| {
             let mut buf = [0.0f64];
             let other = 1 - cpe.col();
-            cpe.rlc_row_recv(other, &mut buf); // both block here forever
-            cpe.rlc_row_send(other, &buf);
+            cpe.rlc_row_recv(other, &mut buf).await; // both block here forever
+            cpe.rlc_row_send(other, &buf).await;
         });
         assert!(trace.stalled());
         for c in &trace.per_cpe {
@@ -561,13 +618,69 @@ mod tests {
     #[test]
     fn traced_barrier_divergence_unwinds() {
         // CPE 0 exits without syncing while CPE 1 waits in the barrier.
-        let (_, trace) = run_mesh_traced(ExecMode::Functional, 2, "diverge", |cpe| {
+        let trace = run_async_traced(2, "diverge", async |cpe| {
             if cpe.idx() == 1 {
-                cpe.sync();
+                cpe.sync().await;
             }
         });
         assert!(trace.stalled());
         assert_eq!(trace.per_cpe[1].stall, Some(BlockedOn::Barrier));
         assert_eq!(trace.per_cpe[0].stall, None);
+    }
+
+    #[test]
+    fn slow_progress_is_not_a_deadlock() {
+        // A token travels three laps around row 0 against the polling
+        // order (CPE c passes it to c - 1), so most rounds of polls move
+        // it one hop and nothing else; the launch must still complete.
+        const LAPS: usize = 3;
+        let mut got = vec![0.0f32; 8];
+        let out = MemViewMut::new(&mut got);
+        run_async(
+            ExecMode::Functional,
+            8,
+            RlcPattern::PointToPoint,
+            async |cpe| {
+                let c = cpe.col();
+                let (next, prev) = ((c + 7) % 8, (c + 1) % 8);
+                let mut token = [f64::from(c == 7)];
+                for _ in 0..LAPS {
+                    if c == 7 {
+                        cpe.rlc_row_send(next, &token).await;
+                    }
+                    cpe.rlc_row_recv(prev, &mut token).await;
+                    token[0] += 1.0;
+                    if c != 7 {
+                        cpe.rlc_row_send(next, &token).await;
+                    }
+                }
+                cpe.dma_put(out, c, &[token[0] as f32]);
+            },
+        );
+        // Every hop adds one: CPE 7 starts at 1 and gets the token back
+        // after 8 * LAPS hops; CPE 0 held it one hop before.
+        assert_eq!(got[7], 1.0 + (8 * LAPS) as f32);
+        assert_eq!(got[0], (8 * LAPS) as f32);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel `mesh_test` deadlocked: CPE (0, 0) blocked on RLC \
+                               Row-bus send to CPE 1 (FIFO full); CPE (0, 1) blocked on \
+                               RLC Row-bus send to CPE 0 (FIFO full)")]
+    fn unchecked_deadlock_panics_naming_the_kernel() {
+        // Both CPEs send one message more than the FIFO holds before
+        // receiving anything: each waits for room the other never makes.
+        run_async(
+            ExecMode::Functional,
+            2,
+            RlcPattern::PointToPoint,
+            async |cpe| {
+                let other = 1 - cpe.col();
+                for _ in 0..=crate::arch::RLC_FIFO_DEPTH {
+                    cpe.rlc_row_send(other, &[1.0]).await;
+                }
+                cpe.rlc_row_recv(other, &mut [0.0]).await;
+            },
+        );
     }
 }

@@ -23,13 +23,12 @@ pub struct PlanBuffer {
 /// The register-communication schedule class of a kernel. Coarse on
 /// purpose: enough for the linter to know which buses must be matched and
 /// for diagnostics to describe the kernel, without encoding every send.
-/// It also chooses how a planned launch executes: `None` on the launching
-/// thread, any other pattern on one host thread per CPE.
+/// Any pattern but `None` also gives the launch its register buses and
+/// barrier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RlcPattern {
     /// Independent bodies: no register communication and no barrier. The
-    /// launch runs its CPE bodies one after another on the launching
-    /// thread; an RLC or barrier call in it panics.
+    /// launch builds neither, and an RLC or barrier call in it panics.
     #[default]
     None,
     /// Each step one CPE broadcasts along its row bus.

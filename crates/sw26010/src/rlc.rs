@@ -5,13 +5,16 @@
 //! with bounded FIFOs: sends are asynchronous but stall when the receiving
 //! FIFO is full, receives stall when it is empty (paper, Principle 4).
 //!
-//! We model the fabric with bounded `std::sync::mpsc` channels — one FIFO
-//! per (receiver, axis, sender-position) — so the blocking semantics (and
-//! the deadlocks a wrong communication schedule would produce on silicon!)
-//! are reproduced faithfully. Payloads are `f64` because SW26010's
-//! instruction set has no single-precision RLC: single-precision data must
-//! be widened before transfer, which the GEMM kernels in `swdnn` do
-//! explicitly, just like the paper.
+//! We model the fabric as one bounded FIFO of [`RLC_FIFO_DEPTH`] messages
+//! per (axis, receiver, sender position). The CPE bodies of a launch are
+//! cooperative tasks on one thread (see [`crate::mesh`]), so a FIFO is a
+//! plain `RefCell<VecDeque>`: a receive from an empty FIFO or a send into
+//! a full one suspends the CPE until a peer pops or pushes, which
+//! reproduces the blocking semantics (and the deadlocks a wrong
+//! communication schedule would produce on silicon!) faithfully. Payloads
+//! are `f64` because SW26010's instruction set has no single-precision
+//! RLC: single-precision data must be widened before transfer, which the
+//! GEMM kernels in `swdnn` do explicitly, just like the paper.
 //!
 //! Timing: a message of `n` doubles occupies the bus for
 //! `ceil(8n / 32)` cycles at both endpoints, and the receive completes no
@@ -20,10 +23,10 @@
 //! receiver's port once, reproducing the ~1.75x broadcast/P2P aggregate
 //! bandwidth ratio of the published microbenchmarks.
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::collections::VecDeque;
 
-use crate::arch::{MESH_DIM, RLC_FIFO_DEPTH, RLC_PACKET_BYTES};
+use crate::arch::{CPES_PER_CG, MESH_DIM, RLC_FIFO_DEPTH, RLC_PACKET_BYTES};
 use crate::time::SimTime;
 
 /// Hop latency of one register-bus transfer (about 10 cycles on silicon).
@@ -52,143 +55,60 @@ pub fn transfer_cycles(bytes: usize) -> f64 {
     bytes.div_ceil(RLC_PACKET_BYTES) as f64
 }
 
-/// Per-CPE receive ports, taken from the fabric when a CPE thread starts.
-pub struct CpePorts {
-    /// Row-bus FIFOs indexed by sender column.
-    pub row: Vec<Receiver<RlcMsg>>,
-    /// Column-bus FIFOs indexed by sender row.
-    pub col: Vec<Receiver<RlcMsg>>,
+/// The receive FIFOs of one launch's 8x8 mesh.
+pub(crate) struct RlcFifos {
+    /// Indexed by [`RlcFifos::slot`].
+    fifos: Box<[RefCell<VecDeque<RlcMsg>>]>,
 }
 
-/// The per-launch communication fabric for one 8x8 mesh.
-pub struct RlcFabric {
-    /// `row_tx[receiver_idx][sender_col]`
-    row_tx: Vec<Vec<SyncSender<RlcMsg>>>,
-    /// `col_tx[receiver_idx][sender_row]`
-    col_tx: Vec<Vec<SyncSender<RlcMsg>>>,
-    ports: Vec<Mutex<Option<CpePorts>>>,
-}
-
-impl Default for RlcFabric {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RlcFabric {
-    pub fn new() -> Self {
-        let n = MESH_DIM * MESH_DIM;
-        let mut row_tx = Vec::with_capacity(n);
-        let mut col_tx = Vec::with_capacity(n);
-        let mut ports = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut row_s = Vec::with_capacity(MESH_DIM);
-            let mut row_r = Vec::with_capacity(MESH_DIM);
-            let mut col_s = Vec::with_capacity(MESH_DIM);
-            let mut col_r = Vec::with_capacity(MESH_DIM);
-            for _ in 0..MESH_DIM {
-                let (ts, tr) = sync_channel(RLC_FIFO_DEPTH);
-                row_s.push(ts);
-                row_r.push(tr);
-                let (ts, tr) = sync_channel(RLC_FIFO_DEPTH);
-                col_s.push(ts);
-                col_r.push(tr);
-            }
-            row_tx.push(row_s);
-            col_tx.push(col_s);
-            ports.push(Mutex::new(Some(CpePorts {
-                row: row_r,
-                col: col_r,
-            })));
-        }
-        RlcFabric {
-            row_tx,
-            col_tx,
-            ports,
+impl RlcFifos {
+    pub(crate) fn new() -> Self {
+        RlcFifos {
+            fifos: (0..2 * CPES_PER_CG * MESH_DIM)
+                .map(|_| RefCell::default())
+                .collect(),
         }
     }
 
-    /// Take the receive ports for CPE `idx`. Each CPE thread calls this once.
-    pub fn take_ports(&self, idx: usize) -> CpePorts {
-        self.ports[idx]
-            .lock()
-            .expect("RLC port registry poisoned")
-            .take()
-            .expect("CPE ports already taken — duplicate CPE index in launch")
+    /// The FIFO on `axis` into mesh index `to` from the sender at bus
+    /// position `from` (its column on the row bus, its row on the column
+    /// bus).
+    fn slot(&self, axis: Axis, to: usize, from: usize) -> &RefCell<VecDeque<RlcMsg>> {
+        let plane = match axis {
+            Axis::Row => 0,
+            Axis::Col => CPES_PER_CG,
+        };
+        &self.fifos[(plane + to) * MESH_DIM + from]
     }
 
-    /// Send on the row bus from `(row, src_col)` to `(row, dst_col)`.
-    ///
-    /// Blocks while the destination FIFO is full, mirroring hardware stall
-    /// semantics.
-    pub fn send_row(&self, row: usize, src_col: usize, dst_col: usize, msg: RlcMsg) {
-        assert!(src_col != dst_col, "RLC send to self");
-        let dst = row * MESH_DIM + dst_col;
-        self.row_tx[dst][src_col]
-            .send(msg)
-            .expect("RLC receiver dropped mid-kernel");
+    /// True when the FIFO has room for another message.
+    pub(crate) fn has_room(&self, axis: Axis, to: usize, from: usize) -> bool {
+        self.slot(axis, to, from).borrow().len() < RLC_FIFO_DEPTH
     }
 
-    /// Send on the column bus from `(src_row, col)` to `(dst_row, col)`.
-    pub fn send_col(&self, col: usize, src_row: usize, dst_row: usize, msg: RlcMsg) {
-        assert!(src_row != dst_row, "RLC send to self");
-        let dst = dst_row * MESH_DIM + col;
-        self.col_tx[dst][src_row]
-            .send(msg)
-            .expect("RLC receiver dropped mid-kernel");
+    /// Enqueue `msg`; the caller has checked [`RlcFifos::has_room`].
+    pub(crate) fn push(&self, axis: Axis, to: usize, from: usize, msg: RlcMsg) {
+        let mut fifo = self.slot(axis, to, from).borrow_mut();
+        assert!(fifo.len() < RLC_FIFO_DEPTH, "RLC push into a full FIFO");
+        fifo.push_back(msg);
     }
 
-    /// Non-blocking variant of [`RlcFabric::send_row`], used by checked
-    /// launches so a send into a full FIFO can participate in stall
-    /// detection instead of blocking forever.
-    pub fn try_send_row(
-        &self,
-        row: usize,
-        src_col: usize,
-        dst_col: usize,
-        msg: RlcMsg,
-    ) -> SendAttempt {
-        assert!(src_col != dst_col, "RLC send to self");
-        let dst = row * MESH_DIM + dst_col;
-        into_attempt(self.row_tx[dst][src_col].try_send(msg))
-    }
-
-    /// Non-blocking variant of [`RlcFabric::send_col`].
-    pub fn try_send_col(
-        &self,
-        col: usize,
-        src_row: usize,
-        dst_row: usize,
-        msg: RlcMsg,
-    ) -> SendAttempt {
-        assert!(src_row != dst_row, "RLC send to self");
-        let dst = dst_row * MESH_DIM + col;
-        into_attempt(self.col_tx[dst][src_row].try_send(msg))
-    }
-}
-
-/// Outcome of a non-blocking RLC send.
-pub enum SendAttempt {
-    /// The message entered the destination FIFO.
-    Sent,
-    /// The FIFO is full; the message is handed back so the caller can
-    /// retry after a bounded wait.
-    Full(RlcMsg),
-    /// The receiver thread is gone (it panicked or stalled out).
-    Disconnected,
-}
-
-fn into_attempt(r: Result<(), TrySendError<RlcMsg>>) -> SendAttempt {
-    match r {
-        Ok(()) => SendAttempt::Sent,
-        Err(TrySendError::Full(m)) => SendAttempt::Full(m),
-        Err(TrySendError::Disconnected(_)) => SendAttempt::Disconnected,
+    /// Dequeue the oldest message, if any.
+    pub(crate) fn pop(&self, axis: Axis, to: usize, from: usize) -> Option<RlcMsg> {
+        self.slot(axis, to, from).borrow_mut().pop_front()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn msg(t: f64) -> RlcMsg {
+        RlcMsg {
+            sent_at: SimTime::from_seconds(t),
+            data: Some(vec![t].into()),
+        }
+    }
 
     #[test]
     fn transfer_cycles_rounds_up_to_packets() {
@@ -201,73 +121,38 @@ mod tests {
 
     #[test]
     fn row_message_routing() {
-        let fab = RlcFabric::new();
-        let mut ports_2_3 = fab.take_ports(2 * MESH_DIM + 3);
-        fab.send_row(
-            2,
-            5,
-            3,
-            RlcMsg {
-                sent_at: SimTime::from_seconds(1.0),
-                data: Some(vec![7.0].into()),
-            },
-        );
-        let msg = ports_2_3.row[5].recv().unwrap();
-        assert_eq!(msg.sent_at.seconds(), 1.0);
-        assert_eq!(msg.data.unwrap()[0], 7.0);
-        // Nothing arrived from other senders.
-        ports_2_3.row.remove(5);
-        for rx in &ports_2_3.row {
-            assert!(rx.try_recv().is_err());
+        let fifos = RlcFifos::new();
+        let to = 2 * MESH_DIM + 3;
+        fifos.push(Axis::Row, to, 5, msg(1.0));
+        let got = fifos.pop(Axis::Row, to, 5).expect("delivered");
+        assert_eq!(got.sent_at.seconds(), 1.0);
+        assert_eq!(got.data.unwrap()[0], 1.0);
+        // Nothing arrived from other senders or on the other bus.
+        for from in 0..MESH_DIM {
+            assert!(fifos.pop(Axis::Row, to, from).is_none());
+            assert!(fifos.pop(Axis::Col, to, from).is_none());
         }
     }
 
     #[test]
     fn col_message_routing() {
-        let fab = RlcFabric::new();
-        let ports = fab.take_ports(6 * MESH_DIM + 1);
-        fab.send_col(
-            1,
-            0,
-            6,
-            RlcMsg {
-                sent_at: SimTime::ZERO,
-                data: Some(vec![1.0, 2.0].into()),
-            },
-        );
-        let msg = ports.col[0].recv().unwrap();
-        assert_eq!(msg.data.unwrap().len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "already taken")]
-    fn double_take_panics() {
-        let fab = RlcFabric::new();
-        let _a = fab.take_ports(0);
-        let _b = fab.take_ports(0);
+        let fifos = RlcFifos::new();
+        let to = 6 * MESH_DIM + 1;
+        fifos.push(Axis::Col, to, 0, msg(0.0));
+        assert!(fifos.pop(Axis::Row, to, 0).is_none());
+        assert_eq!(fifos.pop(Axis::Col, to, 0).unwrap().data.unwrap().len(), 1);
     }
 
     #[test]
     fn fifo_depth_is_bounded() {
-        let fab = RlcFabric::new();
-        let _ports = fab.take_ports(3); // keep receiver alive, never read
-        for _ in 0..RLC_FIFO_DEPTH {
-            // Fill the FIFO without blocking.
-            let ok = fab.row_tx[3][0]
-                .try_send(RlcMsg {
-                    sent_at: SimTime::ZERO,
-                    data: None,
-                })
-                .is_ok();
-            assert!(ok);
+        let fifos = RlcFifos::new();
+        for i in 0..RLC_FIFO_DEPTH {
+            assert!(fifos.has_room(Axis::Row, 3, 0));
+            fifos.push(Axis::Row, 3, 0, msg(i as f64));
         }
-        // One more must report full.
-        let full = fab.row_tx[3][0]
-            .try_send(RlcMsg {
-                sent_at: SimTime::ZERO,
-                data: None,
-            })
-            .is_err();
-        assert!(full);
+        // One more must report full; a pop makes room, oldest first.
+        assert!(!fifos.has_room(Axis::Row, 3, 0));
+        assert_eq!(fifos.pop(Axis::Row, 3, 0).unwrap().sent_at.seconds(), 0.0);
+        assert!(fifos.has_room(Axis::Row, 3, 0));
     }
 }

@@ -3,12 +3,13 @@
 //! On the real chip, all 64 CPEs DMA into the same DDR3 address space and
 //! disjointness of writes is the programmer's responsibility. We mirror that
 //! contract: a [`MemView`] (read) or [`MemViewMut`] (write) is a `Copy`
-//! handle to a host slice that every CPE thread of a mesh launch can hold
-//! simultaneously. Reads are always safe to issue concurrently; concurrent
-//! writes must target disjoint element ranges, which kernel plans guarantee
-//! by construction (each CPE owns distinct output rows/tiles).
+//! handle to a host slice that every CPE body of a mesh launch can hold
+//! simultaneously. The bodies of one launch write disjoint element
+//! ranges, which kernel plans guarantee by construction (each CPE owns
+//! distinct output rows/tiles). A launch runs on one thread, and the
+//! views are neither `Send` nor `Sync`, so no two threads ever touch one.
 //!
-//! All `unsafe` in the simulator is confined to this module and `dma.rs`,
+//! All `unsafe` in the simulator is confined to this module,
 //! and the public kernel API only exposes memory through DMA calls.
 
 use std::marker::PhantomData;
@@ -20,11 +21,6 @@ pub struct MemView<'a> {
     len: usize,
     _marker: PhantomData<&'a [f32]>,
 }
-
-// SAFETY: shared reads of f32 data are data-race free; the lifetime ties the
-// view to the borrow of the underlying slice.
-unsafe impl Send for MemView<'_> {}
-unsafe impl Sync for MemView<'_> {}
 
 impl<'a> MemView<'a> {
     pub fn new(slice: &'a [f32]) -> Self {
@@ -87,21 +83,15 @@ impl<'a> MemView<'a> {
 
 /// Mutable view of a `[f32]` region of simulated main memory.
 ///
-/// `Copy` so that all CPE threads of a launch can address the output buffer,
-/// matching the hardware contract. Callers must ensure concurrently written
-/// element ranges are disjoint.
+/// `Copy` so that all CPE bodies of a launch can address the output buffer,
+/// matching the hardware contract. Callers must ensure the element ranges
+/// the CPEs write are disjoint.
 #[derive(Clone, Copy)]
 pub struct MemViewMut<'a> {
     ptr: *mut f32,
     len: usize,
     _marker: PhantomData<&'a mut [f32]>,
 }
-
-// SAFETY: see module docs — disjoint-write discipline is part of the DMA
-// contract enforced by kernel plans; reads/writes of distinct elements from
-// different threads are race-free.
-unsafe impl Send for MemViewMut<'_> {}
-unsafe impl Sync for MemViewMut<'_> {}
 
 impl<'a> MemViewMut<'a> {
     pub fn new(slice: &'a mut [f32]) -> Self {
@@ -132,8 +122,8 @@ impl<'a> MemViewMut<'a> {
             src.len(),
             self.len
         );
-        // SAFETY: bounds checked; disjointness across threads is the caller's
-        // contract (module docs).
+        // SAFETY: bounds checked; the view is the only live access to the
+        // slice while it exists (module docs).
         unsafe {
             std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.add(offset), src.len());
         }

@@ -6,7 +6,7 @@
 //! property-testing framework so the suite runs with zero external
 //! dependencies and every failure reproduces exactly.
 
-use sw26010::{dma, run_mesh, ExecMode, MemView, MemViewMut};
+use sw26010::{dma, CoreGroup, ExecMode, KernelPlan, MemView, MemViewMut, RlcPattern};
 
 /// Deterministic case generator (SplitMix64).
 struct CaseRng {
@@ -99,7 +99,7 @@ fn mesh_scatter_gather_roundtrip() {
         let mut output = vec![0.0f32; input.len()];
         let src = MemView::new(&input);
         let dst = MemViewMut::new(&mut output);
-        run_mesh(ExecMode::Functional, ncpes, |cpe| {
+        CoreGroup::new(ExecMode::Functional).run(ncpes, |cpe| {
             let mut buf = cpe.ldm.alloc_f32(per_cpe);
             cpe.dma_get(src, cpe.idx() * per_cpe, &mut buf);
             cpe.compute(per_cpe as u64, || {
@@ -122,14 +122,15 @@ fn mesh_row_rotation_is_a_permutation() {
         // buses; the multiset of values per row must be preserved.
         let mut out = vec![0.0f32; 64];
         let view = MemViewMut::new(&mut out);
-        run_mesh(ExecMode::Functional, 64, |cpe| {
+        let plan = KernelPlan::new("rotate", 64).rlc(RlcPattern::PointToPoint);
+        CoreGroup::new(ExecMode::Functional).run_planned_async(&plan, async |cpe| {
             let mut val = [cpe.idx() as f64];
             let mut recv = [0.0f64];
             for _ in 0..shift {
                 let dst = (cpe.col() + 1) % 8;
                 let src = (cpe.col() + 7) % 8;
-                cpe.rlc_row_send(dst, &val);
-                cpe.rlc_row_recv(src, &mut recv);
+                cpe.rlc_row_send(dst, &val).await;
+                cpe.rlc_row_recv(src, &mut recv).await;
                 val[0] = recv[0];
             }
             cpe.dma_put(view, cpe.idx(), &[val[0] as f32]);
@@ -152,12 +153,13 @@ fn timing_equals_between_modes_for_symmetric_kernels() {
         let flops = rng.range(1, 10_000) as u64;
         let data = vec![1.0f32; ncpes * elems];
         let src = MemView::new(&data);
+        let plan = KernelPlan::new("symmetric", ncpes).rlc(RlcPattern::PointToPoint);
         let run = |mode| {
-            run_mesh(mode, ncpes, |cpe| {
+            CoreGroup::new(mode).run_planned_async(&plan, async |cpe| {
                 let mut buf = cpe.ldm.alloc_f32(elems);
                 cpe.dma_get(src, cpe.idx() * elems, &mut buf);
                 cpe.charge_flops(flops);
-                cpe.sync();
+                cpe.sync().await;
             })
         };
         let f = run(ExecMode::Functional);

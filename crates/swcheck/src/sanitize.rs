@@ -5,12 +5,12 @@
 //! event stream, tracking the set of in-flight DMA requests and the LDM
 //! ranges they touch, followed by a mesh-wide pass that matches
 //! register-communication send/recv counts and barrier arrivals. A
-//! launch that was unwound by the stall detector is classified instead
-//! of count-checked: all-barrier stalls are barrier divergence, anything
-//! else is a deadlock, each reported with per-CPE blocked-on detail.
-//! Finally the trace is held to the [`RlcPattern`] its plan declared: a
-//! declared pattern puts the launch on the threaded path, so one that
-//! never uses the buses (or the barrier) is reported.
+//! launch that deadlocked is classified instead of count-checked:
+//! all-barrier stalls are barrier divergence, anything else is a
+//! deadlock, each reported with per-CPE blocked-on detail. Finally the
+//! trace is held to the [`RlcPattern`] its plan declared: a declared
+//! pattern that the kernel never uses (no bus, no barrier) misdescribes
+//! the kernel and is reported.
 
 use sw26010::arch::MESH_DIM;
 use sw26010::dma::DmaDir;
@@ -61,9 +61,9 @@ pub enum ViolationKind {
         observed: usize,
         planned: usize,
     },
-    /// The plan declares register communication, which runs the launch
-    /// on one host thread per CPE, but no CPE sent, received or entered
-    /// the barrier: the kernel should declare [`RlcPattern::None`].
+    /// The plan declares register communication but no CPE sent,
+    /// received or entered the barrier: the plan misdescribes its kernel,
+    /// which should declare [`RlcPattern::None`].
     UnusedRlcDeclared { pattern: RlcPattern },
 }
 
@@ -127,8 +127,7 @@ impl std::fmt::Display for ViolationKind {
             ViolationKind::UnusedRlcDeclared { pattern } => write!(
                 f,
                 "plan declares RlcPattern::{pattern:?} but no CPE used a register bus \
-                 or the barrier; declare RlcPattern::None to run the CPE bodies on the \
-                 launching thread"
+                 or the barrier; the plan misdescribes its kernel: declare RlcPattern::None"
             ),
         }
     }
@@ -327,8 +326,8 @@ fn check_barriers(trace: &KernelTrace, out: &mut Vec<Violation>) {
     }
 }
 
-/// A plan that declares register communication keeps its launch on the
-/// threaded path; the trace must show that it needed it.
+/// A plan that declares register communication must describe a kernel
+/// that uses a bus or the barrier.
 fn check_declared_rlc(trace: &KernelTrace, out: &mut Vec<Violation>) {
     if trace.rlc == RlcPattern::None {
         return;

@@ -251,7 +251,7 @@ pub fn forward_with_tiles(
     let mut total = LaunchReport::default();
     for pm in 0..panels_m {
         for pn in 0..panels_n {
-            let report = cg.run_planned(&kplan, |cpe| {
+            let report = cg.run_planned_async(&kplan, async |cpe| {
                 let (i, j) = (cpe.row(), cpe.col());
                 let m0 = pm * MESH_DIM * mt + i * mt;
                 let vm = no.saturating_sub(m0).min(mt);
@@ -295,7 +295,7 @@ pub fn forward_with_tiles(
                                     transpose: false,
                                 };
                                 ws.load(cpe, Operand::B, input, x_tile);
-                                ws.panel_product(cpe);
+                                ws.panel_product(cpe).await;
                             }
                         }
                     }
@@ -432,7 +432,7 @@ fn backward_input_mesh(
     let mut total = LaunchReport::default();
     for pm in 0..panels_m {
         for pn in 0..panels_n {
-            let report = cg.run_planned(&kplan, |cpe| {
+            let report = cg.run_planned_async(&kplan, async |cpe| {
                 let (i, j) = (cpe.row(), cpe.col());
                 let m0 = pm * MESH_DIM * mt + i * mt;
                 let vm = ni.saturating_sub(m0).min(mt);
@@ -483,7 +483,7 @@ fn backward_input_mesh(
                                     transpose: false,
                                 };
                                 ws.load(cpe, Operand::B, dy, dy_tile);
-                                ws.panel_product(cpe);
+                                ws.panel_product(cpe).await;
                             }
                         }
                     }
@@ -535,7 +535,7 @@ fn backward_weights_mesh(
         for kx in 0..s.k {
             for pm in 0..panels_m {
                 for pn in 0..panels_n {
-                    let report = cg.run_planned(&kplan, |cpe| {
+                    let report = cg.run_planned_async(&kplan, async |cpe| {
                         let (i, j) = (cpe.row(), cpe.col());
                         let m0 = pm * MESH_DIM * mt + i * mt;
                         let vm = no.saturating_sub(m0).min(mt);
@@ -579,7 +579,7 @@ fn backward_weights_mesh(
                                     transpose: true,
                                 };
                                 ws.load(cpe, Operand::B, x_view, x_tile);
-                                ws.panel_product(cpe);
+                                ws.panel_product(cpe).await;
                             }
                         }
                         let dw_at = TileAddr {

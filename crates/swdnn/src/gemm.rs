@@ -222,7 +222,7 @@ fn execute_mesh(
     let mut total = LaunchReport::default();
     for pm in 0..m.div_ceil(plan.panel_m()) {
         for pn in 0..n.div_ceil(plan.panel_n()) {
-            let report = cg.run_planned(&kplan, |cpe| {
+            let report = cg.run_planned_async(&kplan, async |cpe| {
                 let (i, j) = (cpe.row(), cpe.col());
                 // Tile origin and valid extents in C.
                 let ci0 = pm * plan.panel_m() + i * mt;
@@ -284,7 +284,7 @@ fn execute_mesh(
                         tiles.load(cpe, Operand::A, a_view, fa);
                         tiles.load(cpe, Operand::B, b_view, fb);
                     }
-                    tiles.panel_product(cpe);
+                    tiles.panel_product(cpe).await;
                 }
                 tiles.store_c(cpe, c_view, c_at);
             });

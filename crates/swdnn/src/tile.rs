@@ -270,7 +270,7 @@ impl Tiles {
     /// them the CPE holds the whole panel strips itself and multiplies
     /// them in one go — same products, same ascending-k order, so the
     /// two are bitwise interchangeable.
-    pub fn panel_product(&mut self, cpe: &mut Cpe) {
+    pub async fn panel_product(&mut self, cpe: &mut Cpe<'_>) {
         let TileLayout { mt, nt, kw, .. } = self.layout;
         match &mut self.wide[..] {
             [a64, b64, c64] => tile_product(cpe, a64, b64, c64, mt, nt, kw),
@@ -278,14 +278,14 @@ impl Tiles {
                 let (i, j) = (cpe.row(), cpe.col());
                 for t in 0..MESH_DIM {
                     if j == t {
-                        cpe.rlc_row_bcast(a64);
+                        cpe.rlc_row_bcast(a64).await;
                     } else {
-                        cpe.rlc_row_recv(t, abuf);
+                        cpe.rlc_row_recv(t, abuf).await;
                     }
                     if i == t {
-                        cpe.rlc_col_bcast(b64);
+                        cpe.rlc_col_bcast(b64).await;
                     } else {
-                        cpe.rlc_col_recv(t, bbuf);
+                        cpe.rlc_col_recv(t, bbuf).await;
                     }
                     let at: &[f64] = if j == t { a64 } else { abuf };
                     let bt: &[f64] = if i == t { b64 } else { bbuf };
