@@ -1,6 +1,6 @@
 //! Convolution layer: wraps the explicit (NCHW) or implicit (RCNB) plan,
-//! chosen per layer by the model builders via `swdnn::conv`'s strategy
-//! chooser (Sec. IV-B / VI-A).
+//! chosen per layer by the model builders' `NetBuilder::wants_rcnb`
+//! (Sec. IV-B / VI-A).
 
 use sw26010::CoreGroup;
 use swdnn::conv_explicit::{ConvBwdOperands, ConvFwdOperands};

@@ -168,8 +168,7 @@ impl Layer for AccuracyLayer {
         let mut hits = 0usize;
         for b in 0..self.batch {
             let row = &scores[b * self.classes..][..self.classes];
-            let label = labels[b] as usize;
-            let target = row[label];
+            let target = row[softmax::label_class(labels[b], self.classes, b)];
             let better = row.iter().filter(|v| **v > target).count();
             if better < self.top_k {
                 hits += 1;

@@ -491,3 +491,41 @@ fn inception_module_trains_functionally() {
         "inception module failed to learn: {first} -> {last}"
     );
 }
+
+/// Accuracy over scores `[b, classes]` with the given labels.
+fn accuracy(scores: &[f32], labels: &[f32], classes: usize) -> f32 {
+    let def = NetDef::new("acc")
+        .layer(
+            "data",
+            LayerKind::Input {
+                shape: vec![labels.len(), classes],
+                with_labels: true,
+            },
+            &[],
+            &["data", "label"],
+        )
+        .layer(
+            "acc",
+            LayerKind::Accuracy { top_k: 1 },
+            &["data", "label"],
+            &["acc"],
+        );
+    let mut net = Net::from_def(&def, true).unwrap();
+    net.set_input("data", scores);
+    net.set_input("label", labels);
+    net.forward(&mut cg());
+    let hits = net.blob("acc").data()[0];
+    hits
+}
+
+#[test]
+fn accuracy_counts_top1_hits() {
+    let scores = [0.1, 0.7, 0.2, 0.5, 0.3, 0.2];
+    assert_eq!(accuracy(&scores, &[1.0, 1.0], 3), 0.5);
+}
+
+#[test]
+#[should_panic(expected = "label 3 of image 1 is not a class in 0..3")]
+fn accuracy_rejects_a_label_past_the_last_class() {
+    accuracy(&[0.0; 6], &[0.0, 3.0], 3);
+}

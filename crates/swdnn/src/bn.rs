@@ -6,6 +6,7 @@
 //! phase streams rows like the element-wise kernels.
 
 use sw26010::{dma, CoreGroup, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
+use swbackend::par_tasks;
 
 use crate::elementwise::CHUNK;
 
@@ -104,20 +105,42 @@ pub fn forward(
     assert_eq!(ops.beta.len(), channels);
     assert_eq!(ops.save_mean.len(), channels);
     assert_eq!(ops.save_istd.len(), channels);
+    let n_per_c = (batch * spatial) as f64;
+    let row_chunk = CHUNK.min(spatial.max(1));
     if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
-        crate::host::bn_forward(
-            threads,
-            batch,
-            channels,
-            spatial,
-            eps,
-            ops.input,
-            ops.gamma,
-            ops.beta,
-            ops.output,
-            ops.save_mean,
-            ops.save_istd,
-        );
+        let BnFwdOperands {
+            input,
+            gamma,
+            beta,
+            output,
+            save_mean,
+            save_istd,
+        } = ops;
+        let chans: Vec<_> = save_mean
+            .iter_mut()
+            .zip(save_istd.iter_mut())
+            .enumerate()
+            .collect();
+        par_tasks(threads, chans, |(c, (mean, istd))| {
+            let (mut sum, mut sq) = (0.0f64, 0.0f64);
+            for b in 0..batch {
+                for chunk in input[(b * channels + c) * spatial..][..spatial].chunks(row_chunk) {
+                    let (s, q) = moments(chunk);
+                    sum += s;
+                    sq += q;
+                }
+            }
+            (*mean, *istd) = stats(sum, sq, n_per_c, eps);
+        });
+        let (save_mean, save_istd) = (&*save_mean, &*save_istd);
+        let rows: Vec<_> = output.chunks_mut(spatial.max(1)).enumerate().collect();
+        par_tasks(threads, rows, |(row, orow)| {
+            let c = row % channels;
+            let (g, be, m, is) = (gamma[c], beta[c], save_mean[c], save_istd[c]);
+            for (o, v) in orow.iter_mut().zip(&input[row * spatial..]) {
+                *o = normalize(*v, g, be, m, is);
+            }
+        });
         return LaunchReport::default();
     }
     let x = MemView::new(ops.input);
@@ -126,11 +149,9 @@ pub fn forward(
     let y = MemViewMut::new(ops.output);
     let mean_out = MemViewMut::new(ops.save_mean);
     let istd_out = MemViewMut::new(ops.save_istd);
-    let n_per_c = (batch * spatial) as f64;
 
     // Phase A: per-channel statistics (channel c owned by CPE c % 64).
     let mut total = cg.run_planned(&forward_stats_plan(spatial), |cpe| {
-        let row_chunk = CHUNK.min(spatial.max(1));
         let mut buf = cpe.ldm.alloc_f32(row_chunk);
         let mut c = cpe.idx();
         while c < channels {
@@ -141,26 +162,16 @@ pub fn forward(
                 while off < spatial {
                     let n = row_chunk.min(spatial - off);
                     cpe.dma_get(x, (b * channels + c) * spatial + off, &mut buf[..n]);
-                    let (s, q) = cpe.compute(2 * n as u64, || {
-                        let mut s = 0.0f64;
-                        let mut q = 0.0f64;
-                        for v in &buf[..n] {
-                            s += *v as f64;
-                            q += (*v as f64) * (*v as f64);
-                        }
-                        (s, q)
-                    });
+                    let (s, q) = cpe.compute(2 * n as u64, || moments(&buf[..n]));
                     sum += s;
                     sq += q;
                     off += n;
                 }
             }
-            let mean = sum / n_per_c;
-            let var = (sq / n_per_c - mean * mean).max(0.0);
-            let istd = 1.0 / (var + eps as f64).sqrt();
+            let (mean, istd) = stats(sum, sq, n_per_c, eps);
             cpe.charge_scalar_ops(10);
-            cpe.dma_put(mean_out, c, &[mean as f32]);
-            cpe.dma_put(istd_out, c, &[istd as f32]);
+            cpe.dma_put(mean_out, c, &[mean]);
+            cpe.dma_put(istd_out, c, &[istd]);
             c += 64;
         }
     });
@@ -175,7 +186,6 @@ pub fn forward(
         cpe.dma_get(beta, 0, &mut bbuf);
         cpe.dma_get(mean_out.as_view(), 0, &mut mbuf);
         cpe.dma_get(istd_out.as_view(), 0, &mut ibuf);
-        let row_chunk = CHUNK.min(spatial.max(1));
         let mut buf = cpe.ldm.alloc_f32(row_chunk);
         let rows = batch * channels;
         let mut row = cpe.idx();
@@ -187,7 +197,7 @@ pub fn forward(
                 cpe.dma_get(x, row * spatial + off, &mut buf[..n]);
                 cpe.compute(3 * n as u64, || {
                     for v in buf[..n].iter_mut() {
-                        *v = gbuf[c] * (*v - mbuf[c]) * ibuf[c] + bbuf[c];
+                        *v = normalize(*v, gbuf[c], bbuf[c], mbuf[c], ibuf[c]);
                     }
                 });
                 cpe.dma_put(y, row * spatial + off, &buf[..n]);
@@ -216,21 +226,55 @@ pub fn backward(
     assert_eq!(ops.input.len(), len);
     assert_eq!(ops.out_grad.len(), len);
     assert_eq!(ops.in_grad.len(), len);
+    let n_per_c = (batch * spatial) as f64;
+    let row_chunk = CHUNK.min(spatial.max(1));
     if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
-        crate::host::bn_backward(
-            threads,
-            batch,
-            channels,
-            spatial,
-            ops.input,
-            ops.gamma,
-            ops.out_grad,
-            ops.save_mean,
-            ops.save_istd,
-            ops.in_grad,
-            ops.gamma_grad,
-            ops.beta_grad,
-        );
+        let BnBwdOperands {
+            input,
+            gamma,
+            out_grad,
+            save_mean,
+            save_istd,
+            in_grad,
+            gamma_grad,
+            beta_grad,
+        } = ops;
+        let chans: Vec<_> = gamma_grad
+            .iter_mut()
+            .zip(beta_grad.iter_mut())
+            .enumerate()
+            .collect();
+        par_tasks(threads, chans, |(c, (dgc, dbc))| {
+            let (m, is) = (save_mean[c] as f64, save_istd[c] as f64);
+            let (mut dg, mut db) = (0.0f64, 0.0f64);
+            for b in 0..batch {
+                let base = (b * channels + c) * spatial;
+                let xs = input[base..][..spatial].chunks(row_chunk);
+                for (x, dy) in xs.zip(out_grad[base..][..spatial].chunks(row_chunk)) {
+                    let (a, bb) = grad_moments(x, dy, m, is);
+                    dg += a;
+                    db += bb;
+                }
+            }
+            (*dgc, *dbc) = (dg as f32, db as f32);
+        });
+        let (gamma_grad, beta_grad) = (&*gamma_grad, &*beta_grad);
+        let rows: Vec<_> = in_grad.chunks_mut(spatial.max(1)).enumerate().collect();
+        par_tasks(threads, rows, |(row, drow)| {
+            let c = row % channels;
+            let coeffs = InputGrad::new(
+                n_per_c,
+                gamma[c],
+                save_mean[c],
+                save_istd[c],
+                gamma_grad[c],
+                beta_grad[c],
+            );
+            let (xs, dys) = (&input[row * spatial..], &out_grad[row * spatial..]);
+            for ((d, x), dy) in drow.iter_mut().zip(xs).zip(dys) {
+                *d = coeffs.dx(*x, *dy);
+            }
+        });
         return LaunchReport::default();
     }
     let x = MemView::new(ops.input);
@@ -241,11 +285,9 @@ pub fn backward(
     let dx = MemViewMut::new(ops.in_grad);
     let dgamma = MemViewMut::new(ops.gamma_grad);
     let dbeta = MemViewMut::new(ops.beta_grad);
-    let n_per_c = (batch * spatial) as f64;
 
     // Phase A: per-channel dgamma / dbeta.
     let mut total = cg.run_planned(&backward_reduce_plan(spatial), |cpe| {
-        let row_chunk = CHUNK.min(spatial.max(1));
         let mut xbuf = cpe.ldm.alloc_f32(row_chunk);
         let mut gbuf = cpe.ldm.alloc_f32(row_chunk);
         let mut mbuf = [0.0f32; 1];
@@ -264,16 +306,8 @@ pub fn backward(
                     let base = (b * channels + c) * spatial + off;
                     cpe.dma_get(x, base, &mut xbuf[..n]);
                     cpe.dma_get(dy, base, &mut gbuf[..n]);
-                    let (a, bb) = cpe.compute(4 * n as u64, || {
-                        let mut a = 0.0f64;
-                        let mut bb = 0.0f64;
-                        for i in 0..n {
-                            let xhat = (xbuf[i] as f64 - m) * is;
-                            a += gbuf[i] as f64 * xhat;
-                            bb += gbuf[i] as f64;
-                        }
-                        (a, bb)
-                    });
+                    let (a, bb) =
+                        cpe.compute(4 * n as u64, || grad_moments(&xbuf[..n], &gbuf[..n], m, is));
                     dg += a;
                     db += bb;
                     off += n;
@@ -297,26 +331,23 @@ pub fn backward(
         cpe.dma_get(istd, 0, &mut ibuf);
         cpe.dma_get(dgamma.as_view(), 0, &mut dgb);
         cpe.dma_get(dbeta.as_view(), 0, &mut dbb);
-        let row_chunk = (CHUNK / 2).min(spatial.max(1));
-        let mut xbuf = cpe.ldm.alloc_f32(row_chunk);
-        let mut ybuf = cpe.ldm.alloc_f32(row_chunk);
+        let half_chunk = (CHUNK / 2).min(spatial.max(1));
+        let mut xbuf = cpe.ldm.alloc_f32(half_chunk);
+        let mut ybuf = cpe.ldm.alloc_f32(half_chunk);
         let rows = batch * channels;
         let mut row = cpe.idx();
         while row < rows {
             let c = row % channels;
-            let scale = gbuf[c] as f64 * ibuf[c] as f64 / n_per_c;
+            let coeffs = InputGrad::new(n_per_c, gbuf[c], mbuf[c], ibuf[c], dgb[c], dbb[c]);
             let mut off = 0;
             while off < spatial {
-                let n = row_chunk.min(spatial - off);
+                let n = half_chunk.min(spatial - off);
                 let base = row * spatial + off;
                 cpe.dma_get(x, base, &mut xbuf[..n]);
                 cpe.dma_get(dy, base, &mut ybuf[..n]);
                 cpe.compute(6 * n as u64, || {
-                    for i in 0..n {
-                        let xhat = (xbuf[i] as f64 - mbuf[c] as f64) * ibuf[c] as f64;
-                        let v = scale
-                            * (n_per_c * ybuf[i] as f64 - dbb[c] as f64 - xhat * dgb[c] as f64);
-                        ybuf[i] = v as f32;
+                    for (g, v) in ybuf[..n].iter_mut().zip(&xbuf[..n]) {
+                        *g = coeffs.dx(*v, *g);
                     }
                 });
                 cpe.dma_put(dx, base, &ybuf[..n]);
@@ -327,6 +358,85 @@ pub fn backward(
     });
     total.merge(&report);
     total
+}
+
+/// Sum and sum of squares of one staged chunk of a channel, in f64: the
+/// statistics arithmetic both backends run, chunk by chunk.
+pub(crate) fn moments(chunk: &[f32]) -> (f64, f64) {
+    let mut s = 0.0f64;
+    let mut q = 0.0f64;
+    for v in chunk {
+        s += *v as f64;
+        q += (*v as f64) * (*v as f64);
+    }
+    (s, q)
+}
+
+/// A channel's saved `(mean, istd)` from its f64 sums over `n` values.
+pub(crate) fn stats(sum: f64, sq: f64, n: f64, eps: f32) -> (f32, f32) {
+    let mean = sum / n;
+    let var = (sq / n - mean * mean).max(0.0);
+    let istd = 1.0 / (var + eps as f64).sqrt();
+    (mean as f32, istd as f32)
+}
+
+/// Training-mode normalisation of one element, pure f32 on the saved
+/// statistics.
+pub(crate) fn normalize(x: f32, gamma: f32, beta: f32, mean: f32, istd: f32) -> f32 {
+    gamma * (x - mean) * istd + beta
+}
+
+/// `(dgamma, dbeta)` partial sums of one staged chunk, in f64.
+pub(crate) fn grad_moments(x: &[f32], dy: &[f32], mean: f64, istd: f64) -> (f64, f64) {
+    let mut a = 0.0f64;
+    let mut b = 0.0f64;
+    for (x, g) in x.iter().zip(dy) {
+        let xhat = (*x as f64 - mean) * istd;
+        a += *g as f64 * xhat;
+        b += *g as f64;
+    }
+    (a, b)
+}
+
+/// One channel's data-gradient coefficients:
+/// `dx = (gamma * istd / N) * (N*dy - dbeta - xhat * dgamma)`, in f64 on
+/// the rounded f32 statistics and parameter gradients.
+pub(crate) struct InputGrad {
+    n: f64,
+    mean: f64,
+    istd: f64,
+    scale: f64,
+    dgamma: f64,
+    dbeta: f64,
+}
+
+impl InputGrad {
+    pub(crate) fn new(n: f64, gamma: f32, mean: f32, istd: f32, dgamma: f32, dbeta: f32) -> Self {
+        InputGrad {
+            n,
+            mean: mean as f64,
+            istd: istd as f64,
+            scale: gamma as f64 * istd as f64 / n,
+            dgamma: dgamma as f64,
+            dbeta: dbeta as f64,
+        }
+    }
+
+    pub(crate) fn dx(&self, x: f32, dy: f32) -> f32 {
+        let xhat = (x as f64 - self.mean) * self.istd;
+        (self.scale * (self.n * dy as f64 - self.dbeta - xhat * self.dgamma)) as f32
+    }
+}
+
+/// `1 / sqrt(var + eps)` of a running variance, in f64.
+pub(crate) fn running_istd(var: f32, eps: f32) -> f64 {
+    1.0 / (var as f64 + eps as f64).sqrt()
+}
+
+/// Inference-mode normalisation of one element with running statistics,
+/// in f64 rounded once to f32.
+pub(crate) fn infer(x: f32, gamma: f32, beta: f32, mean: f32, istd: f64) -> f32 {
+    (gamma as f64 * (x as f64 - mean as f64) * istd + beta as f64) as f32
 }
 
 /// Duration of the BN forward pass (mirrors the two launch phases).
@@ -413,36 +523,38 @@ mod tests {
         let gamma = pattern(c, 2).iter().map(|v| v + 2.0).collect::<Vec<_>>();
         let beta = pattern(c, 3);
         let (want_y, want_m, want_i) = host_bn_forward(b, c, s, 1e-5, &x, &gamma, &beta);
-        let mut y = vec![0.0; x.len()];
-        let mut sm = vec![0.0; c];
-        let mut si = vec![0.0; c];
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        forward(
-            &mut cg,
-            b,
-            c,
-            s,
-            1e-5,
-            Some(BnFwdOperands {
-                input: &x,
-                gamma: &gamma,
-                beta: &beta,
-                output: &mut y,
-                save_mean: &mut sm,
-                save_istd: &mut si,
-            }),
-        );
-        for i in 0..x.len() {
-            assert!(
-                (y[i] - want_y[i]).abs() < 1e-4,
-                "y[{i}]: {} vs {}",
-                y[i],
-                want_y[i]
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut cg = CoreGroup::new(mode);
+            let mut y = vec![0.0; x.len()];
+            let mut sm = vec![0.0; c];
+            let mut si = vec![0.0; c];
+            forward(
+                &mut cg,
+                b,
+                c,
+                s,
+                1e-5,
+                Some(BnFwdOperands {
+                    input: &x,
+                    gamma: &gamma,
+                    beta: &beta,
+                    output: &mut y,
+                    save_mean: &mut sm,
+                    save_istd: &mut si,
+                }),
             );
-        }
-        for ch in 0..c {
-            assert!((sm[ch] - want_m[ch]).abs() < 1e-5);
-            assert!((si[ch] - want_i[ch]).abs() < 1e-3);
+            for i in 0..x.len() {
+                assert!(
+                    (y[i] - want_y[i]).abs() < 1e-4,
+                    "y[{i}]: {} vs {}",
+                    y[i],
+                    want_y[i]
+                );
+            }
+            for ch in 0..c {
+                assert!((sm[ch] - want_m[ch]).abs() < 1e-5);
+                assert!((si[ch] - want_i[ch]).abs() < 1e-3);
+            }
         }
     }
 
@@ -462,52 +574,97 @@ mod tests {
         };
 
         let (_, sm, si) = host_bn_forward(b, c, s, eps, &x, &gamma, &beta);
-        let mut dx = vec![0.0; x.len()];
-        let mut dg = vec![0.0; c];
-        let mut db = vec![0.0; c];
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        backward(
-            &mut cg,
-            b,
-            c,
-            s,
-            Some(BnBwdOperands {
-                input: &x,
-                gamma: &gamma,
-                out_grad: &w,
-                save_mean: &sm,
-                save_istd: &si,
-                in_grad: &mut dx,
-                gamma_grad: &mut dg,
-                beta_grad: &mut db,
-            }),
-        );
-
-        let h = 1e-2f32;
-        let mut xp = x.clone();
-        for idx in [0usize, 7, 20, 33] {
-            let orig = xp[idx];
-            xp[idx] = orig + h;
-            let up = loss(&xp);
-            xp[idx] = orig - h;
-            let down = loss(&xp);
-            xp[idx] = orig;
-            let fd = (up - down) / (2.0 * h as f64);
-            assert!(
-                (fd - dx[idx] as f64).abs() < 2e-2,
-                "dx[{idx}]: fd {fd} vs analytic {}",
-                dx[idx]
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut cg = CoreGroup::new(mode);
+            let mut dx = vec![0.0; x.len()];
+            let mut dg = vec![0.0; c];
+            let mut db = vec![0.0; c];
+            backward(
+                &mut cg,
+                b,
+                c,
+                s,
+                Some(BnBwdOperands {
+                    input: &x,
+                    gamma: &gamma,
+                    out_grad: &w,
+                    save_mean: &sm,
+                    save_istd: &si,
+                    in_grad: &mut dx,
+                    gamma_grad: &mut dg,
+                    beta_grad: &mut db,
+                }),
             );
+
+            let h = 1e-2f32;
+            let mut xp = x.clone();
+            for idx in [0usize, 7, 20, 33] {
+                let orig = xp[idx];
+                xp[idx] = orig + h;
+                let up = loss(&xp);
+                xp[idx] = orig - h;
+                let down = loss(&xp);
+                xp[idx] = orig;
+                let fd = (up - down) / (2.0 * h as f64);
+                assert!(
+                    (fd - dx[idx] as f64).abs() < 2e-2,
+                    "dx[{idx}]: fd {fd} vs analytic {}",
+                    dx[idx]
+                );
+            }
+            // dbeta is just the sum of dy per channel.
+            for ch in 0..c {
+                let want: f32 = (0..b)
+                    .flat_map(|bi| {
+                        let w = &w;
+                        (0..s).map(move |si2| w[(bi * c + ch) * s + si2])
+                    })
+                    .sum();
+                assert!((db[ch] - want).abs() < 1e-4);
+            }
         }
-        // dbeta is just the sum of dy per channel.
-        for ch in 0..c {
-            let want: f32 = (0..b)
-                .flat_map(|bi| {
-                    let w = &w;
-                    (0..s).map(move |si2| w[(bi * c + ch) * s + si2])
-                })
-                .sum();
-            assert!((db[ch] - want).abs() < 1e-4);
+    }
+
+    /// The channel sums add one f64 partial per `CHUNK`-element piece of
+    /// each row, in order. Rows `[A, 1, .., -A, 1]` with `A = 2^60` tell
+    /// the schedule apart: a 1 added to a partial holding `A` is lost, so
+    /// the sum is 1 when `A` and `-A` share a piece and 0 when a chunk
+    /// boundary falls between them. Checked on the forward mean and the
+    /// backward dbeta, on both backends.
+    #[test]
+    fn sums_follow_the_chunk_schedule() {
+        let big = 2f32.powi(60);
+        for (spatial, neg_at, want_sum) in [(4, 2, 1.0f64), (CHUNK + 2, CHUNK, 0.0)] {
+            let mut x = vec![0.0f32; spatial];
+            (x[0], x[1], x[neg_at], x[neg_at + 1]) = (big, 1.0, -big, 1.0);
+            let want_mean = (want_sum / spatial as f64) as f32;
+            for mode in crate::FUNCTIONAL_MODES {
+                let mut cg = CoreGroup::new(mode);
+                let (mut y, mut mean, mut istd) = (vec![0.0; spatial], [0.0], [0.0]);
+                let ops = BnFwdOperands {
+                    input: &x,
+                    gamma: &[1.0],
+                    beta: &[0.0],
+                    output: &mut y,
+                    save_mean: &mut mean,
+                    save_istd: &mut istd,
+                };
+                forward(&mut cg, 1, 1, spatial, 1e-5, Some(ops));
+                assert_eq!(mean[0], want_mean, "{mode:?} spatial {spatial}");
+                let (mut dx, mut dg, mut db) = (vec![0.0; spatial], [0.0], [0.0]);
+                let ops = BnBwdOperands {
+                    input: &x,
+                    gamma: &[1.0],
+                    out_grad: &x,
+                    save_mean: &mean,
+                    save_istd: &istd,
+                    in_grad: &mut dx,
+                    gamma_grad: &mut dg,
+                    beta_grad: &mut db,
+                };
+                backward(&mut cg, 1, 1, spatial, Some(ops));
+                assert_eq!(db[0], want_sum as f32, "{mode:?} spatial {spatial}");
+            }
         }
     }
 
@@ -565,9 +722,14 @@ pub fn forward_inference(
     assert_eq!(mean.len(), channels);
     assert_eq!(var.len(), channels);
     if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
-        crate::host::bn_inference(
-            threads, batch, channels, spatial, eps, input, gamma, beta, mean, var, output,
-        );
+        let rows: Vec<_> = output.chunks_mut(spatial.max(1)).enumerate().collect();
+        par_tasks(threads, rows, |(row, orow)| {
+            let c = row % channels;
+            let istd = running_istd(var[c], eps);
+            for (o, v) in orow.iter_mut().zip(&input[row * spatial..]) {
+                *o = infer(*v, gamma[c], beta[c], mean[c], istd);
+            }
+        });
         return LaunchReport::default();
     }
     let x = MemView::new(input);
@@ -591,15 +753,14 @@ pub fn forward_inference(
         let mut row = cpe.idx();
         while row < rows {
             let c = row % channels;
-            let istd = 1.0 / (vbuf[c] as f64 + eps as f64).sqrt();
+            let istd = running_istd(vbuf[c], eps);
             let mut off = 0;
             while off < spatial {
                 let n = row_chunk.min(spatial - off);
                 cpe.dma_get(x, row * spatial + off, &mut buf[..n]);
                 cpe.compute(3 * n as u64, || {
                     for val in buf[..n].iter_mut() {
-                        *val = (gbuf[c] as f64 * (*val as f64 - mbuf[c] as f64) * istd
-                            + bbuf[c] as f64) as f32;
+                        *val = infer(*val, gbuf[c], bbuf[c], mbuf[c], istd);
                     }
                 });
                 cpe.dma_put(y, row * spatial + off, &buf[..n]);
@@ -613,7 +774,6 @@ pub fn forward_inference(
 #[cfg(test)]
 mod inference_tests {
     use super::*;
-    use sw26010::ExecMode;
 
     #[test]
     fn inference_uses_provided_stats() {
@@ -624,22 +784,25 @@ mod inference_tests {
         let mean = vec![0.5f32, -0.5, 0.0];
         let var = vec![1.0f32, 4.0, 0.25];
         let eps = 1e-5;
-        let mut y = vec![0.0f32; x.len()];
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        forward_inference(
-            &mut cg,
-            b,
-            c,
-            s,
-            eps,
-            Some((&x, &gamma, &beta, &mean, &var, &mut y)),
-        );
-        for bi in 0..b {
-            for ci in 0..c {
-                for si in 0..s {
-                    let i = (bi * c + ci) * s + si;
-                    let want = gamma[ci] * (x[i] - mean[ci]) / (var[ci] + eps).sqrt() + beta[ci];
-                    assert!((y[i] - want).abs() < 1e-5, "elem {i}: {} vs {want}", y[i]);
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut cg = CoreGroup::new(mode);
+            let mut y = vec![0.0f32; x.len()];
+            forward_inference(
+                &mut cg,
+                b,
+                c,
+                s,
+                eps,
+                Some((&x, &gamma, &beta, &mean, &var, &mut y)),
+            );
+            for bi in 0..b {
+                for ci in 0..c {
+                    for si in 0..s {
+                        let i = (bi * c + ci) * s + si;
+                        let want =
+                            gamma[ci] * (x[i] - mean[ci]) / (var[ci] + eps).sqrt() + beta[ci];
+                        assert!((y[i] - want).abs() < 1e-5, "elem {i}: {} vs {want}", y[i]);
+                    }
                 }
             }
         }

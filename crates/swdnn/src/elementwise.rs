@@ -6,6 +6,7 @@
 //! several KB per CPE).
 
 use sw26010::{dma, CoreGroup, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
+use swbackend::par_tasks;
 
 /// Elements each CPE stages per chunk (16 KB of f32 — large enough to
 /// amortise the DMA start-up latency per Fig. 2).
@@ -78,27 +79,15 @@ pub fn unary_map(
     assert_eq!(input.len(), len);
     assert_eq!(output.len(), len);
     if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
-        crate::host::unary_map(threads, input, output, f);
+        host_pieces(threads, output, |at, ys| {
+            for (y, x) in ys.iter_mut().zip(&input[at..]) {
+                *y = f(*x);
+            }
+        });
         return LaunchReport::default();
     }
-    let src = MemView::new(input);
-    let dst = MemViewMut::new(output);
-    let f = &f;
-    cg.run_planned(&stream_plan("swdnn.unary_map", 1), move |cpe| {
-        let mut buf = cpe.ldm.alloc_f32(CHUNK);
-        let mut start = cpe.idx() * CHUNK;
-        while start < len {
-            let n = CHUNK.min(len - start);
-            cpe.dma_get(src, start, &mut buf[..n]);
-            cpe.compute((n as u64) * flops_per_elem.max(1), || {
-                for v in buf[..n].iter_mut() {
-                    *v = f(*v);
-                }
-            });
-            cpe.dma_put(dst, start, &buf[..n]);
-            start += 64 * CHUNK;
-        }
-    })
+    let (src, dst) = (MemView::new(input), MemViewMut::new(output));
+    map1(cg, "swdnn.unary_map", len, flops_per_elem, src, dst, f)
 }
 
 /// Generic two-input one-output streaming map.
@@ -117,24 +106,78 @@ pub fn binary_map(
     assert_eq!(b.len(), len);
     assert_eq!(out.len(), len);
     if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
-        crate::host::binary_map(threads, a, b, out, f);
+        host_pieces(threads, out, |at, os| {
+            for ((o, a), b) in os.iter_mut().zip(&a[at..]).zip(&b[at..]) {
+                *o = f(*a, *b);
+            }
+        });
         return LaunchReport::default();
     }
-    let av = MemView::new(a);
-    let bv = MemView::new(b);
-    let dst = MemViewMut::new(out);
+    let (av, bv, dst) = (MemView::new(a), MemView::new(b), MemViewMut::new(out));
+    map2(cg, "swdnn.binary_map", len, flops_per_elem, av, bv, dst, f)
+}
+
+/// The host side of the streaming kernels: `f(start, piece)` on each
+/// `CHUNK`-element piece of `out`, in parallel.
+fn host_pieces(threads: usize, out: &mut [f32], f: impl Fn(usize, &mut [f32]) + Sync) {
+    let pieces: Vec<_> = out.chunks_mut(CHUNK).enumerate().collect();
+    par_tasks(threads, pieces, |(i, piece)| f(i * CHUNK, piece));
+}
+
+/// The mesh side of the one-input streaming kernels: `dst = f(src)`,
+/// `CHUNK` pieces dealt round-robin to the CPEs. `src` may view `dst`.
+fn map1(
+    cg: &mut CoreGroup,
+    name: &str,
+    len: usize,
+    flops_per_elem: u64,
+    src: MemView<'_>,
+    dst: MemViewMut<'_>,
+    f: impl Fn(f32) -> f32 + Sync,
+) -> LaunchReport {
     let f = &f;
-    cg.run_planned(&stream_plan("swdnn.binary_map", 2), move |cpe| {
+    cg.run_planned(&stream_plan(name, 1), move |cpe| {
+        let mut buf = cpe.ldm.alloc_f32(CHUNK);
+        let mut start = cpe.idx() * CHUNK;
+        while start < len {
+            let n = CHUNK.min(len - start);
+            cpe.dma_get(src, start, &mut buf[..n]);
+            cpe.compute((n as u64) * flops_per_elem.max(1), || {
+                for v in buf[..n].iter_mut() {
+                    *v = f(*v);
+                }
+            });
+            cpe.dma_put(dst, start, &buf[..n]);
+            start += 64 * CHUNK;
+        }
+    })
+}
+
+/// The mesh side of the two-input streaming kernels: `dst = f(a, b)`.
+/// `a` or `b` may view `dst`.
+#[allow(clippy::too_many_arguments)]
+fn map2(
+    cg: &mut CoreGroup,
+    name: &str,
+    len: usize,
+    flops_per_elem: u64,
+    a: MemView<'_>,
+    b: MemView<'_>,
+    dst: MemViewMut<'_>,
+    f: impl Fn(f32, f32) -> f32 + Sync,
+) -> LaunchReport {
+    let f = &f;
+    cg.run_planned(&stream_plan(name, 2), move |cpe| {
         let mut abuf = cpe.ldm.alloc_f32(CHUNK);
         let mut bbuf = cpe.ldm.alloc_f32(CHUNK);
         let mut start = cpe.idx() * CHUNK;
         while start < len {
             let n = CHUNK.min(len - start);
-            cpe.dma_get(av, start, &mut abuf[..n]);
-            cpe.dma_get(bv, start, &mut bbuf[..n]);
+            cpe.dma_get(a, start, &mut abuf[..n]);
+            cpe.dma_get(b, start, &mut bbuf[..n]);
             cpe.compute((n as u64) * flops_per_elem.max(1), || {
-                for i in 0..n {
-                    abuf[i] = f(abuf[i], bbuf[i]);
+                for (x, y) in abuf[..n].iter_mut().zip(&bbuf[..n]) {
+                    *x = f(*x, *y);
                 }
             });
             cpe.dma_put(dst, start, &abuf[..n]);
@@ -186,13 +229,18 @@ pub fn chunk_walk_time(row_len: usize, chunk: usize, streams: usize, flops_per_e
     per_row
 }
 
+/// ReLU of one element.
+pub(crate) fn relu(v: f32) -> f32 {
+    v.max(0.0)
+}
+
 /// ReLU forward: `y = max(0, x)`.
 pub fn relu_forward(
     cg: &mut CoreGroup,
     len: usize,
     io: Option<(&[f32], &mut [f32])>,
 ) -> LaunchReport {
-    unary_map(cg, len, 1, io, |v| v.max(0.0))
+    unary_map(cg, len, 1, io, relu)
 }
 
 /// ReLU backward: `dx = dy * [x > 0]`.
@@ -236,29 +284,51 @@ pub fn axpy(
     let (x, y) = io.expect("functional axpy requires operands");
     assert_eq!(x.len(), len);
     assert_eq!(y.len(), len);
+    let f = move |x: f32, y: f32| y + alpha * x;
     if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
-        crate::host::axpy(threads, alpha, x, y);
+        host_pieces(threads, y, |at, ys| {
+            for (y, x) in ys.iter_mut().zip(&x[at..]) {
+                *y = f(*x, *y);
+            }
+        });
         return LaunchReport::default();
     }
-    let xv = MemView::new(x);
     let yv = MemViewMut::new(y);
-    cg.run_planned(&stream_plan("swdnn.axpy", 2), move |cpe| {
-        let mut xbuf = cpe.ldm.alloc_f32(CHUNK);
-        let mut ybuf = cpe.ldm.alloc_f32(CHUNK);
-        let mut start = cpe.idx() * CHUNK;
-        while start < len {
-            let n = CHUNK.min(len - start);
-            cpe.dma_get(xv, start, &mut xbuf[..n]);
-            cpe.dma_get(yv.as_view(), start, &mut ybuf[..n]);
-            cpe.compute(2 * n as u64, || {
-                for i in 0..n {
-                    ybuf[i] += alpha * xbuf[i];
-                }
-            });
-            cpe.dma_put(yv, start, &ybuf[..n]);
-            start += 64 * CHUNK;
-        }
-    })
+    map2(
+        cg,
+        "swdnn.axpy",
+        len,
+        2,
+        MemView::new(x),
+        yv.as_view(),
+        yv,
+        f,
+    )
+}
+
+/// `row += b` in f32: the arithmetic of the per-channel bias add.
+pub(crate) fn add_bias(row: &mut [f32], b: f32) {
+    for v in row {
+        *v += b;
+    }
+}
+
+/// `acc += v` element by element in f32: the arithmetic of the row-bias
+/// add and of the column sums.
+pub(crate) fn add_assign(acc: &mut [f32], v: &[f32]) {
+    for (a, v) in acc.iter_mut().zip(v) {
+        *a += *v;
+    }
+}
+
+/// Sum of one staged chunk, widened to f64.
+pub(crate) fn sum_f64(chunk: &[f32]) -> f64 {
+    chunk.iter().map(|v| *v as f64).sum()
+}
+
+/// Sum of squares of one staged chunk, in f64.
+pub(crate) fn sumsq_f64(chunk: &[f32]) -> f64 {
+    chunk.iter().map(|v| *v as f64 * *v as f64).sum()
 }
 
 /// Per-channel bias add on an NCHW tensor: `y[b,c,:] = x[b,c,:] + bias[c]`.
@@ -283,7 +353,10 @@ pub fn bias_forward(
     assert_eq!(bias.len(), channels);
     assert_eq!(data.len(), len);
     if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
-        crate::host::bias_forward(threads, batch, channels, spatial, bias, data);
+        let rows: Vec<_> = data.chunks_mut(spatial.max(1)).enumerate().collect();
+        par_tasks(threads, rows, |(row, drow)| {
+            add_bias(drow, bias[row % channels])
+        });
         return LaunchReport::default();
     }
     let bv = MemView::new(bias);
@@ -301,11 +374,7 @@ pub fn bias_forward(
             while off < spatial {
                 let n = row_chunk.min(spatial - off);
                 cpe.dma_get(dv.as_view(), row * spatial + off, &mut buf[..n]);
-                cpe.compute(n as u64, || {
-                    for v in buf[..n].iter_mut() {
-                        *v += bbuf[c];
-                    }
-                });
+                cpe.compute(n as u64, || add_bias(&mut buf[..n], bbuf[c]));
                 cpe.dma_put(dv, row * spatial + off, &buf[..n]);
                 off += n;
             }
@@ -334,14 +403,23 @@ pub fn bias_backward(
     let (dy, db) = io.expect("functional bias requires operands");
     assert_eq!(dy.len(), len);
     assert_eq!(db.len(), channels);
+    let row_chunk = CHUNK.min(spatial.max(1));
     if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
-        crate::host::bias_backward(threads, batch, channels, spatial, dy, db);
+        let chans: Vec<_> = db.iter_mut().enumerate().collect();
+        par_tasks(threads, chans, |(c, out)| {
+            let mut acc = 0.0f64;
+            for b in 0..batch {
+                for chunk in dy[(b * channels + c) * spatial..][..spatial].chunks(row_chunk) {
+                    acc += sum_f64(chunk);
+                }
+            }
+            *out = acc as f32;
+        });
         return LaunchReport::default();
     }
     let dyv = MemView::new(dy);
     let dbv = MemViewMut::new(db);
     cg.run_planned(&bias_backward_plan(spatial), move |cpe| {
-        let row_chunk = CHUNK.min(spatial.max(1));
         let mut buf = cpe.ldm.alloc_f32(row_chunk);
         let mut c = cpe.idx();
         while c < channels {
@@ -351,8 +429,7 @@ pub fn bias_backward(
                 while off < spatial {
                     let n = row_chunk.min(spatial - off);
                     cpe.dma_get(dyv, (b * channels + c) * spatial + off, &mut buf[..n]);
-                    acc +=
-                        cpe.compute(n as u64, || buf[..n].iter().map(|v| *v as f64).sum::<f64>());
+                    acc += cpe.compute(n as u64, || sum_f64(&buf[..n]));
                     off += n;
                 }
             }
@@ -376,17 +453,19 @@ mod tests {
     #[test]
     fn relu_roundtrip() {
         let x = pattern(10_000, 0);
-        let mut y = vec![0.0; x.len()];
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        relu_forward(&mut cg, x.len(), Some((&x, &mut y)));
-        for (xi, yi) in x.iter().zip(&y) {
-            assert_eq!(*yi, xi.max(0.0));
-        }
-        let dy = pattern(x.len(), 3);
-        let mut dx = vec![0.0; x.len()];
-        relu_backward(&mut cg, x.len(), Some((&dy, &x, &mut dx)));
-        for i in 0..x.len() {
-            assert_eq!(dx[i], if x[i] > 0.0 { dy[i] } else { 0.0 });
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut cg = CoreGroup::new(mode);
+            let mut y = vec![0.0; x.len()];
+            relu_forward(&mut cg, x.len(), Some((&x, &mut y)));
+            for (xi, yi) in x.iter().zip(&y) {
+                assert_eq!(*yi, xi.max(0.0));
+            }
+            let dy = pattern(x.len(), 3);
+            let mut dx = vec![0.0; x.len()];
+            relu_backward(&mut cg, x.len(), Some((&dy, &x, &mut dx)));
+            for i in 0..x.len() {
+                assert_eq!(dx[i], if x[i] > 0.0 { dy[i] } else { 0.0 });
+            }
         }
     }
 
@@ -394,16 +473,18 @@ mod tests {
     fn add_and_axpy() {
         let a = pattern(5000, 1);
         let b = pattern(5000, 2);
-        let mut out = vec![0.0; 5000];
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        add(&mut cg, 5000, Some((&a, &b, &mut out)));
-        for i in 0..5000 {
-            assert_eq!(out[i], a[i] + b[i]);
-        }
-        let mut y = b.clone();
-        axpy(&mut cg, 5000, -0.5, Some((&a, &mut y)));
-        for i in 0..5000 {
-            assert!((y[i] - (b[i] - 0.5 * a[i])).abs() < 1e-6);
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut cg = CoreGroup::new(mode);
+            let mut out = vec![0.0; 5000];
+            add(&mut cg, 5000, Some((&a, &b, &mut out)));
+            for i in 0..5000 {
+                assert_eq!(out[i], a[i] + b[i]);
+            }
+            let mut y = b.clone();
+            axpy(&mut cg, 5000, -0.5, Some((&a, &mut y)));
+            for i in 0..5000 {
+                assert!((y[i] - (b[i] - 0.5 * a[i])).abs() < 1e-6);
+            }
         }
     }
 
@@ -412,31 +493,33 @@ mod tests {
         let (batch, channels, spatial) = (3, 5, 70);
         let bias = pattern(channels, 4);
         let x = pattern(batch * channels * spatial, 5);
-        let mut data = x.clone();
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        bias_forward(&mut cg, batch, channels, spatial, Some((&bias, &mut data)));
-        for b in 0..batch {
-            for (c, bc) in bias.iter().enumerate() {
-                for s in 0..spatial {
-                    let i = (b * channels + c) * spatial + s;
-                    assert_eq!(data[i], x[i] + bc);
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut cg = CoreGroup::new(mode);
+            let mut data = x.clone();
+            bias_forward(&mut cg, batch, channels, spatial, Some((&bias, &mut data)));
+            for b in 0..batch {
+                for (c, bc) in bias.iter().enumerate() {
+                    for s in 0..spatial {
+                        let i = (b * channels + c) * spatial + s;
+                        assert_eq!(data[i], x[i] + bc);
+                    }
                 }
             }
-        }
-        let mut db = vec![0.0; channels];
-        bias_backward(&mut cg, batch, channels, spatial, Some((&data, &mut db)));
-        for c in 0..channels {
-            let want: f32 = (0..batch)
-                .flat_map(|b| {
-                    let data = &data;
-                    (0..spatial).map(move |s| data[(b * channels + c) * spatial + s])
-                })
-                .sum();
-            assert!(
-                (db[c] - want).abs() < 1e-3,
-                "channel {c}: {} vs {want}",
-                db[c]
-            );
+            let mut db = vec![0.0; channels];
+            bias_backward(&mut cg, batch, channels, spatial, Some((&data, &mut db)));
+            for c in 0..channels {
+                let want: f32 = (0..batch)
+                    .flat_map(|b| {
+                        let data = &data;
+                        (0..spatial).map(move |s| data[(b * channels + c) * spatial + s])
+                    })
+                    .sum();
+                assert!(
+                    (db[c] - want).abs() < 1e-3,
+                    "channel {c}: {} vs {want}",
+                    db[c]
+                );
+            }
         }
     }
 
@@ -471,11 +554,13 @@ mod tests {
         let mask: Vec<f32> = (0..2000)
             .map(|i| if i % 3 == 0 { 0.0 } else { 1.5 })
             .collect();
-        let mut y = vec![0.0; 2000];
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        apply_mask(&mut cg, 2000, Some((&x, &mask, &mut y)));
-        for i in 0..2000 {
-            assert_eq!(y[i], x[i] * mask[i]);
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut cg = CoreGroup::new(mode);
+            let mut y = vec![0.0; 2000];
+            apply_mask(&mut cg, 2000, Some((&x, &mask, &mut y)));
+            for i in 0..2000 {
+                assert_eq!(y[i], x[i] * mask[i]);
+            }
         }
     }
 }
@@ -500,7 +585,8 @@ pub fn bias_rows(
     assert_eq!(bias.len(), row_len);
     assert_eq!(data.len(), rows * row_len);
     if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
-        crate::host::bias_rows(threads, rows, row_len, bias, data);
+        let tasks: Vec<_> = data.chunks_mut(row_len.max(1)).collect();
+        par_tasks(threads, tasks, |drow| add_assign(drow, bias));
         return LaunchReport::default();
     }
     let bv = MemView::new(bias);
@@ -516,11 +602,7 @@ pub fn bias_rows(
                 let n = chunk.min(row_len - off);
                 cpe.dma_get(bv, off, &mut bbuf[..n]);
                 cpe.dma_get(dv.as_view(), row * row_len + off, &mut buf[..n]);
-                cpe.compute(n as u64, || {
-                    for i in 0..n {
-                        buf[i] += bbuf[i];
-                    }
-                });
+                cpe.compute(n as u64, || add_assign(&mut buf[..n], &bbuf[..n]));
                 cpe.dma_put(dv, row * row_len + off, &buf[..n]);
                 off += n;
             }
@@ -530,8 +612,8 @@ pub fn bias_rows(
 }
 
 /// Column sums of a row-major `rows x cols` matrix: `out[c] = sum_r m[r, c]`
-/// (inner-product bias gradients). Column chunks are owned by single CPEs,
-/// so accumulation never collides.
+/// (inner-product bias gradients), a running f32 sum over ascending rows.
+/// Column chunks are owned by single CPEs, so accumulation never collides.
 pub fn col_sums(
     cg: &mut CoreGroup,
     rows: usize,
@@ -552,7 +634,13 @@ pub fn col_sums(
     assert_eq!(m.len(), rows * cols);
     assert_eq!(out.len(), cols);
     if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
-        crate::host::col_sums(threads, rows, cols, m, out);
+        let chunks: Vec<_> = out.chunks_mut(COL_CHUNK).enumerate().collect();
+        par_tasks(threads, chunks, |(chunk, acc)| {
+            acc.fill(0.0);
+            for row in m.chunks_exact(cols) {
+                add_assign(acc, &row[chunk * COL_CHUNK..]);
+            }
+        });
         return LaunchReport::default();
     }
     let mv = MemView::new(m);
@@ -575,10 +663,8 @@ pub fn col_sums(
                 let rg = row_group.min(rows - r0);
                 cpe.dma_get_strided(mv, r0 * cols + c0, n, cols, rg, &mut buf[..rg * n]);
                 cpe.compute((rg * n) as u64, || {
-                    for r in 0..rg {
-                        for c in 0..n {
-                            acc[c] += buf[r * n + c];
-                        }
+                    for row in buf[..rg * n].chunks_exact(n) {
+                        add_assign(&mut acc[..n], row);
                     }
                 });
                 r0 += rg;
@@ -609,9 +695,11 @@ pub fn copy_blocks(
     let (src, src_off, src_stride, dst, dst_off, dst_stride) =
         io.expect("functional copy requires operands");
     if let swbackend::Path::Host { .. } = swbackend::dispatch(cg.mode()) {
-        crate::host::copy_blocks(
-            block_len, nblocks, src, src_off, src_stride, dst, dst_off, dst_stride,
-        );
+        // Pure movement, memory-bound: serial.
+        for blk in 0..nblocks {
+            dst[dst_off + blk * dst_stride..][..block_len]
+                .copy_from_slice(&src[src_off + blk * src_stride..][..block_len]);
+        }
         return LaunchReport::default();
     }
     let sv = MemView::new(src);
@@ -644,12 +732,14 @@ mod tests_extra {
     fn bias_rows_adds_vector_per_row() {
         let (rows, len) = (7, 130);
         let bias: Vec<f32> = (0..len).map(|i| i as f32 * 0.1).collect();
-        let mut data = vec![1.0f32; rows * len];
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        bias_rows(&mut cg, rows, len, Some((&bias, &mut data)));
-        for r in 0..rows {
-            for c in 0..len {
-                assert!((data[r * len + c] - (1.0 + bias[c])).abs() < 1e-6);
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut cg = CoreGroup::new(mode);
+            let mut data = vec![1.0f32; rows * len];
+            bias_rows(&mut cg, rows, len, Some((&bias, &mut data)));
+            for r in 0..rows {
+                for c in 0..len {
+                    assert!((data[r * len + c] - (1.0 + bias[c])).abs() < 1e-6);
+                }
             }
         }
     }
@@ -660,16 +750,18 @@ mod tests_extra {
         let m: Vec<f32> = (0..rows * cols)
             .map(|i| ((i * 11) % 17) as f32 - 8.0)
             .collect();
-        let mut out = vec![0.0f32; cols];
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        col_sums(&mut cg, rows, cols, Some((&m, &mut out)));
-        for c in 0..cols {
-            let want: f32 = (0..rows).map(|r| m[r * cols + c]).sum();
-            assert!(
-                (out[c] - want).abs() < 1e-4,
-                "col {c}: {} vs {want}",
-                out[c]
-            );
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut cg = CoreGroup::new(mode);
+            let mut out = vec![0.0f32; cols];
+            col_sums(&mut cg, rows, cols, Some((&m, &mut out)));
+            for c in 0..cols {
+                let want: f32 = (0..rows).map(|r| m[r * cols + c]).sum();
+                assert!(
+                    (out[c] - want).abs() < 1e-4,
+                    "col {c}: {} vs {want}",
+                    out[c]
+                );
+            }
         }
     }
 
@@ -677,16 +769,18 @@ mod tests_extra {
     fn copy_blocks_moves_strided_regions() {
         // Copy 3 blocks of 5 from stride-8 positions to stride-10 positions.
         let src: Vec<f32> = (0..32).map(|i| i as f32).collect();
-        let mut dst = vec![0.0f32; 40];
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        copy_blocks(&mut cg, 5, 3, Some((&src, 1, 8, &mut dst, 2, 10)));
-        for b in 0..3 {
-            for i in 0..5 {
-                assert_eq!(dst[2 + b * 10 + i], src[1 + b * 8 + i]);
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut cg = CoreGroup::new(mode);
+            let mut dst = vec![0.0f32; 40];
+            copy_blocks(&mut cg, 5, 3, Some((&src, 1, 8, &mut dst, 2, 10)));
+            for b in 0..3 {
+                for i in 0..5 {
+                    assert_eq!(dst[2 + b * 10 + i], src[1 + b * 8 + i]);
+                }
             }
+            assert_eq!(dst[0], 0.0);
+            assert_eq!(dst[7], 0.0);
         }
-        assert_eq!(dst[0], 0.0);
-        assert_eq!(dst[7], 0.0);
     }
 
     #[test]
@@ -705,30 +799,19 @@ pub fn scale(cg: &mut CoreGroup, len: usize, alpha: f32, io: Option<&mut [f32]>)
     }
     let x = io.expect("functional scale requires operands");
     assert_eq!(x.len(), len);
+    let f = move |v: f32| v * alpha;
     if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
-        crate::host::scale(threads, alpha, x);
+        host_pieces(threads, x, |_, xs| xs.iter_mut().for_each(|v| *v = f(*v)));
         return LaunchReport::default();
     }
     let xv = MemViewMut::new(x);
-    cg.run_planned(&stream_plan("swdnn.scale", 1), move |cpe| {
-        let mut buf = cpe.ldm.alloc_f32(CHUNK);
-        let mut start = cpe.idx() * CHUNK;
-        while start < len {
-            let n = CHUNK.min(len - start);
-            cpe.dma_get(xv.as_view(), start, &mut buf[..n]);
-            cpe.compute(n as u64, || {
-                for v in buf[..n].iter_mut() {
-                    *v *= alpha;
-                }
-            });
-            cpe.dma_put(xv, start, &buf[..n]);
-            start += 64 * CHUNK;
-        }
-    })
+    map1(cg, "swdnn.scale", len, 1, xv.as_view(), xv, f)
 }
 
-/// Sum of squares of a vector, reduced per CPE and finished on the MPE
-/// (LARS norm computations, gradient diagnostics).
+/// Sum of squares of a vector with a 64-lane schedule, one lane per CPE:
+/// lane `l` reduces every 64th `CHUNK` in f64 and rounds its partial to
+/// f32; the MPE sums the partials in f64 in lane order (LARS norm
+/// computations, gradient diagnostics).
 pub fn sumsq(cg: &mut CoreGroup, len: usize, io: Option<&[f32]>) -> (f64, LaunchReport) {
     if !cg.mode().is_functional() {
         let report = crate::charge_model(cg, stream_time(len, 1, 0, 2));
@@ -737,41 +820,50 @@ pub fn sumsq(cg: &mut CoreGroup, len: usize, io: Option<&[f32]>) -> (f64, Launch
     }
     let x = io.expect("functional sumsq requires operands");
     assert_eq!(x.len(), len);
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
-        return (crate::host::sumsq(threads, x), LaunchReport::default());
-    }
-    let xv = MemView::new(x);
-    let mut partials = vec![0.0f32; 64];
-    let pv = MemViewMut::new(&mut partials);
-    let report = cg.run_planned(&stream_plan("swdnn.sumsq", 1), move |cpe| {
-        let mut buf = cpe.ldm.alloc_f32(CHUNK);
-        let mut acc = 0.0f64;
-        let mut start = cpe.idx() * CHUNK;
-        while start < len {
-            let n = CHUNK.min(len - start);
-            cpe.dma_get(xv, start, &mut buf[..n]);
-            acc += cpe.compute(2 * n as u64, || {
-                buf[..n].iter().map(|v| *v as f64 * *v as f64).sum::<f64>()
-            });
-            start += 64 * CHUNK;
-        }
-        cpe.dma_put(pv, cpe.idx(), &[acc as f32]);
-    });
-    cg.mpe_compute(64);
+    let mut partials = [0.0f32; 64];
+    let report = if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+        let lanes: Vec<_> = partials.iter_mut().enumerate().collect();
+        par_tasks(threads, lanes, |(l, out)| {
+            let mut acc = 0.0f64;
+            for start in (l * CHUNK..len).step_by(64 * CHUNK) {
+                acc += sumsq_f64(&x[start..][..CHUNK.min(len - start)]);
+            }
+            *out = acc as f32;
+        });
+        LaunchReport::default()
+    } else {
+        let xv = MemView::new(x);
+        let pv = MemViewMut::new(&mut partials);
+        let report = cg.run_planned(&stream_plan("swdnn.sumsq", 1), move |cpe| {
+            let mut buf = cpe.ldm.alloc_f32(CHUNK);
+            let mut acc = 0.0f64;
+            let mut start = cpe.idx() * CHUNK;
+            while start < len {
+                let n = CHUNK.min(len - start);
+                cpe.dma_get(xv, start, &mut buf[..n]);
+                acc += cpe.compute(2 * n as u64, || sumsq_f64(&buf[..n]));
+                start += 64 * CHUNK;
+            }
+            cpe.dma_put(pv, cpe.idx(), &[acc as f32]);
+        });
+        cg.mpe_compute(64);
+        report
+    };
     (partials.iter().map(|v| *v as f64).sum(), report)
 }
 
 #[cfg(test)]
 mod sumsq_tests {
     use super::*;
-    use sw26010::ExecMode;
 
     #[test]
     fn sumsq_matches_host() {
         let x: Vec<f32> = (0..10_000).map(|i| ((i % 13) as f32 - 6.0) * 0.5).collect();
         let want: f64 = x.iter().map(|v| *v as f64 * *v as f64).sum();
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        let (got, _) = sumsq(&mut cg, x.len(), Some(&x));
-        assert!((got - want).abs() < 1e-2 * want, "{got} vs {want}");
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut cg = CoreGroup::new(mode);
+            let (got, _) = sumsq(&mut cg, x.len(), Some(&x));
+            assert!((got - want).abs() < 1e-2 * want, "{got} vs {want}");
+        }
     }
 }

@@ -14,12 +14,18 @@
 //! bit-for-bit identical to the unfused three-layer sequence (pinned by
 //! `tests/fused_agreement.rs`). Only the simulated time differs: the
 //! epilogue saves two full tensor round trips and two kernel launches.
+//! The epilogue is built from the unfused kernels' own per-element
+//! functions (`bn::infer`, `elementwise::relu`), so that agreement is
+//! mostly by construction; `tests::epilogue_matches_f64_oracle` checks
+//! the arithmetic itself.
 
 use sw26010::{arch, dma, CoreGroup, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
 
-use crate::conv_explicit;
-use crate::elementwise::{row_stream_time, CHUNK};
+use swbackend::par_tasks;
+
+use crate::elementwise::{relu, row_stream_time, CHUNK};
 use crate::shapes::ConvShape;
+use crate::{bn, conv_explicit};
 
 /// Functional operands of the fused forward pass, all NCHW row-major:
 /// input `(B, N_i, R_i, C_i)`, weights `(N_o, N_i, K, K)`, per-channel
@@ -103,19 +109,15 @@ pub fn forward(
         }),
     );
     if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
-        crate::host::fused_epilogue(
-            threads,
-            shape.batch,
-            channels,
-            spatial,
-            eps,
-            ops.bias,
-            ops.gamma,
-            ops.beta,
-            ops.mean,
-            ops.var,
-            ops.output,
-        );
+        let rows: Vec<_> = ops.output.chunks_mut(spatial.max(1)).enumerate().collect();
+        par_tasks(threads, rows, |(row, drow)| {
+            let c = row % channels;
+            let bias = ops.bias.map(|b| b[c]);
+            let istd = bn::running_istd(ops.var[c], eps);
+            for v in drow.iter_mut() {
+                *v = epilogue(*v, bias, ops.gamma[c], ops.beta[c], ops.mean[c], istd);
+            }
+        });
         return total;
     }
     let bias = ops.bias.map(MemView::new);
@@ -144,23 +146,15 @@ pub fn forward(
         let mut row = cpe.idx();
         while row < rows {
             let c = row % channels;
-            let istd = 1.0 / (vbuf[c] as f64 + eps as f64).sqrt();
+            let bias = bias_buf.as_ref().map(|b| b[c]);
+            let istd = bn::running_istd(vbuf[c], eps);
             let mut off = 0;
             while off < spatial {
                 let n = row_chunk.min(spatial - off);
                 cpe.dma_get(y.as_view(), row * spatial + off, &mut buf[..n]);
                 cpe.compute(5 * n as u64, || {
                     for val in buf[..n].iter_mut() {
-                        // Same rounding points as the unfused sequence:
-                        // f32 bias add, f64 BN transform rounded to f32,
-                        // then the ReLU max on the rounded value.
-                        let mut t = *val;
-                        if let Some(bb) = &bias_buf {
-                            t += bb[c];
-                        }
-                        let u = (gbuf[c] as f64 * (t as f64 - mbuf[c] as f64) * istd
-                            + bbuf[c] as f64) as f32;
-                        *val = u.max(0.0);
+                        *val = epilogue(*val, bias, gbuf[c], bbuf[c], mbuf[c], istd);
                     }
                 });
                 cpe.dma_put(y, row * spatial + off, &buf[..n]);
@@ -173,11 +167,30 @@ pub fn forward(
     total
 }
 
+/// The epilogue of one conv output element, the arithmetic both backends
+/// run. Same rounding points as the unfused sequence: f32 bias add (none
+/// at all without a bias: `-0.0 + 0.0` is not `-0.0`), f64 BN transform
+/// rounded to f32, then the ReLU max on the rounded value.
+pub(crate) fn epilogue(
+    v: f32,
+    bias: Option<f32>,
+    gamma: f32,
+    beta: f32,
+    mean: f32,
+    istd: f64,
+) -> f32 {
+    let t = match bias {
+        Some(b) => v + b,
+        None => v,
+    };
+    relu(bn::infer(t, gamma, beta, mean, istd))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elementwise as ew;
     use crate::elementwise::stream_time;
-    use crate::{bn, elementwise as ew};
     use sw26010::ExecMode;
 
     fn small_shape() -> ConvShape {
@@ -260,6 +273,55 @@ mod tests {
                 .seconds()
             + stream_time(b * c * s, 1, 1, 1).seconds();
         assert!(epilogue_time(b, c, s).seconds() < separate);
+    }
+
+    /// Both functional backends against an independent f64 oracle: the
+    /// scalar reference convolution, then bias, BN with running statistics
+    /// and ReLU straight from their definitions (shares no code with the
+    /// epilogue, unlike the unfused kernel sequence).
+    #[test]
+    fn epilogue_matches_f64_oracle() {
+        let shape = small_shape();
+        let spatial = shape.out_h() * shape.out_w();
+        let len = shape.batch * shape.out_c * spatial;
+        let input = values(shape.input_len(), 1);
+        let weights = values(shape.weight_len(), 2);
+        let bias = values(shape.out_c, 3);
+        let gamma = values(shape.out_c, 4);
+        let beta = values(shape.out_c, 5);
+        let mean = values(shape.out_c, 6);
+        let var: Vec<f32> = values(shape.out_c, 7).iter().map(|v| v * v + 0.1).collect();
+        let eps = 1e-5f32;
+        let mut conv = vec![0.0f32; len];
+        crate::reference::conv_forward(&shape, &input, &weights, &mut conv);
+        for mode in crate::FUNCTIONAL_MODES {
+            for with_bias in [false, true] {
+                let mut got = vec![f32::NAN; len];
+                let ops = ConvBnReluOperands {
+                    input: &input,
+                    weights: &weights,
+                    bias: with_bias.then_some(bias.as_slice()),
+                    gamma: &gamma,
+                    beta: &beta,
+                    mean: &mean,
+                    var: &var,
+                    output: &mut got,
+                };
+                forward(&mut CoreGroup::new(mode), &shape, eps, Some(ops));
+                for (i, g) in got.iter().enumerate() {
+                    let c = (i / spatial) % shape.out_c;
+                    let t = conv[i] as f64 + if with_bias { bias[c] as f64 } else { 0.0 };
+                    let bn = gamma[c] as f64 * (t - mean[c] as f64)
+                        / (var[c] as f64 + eps as f64).sqrt()
+                        + beta[c] as f64;
+                    let want = bn.max(0.0);
+                    assert!(
+                        (*g as f64 - want).abs() < 1e-4,
+                        "{mode:?} bias={with_bias} elem {i}: {g} vs {want}"
+                    );
+                }
+            }
+        }
     }
 
     /// Functional mesh agreement against the unfused kernel sequence,

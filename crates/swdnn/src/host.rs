@@ -1,27 +1,29 @@
-//! Host-native mirrors of the mesh kernels (the `HostNative` backend).
+//! Host-native GEMM family (the `HostNative` backend's packed GEMM,
+//! explicit and implicit convolution, and the im2col/col2im the explicit
+//! plan runs).
 //!
-//! Every function here reproduces the corresponding mesh kernel's
-//! arithmetic **bit-for-bit**: same scalar types, same f32→f64 widenings,
-//! same accumulation order, same rounding points. The mirrors carry no
-//! timing model — callers return `LaunchReport::default()` (zero time,
-//! zero counters) after running one — and no `KernelPlan` validation;
-//! they exist purely for wall-clock speed.
+//! Every other kernel keeps its host path beside its mesh body, and both
+//! call one per-item function, so those agree bit for bit by
+//! construction. The GEMM family cannot: the mesh runs a tiled
+//! register-communication schedule over LDM, and the functions here
+//! reproduce its float sequence **by written contract** — same scalar
+//! types, same f32→f64 widenings, same accumulation order, same rounding
+//! points. They carry no timing model — callers return
+//! `LaunchReport::default()` (zero time, zero counters) — and no
+//! `KernelPlan` validation; they exist purely for wall-clock speed.
 //!
 //! Parallelism comes from [`swbackend::par_tasks`]: work is split into
 //! units whose results are fully determined by the unit itself (a run of
-//! C's columns, a channel's statistics, one image's softmax), so the
-//! thread count never affects results. The bit-agreement property tests in
-//! `tests/backend_agreement.rs` pin every mirror against the mesh.
+//! C's columns, an output row, a filter tap), so the thread count never
+//! affects results. The bit-agreement tests in `tests/backend_agreement.rs`
+//! pin the contract against the mesh.
 
 use std::cell::RefCell;
 
 use swbackend::{par_tasks, resolve_threads};
 
 use crate::conv_explicit;
-use crate::elementwise::CHUNK;
-use crate::lrn::{self, LrnParams};
-use crate::shapes::{ConvShape, GemmDims, PoolMethod, PoolShape, Trans};
-use crate::transform::TransShape;
+use crate::shapes::{ConvShape, GemmDims, Trans};
 
 // ---------------------------------------------------------------------
 // GEMM
@@ -511,721 +513,4 @@ pub fn conv_implicit_backward_weights(
             }
         }
     });
-}
-
-// ---------------------------------------------------------------------
-// Layout transforms (pure movement)
-// ---------------------------------------------------------------------
-
-/// NCHW -> RCNB, parallel over `y` planes.
-pub fn nchw_to_rcnb(threads: usize, shape: &TransShape, input: &[f32], output: &mut [f32]) {
-    let (b_tot, n_tot, h, w) = (shape.batch, shape.channels, shape.height, shape.width);
-    let planes: Vec<(usize, &mut [f32])> =
-        output.chunks_mut(w * n_tot * b_tot).enumerate().collect();
-    par_tasks(threads, planes, |(y, plane)| {
-        for x in 0..w {
-            for n in 0..n_tot {
-                for bi in 0..b_tot {
-                    plane[(x * n_tot + n) * b_tot + bi] = input[((bi * n_tot + n) * h + y) * w + x];
-                }
-            }
-        }
-    });
-}
-
-/// RCNB -> NCHW, parallel over `(b, n)` channel images.
-pub fn rcnb_to_nchw(threads: usize, shape: &TransShape, input: &[f32], output: &mut [f32]) {
-    let (b_tot, n_tot, h, w) = (shape.batch, shape.channels, shape.height, shape.width);
-    let imgs: Vec<(usize, &mut [f32])> = output.chunks_mut(h * w).enumerate().collect();
-    par_tasks(threads, imgs, |(img, out)| {
-        let bi = img / n_tot;
-        let n = img % n_tot;
-        for y in 0..h {
-            for x in 0..w {
-                out[y * w + x] = input[((y * w + x) * n_tot + n) * b_tot + bi];
-            }
-        }
-    });
-}
-
-// ---------------------------------------------------------------------
-// Pooling
-// ---------------------------------------------------------------------
-
-/// Pooling forward, parallel over output rows `(bc, oy)`. Max pooling
-/// records the strictly-greater first-max argmax exactly like the mesh;
-/// average pooling accumulates the clipped window in f64.
-pub fn pool_forward(
-    threads: usize,
-    shape: &PoolShape,
-    input: &[f32],
-    output: &mut [f32],
-    argmax: Option<&mut [f32]>,
-) {
-    let ow = shape.out_w();
-    match argmax {
-        Some(am) => {
-            let rows: Vec<(usize, &mut [f32], &mut [f32])> = output
-                .chunks_mut(ow)
-                .zip(am.chunks_mut(ow))
-                .enumerate()
-                .map(|(i, (o, a))| (i, o, a))
-                .collect();
-            par_tasks(threads, rows, |(item, orow, arow)| {
-                pool_forward_row(shape, input, item, orow, Some(arow));
-            });
-        }
-        None => {
-            let rows: Vec<(usize, &mut [f32])> = output.chunks_mut(ow).enumerate().collect();
-            par_tasks(threads, rows, |(item, orow)| {
-                pool_forward_row(shape, input, item, orow, None);
-            });
-        }
-    }
-}
-
-fn pool_forward_row(
-    shape: &PoolShape,
-    input: &[f32],
-    item: usize,
-    orow: &mut [f32],
-    arow: Option<&mut [f32]>,
-) {
-    let (ih, iw, k, s, p) = (shape.in_h, shape.in_w, shape.k, shape.stride, shape.pad);
-    let (oh, ow) = (shape.out_h(), shape.out_w());
-    let bc = item / oh;
-    let oy = item % oh;
-    let mut arow = arow;
-    for ox in 0..ow {
-        let x0 = (ox * s) as isize - p as isize;
-        match shape.method {
-            PoolMethod::Max => {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_i = 0usize;
-                for ky in 0..k {
-                    let y = (oy * s + ky) as isize - p as isize;
-                    if y < 0 || y as usize >= ih {
-                        continue;
-                    }
-                    let y = y as usize;
-                    for kx in 0..k {
-                        let x = x0 + kx as isize;
-                        if x < 0 || x as usize >= iw {
-                            continue;
-                        }
-                        let v = input[(bc * ih + y) * iw + x as usize];
-                        if v > best {
-                            best = v;
-                            best_i = y * iw + x as usize;
-                        }
-                    }
-                }
-                orow[ox] = if best == f32::NEG_INFINITY { 0.0 } else { best };
-                if let Some(a) = arow.as_mut() {
-                    a[ox] = best_i as f32;
-                }
-            }
-            PoolMethod::Average => {
-                let mut sum = 0.0f64;
-                let mut count = 0usize;
-                for ky in 0..k {
-                    let y = (oy * s + ky) as isize - p as isize;
-                    if y < 0 || y as usize >= ih {
-                        continue;
-                    }
-                    let y = y as usize;
-                    for kx in 0..k {
-                        let x = x0 + kx as isize;
-                        if x < 0 || x as usize >= iw {
-                            continue;
-                        }
-                        sum += input[(bc * ih + y) * iw + x as usize] as f64;
-                        count += 1;
-                    }
-                }
-                orow[ox] = if count > 0 {
-                    (sum / count as f64) as f32
-                } else {
-                    0.0
-                };
-            }
-        }
-    }
-}
-
-/// Pooling backward, parallel over input rows `(bc, y)`. Mirrors the
-/// mesh's per-row f32 accumulator and its `oy` window bounds.
-pub fn pool_backward(
-    threads: usize,
-    shape: &PoolShape,
-    out_grad: &[f32],
-    argmax: Option<&[f32]>,
-    in_grad: &mut [f32],
-) {
-    let (ih, iw, k, s, p) = (shape.in_h, shape.in_w, shape.k, shape.stride, shape.pad);
-    let (oh, ow) = (shape.out_h(), shape.out_w());
-    let rows: Vec<(usize, &mut [f32])> = in_grad.chunks_mut(iw).enumerate().collect();
-    par_tasks(threads, rows, |(item, row)| {
-        let bc = item / ih;
-        let y = item % ih;
-        row.fill(0.0);
-        let oy_lo = (y + p).saturating_sub(k - 1).div_ceil(s);
-        let oy_hi = ((y + p) / s).min(oh.saturating_sub(1));
-        for oy in oy_lo..=oy_hi {
-            let grow = &out_grad[(bc * oh + oy) * ow..][..ow];
-            match shape.method {
-                PoolMethod::Max => {
-                    let arow = &argmax.expect("max pool backward requires argmax")
-                        [(bc * oh + oy) * ow..][..ow];
-                    for ox in 0..ow {
-                        let idx = arow[ox] as usize;
-                        if idx / iw == y {
-                            row[idx % iw] += grow[ox];
-                        }
-                    }
-                }
-                PoolMethod::Average => {
-                    for (ox, g) in grow.iter().enumerate() {
-                        let x0 = (ox * s) as isize - p as isize;
-                        let y0 = (oy * s) as isize - p as isize;
-                        let mut count = 0usize;
-                        let mut covers_y = false;
-                        for ky in 0..k {
-                            let yy = y0 + ky as isize;
-                            if yy < 0 || yy as usize >= ih {
-                                continue;
-                            }
-                            if yy as usize == y {
-                                covers_y = true;
-                            }
-                            for kx in 0..k {
-                                let xx = x0 + kx as isize;
-                                if xx < 0 || xx as usize >= iw {
-                                    continue;
-                                }
-                                count += 1;
-                            }
-                        }
-                        if covers_y && count > 0 {
-                            let share = *g / count as f32;
-                            for kx in 0..k {
-                                let xx = x0 + kx as isize;
-                                if xx >= 0 && (xx as usize) < iw {
-                                    row[xx as usize] += share;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    });
-}
-
-// ---------------------------------------------------------------------
-// Batch normalisation
-// ---------------------------------------------------------------------
-
-/// BN forward (training): phase A computes per-channel statistics with
-/// the mesh's chunked f64 partial sums; phase B normalises each row with
-/// pure-f32 arithmetic reading the saved f32 mean/istd.
-#[allow(clippy::too_many_arguments)]
-pub fn bn_forward(
-    threads: usize,
-    batch: usize,
-    channels: usize,
-    spatial: usize,
-    eps: f32,
-    input: &[f32],
-    gamma: &[f32],
-    beta: &[f32],
-    output: &mut [f32],
-    save_mean: &mut [f32],
-    save_istd: &mut [f32],
-) {
-    let n_per_c = (batch * spatial) as f64;
-    let row_chunk = CHUNK.min(spatial.max(1));
-    let chans: Vec<(usize, &mut f32, &mut f32)> = save_mean
-        .iter_mut()
-        .zip(save_istd.iter_mut())
-        .enumerate()
-        .map(|(c, (m, i))| (c, m, i))
-        .collect();
-    par_tasks(threads, chans, |(c, sm, si)| {
-        let mut sum = 0.0f64;
-        let mut sq = 0.0f64;
-        for b in 0..batch {
-            let row = &input[(b * channels + c) * spatial..][..spatial];
-            let mut start = 0;
-            while start < spatial {
-                let n = row_chunk.min(spatial - start);
-                let mut s = 0.0f64;
-                let mut q = 0.0f64;
-                for v in &row[start..start + n] {
-                    let vd = *v as f64;
-                    s += vd;
-                    q += vd * vd;
-                }
-                sum += s;
-                sq += q;
-                start += n;
-            }
-        }
-        let mean = sum / n_per_c;
-        let var = (sq / n_per_c - mean * mean).max(0.0);
-        let istd = 1.0 / (var + eps as f64).sqrt();
-        *sm = mean as f32;
-        *si = istd as f32;
-    });
-    let (save_mean, save_istd) = (&*save_mean, &*save_istd);
-    let rows: Vec<(usize, &mut [f32])> = output.chunks_mut(spatial.max(1)).enumerate().collect();
-    par_tasks(threads, rows, |(row, orow)| {
-        let c = row % channels;
-        let (g, be, m, is) = (gamma[c], beta[c], save_mean[c], save_istd[c]);
-        let irow = &input[row * spatial..][..spatial];
-        for (o, v) in orow.iter_mut().zip(irow) {
-            *o = g * (*v - m) * is + be;
-        }
-    });
-}
-
-/// BN backward: phase A reduces dgamma/dbeta per channel (chunked f64
-/// partials, same order as the mesh); phase B forms the data gradient in
-/// f64 reading the *rounded f32* phase-A results, exactly as the mesh
-/// does after its cross-CPE exchange.
-#[allow(clippy::too_many_arguments)]
-pub fn bn_backward(
-    threads: usize,
-    batch: usize,
-    channels: usize,
-    spatial: usize,
-    input: &[f32],
-    gamma: &[f32],
-    out_grad: &[f32],
-    save_mean: &[f32],
-    save_istd: &[f32],
-    in_grad: &mut [f32],
-    gamma_grad: &mut [f32],
-    beta_grad: &mut [f32],
-) {
-    let n_per_c = (batch * spatial) as f64;
-    let row_chunk = CHUNK.min(spatial.max(1));
-    let chans: Vec<(usize, &mut f32, &mut f32)> = gamma_grad
-        .iter_mut()
-        .zip(beta_grad.iter_mut())
-        .enumerate()
-        .map(|(c, (g, b))| (c, g, b))
-        .collect();
-    par_tasks(threads, chans, |(c, dgc, dbc)| {
-        let m = save_mean[c] as f64;
-        let is = save_istd[c] as f64;
-        let mut dg = 0.0f64;
-        let mut db = 0.0f64;
-        for b in 0..batch {
-            let base = (b * channels + c) * spatial;
-            let xrow = &input[base..base + spatial];
-            let grow = &out_grad[base..base + spatial];
-            let mut start = 0;
-            while start < spatial {
-                let n = row_chunk.min(spatial - start);
-                let mut a = 0.0f64;
-                let mut bb = 0.0f64;
-                for i in start..start + n {
-                    let xhat = (xrow[i] as f64 - m) * is;
-                    a += grow[i] as f64 * xhat;
-                    bb += grow[i] as f64;
-                }
-                dg += a;
-                db += bb;
-                start += n;
-            }
-        }
-        *dgc = dg as f32;
-        *dbc = db as f32;
-    });
-    let (gamma_grad, beta_grad) = (&*gamma_grad, &*beta_grad);
-    let rows: Vec<(usize, &mut [f32])> = in_grad.chunks_mut(spatial.max(1)).enumerate().collect();
-    par_tasks(threads, rows, |(row, drow)| {
-        let c = row % channels;
-        let m = save_mean[c] as f64;
-        let is = save_istd[c] as f64;
-        let scale = gamma[c] as f64 * save_istd[c] as f64 / n_per_c;
-        let dg = gamma_grad[c] as f64;
-        let db = beta_grad[c] as f64;
-        let base = row * spatial;
-        let xrow = &input[base..base + spatial];
-        let grow = &out_grad[base..base + spatial];
-        for (i, d) in drow.iter_mut().enumerate() {
-            let xhat = (xrow[i] as f64 - m) * is;
-            let v = scale * (n_per_c * grow[i] as f64 - db - xhat * dg);
-            *d = v as f32;
-        }
-    });
-}
-
-/// BN inference: normalise with running statistics, f64 per element.
-#[allow(clippy::too_many_arguments)]
-pub fn bn_inference(
-    threads: usize,
-    batch: usize,
-    channels: usize,
-    spatial: usize,
-    eps: f32,
-    input: &[f32],
-    gamma: &[f32],
-    beta: &[f32],
-    mean: &[f32],
-    var: &[f32],
-    output: &mut [f32],
-) {
-    let _ = batch;
-    let rows: Vec<(usize, &mut [f32])> = output.chunks_mut(spatial.max(1)).enumerate().collect();
-    par_tasks(threads, rows, |(row, orow)| {
-        let c = row % channels;
-        let istd = 1.0 / (var[c] as f64 + eps as f64).sqrt();
-        let irow = &input[row * spatial..][..spatial];
-        for (o, v) in orow.iter_mut().zip(irow) {
-            *o = (gamma[c] as f64 * (*v as f64 - mean[c] as f64) * istd + beta[c] as f64) as f32;
-        }
-    });
-}
-
-/// Fused bias + BN-inference + ReLU epilogue over a conv output tensor
-/// (in place), mirroring `fused::forward`'s mesh epilogue: f32 bias add,
-/// f64 BN transform rounded to f32, ReLU max on the rounded value.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_epilogue(
-    threads: usize,
-    batch: usize,
-    channels: usize,
-    spatial: usize,
-    eps: f32,
-    bias: Option<&[f32]>,
-    gamma: &[f32],
-    beta: &[f32],
-    mean: &[f32],
-    var: &[f32],
-    data: &mut [f32],
-) {
-    let _ = batch;
-    let rows: Vec<(usize, &mut [f32])> = data.chunks_mut(spatial.max(1)).enumerate().collect();
-    par_tasks(threads, rows, |(row, drow)| {
-        let c = row % channels;
-        let istd = 1.0 / (var[c] as f64 + eps as f64).sqrt();
-        for val in drow.iter_mut() {
-            let mut t = *val;
-            if let Some(b) = bias {
-                t += b[c];
-            }
-            let u = (gamma[c] as f64 * (t as f64 - mean[c] as f64) * istd + beta[c] as f64) as f32;
-            *val = u.max(0.0);
-        }
-    });
-}
-
-// ---------------------------------------------------------------------
-// Softmax + cross-entropy
-// ---------------------------------------------------------------------
-
-/// Softmax forward, parallel per image. The exp sum accumulates the
-/// *unrounded* f64 exponentials while the row stores their f32
-/// roundings — the mesh does the same, so this is bit-exact.
-pub fn softmax_forward(
-    threads: usize,
-    batch: usize,
-    classes: usize,
-    logits: &[f32],
-    labels: &[f32],
-    probs: &mut [f32],
-    losses: &mut [f32],
-) {
-    let _ = batch;
-    let rows: Vec<(usize, &mut [f32], &mut f32)> = probs
-        .chunks_mut(classes)
-        .zip(losses.iter_mut())
-        .enumerate()
-        .map(|(b, (p, l))| (b, p, l))
-        .collect();
-    par_tasks(threads, rows, |(b, prow, loss)| {
-        prow.copy_from_slice(&logits[b * classes..][..classes]);
-        let max = prow.iter().cloned().fold(f32::NEG_INFINITY, f32::max) as f64;
-        let mut sum = 0.0f64;
-        for v in prow.iter_mut() {
-            let e = ((*v as f64) - max).exp();
-            *v = e as f32;
-            sum += e;
-        }
-        for v in prow.iter_mut() {
-            *v = (*v as f64 / sum) as f32;
-        }
-        let label = labels[b] as usize;
-        assert!(
-            label < classes,
-            "label {label} out of range for {classes} classes"
-        );
-        *loss = (-((prow[label].max(f32::MIN_POSITIVE) as f64).ln())) as f32;
-    });
-}
-
-/// Softmax backward: `(p - onehot) * loss_weight`, pure f32.
-pub fn softmax_backward(
-    threads: usize,
-    batch: usize,
-    classes: usize,
-    loss_weight: f32,
-    probs: &[f32],
-    labels: &[f32],
-    in_grad: &mut [f32],
-) {
-    let _ = batch;
-    let rows: Vec<(usize, &mut [f32])> = in_grad.chunks_mut(classes).enumerate().collect();
-    par_tasks(threads, rows, |(b, drow)| {
-        let label = labels[b] as usize;
-        let prow = &probs[b * classes..][..classes];
-        for (j, d) in drow.iter_mut().enumerate() {
-            let onehot = if j == label { 1.0 } else { 0.0 };
-            *d = (prow[j] - onehot) * loss_weight;
-        }
-    });
-}
-
-// ---------------------------------------------------------------------
-// Local response normalisation
-// ---------------------------------------------------------------------
-
-/// LRN forward, parallel per batch image; per-element arithmetic is
-/// shared with the mesh via `lrn::scale_at`.
-#[allow(clippy::too_many_arguments)]
-pub fn lrn_forward(
-    threads: usize,
-    batch: usize,
-    channels: usize,
-    height: usize,
-    width: usize,
-    p: LrnParams,
-    input: &[f32],
-    output: &mut [f32],
-) {
-    let _ = batch;
-    let per_img = channels * height * width;
-    let imgs: Vec<(usize, &mut [f32])> = output.chunks_mut(per_img.max(1)).enumerate().collect();
-    par_tasks(threads, imgs, |(bi, out)| {
-        for row in 0..height {
-            for xi in 0..width {
-                let get =
-                    |j: usize| input[((bi * channels + j) * height + row) * width + xi] as f64;
-                for c in 0..channels {
-                    let scale = lrn::scale_at(&p, channels, &get, c);
-                    out[(c * height + row) * width + xi] =
-                        (get(c) * scale.powf(-(p.beta as f64))) as f32;
-                }
-            }
-        }
-    });
-}
-
-/// LRN backward, parallel per batch image.
-#[allow(clippy::too_many_arguments)]
-pub fn lrn_backward(
-    threads: usize,
-    batch: usize,
-    channels: usize,
-    height: usize,
-    width: usize,
-    p: LrnParams,
-    input: &[f32],
-    out_grad: &[f32],
-    in_grad: &mut [f32],
-) {
-    let _ = batch;
-    let per_img = channels * height * width;
-    let half = p.local_size / 2;
-    let imgs: Vec<(usize, &mut [f32])> = in_grad.chunks_mut(per_img.max(1)).enumerate().collect();
-    par_tasks(threads, imgs, |(bi, dimg)| {
-        for row in 0..height {
-            for xi in 0..width {
-                let get =
-                    |j: usize| input[((bi * channels + j) * height + row) * width + xi] as f64;
-                let gs = |j: usize| out_grad[((bi * channels + j) * height + row) * width + xi];
-                for c in 0..channels {
-                    let scale_c = lrn::scale_at(&p, channels, &get, c);
-                    let mut v = gs(c) as f64 * scale_c.powf(-(p.beta as f64));
-                    let lo = c.saturating_sub(half);
-                    let hi = (c + half).min(channels - 1);
-                    for j in lo..=hi {
-                        let scale_j = lrn::scale_at(&p, channels, &get, j);
-                        let yj = get(j) * scale_j.powf(-(p.beta as f64));
-                        v -= 2.0 * p.alpha as f64 * p.beta as f64 / p.local_size as f64
-                            * get(c)
-                            * gs(j) as f64
-                            * yj
-                            / scale_j;
-                    }
-                    dimg[(c * height + row) * width + xi] = v as f32;
-                }
-            }
-        }
-    });
-}
-
-// ---------------------------------------------------------------------
-// Element-wise / reduction kernels
-// ---------------------------------------------------------------------
-
-/// Per-element map `y[i] = f(x[i])`, parallel over `CHUNK`-sized pieces.
-pub fn unary_map(threads: usize, x: &[f32], y: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
-    let chunks: Vec<(usize, &mut [f32])> = y.chunks_mut(CHUNK).enumerate().collect();
-    par_tasks(threads, chunks, |(ci, chunk)| {
-        let base = ci * CHUNK;
-        for (i, o) in chunk.iter_mut().enumerate() {
-            *o = f(x[base + i]);
-        }
-    });
-}
-
-/// Per-element map `out[i] = f(a[i], b[i])`.
-pub fn binary_map(
-    threads: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    f: impl Fn(f32, f32) -> f32 + Sync,
-) {
-    let chunks: Vec<(usize, &mut [f32])> = out.chunks_mut(CHUNK).enumerate().collect();
-    par_tasks(threads, chunks, |(ci, chunk)| {
-        let base = ci * CHUNK;
-        for (i, o) in chunk.iter_mut().enumerate() {
-            *o = f(a[base + i], b[base + i]);
-        }
-    });
-}
-
-/// `y[i] += alpha * x[i]`, pure f32.
-pub fn axpy(threads: usize, alpha: f32, x: &[f32], y: &mut [f32]) {
-    let chunks: Vec<(usize, &mut [f32])> = y.chunks_mut(CHUNK).enumerate().collect();
-    par_tasks(threads, chunks, |(ci, chunk)| {
-        let base = ci * CHUNK;
-        for (i, o) in chunk.iter_mut().enumerate() {
-            *o += alpha * x[base + i];
-        }
-    });
-}
-
-/// `x[i] *= alpha`, pure f32.
-pub fn scale(threads: usize, alpha: f32, x: &mut [f32]) {
-    let chunks: Vec<(usize, &mut [f32])> = x.chunks_mut(CHUNK).enumerate().collect();
-    par_tasks(threads, chunks, |(_ci, chunk)| {
-        for o in chunk.iter_mut() {
-            *o *= alpha;
-        }
-    });
-}
-
-/// Per-channel bias add on NCHW data (in place).
-pub fn bias_forward(
-    threads: usize,
-    batch: usize,
-    channels: usize,
-    spatial: usize,
-    bias: &[f32],
-    data: &mut [f32],
-) {
-    let _ = batch;
-    let rows: Vec<(usize, &mut [f32])> = data.chunks_mut(spatial.max(1)).enumerate().collect();
-    par_tasks(threads, rows, |(row, drow)| {
-        let b = bias[row % channels];
-        for v in drow.iter_mut() {
-            *v += b;
-        }
-    });
-}
-
-/// Per-channel bias gradient: chunked f64 reduction in the mesh's order.
-pub fn bias_backward(
-    threads: usize,
-    batch: usize,
-    channels: usize,
-    spatial: usize,
-    dy: &[f32],
-    db: &mut [f32],
-) {
-    let row_chunk = CHUNK.min(spatial.max(1));
-    let chans: Vec<(usize, &mut f32)> = db.iter_mut().enumerate().collect();
-    par_tasks(threads, chans, |(c, out)| {
-        let mut acc = 0.0f64;
-        for b in 0..batch {
-            let row = &dy[(b * channels + c) * spatial..][..spatial];
-            let mut start = 0;
-            while start < spatial {
-                let n = row_chunk.min(spatial - start);
-                acc += row[start..start + n].iter().map(|v| *v as f64).sum::<f64>();
-                start += n;
-            }
-        }
-        *out = acc as f32;
-    });
-}
-
-/// Per-row bias add: `data[r][c] += bias[c]`.
-pub fn bias_rows(threads: usize, rows: usize, row_len: usize, bias: &[f32], data: &mut [f32]) {
-    let _ = rows;
-    let tasks: Vec<(usize, &mut [f32])> = data.chunks_mut(row_len.max(1)).enumerate().collect();
-    par_tasks(threads, tasks, |(_r, drow)| {
-        for (v, b) in drow.iter_mut().zip(bias) {
-            *v += *b;
-        }
-    });
-}
-
-/// Column sums of an `(rows x cols)` matrix: per-column running f32 sum
-/// over ascending rows (what the mesh's row-group streaming reduces to).
-pub fn col_sums(threads: usize, rows: usize, cols: usize, m: &[f32], out: &mut [f32]) {
-    let tasks: Vec<(usize, &mut f32)> = out.iter_mut().enumerate().collect();
-    par_tasks(threads, tasks, |(c, o)| {
-        let mut acc = 0.0f32;
-        for r in 0..rows {
-            acc += m[r * cols + c];
-        }
-        *o = acc;
-    });
-}
-
-/// Strided block copy (pure movement; serial — it is memory-bound).
-#[allow(clippy::too_many_arguments)]
-pub fn copy_blocks(
-    block_len: usize,
-    nblocks: usize,
-    src: &[f32],
-    src_off: usize,
-    src_stride: usize,
-    dst: &mut [f32],
-    dst_off: usize,
-    dst_stride: usize,
-) {
-    for blk in 0..nblocks {
-        dst[dst_off + blk * dst_stride..][..block_len]
-            .copy_from_slice(&src[src_off + blk * src_stride..][..block_len]);
-    }
-}
-
-/// Sum of squares with the mesh's 64-lane schedule: each lane owns every
-/// 64th `CHUNK`, reduces in f64, rounds its partial to f32; the partials
-/// are then summed in f64 in lane order.
-pub fn sumsq(threads: usize, x: &[f32]) -> f64 {
-    let mut partials = [0.0f32; 64];
-    let lanes: Vec<(usize, &mut f32)> = partials.iter_mut().enumerate().collect();
-    par_tasks(threads, lanes, |(l, out)| {
-        let mut acc = 0.0f64;
-        let mut start = l * CHUNK;
-        while start < x.len() {
-            let n = CHUNK.min(x.len() - start);
-            acc += x[start..start + n]
-                .iter()
-                .map(|v| *v as f64 * *v as f64)
-                .sum::<f64>();
-            start += 64 * CHUNK;
-        }
-        *out = acc as f32;
-    });
-    partials.iter().map(|v| *v as f64).sum::<f64>()
 }

@@ -6,10 +6,16 @@
 //! autotuning strategy, tensor layout transformation, pooling, and the
 //! element-wise / normalisation kernels the five benchmark networks need.
 //!
-//! Every kernel has two faces kept in lock-step by tests:
-//! a *functional* mesh execution on the `sw26010` simulator (checked
-//! against the scalar oracles in [`mod@reference`]) and an *analytic timing
-//! model* used when the core group runs in timing-only mode.
+//! Every kernel runs under three interpreters, picked per launch by
+//! `swbackend::dispatch`: a *functional* mesh execution on the `sw26010`
+//! simulator, a *host-native* execution on the host's own cores, and an
+//! *analytic timing model* used when the core group runs in timing-only
+//! mode. The mesh and host paths of every non-GEMM kernel call one shared
+//! per-item function, so they agree bit for bit by construction; the GEMM
+//! family's host side ([`mod@host`]) agrees with the mesh by written
+//! contract. Both are checked against the scalar oracles in
+//! [`mod@reference`] and against inline f64 oracles, and the timing models
+//! against mesh execution.
 
 pub mod bn;
 pub mod conv;
@@ -37,6 +43,14 @@ pub use shapes::{ConvShape, GemmDims, PoolMethod, PoolShape, ShapeError, Trans};
 
 use sw26010::arch::{CPE_DP_FLOPS_PER_CYCLE, KERNEL_COMPUTE_EFFICIENCY};
 use sw26010::{CoreGroup, LaunchReport, SimTime};
+
+/// Both functional backends: the unit tests run each kernel on both
+/// against their independent oracles.
+#[cfg(test)]
+pub(crate) const FUNCTIONAL_MODES: [sw26010::ExecMode; 2] = [
+    sw26010::ExecMode::Functional,
+    sw26010::ExecMode::HostNative { threads: 2 },
+];
 
 /// Duration of `flops` vector operations at the tuned-kernel rate — the
 /// unit the per-kernel timing models are built from.

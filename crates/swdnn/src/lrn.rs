@@ -9,6 +9,7 @@
 //! window is entirely LDM-resident.
 
 use sw26010::{dma, CoreGroup, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
+use swbackend::par_tasks;
 
 /// LRN hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -56,7 +57,9 @@ pub fn backward_plan(channels: usize, width: usize) -> KernelPlan {
         .buffer("ds", channels * wc * 4)
 }
 
-pub(crate) fn scale_at(p: &LrnParams, channels: usize, xs: &dyn Fn(usize) -> f64, c: usize) -> f64 {
+/// `k + (alpha / n) * sum_{j in window(c)} x_j^2` at one pixel, reading
+/// channel `j` of the pixel's fibre through `xs(j)`.
+pub(crate) fn scale_at(p: &LrnParams, channels: usize, xs: impl Fn(usize) -> f64, c: usize) -> f64 {
     let half = p.local_size / 2;
     let lo = c.saturating_sub(half);
     let hi = (c + half).min(channels - 1);
@@ -66,6 +69,41 @@ pub(crate) fn scale_at(p: &LrnParams, channels: usize, xs: &dyn Fn(usize) -> f64
         acc += v * v;
     }
     p.k as f64 + p.alpha as f64 / p.local_size as f64 * acc
+}
+
+/// `y_c` at one pixel, the forward arithmetic both backends run.
+pub(crate) fn forward_at(
+    p: &LrnParams,
+    channels: usize,
+    xs: impl Fn(usize) -> f64,
+    c: usize,
+) -> f32 {
+    let scale = scale_at(p, channels, &xs, c);
+    (xs(c) * scale.powf(-(p.beta as f64))) as f32
+}
+
+/// `dx_c` at one pixel from the fibres `xs` of the input and `gs` of the
+/// output gradient, the backward arithmetic both backends run: the
+/// direct term plus a cross term for every `j` whose window contains `c`.
+pub(crate) fn backward_at(
+    p: &LrnParams,
+    channels: usize,
+    xs: impl Fn(usize) -> f64,
+    gs: impl Fn(usize) -> f32,
+    c: usize,
+) -> f32 {
+    let half = p.local_size / 2;
+    let scale_c = scale_at(p, channels, &xs, c);
+    let mut v = gs(c) as f64 * scale_c.powf(-(p.beta as f64));
+    let lo = c.saturating_sub(half);
+    let hi = (c + half).min(channels - 1);
+    for j in lo..=hi {
+        let scale_j = scale_at(p, channels, &xs, j);
+        let yj = xs(j) * scale_j.powf(-(p.beta as f64));
+        v -= 2.0 * p.alpha as f64 * p.beta as f64 / p.local_size as f64 * xs(c) * gs(j) as f64 * yj
+            / scale_j;
+    }
+    v as f32
 }
 
 /// LRN forward over an NCHW tensor.
@@ -88,8 +126,20 @@ pub fn forward(
     let len = batch * channels * height * width;
     assert_eq!(input.len(), len);
     assert_eq!(output.len(), len);
+    let per_img = channels * height * width;
     if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
-        crate::host::lrn_forward(threads, batch, channels, height, width, p, input, output);
+        let imgs: Vec<_> = output.chunks_mut(per_img.max(1)).enumerate().collect();
+        par_tasks(threads, imgs, |(bi, out)| {
+            let x = &input[bi * per_img..];
+            for row in 0..height {
+                for xi in 0..width {
+                    let xs = |j: usize| x[(j * height + row) * width + xi] as f64;
+                    for c in 0..channels {
+                        out[(c * height + row) * width + xi] = forward_at(&p, channels, xs, c);
+                    }
+                }
+            }
+        });
         return LaunchReport::default();
     }
     let x = MemView::new(input);
@@ -117,10 +167,9 @@ pub fn forward(
                 );
                 cpe.compute((channels * n * (p.local_size + 10)) as u64, || {
                     for xi in 0..n {
+                        let x = |j: usize| xs[j * n + xi] as f64;
                         for c in 0..channels {
-                            let get = |j: usize| xs[j * n + xi] as f64;
-                            let scale = scale_at(&p, channels, &get, c);
-                            ys[c * n + xi] = (get(c) * scale.powf(-(p.beta as f64))) as f32;
+                            ys[c * n + xi] = forward_at(&p, channels, x, c);
                         }
                     }
                 });
@@ -160,10 +209,21 @@ pub fn backward(
     assert_eq!(input.len(), len);
     assert_eq!(out_grad.len(), len);
     assert_eq!(in_grad.len(), len);
+    let per_img = channels * height * width;
     if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
-        crate::host::lrn_backward(
-            threads, batch, channels, height, width, p, input, out_grad, in_grad,
-        );
+        let imgs: Vec<_> = in_grad.chunks_mut(per_img.max(1)).enumerate().collect();
+        par_tasks(threads, imgs, |(bi, dimg)| {
+            let (x, dy) = (&input[bi * per_img..], &out_grad[bi * per_img..]);
+            for row in 0..height {
+                for xi in 0..width {
+                    let at = |j: usize| (j * height + row) * width + xi;
+                    let (xs, gs) = (|j| x[at(j)] as f64, |j| dy[at(j)]);
+                    for c in 0..channels {
+                        dimg[at(c)] = backward_at(&p, channels, xs, gs, c);
+                    }
+                }
+            }
+        });
         return LaunchReport::default();
     }
     let x = MemView::new(input);
@@ -200,25 +260,10 @@ pub fn backward(
                     &mut gs[..channels * n],
                 );
                 cpe.compute((channels * n * (2 * p.local_size + 15)) as u64, || {
-                    let half = p.local_size / 2;
                     for xi in 0..n {
-                        let get = |j: usize| xs[j * n + xi] as f64;
+                        let (x, g) = (|j: usize| xs[j * n + xi] as f64, |j: usize| gs[j * n + xi]);
                         for c in 0..channels {
-                            let scale_c = scale_at(&p, channels, &get, c);
-                            let mut v = gs[c * n + xi] as f64 * scale_c.powf(-(p.beta as f64));
-                            // Cross terms: every j whose window contains c.
-                            let lo = c.saturating_sub(half);
-                            let hi = (c + half).min(channels - 1);
-                            for j in lo..=hi {
-                                let scale_j = scale_at(&p, channels, &get, j);
-                                let yj = get(j) * scale_j.powf(-(p.beta as f64));
-                                v -= 2.0 * p.alpha as f64 * p.beta as f64 / p.local_size as f64
-                                    * get(c)
-                                    * gs[j * n + xi] as f64
-                                    * yj
-                                    / scale_j;
-                            }
-                            ds[c * n + xi] = v as f32;
+                            ds[c * n + xi] = backward_at(&p, channels, x, g, c);
                         }
                     }
                 });
@@ -262,16 +307,23 @@ mod tests {
             .collect()
     }
 
+    /// Independent f64 oracle of the forward pass, straight from the
+    /// definition in the module doc (shares no code with the kernels).
     fn host_forward(b: usize, c: usize, h: usize, w: usize, p: &LrnParams, x: &[f32]) -> Vec<f32> {
+        let at = |bi: usize, ci: usize, yi: usize, xi: usize| ((bi * c + ci) * h + yi) * w + xi;
+        let half = (p.local_size / 2) as isize;
         let mut y = vec![0.0f32; x.len()];
         for bi in 0..b {
             for yi in 0..h {
                 for xi in 0..w {
                     for ci in 0..c {
-                        let get = |j: usize| x[((bi * c + j) * h + yi) * w + xi] as f64;
-                        let scale = scale_at(p, c, &get, ci);
-                        y[((bi * c + ci) * h + yi) * w + xi] =
-                            (get(ci) * scale.powf(-(p.beta as f64))) as f32;
+                        let sumsq: f64 = (ci as isize - half..=ci as isize + half)
+                            .filter(|j| (0..c as isize).contains(j))
+                            .map(|j| (x[at(bi, j as usize, yi, xi)] as f64).powi(2))
+                            .sum();
+                        let scale = p.k as f64 + p.alpha as f64 / p.local_size as f64 * sumsq;
+                        y[at(bi, ci, yi, xi)] =
+                            (x[at(bi, ci, yi, xi)] as f64 / scale.powf(p.beta as f64)) as f32;
                     }
                 }
             }
@@ -285,16 +337,18 @@ mod tests {
         let p = LrnParams::default();
         let x = pattern(b * c * h * w, 1);
         let want = host_forward(b, c, h, w, &p, &x);
-        let mut got = vec![0.0; x.len()];
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        forward(&mut cg, b, c, h, w, p, Some((&x, &mut got)));
-        for i in 0..x.len() {
-            assert!(
-                (got[i] - want[i]).abs() < 1e-5,
-                "elem {i}: {} vs {}",
-                got[i],
-                want[i]
-            );
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut cg = CoreGroup::new(mode);
+            let mut got = vec![0.0; x.len()];
+            forward(&mut cg, b, c, h, w, p, Some((&x, &mut got)));
+            for i in 0..x.len() {
+                assert!(
+                    (got[i] - want[i]).abs() < 1e-5,
+                    "elem {i}: {} vs {}",
+                    got[i],
+                    want[i]
+                );
+            }
         }
     }
 
@@ -316,24 +370,26 @@ mod tests {
                 .map(|(a, g)| *a as f64 * *g as f64)
                 .sum()
         };
-        let mut dx = vec![0.0; x.len()];
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        backward(&mut cg, b, c, h, w, p, Some((&x, &dy, &mut dx)));
-        let hh = 1e-3f32;
-        let mut xp = x.clone();
-        for idx in [0usize, 5, 17, 30] {
-            let orig = xp[idx];
-            xp[idx] = orig + hh;
-            let up = loss(&xp);
-            xp[idx] = orig - hh;
-            let down = loss(&xp);
-            xp[idx] = orig;
-            let fd = (up - down) / (2.0 * hh as f64);
-            assert!(
-                (fd - dx[idx] as f64).abs() < 1e-3,
-                "dx[{idx}]: fd {fd} vs {}",
-                dx[idx]
-            );
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut cg = CoreGroup::new(mode);
+            let mut dx = vec![0.0; x.len()];
+            backward(&mut cg, b, c, h, w, p, Some((&x, &dy, &mut dx)));
+            let hh = 1e-3f32;
+            let mut xp = x.clone();
+            for idx in [0usize, 5, 17, 30] {
+                let orig = xp[idx];
+                xp[idx] = orig + hh;
+                let up = loss(&xp);
+                xp[idx] = orig - hh;
+                let down = loss(&xp);
+                xp[idx] = orig;
+                let fd = (up - down) / (2.0 * hh as f64);
+                assert!(
+                    (fd - dx[idx] as f64).abs() < 1e-3,
+                    "dx[{idx}]: fd {fd} vs {}",
+                    dx[idx]
+                );
+            }
         }
     }
 
@@ -345,11 +401,13 @@ mod tests {
         let p = LrnParams::default();
         let x = pattern(b * c * h * w, 7);
         let want = host_forward(b, c, h, w, &p, &x);
-        let mut got = vec![0.0; x.len()];
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        forward(&mut cg, b, c, h, w, p, Some((&x, &mut got)));
-        for i in 0..x.len() {
-            assert!((got[i] - want[i]).abs() < 1e-5);
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut cg = CoreGroup::new(mode);
+            let mut got = vec![0.0; x.len()];
+            forward(&mut cg, b, c, h, w, p, Some((&x, &mut got)));
+            for i in 0..x.len() {
+                assert!((got[i] - want[i]).abs() < 1e-5);
+            }
         }
     }
 

@@ -10,7 +10,10 @@
 //! Backward items are keyed on *input* rows so the overlapping-window
 //! scatter (AlexNet pools with K=3, S=2) never collides across CPEs.
 
+use std::ops::Range;
+
 use sw26010::{dma, CoreGroup, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
+use swbackend::par_tasks;
 
 use crate::shapes::{PoolMethod, PoolShape};
 
@@ -71,100 +74,54 @@ pub fn forward(
     let ops = ops.expect("functional pooling requires operands");
     assert_eq!(ops.input.len(), shape.input_len());
     assert_eq!(ops.output.len(), shape.output_len());
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
-        if let Some(ref m) = ops.argmax {
-            assert_eq!(m.len(), shape.output_len(), "argmax size");
-        }
-        if matches!(shape.method, PoolMethod::Max) {
-            assert!(
-                ops.argmax.is_some(),
-                "max pooling forward needs an argmax buffer"
-            );
-        }
-        crate::host::pool_forward(threads, shape, ops.input, ops.output, ops.argmax);
-        return LaunchReport::default();
-    }
+    check_argmax(
+        shape,
+        ops.argmax.as_deref(),
+        "forward needs an argmax buffer",
+    );
     let s = *shape;
     let (ih, iw, oh, ow) = (s.in_h, s.in_w, s.out_h(), s.out_w());
-    let input = MemView::new(ops.input);
-    let output = MemViewMut::new(ops.output);
-    let argmax = ops.argmax.map(|m| {
-        assert_eq!(m.len(), s.output_len(), "argmax size");
-        MemViewMut::new(m)
-    });
-    if matches!(s.method, PoolMethod::Max) {
-        assert!(
-            argmax.is_some(),
-            "max pooling forward needs an argmax buffer"
-        );
+    let input = ops.input;
+    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+        let mut arows = ops.argmax.map(|am| am.chunks_mut(ow));
+        let rows: Vec<_> = ops
+            .output
+            .chunks_mut(ow)
+            .map(|orow| (orow, arows.as_mut().and_then(Iterator::next)))
+            .enumerate()
+            .collect();
+        par_tasks(threads, rows, |(item, (orow, arow))| {
+            let (bc, oy) = (item / oh, item % oh);
+            let row = |y: usize| &input[(bc * ih + y) * iw..][..iw];
+            forward_row(&s, oy, row, orow, arow);
+        });
+        return LaunchReport::default();
     }
+    let input = MemView::new(input);
+    let output = MemViewMut::new(ops.output);
+    let argmax = ops.argmax.map(MemViewMut::new);
     let items = s.batch * s.channels * oh;
 
     cg.run_planned(&forward_plan(&s), move |cpe| {
         let mut rows: Vec<_> = (0..s.k).map(|_| cpe.ldm.alloc_f32(iw)).collect();
         let mut out_row = cpe.ldm.alloc_f32(ow);
         let mut am_row = cpe.ldm.alloc_f32(ow);
-        let mut valid = vec![false; s.k];
         let mut item = cpe.idx();
         while item < items {
-            let bc = item / oh;
-            let oy = item % oh;
-            for (ky, row) in rows.iter_mut().enumerate() {
-                let y = (oy * s.stride + ky) as isize - s.pad as isize;
-                valid[ky] = y >= 0 && (y as usize) < ih;
-                if valid[ky] {
-                    cpe.dma_get(input, (bc * ih + y as usize) * iw, row);
-                }
+            let (bc, oy) = (item / oh, item % oh);
+            // Window row `ky` is staged in `rows[ky]`.
+            let ky = |y: usize| y + s.pad - oy * s.stride;
+            for y in span(&s, oy, ih) {
+                cpe.dma_get(input, (bc * ih + y) * iw, &mut rows[ky(y)]);
             }
             cpe.compute((ow * s.k * s.k) as u64, || {
-                for ox in 0..ow {
-                    let x0 = (ox * s.stride) as isize - s.pad as isize;
-                    match s.method {
-                        PoolMethod::Max => {
-                            let mut best = f32::NEG_INFINITY;
-                            let mut best_i = 0usize;
-                            for ky in 0..s.k {
-                                if !valid[ky] {
-                                    continue;
-                                }
-                                let y = (oy * s.stride + ky) - s.pad;
-                                for kx in 0..s.k {
-                                    let x = x0 + kx as isize;
-                                    if x >= 0 && (x as usize) < iw {
-                                        let v = rows[ky][x as usize];
-                                        if v > best {
-                                            best = v;
-                                            best_i = y * iw + x as usize;
-                                        }
-                                    }
-                                }
-                            }
-                            out_row[ox] = if best == f32::NEG_INFINITY { 0.0 } else { best };
-                            am_row[ox] = best_i as f32;
-                        }
-                        PoolMethod::Average => {
-                            let mut sum = 0.0f64;
-                            let mut count = 0usize;
-                            for ky in 0..s.k {
-                                if !valid[ky] {
-                                    continue;
-                                }
-                                for kx in 0..s.k {
-                                    let x = x0 + kx as isize;
-                                    if x >= 0 && (x as usize) < iw {
-                                        sum += rows[ky][x as usize] as f64;
-                                        count += 1;
-                                    }
-                                }
-                            }
-                            out_row[ox] = if count > 0 {
-                                (sum / count as f64) as f32
-                            } else {
-                                0.0
-                            };
-                        }
-                    }
-                }
+                forward_row(
+                    &s,
+                    oy,
+                    |y| &rows[ky(y)][..],
+                    &mut out_row,
+                    Some(&mut am_row),
+                );
             });
             cpe.dma_put(output, (bc * oh + oy) * ow, &out_row);
             if let Some(am) = argmax {
@@ -173,6 +130,77 @@ pub fn forward(
             item += 64;
         }
     })
+}
+
+/// The operand checks both backends share: an argmax buffer, where one
+/// is given, covers the output, and max pooling has one.
+fn check_argmax(shape: &PoolShape, argmax: Option<&[f32]>, missing: &str) {
+    if let Some(am) = argmax {
+        assert_eq!(am.len(), shape.output_len(), "argmax size");
+    }
+    if matches!(shape.method, PoolMethod::Max) {
+        assert!(argmax.is_some(), "max pooling {missing}");
+    }
+}
+
+/// The in-image part `lo..hi` of the window of output coordinate `o`
+/// along an input axis of `extent`: `o*S - P .. o*S - P + K`, clipped.
+fn span(s: &PoolShape, o: usize, extent: usize) -> Range<usize> {
+    let start = o * s.stride;
+    start.saturating_sub(s.pad)..(start + s.k).saturating_sub(s.pad).min(extent)
+}
+
+/// One output row of pooling forward, the arithmetic both backends run.
+/// `row(y)` is input row `y` of the channel image (asked only for rows
+/// under the window). Max pooling keeps the strictly-greater first
+/// maximum and, given an `argmax` row, its index into the channel
+/// image; average pooling divides the clipped window's f64 sum by its
+/// size.
+pub(crate) fn forward_row<'a>(
+    s: &PoolShape,
+    oy: usize,
+    row: impl Fn(usize) -> &'a [f32],
+    out: &mut [f32],
+    mut argmax: Option<&mut [f32]>,
+) {
+    let rows = span(s, oy, s.in_h);
+    for (ox, o) in out.iter_mut().enumerate() {
+        let cols = span(s, ox, s.in_w);
+        match s.method {
+            PoolMethod::Max => {
+                let mut best = f32::NEG_INFINITY;
+                let mut best_i = 0usize;
+                for y in rows.clone() {
+                    let r = row(y);
+                    for x in cols.clone() {
+                        if r[x] > best {
+                            best = r[x];
+                            best_i = y * s.in_w + x;
+                        }
+                    }
+                }
+                *o = if best == f32::NEG_INFINITY { 0.0 } else { best };
+                if let Some(am) = argmax.as_deref_mut() {
+                    am[ox] = best_i as f32;
+                }
+            }
+            PoolMethod::Average => {
+                let mut sum = 0.0f64;
+                for y in rows.clone() {
+                    let r = row(y);
+                    for x in cols.clone() {
+                        sum += r[x] as f64;
+                    }
+                }
+                let count = rows.len() * cols.len();
+                *o = if count > 0 {
+                    (sum / count as f64) as f32
+                } else {
+                    0.0
+                };
+            }
+        }
+    }
 }
 
 /// Pooling backward.
@@ -188,24 +216,26 @@ pub fn backward(
     let ops = ops.expect("functional pooling requires operands");
     assert_eq!(ops.out_grad.len(), shape.output_len());
     assert_eq!(ops.in_grad.len(), shape.input_len());
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
-        if matches!(shape.method, PoolMethod::Max) {
-            assert!(
-                ops.argmax.is_some(),
-                "max pooling backward needs the argmax"
-            );
-        }
-        crate::host::pool_backward(threads, shape, ops.out_grad, ops.argmax, ops.in_grad);
-        return LaunchReport::default();
-    }
+    check_argmax(shape, ops.argmax, "backward needs the argmax");
     let s = *shape;
     let (ih, iw, oh, ow) = (s.in_h, s.in_w, s.out_h(), s.out_w());
-    let dy = MemView::new(ops.out_grad);
-    let dx = MemViewMut::new(ops.in_grad);
-    let argmax = ops.argmax.map(MemView::new);
-    if matches!(s.method, PoolMethod::Max) {
-        assert!(argmax.is_some(), "max pooling backward needs the argmax");
+    let (out_grad, argmax) = (ops.out_grad, ops.argmax);
+    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+        let rows: Vec<_> = ops.in_grad.chunks_mut(iw).enumerate().collect();
+        par_tasks(threads, rows, |(item, acc)| {
+            let (bc, y) = (item / ih, item % ih);
+            acc.fill(0.0);
+            for oy in covering_rows(&s, y) {
+                let at = (bc * oh + oy) * ow;
+                let arow = argmax.map(|am| &am[at..][..ow]);
+                backward_row(&s, y, oy, &out_grad[at..][..ow], arow, acc);
+            }
+        });
+        return LaunchReport::default();
     }
+    let dy = MemView::new(out_grad);
+    let dx = MemViewMut::new(ops.in_grad);
+    let argmax = argmax.map(MemView::new);
     let items = s.batch * s.channels * ih;
 
     cg.run_planned(&backward_plan(&s), move |cpe| {
@@ -214,74 +244,77 @@ pub fn backward(
         let mut arow = cpe.ldm.alloc_f32(ow);
         let mut item = cpe.idx();
         while item < items {
-            let bc = item / ih;
-            let y = item % ih;
+            let (bc, y) = (item / ih, item % ih);
             if cpe.functional() {
                 acc.fill(0.0);
             }
-            // Output rows whose window covers input row y:
-            // oy*S - P <= y < oy*S - P + K.
-            let oy_lo = (y + s.pad).saturating_sub(s.k - 1).div_ceil(s.stride);
-            let oy_hi = ((y + s.pad) / s.stride).min(oh.saturating_sub(1));
-            for oy in oy_lo..=oy_hi.min(oh.saturating_sub(1)) {
-                if oy >= oh {
-                    break;
-                }
+            for oy in covering_rows(&s, y) {
                 cpe.dma_get(dy, (bc * oh + oy) * ow, &mut grow);
-                match s.method {
+                let ops = match s.method {
                     PoolMethod::Max => {
-                        let am = argmax.unwrap();
-                        cpe.dma_get(am, (bc * oh + oy) * ow, &mut arow);
-                        cpe.compute(ow as u64, || {
-                            for ox in 0..ow {
-                                let idx = arow[ox] as usize;
-                                if idx / iw == y {
-                                    acc[idx % iw] += grow[ox];
-                                }
-                            }
-                        });
+                        cpe.dma_get(argmax.unwrap(), (bc * oh + oy) * ow, &mut arow);
+                        ow
                     }
-                    PoolMethod::Average => {
-                        cpe.compute((ow * s.k) as u64, || {
-                            for ox in 0..ow {
-                                let x0 = (ox * s.stride) as isize - s.pad as isize;
-                                let y0 = (oy * s.stride) as isize - s.pad as isize;
-                                // Window size after clipping (matches forward).
-                                let mut count = 0usize;
-                                let mut covers_y = false;
-                                for ky in 0..s.k {
-                                    let yy = y0 + ky as isize;
-                                    if yy < 0 || yy as usize >= ih {
-                                        continue;
-                                    }
-                                    if yy as usize == y {
-                                        covers_y = true;
-                                    }
-                                    for kx in 0..s.k {
-                                        let xx = x0 + kx as isize;
-                                        if xx >= 0 && (xx as usize) < iw {
-                                            count += 1;
-                                        }
-                                    }
-                                }
-                                if covers_y && count > 0 {
-                                    let share = grow[ox] / count as f32;
-                                    for kx in 0..s.k {
-                                        let xx = x0 + kx as isize;
-                                        if xx >= 0 && (xx as usize) < iw {
-                                            acc[xx as usize] += share;
-                                        }
-                                    }
-                                }
-                            }
-                        });
-                    }
-                }
+                    PoolMethod::Average => ow * s.k,
+                };
+                cpe.compute(ops as u64, || {
+                    backward_row(&s, y, oy, &grow, Some(&arow), &mut acc);
+                });
             }
             cpe.dma_put(dx, (bc * ih + y) * iw, &acc);
             item += 64;
         }
     })
+}
+
+/// Output rows whose window covers input row `y`:
+/// `oy*S - P <= y < oy*S - P + K`.
+fn covering_rows(s: &PoolShape, y: usize) -> std::ops::RangeInclusive<usize> {
+    let lo = (y + s.pad).saturating_sub(s.k - 1).div_ceil(s.stride);
+    let hi = ((y + s.pad) / s.stride).min(s.out_h() - 1);
+    lo..=hi
+}
+
+/// Scatter output row `oy`'s gradient `grow` into input row `y`'s
+/// accumulator `acc`, the arithmetic both backends run: max pooling adds
+/// each gradient where `argmax` points into row `y`; average pooling
+/// adds each window's f32 share, its gradient over the clipped window
+/// size, across the window's columns (if the window covers row `y`).
+pub(crate) fn backward_row(
+    s: &PoolShape,
+    y: usize,
+    oy: usize,
+    grow: &[f32],
+    argmax: Option<&[f32]>,
+    acc: &mut [f32],
+) {
+    match s.method {
+        PoolMethod::Max => {
+            let arow = argmax.expect("max pooling backward needs the argmax");
+            for (g, a) in grow.iter().zip(arow) {
+                let idx = *a as usize;
+                if idx / s.in_w == y {
+                    acc[idx % s.in_w] += *g;
+                }
+            }
+        }
+        PoolMethod::Average => {
+            let rows = span(s, oy, s.in_h);
+            if !rows.contains(&y) {
+                return;
+            }
+            for (ox, g) in grow.iter().enumerate() {
+                let cols = span(s, ox, s.in_w);
+                let count = rows.len() * cols.len();
+                if count > 0 {
+                    let share = *g / count as f32;
+                    for x in cols {
+                        acc[x] += share;
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Closed-form duration of pooling forward.
@@ -343,34 +376,40 @@ mod tests {
             .collect()
     }
 
+    /// Both functional backends against the scalar oracle in `reference`.
     fn check(shape: PoolShape) {
-        let input = pattern(shape.input_len(), 7);
+        for mode in [ExecMode::Functional, ExecMode::HostNative { threads: 2 }] {
+            check_on(mode, shape, &pattern(shape.input_len(), 7));
+        }
+    }
+
+    fn check_on(mode: ExecMode, shape: PoolShape, input: &[f32]) {
         let mut want_out = vec![0.0; shape.output_len()];
         let mut want_am = vec![0usize; shape.output_len()];
         let is_max = matches!(shape.method, PoolMethod::Max);
         reference::pool_forward(
             &shape,
-            &input,
+            input,
             &mut want_out,
             is_max.then_some(&mut want_am[..]),
         );
 
-        let mut cg = CoreGroup::new(ExecMode::Functional);
+        let mut cg = CoreGroup::new(mode);
         let mut got_out = vec![f32::NAN; shape.output_len()];
         let mut got_am = vec![0.0f32; shape.output_len()];
         forward(
             &mut cg,
             &shape,
             Some(PoolFwdOperands {
-                input: &input,
+                input,
                 output: &mut got_out,
                 argmax: is_max.then_some(&mut got_am[..]),
             }),
         );
-        assert_eq!(got_out, want_out, "forward {shape:?}");
+        assert_eq!(got_out, want_out, "forward {mode:?} {shape:?}");
         if is_max {
             for (g, w) in got_am.iter().zip(&want_am) {
-                assert_eq!(*g as usize, *w, "argmax {shape:?}");
+                assert_eq!(*g as usize, *w, "argmax {mode:?} {shape:?}");
             }
         }
 
@@ -391,7 +430,7 @@ mod tests {
         for (i, (g, w)) in got_dx.iter().zip(&want_dx).enumerate() {
             assert!(
                 (g - w).abs() < 1e-4,
-                "backward {shape:?} elem {i}: {g} vs {w}"
+                "backward {mode:?} {shape:?} elem {i}: {g} vs {w}"
             );
         }
     }
@@ -451,6 +490,70 @@ mod tests {
             pad: 0,
             method: PoolMethod::Average,
         });
+    }
+
+    /// Windows full of equal values: the argmax is the *first* maximum in
+    /// window order, on both backends, and the gradient follows it.
+    #[test]
+    fn max_pool_ties_pick_the_first_maximum() {
+        let shape = PoolShape {
+            batch: 1,
+            channels: 2,
+            in_h: 7,
+            in_w: 7,
+            k: 3,
+            stride: 2,
+            pad: 1,
+            method: PoolMethod::Max,
+        };
+        let input: Vec<f32> = (0..shape.input_len()).map(|i| (i % 3 / 2) as f32).collect();
+        for mode in crate::FUNCTIONAL_MODES {
+            check_on(mode, shape, &input);
+        }
+    }
+
+    #[test]
+    fn avg_pool_padded() {
+        // Clipped windows at every border: the divisor is the window's
+        // in-image size, forward and backward.
+        check(PoolShape {
+            batch: 1,
+            channels: 2,
+            in_h: 7,
+            in_w: 6,
+            k: 3,
+            stride: 2,
+            pad: 1,
+            method: PoolMethod::Average,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "argmax size")]
+    fn backward_rejects_short_argmax() {
+        let s = PoolShape {
+            batch: 1,
+            channels: 1,
+            in_h: 4,
+            in_w: 4,
+            k: 2,
+            stride: 2,
+            pad: 0,
+            method: PoolMethod::Max,
+        };
+        let dy = vec![1.0f32; s.output_len()];
+        let am = vec![0.0f32; s.output_len() - 1];
+        let mut dx = vec![0.0f32; s.input_len()];
+        let mut cg = CoreGroup::new(ExecMode::Functional);
+        backward(
+            &mut cg,
+            &s,
+            Some(PoolBwdOperands {
+                out_grad: &dy,
+                argmax: Some(&am),
+                in_grad: &mut dx,
+            }),
+        );
     }
 
     #[test]

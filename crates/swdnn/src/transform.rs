@@ -13,6 +13,7 @@
 //! layout as layer-local state).
 
 use sw26010::{dma, CoreGroup, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
+use swbackend::par_tasks;
 
 /// Dimensions of an NCHW <-> RCNB transformation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,11 +62,21 @@ pub fn nchw_to_rcnb(
     let (input, output) = io.expect("functional transform requires operands");
     assert_eq!(input.len(), shape.len());
     assert_eq!(output.len(), shape.len());
+    let (b_tot, n_tot, h, w) = (shape.batch, shape.channels, shape.height, shape.width);
     if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
-        crate::host::nchw_to_rcnb(threads, shape, input, output);
+        let planes: Vec<_> = output.chunks_mut(w * n_tot * b_tot).enumerate().collect();
+        par_tasks(threads, planes, |(y, plane)| {
+            for x in 0..w {
+                for n in 0..n_tot {
+                    for bi in 0..b_tot {
+                        plane[(x * n_tot + n) * b_tot + bi] =
+                            input[((bi * n_tot + n) * h + y) * w + x];
+                    }
+                }
+            }
+        });
         return LaunchReport::default();
     }
-    let (b_tot, n_tot, h, w) = (shape.batch, shape.channels, shape.height, shape.width);
     let bc = batch_chunk(shape);
     let src = MemView::new(input);
     let dst = MemViewMut::new(output);
@@ -125,11 +136,19 @@ pub fn rcnb_to_nchw(
     let (input, output) = io.expect("functional transform requires operands");
     assert_eq!(input.len(), shape.len());
     assert_eq!(output.len(), shape.len());
+    let (b_tot, n_tot, h, w) = (shape.batch, shape.channels, shape.height, shape.width);
     if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
-        crate::host::rcnb_to_nchw(threads, shape, input, output);
+        let imgs: Vec<_> = output.chunks_mut(h * w).enumerate().collect();
+        par_tasks(threads, imgs, |(img, out)| {
+            let (bi, n) = (img / n_tot, img % n_tot);
+            for y in 0..h {
+                for x in 0..w {
+                    out[y * w + x] = input[((y * w + x) * n_tot + n) * b_tot + bi];
+                }
+            }
+        });
         return LaunchReport::default();
     }
-    let (b_tot, n_tot, h, w) = (shape.batch, shape.channels, shape.height, shape.width);
     let bc = batch_chunk(shape);
     let src = MemView::new(input);
     let dst = MemViewMut::new(output);
@@ -273,10 +292,12 @@ mod tests {
         let input = pattern(shape.len());
         let mut want = vec![0.0; shape.len()];
         nchw_to_rcnb_host(&shape, &input, &mut want);
-        let mut got = vec![f32::NAN; shape.len()];
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        nchw_to_rcnb(&mut cg, &shape, Some((&input, &mut got)));
-        assert_eq!(got, want);
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut cg = CoreGroup::new(mode);
+            let mut got = vec![f32::NAN; shape.len()];
+            nchw_to_rcnb(&mut cg, &shape, Some((&input, &mut got)));
+            assert_eq!(got, want);
+        }
     }
 
     #[test]
@@ -290,10 +311,12 @@ mod tests {
         let rcnb = pattern(shape.len());
         let mut want = vec![0.0; shape.len()];
         rcnb_to_nchw_host(&shape, &rcnb, &mut want);
-        let mut got = vec![f32::NAN; shape.len()];
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        rcnb_to_nchw(&mut cg, &shape, Some((&rcnb, &mut got)));
-        assert_eq!(got, want);
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut cg = CoreGroup::new(mode);
+            let mut got = vec![f32::NAN; shape.len()];
+            rcnb_to_nchw(&mut cg, &shape, Some((&rcnb, &mut got)));
+            assert_eq!(got, want);
+        }
     }
 
     #[test]
@@ -305,12 +328,14 @@ mod tests {
             width: 6,
         };
         let input = pattern(shape.len());
-        let mut mid = vec![0.0; shape.len()];
-        let mut back = vec![0.0; shape.len()];
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        nchw_to_rcnb(&mut cg, &shape, Some((&input, &mut mid)));
-        rcnb_to_nchw(&mut cg, &shape, Some((&mid, &mut back)));
-        assert_eq!(back, input);
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut cg = CoreGroup::new(mode);
+            let mut mid = vec![0.0; shape.len()];
+            let mut back = vec![0.0; shape.len()];
+            nchw_to_rcnb(&mut cg, &shape, Some((&input, &mut mid)));
+            rcnb_to_nchw(&mut cg, &shape, Some((&mid, &mut back)));
+            assert_eq!(back, input);
+        }
     }
 
     #[test]

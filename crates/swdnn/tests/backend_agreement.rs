@@ -1,10 +1,13 @@
 //! Bitwise agreement between the Sw26010 functional backend (mesh
 //! simulation) and the HostNative backend, for every swdnn kernel.
 //!
-//! The host mirrors in `swdnn::host` promise *bit-for-bit* identical
-//! results to the mesh path — same accumulator widths, same reduction
-//! orders, same rounding points — independent of the host thread count.
-//! These tests pin that contract: every kernel runs under
+//! The host path promises *bit-for-bit* identical results to the mesh
+//! path — same accumulator widths, same reduction orders, same rounding
+//! points — independent of the host thread count. For the GEMM family
+//! (`swdnn::host`) that is a written contract; for every other kernel both
+//! paths call one per-item function, and what these tests still pin is the
+//! staging around it (chunk boundaries, lane folds, partitioning). These
+//! tests pin both: every kernel runs under
 //! `ExecMode::Functional` and under `ExecMode::HostNative` with one and
 //! with several threads, and the outputs are compared via `f32::to_bits`.
 //!
@@ -26,7 +29,7 @@ use swdnn::transform::TransShape;
 use swdnn::{ConvShape, GemmDims, PoolMethod, PoolShape, Trans};
 
 /// Host modes every kernel must agree with the mesh under: single thread
-/// (pure serial mirror) and several threads (parallel partitioning must
+/// (serial host path) and several threads (parallel partitioning must
 /// not change any reduction order).
 const HOST_MODES: [ExecMode; 2] = [
     ExecMode::HostNative { threads: 1 },
