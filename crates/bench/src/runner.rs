@@ -29,7 +29,7 @@ pub fn split_json_flag(args: &[String]) -> Result<(Option<String>, Vec<String>),
 
 /// Parse `--backend <name>` out of an argument list, returning the
 /// backend name and the remaining arguments. Names are resolved by
-/// [`swbackend::parse`] (`sw26010`, `host`, `host:<threads>`, `timing`).
+/// [`swbackend::parse`] (`sw26010`, `host`, `host:<threads>`).
 pub fn split_backend_flag(args: &[String]) -> Result<(Option<String>, Vec<String>), String> {
     let mut backend = None;
     let mut rest = Vec::new();
@@ -68,7 +68,7 @@ pub fn scenario_main(name: &str) {
     };
     if let Some(b) = backend {
         match swbackend::parse(&b) {
-            Ok(be) => swbackend::install_default(be.as_ref()),
+            Ok(mode) => swbackend::install_default(mode),
             Err(e) => {
                 eprintln!("{name}: {e}");
                 std::process::exit(2);
@@ -127,9 +127,11 @@ mod tests {
 
     #[test]
     fn backend_names_resolve() {
-        for name in ["sw26010", "host", "host:4", "timing"] {
+        for name in ["sw26010", "host", "host:4"] {
             assert!(swbackend::parse(name).is_ok(), "{name} should parse");
         }
-        assert!(swbackend::parse("cuda").is_err());
+        for name in ["cuda", "timing", "timing-only"] {
+            assert!(swbackend::parse(name).is_err(), "{name} should be rejected");
+        }
     }
 }

@@ -74,7 +74,8 @@ pub fn run(_args: &[String]) -> (String, Report) {
 
         // Unoptimized frozen baseline: the training definition at test
         // phase on the timing backend.
-        let mut unopt = Net::from_def_mode(&spec.def, ExecMode::TimingOnly).expect("valid def");
+        let mut unopt =
+            Net::from_def_mode_seeded(&spec.def, ExecMode::TimingOnly, 0).expect("valid def");
         unopt.set_phase(Phase::Test);
         let mut cg = CoreGroup::new(ExecMode::TimingOnly);
         unopt.forward(&mut cg);

@@ -63,35 +63,22 @@ impl Net {
         Self::from_def_seeded(def, materialize, 0)
     }
 
-    /// Build a network for a specific execution mode (backend): blobs are
-    /// materialised exactly when the mode carries data. Equivalent to
-    /// `from_def(def, mode.is_functional())`; the same mode must be used
-    /// for the core group the net runs on.
+    /// [`Net::from_def_mode_seeded`] with seed 0. Kept only because the
+    /// `benchmark/` harness's own test calls it; no workspace code does.
     pub fn from_def_mode(def: &NetDef, mode: sw26010::ExecMode) -> Result<Net, String> {
-        Self::from_def_seeded(def, mode.is_functional(), 0)
+        Self::from_def_mode_seeded(def, mode, 0)
     }
 
-    /// [`Net::from_def_mode`] with an explicit parameter-filler seed.
+    /// Build a network for a specific execution mode: blobs are
+    /// materialised exactly when the mode carries data. Equivalent to
+    /// `from_def_seeded(def, mode.is_functional(), base_seed)`; the same
+    /// mode must be used for the core group the net runs on.
     pub fn from_def_mode_seeded(
         def: &NetDef,
         mode: sw26010::ExecMode,
         base_seed: u64,
     ) -> Result<Net, String> {
         Self::from_def_seeded(def, mode.is_functional(), base_seed)
-    }
-
-    /// Build a network for the process-default backend. The mode comes
-    /// from [`swbackend::default_functional_mode`] — the single latched
-    /// lookup (`install_default` wins over `SWCAFFE_BACKEND`, which is
-    /// read once per process) — so a mid-run environment mutation can
-    /// never silently flip the backend under an installed default.
-    pub fn from_def_default(def: &NetDef) -> Result<Net, String> {
-        Self::from_def_default_seeded(def, 0)
-    }
-
-    /// [`Net::from_def_default`] with an explicit parameter-filler seed.
-    pub fn from_def_default_seeded(def: &NetDef, base_seed: u64) -> Result<Net, String> {
-        Self::from_def_mode_seeded(def, swbackend::default_functional_mode(), base_seed)
     }
 
     /// Like [`Net::from_def`] with an explicit base seed for every

@@ -78,12 +78,15 @@ impl Sub for SimTime {
 /// modes: the cost model depends only on shapes and plans, never on values.
 ///
 /// `HostNative` is the third face: kernels compute the same values as
-/// `Functional` (bit-for-bit — the host mirrors replicate the mesh
-/// kernels' types and accumulation order) but run as plain blocked host
-/// loops on `threads` OS threads with **no timing model**: reports carry
-/// zero simulated time and zero counters. Kernels without a host mirror
-/// fall back to the functional mesh, so results stay bit-identical even
-/// for partially-ported pipelines.
+/// `Functional` (bit-for-bit — the host path runs the mesh kernels'
+/// arithmetic with the same types and accumulation order) but run as
+/// plain blocked host loops on `threads` OS threads with **no timing
+/// model**: reports carry zero simulated time and zero counters. Kernels
+/// without a host path fall back to the functional mesh, so results stay
+/// bit-identical even for partially-ported pipelines.
+///
+/// This is the one value that says where a kernel runs: every `swdnn`
+/// kernel matches on its core group's mode directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     #[default]
@@ -102,16 +105,6 @@ impl ExecMode {
     #[inline]
     pub fn is_functional(self) -> bool {
         !matches!(self, ExecMode::TimingOnly)
-    }
-
-    /// The host-native thread count, if this mode executes on the host
-    /// path rather than the simulated mesh.
-    #[inline]
-    pub fn host_threads(self) -> Option<usize> {
-        match self {
-            ExecMode::HostNative { threads } => Some(threads),
-            _ => None,
-        }
     }
 }
 

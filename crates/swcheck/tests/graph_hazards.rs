@@ -219,7 +219,8 @@ fn typed_errors_reach_net_construction_and_the_optimizer() {
             &["data"],
             &["pooled"],
         );
-    let err = match swcaffe_core::Net::from_def_mode(&def, sw26010::ExecMode::Functional) {
+    let err = match swcaffe_core::Net::from_def_mode_seeded(&def, sw26010::ExecMode::Functional, 0)
+    {
         Err(e) => e,
         Ok(_) => panic!("lint must reject the window underflow"),
     };

@@ -5,7 +5,7 @@
 //! whole channels to CPEs (no cross-CPE accumulation); the normalise
 //! phase streams rows like the element-wise kernels.
 
-use sw26010::{dma, CoreGroup, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
+use sw26010::{dma, CoreGroup, ExecMode, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
 use swbackend::par_tasks;
 
 use crate::elementwise::CHUNK;
@@ -107,7 +107,7 @@ pub fn forward(
     assert_eq!(ops.save_istd.len(), channels);
     let n_per_c = (batch * spatial) as f64;
     let row_chunk = CHUNK.min(spatial.max(1));
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         let BnFwdOperands {
             input,
             gamma,
@@ -228,7 +228,7 @@ pub fn backward(
     assert_eq!(ops.in_grad.len(), len);
     let n_per_c = (batch * spatial) as f64;
     let row_chunk = CHUNK.min(spatial.max(1));
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         let BnBwdOperands {
             input,
             gamma,
@@ -721,7 +721,7 @@ pub fn forward_inference(
     assert_eq!(beta.len(), channels);
     assert_eq!(mean.len(), channels);
     assert_eq!(var.len(), channels);
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         let rows: Vec<_> = output.chunks_mut(spatial.max(1)).enumerate().collect();
         par_tasks(threads, rows, |(row, orow)| {
             let c = row % channels;

@@ -7,7 +7,7 @@
 //! at the price of materialising the `(K*K*N_i) x (R_o*C_o)` column matrix
 //! in main memory once per image and direction.
 
-use sw26010::{CoreGroup, LaunchReport, SimTime};
+use sw26010::{CoreGroup, ExecMode, LaunchReport, SimTime};
 
 use crate::gemm::{self, GemmOperands};
 use crate::im2col::{self, Col2imOperands, Im2colOperands};
@@ -96,7 +96,7 @@ pub fn forward_with_scheme(
     assert_eq!(ops.input.len(), shape.input_len());
     assert_eq!(ops.weights.len(), shape.weight_len());
     assert_eq!(ops.output.len(), shape.output_len());
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         im2col::guard_shape(shape);
         gemm::check_scheme(scheme);
         crate::host::conv_explicit_forward(threads, shape, ops.input, ops.weights, ops.output);
@@ -165,7 +165,7 @@ pub fn backward_with_schemes(
     if let Some(in_grad) = &ops.in_grad {
         assert_eq!(in_grad.len(), shape.input_len());
     }
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         // The rejections the per-image kernels make on the mesh path.
         im2col::guard_shape(shape);
         gemm::check_scheme(schemes.backward_weights);

@@ -31,7 +31,9 @@
 //! kernels yet; timing-only execution reports time only.
 
 use sw26010::arch::{ATHREAD_LAUNCH_OVERHEAD_SECONDS, MESH_DIM};
-use sw26010::{CoreGroup, KernelPlan, LaunchReport, MemView, MemViewMut, PlanViolation, SimTime};
+use sw26010::{
+    CoreGroup, ExecMode, KernelPlan, LaunchReport, MemView, MemViewMut, PlanViolation, SimTime,
+};
 
 use crate::scheme::{Broadcast, Buffering};
 use crate::shapes::ConvShape;
@@ -228,7 +230,7 @@ pub fn forward_with_tiles(
     assert_eq!(ops.input.len(), shape.input_len());
     assert_eq!(ops.weights.len(), shape.weight_len());
     assert_eq!(ops.output.len(), shape.output_len());
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         crate::host::conv_implicit_forward(threads, shape, ops.input, ops.weights, ops.output);
         return LaunchReport::default();
     }
@@ -351,7 +353,7 @@ pub fn backward_with_tiles(
         );
     }
     let mut ops = ops.expect("functional conv requires operands");
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         if let Some(w_grad) = ops.w_grad.as_deref_mut() {
             assert_eq!(ops.input.len(), shape.input_len());
             assert_eq!(ops.out_grad.len(), shape.output_len());

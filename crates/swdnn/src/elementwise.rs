@@ -5,7 +5,7 @@
 //! textbook Principle 2/3 pattern (DMA in, vector op, DMA out, blocks of
 //! several KB per CPE).
 
-use sw26010::{dma, CoreGroup, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
+use sw26010::{dma, CoreGroup, ExecMode, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
 use swbackend::par_tasks;
 
 /// Elements each CPE stages per chunk (16 KB of f32 — large enough to
@@ -78,7 +78,7 @@ pub fn unary_map(
     let (input, output) = io.expect("functional map requires operands");
     assert_eq!(input.len(), len);
     assert_eq!(output.len(), len);
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         host_pieces(threads, output, |at, ys| {
             for (y, x) in ys.iter_mut().zip(&input[at..]) {
                 *y = f(*x);
@@ -105,7 +105,7 @@ pub fn binary_map(
     assert_eq!(a.len(), len);
     assert_eq!(b.len(), len);
     assert_eq!(out.len(), len);
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         host_pieces(threads, out, |at, os| {
             for ((o, a), b) in os.iter_mut().zip(&a[at..]).zip(&b[at..]) {
                 *o = f(*a, *b);
@@ -285,7 +285,7 @@ pub fn axpy(
     assert_eq!(x.len(), len);
     assert_eq!(y.len(), len);
     let f = move |x: f32, y: f32| y + alpha * x;
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         host_pieces(threads, y, |at, ys| {
             for (y, x) in ys.iter_mut().zip(&x[at..]) {
                 *y = f(*x, *y);
@@ -352,7 +352,7 @@ pub fn bias_forward(
     let (bias, data) = io.expect("functional bias requires operands");
     assert_eq!(bias.len(), channels);
     assert_eq!(data.len(), len);
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         let rows: Vec<_> = data.chunks_mut(spatial.max(1)).enumerate().collect();
         par_tasks(threads, rows, |(row, drow)| {
             add_bias(drow, bias[row % channels])
@@ -404,7 +404,7 @@ pub fn bias_backward(
     assert_eq!(dy.len(), len);
     assert_eq!(db.len(), channels);
     let row_chunk = CHUNK.min(spatial.max(1));
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         let chans: Vec<_> = db.iter_mut().enumerate().collect();
         par_tasks(threads, chans, |(c, out)| {
             let mut acc = 0.0f64;
@@ -584,7 +584,7 @@ pub fn bias_rows(
     let (bias, data) = io.expect("functional bias requires operands");
     assert_eq!(bias.len(), row_len);
     assert_eq!(data.len(), rows * row_len);
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         let tasks: Vec<_> = data.chunks_mut(row_len.max(1)).collect();
         par_tasks(threads, tasks, |drow| add_assign(drow, bias));
         return LaunchReport::default();
@@ -633,7 +633,7 @@ pub fn col_sums(
     let (m, out) = io.expect("functional col_sums requires operands");
     assert_eq!(m.len(), rows * cols);
     assert_eq!(out.len(), cols);
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         let chunks: Vec<_> = out.chunks_mut(COL_CHUNK).enumerate().collect();
         par_tasks(threads, chunks, |(chunk, acc)| {
             acc.fill(0.0);
@@ -694,7 +694,7 @@ pub fn copy_blocks(
     }
     let (src, src_off, src_stride, dst, dst_off, dst_stride) =
         io.expect("functional copy requires operands");
-    if let swbackend::Path::Host { .. } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { .. } = cg.mode() {
         // Pure movement, memory-bound: serial.
         for blk in 0..nblocks {
             dst[dst_off + blk * dst_stride..][..block_len]
@@ -800,7 +800,7 @@ pub fn scale(cg: &mut CoreGroup, len: usize, alpha: f32, io: Option<&mut [f32]>)
     let x = io.expect("functional scale requires operands");
     assert_eq!(x.len(), len);
     let f = move |v: f32| v * alpha;
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         host_pieces(threads, x, |_, xs| xs.iter_mut().for_each(|v| *v = f(*v)));
         return LaunchReport::default();
     }
@@ -821,7 +821,7 @@ pub fn sumsq(cg: &mut CoreGroup, len: usize, io: Option<&[f32]>) -> (f64, Launch
     let x = io.expect("functional sumsq requires operands");
     assert_eq!(x.len(), len);
     let mut partials = [0.0f32; 64];
-    let report = if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    let report = if let ExecMode::HostNative { threads } = cg.mode() {
         let lanes: Vec<_> = partials.iter_mut().enumerate().collect();
         par_tasks(threads, lanes, |(l, out)| {
             let mut acc = 0.0f64;

@@ -19,7 +19,9 @@
 //! mostly by construction; `tests::epilogue_matches_f64_oracle` checks
 //! the arithmetic itself.
 
-use sw26010::{arch, dma, CoreGroup, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
+use sw26010::{
+    arch, dma, CoreGroup, ExecMode, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime,
+};
 
 use swbackend::par_tasks;
 
@@ -108,7 +110,7 @@ pub fn forward(
             output: ops.output,
         }),
     );
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         let rows: Vec<_> = ops.output.chunks_mut(spatial.max(1)).enumerate().collect();
         par_tasks(threads, rows, |(row, drow)| {
             let c = row % channels;

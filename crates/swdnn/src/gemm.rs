@@ -43,7 +43,8 @@
 
 use sw26010::arch::{ATHREAD_LAUNCH_OVERHEAD_SECONDS, MESH_DIM};
 use sw26010::{
-    CoreGroup, Cpe, KernelPlan, LaunchReport, MemView, MemViewMut, PlanViolation, SimTime, Stats,
+    CoreGroup, Cpe, ExecMode, KernelPlan, LaunchReport, MemView, MemViewMut, PlanViolation,
+    SimTime, Stats,
 };
 
 use crate::scheme::{Broadcast, Buffering, TilingScheme};
@@ -175,7 +176,7 @@ pub fn gemm_with_scheme(
         assert_eq!(ops.a.len(), dims.m * dims.k, "A size");
         assert_eq!(ops.b.len(), dims.k * dims.n, "B size");
         assert_eq!(ops.c.len(), dims.m * dims.n, "C size");
-        if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+        if let ExecMode::HostNative { threads } = cg.mode() {
             crate::host::gemm(threads, dims, ta, tb, beta, ops.a, ops.b, ops.c);
             return LaunchReport::default();
         }

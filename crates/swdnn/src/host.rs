@@ -1,4 +1,4 @@
-//! Host-native GEMM family (the `HostNative` backend's packed GEMM,
+//! Host-native GEMM family (the `ExecMode::HostNative` packed GEMM,
 //! explicit and implicit convolution, and the im2col/col2im the explicit
 //! plan runs).
 //!

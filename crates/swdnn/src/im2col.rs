@@ -20,7 +20,9 @@
 //! layers are im2col-bound: the DMA blocks are single image rows (~1 KB at
 //! width 224), well below what saturates the memory controller (Fig. 2).
 
-use sw26010::{dma, CoreGroup, Cpe, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
+use sw26010::{
+    dma, CoreGroup, Cpe, ExecMode, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime,
+};
 
 use crate::shapes::ConvShape;
 
@@ -145,7 +147,7 @@ pub fn im2col_with_strategy(
     let ops = ops.expect("functional im2col requires operands");
     assert_eq!(ops.image.len(), shape.in_c * shape.in_h * shape.in_w);
     assert_eq!(ops.cols.len(), shape.col_rows() * shape.col_cols());
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         crate::host::im2col(threads, shape, ops.image, ops.cols);
         return LaunchReport::default();
     }
@@ -266,7 +268,7 @@ pub fn col2im_with_strategy(
     let ops = ops.expect("functional col2im requires operands");
     assert_eq!(ops.image.len(), shape.in_c * shape.in_h * shape.in_w);
     assert_eq!(ops.cols.len(), shape.col_rows() * shape.col_cols());
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         crate::host::col2im(threads, shape, ops.cols, ops.image);
         return LaunchReport::default();
     }

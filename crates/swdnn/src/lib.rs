@@ -6,11 +6,11 @@
 //! autotuning strategy, tensor layout transformation, pooling, and the
 //! element-wise / normalisation kernels the five benchmark networks need.
 //!
-//! Every kernel runs under three interpreters, picked per launch by
-//! `swbackend::dispatch`: a *functional* mesh execution on the `sw26010`
-//! simulator, a *host-native* execution on the host's own cores, and an
-//! *analytic timing model* used when the core group runs in timing-only
-//! mode. The mesh and host paths of every non-GEMM kernel call one shared
+//! Every kernel runs under three interpreters, picked per launch by the
+//! core group's [`sw26010::ExecMode`] (each kernel matches on
+//! `cg.mode()` itself): `Functional` runs the mesh on the `sw26010`
+//! simulator, `HostNative { threads }` runs on the host's own cores, and
+//! `TimingOnly` charges the analytic timing model. The mesh and host paths of every non-GEMM kernel call one shared
 //! per-item function, so they agree bit for bit by construction; the GEMM
 //! family's host side ([`mod@host`]) agrees with the mesh by written
 //! contract. Both are checked against the scalar oracles in

@@ -8,7 +8,7 @@
 //! slab via strided DMA (one block per channel), so the cross-channel
 //! window is entirely LDM-resident.
 
-use sw26010::{dma, CoreGroup, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
+use sw26010::{dma, CoreGroup, ExecMode, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
 use swbackend::par_tasks;
 
 /// LRN hyper-parameters.
@@ -127,7 +127,7 @@ pub fn forward(
     assert_eq!(input.len(), len);
     assert_eq!(output.len(), len);
     let per_img = channels * height * width;
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         let imgs: Vec<_> = output.chunks_mut(per_img.max(1)).enumerate().collect();
         par_tasks(threads, imgs, |(bi, out)| {
             let x = &input[bi * per_img..];
@@ -210,7 +210,7 @@ pub fn backward(
     assert_eq!(out_grad.len(), len);
     assert_eq!(in_grad.len(), len);
     let per_img = channels * height * width;
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         let imgs: Vec<_> = in_grad.chunks_mut(per_img.max(1)).enumerate().collect();
         par_tasks(threads, imgs, |(bi, dimg)| {
             let (x, dy) = (&input[bi * per_img..], &out_grad[bi * per_img..]);

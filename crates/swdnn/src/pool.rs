@@ -12,7 +12,7 @@
 
 use std::ops::Range;
 
-use sw26010::{dma, CoreGroup, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
+use sw26010::{dma, CoreGroup, ExecMode, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
 use swbackend::par_tasks;
 
 use crate::shapes::{PoolMethod, PoolShape};
@@ -82,7 +82,7 @@ pub fn forward(
     let s = *shape;
     let (ih, iw, oh, ow) = (s.in_h, s.in_w, s.out_h(), s.out_w());
     let input = ops.input;
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         let mut arows = ops.argmax.map(|am| am.chunks_mut(ow));
         let rows: Vec<_> = ops
             .output
@@ -220,7 +220,7 @@ pub fn backward(
     let s = *shape;
     let (ih, iw, oh, ow) = (s.in_h, s.in_w, s.out_h(), s.out_w());
     let (out_grad, argmax) = (ops.out_grad, ops.argmax);
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         let rows: Vec<_> = ops.in_grad.chunks_mut(iw).enumerate().collect();
         par_tasks(threads, rows, |(item, acc)| {
             let (bc, y) = (item / ih, item % ih);

@@ -4,7 +4,7 @@
 //! comfortably in LDM, so each CPE streams rows, computes a numerically
 //! stable softmax, and emits the probability row plus its per-image loss.
 
-use sw26010::{dma, CoreGroup, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
+use sw26010::{dma, CoreGroup, ExecMode, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
 use swbackend::par_tasks;
 
 /// Static LDM descriptor of the softmax forward kernel (one class row).
@@ -49,7 +49,7 @@ pub fn forward(
     assert_eq!(ops.probs.len(), batch * classes);
     assert_eq!(ops.losses.len(), batch);
     check_labels(ops.labels, classes);
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         let rows: Vec<_> = ops
             .probs
             .chunks_mut(classes)
@@ -153,7 +153,7 @@ pub fn backward(
     assert_eq!(ops.in_grad.len(), batch * classes);
     assert_eq!(ops.labels.len(), batch);
     check_labels(ops.labels, classes);
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         let rows: Vec<_> = ops.in_grad.chunks_mut(classes).enumerate().collect();
         par_tasks(threads, rows, |(b, drow)| {
             drow.copy_from_slice(&ops.probs[b * classes..][..classes]);

@@ -12,7 +12,7 @@
 //! layer setup (host-side helper, not charged — the paper treats filter
 //! layout as layer-local state).
 
-use sw26010::{dma, CoreGroup, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
+use sw26010::{dma, CoreGroup, ExecMode, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
 use swbackend::par_tasks;
 
 /// Dimensions of an NCHW <-> RCNB transformation.
@@ -63,7 +63,7 @@ pub fn nchw_to_rcnb(
     assert_eq!(input.len(), shape.len());
     assert_eq!(output.len(), shape.len());
     let (b_tot, n_tot, h, w) = (shape.batch, shape.channels, shape.height, shape.width);
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         let planes: Vec<_> = output.chunks_mut(w * n_tot * b_tot).enumerate().collect();
         par_tasks(threads, planes, |(y, plane)| {
             for x in 0..w {
@@ -137,7 +137,7 @@ pub fn rcnb_to_nchw(
     assert_eq!(input.len(), shape.len());
     assert_eq!(output.len(), shape.len());
     let (b_tot, n_tot, h, w) = (shape.batch, shape.channels, shape.height, shape.width);
-    if let swbackend::Path::Host { threads } = swbackend::dispatch(cg.mode()) {
+    if let ExecMode::HostNative { threads } = cg.mode() {
         let imgs: Vec<_> = output.chunks_mut(h * w).enumerate().collect();
         par_tasks(threads, imgs, |(img, out)| {
             let (bi, n) = (img / n_tot, img % n_tot);

@@ -10,13 +10,16 @@
 //! tests pin both: every kernel runs under
 //! `ExecMode::Functional` and under `ExecMode::HostNative` with one and
 //! with several threads, and the outputs are compared via `f32::to_bits`.
+//! Agreement alone cannot tell a host run from a mesh fallback, so every
+//! `HostNative` run also asserts it charged no simulated time and no
+//! counters ([`assert_host_path`]).
 //!
 //! Shapes are Table II flavoured (VGG layer channel geometries, reduced
 //! batch/spatial so the mesh simulation stays fast) plus randomized
 //! shapes from the same zero-dependency SplitMix64 stream the proptests
 //! use.
 
-use sw26010::{CoreGroup, ExecMode};
+use sw26010::{CoreGroup, ExecMode, SimTime, Stats};
 use swdnn::bn::{BnBwdOperands, BnFwdOperands};
 use swdnn::conv_explicit::{ConvBwdOperands, ConvFwdOperands};
 use swdnn::conv_implicit::{ImplicitBwdOperands, ImplicitFwdOperands};
@@ -98,6 +101,26 @@ fn assert_bits_eq(tag: &str, got: &[f32], want: &[f32]) {
             g.to_bits(),
             w.to_bits(),
             "{tag}: elem {i} differs: host {g} vs mesh {w}"
+        );
+    }
+}
+
+/// A `HostNative` core group must still read zero simulated time and zero
+/// counters after its launches (DESIGN.md §7 invariant 2): a kernel whose
+/// host branch fell through to the mesh computes the same bits but
+/// charges mesh time, and this is what catches it. No-op for other modes.
+#[track_caller]
+fn assert_host_path(cg: &CoreGroup) {
+    if let ExecMode::HostNative { .. } = cg.mode() {
+        assert_eq!(
+            cg.elapsed(),
+            SimTime::ZERO,
+            "HostNative run charged mesh time"
+        );
+        assert_eq!(
+            *cg.stats(),
+            Stats::default(),
+            "HostNative run counted mesh work"
         );
     }
 }
@@ -188,6 +211,7 @@ fn check_gemm(dims: GemmDims, ta: Trans, tb: Trans, beta: f32, double_buffered: 
             scheme.buffering = swdnn::Buffering::Double;
         }
         swdnn::gemm::gemm_with_scheme(&mut cg, dims, ta, tb, beta, scheme, ops);
+        assert_host_path(&cg);
         c
     };
     let want = run(ExecMode::Functional);
@@ -246,6 +270,7 @@ fn gemm_on(
     let mut cg = CoreGroup::new(mode);
     let ops = Some(GemmOperands { a, b, c: &mut c });
     swdnn::gemm::gemm(&mut cg, dims, ta, tb, beta, ops);
+    assert_host_path(&cg);
     c
 }
 
@@ -380,6 +405,7 @@ fn im2col_col2im_agree_across_backends() {
                     cols: &mut cols,
                 }),
             );
+            assert_host_path(&cg);
             cols
         };
         let want = run_fwd(ExecMode::Functional);
@@ -399,6 +425,7 @@ fn im2col_col2im_agree_across_backends() {
                     image: &mut img,
                 }),
             );
+            assert_host_path(&cg);
             img
         };
         let want = run_bwd(ExecMode::Functional);
@@ -429,6 +456,7 @@ fn check_implicit(shape: &ConvShape, tag: &str) {
                 output: &mut out,
             }),
         );
+        assert_host_path(&cg);
         out
     };
     let want = run_fwd(ExecMode::Functional);
@@ -451,6 +479,7 @@ fn check_implicit(shape: &ConvShape, tag: &str) {
                 w_grad: Some(&mut w_grad),
             }),
         );
+        assert_host_path(&cg);
         (in_grad, w_grad)
     };
     let (want_dx, want_dw) = run_bwd(ExecMode::Functional);
@@ -498,6 +527,7 @@ fn explicit_conv_agrees_across_backends() {
                     output: &mut out,
                 }),
             );
+            assert_host_path(&cg);
             out
         };
         let want = run_fwd(ExecMode::Functional);
@@ -520,6 +550,7 @@ fn explicit_conv_agrees_across_backends() {
                     w_grad: Some(&mut w_grad),
                 }),
             );
+            assert_host_path(&cg);
             (in_grad, w_grad)
         };
         let (want_dx, want_dw) = run_bwd(ExecMode::Functional);
@@ -616,6 +647,7 @@ fn explicit_conv_ignores_stale_scratch() {
         let mut cg = CoreGroup::new(mode);
         for (i, (shape, want)) in shapes.iter().zip(&want).enumerate() {
             let got = explicit_passes(shape, &mut cg);
+            assert_host_path(&cg);
             for (pass, (got, want)) in ["fwd", "bwd-in", "bwd-w", "fused"]
                 .iter()
                 .zip(got.iter().zip(want))
@@ -650,6 +682,7 @@ fn transforms_agree_across_backends() {
                 } else {
                     swdnn::transform::rcnb_to_nchw(&mut cg, &shape, Some((&x, &mut out)));
                 }
+                assert_host_path(&cg);
                 out
             };
             let want = run(ExecMode::Functional);
@@ -720,6 +753,7 @@ fn pooling_agrees_across_backends() {
                     argmax: is_max.then_some(&mut am[..]),
                 }),
             );
+            assert_host_path(&cg);
             (out, am)
         };
         let (want_out, want_am) = run_fwd(ExecMode::Functional);
@@ -743,6 +777,7 @@ fn pooling_agrees_across_backends() {
                     in_grad: &mut dx,
                 }),
             );
+            assert_host_path(&cg);
             dx
         };
         let want_dx = run_bwd(ExecMode::Functional);
@@ -787,6 +822,7 @@ fn bn_agrees_across_backends() {
                     save_istd: &mut si,
                 }),
             );
+            assert_host_path(&cg);
             (y, sm, si)
         };
         let (want_y, want_m, want_i) = run_fwd(ExecMode::Functional);
@@ -818,6 +854,7 @@ fn bn_agrees_across_backends() {
                     beta_grad: &mut db,
                 }),
             );
+            assert_host_path(&cg);
             (dx, dg, db)
         };
         let (want_dx, want_dg, want_db) = run_bwd(ExecMode::Functional);
@@ -841,6 +878,7 @@ fn bn_agrees_across_backends() {
                 eps,
                 Some((&x, &gamma, &beta, &mean, &var, &mut y)),
             );
+            assert_host_path(&cg);
             y
         };
         let want = run_inf(ExecMode::Functional);
@@ -874,6 +912,7 @@ fn bn_agrees_across_backends() {
                 save_istd: &mut si,
             }),
         );
+        assert_host_path(&cg);
         (y, sm, si)
     };
     let (want_y, want_m, want_i) = run(ExecMode::Functional);
@@ -912,6 +951,7 @@ fn softmax_agrees_across_backends() {
                     losses: &mut losses,
                 }),
             );
+            assert_host_path(&cg);
             (probs, losses)
         };
         let (want_p, want_l) = run_fwd(ExecMode::Functional);
@@ -935,6 +975,7 @@ fn softmax_agrees_across_backends() {
                     in_grad: &mut dx,
                 }),
             );
+            assert_host_path(&cg);
             dx
         };
         let want_dx = run_bwd(ExecMode::Functional);
@@ -966,6 +1007,7 @@ fn lrn_agrees_across_backends() {
             let mut y = vec![f32::NAN; x.len()];
             let mut cg = CoreGroup::new(mode);
             swdnn::lrn::forward(&mut cg, b, c, h, w, p, Some((&x, &mut y)));
+            assert_host_path(&cg);
             y
         };
         let want = run_fwd(ExecMode::Functional);
@@ -977,6 +1019,7 @@ fn lrn_agrees_across_backends() {
             let mut dx = vec![f32::NAN; x.len()];
             let mut cg = CoreGroup::new(mode);
             swdnn::lrn::backward(&mut cg, b, c, h, w, p, Some((&x, &dy, &mut dx)));
+            assert_host_path(&cg);
             dx
         };
         let want = run_bwd(ExecMode::Functional);
@@ -1002,6 +1045,7 @@ fn elementwise_agrees_across_backends() {
         let mut out = vec![f32::NAN; len];
         let mut cg = CoreGroup::new(mode);
         ew::relu_forward(&mut cg, len, Some((&x, &mut out)));
+        assert_host_path(&cg);
         out
     };
     let want = run(ExecMode::Functional);
@@ -1014,6 +1058,7 @@ fn elementwise_agrees_across_backends() {
         let mut dx = vec![f32::NAN; len];
         let mut cg = CoreGroup::new(mode);
         ew::relu_backward(&mut cg, len, Some((&y0, &x, &mut dx)));
+        assert_host_path(&cg);
         dx
     };
     let want = run(ExecMode::Functional);
@@ -1031,6 +1076,7 @@ fn elementwise_agrees_across_backends() {
             } else {
                 ew::apply_mask(&mut cg, len, Some((&x, &y0, &mut out)));
             }
+            assert_host_path(&cg);
             out
         };
         let want = run(ExecMode::Functional);
@@ -1045,6 +1091,7 @@ fn elementwise_agrees_across_backends() {
         let mut cg = CoreGroup::new(mode);
         ew::axpy(&mut cg, len, -0.37, Some((&x, &mut acc)));
         ew::scale(&mut cg, len, 1.13, Some(&mut acc));
+        assert_host_path(&cg);
         acc
     };
     let want = run(ExecMode::Functional);
@@ -1064,6 +1111,7 @@ fn bias_and_reductions_agree_across_backends() {
         let mut data = data0.clone();
         let mut cg = CoreGroup::new(mode);
         ew::bias_forward(&mut cg, batch, channels, spatial, Some((&bias, &mut data)));
+        assert_host_path(&cg);
         data
     };
     let want = run(ExecMode::Functional);
@@ -1075,6 +1123,7 @@ fn bias_and_reductions_agree_across_backends() {
         let mut db = vec![f32::NAN; channels];
         let mut cg = CoreGroup::new(mode);
         ew::bias_backward(&mut cg, batch, channels, spatial, Some((&data0, &mut db)));
+        assert_host_path(&cg);
         db
     };
     let want = run(ExecMode::Functional);
@@ -1089,6 +1138,7 @@ fn bias_and_reductions_agree_across_backends() {
         let mut data = rdata0.clone();
         let mut cg = CoreGroup::new(mode);
         ew::bias_rows(&mut cg, rows, row_len, Some((&rbias, &mut data)));
+        assert_host_path(&cg);
         data
     };
     let want = run(ExecMode::Functional);
@@ -1102,6 +1152,7 @@ fn bias_and_reductions_agree_across_backends() {
         let mut out = vec![f32::NAN; scols];
         let mut cg = CoreGroup::new(mode);
         ew::col_sums(&mut cg, srows, scols, Some((&m, &mut out)));
+        assert_host_path(&cg);
         out
     };
     let want = run(ExecMode::Functional);
@@ -1115,6 +1166,7 @@ fn bias_and_reductions_agree_across_backends() {
         let mut dst = vec![f32::NAN; 500];
         let mut cg = CoreGroup::new(mode);
         ew::copy_blocks(&mut cg, 7, 12, Some((&src, 3, 30, &mut dst, 5, 40)));
+        assert_host_path(&cg);
         dst
     };
     let want = run(ExecMode::Functional);
@@ -1128,7 +1180,9 @@ fn bias_and_reductions_agree_across_backends() {
     let v = values(ew::CHUNK * 3 + 41, 33);
     let run = |mode: ExecMode| {
         let mut cg = CoreGroup::new(mode);
-        ew::sumsq(&mut cg, v.len(), Some(&v)).0
+        let sum = ew::sumsq(&mut cg, v.len(), Some(&v)).0;
+        assert_host_path(&cg);
+        sum
     };
     let want = run(ExecMode::Functional);
     for mode in HOST_MODES {

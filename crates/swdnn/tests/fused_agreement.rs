@@ -8,7 +8,7 @@
 //! optimizer relies on when it rewrites a conv→bn→relu chain into one
 //! fused layer.
 
-use sw26010::{CoreGroup, ExecMode};
+use sw26010::{CoreGroup, ExecMode, SimTime, Stats};
 use swdnn::fused::{self, ConvBnReluOperands};
 use swdnn::{bn, conv_explicit, elementwise as ew, ConvShape};
 
@@ -183,6 +183,20 @@ fn fused_on(mode: ExecMode, shape: &ConvShape, with_bias: bool, seed: u64, eps: 
             output: &mut out,
         }),
     );
+    // Agreement alone cannot tell a host run from a mesh fallback; a
+    // HostNative launch charges no time and no counters (DESIGN.md §7).
+    if let ExecMode::HostNative { .. } = mode {
+        assert_eq!(
+            cg.elapsed(),
+            SimTime::ZERO,
+            "HostNative run charged mesh time"
+        );
+        assert_eq!(
+            *cg.stats(),
+            Stats::default(),
+            "HostNative run counted mesh work"
+        );
+    }
     out
 }
 

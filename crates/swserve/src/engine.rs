@@ -1,6 +1,7 @@
 //! Frozen-graph executor: runs an optimized [`FrozenGraph`] on one core
-//! group through `swbackend::dispatch`, so the same engine serves the
-//! `Sw26010` mesh, `HostNative` threads and `TimingOnly` alike.
+//! group in whatever [`ExecMode`] the engine was built for, so the same
+//! engine serves the `Functional` mesh, `HostNative` threads and
+//! `TimingOnly` alike.
 //!
 //! Batch sizes are bucketed to powers of two: the `Input` shape bakes
 //! the batch into every downstream blob, so the engine keeps one lazily
@@ -63,7 +64,8 @@ impl Engine {
             return Ok(s);
         }
         let def = def_with_batch(&self.graph.def, b);
-        let mut net = Net::from_def_mode(&def, ExecMode::TimingOnly).map_err(ServeError::Graph)?;
+        let mut net =
+            Net::from_def_mode_seeded(&def, ExecMode::TimingOnly, 0).map_err(ServeError::Graph)?;
         net.set_phase(Phase::Test);
         let before = self.timing_cg.elapsed();
         net.forward(&mut self.timing_cg);
@@ -98,7 +100,8 @@ impl Engine {
             Some(i) => i,
             None => {
                 let def = def_with_batch(&self.graph.def, b);
-                let mut net = Net::from_def_mode(&def, self.mode).map_err(ServeError::Graph)?;
+                let mut net =
+                    Net::from_def_mode_seeded(&def, self.mode, 0).map_err(ServeError::Graph)?;
                 net.set_phase(Phase::Test);
                 net.load_layer_snapshots(&self.graph.weights)
                     .map_err(ServeError::Snapshot)?;

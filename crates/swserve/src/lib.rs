@@ -6,9 +6,9 @@
 //!   captured, training-only nodes removed, inverse transforms folded,
 //!   conv+BN+ReLU chains fused (bit-identically), and a topological
 //!   eval schedule computed.
-//! - [`engine`]: execute a frozen graph on one core group through
-//!   `swbackend::dispatch` — the same engine runs on the simulated
-//!   SW26010 mesh, host-native threads, or timing-only.
+//! - [`engine`]: execute a frozen graph on one core group in any
+//!   `ExecMode` — the same engine runs on the simulated SW26010 mesh,
+//!   host-native threads, or timing-only.
 //! - [`batcher`]: the deterministic virtual-time dynamic-batching
 //!   policy that coalesces an open-loop arrival stream into batches
 //!   under a latency SLO and dispatches them across replicas — its

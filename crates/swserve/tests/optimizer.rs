@@ -256,7 +256,7 @@ fn optimized_vgg_is_smaller_and_faster() {
     );
     assert_topological(&graph.def, &graph.schedule);
 
-    let mut net = Net::from_def_mode(&def, ExecMode::TimingOnly).unwrap();
+    let mut net = Net::from_def_mode_seeded(&def, ExecMode::TimingOnly, 0).unwrap();
     net.set_phase(Phase::Test);
     let mut cg = CoreGroup::new(ExecMode::TimingOnly);
     net.forward(&mut cg);

@@ -44,20 +44,11 @@ pub struct Trainer {
 }
 
 impl Trainer {
-    /// Build a functional-mode trainer. `def` is at the per-CG batch size.
-    pub fn new(
-        def: &NetDef,
-        dataset: SyntheticImageNet,
-        io: IoModel,
-        config: TrainConfig,
-    ) -> Result<Self, String> {
-        Self::with_mode(def, dataset, io, config, ExecMode::Functional)
-    }
-
-    /// Build a trainer on a specific compute backend. `ExecMode::Functional`
-    /// is the Sw26010 mesh simulation (timed); `ExecMode::HostNative` runs
-    /// the same arithmetic on host threads with zero simulated time, so
-    /// `iter_time` reflects only the I/O model.
+    /// Build a trainer on a specific compute backend; `def` is at the
+    /// per-CG batch size. `ExecMode::Functional` is the Sw26010 mesh
+    /// simulation (timed); `ExecMode::HostNative` runs the same arithmetic
+    /// on host threads with zero simulated time, so `iter_time` reflects
+    /// only the I/O model.
     pub fn with_mode(
         def: &NetDef,
         dataset: SyntheticImageNet,
@@ -174,11 +165,12 @@ mod tests {
             eval_batches: 3,
             classes,
         };
-        let mut trainer = Trainer::new(
+        let mut trainer = Trainer::with_mode(
             &def,
             SyntheticImageNet::new(512),
             IoModel::taihulight(Layout::paper_striped()),
             config,
+            ExecMode::Functional,
         )
         .unwrap();
         let log = trainer.run(20).unwrap();
