@@ -305,29 +305,8 @@ mod tests {
         let input = pattern(shape.input_len(), 11);
         let weights = pattern(shape.weight_len(), 22);
         let out_grad = pattern(shape.output_len(), 33);
-
-        // Forward.
         let mut want_out = vec![0.0; shape.output_len()];
         reference::conv_forward(&shape, &input, &weights, &mut want_out);
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        let mut got_out = vec![0.0; shape.output_len()];
-        forward(
-            &mut cg,
-            &shape,
-            Some(ConvFwdOperands {
-                input: &input,
-                weights: &weights,
-                output: &mut got_out,
-            }),
-        );
-        for (i, (g, w)) in got_out.iter().zip(&want_out).enumerate() {
-            assert!(
-                (g - w).abs() < 1e-3 * w.abs().max(1.0),
-                "fwd {shape:?} elem {i}: {g} vs {w}"
-            );
-        }
-
-        // Backward.
         let mut want_ig = vec![0.0; shape.input_len()];
         let mut want_wg = vec![0.0; shape.weight_len()];
         reference::conv_backward(
@@ -338,30 +317,51 @@ mod tests {
             &mut want_ig,
             &mut want_wg,
         );
-        let mut got_ig = vec![0.0; shape.input_len()];
-        let mut got_wg = vec![0.0; shape.weight_len()];
-        backward(
-            &mut cg,
-            &shape,
-            Some(ConvBwdOperands {
-                input: &input,
-                weights: &weights,
-                out_grad: &out_grad,
-                in_grad: Some(&mut got_ig),
-                w_grad: Some(&mut got_wg),
-            }),
-        );
-        for (i, (g, w)) in got_wg.iter().zip(&want_wg).enumerate() {
-            assert!(
-                (g - w).abs() < 1e-2 * w.abs().max(1.0),
-                "w_grad {shape:?} elem {i}: {g} vs {w}"
+
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut cg = CoreGroup::new(mode);
+            let mut got_out = vec![0.0; shape.output_len()];
+            forward(
+                &mut cg,
+                &shape,
+                Some(ConvFwdOperands {
+                    input: &input,
+                    weights: &weights,
+                    output: &mut got_out,
+                }),
             );
-        }
-        for (i, (g, w)) in got_ig.iter().zip(&want_ig).enumerate() {
-            assert!(
-                (g - w).abs() < 1e-2 * w.abs().max(1.0),
-                "in_grad {shape:?} elem {i}: {g} vs {w}"
+            for (i, (g, w)) in got_out.iter().zip(&want_out).enumerate() {
+                assert!(
+                    (g - w).abs() < 1e-3 * w.abs().max(1.0),
+                    "{mode:?} fwd {shape:?} elem {i}: {g} vs {w}"
+                );
+            }
+
+            let mut got_ig = vec![0.0; shape.input_len()];
+            let mut got_wg = vec![0.0; shape.weight_len()];
+            backward(
+                &mut cg,
+                &shape,
+                Some(ConvBwdOperands {
+                    input: &input,
+                    weights: &weights,
+                    out_grad: &out_grad,
+                    in_grad: Some(&mut got_ig),
+                    w_grad: Some(&mut got_wg),
+                }),
             );
+            for (i, (g, w)) in got_wg.iter().zip(&want_wg).enumerate() {
+                assert!(
+                    (g - w).abs() < 1e-2 * w.abs().max(1.0),
+                    "{mode:?} w_grad {shape:?} elem {i}: {g} vs {w}"
+                );
+            }
+            for (i, (g, w)) in got_ig.iter().zip(&want_ig).enumerate() {
+                assert!(
+                    (g - w).abs() < 1e-2 * w.abs().max(1.0),
+                    "{mode:?} in_grad {shape:?} elem {i}: {g} vs {w}"
+                );
+            }
         }
     }
 

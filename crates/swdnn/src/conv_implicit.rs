@@ -8,8 +8,9 @@
 //! paper credits for beating the explicit plan on most layers.
 //!
 //! Zero padding is handled by *coordinate mapping* (the paper's padding
-//! optimisation): out-of-range taps contribute zero tiles and skip their
-//! DMA, with no padded copy of the input anywhere.
+//! optimisation): a row tap outside the image is skipped, a column tap
+//! loads a zero tile with no DMA and multiplies it like any other (so an
+//! infinite weight makes a NaN there), and `crate::host` does the same.
 //!
 //! The strategy degrades for small channel counts — tiles shrink below
 //! what the register buses and vector pipelines need (the paper gates it
@@ -763,24 +764,26 @@ mod tests {
         let mut input_rcnb = vec![0.0; s.input_len()];
         nchw_to_rcnb_host(&in_trans(&s), &input_nchw, &mut input_rcnb);
         let weights = filters_oikk_to_kkon(s.out_c, s.in_c, s.k, &weights_oikk);
-        let mut out_rcnb = vec![0.0; s.output_len()];
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        forward(
-            &mut cg,
-            &s,
-            Some(ImplicitFwdOperands {
-                input: &input_rcnb,
-                weights: &weights,
-                output: &mut out_rcnb,
-            }),
-        );
-        let mut got = vec![0.0; s.output_len()];
-        rcnb_to_nchw_host(&out_trans(&s), &out_rcnb, &mut got);
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert!(
-                (g - w).abs() < 1e-3 * w.abs().max(1.0),
-                "implicit fwd {s:?} elem {i}: {g} vs {w}"
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut out_rcnb = vec![0.0; s.output_len()];
+            let mut cg = CoreGroup::new(mode);
+            forward(
+                &mut cg,
+                &s,
+                Some(ImplicitFwdOperands {
+                    input: &input_rcnb,
+                    weights: &weights,
+                    output: &mut out_rcnb,
+                }),
             );
+            let mut got = vec![0.0; s.output_len()];
+            rcnb_to_nchw_host(&out_trans(&s), &out_rcnb, &mut got);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    (g - w).abs() < 1e-3 * w.abs().max(1.0),
+                    "{mode:?} implicit fwd {s:?} elem {i}: {g} vs {w}"
+                );
+            }
         }
     }
 
@@ -805,35 +808,37 @@ mod tests {
         nchw_to_rcnb_host(&out_trans(&s), &dy_nchw, &mut dy_rcnb);
         let weights = filters_oikk_to_kkon(s.out_c, s.in_c, s.k, &weights_oikk);
 
-        let mut dx_rcnb = vec![0.0; s.input_len()];
-        let mut dw_kkon = vec![0.0; s.weight_len()];
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        backward(
-            &mut cg,
-            &s,
-            Some(ImplicitBwdOperands {
-                input: &input_rcnb,
-                weights: &weights,
-                out_grad: &dy_rcnb,
-                in_grad: Some(&mut dx_rcnb),
-                w_grad: Some(&mut dw_kkon),
-            }),
-        );
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut dx_rcnb = vec![0.0; s.input_len()];
+            let mut dw_kkon = vec![0.0; s.weight_len()];
+            let mut cg = CoreGroup::new(mode);
+            backward(
+                &mut cg,
+                &s,
+                Some(ImplicitBwdOperands {
+                    input: &input_rcnb,
+                    weights: &weights,
+                    out_grad: &dy_rcnb,
+                    in_grad: Some(&mut dx_rcnb),
+                    w_grad: Some(&mut dw_kkon),
+                }),
+            );
 
-        let mut got_dx = vec![0.0; s.input_len()];
-        rcnb_to_nchw_host(&in_trans(&s), &dx_rcnb, &mut got_dx);
-        let got_dw = crate::transform::filters_kkon_to_oikk(s.out_c, s.in_c, s.k, &dw_kkon);
-        for (i, (g, w)) in got_dx.iter().zip(&want_dx).enumerate() {
-            assert!(
-                (g - w).abs() < 1e-2 * w.abs().max(1.0),
-                "implicit dX {s:?} elem {i}: {g} vs {w}"
-            );
-        }
-        for (i, (g, w)) in got_dw.iter().zip(&want_dw).enumerate() {
-            assert!(
-                (g - w).abs() < 1e-2 * w.abs().max(1.0),
-                "implicit dW {s:?} elem {i}: {g} vs {w}"
-            );
+            let mut got_dx = vec![0.0; s.input_len()];
+            rcnb_to_nchw_host(&in_trans(&s), &dx_rcnb, &mut got_dx);
+            let got_dw = crate::transform::filters_kkon_to_oikk(s.out_c, s.in_c, s.k, &dw_kkon);
+            for (i, (g, w)) in got_dx.iter().zip(&want_dx).enumerate() {
+                assert!(
+                    (g - w).abs() < 1e-2 * w.abs().max(1.0),
+                    "{mode:?} implicit dX {s:?} elem {i}: {g} vs {w}"
+                );
+            }
+            for (i, (g, w)) in got_dw.iter().zip(&want_dw).enumerate() {
+                assert!(
+                    (g - w).abs() < 1e-2 * w.abs().max(1.0),
+                    "{mode:?} implicit dW {s:?} elem {i}: {g} vs {w}"
+                );
+            }
         }
     }
 

@@ -457,7 +457,7 @@ mod tests {
     use crate::reference;
     use sw26010::ExecMode;
 
-    fn pattern(len: usize, seed: u64) -> Vec<f32> {
+    pub(super) fn pattern(len: usize, seed: u64) -> Vec<f32> {
         (0..len)
             .map(|i| {
                 let x = (i as u64)
@@ -490,26 +490,27 @@ mod tests {
         let mut expected = c0.clone();
         reference::gemm(dims, ta, tb, &a, &b, beta, &mut expected);
 
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        let mut c = c0.clone();
-        gemm(
-            &mut cg,
-            dims,
-            ta,
-            tb,
-            beta,
-            Some(GemmOperands {
-                a: &a,
-                b: &b,
-                c: &mut c,
-            }),
-        );
-
-        for (i, (got, want)) in c.iter().zip(&expected).enumerate() {
-            assert!(
-                (got - want).abs() <= 1e-3 * want.abs().max(1.0),
-                "({m},{n},{k},{ta:?},{tb:?},beta={beta}) mismatch at {i}: {got} vs {want}"
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut cg = CoreGroup::new(mode);
+            let mut c = c0.clone();
+            gemm(
+                &mut cg,
+                dims,
+                ta,
+                tb,
+                beta,
+                Some(GemmOperands {
+                    a: &a,
+                    b: &b,
+                    c: &mut c,
+                }),
             );
+            for (i, (got, want)) in c.iter().zip(&expected).enumerate() {
+                assert!(
+                    (got - want).abs() <= 1e-3 * want.abs().max(1.0),
+                    "{mode:?} ({m},{n},{k},{ta:?},{tb:?},beta={beta}) mismatch at {i}: {got} vs {want}"
+                );
+            }
         }
     }
 
@@ -1007,6 +1008,7 @@ mod db_tests {
 #[cfg(test)]
 mod db_mesh_tests {
     use super::db_tests::double;
+    use super::tests::pattern;
     use super::*;
     use crate::reference;
     use sw26010::ExecMode;
@@ -1021,17 +1023,6 @@ mod db_mesh_tests {
     ) -> LaunchReport {
         let scheme = double(TilePlan::choose(dims));
         gemm_with_scheme(cg, dims, ta, tb, beta, scheme, ops)
-    }
-
-    fn pattern(len: usize, seed: u64) -> Vec<f32> {
-        (0..len)
-            .map(|i| {
-                let x = (i as u64)
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(seed);
-                ((x >> 33) % 1000) as f32 / 250.0 - 2.0
-            })
-            .collect()
     }
 
     #[test]

@@ -2,21 +2,19 @@
 //! explicit and implicit convolution, and the im2col/col2im the explicit
 //! plan runs).
 //!
-//! Every other kernel keeps its host path beside its mesh body, and both
-//! call one per-item function, so those agree bit for bit by
-//! construction. The GEMM family cannot: the mesh runs a tiled
-//! register-communication schedule over LDM, and the functions here
-//! reproduce its float sequence **by written contract** — same scalar
-//! types, same f32→f64 widenings, same accumulation order, same rounding
-//! points. They carry no timing model — callers return
-//! `LaunchReport::default()` (zero time, zero counters) — and no
-//! `KernelPlan` validation; they exist purely for wall-clock speed.
+//! Every reduction here goes through [`accumulate`], the function the
+//! mesh's block product calls, so host and mesh agree bit for bit by
+//! construction: what this module adds is staging — packing, the seed
+//! and rounding of each accumulator, and the tap walk of the implicit
+//! passes, which is the mesh kernel's own. It carries no timing model —
+//! callers return `LaunchReport::default()` (zero time, zero counters) —
+//! and no `KernelPlan` validation; it exists purely for wall-clock speed.
 //!
 //! Parallelism comes from [`swbackend::par_tasks`]: work is split into
 //! units whose results are fully determined by the unit itself (a run of
 //! C's columns, an output row, a filter tap), so the thread count never
-//! affects results. The bit-agreement tests in `tests/backend_agreement.rs`
-//! pin the contract against the mesh.
+//! affects results. `tests/backend_agreement.rs` pins that staging
+//! against the mesh.
 
 use std::cell::RefCell;
 
@@ -24,43 +22,44 @@ use swbackend::{par_tasks, resolve_threads};
 
 use crate::conv_explicit;
 use crate::shapes::{ConvShape, GemmDims, Trans};
+use crate::tile::accumulate;
 
 // ---------------------------------------------------------------------
 // GEMM
 // ---------------------------------------------------------------------
 
-/// Register tile of the GEMM micro-kernel: `GEMM_MR` rows of A against
-/// `GEMM_NR` columns of B. The zero-skip is a branch per (row, k), so
-/// rows multiply the hard-to-predict branches of a sparse A (ReLU-masked
-/// activations and gradients) while columns amortise them: one wide row
-/// measured fastest on dense and sparse operands alike.
-pub const GEMM_MR: usize = 1;
-/// See [`GEMM_MR`]. Twelve SSE2 registers of accumulators: the widest
-/// row the baseline x86-64 target keeps out of memory.
+/// Columns of C per micro-kernel call: twelve SSE2 registers of f64
+/// accumulators, the widest row the baseline x86-64 target keeps out of
+/// memory. A call takes one row of A: the zero-skip is a branch per (row,
+/// k), so more rows would multiply the hard-to-predict branches of a
+/// sparse A (ReLU-masked activations and gradients) while columns
+/// amortise them.
 pub const GEMM_NR: usize = 24;
 /// Products below this many flops (`2mnk`) run on the calling thread: a
 /// fork costs about as long as this much work takes.
 pub const GEMM_FORK_FLOPS: usize = 1 << 20;
 
-/// Per-thread buffers the GEMM-backed mirrors reuse across calls: the
-/// packed A panels, one packed B panel per task, and the explicit conv
-/// plan's column matrix. Whoever reads a buffer has overwritten that
-/// part of it first, so a previous call's contents never reach a result.
+/// Per-thread buffers the host passes reuse across calls: the packed A
+/// rows, one packed B panel per task and the explicit conv plan's column
+/// matrix; the implicit passes' accumulators, and their zero operand or
+/// transposed input block in `cols`. Whoever reads a buffer has
+/// overwritten that part of it first, so a previous call's contents never
+/// reach a result.
 #[derive(Default)]
 struct Scratch {
     a: Vec<f64>,
     b: Vec<f64>,
     cols: Vec<f32>,
+    acc: Vec<f64>,
 }
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
-/// `C = A*B + beta*C`, mirroring the mesh GEMM: per-element f64
-/// accumulator seeded with the f32 product `beta * c`, plain ascending-k
-/// reduction (the tiled mesh schedule visits k in ascending order), and
-/// the mesh's skip of zero A-values.
+/// `C = A*B + beta*C`, as the mesh GEMM computes it: per-element f64
+/// accumulator seeded with the f32 product `beta * c`, then
+/// [`accumulate`] over the whole of k.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm(
     threads: usize,
@@ -123,11 +122,12 @@ fn pack<const W: usize>(
     }
 }
 
-/// All of A as `GEMM_MR`-row panels (what [`gemm_packed`] multiplies by).
+/// All of A widened to f64, one run of `k` per row (what [`gemm_packed`]
+/// multiplies by).
 fn pack_a(ta: Trans, dims: GemmDims, a: &[f32], out: &mut Vec<f64>) {
-    out.resize(dims.m.div_ceil(GEMM_MR) * GEMM_MR * dims.k, 0.0);
+    out.resize(dims.m * dims.k, 0.0);
     if dims.k > 0 {
-        pack::<GEMM_MR>(ta.is_trans(), dims.m, dims.k, a, (0, dims.m), out);
+        pack::<1>(ta.is_trans(), dims.m, dims.k, a, (0, dims.m), out);
     }
 }
 
@@ -135,7 +135,7 @@ fn pack_a(ta: Trans, dims: GemmDims, a: &[f32], out: &mut Vec<f64>) {
 /// explicit conv plan packs its weights once for the whole batch). A
 /// task owns a run of `GEMM_NR`-column panels of C over all rows; it
 /// packs one panel of B at a time into its slice of `bp` and sweeps it
-/// down the A panels. Every element of C is produced by one [`tile`]
+/// down the rows of A. Every element of C is produced by one [`tile`]
 /// call whatever the partition, so the thread count cannot change a bit.
 #[allow(clippy::too_many_arguments)]
 fn gemm_packed(
@@ -188,11 +188,8 @@ fn gemm_packed(
             let vn = GEMM_NR.min(width - j);
             let cols = (task.j0 + j, task.j0 + j + vn);
             pack::<GEMM_NR>(!tb.is_trans(), n, k, b, cols, task.bpanel);
-            for (apanel, crows) in ap
-                .chunks_exact(k * GEMM_MR)
-                .zip(task.rows.chunks_mut(GEMM_MR))
-            {
-                tile(beta, apanel, task.bpanel, crows, j, vn);
+            for (arow, crow) in ap.chunks_exact(k).zip(task.rows.iter_mut()) {
+                tile(beta, arow, task.bpanel, &mut crow[j..j + vn]);
             }
         }
     });
@@ -206,37 +203,26 @@ struct ColumnRun<'a> {
     bpanel: &'a mut [f64],
 }
 
-/// The micro-kernel: one `GEMM_MR x GEMM_NR` tile of C, columns
-/// `j..j + vn` of `crows`, from whole-`k` panels of A and B. Each element
-/// follows the float sequence of the mesh's `tile_product` exactly: an
-/// f64 accumulator seeded with the f32 product `beta * c` (or +0.0), one
-/// add per ascending `k`, *no* add where A is zero (a skipped `0 * inf`
-/// or `-0.0 + 0.0` is not an added zero), one rounding to f32 at the
-/// end. Only the independent columns are left to the vectoriser.
-fn tile(beta: f32, ap: &[f64], bp: &[f64], crows: &mut [&mut [f32]], j: usize, vn: usize) {
-    let mut acc = [[0.0f64; GEMM_NR]; GEMM_MR];
+/// The micro-kernel: `crow`, at most `GEMM_NR` columns of one row of C,
+/// from a whole-`k` row of A and panel of B. The accumulator is seeded
+/// with the f32 product `beta * c` (or +0.0), runs [`accumulate`] and is
+/// rounded to f32 once, as the mesh's C tile is.
+fn tile(beta: f32, arow: &[f64], bp: &[f64], crow: &mut [f32]) {
+    let mut acc = [0.0f64; GEMM_NR];
     if beta != 0.0 {
-        for (sums, crow) in acc.iter_mut().zip(crows.iter()) {
-            for (s, v) in sums.iter_mut().zip(&crow[j..j + vn]) {
-                *s = (beta * *v) as f64;
-            }
+        for (s, v) in acc.iter_mut().zip(crow.iter()) {
+            *s = (beta * *v) as f64;
         }
     }
-    let (asteps, bsteps) = (ap.as_chunks::<GEMM_MR>().0, bp.as_chunks::<GEMM_NR>().0);
-    for (avals, bvals) in asteps.iter().zip(bsteps) {
-        for (sums, av) in acc.iter_mut().zip(avals) {
-            if *av == 0.0 {
-                continue;
-            }
-            for (s, bv) in sums.iter_mut().zip(bvals) {
-                *s += av * bv;
-            }
-        }
-    }
-    for (sums, crow) in acc.iter().zip(crows.iter_mut()) {
-        for (v, s) in crow[j..j + vn].iter_mut().zip(sums) {
-            *v = *s as f32;
-        }
+    accumulate(&mut acc, arow.iter().copied(), bp);
+    round(crow, &acc);
+}
+
+/// Narrow accumulators to f32, the one rounding of every GEMM-family
+/// output.
+fn round(out: &mut [f32], acc: &[f64]) {
+    for (v, s) in out.iter_mut().zip(acc) {
+        *v = *s as f32;
     }
 }
 
@@ -254,13 +240,11 @@ pub fn im2col(threads: usize, shape: &ConvShape, image: &[f32], cols: &mut [f32]
         let ky = (r / k) % k;
         let kx = r % k;
         for oy in 0..oh {
-            let y = (oy * s + ky) as isize - p as isize;
+            let y = tap_target(oy, ky, s, p, ih);
             for ox in 0..ow {
-                let x = (ox * s + kx) as isize - p as isize;
-                row[oy * ow + ox] = if y >= 0 && (y as usize) < ih && x >= 0 && (x as usize) < iw {
-                    image[(c * ih + y as usize) * iw + x as usize]
-                } else {
-                    0.0
+                row[oy * ow + ox] = match (y, tap_target(ox, kx, s, p, iw)) {
+                    (Some(y), Some(x)) => image[(c * ih + y) * iw + x],
+                    _ => 0.0,
                 };
             }
         }
@@ -294,19 +278,16 @@ pub fn col2im(threads: usize, shape: &ConvShape, cols: &[f32], image: &mut [f32]
     });
 }
 
-/// The output coordinate whose `(kernel-tap, stride, pad)` window covers
-/// input coordinate `i`, if any.
+/// The input coordinate that tap `tap` of output coordinate `o` reads,
+/// unless it is padding.
+fn tap_target(o: usize, tap: usize, stride: usize, pad: usize, in_dim: usize) -> Option<usize> {
+    (o * stride + tap).checked_sub(pad).filter(|&i| i < in_dim)
+}
+
+/// The output coordinate whose tap `tap` reads input coordinate `i`.
 fn tap_source(i: usize, tap: usize, stride: usize, pad: usize, out_dim: usize) -> Option<usize> {
-    let num = i + pad;
-    if num < tap {
-        return None;
-    }
-    let num = num - tap;
-    if !num.is_multiple_of(stride) {
-        return None;
-    }
-    let o = num / stride;
-    (o < out_dim).then_some(o)
+    let num = (i + pad).checked_sub(tap)?;
+    (num.is_multiple_of(stride) && num / stride < out_dim).then_some(num / stride)
 }
 
 // ---------------------------------------------------------------------
@@ -326,7 +307,7 @@ pub fn conv_explicit_forward(
     let dims = conv_explicit::fwd_gemm_dims(shape);
     let per_in = shape.in_c * shape.in_h * shape.in_w;
     let per_out = shape.out_c * shape.col_cols();
-    SCRATCH.with_borrow_mut(|Scratch { a, b, cols }| {
+    SCRATCH.with_borrow_mut(|Scratch { a, b, cols, .. }| {
         pack_a(Trans::No, dims, weights, a);
         cols.resize(dims.k * dims.n, 0.0);
         for bi in 0..shape.batch {
@@ -352,7 +333,7 @@ pub fn conv_explicit_backward(
 ) {
     let per_in = shape.in_c * shape.in_h * shape.in_w;
     let per_out = shape.out_c * shape.col_cols();
-    SCRATCH.with_borrow_mut(|Scratch { a, b, cols }| {
+    SCRATCH.with_borrow_mut(|Scratch { a, b, cols, .. }| {
         cols.resize(shape.col_rows() * shape.col_cols(), 0.0);
         if let Some(w_grad) = w_grad {
             let dims = conv_explicit::bwd_weights_gemm_dims(shape);
@@ -379,11 +360,12 @@ pub fn conv_explicit_backward(
 // Implicit convolution (RCNB layouts)
 // ---------------------------------------------------------------------
 
-/// Implicit-plan forward. Input/output RCNB, weights KKON. The mesh
-/// reduction visits `ky` ascending, `kx` ascending, then the channel
-/// fibre in ascending order; padded tiles contribute exact-zero products,
-/// which never perturb an accumulator that started at +0.0, so the mirror
-/// simply skips out-of-bounds taps.
+/// Implicit-plan forward. Input/output RCNB, weights KKON. Each output
+/// pixel and channel runs the mesh kernel's reduction over main memory:
+/// taps in ascending `(ky, kx)`, each one [`accumulate`] of the tap's
+/// weight row against the pixel's `N_i x B` input block. A row tap
+/// outside the image is skipped and a column tap outside it is a zero
+/// operand, as on the mesh.
 pub fn conv_implicit_forward(
     threads: usize,
     shape: &ConvShape,
@@ -396,39 +378,39 @@ pub fn conv_implicit_forward(
     let ow = shape.out_w();
     let rows: Vec<(usize, &mut [f32])> = output.chunks_mut(ow * no * b).enumerate().collect();
     par_tasks(threads, rows, |(oy, orow)| {
-        for xo in 0..ow {
-            for oc in 0..no {
-                for bi in 0..b {
-                    let mut acc = 0.0f64;
+        SCRATCH.with_borrow_mut(|scratch| {
+            let (acc, zeros) = (&mut scratch.acc, &mut scratch.cols);
+            acc.resize(b, 0.0);
+            zeros.clear();
+            zeros.resize(ni * b, 0.0);
+            for (xo, pixel) in orow.chunks_exact_mut(no * b).enumerate() {
+                for (oc, out) in pixel.chunks_exact_mut(b).enumerate() {
+                    acc.fill(0.0);
                     for ky in 0..k {
-                        let y = oy * s + ky;
-                        if y < p || y - p >= ih {
+                        let Some(y) = tap_target(oy, ky, s, p, ih) else {
                             continue;
-                        }
-                        let y = y - p;
+                        };
                         for kx in 0..k {
-                            let x = xo * s + kx;
-                            if x < p || x - p >= iw {
-                                continue;
-                            }
-                            let x = x - p;
-                            for ic in 0..ni {
-                                let w = weights[((ky * k + kx) * no + oc) * ni + ic];
-                                if w == 0.0 {
-                                    continue;
-                                }
-                                acc += w as f64 * input[((y * iw + x) * ni + ic) * b + bi] as f64;
-                            }
+                            let w = &weights[((ky * k + kx) * no + oc) * ni..][..ni];
+                            let x = match tap_target(xo, kx, s, p, iw) {
+                                Some(x) => &input[(y * iw + x) * ni * b..][..ni * b],
+                                None => zeros,
+                            };
+                            accumulate(acc, w.iter().map(|&v| v as f64), x);
                         }
                     }
-                    orow[(xo * no + oc) * b + bi] = acc as f32;
+                    round(out, acc);
                 }
             }
-        }
+        });
     });
 }
 
-/// Implicit-plan backward data gradient (RCNB `in_grad`).
+/// Implicit-plan backward data gradient (RCNB `in_grad`): per input
+/// pixel and channel, one [`accumulate`] per tap of the transposed
+/// weights (a strided column of the tap's `N_o x N_i` block) against the
+/// `N_o x B` output-gradient block the tap reaches; padding as in
+/// [`conv_implicit_forward`].
 pub fn conv_implicit_backward_input(
     threads: usize,
     shape: &ConvShape,
@@ -441,36 +423,40 @@ pub fn conv_implicit_backward_input(
     let (oh, ow) = (shape.out_h(), shape.out_w());
     let rows: Vec<(usize, &mut [f32])> = in_grad.chunks_mut(iw * ni * b).enumerate().collect();
     par_tasks(threads, rows, |(y, grow)| {
-        for x in 0..iw {
-            for ic in 0..ni {
-                for bi in 0..b {
-                    let mut acc = 0.0f64;
+        SCRATCH.with_borrow_mut(|scratch| {
+            let (acc, zeros) = (&mut scratch.acc, &mut scratch.cols);
+            acc.resize(b, 0.0);
+            zeros.clear();
+            zeros.resize(no * b, 0.0);
+            for (x, pixel) in grow.chunks_exact_mut(ni * b).enumerate() {
+                for (ic, out) in pixel.chunks_exact_mut(b).enumerate() {
+                    acc.fill(0.0);
                     for ky in 0..k {
                         let Some(oy) = tap_source(y, ky, s, p, oh) else {
                             continue;
                         };
                         for kx in 0..k {
-                            let Some(ox) = tap_source(x, kx, s, p, ow) else {
-                                continue;
+                            let w = &weights[(ky * k + kx) * no * ni..][..no * ni];
+                            let dy = match tap_source(x, kx, s, p, ow) {
+                                Some(ox) => &out_grad[(oy * ow + ox) * no * b..][..no * b],
+                                None => zeros,
                             };
-                            for oc in 0..no {
-                                let w = weights[((ky * k + kx) * no + oc) * ni + ic];
-                                if w == 0.0 {
-                                    continue;
-                                }
-                                acc +=
-                                    w as f64 * out_grad[((oy * ow + ox) * no + oc) * b + bi] as f64;
-                            }
+                            let wt = w[ic..].iter().step_by(ni).map(|&v| v as f64);
+                            accumulate(acc, wt, dy);
                         }
                     }
-                    grow[(x * ni + ic) * b + bi] = acc as f32;
+                    round(out, acc);
                 }
             }
-        }
+        });
     });
 }
 
 /// Implicit-plan backward weight gradient (KKON `w_grad`, overwritten).
+/// Per filter tap, every output pixel's `B x N_i` input block (a
+/// transposed copy, or zeros for a column tap outside the image) meets
+/// one [`accumulate`] per output channel, its `dY` fibre the left
+/// operand; row taps outside the image are skipped.
 pub fn conv_implicit_backward_weights(
     threads: usize,
     shape: &ConvShape,
@@ -482,35 +468,34 @@ pub fn conv_implicit_backward_weights(
     let (k, s, p, no) = (shape.k, shape.stride, shape.pad, shape.out_c);
     let (oh, ow) = (shape.out_h(), shape.out_w());
     let taps: Vec<(usize, &mut [f32])> = w_grad.chunks_mut(no * ni).enumerate().collect();
-    par_tasks(threads, taps, |(tap, chunk)| {
-        let ky = tap / k;
-        let kx = tap % k;
-        for oc in 0..no {
-            for ic in 0..ni {
-                let mut acc = 0.0f64;
-                for oy in 0..oh {
-                    let y = oy * s + ky;
-                    if y < p || y - p >= ih {
-                        continue;
-                    }
-                    let y = y - p;
-                    for xo in 0..ow {
-                        let x = xo * s + kx;
-                        if x < p || x - p >= iw {
-                            continue;
-                        }
-                        let x = x - p;
-                        for bi in 0..b {
-                            let dy = out_grad[((oy * ow + xo) * no + oc) * b + bi];
-                            if dy == 0.0 {
-                                continue;
+    par_tasks(threads, taps, |(tap, dw)| {
+        SCRATCH.with_borrow_mut(|Scratch { acc, cols: xt, .. }| {
+            acc.clear();
+            acc.resize(no * ni, 0.0);
+            xt.resize(b * ni, 0.0);
+            for oy in 0..oh {
+                let Some(y) = tap_target(oy, tap / k, s, p, ih) else {
+                    continue;
+                };
+                for xo in 0..ow {
+                    match tap_target(xo, tap % k, s, p, iw) {
+                        Some(x) => {
+                            let block = &input[(y * iw + x) * ni * b..][..ni * b];
+                            for (ic, fibre) in block.chunks_exact(b).enumerate() {
+                                for (bi, v) in fibre.iter().enumerate() {
+                                    xt[bi * ni + ic] = *v;
+                                }
                             }
-                            acc += dy as f64 * input[((y * iw + x) * ni + ic) * b + bi] as f64;
                         }
+                        None => xt.fill(0.0),
+                    }
+                    let dy = &out_grad[(oy * ow + xo) * no * b..][..no * b];
+                    for (sums, fibre) in acc.chunks_exact_mut(ni).zip(dy.chunks_exact(b)) {
+                        accumulate(sums, fibre.iter().map(|&v| v as f64), xt);
                     }
                 }
-                chunk[oc * ni + ic] = acc as f32;
             }
-        }
+            round(dw, acc);
+        });
     });
 }

@@ -438,17 +438,19 @@ mod tests {
             .collect();
         let mut want = vec![0.0; shape.col_rows() * shape.col_cols()];
         reference::im2col(&shape, &image, &mut want);
-        let mut got = vec![f32::NAN; want.len()];
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        im2col(
-            &mut cg,
-            &shape,
-            Some(Im2colOperands {
-                image: &image,
-                cols: &mut got,
-            }),
-        );
-        assert_eq!(got, want, "{shape:?}");
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut got = vec![f32::NAN; want.len()];
+            let mut cg = CoreGroup::new(mode);
+            im2col(
+                &mut cg,
+                &shape,
+                Some(Im2colOperands {
+                    image: &image,
+                    cols: &mut got,
+                }),
+            );
+            assert_eq!(got, want, "{mode:?} {shape:?}");
+        }
     }
 
     fn check_col2im(shape: ConvShape) {
@@ -457,18 +459,23 @@ mod tests {
             .collect();
         let mut want = vec![0.0; shape.in_c * shape.in_h * shape.in_w];
         reference::col2im(&shape, &cols, &mut want);
-        let mut got = vec![f32::NAN; want.len()];
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        col2im(
-            &mut cg,
-            &shape,
-            Some(Col2imOperands {
-                cols: &cols,
-                image: &mut got,
-            }),
-        );
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert!((g - w).abs() < 1e-4, "{shape:?} elem {i}: {g} vs {w}");
+        for mode in crate::FUNCTIONAL_MODES {
+            let mut got = vec![f32::NAN; want.len()];
+            let mut cg = CoreGroup::new(mode);
+            col2im(
+                &mut cg,
+                &shape,
+                Some(Col2imOperands {
+                    cols: &cols,
+                    image: &mut got,
+                }),
+            );
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    (g - w).abs() < 1e-4,
+                    "{mode:?} {shape:?} elem {i}: {g} vs {w}"
+                );
+            }
         }
     }
 

@@ -16,6 +16,9 @@
 //!   ([`Tiles::panel_product`]: 8 bus steps, or one replicated-strip
 //!   product) and the C tile's start and end ([`Tiles::preload_c`] /
 //!   [`Tiles::zero_c`], [`Tiles::store_c`]).
+//! * [`accumulate`] — the GEMM family's float sequence: the block product
+//!   and every [`crate::host`] reduction call it, so the two backends
+//!   agree bit for bit by construction.
 //! * The per-phase cost terms ([`load_cost`], [`bus_step_seconds`]) the
 //!   analytic models of both modules are assembled from. The terms are
 //!   shared; each model keeps its own summation order, because the
@@ -271,9 +274,9 @@ impl Tiles {
     /// them in one go — same products, same ascending-k order, so the
     /// two are bitwise interchangeable.
     pub async fn panel_product(&mut self, cpe: &mut Cpe<'_>) {
-        let TileLayout { mt, nt, kw, .. } = self.layout;
+        let nt = self.layout.nt;
         match &mut self.wide[..] {
-            [a64, b64, c64] => tile_product(cpe, a64, b64, c64, mt, nt, kw),
+            [a64, b64, c64] => tile_product(cpe, a64, b64, c64, nt),
             [a64, b64, c64, abuf, bbuf] => {
                 let (i, j) = (cpe.row(), cpe.col());
                 for t in 0..MESH_DIM {
@@ -289,7 +292,7 @@ impl Tiles {
                     }
                     let at: &[f64] = if j == t { a64 } else { abuf };
                     let bt: &[f64] = if i == t { b64 } else { bbuf };
-                    tile_product(cpe, at, bt, c64, mt, nt, kw);
+                    tile_product(cpe, at, bt, c64, nt);
                 }
             }
             _ => unreachable!("a tile layout has 3 or 5 f64 buffers"),
@@ -340,30 +343,36 @@ impl Tiles {
     }
 }
 
-/// `C += A * B` on zero-padded f64 tiles (`mt x kd`, `kd x nt`), skipping
-/// the padding's (and any other) zero entries of A.
-fn tile_product(
-    cpe: &mut Cpe,
-    at: &[f64],
-    bt: &[f64],
-    c64: &mut [f64],
-    mt: usize,
-    nt: usize,
-    kd: usize,
-) {
-    cpe.compute((2 * mt * nt * kd) as u64, || {
-        for r in 0..mt {
-            for tt in 0..kd {
-                let av = at[r * kd + tt];
-                if av == 0.0 {
-                    continue;
-                }
-                for cc in 0..nt {
-                    c64[r * nt + cc] += av * bt[tt * nt + cc];
-                }
-            }
+/// `C += A * B` on zero-padded f64 tiles (`mt x kd`, `kd x nt`): one
+/// [`accumulate`] per row of C.
+fn tile_product(cpe: &mut Cpe, at: &[f64], bt: &[f64], c64: &mut [f64], nt: usize) {
+    let kd = bt.len() / nt;
+    cpe.compute((2 * at.len() * nt) as u64, || {
+        for (crow, arow) in c64.chunks_exact_mut(nt).zip(at.chunks_exact(kd)) {
+            accumulate(crow, arow.iter().copied(), bt);
         }
     });
+}
+
+/// The one float sequence of the GEMM family, mesh and host alike:
+/// `acc[c] += a[k] * b[k][c]` for ascending `k`, with `b` read as rows of
+/// `acc.len()` (non-zero) values widened to f64. Where `a[k]` is zero, of
+/// either sign, nothing is added: a skipped `0 * inf` or `-0.0 + 0.0` is
+/// not an added zero. Only the independent columns are left to the
+/// vectoriser, so no target can reorder a sum.
+#[inline(always)]
+pub(crate) fn accumulate<T: Copy + Into<f64>>(
+    acc: &mut [f64],
+    a: impl IntoIterator<Item = f64>,
+    b: &[T],
+) {
+    for (av, brow) in a.into_iter().zip(b.chunks_exact(acc.len())) {
+        if av != 0.0 {
+            for (s, bv) in acc.iter_mut().zip(brow) {
+                *s += av * (*bv).into();
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -392,4 +401,77 @@ pub(crate) fn bus_step_seconds(mt: usize, nt: usize, kt: usize, product_cycles: 
     let sa = transfer_cycles(mt * kt * 8);
     let sb = transfer_cycles(kt * nt * 8);
     SimTime::from_cycles(2.0 * sa + 2.0 * sb + 2.0 * RLC_HOP_CYCLES + product_cycles).seconds()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::accumulate;
+    use crate::host::GEMM_NR;
+
+    /// Column by column, k innermost, zero entries of `a` skipped.
+    fn oracle(seed: &[f64], a: &[f64], b: &[f64]) -> Vec<f64> {
+        let w = seed.len();
+        (0..w)
+            .map(|c| {
+                (0..a.len())
+                    .filter(|&k| a[k] != 0.0)
+                    .fold(seed[c], |s, k| s + a[k] * b[k * w + c])
+            })
+            .collect()
+    }
+
+    /// Same bits, except that any NaN matches any NaN.
+    #[track_caller]
+    fn assert_same(tag: &str, got: &[f64], want: &[f64]) {
+        for (c, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{tag}: column {c}: {g} vs {w}"
+            );
+        }
+    }
+
+    /// `accumulate` over an f32 B and over the same B widened to f64.
+    fn both(seed: &[f64], a: &[f64], b: &[f32]) -> [Vec<f64>; 2] {
+        let wide: Vec<f64> = b.iter().map(|&v| v as f64).collect();
+        let (mut narrow_acc, mut wide_acc) = (seed.to_vec(), seed.to_vec());
+        accumulate(&mut narrow_acc, a.iter().copied(), b);
+        accumulate(&mut wide_acc, a.iter().copied(), &wide);
+        [narrow_acc, wide_acc]
+    }
+
+    #[test]
+    fn accumulate_matches_f64_oracle_on_non_finite_and_signed_zeros() {
+        let hostile = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for w in [1, 7, GEMM_NR] {
+            // Rows 0, 1 and 3 of B are NaN and infinities, the rest finite.
+            let b: Vec<f32> = (0..6 * w)
+                .map(|i| match i / w {
+                    0 | 1 | 3 => hostile[(i / w + i % w) % 3],
+                    _ => (i % 17) as f32 / 8.0 - 1.0,
+                })
+                .collect();
+            let wide: Vec<f64> = b.iter().map(|&v| v as f64).collect();
+            let seed: Vec<f64> = (0..w).map(|c| [0.5, -0.0, -1.25][c % 3]).collect();
+            for (tag, a) in [
+                ("zeros opposite", [0.0, -0.0, 1.5, 0.0, -2.0, 0.5]),
+                ("non-zeros opposite", [1.0, -0.5, 1.5, 2.0, -2.0, 0.5]),
+            ] {
+                let want = oracle(&seed, &a, &wide);
+                let skipped = tag == "zeros opposite";
+                assert!(want.iter().all(|v| v.is_finite() == skipped), "{tag} w={w}");
+                for got in both(&seed, &a, &b) {
+                    assert_same(&format!("{tag} w={w}"), &got, &want);
+                }
+            }
+            // An all-zero row of A adds nothing, not even a +0.0.
+            let zeros = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0];
+            for got in both(&vec![-0.0; w], &zeros, &b) {
+                assert!(
+                    got.iter().all(|v| v.to_bits() == (-0.0f64).to_bits()),
+                    "w={w}"
+                );
+            }
+        }
+    }
 }

@@ -3,11 +3,13 @@
 //!
 //! The host path promises *bit-for-bit* identical results to the mesh
 //! path — same accumulator widths, same reduction orders, same rounding
-//! points — independent of the host thread count. For the GEMM family
-//! (`swdnn::host`) that is a written contract; for every other kernel both
-//! paths call one per-item function, and what these tests still pin is the
-//! staging around it (chunk boundaries, lane folds, partitioning). These
-//! tests pin both: every kernel runs under
+//! points — independent of the host thread count. Both paths call one
+//! per-item function per kernel (`tile::accumulate` for the GEMM family),
+//! so what these tests pin is the staging around it: packing, chunk
+//! boundaries, lane folds, accumulator seeds, padding taps (a row tap
+//! outside the image skipped, a column tap a zero operand) and
+//! partitioning. A bug inside the shared function is the unit oracle
+//! tests' to catch. Every kernel runs under
 //! `ExecMode::Functional` and under `ExecMode::HostNative` with one and
 //! with several threads, and the outputs are compared via `f32::to_bits`.
 //! Agreement alone cannot tell a host run from a mesh fallback, so every
@@ -77,8 +79,8 @@ fn values(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Sparse-ish values: a fraction of exact zeros, exercising the mesh's
-/// zero-skip branches (which the host mirrors replicate).
+/// Sparse-ish values: a fraction of exact zeros, exercising the zero-skip
+/// of the GEMM family's accumulate kernel.
 fn sparse_values(len: usize, seed: u64) -> Vec<f32> {
     values(len, seed)
         .into_iter()
@@ -280,7 +282,7 @@ fn gemm_on(
 /// single k-step to a long reduction, on one, two and three threads.
 #[test]
 fn gemm_agrees_across_block_edges() {
-    use swdnn::host::{GEMM_FORK_FLOPS, GEMM_MR, GEMM_NR};
+    use swdnn::host::{GEMM_FORK_FLOPS, GEMM_NR};
     let straddle = |edge: usize| {
         let mut v = vec![1, edge - 1, edge, edge + 1, 2 * edge + 3];
         v.retain(|x| *x > 0);
@@ -288,7 +290,7 @@ fn gemm_agrees_across_block_edges() {
         v.dedup();
         v
     };
-    let (ms, ns, ks) = (straddle(GEMM_MR), straddle(GEMM_NR), [1, 7, 64, 300]);
+    let (ms, ns, ks) = (straddle(1), straddle(GEMM_NR), [1, 7, 64, 300]);
     let mut cases: Vec<(usize, usize, usize)> = Vec::new();
     for &m in &ms {
         for &n in &ns {
@@ -298,7 +300,7 @@ fn gemm_agrees_across_block_edges() {
     // Wide enough to fork, so that two and three tasks split the column
     // panels between them: a whole number of panels, one column short of
     // it (a ragged last task) and one over (a last panel of one column).
-    let (m, k) = (2 * GEMM_MR + 3, 300);
+    let (m, k) = (5, 300);
     let n = (GEMM_FORK_FLOPS.div_ceil(2 * m * k * GEMM_NR) + 2) * GEMM_NR;
     cases.extend([(m, n - 1, k), (m, n, k), (m, n + 1, k)]);
     for (m, n, k) in cases {
@@ -501,6 +503,80 @@ fn implicit_conv_agrees_across_backends() {
 fn implicit_conv_agrees_on_table2_geometries() {
     for (i, shape) in table2_shapes().into_iter().enumerate() {
         check_implicit(&shape, &format!("table2 {i}"));
+    }
+}
+
+/// Non-finite operands where the implicit passes' padding taps meet them.
+/// A row tap outside the image is skipped on both backends; a column tap
+/// outside it is a zero operand, so an infinity opposite it makes a NaN
+/// the host must make too. Rust leaves the sign and payload of a produced
+/// NaN unspecified, so NaN positions are compared exactly and every other
+/// value bit for bit.
+#[test]
+fn implicit_conv_padding_meets_non_finite_operands() {
+    let shape = ConvShape {
+        batch: 8,
+        in_c: 8,
+        in_h: 6,
+        in_w: 6,
+        out_c: 8,
+        k: 3,
+        stride: 1,
+        pad: 1,
+    };
+    let b = shape.batch;
+    // RCNB offset of `(y, x, channel, image)` in a 6x6 map of `c` channels.
+    let rcnb = |y: usize, x: usize, ch: usize, c: usize, bi: usize| ((y * 6 + x) * c + ch) * b + bi;
+    // Tap (0, 0) of KKON is the first `out_c x in_c` block.
+    let mut weights = sparse_values(shape.weight_len(), 7);
+    weights[shape.in_c + 2] = f32::INFINITY;
+    weights[5 * shape.in_c + 6] = f32::NEG_INFINITY;
+    let mut input = values(shape.input_len(), 6);
+    input[rcnb(2, 0, 1, shape.in_c, 3)] = f32::NAN;
+    let mut out_grad = sparse_values(shape.output_len(), 8);
+    out_grad[rcnb(0, 0, 2, shape.out_c, 1)] = f32::INFINITY;
+    out_grad[rcnb(3, 5, 4, shape.out_c, 6)] = f32::NEG_INFINITY;
+
+    let run = |mode: ExecMode| {
+        let mut out = vec![0.0; shape.output_len()];
+        let mut in_grad = vec![0.0; shape.input_len()];
+        let mut w_grad = vec![0.0; shape.weight_len()];
+        let mut cg = CoreGroup::new(mode);
+        swdnn::conv_implicit::forward(
+            &mut cg,
+            &shape,
+            Some(ImplicitFwdOperands {
+                input: &input,
+                weights: &weights,
+                output: &mut out,
+            }),
+        );
+        swdnn::conv_implicit::backward(
+            &mut cg,
+            &shape,
+            Some(ImplicitBwdOperands {
+                input: &input,
+                weights: &weights,
+                out_grad: &out_grad,
+                in_grad: Some(&mut in_grad),
+                w_grad: Some(&mut w_grad),
+            }),
+        );
+        assert_host_path(&cg);
+        [out, in_grad, w_grad]
+    };
+    let want = run(ExecMode::Functional);
+    for mode in HOST_MODES {
+        let got = run(mode);
+        for ((pass, got), want) in ["fwd", "bwd-in", "bwd-w"].iter().zip(&got).zip(&want) {
+            assert!(want.iter().any(|v| v.is_nan()), "{pass}: no NaN to compare");
+            for (i, (g, w)) in got.iter().zip(want).enumerate() {
+                assert!(
+                    g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                    "{mode:?} implicit {pass}: elem {i} differs: host {g} vs mesh {w}"
+                );
+            }
+        }
     }
 }
 
