@@ -763,12 +763,46 @@ fn expect_uniform(spec: &CommSpec, step: usize) -> Option<UniformStep> {
 /// step (the pipeline hand-off `receiver(c, k) == sender(c, k+1)`), the
 /// final fold must land on the declared owner, and the gather must walk
 /// every chunk through the remaining `p - 1` ranks exactly once.
+///
+/// The same pass reads the transfer classes the cost model prices every
+/// step from ([`CommSpec::transfer_classes`]), so the pricer and the
+/// checker share one description: each step's classes must count `p`
+/// sends, move every block of the segment exactly once, and keep the
+/// number of switch-crossing sends of the first step.
 fn check_ring_scale(spec: &CommSpec, sink: &mut Sink) -> usize {
     let p = spec.nodes();
     let steps = spec.num_steps();
     let half = p - 1;
+    let segment_bytes = 4 * (spec.seg_hi - spec.seg_lo);
+    let mut table = spec.transfer_classes(None);
+    let mut classes = Vec::new();
+    let mut first_crossing: Option<usize> = None;
     let mut prev_shift: Option<usize> = None;
     for k in 0..steps {
+        table.step_into(k, &mut classes);
+        let sends: usize = classes.iter().map(|c| c.count).sum();
+        let bytes: usize = classes.iter().map(|c| c.count * c.bytes).sum();
+        let crossing: usize = classes
+            .iter()
+            .filter(|c| c.route.crosses)
+            .map(|c| c.count)
+            .sum();
+        if sends != p || bytes != segment_bytes {
+            sink.push(CommViolation::PhaseViolation {
+                step: k,
+                detail: format!(
+                    "transfer classes count {sends} sends of {bytes} B \
+                     (expected {p} sends of {segment_bytes} B)"
+                ),
+            });
+        }
+        let crossing0 = *first_crossing.get_or_insert(crossing);
+        if crossing != crossing0 {
+            sink.push(CommViolation::PhaseViolation {
+                step: k,
+                detail: format!("{crossing} sends cross the switch (step 0: {crossing0})"),
+            });
+        }
         let Some(u) = expect_uniform(spec, k) else {
             sink.push(CommViolation::PhaseViolation {
                 step: k,
@@ -852,7 +886,7 @@ fn check_ring_scale(spec: &CommSpec, sink: &mut Sink) -> usize {
     // Cross-validate the uniform descriptors against full expansion on a
     // few sample steps (first, last reduce, first gather, last).
     let mut ops = Vec::new();
-    let mut examined = 2 * steps; // descriptor reads
+    let mut examined = 3 * steps; // descriptor and class reads
     for &k in &[0, half - 1, half, steps - 1] {
         ops.clear();
         spec.expand_step_into(k, &mut ops);

@@ -20,7 +20,7 @@
 use sw26010::SimTime;
 use swfault::{CollectiveFault, FaultSession};
 
-use crate::cost::{step_time_faulty, NetParams, Transfer};
+use crate::cost::{class_step_time, fold_transfers, NetParams, Transfer, TransferClass};
 use crate::schedule::CommSpec;
 use crate::topology::{RankMap, Topology};
 
@@ -150,29 +150,42 @@ pub fn allreduce_segment_ft(
     run_schedule(&spec, params, data, faults, seq)
 }
 
-/// Execute a collective from its symbolic schedule: every step's
-/// transfers (for the cost model) and messages (for the functional path)
-/// are built from the per-rank op lists [`CommSpec`] derives in closed
-/// form, so the runtime and the `swcheck::comm` static verifier share one
-/// schedule by construction. Ops expand in ascending-rank order with
-/// sends first — the byte-accounting order the blessed bench baselines
-/// were recorded under.
+/// Execute a collective from its symbolic schedule. Every step is priced
+/// from the transfer classes [`CommSpec::transfer_classes`] derives (O(p)
+/// per collective for the ring, O(p) per step for the trees). Per-rank ops
+/// are expanded only where a message needs its own state: functional
+/// delivery and checksum retransmission draws, which key on endpoints.
+/// The expanded path folds its transfers into the same classes, so the
+/// runtime and the `swcheck::comm` static verifier share one schedule by
+/// construction. Ops expand in ascending-rank order with sends first —
+/// the order retransmissions are charged in.
 fn run_schedule(
     spec: &CommSpec,
     params: &NetParams,
     mut data: Option<&mut [Vec<f32>]>,
-    faults: Option<&mut FaultSession>,
+    mut faults: Option<&mut FaultSession>,
     seq: u64,
 ) -> Result<AllreduceReport, CollectiveFault> {
     let topo = &spec.topo;
+    let mut acc = StepAccum::new(topo, params, seq);
+    let mut classes = Vec::new();
+    let corrupts = faults.as_deref().is_some_and(|f| f.corruption_rate() > 0.0);
+    if data.is_none() && !corrupts {
+        let mut table = spec.transfer_classes(faults.as_deref());
+        for step in 0..spec.num_steps() {
+            table.step_into(step, &mut classes);
+            acc.price(&classes);
+        }
+        return Ok(acc.finish());
+    }
     let map = spec.map;
     let chunks = spec.chunk_table();
-    let mut acc = StepAccum::new(topo, params, faults, seq);
     let mut ops = Vec::new();
+    let mut transfers = Vec::new();
     for step in 0..spec.num_steps() {
         ops.clear();
         spec.expand_step_into(step, &mut ops);
-        let mut transfers = Vec::with_capacity(ops.len() / 2 + 1);
+        transfers.clear();
         let mut msgs: Vec<Msg> = Vec::new();
         for op in ops.iter().filter(|o| o.is_send) {
             let (lo, hi) = CommSpec::elem_span(&chunks, op.chunks);
@@ -197,9 +210,13 @@ fn run_schedule(
                 }
             }
         }
-        let si = acc.step(&transfers)?;
+        fold_transfers(topo, &transfers, faults.as_deref(), &mut classes);
+        let si = acc.price(&classes);
+        if let Some(f) = faults.as_deref_mut() {
+            acc.retransmit(&transfers, f, si)?;
+        }
         if let Some(d) = data.as_deref_mut() {
-            deliver(d, msgs, acc.faults(), seq, si);
+            deliver(d, msgs, faults.as_deref(), seq, si);
         }
     }
     Ok(acc.finish())
@@ -212,18 +229,12 @@ struct StepAccum<'a> {
     steps: usize,
     cross_bytes: u64,
     total_bytes: u64,
-    faults: Option<&'a mut FaultSession>,
     /// Sequence number of this collective within the fault session.
     seq: u64,
 }
 
 impl<'a> StepAccum<'a> {
-    fn new(
-        topo: &'a Topology,
-        params: &'a NetParams,
-        faults: Option<&'a mut FaultSession>,
-        seq: u64,
-    ) -> Self {
+    fn new(topo: &'a Topology, params: &'a NetParams, seq: u64) -> Self {
         StepAccum {
             topo,
             params,
@@ -231,63 +242,66 @@ impl<'a> StepAccum<'a> {
             steps: 0,
             cross_bytes: 0,
             total_bytes: 0,
-            faults,
             seq,
         }
     }
 
-    /// Advance one bulk-synchronous step and return its index, or the
-    /// fault that aborted the collective mid-flight. Checksum
-    /// retransmissions (detected by the receiver, replayed by the
-    /// sender) are charged here: start-up + uncontended wire time +
-    /// seeded decorrelated-jitter backoff per extra attempt, bounded by
-    /// the retry budget.
-    fn step(&mut self, transfers: &[Transfer]) -> Result<usize, CollectiveFault> {
-        self.elapsed += step_time_faulty(self.topo, self.params, transfers, self.faults.as_deref());
-        let idx = self.steps;
-        self.steps += 1;
-        for t in transfers {
-            self.total_bytes += t.bytes as u64;
-            if self.topo.crosses(t.src, t.dst) {
-                self.cross_bytes += t.bytes as u64;
+    /// Advance one bulk-synchronous step priced from its classes and
+    /// return its index.
+    fn price(&mut self, classes: &[TransferClass]) -> usize {
+        self.elapsed += class_step_time(self.topo, self.params, classes);
+        for c in classes {
+            let bytes = (c.count * c.bytes) as u64;
+            self.total_bytes += bytes;
+            if c.route.crosses {
+                self.cross_bytes += bytes;
             }
         }
-        if let Some(f) = self.faults.as_deref_mut() {
-            if f.corruption_rate() > 0.0 {
-                for t in transfers.iter().filter(|t| t.bytes > 0) {
-                    let mut attempt = 0u32;
-                    while f.corrupts(self.seq, idx, t.src, t.dst, attempt) {
-                        f.report.corrupted_msgs += 1;
-                        attempt += 1;
-                        if attempt > f.max_retries() {
-                            f.report.retries_exhausted += 1;
-                            return Err(CollectiveFault::RetriesExhausted {
-                                src: t.src,
-                                dst: t.dst,
-                                step: idx,
-                                elapsed_s: self.elapsed.seconds(),
-                            });
-                        }
-                        f.report.retries += 1;
-                        let retry = self.params.alpha(t.bytes)
-                            + t.bytes as f64 * self.params.beta1
-                                / self.params.collective_efficiency
-                            + f.backoff_s(self.seq, idx, t.src, t.dst, attempt);
-                        f.report.retry_cost_s += retry;
-                        self.elapsed += SimTime::from_seconds(retry);
-                        self.total_bytes += t.bytes as u64;
-                        if self.topo.crosses(t.src, t.dst) {
-                            self.cross_bytes += t.bytes as u64;
-                        }
-                    }
+        self.steps += 1;
+        self.steps - 1
+    }
+
+    /// Charge step `idx`'s checksum retransmissions (detected by the
+    /// receiver, replayed by the sender): start-up + uncontended wire
+    /// time + seeded decorrelated-jitter backoff per extra attempt,
+    /// bounded by the retry budget, or the fault that aborted the
+    /// collective mid-flight.
+    fn retransmit(
+        &mut self,
+        transfers: &[Transfer],
+        f: &mut FaultSession,
+        idx: usize,
+    ) -> Result<(), CollectiveFault> {
+        if f.corruption_rate() <= 0.0 {
+            return Ok(());
+        }
+        for t in transfers.iter().filter(|t| t.bytes > 0) {
+            let mut attempt = 0u32;
+            while f.corrupts(self.seq, idx, t.src, t.dst, attempt) {
+                f.report.corrupted_msgs += 1;
+                attempt += 1;
+                if attempt > f.max_retries() {
+                    f.report.retries_exhausted += 1;
+                    return Err(CollectiveFault::RetriesExhausted {
+                        src: t.src,
+                        dst: t.dst,
+                        step: idx,
+                        elapsed_s: self.elapsed.seconds(),
+                    });
+                }
+                f.report.retries += 1;
+                let retry = self.params.alpha(t.bytes)
+                    + t.bytes as f64 * self.params.beta1 / self.params.collective_efficiency
+                    + f.backoff_s(self.seq, idx, t.src, t.dst, attempt);
+                f.report.retry_cost_s += retry;
+                self.elapsed += SimTime::from_seconds(retry);
+                self.total_bytes += t.bytes as u64;
+                if self.topo.crosses(t.src, t.dst) {
+                    self.cross_bytes += t.bytes as u64;
                 }
             }
         }
-        Ok(idx)
-    }
-
-    fn faults(&self) -> Option<&FaultSession> {
-        self.faults.as_deref()
+        Ok(())
     }
 
     fn finish(self) -> AllreduceReport {

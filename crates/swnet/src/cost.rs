@@ -155,6 +155,154 @@ pub struct Transfer {
     pub reduce_bytes: usize,
 }
 
+/// Everything about a transfer's path that the cost model prices, apart
+/// from its size: the switch crossing, its share of the source uplink and
+/// the fault factors at its endpoints. Within one step these depend only
+/// on the endpoints and on how many crossing flows leave each supernode.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Route {
+    /// Whether the transfer crosses the central switch.
+    pub crosses: bool,
+    /// Congestion factor (>= 1) on the per-byte term: 1 inside a
+    /// supernode, the flow's share of the source uplink across it.
+    pub share: f64,
+    /// Degradation of the worse endpoint supernode's uplink (1 when
+    /// healthy; only crossing transfers pay it).
+    pub link_factor: f64,
+    /// Slowdown of the slower endpoint (1 when healthy).
+    pub straggler_factor: f64,
+}
+
+/// Transfers of one step that the cost model cannot tell apart: `count`
+/// of them, each of `bytes` bytes over the same kind of [`Route`]. A step
+/// is priced once per class, not once per transfer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TransferClass {
+    pub bytes: usize,
+    pub reduce_bytes: usize,
+    pub route: Route,
+    pub count: usize,
+}
+
+/// Crossing flows leaving each supernode when the given `(src, dst)`
+/// physical pairs send at once.
+pub(crate) fn uplink_flows(
+    topo: &Topology,
+    pairs: impl IntoIterator<Item = (usize, usize)>,
+) -> Vec<usize> {
+    let mut outflows = vec![0usize; topo.supernodes()];
+    for (src, dst) in pairs {
+        let from = topo.supernode_of(src);
+        if from != topo.supernode_of(dst) {
+            outflows[from] += 1;
+        }
+    }
+    outflows
+}
+
+/// The route of a `src -> dst` transfer in a step whose crossing flows per
+/// supernode are `outflows` (see [`uplink_flows`]). Fault factors are read
+/// only from a session that perturbs timing in its current iteration.
+pub(crate) fn route(
+    topo: &Topology,
+    outflows: &[usize],
+    src: usize,
+    dst: usize,
+    faults: Option<&FaultSession>,
+) -> Route {
+    let (from, to) = (topo.supernode_of(src), topo.supernode_of(dst));
+    let crosses = from != to;
+    let share = if crosses {
+        let c = outflows[from] as f64;
+        // The uplink aggregates q/4 link-bandwidths; c concurrent
+        // flows split it, but a single flow still gets full link rate.
+        (c * OVERSUBSCRIPTION as f64 / topo.q() as f64).max(1.0)
+    } else {
+        1.0
+    };
+    let (link_factor, straggler_factor) = match faults.filter(|f| f.perturbs_timing()) {
+        Some(f) => (
+            if crosses {
+                f.link_factor(from).max(f.link_factor(to))
+            } else {
+                1.0
+            },
+            f.straggler_factor(src).max(f.straggler_factor(dst)),
+        ),
+        None => (1.0, 1.0),
+    };
+    Route {
+        crosses,
+        share,
+        link_factor,
+        straggler_factor,
+    }
+}
+
+/// Fold a step's transfer list into its classes, replacing `classes`.
+pub fn fold_transfers(
+    topo: &Topology,
+    transfers: &[Transfer],
+    faults: Option<&FaultSession>,
+    classes: &mut Vec<TransferClass>,
+) {
+    classes.clear();
+    let faults = faults.filter(|f| f.perturbs_timing());
+    let outflows = uplink_flows(topo, transfers.iter().map(|t| (t.src, t.dst)));
+    for t in transfers {
+        let route = route(topo, &outflows, t.src, t.dst, faults);
+        // A step has a handful of classes, so a linear scan (newest
+        // first) beats hashing.
+        match classes
+            .iter_mut()
+            .rev()
+            .find(|c| c.bytes == t.bytes && c.reduce_bytes == t.reduce_bytes && c.route == route)
+        {
+            Some(c) => c.count += 1,
+            None => classes.push(TransferClass {
+                bytes: t.bytes,
+                reduce_bytes: t.reduce_bytes,
+                route,
+                count: 1,
+            }),
+        }
+    }
+}
+
+impl NetParams {
+    /// Seconds one transfer of a class takes, start-up, local reduction
+    /// and fault perturbations included: the one float expression every
+    /// step is priced with.
+    fn transfer_seconds(&self, class: &TransferClass) -> f64 {
+        let r = &class.route;
+        let wire = class.bytes as f64 * self.beta1 * r.share / self.collective_efficiency;
+        let mut time = self.alpha(class.bytes) + wire + class.reduce_bytes as f64 * self.gamma();
+        if r.crosses && r.link_factor > 1.0 {
+            time += wire * (r.link_factor - 1.0);
+        }
+        if r.straggler_factor > 1.0 {
+            time *= r.straggler_factor;
+        }
+        time
+    }
+}
+
+/// Duration of one bulk-synchronous step given its transfer classes: the
+/// step ends when the slowest transfer (plus its local reduction)
+/// completes, plus the per-step straggler jitter. `max` is exact and
+/// order-independent, so pricing each class once gives the same bits as
+/// pricing every transfer.
+pub fn class_step_time(topo: &Topology, params: &NetParams, classes: &[TransferClass]) -> SimTime {
+    if classes.is_empty() {
+        return SimTime::ZERO;
+    }
+    let worst = classes
+        .iter()
+        .map(|c| params.transfer_seconds(c))
+        .fold(0.0f64, f64::max);
+    SimTime::from_seconds(worst + params.straggler_coeff * (topo.nodes.max(2) as f64).ln())
+}
+
 /// Duration of one bulk-synchronous step: every transfer proceeds in
 /// parallel; cross-supernode flows share the quarter-bandwidth uplink of
 /// their source supernode; the step ends when the slowest transfer (plus
@@ -174,47 +322,9 @@ pub fn step_time_faulty(
     transfers: &[Transfer],
     faults: Option<&FaultSession>,
 ) -> SimTime {
-    if transfers.is_empty() {
-        return SimTime::ZERO;
-    }
-    let perturb = faults.filter(|f| f.perturbs_timing());
-    // Count cross-supernode flows leaving each supernode.
-    let mut outflows = vec![0usize; topo.supernodes()];
-    for t in transfers {
-        if topo.crosses(t.src, t.dst) {
-            outflows[topo.supernode_of(t.src)] += 1;
-        }
-    }
-    let mut worst = 0.0f64;
-    for t in transfers {
-        let share = if topo.crosses(t.src, t.dst) {
-            let c = outflows[topo.supernode_of(t.src)] as f64;
-            // The uplink aggregates q/4 link-bandwidths; c concurrent
-            // flows split it, but a single flow still gets full link rate.
-            (c * OVERSUBSCRIPTION as f64 / topo.q() as f64).max(1.0)
-        } else {
-            1.0
-        };
-        let wire = t.bytes as f64 * params.beta1 * share / params.collective_efficiency;
-        let mut time = params.alpha(t.bytes) + wire + t.reduce_bytes as f64 * params.gamma();
-        if let Some(f) = perturb {
-            if topo.crosses(t.src, t.dst) {
-                let lf = f
-                    .link_factor(topo.supernode_of(t.src))
-                    .max(f.link_factor(topo.supernode_of(t.dst)));
-                if lf > 1.0 {
-                    time += wire * (lf - 1.0);
-                }
-            }
-            let sf = f.straggler_factor(t.src).max(f.straggler_factor(t.dst));
-            if sf > 1.0 {
-                time *= sf;
-            }
-        }
-        worst = worst.max(time);
-    }
-    worst += params.straggler_coeff * (topo.nodes.max(2) as f64).ln();
-    SimTime::from_seconds(worst)
+    let mut classes = Vec::new();
+    fold_transfers(topo, transfers, faults, &mut classes);
+    class_step_time(topo, params, &classes)
 }
 
 #[cfg(test)]

@@ -23,10 +23,11 @@ pub mod schedule;
 pub mod topology;
 
 pub use collectives::{allreduce, allreduce_segment_ft, Algorithm, AllreduceReport};
-pub use cost::{step_time_faulty, NetParams, ReduceEngine, Transfer};
+pub use cost::{step_time_faulty, NetParams, ReduceEngine, Route, Transfer, TransferClass};
 pub use primitives::{broadcast, parameter_server_round, reduce, CollectiveReport};
 pub use schedule::{
-    ChunkSpan, CommPhase, CommSchedule, CommSpec, RankOp, ScheduleError, StepOps, UniformStep,
+    ChunkSpan, CommPhase, CommSchedule, CommSpec, RankOp, ScheduleError, StepClasses, StepOps,
+    UniformStep,
 };
 pub use swfault::{CollectiveFault, FaultPlan, FaultReport, FaultSession};
 pub use topology::{RankMap, Topology, TopologyError, OVERSUBSCRIPTION, SUPERNODE_SIZE};

@@ -30,7 +30,7 @@ pub fn broadcast(
         "binomial broadcast needs a power-of-two node count"
     );
     if let Some(d) = data.as_deref() {
-        assert_eq!(d.len(), p);
+        assert_eq!(d.len(), p, "one buffer per node");
     }
     let bytes = elems * 4;
     let mut elapsed = SimTime::ZERO;
@@ -79,6 +79,9 @@ pub fn reduce(
         p.is_power_of_two(),
         "binomial reduce needs a power-of-two node count"
     );
+    if let Some(d) = data.as_deref() {
+        assert_eq!(d.len(), p, "one buffer per node");
+    }
     let bytes = elems * 4;
     let mut elapsed = SimTime::ZERO;
     let mut steps = 0;
@@ -200,6 +203,24 @@ mod tests {
         let r = reduce(&topo, &params, RankMap::Natural, 9, Some(&mut d));
         assert_eq!(r.steps, 3);
         assert_eq!(d[0], want);
+    }
+
+    #[test]
+    #[should_panic(expected = "one buffer per node")]
+    fn reduce_rejects_a_short_buffer_list() {
+        let topo = Topology::with_supernode(8, 4);
+        let params = NetParams::sunway(ReduceEngine::Mpe);
+        let (mut d, _) = data(7, 9);
+        reduce(&topo, &params, RankMap::Natural, 9, Some(&mut d));
+    }
+
+    #[test]
+    #[should_panic(expected = "one buffer per node")]
+    fn reduce_rejects_a_long_buffer_list() {
+        let topo = Topology::with_supernode(8, 4);
+        let params = NetParams::sunway(ReduceEngine::Mpe);
+        let (mut d, _) = data(9, 9);
+        reduce(&topo, &params, RankMap::Natural, 9, Some(&mut d));
     }
 
     #[test]

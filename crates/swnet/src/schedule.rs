@@ -9,7 +9,9 @@
 //! step generator (see `collectives::run_schedule`), so the symbolic
 //! schedule is the *single source of truth*, not a parallel
 //! re-implementation that could drift: whatever `swcheck::comm` proves
-//! about the schedule holds for the simulation by construction.
+//! about the schedule holds for the simulation by construction. The cost
+//! model reads it as [`StepClasses`]: each step's sends grouped into the
+//! few classes the model cannot tell apart.
 //!
 //! Two representations keep 40k-rank verification cheap:
 //!
@@ -29,7 +31,10 @@
 //! span, mirroring the block geometry of the runtime exactly (including
 //! the ring's empty clamped blocks under segmented reduction).
 
+use swfault::FaultSession;
+
 use crate::collectives::Algorithm;
+use crate::cost::{fold_transfers, route, uplink_flows, Route, Transfer, TransferClass};
 use crate::topology::{RankMap, Topology, TopologyError};
 
 /// Half-open span of chunk indices.
@@ -507,6 +512,26 @@ impl CommSpec {
         }
     }
 
+    /// The per-step transfer classes the cost model prices (see
+    /// [`StepClasses`]). `faults`, when it perturbs timing, puts its
+    /// endpoint factors into the classes' routes.
+    pub fn transfer_classes<'f>(&self, faults: Option<&'f FaultSession>) -> StepClasses<'f> {
+        let p = self.topo.nodes;
+        let phys: Vec<usize> = (0..p).map(|r| self.map.physical(&self.topo, r)).collect();
+        let chunks = self.chunk_table();
+        let ring =
+            (self.algo == Algorithm::Ring).then(|| RingClasses::new(self, &phys, &chunks, faults));
+        StepClasses {
+            spec: *self,
+            faults,
+            phys,
+            chunks,
+            ring,
+            ops: Vec::new(),
+            transfers: Vec::new(),
+        }
+    }
+
     /// Materialize the whole schedule with every step fully explicit —
     /// the form the exact-mode checker and the hazard-injection tests
     /// consume. Quadratic in `p` for the ring; use the step generators
@@ -519,6 +544,163 @@ impl CommSpec {
             steps.push((phase, ops));
         }
         CommSchedule { spec: *self, steps }
+    }
+}
+
+/// A collective's steps as transfer classes: for every step, the
+/// `(bytes, reduce_bytes, route, count)` groups its sends fall into.
+/// Pricing a step needs nothing more, and a step has a handful of classes
+/// where it has `p` sends.
+///
+/// * **Ring.** Rank `r` always sends to `r + 1`, so every rank's route is
+///   fixed for the whole collective; only which chunk it sends rotates.
+///   The routes are computed once (O(p)), and a step's classes follow
+///   from the chunk table's runs of equal-size chunks and circular prefix
+///   counts of each route over the ranks: O(runs × routes) per step.
+/// * **RHD and binomial.** Pairings change every step, so each step's
+///   O(p) op list is generated in closed form and folded into classes.
+pub struct StepClasses<'f> {
+    spec: CommSpec,
+    faults: Option<&'f FaultSession>,
+    /// Physical node of each logical rank.
+    phys: Vec<usize>,
+    chunks: Vec<(usize, usize)>,
+    ring: Option<RingClasses>,
+    ops: Vec<RankOp>,
+    transfers: Vec<Transfer>,
+}
+
+impl StepClasses<'_> {
+    /// Classes of step `step`, replacing `out`.
+    pub fn step_into(&mut self, step: usize, out: &mut Vec<TransferClass>) -> CommPhase {
+        out.clear();
+        if let Some(ring) = &self.ring {
+            let StepOps::Uniform(u) = self.spec.step_descriptor(step) else {
+                unreachable!("ring steps are uniform")
+            };
+            ring.step_into(&u, out);
+            return u.phase;
+        }
+        self.ops.clear();
+        let phase = match self.spec.algo {
+            Algorithm::RecursiveHalvingDoubling => self.spec.rhd_step_into(step, &mut self.ops),
+            _ => self.spec.binomial_step_into(step, &mut self.ops),
+        };
+        self.transfers.clear();
+        for op in self.ops.iter().filter(|o| o.is_send) {
+            let (lo, hi) = CommSpec::elem_span(&self.chunks, op.chunks);
+            let bytes = (hi - lo) * 4;
+            self.transfers.push(Transfer {
+                src: self.phys[op.rank],
+                dst: self.phys[op.peer],
+                bytes,
+                reduce_bytes: if op.reduce { bytes } else { 0 },
+            });
+        }
+        fold_transfers(&self.spec.topo, &self.transfers, self.faults, out);
+        phase
+    }
+}
+
+/// The ring's step-invariant part: the distinct routes of its `p` sends
+/// and where in the rank order each occurs.
+struct RingClasses {
+    p: usize,
+    routes: Vec<Route>,
+    /// `prefix[g][i]`: ranks below `i` whose send takes `routes[g]`.
+    prefix: Vec<Vec<usize>>,
+    /// Maximal runs of equal-size chunks: `(first, end, elems)`.
+    runs: Vec<(usize, usize, usize)>,
+}
+
+impl RingClasses {
+    fn new(
+        spec: &CommSpec,
+        phys: &[usize],
+        chunks: &[(usize, usize)],
+        faults: Option<&FaultSession>,
+    ) -> Self {
+        let p = phys.len();
+        let topo = &spec.topo;
+        let pair = |r: usize| (phys[r], phys[if r + 1 == p { 0 } else { r + 1 }]);
+        let outflows = uplink_flows(topo, (0..p).map(pair));
+        let mut routes: Vec<Route> = Vec::new();
+        let mut group = Vec::with_capacity(p);
+        for r in 0..p {
+            let (src, dst) = pair(r);
+            let rt = route(topo, &outflows, src, dst, faults);
+            let g = match routes.iter().position(|x| *x == rt) {
+                Some(g) => g,
+                None => {
+                    routes.push(rt);
+                    routes.len() - 1
+                }
+            };
+            group.push(g);
+        }
+        let prefix = (0..routes.len())
+            .map(|g| {
+                let mut row = vec![0usize; p + 1];
+                for (r, &gr) in group.iter().enumerate() {
+                    row[r + 1] = row[r] + usize::from(gr == g);
+                }
+                row
+            })
+            .collect();
+        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+        for (c, &(lo, hi)) in chunks.iter().enumerate() {
+            match runs.last_mut() {
+                Some(run) if run.2 == hi - lo => run.1 = c + 1,
+                _ => runs.push((c, c + 1, hi - lo)),
+            }
+        }
+        RingClasses {
+            p,
+            routes,
+            prefix,
+            runs,
+        }
+    }
+
+    /// Ranks in the circular interval `[start, start + len)` whose send
+    /// takes route `g`.
+    fn count(&self, g: usize, start: usize, len: usize) -> usize {
+        let row = &self.prefix[g];
+        let end = start + len;
+        if end <= self.p {
+            row[end] - row[start]
+        } else {
+            row[self.p] - row[start] + row[end - self.p]
+        }
+    }
+
+    /// Rank `r` sends chunk `(r + shift) mod p`, so the senders of the
+    /// chunks `[a, b)` are the ranks `[a - shift, b - shift)` mod p. Two
+    /// runs of one size (the empty blocks on both sides of a segment) give
+    /// two classes with one key, which prices the same as one.
+    fn step_into(&self, u: &UniformStep, out: &mut Vec<TransferClass>) {
+        let p = self.p;
+        for &(a, b, elems) in &self.runs {
+            // (a - shift) mod p without a division: a, shift < p.
+            let start = if a >= u.chunk_shift {
+                a - u.chunk_shift
+            } else {
+                a + p - u.chunk_shift
+            };
+            let bytes = elems * 4;
+            let reduce_bytes = if u.reduce { bytes } else { 0 };
+            for (g, rt) in self.routes.iter().enumerate() {
+                let count = self.count(g, start, b - a);
+                if count > 0 {
+                    out.push(TransferClass {
+                        bytes,
+                        reduce_bytes,
+                        route: *rt,
+                        count,
+                    });
+                }
+            }
+        }
     }
 }
 
