@@ -1,36 +1,11 @@
 //! # swcaffe-bench — regenerators for every table and figure in the paper
 //!
-//! One binary per experiment (see DESIGN.md's experiment index). Each
-//! binary is a thin wrapper over a scenario in [`scenarios`]: the
-//! scenario produces the paper-style text table *and* a structured
-//! [`swprof::Report`]; the shared [`runner`] prints the text and, with
-//! `--json <path>`, writes the report for regression gating by the
-//! `bench-check` binary. Plain benches under `benches/` measure the
-//! simulator itself.
+//! Each experiment in DESIGN.md's index is a scenario in [`scenarios`]:
+//! it produces the paper-style text table *and* a structured
+//! [`swprof::Report`]. The one `bench` binary runs a scenario by name
+//! (`bench fig7_allreduce [--json PATH]`) or gates the reports against
+//! the checked-in baselines (`bench check`).
 
-pub mod runner;
 pub mod scenarios;
 
-pub use runner::scenario_main;
 pub use scenarios::{find, Scenario, SCENARIOS};
-
-/// Format a seconds value the way the paper's tables do.
-pub fn fmt_s(t: f64) -> String {
-    if t >= 1.0 {
-        format!("{t:.2}")
-    } else if t >= 1e-3 {
-        format!("{:.2}m", t * 1e3)
-    } else {
-        format!("{:.1}u", t * 1e6)
-    }
-}
-
-/// Simple fixed-width table row printer.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
-    cells
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}", w = w))
-        .collect::<Vec<_>>()
-        .join("  ")
-}

@@ -23,6 +23,7 @@
 use std::fmt::Write as _;
 
 use sw26010::arch::CORE_GROUPS;
+use sw26010::ExecMode;
 use swcaffe_core::{models, SolverConfig};
 use swio::{IoModel, Layout};
 use swnet::{Algorithm, NetParams, RankMap, ReduceEngine};
@@ -98,7 +99,7 @@ fn smoke_cluster(def: &swcaffe_core::NetDef, nodes: usize) -> ClusterTrainer {
             supernode_size: 2,
             ..ClusterConfig::swcaffe(nodes)
         },
-        swbackend::default_functional_mode(),
+        ExecMode::Functional,
     )
     .expect("valid net")
 }

@@ -4,7 +4,7 @@
 
 use std::fmt::Write as _;
 
-use sw26010::{dma, CoreGroup, MemView, MemViewMut};
+use sw26010::{dma, CoreGroup, ExecMode, MemView, MemViewMut};
 use swprof::{KernelRecord, Report};
 
 const GB: f64 = 1.0e9;
@@ -80,7 +80,7 @@ pub fn run(_args: &[String]) -> (String, Report) {
     let mut output = vec![0.0f32; 64 * n];
     let src = MemView::new(&input);
     let dst = MemViewMut::new(&mut output);
-    let mut cg = CoreGroup::new(swbackend::default_functional_mode());
+    let mut cg = CoreGroup::new(ExecMode::Functional);
     cg.run(64, |cpe| {
         let mut buf = cpe.ldm.alloc_f32(n);
         cpe.dma_get(src, cpe.idx() * n, &mut buf);

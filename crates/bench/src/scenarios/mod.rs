@@ -2,9 +2,8 @@
 //! scenario producing both the human-readable text and a structured
 //! [`swprof::Report`].
 //!
-//! Scenarios are plain functions so `bench-check` can run them
-//! in-process (no subprocess plumbing) and the per-figure binaries stay
-//! one-line wrappers.
+//! Scenarios are plain functions so `bench check` can run them
+//! in-process (no subprocess plumbing).
 
 pub mod ablation_faults;
 pub mod ablation_overlap;
@@ -26,13 +25,13 @@ pub mod table3_networks;
 
 /// One registered experiment.
 pub struct Scenario {
-    /// Registry key; also the binary name and the baseline file stem.
+    /// Registry key: the `bench <name>` argument and the baseline file stem.
     pub name: &'static str,
     pub about: &'static str,
     /// Member of the fast regression subset CI runs on every push.
     pub fast: bool,
     /// Produce the text output and the structured report. `args` are the
-    /// positional arguments (flags already stripped by the runner).
+    /// positional arguments (flags already stripped by `bench`).
     pub run: fn(&[String]) -> (String, swprof::Report),
 }
 
@@ -196,7 +195,7 @@ mod tests {
 
     #[test]
     fn every_scenario_produces_text_and_metrics() {
-        // Only the fast subset — the full set runs in bench-check.
+        // Only the fast subset — the full set runs in `bench check`.
         for s in SCENARIOS.iter().filter(|s| s.fast) {
             let (text, report) = (s.run)(&[]);
             assert!(!text.is_empty(), "{}: empty text", s.name);

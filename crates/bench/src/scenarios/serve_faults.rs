@@ -74,8 +74,7 @@ pub fn run(_args: &[String]) -> (String, Report) {
     // must reload) read back through the striped filesystem, exactly
     // like a training checkpoint restore.
     let snapshot_bytes = {
-        let mut net = Net::from_def_mode_seeded(&def, swbackend::default_functional_mode(), 42)
-            .expect("valid def");
+        let mut net = Net::from_def_mode_seeded(&def, ExecMode::Functional, 42).expect("valid def");
         net.set_phase(Phase::Test);
         FrozenGraph::freeze(&def, &net)
             .expect("model freezes")

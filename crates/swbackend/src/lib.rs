@@ -1,87 +1,10 @@
-//! # swbackend — where a kernel runs, chosen once per process
+//! # swbackend — the host path's worker pool
 //!
-//! A kernel's backend is the [`ExecMode`] of the core group it launches
-//! on; each `swdnn` kernel branches on that value directly
-//! (`if let ExecMode::HostNative { threads } = cg.mode()`). This crate
-//! holds what the modes need beyond the value itself:
-//!
-//! * [`parse`] — the `--backend` names: `sw26010` (the simulated mesh,
-//!   `ExecMode::Functional`), `host` and `host:<threads>`
-//!   (`ExecMode::HostNative`).
-//! * [`install_default`] / [`default_functional_mode`] — the
-//!   process-default mode: the `--backend` flag if a binary installed
-//!   one, else the `SWCAFFE_BACKEND` environment variable (read once),
-//!   else `Functional`.
-//! * [`par_tasks`] / [`resolve_threads`] — the host path's worker pool.
-
-use std::sync::{Mutex, OnceLock};
-
-use sw26010::ExecMode;
-
-/// Resolve a `--backend` argument to the mode it names. Accepted names:
-/// `sw26010` (aliases `sw`, `simulator`) for the simulated mesh, `host`
-/// (alias `native`) for host-native on every core, `host:<threads>` for
-/// host-native on `threads` workers.
-pub fn parse(name: &str) -> Result<ExecMode, String> {
-    match name {
-        "sw26010" | "sw" | "simulator" => Ok(ExecMode::Functional),
-        "host" | "native" => Ok(ExecMode::HostNative { threads: 0 }),
-        other => {
-            if let Some(t) = other.strip_prefix("host:") {
-                let threads: usize = t
-                    .parse()
-                    .map_err(|_| format!("bad thread count in backend '{other}'"))?;
-                return Ok(ExecMode::HostNative { threads });
-            }
-            Err(format!(
-                "unknown backend '{other}' (expected sw26010, host or host:<threads>)"
-            ))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Process-default mode (the `--backend` flag / SWCAFFE_BACKEND env)
-// ---------------------------------------------------------------------
-
-static INSTALLED: Mutex<Option<ExecMode>> = Mutex::new(None);
-
-/// Install the process-default mode (what [`default_functional_mode`]
-/// follows). Called by binaries after parsing `--backend`; wins over the
-/// environment.
-pub fn install_default(mode: ExecMode) {
-    *INSTALLED
-        .lock()
-        .expect("no panic while the default mode is held") = Some(mode);
-}
-
-fn env_default() -> Option<ExecMode> {
-    static ENV: OnceLock<Option<ExecMode>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("SWCAFFE_BACKEND")
-            .ok()
-            .filter(|v| !v.is_empty())
-            .map(|v| parse(&v).unwrap_or_else(|e| panic!("SWCAFFE_BACKEND: {e}")))
-    })
-}
-
-/// The mode value-materialising code should run in: the installed
-/// default if any, else `SWCAFFE_BACKEND` (read once per process), else
-/// `Functional`. An installed `TimingOnly` also yields `Functional`,
-/// since the caller needs values.
-pub fn default_functional_mode() -> ExecMode {
-    let installed = *INSTALLED
-        .lock()
-        .expect("no panic while the default mode is held");
-    match installed.or_else(env_default) {
-        Some(ExecMode::TimingOnly) | None => ExecMode::Functional,
-        Some(mode) => mode,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Host-side parallel helper
-// ---------------------------------------------------------------------
+//! A kernel's backend is the `sw26010::ExecMode` of the core group it
+//! launches on; each `swdnn` kernel branches on that value directly
+//! (`if let ExecMode::HostNative { threads } = cg.mode()`). The
+//! host-native path splits its work with [`par_tasks`] over
+//! [`resolve_threads`] workers.
 
 /// Resolve a requested worker count (0 = one per available host core).
 pub fn resolve_threads(threads: usize) -> usize {
@@ -133,19 +56,6 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
-
-    #[test]
-    fn parse_accepts_the_registry_names() {
-        assert_eq!(parse("sw26010"), Ok(ExecMode::Functional));
-        assert_eq!(parse("sw"), Ok(ExecMode::Functional));
-        assert_eq!(parse("host"), Ok(ExecMode::HostNative { threads: 0 }));
-        assert_eq!(parse("host:7"), Ok(ExecMode::HostNative { threads: 7 }));
-        assert!(parse("cuda").is_err());
-        assert!(parse("host:x").is_err());
-        // No backend runs the cost models alone.
-        assert!(parse("timing").is_err());
-        assert!(parse("timing-only").is_err());
-    }
 
     #[test]
     fn par_tasks_covers_every_unit_once() {

@@ -9,7 +9,7 @@
 //!
 //! * **Deterministic output.** Objects preserve insertion order and the
 //!   writer is pure, so the same value always renders to the same bytes —
-//!   the property `bench-check` relies on to diff fresh runs against
+//!   the property `bench check` relies on to diff fresh runs against
 //!   checked-in baselines.
 //! * **Lossless numbers.** Integers are kept as `i64` (hardware counters:
 //!   DMA bytes, flops, message counts) and only genuine reals go through

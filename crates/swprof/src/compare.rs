@@ -1,4 +1,4 @@
-//! Baseline comparison — the logic behind `bench-check`.
+//! Baseline comparison — the logic behind `bench check`.
 //!
 //! Tolerance policy (documented in `docs/results/README.md`):
 //!

@@ -13,7 +13,7 @@
 //!   traffic, flops, busy time),
 //! * derived **roofline attribution** ([`Bound`]): whether a kernel or
 //!   layer is bandwidth- or compute-bound on a given machine balance,
-//! * flat **metrics** that `bench-check` diffs against checked-in
+//! * flat **metrics** that `bench check` diffs against checked-in
 //!   baselines with per-class tolerances ([`compare`]).
 //!
 //! Counter metrics are exact (`u64`, 0% tolerance — the simulator is

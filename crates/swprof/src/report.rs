@@ -3,7 +3,7 @@
 use sw26010::{SimTime, Stats};
 use swjson::{obj, Json};
 
-/// Bumped whenever the JSON layout changes incompatibly; `bench-check`
+/// Bumped whenever the JSON layout changes incompatibly; `bench check`
 /// refuses to compare across versions.
 pub const SCHEMA_VERSION: i64 = 1;
 
@@ -284,7 +284,7 @@ pub struct Metric {
 }
 
 /// A structured benchmark report: what each `crates/bench` binary emits
-/// via `--json` and what `bench-check` compares against baselines.
+/// via `--json` and what `bench check` compares against baselines.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Report {
     pub name: String,
@@ -308,7 +308,7 @@ impl Report {
         self
     }
 
-    /// Record an exact counter metric (0% tolerance in `bench-check`).
+    /// Record an exact counter metric (0% tolerance in `bench check`).
     pub fn count(&mut self, name: &str, value: u64) -> &mut Self {
         self.metrics.push(Metric {
             name: name.to_string(),
@@ -317,7 +317,7 @@ impl Report {
         self
     }
 
-    /// Record a timing-class metric (relative tolerance in `bench-check`).
+    /// Record a timing-class metric (relative tolerance in `bench check`).
     pub fn real(&mut self, name: &str, value: f64) -> &mut Self {
         self.metrics.push(Metric {
             name: name.to_string(),

@@ -6,7 +6,7 @@
 //! [`StatsSnap`](crate::StatsSnap) does: it is a *profiling surface*.
 //! The serving layer produces it, the bench scenarios flatten it into
 //! gated [`Report`] metrics with [`export`](ServeHealthCounters::export),
-//! and `bench-check` diffs every field against the blessed baseline, so
+//! and `bench check` diffs every field against the blessed baseline, so
 //! a regression in the detection, retry, hedge or shed paths shows up as
 //! counter drift even when latencies still look healthy.
 

@@ -1,7 +1,10 @@
 //! Cross-crate integration tests: the full pipeline from the synthetic
 //! dataset through the prefetcher, the four-core-group trainer, the
 //! topology-aware all-reduce and the solver, all running functionally on
-//! the simulated hardware.
+//! the simulated hardware, and the `bench` binary that regenerates the
+//! paper's tables and figures.
+
+use std::process::Command;
 
 use sw26010::arch::CORE_GROUPS;
 use sw26010::ExecMode;
@@ -162,5 +165,42 @@ fn model_zoo_runs_whole_chip() {
             r.compute.seconds() > r.update.seconds(),
             "{name}: update dominates compute, implausible"
         );
+    }
+}
+
+/// The `bench` binary: a scenario run prints the registry's text and
+/// writes its report bytes, `bench check` passes against the committed
+/// baseline, and usage errors exit 2.
+#[test]
+fn bench_binary_runs_and_gates_scenarios() {
+    let bench = env!("CARGO_BIN_EXE_bench");
+    let path = std::env::temp_dir().join(format!("swcaffe_bench_fig7_{}.json", std::process::id()));
+    let run = Command::new(bench)
+        .arg("fig7_allreduce")
+        .arg("--json")
+        .arg(&path)
+        .output()
+        .unwrap();
+    let json = std::fs::read_to_string(&path);
+    std::fs::remove_file(&path).ok();
+    assert!(run.status.success(), "{run:?}");
+    let (text, report) = (swcaffe_bench::find("fig7_allreduce").unwrap().run)(&[]);
+    assert_eq!(String::from_utf8(run.stdout).unwrap(), text);
+    assert_eq!(json.unwrap(), report.to_json_string());
+
+    let check = Command::new(bench)
+        .args(["check", "fig7_allreduce"])
+        .output()
+        .unwrap();
+    assert!(check.status.success(), "{check:?}");
+
+    for args in [
+        &["fig7_allreduce", "--json"][..],
+        &["no_such_figure"],
+        &["fig7_allreduce", "--no-such-flag"],
+        &["fig7_allreduce", "--backend", "host"],
+    ] {
+        let out = Command::new(bench).args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
     }
 }
