@@ -18,7 +18,10 @@
 //!   contribution exactly once; at the end every rank must. This catches
 //!   double-reduced segments, dropped contributions, stale gathers, and
 //!   within-step fold-order ambiguity (the reduction-order determinism
-//!   property) with no false positives.
+//!   property) with no false positives. It also proves the precondition
+//!   under which the runtime's in-place delivery equals that snapshot:
+//!   no rank sends a chunk it receives in the same step
+//!   ([`CommViolation::SendRecvOverlap`]).
 //! * **Scale mode** (beyond the exact cutoff, up to 40,960+ ranks):
 //!   per-step algebraic invariants that never materialize the quadratic
 //!   ring schedule — the ring's [`swnet::StepOps::Uniform`] descriptors
@@ -100,6 +103,15 @@ pub enum CommViolation {
         rank: usize,
         chunk: usize,
     },
+    /// A rank sends a chunk it also receives within the same step. The
+    /// runtime delivers messages in place, which equals the snapshot-at-
+    /// send semantics only when every rank's send and receive spans of a
+    /// step are disjoint.
+    SendRecvOverlap {
+        step: usize,
+        rank: usize,
+        chunk: usize,
+    },
     /// After the reduce phase the chunk's owner holds a contribution a
     /// wrong number of times (0 = dropped, 2+ = double-reduced).
     ReduceCountMismatch {
@@ -134,6 +146,7 @@ impl CommViolation {
             CommViolation::PayloadMismatch { .. } => "payload_mismatch",
             CommViolation::WaitForCycle { .. } => "wait_for_cycle",
             CommViolation::NondeterministicFold { .. } => "nondeterministic_fold",
+            CommViolation::SendRecvOverlap { .. } => "send_recv_overlap",
             CommViolation::ReduceCountMismatch { .. } => "reduce_count_mismatch",
             CommViolation::IncompleteGather { .. } => "incomplete_gather",
             CommViolation::PhaseViolation { .. } => "phase_violation",
@@ -184,6 +197,11 @@ impl std::fmt::Display for CommViolation {
                 f,
                 "step {step}: rank {rank} receives chunk {chunk} from multiple messages; \
                  fold order is unspecified"
+            ),
+            CommViolation::SendRecvOverlap { step, rank, chunk } => write!(
+                f,
+                "step {step}: rank {rank} both sends and receives chunk {chunk}; \
+                 in-place delivery would read a value the step overwrites"
             ),
             CommViolation::ReduceCountMismatch {
                 chunk,
@@ -419,6 +437,40 @@ fn check_canonical_order(steps: &[(CommPhase, Vec<RankOp>)], sink: &mut Sink) {
                 }
             }
             last = Some(key);
+        }
+    }
+}
+
+/// In-place precondition: within a step no rank's send span meets one of
+/// its own receive spans. The runtime asserts the same property on what
+/// it delivers (`collectives::run_schedule`); reported once per step and
+/// rank, at the lowest shared chunk.
+fn check_send_recv_disjoint(steps: &[(CommPhase, Vec<RankOp>)], sink: &mut Sink) {
+    let mut by_rank: Vec<&RankOp> = Vec::new();
+    for (si, (_, ops)) in steps.iter().enumerate() {
+        by_rank.clear();
+        by_rank.extend(ops.iter().filter(|o| !o.chunks.is_empty()));
+        by_rank.sort_by_key(|o| o.rank);
+        for group in by_rank.chunk_by(|a, b| a.rank == b.rank) {
+            let shared = group
+                .iter()
+                .filter(|s| s.is_send)
+                .flat_map(|s| {
+                    group
+                        .iter()
+                        .filter(|r| !r.is_send)
+                        .map(move |r| (s.chunks.lo.max(r.chunks.lo), s.chunks.hi.min(r.chunks.hi)))
+                })
+                .filter(|(lo, hi)| lo < hi)
+                .map(|(lo, _)| lo)
+                .min();
+            if let Some(chunk) = shared {
+                sink.push(CommViolation::SendRecvOverlap {
+                    step: si,
+                    rank: group[0].rank,
+                    chunk,
+                });
+            }
         }
     }
 }
@@ -721,6 +773,7 @@ pub fn check_schedule(sched: &CommSchedule) -> CommOutcome {
     let mut sink = Sink::new();
     check_geometry(spec, &mut sink);
     check_canonical_order(&sched.steps, &mut sink);
+    check_send_recv_disjoint(&sched.steps, &mut sink);
     let (pairs, complete) = match_channels(&sched.steps, &mut sink);
     check_deadlock(&sched.steps, &pairs, &mut sink);
     // Dataflow semantics are only meaningful when every op matched and

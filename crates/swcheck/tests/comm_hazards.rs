@@ -87,6 +87,33 @@ fn double_reduced_segment_is_reported() {
 }
 
 #[test]
+fn send_recv_overlap_is_reported() {
+    let mut sched = materialize(Algorithm::RecursiveHalvingDoubling, 8);
+    assert!(check_schedule(&sched).is_clean());
+    // Rank 2 keeps chunks 0..4 in step 0 and sends 4..8 to rank 6.
+    // Widen that send, and rank 6's matching recv, to 2..8: the message
+    // stays matched, but rank 2 now sends chunks 2 and 3 while folding
+    // rank 6's copy of them in, so delivering in place would send a
+    // value the step has already changed.
+    for op in sched.steps[0].1.iter_mut() {
+        if (op.rank == 2 && op.is_send) || (op.rank == 6 && !op.is_send) {
+            assert_eq!(op.chunks, swnet::ChunkSpan::new(4, 8), "{op:?}");
+            op.chunks = swnet::ChunkSpan::new(2, 8);
+        }
+    }
+    let out = check_schedule(&sched);
+    assert!(
+        out.violations.contains(&CommViolation::SendRecvOverlap {
+            step: 0,
+            rank: 2,
+            chunk: 2,
+        }),
+        "{:?}",
+        out.violations
+    );
+}
+
+#[test]
 fn wait_for_cycle_is_reported() {
     // Skew a 2-rank RHD exchange so both ranks post their sends in one
     // step and their recvs in the next: under rendezvous semantics

@@ -15,13 +15,17 @@
 //!
 //! Every algorithm runs functionally over per-node buffers (tests assert
 //! all algorithms produce identical sums) while the cost machinery in
-//! [`crate::cost`] accumulates simulated time step by step.
+//! [`crate::cost`] accumulates simulated time step by step. Functional
+//! messages are delivered in place, straight from the sender's buffer into
+//! the receiver's, with no per-message copy: no rank sends a chunk it
+//! receives in the same step, so each read sees the value at the start of
+//! the step, as the bulk-synchronous model requires (see `run_schedule`).
 
 use sw26010::SimTime;
 use swfault::{CollectiveFault, FaultSession};
 
 use crate::cost::{class_step_time, fold_transfers, NetParams, Transfer, TransferClass};
-use crate::schedule::CommSpec;
+use crate::schedule::{ChunkSpan, CommSpec, RankOp};
 use crate::topology::{RankMap, Topology};
 
 /// All-reduce algorithm selector.
@@ -158,7 +162,17 @@ pub fn allreduce_segment_ft(
 /// The expanded path folds its transfers into the same classes, so the
 /// runtime and the `swcheck::comm` static verifier share one schedule by
 /// construction. Ops expand in ascending-rank order with sends first —
-/// the order retransmissions are charged in.
+/// the order retransmissions are charged in and messages are delivered in.
+///
+/// Messages are delivered in place: each send folds or copies
+/// `data[src][lo..hi]` straight into `data[dst][lo..hi]`, with no staged
+/// payload. That equals the bulk-synchronous snapshot-at-send semantics
+/// because no rank's send span meets its own receive span within a step
+/// (RHD sends the half it does not keep, the ring sends a different chunk
+/// than it receives, a binomial rank sends or receives but never both),
+/// so nothing a step sends is overwritten before it is read.
+/// [`InPlace::check`] asserts that per step; `swcheck::comm` proves it
+/// statically as `SendRecvOverlap`.
 fn run_schedule(
     spec: &CommSpec,
     params: &NetParams,
@@ -182,33 +196,20 @@ fn run_schedule(
     let chunks = spec.chunk_table();
     let mut ops = Vec::new();
     let mut transfers = Vec::new();
+    let mut in_place = InPlace::new(topo.nodes);
     for step in 0..spec.num_steps() {
         ops.clear();
         spec.expand_step_into(step, &mut ops);
         transfers.clear();
-        let mut msgs: Vec<Msg> = Vec::new();
         for op in ops.iter().filter(|o| o.is_send) {
             let (lo, hi) = CommSpec::elem_span(&chunks, op.chunks);
             let bytes = (hi - lo) * 4;
-            let src_phys = map.physical(topo, op.rank);
-            let dst_phys = map.physical(topo, op.peer);
             transfers.push(Transfer {
-                src: src_phys,
-                dst: dst_phys,
+                src: map.physical(topo, op.rank),
+                dst: map.physical(topo, op.peer),
                 bytes,
                 reduce_bytes: if op.reduce { bytes } else { 0 },
             });
-            if let Some(d) = data.as_deref() {
-                if hi > lo {
-                    msgs.push((
-                        src_phys,
-                        dst_phys,
-                        lo..hi,
-                        d[src_phys][lo..hi].to_vec(),
-                        op.reduce,
-                    ));
-                }
-            }
         }
         fold_transfers(topo, &transfers, faults.as_deref(), &mut classes);
         let si = acc.price(&classes);
@@ -216,10 +217,76 @@ fn run_schedule(
             acc.retransmit(&transfers, f, si)?;
         }
         if let Some(d) = data.as_deref_mut() {
-            deliver(d, msgs, faults.as_deref(), seq, si);
+            in_place.check(step, &ops);
+            for (op, t) in ops.iter().filter(|o| o.is_send).zip(&transfers) {
+                let (lo, hi) = CommSpec::elem_span(&chunks, op.chunks);
+                if hi > lo {
+                    receive(&d[t.src][lo..hi], faults.as_deref(), seq, si, t.src, t.dst);
+                    deliver(d, t.src, t.dst, lo..hi, op.reduce);
+                }
+            }
         }
     }
     Ok(acc.finish())
+}
+
+/// Per-rank hulls of the chunks one step sends and delivers, kept across
+/// steps so the in-place check allocates nothing after the first.
+struct InPlace {
+    sent: Vec<ChunkSpan>,
+    landed: Vec<ChunkSpan>,
+}
+
+impl InPlace {
+    fn new(ranks: usize) -> Self {
+        let empty = ChunkSpan::new(0, 0);
+        InPlace {
+            sent: vec![empty; ranks],
+            landed: vec![empty; ranks],
+        }
+    }
+
+    /// Panic unless every rank's sent chunks are disjoint from the chunks
+    /// delivered to it in this step: the precondition of in-place
+    /// delivery. Only the ranks the sends touch are reset, so the check is
+    /// O(ops) per step.
+    fn check(&mut self, step: usize, ops: &[RankOp]) {
+        let empty = ChunkSpan::new(0, 0);
+        for op in ops.iter().filter(|o| o.is_send) {
+            for r in [op.rank, op.peer] {
+                self.sent[r] = empty;
+                self.landed[r] = empty;
+            }
+        }
+        for op in ops.iter().filter(|o| o.is_send) {
+            self.sent[op.rank] = hull(self.sent[op.rank], op.chunks);
+            self.landed[op.peer] = hull(self.landed[op.peer], op.chunks);
+        }
+        for op in ops.iter().filter(|o| o.is_send) {
+            let (sent, landed) = (self.sent[op.rank], self.landed[op.rank]);
+            assert!(
+                sent.hi.min(landed.hi) <= sent.lo.max(landed.lo),
+                "step {step}: rank {} sends chunks {}..{} and receives chunks {}..{}; \
+                 in-place delivery needs them disjoint",
+                op.rank,
+                sent.lo,
+                sent.hi,
+                landed.lo,
+                landed.hi
+            );
+        }
+    }
+}
+
+/// Smallest span covering both `a` and `b`; empty spans cover nothing.
+fn hull(a: ChunkSpan, b: ChunkSpan) -> ChunkSpan {
+    if a.is_empty() {
+        b
+    } else if b.is_empty() {
+        a
+    } else {
+        ChunkSpan::new(a.lo.min(b.lo), a.hi.max(b.hi))
+    }
 }
 
 struct StepAccum<'a> {
@@ -314,26 +381,27 @@ impl<'a> StepAccum<'a> {
     }
 }
 
-/// Apply a batch of (src_phys, dst_phys, range, payload, reduce) messages.
-type Msg = (usize, usize, std::ops::Range<usize>, Vec<f32>, bool);
-
-fn deliver(
+/// Deliver one message in place: fold (`+=`) or copy `data[src][range]`
+/// into `data[dst][range]`. Every functional collective moves its data
+/// through here.
+pub(crate) fn deliver(
     data: &mut [Vec<f32>],
-    msgs: Vec<Msg>,
-    faults: Option<&FaultSession>,
-    seq: u64,
-    step: usize,
+    src: usize,
+    dst: usize,
+    range: std::ops::Range<usize>,
+    reduce: bool,
 ) {
-    for (src, dst, range, payload, reduce) in msgs {
-        let payload = receive(payload, faults, seq, step, src, dst);
-        let target = &mut data[dst][range];
-        if reduce {
-            for (t, v) in target.iter_mut().zip(&payload) {
-                *t += v;
-            }
-        } else {
-            target.copy_from_slice(&payload);
+    let [from, to] = data
+        .get_disjoint_mut([src, dst])
+        .expect("a message joins two distinct ranks");
+    let payload = &from[range.clone()];
+    let target = &mut to[range];
+    if reduce {
+        for (t, v) in target.iter_mut().zip(payload) {
+            *t += v;
         }
+    } else {
+        target.copy_from_slice(payload);
     }
 }
 
@@ -342,23 +410,25 @@ fn deliver(
 /// receiver verifies and requests retransmission until a clean copy
 /// arrives. The attempt budget was already enforced on the timing path
 /// (the step aborts before delivery), so this loop terminates on exactly
-/// the attempt the cost model charged for.
+/// the attempt the cost model charged for. Only a damaged wire copy is
+/// ever allocated; the clean payload is then delivered from the sender's
+/// buffer.
 fn receive(
-    payload: Vec<f32>,
+    payload: &[f32],
     faults: Option<&FaultSession>,
     seq: u64,
     step: usize,
     src: usize,
     dst: usize,
-) -> Vec<f32> {
-    let Some(f) = faults else { return payload };
+) {
+    let Some(f) = faults else { return };
     if f.corruption_rate() <= 0.0 {
-        return payload;
+        return;
     }
-    let stamped = swfault::checksum(&payload);
+    let stamped = swfault::checksum(payload);
     let mut attempt = 0u32;
     while f.corrupts(seq, step, src, dst, attempt) {
-        let mut wire = payload.clone();
+        let mut wire = payload.to_vec();
         let damage = seq
             ^ ((step as u64) << 40)
             ^ ((src as u64) << 20)
@@ -372,7 +442,6 @@ fn receive(
         );
         attempt += 1;
     }
-    payload
 }
 
 #[cfg(test)]
@@ -642,6 +711,33 @@ mod tests {
             "cross bytes diverged: {cross} vs {}",
             whole.cross_bytes
         );
+    }
+
+    fn send(rank: usize, peer: usize, lo: usize, hi: usize) -> RankOp {
+        RankOp {
+            rank,
+            peer,
+            is_send: true,
+            chunks: ChunkSpan::new(lo, hi),
+            reduce: true,
+        }
+    }
+
+    #[test]
+    fn in_place_check_accepts_disjoint_exchanges_across_steps() {
+        let mut guard = InPlace::new(4);
+        // RHD-shaped exchange: each rank sends the half it does not keep.
+        guard.check(0, &[send(0, 2, 2, 4), send(2, 0, 0, 2)]);
+        // A later step reuses the buffers without stale spans: rank 0
+        // now receives chunks it sent in step 0.
+        guard.check(1, &[send(1, 0, 2, 3), send(0, 3, 0, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "in-place delivery needs them disjoint")]
+    fn in_place_check_rejects_a_rank_that_sends_what_it_receives() {
+        let mut guard = InPlace::new(4);
+        guard.check(0, &[send(0, 1, 0, 2), send(3, 0, 1, 3)]);
     }
 
     #[test]

@@ -3,9 +3,15 @@
 //! training on reduce/broadcast pairs; having them here lets the ablation
 //! suite compare that design point against the all-reduce the paper
 //! chose, and gives the library the surface a downstream user expects.
+//!
+//! Broadcast and reduce move whole buffers along a binomial tree through
+//! the all-reduce's in-place `deliver`. In a tree step a rank sends or
+//! receives, never both, so delivering each move in place reads exactly
+//! what the step started with.
 
 use sw26010::SimTime;
 
+use crate::collectives::deliver;
 use crate::cost::{step_time, NetParams, Transfer};
 use crate::topology::{RankMap, Topology};
 
@@ -31,6 +37,10 @@ pub fn broadcast(
     );
     if let Some(d) = data.as_deref() {
         assert_eq!(d.len(), p, "one buffer per node");
+        assert!(
+            d.iter().all(|v| v.len() == elems),
+            "every buffer holds {elems} elements"
+        );
     }
     let bytes = elems * 4;
     let mut elapsed = SimTime::ZERO;
@@ -57,8 +67,7 @@ pub fn broadcast(
         steps += 1;
         if let Some(d) = data.as_deref_mut() {
             for (src, dst) in moves {
-                let payload = d[src].clone();
-                d[dst].copy_from_slice(&payload);
+                deliver(d, src, dst, 0..elems, false);
             }
         }
         mask /= 2;
@@ -81,6 +90,10 @@ pub fn reduce(
     );
     if let Some(d) = data.as_deref() {
         assert_eq!(d.len(), p, "one buffer per node");
+        assert!(
+            d.iter().all(|v| v.len() == elems),
+            "every buffer holds {elems} elements"
+        );
     }
     let bytes = elems * 4;
     let mut elapsed = SimTime::ZERO;
@@ -107,10 +120,7 @@ pub fn reduce(
         steps += 1;
         if let Some(d) = data.as_deref_mut() {
             for (src, dst) in moves {
-                let payload = d[src].clone();
-                for (t, v) in d[dst].iter_mut().zip(&payload) {
-                    *t += v;
-                }
+                deliver(d, src, dst, 0..elems, true);
             }
         }
         mask *= 2;
@@ -212,6 +222,26 @@ mod tests {
         let params = NetParams::sunway(ReduceEngine::Mpe);
         let (mut d, _) = data(7, 9);
         reduce(&topo, &params, RankMap::Natural, 9, Some(&mut d));
+    }
+
+    #[test]
+    #[should_panic(expected = "every buffer holds 9 elements")]
+    fn reduce_rejects_a_short_buffer() {
+        let topo = Topology::with_supernode(8, 4);
+        let params = NetParams::sunway(ReduceEngine::Mpe);
+        let (mut d, _) = data(8, 9);
+        d[5].pop();
+        reduce(&topo, &params, RankMap::Natural, 9, Some(&mut d));
+    }
+
+    #[test]
+    #[should_panic(expected = "every buffer holds 9 elements")]
+    fn broadcast_rejects_a_short_buffer() {
+        let topo = Topology::with_supernode(8, 4);
+        let params = NetParams::sunway(ReduceEngine::Mpe);
+        let (mut d, _) = data(8, 9);
+        d[3].pop();
+        broadcast(&topo, &params, RankMap::Natural, 9, Some(&mut d));
     }
 
     #[test]
