@@ -1145,12 +1145,9 @@ fn check_binomial_scale(spec: &CommSpec, sink: &mut Sink) -> usize {
     let p = spec.nodes();
     let steps = spec.num_steps();
     let levels = steps / 2;
-    let mut forwarded: Vec<bool> = vec![false; p];
-    let mut has_result: Vec<bool> = vec![false; p];
-    has_result[0] = true;
+    let mut tables = BinomialTables::new(p);
     let mut ops: Vec<RankOp> = Vec::new();
     let mut examined = 0usize;
-    let whole = ChunkSpan::new(0, 1);
     for step in 0..steps {
         ops.clear();
         let phase = spec.expand_step_into(step, &mut ops);
@@ -1162,16 +1159,77 @@ fn check_binomial_scale(spec: &CommSpec, sink: &mut Sink) -> usize {
                 detail: "phase tag out of order".into(),
             });
         }
-        // Index this step's ops by rank for within-step matching.
-        let mut send_of: std::collections::HashMap<usize, &RankOp> = Default::default();
-        let mut recv_of: std::collections::HashMap<usize, &RankOp> = Default::default();
-        for op in &ops {
+        tables.step(step, reduce_phase, &ops, sink);
+        if sink.full() {
+            return examined;
+        }
+    }
+    // Every non-root forwarded exactly once => the parent edges form an
+    // in-tree on p nodes rooted at 0 (parents are strictly smaller, so
+    // no cycles) and every contribution reaches the root exactly once.
+    for (r, f) in tables.forwarded.iter().enumerate().skip(1) {
+        if !f {
+            sink.push(CommViolation::ReduceCountMismatch {
+                chunk: 0,
+                contributor: r,
+                count: 0,
+            });
+        }
+    }
+    for (r, h) in tables.has_result.iter().enumerate() {
+        if !h {
+            sink.push(CommViolation::IncompleteGather {
+                rank: r,
+                chunk: 0,
+                contributor: r,
+                count: 0,
+            });
+        }
+    }
+    examined
+}
+
+/// The binomial scale check's per-rank state: what it carries across
+/// steps (who has forwarded its accumulator, who holds the result) and
+/// the dense per-step tables of each rank's send and receive, which
+/// `touched` resets after every step.
+struct BinomialTables {
+    forwarded: Vec<bool>,
+    has_result: Vec<bool>,
+    send_of: Vec<Option<RankOp>>,
+    recv_of: Vec<Option<RankOp>>,
+    /// Ranks with an op in the current step, in op order.
+    touched: Vec<usize>,
+}
+
+impl BinomialTables {
+    fn new(p: usize) -> Self {
+        let mut has_result = vec![false; p];
+        has_result[0] = true;
+        BinomialTables {
+            forwarded: vec![false; p],
+            has_result,
+            send_of: vec![None; p],
+            recv_of: vec![None; p],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Check one step's ops. Violations come in op order, which is
+    /// ascending rank for a canonical step, so the report and which of
+    /// its entries survive the cap are the same on every run.
+    fn step(&mut self, step: usize, reduce_phase: bool, ops: &[RankOp], sink: &mut Sink) {
+        let whole = ChunkSpan::new(0, 1);
+        for op in ops {
+            if self.send_of[op.rank].is_none() && self.recv_of[op.rank].is_none() {
+                self.touched.push(op.rank);
+            }
             let table = if op.is_send {
-                &mut send_of
+                &mut self.send_of
             } else {
-                &mut recv_of
+                &mut self.recv_of
             };
-            if table.insert(op.rank, op).is_some() {
+            if table[op.rank].replace(*op).is_some() {
                 sink.push(CommViolation::NonCanonicalOrder { step, index: 0 });
             }
             if op.chunks != whole || op.reduce != reduce_phase {
@@ -1183,28 +1241,31 @@ fn check_binomial_scale(spec: &CommSpec, sink: &mut Sink) -> usize {
                 });
             }
         }
-        for (r, send) in &send_of {
-            match recv_of.get(&send.peer) {
-                Some(recv) if recv.peer == *r => {}
-                _ => sink.push(CommViolation::UnmatchedSend {
+        let (send_of, recv_of) = (&self.send_of, &self.recv_of);
+        let at = |table: &[Option<RankOp>], r: usize| table.get(r).copied().flatten();
+        let sends = || self.touched.iter().filter_map(|&r| Some((r, send_of[r]?)));
+        let recvs = || self.touched.iter().filter_map(|&r| Some((r, recv_of[r]?)));
+        for (r, send) in sends() {
+            if at(recv_of, send.peer).map(|recv| recv.peer) != Some(r) {
+                sink.push(CommViolation::UnmatchedSend {
                     step,
-                    rank: *r,
+                    rank: r,
                     peer: send.peer,
-                }),
+                });
             }
         }
-        for (r, recv) in &recv_of {
-            if send_of.get(&recv.peer).map(|s| s.peer) != Some(*r) {
+        for (r, recv) in recvs() {
+            if at(send_of, recv.peer).map(|send| send.peer) != Some(r) {
                 sink.push(CommViolation::UnmatchedRecv {
                     step,
-                    rank: *r,
+                    rank: r,
                     peer: recv.peer,
                 });
             }
         }
         if reduce_phase {
-            for (r, send) in &send_of {
-                if *r == 0 || send.peer >= *r {
+            for (r, send) in sends() {
+                if r == 0 || send.peer >= r {
                     sink.push(CommViolation::PhaseViolation {
                         step,
                         detail: format!(
@@ -1213,17 +1274,17 @@ fn check_binomial_scale(spec: &CommSpec, sink: &mut Sink) -> usize {
                         ),
                     });
                 }
-                if forwarded[*r] {
+                if self.forwarded[r] {
                     sink.push(CommViolation::ReduceCountMismatch {
                         chunk: 0,
-                        contributor: *r,
+                        contributor: r,
                         count: 2,
                     });
                 }
-                forwarded[*r] = true;
+                self.forwarded[r] = true;
             }
-            for r in recv_of.keys() {
-                if forwarded[*r] {
+            for (r, _) in recvs() {
+                if self.forwarded[r] {
                     // Folding into an accumulator that was already
                     // forwarded: those contributions are lost upstream.
                     sink.push(CommViolation::PhaseViolation {
@@ -1233,53 +1294,31 @@ fn check_binomial_scale(spec: &CommSpec, sink: &mut Sink) -> usize {
                 }
             }
         } else {
-            for r in send_of.keys() {
-                if !has_result[*r] {
+            for (r, _) in sends() {
+                if !self.has_result[r] {
                     sink.push(CommViolation::PhaseViolation {
                         step,
                         detail: format!("rank {r} broadcasts a result it does not hold"),
                     });
                 }
             }
-            for r in recv_of.keys() {
-                if has_result[*r] {
+            for (r, _) in recvs() {
+                if self.has_result[r] {
                     sink.push(CommViolation::IncompleteGather {
-                        rank: *r,
+                        rank: r,
                         chunk: 0,
-                        contributor: *r,
+                        contributor: r,
                         count: 2,
                     });
                 }
-                has_result[*r] = true;
+                self.has_result[r] = true;
             }
         }
-        if sink.full() {
-            return examined;
+        for r in self.touched.drain(..) {
+            self.send_of[r] = None;
+            self.recv_of[r] = None;
         }
     }
-    // Every non-root forwarded exactly once => the parent edges form an
-    // in-tree on p nodes rooted at 0 (parents are strictly smaller, so
-    // no cycles) and every contribution reaches the root exactly once.
-    for (r, f) in forwarded.iter().enumerate().skip(1) {
-        if !f {
-            sink.push(CommViolation::ReduceCountMismatch {
-                chunk: 0,
-                contributor: r,
-                count: 0,
-            });
-        }
-    }
-    for (r, h) in has_result.iter().enumerate() {
-        if !h {
-            sink.push(CommViolation::IncompleteGather {
-                rank: r,
-                chunk: 0,
-                contributor: r,
-                count: 0,
-            });
-        }
-    }
-    examined
 }
 
 /// Verify a collective configuration. Small configurations are
@@ -1386,6 +1425,38 @@ mod tests {
                 sink.violations
             );
         }
+    }
+
+    #[test]
+    fn binomial_step_reports_the_same_capped_violations_in_rank_order() {
+        // 100 reduce sends toward the root that nobody receives: more
+        // violations than the cap, so the report keeps a subset.
+        let senders: Vec<usize> = (1..=100).map(|i| 2 * i + 1).collect();
+        let ops: Vec<RankOp> = senders
+            .iter()
+            .map(|&rank| RankOp {
+                rank,
+                peer: rank - 1,
+                is_send: true,
+                chunks: ChunkSpan::new(0, 1),
+                reduce: true,
+            })
+            .collect();
+        let report = || {
+            let mut sink = Sink::new();
+            BinomialTables::new(256).step(0, true, &ops, &mut sink);
+            sink.violations
+        };
+        let first = report();
+        assert_eq!(first, report());
+        let ranks: Vec<usize> = first
+            .iter()
+            .map(|v| match v {
+                CommViolation::UnmatchedSend { rank, .. } => *rank,
+                other => panic!("unexpected violation {other:?}"),
+            })
+            .collect();
+        assert_eq!(ranks, senders[..MAX_VIOLATIONS]);
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! callers return `LaunchReport::default()` (zero time, zero counters) —
 //! and no `KernelPlan` validation; it exists purely for wall-clock speed.
 //!
+//! The packed GEMM body is generic over its panel width and compiled
+//! twice: for the baseline target at [`GEMM_NR`] columns and, on x86-64,
+//! for AVX2 at [`GEMM_NR_AVX2`]. Each product runs the widest one the
+//! CPU supports. Both run the same [`accumulate`] per element of C, and
+//! the panel width only decides which columns share a call, so the two
+//! agree bit for bit; the unit tests below check that.
+//!
 //! Parallelism comes from [`swbackend::par_tasks`]: work is split into
 //! units whose results are fully determined by the unit itself (a run of
 //! C's columns, an output row, a filter tap), so the thread count never
@@ -28,13 +35,16 @@ use crate::tile::accumulate;
 // GEMM
 // ---------------------------------------------------------------------
 
-/// Columns of C per micro-kernel call: twelve SSE2 registers of f64
-/// accumulators, the widest row the baseline x86-64 target keeps out of
-/// memory. A call takes one row of A: the zero-skip is a branch per (row,
-/// k), so more rows would multiply the hard-to-predict branches of a
-/// sparse A (ReLU-masked activations and gradients) while columns
-/// amortise them.
+/// Columns of C per micro-kernel call on the baseline x86-64 target:
+/// twelve SSE2 registers of f64 accumulators, the widest row that target
+/// keeps out of memory. A call takes one row of A: the zero-skip is a
+/// branch per (row, k), so more rows would multiply the hard-to-predict
+/// branches of a sparse A (ReLU-masked activations and gradients) while
+/// columns amortise them.
 pub const GEMM_NR: usize = 24;
+/// Columns per micro-kernel call in the AVX2 instantiation: the same
+/// twelve registers, each a ymm of four f64.
+pub const GEMM_NR_AVX2: usize = 48;
 /// Products below this many flops (`2mnk`) run on the calling thread: a
 /// fork costs about as long as this much work takes.
 pub const GEMM_FORK_FLOPS: usize = 1 << 20;
@@ -83,6 +93,7 @@ pub fn gemm(
 /// panel is zero-filled. `k_major` says `src` holds that entry at
 /// `[kk * extent + x]` rather than `[x * k + kk]` — the only place a
 /// transposition flag is looked at.
+#[inline(always)]
 fn pack<const W: usize>(
     k_major: bool,
     extent: usize,
@@ -132,11 +143,10 @@ fn pack_a(ta: Trans, dims: GemmDims, a: &[f32], out: &mut Vec<f64>) {
 }
 
 /// The GEMM behind [`gemm`], on an A already packed by [`pack_a`] (the
-/// explicit conv plan packs its weights once for the whole batch). A
-/// task owns a run of `GEMM_NR`-column panels of C over all rows; it
-/// packs one panel of B at a time into its slice of `bp` and sweeps it
-/// down the rows of A. Every element of C is produced by one [`tile`]
-/// call whatever the partition, so the thread count cannot change a bit.
+/// explicit conv plan packs its weights once for the whole batch), at
+/// the widest panel width the CPU supports. std caches the CPUID probe
+/// behind `is_x86_feature_detected!`, so the choice costs a load and a
+/// test per call.
 #[allow(clippy::too_many_arguments)]
 fn gemm_packed(
     threads: usize,
@@ -148,51 +158,116 @@ fn gemm_packed(
     c: &mut [f32],
     bp: &mut Vec<f64>,
 ) {
-    let GemmDims { m, n, k } = dims;
-    if m == 0 || n == 0 {
+    if dims.m == 0 || dims.n == 0 {
         return;
     }
-    if k == 0 {
+    if dims.k == 0 {
         // Nothing to reduce: C is its own seed.
         for v in c.iter_mut() {
             *v = if beta != 0.0 { beta * *v } else { 0.0 };
         }
         return;
     }
-    let panels = n.div_ceil(GEMM_NR);
-    let ntasks = if 2 * m * n * k < GEMM_FORK_FLOPS {
-        1
-    } else {
-        resolve_threads(threads).min(panels)
+    let ops = Product {
+        dims,
+        tb,
+        beta,
+        ap,
+        b,
     };
-    // Columns per task, in whole panels.
-    let span = panels.div_ceil(ntasks) * GEMM_NR;
-    bp.resize(n.div_ceil(span) * k * GEMM_NR, 0.0);
-    let mut tasks: Vec<ColumnRun<'_>> = bp
-        .chunks_exact_mut(k * GEMM_NR)
-        .enumerate()
-        .map(|(t, bpanel)| ColumnRun {
-            j0: t * span,
-            rows: Vec::with_capacity(m),
-            bpanel,
-        })
-        .collect();
-    for row in c.chunks_exact_mut(n) {
-        for (task, segment) in tasks.iter_mut().zip(row.chunks_mut(span)) {
-            task.rows.push(segment);
-        }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the guard above found AVX2 on this CPU, the one target
+        // feature `gemm_avx2` is compiled for.
+        return unsafe { gemm_avx2(threads, ops, c, bp) };
     }
-    par_tasks(threads, tasks, |mut task: ColumnRun<'_>| {
-        let width = task.rows[0].len();
-        for j in (0..width).step_by(GEMM_NR) {
-            let vn = GEMM_NR.min(width - j);
-            let cols = (task.j0 + j, task.j0 + j + vn);
-            pack::<GEMM_NR>(!tb.is_trans(), n, k, b, cols, task.bpanel);
-            for (arow, crow) in ap.chunks_exact(k).zip(task.rows.iter_mut()) {
-                tile(beta, arow, task.bpanel, &mut crow[j..j + vn]);
+    gemm_baseline(threads, ops, c, bp);
+}
+
+/// [`gemm_packed`] at [`GEMM_NR`] columns, for the baseline target.
+fn gemm_baseline(threads: usize, ops: Product<'_>, c: &mut [f32], bp: &mut Vec<f64>) {
+    let tasks = ops.column_runs::<GEMM_NR>(threads, c, bp);
+    par_tasks(threads, tasks, |task| ops.sweep::<GEMM_NR>(task));
+}
+
+/// [`gemm_packed`] at [`GEMM_NR_AVX2`] columns, compiled for AVX2. The
+/// task closure is written here, not in a shared generic function,
+/// because a closure takes its target features from the function that
+/// defines it; [`Product::sweep`] and everything below it are inlined
+/// into that closure. FMA is not enabled, and Rust would not contract a
+/// separate multiply and add into one if it were.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2(threads: usize, ops: Product<'_>, c: &mut [f32], bp: &mut Vec<f64>) {
+    let tasks = ops.column_runs::<GEMM_NR_AVX2>(threads, c, bp);
+    par_tasks(threads, tasks, |task| ops.sweep::<GEMM_NR_AVX2>(task));
+}
+
+/// The read-only operands of a packed product with a non-empty C and a
+/// non-zero `k`.
+#[derive(Clone, Copy)]
+struct Product<'a> {
+    dims: GemmDims,
+    tb: Trans,
+    beta: f32,
+    ap: &'a [f64],
+    b: &'a [f32],
+}
+
+impl Product<'_> {
+    /// Split C into tasks of whole `NR`-column panels over all rows,
+    /// each with its own slice of `bp` to pack B panels into. Every
+    /// element of C is produced by one [`tile`] call whatever the
+    /// partition or `NR`, so neither the thread count nor the
+    /// instantiation can change a bit.
+    fn column_runs<'c, const NR: usize>(
+        &self,
+        threads: usize,
+        c: &'c mut [f32],
+        bp: &'c mut Vec<f64>,
+    ) -> Vec<ColumnRun<'c>> {
+        let GemmDims { m, n, k } = self.dims;
+        let panels = n.div_ceil(NR);
+        let ntasks = if 2 * m * n * k < GEMM_FORK_FLOPS {
+            1
+        } else {
+            resolve_threads(threads).min(panels)
+        };
+        // Columns per task, in whole panels.
+        let span = panels.div_ceil(ntasks) * NR;
+        bp.resize(n.div_ceil(span) * k * NR, 0.0);
+        let mut tasks: Vec<ColumnRun<'_>> = bp
+            .chunks_exact_mut(k * NR)
+            .enumerate()
+            .map(|(t, bpanel)| ColumnRun {
+                j0: t * span,
+                rows: Vec::with_capacity(m),
+                bpanel,
+            })
+            .collect();
+        for row in c.chunks_exact_mut(n) {
+            for (task, segment) in tasks.iter_mut().zip(row.chunks_mut(span)) {
+                task.rows.push(segment);
             }
         }
-    });
+        tasks
+    }
+
+    /// One task's panel loop: pack a panel of B, sweep it down the rows
+    /// of A.
+    #[inline(always)]
+    fn sweep<const NR: usize>(&self, mut task: ColumnRun<'_>) {
+        let GemmDims { n, k, .. } = self.dims;
+        let width = task.rows[0].len();
+        for j in (0..width).step_by(NR) {
+            let vn = NR.min(width - j);
+            let cols = (task.j0 + j, task.j0 + j + vn);
+            pack::<NR>(!self.tb.is_trans(), n, k, self.b, cols, task.bpanel);
+            for (arow, crow) in self.ap.chunks_exact(k).zip(task.rows.iter_mut()) {
+                tile::<NR>(self.beta, arow, task.bpanel, &mut crow[j..j + vn]);
+            }
+        }
+    }
 }
 
 /// One task's share of a GEMM: columns `j0..` of C as one segment per
@@ -203,12 +278,13 @@ struct ColumnRun<'a> {
     bpanel: &'a mut [f64],
 }
 
-/// The micro-kernel: `crow`, at most `GEMM_NR` columns of one row of C,
-/// from a whole-`k` row of A and panel of B. The accumulator is seeded
-/// with the f32 product `beta * c` (or +0.0), runs [`accumulate`] and is
+/// The micro-kernel: `crow`, at most `NR` columns of one row of C, from
+/// a whole-`k` row of A and panel of B. The accumulator is seeded with
+/// the f32 product `beta * c` (or +0.0), runs [`accumulate`] and is
 /// rounded to f32 once, as the mesh's C tile is.
-fn tile(beta: f32, arow: &[f64], bp: &[f64], crow: &mut [f32]) {
-    let mut acc = [0.0f64; GEMM_NR];
+#[inline(always)]
+fn tile<const NR: usize>(beta: f32, arow: &[f64], bp: &[f64], crow: &mut [f32]) {
+    let mut acc = [0.0f64; NR];
     if beta != 0.0 {
         for (s, v) in acc.iter_mut().zip(crow.iter()) {
             *s = (beta * *v) as f64;
@@ -498,4 +574,181 @@ pub fn conv_implicit_backward_weights(
             round(dw, acc);
         });
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Deterministic values in `[-2, 2)`; one in five is a zero, of
+    /// alternating sign, where `zeros` asks for them.
+    fn values(len: usize, seed: u64, zeros: bool) -> Vec<f32> {
+        (0..len as u64)
+            .map(|i| {
+                let x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(seed);
+                let v = ((x >> 33) % 2000) as f32 / 500.0 - 2.0;
+                match i % 10 {
+                    3 if zeros => 0.0,
+                    8 if zeros => -0.0,
+                    _ => v,
+                }
+            })
+            .collect()
+    }
+
+    /// `C = A*B + beta*C` through [`gemm_packed`], which runs the widest
+    /// instantiation this CPU supports, or through [`gemm_baseline`].
+    #[allow(clippy::too_many_arguments)]
+    fn product(
+        baseline: bool,
+        threads: usize,
+        dims: GemmDims,
+        (ta, tb): (Trans, Trans),
+        beta: f32,
+        a: &[f32],
+        b: &[f32],
+        c0: &[f32],
+    ) -> Vec<f32> {
+        let (mut ap, mut bp) = (Vec::new(), Vec::new());
+        pack_a(ta, dims, a, &mut ap);
+        let mut c = c0.to_vec();
+        if baseline {
+            let ops = Product {
+                dims,
+                tb,
+                beta,
+                ap: &ap,
+                b,
+            };
+            gemm_baseline(threads, ops, &mut c, &mut bp);
+        } else {
+            gemm_packed(threads, dims, tb, beta, &ap, b, &mut c, &mut bp);
+        }
+        c
+    }
+
+    /// Same bits, except that any NaN matches any NaN.
+    #[track_caller]
+    fn assert_same(tag: &str, got: &[f32], want: &[f32]) {
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{tag}: element {i}: {g} vs baseline {w}"
+            );
+        }
+    }
+
+    const TRANS: [(Trans, Trans); 4] = [
+        (Trans::No, Trans::No),
+        (Trans::No, Trans::Yes),
+        (Trans::Yes, Trans::No),
+        (Trans::Yes, Trans::Yes),
+    ];
+
+    /// One, two and three threads for a product big enough to fork; a
+    /// smaller one runs on the calling thread whatever it is given.
+    fn thread_counts(dims: GemmDims) -> &'static [usize] {
+        if 2 * dims.m * dims.n * dims.k < GEMM_FORK_FLOPS {
+            &[1]
+        } else {
+            &[1, 2, 3]
+        }
+    }
+
+    /// `m` and `n` on both sides of both panel widths, and C wide enough
+    /// to fork on either side of a whole number of either width's panels,
+    /// in all four transpositions, with dead, plain and scaling betas, on
+    /// one, two and three threads.
+    #[test]
+    fn instantiations_agree_across_panel_edges() {
+        let mut edges = vec![1];
+        for w in [GEMM_NR, GEMM_NR_AVX2] {
+            edges.extend([w - 1, w, w + 1, 2 * w + 1]);
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        // Each n meets one value of m, not all of them, to keep the
+        // debug-build test short: rows are never blocked, so m has no
+        // edge of its own to cross.
+        let mut cases = Vec::new();
+        for (i, &n) in edges.iter().enumerate() {
+            let m = edges[(i + 3) % edges.len()];
+            cases.extend([1, 7, 64, 300].map(|k| (m, n, k)));
+        }
+        let (m, k) = (5, 300);
+        for w in [GEMM_NR, GEMM_NR_AVX2] {
+            let n = (GEMM_FORK_FLOPS.div_ceil(2 * m * k * w) + 2) * w;
+            cases.extend([(m, n - 1, k), (m, n, k), (m, n + 1, k)]);
+        }
+        for (m, n, k) in cases {
+            let dims = GemmDims::new(m, n, k);
+            let a = values(m * k, 1, true);
+            let b = values(k * n, 2, false);
+            let c0 = values(m * n, 3, true);
+            for trans in TRANS {
+                for beta in [0.0, 1.0, -0.5] {
+                    let want = product(true, 1, dims, trans, beta, &a, &b, &c0);
+                    for &threads in thread_counts(dims) {
+                        assert_same(
+                            &format!("{dims:?} {trans:?} beta={beta} threads={threads}"),
+                            &product(false, threads, dims, trans, beta, &a, &b, &c0),
+                            &want,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Zeros of both signs in A opposite NaN and infinite rows of B
+    /// (skipped, so finite), the same rows met by non-zeros (non-finite),
+    /// and all-zero rows of A over `-0.0` seeds (kept as `-0.0`).
+    #[test]
+    fn instantiations_agree_on_non_finite_and_signed_zeros() {
+        let hostile = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let (m, k) = (4, 6);
+        #[rustfmt::skip]
+        let a = [
+            0.0, -0.0, 1.5, 0.0, 2.0, -0.5, // zeros opposite the hostile rows
+            0.0, -0.0, 0.0, -0.0, 0.0, -0.0, // nothing added: C keeps its seed
+            -1.0, 0.5, 0.25, 3.0, -2.0, 1.0, // meets the hostile rows
+            -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, // nothing added
+        ];
+        for n in [GEMM_NR + 1, GEMM_NR_AVX2 + 1, 2 * GEMM_NR_AVX2 + 1] {
+            let mut b = values(k * n, 4, false);
+            for (kk, row) in b.chunks_exact_mut(n).enumerate() {
+                if matches!(kk, 0 | 1 | 3) {
+                    for (j, v) in row.iter_mut().enumerate() {
+                        *v = hostile[(kk + j) % 3];
+                    }
+                }
+            }
+            let mut c0 = values(m * n, 5, false);
+            c0[n..2 * n].fill(-0.0);
+            c0[3 * n..].fill(0.0);
+            let dims = GemmDims::new(m, n, k);
+            for beta in [0.0, 1.0, -0.5] {
+                let trans = (Trans::No, Trans::No);
+                let want = product(true, 1, dims, trans, beta, &a, &b, &c0);
+                for threads in [1, 2, 3] {
+                    let got = product(false, threads, dims, trans, beta, &a, &b, &c0);
+                    assert!(got[..n].iter().all(|v| v.is_finite()), "n={n}");
+                    assert!(got[2 * n..3 * n].iter().all(|v| !v.is_finite()), "n={n}");
+                    // Rows 1 and 3 add nothing and keep their seeds,
+                    // beta * (-0.0) and beta * (+0.0), or +0.0 at beta 0.
+                    let seed = |c: f32| if beta != 0.0 { beta * c } else { 0.0 };
+                    for (row, c) in [(1, -0.0), (3, 0.0)] {
+                        let want = seed(c).to_bits();
+                        let row_got = &got[row * n..][..n];
+                        assert!(
+                            row_got.iter().all(|v| v.to_bits() == want),
+                            "n={n} row {row}"
+                        );
+                    }
+                    let tag = format!("hostile n={n} beta={beta} threads={threads}");
+                    assert_same(&tag, &got, &want);
+                }
+            }
+        }
+    }
 }

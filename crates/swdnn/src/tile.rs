@@ -406,7 +406,7 @@ pub(crate) fn bus_step_seconds(mt: usize, nt: usize, kt: usize, product_cycles: 
 #[cfg(test)]
 mod tests {
     use super::accumulate;
-    use crate::host::GEMM_NR;
+    use crate::host::{GEMM_NR, GEMM_NR_AVX2};
 
     /// Column by column, k innermost, zero entries of `a` skipped.
     fn oracle(seed: &[f64], a: &[f64], b: &[f64]) -> Vec<f64> {
@@ -443,7 +443,7 @@ mod tests {
     #[test]
     fn accumulate_matches_f64_oracle_on_non_finite_and_signed_zeros() {
         let hostile = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
-        for w in [1, 7, GEMM_NR] {
+        for w in [1, 7, GEMM_NR, GEMM_NR_AVX2] {
             // Rows 0, 1 and 3 of B are NaN and infinities, the rest finite.
             let b: Vec<f32> = (0..6 * w)
                 .map(|i| match i / w {

@@ -277,20 +277,29 @@ fn gemm_on(
 }
 
 /// `m` and `n` on both sides of every blocking edge of the host kernel
-/// — the register tile, and the column split between forked tasks — in
-/// all four transpositions, with dead, plain and scaling betas, from a
-/// single k-step to a long reduction, on one, two and three threads.
+/// — the register tile at either panel width, and the column split
+/// between forked tasks — in all four transpositions, with dead, plain
+/// and scaling betas, from a single k-step to a long reduction, on one,
+/// two and three threads. The host runs the widest instantiation this
+/// CPU supports; `swdnn::host`'s unit tests hold it to the baseline one.
 #[test]
 fn gemm_agrees_across_block_edges() {
-    use swdnn::host::{GEMM_FORK_FLOPS, GEMM_NR};
-    let straddle = |edge: usize| {
-        let mut v = vec![1, edge - 1, edge, edge + 1, 2 * edge + 3];
+    use swdnn::host::{GEMM_FORK_FLOPS, GEMM_NR, GEMM_NR_AVX2};
+    let straddle = |edges: &[usize]| {
+        let mut v = vec![1];
+        for &edge in edges {
+            v.extend([edge - 1, edge, edge + 1, 2 * edge + 3]);
+        }
         v.retain(|x| *x > 0);
         v.sort_unstable();
         v.dedup();
         v
     };
-    let (ms, ns, ks) = (straddle(1), straddle(GEMM_NR), [1, 7, 64, 300]);
+    let (ms, ns, ks) = (
+        straddle(&[1]),
+        straddle(&[GEMM_NR, GEMM_NR_AVX2]),
+        [1, 7, 64, 300],
+    );
     let mut cases: Vec<(usize, usize, usize)> = Vec::new();
     for &m in &ms {
         for &n in &ns {
@@ -299,10 +308,13 @@ fn gemm_agrees_across_block_edges() {
     }
     // Wide enough to fork, so that two and three tasks split the column
     // panels between them: a whole number of panels, one column short of
-    // it (a ragged last task) and one over (a last panel of one column).
+    // it (a ragged last task) and one over (a last panel of one column),
+    // at either panel width.
     let (m, k) = (5, 300);
-    let n = (GEMM_FORK_FLOPS.div_ceil(2 * m * k * GEMM_NR) + 2) * GEMM_NR;
-    cases.extend([(m, n - 1, k), (m, n, k), (m, n + 1, k)]);
+    for nr in [GEMM_NR, GEMM_NR_AVX2] {
+        let n = (GEMM_FORK_FLOPS.div_ceil(2 * m * k * nr) + 2) * nr;
+        cases.extend([(m, n - 1, k), (m, n, k), (m, n + 1, k)]);
+    }
     for (m, n, k) in cases {
         let dims = GemmDims::new(m, n, k);
         let a = sparse_values(m * k, 1);
@@ -335,7 +347,13 @@ fn gemm_agrees_across_block_edges() {
 /// `+0.0` to an accumulator seeded with `-0.0` would flip its sign.
 #[test]
 fn gemm_zero_skip_is_not_add_zero() {
-    let n = swdnn::host::GEMM_NR + 1;
+    for n in [swdnn::host::GEMM_NR + 1, swdnn::host::GEMM_NR_AVX2 + 1] {
+        gemm_zero_skip_at(n);
+    }
+}
+
+/// [`gemm_zero_skip_is_not_add_zero`] with `n` columns.
+fn gemm_zero_skip_at(n: usize) {
     let dims = GemmDims::new(3, n, 5);
     #[rustfmt::skip]
     let a = [
