@@ -19,7 +19,7 @@ impl DeviceSpec {
     }
 
     /// Memory bandwidth in bytes/s.
-    pub fn mem_bandwidth(&self) -> f64 {
+    pub(crate) fn mem_bandwidth(&self) -> f64 {
         self.bandwidth_gbs * 1e9
     }
 
@@ -73,19 +73,19 @@ pub struct Device {
     pub mem_bw: f64,
     /// Best-case fraction of peak the conv/GEMM library achieves on
     /// large, well-shaped problems.
-    pub gemm_eff: f64,
+    pub(crate) gemm_eff: f64,
     /// Receptive-field size (in_channels * k * k) below which library
     /// efficiency degrades linearly (thin GEMMs, tail effects).
-    pub eff_knee: f64,
+    pub(crate) eff_knee: f64,
     /// Floor on the efficiency degradation factor.
-    pub eff_floor: f64,
+    pub(crate) eff_floor: f64,
     /// Fixed overhead per layer invocation (kernel launch / dispatch).
-    pub layer_overhead: f64,
+    pub(crate) layer_overhead: f64,
     /// Host-side input-pipeline cost per image per iteration (decode +
     /// transform + PCIe for GPUs; zero where the data is consumed in
     /// place). The paper: "data reading ... accounts for over 40% \[of\]
     /// AlexNet" on the K40m.
-    pub input_pipeline_per_image: f64,
+    pub(crate) input_pipeline_per_image: f64,
 }
 
 /// Caffe + cuDNN v5.1 on a K40m, calibrated to Table III.
@@ -159,12 +159,12 @@ impl Device {
 
     /// Memory-bound streaming op over `elems` elements with `streams`
     /// tensor traversals.
-    pub fn streaming(&self, elems: usize, streams: usize) -> f64 {
+    pub(crate) fn streaming(&self, elems: usize, streams: usize) -> f64 {
         self.layer_overhead + (elems * streams) as f64 * 4.0 / self.mem_bw
     }
 
     /// Host input pipeline for one iteration of `batch` images.
-    pub fn input_pipeline(&self, batch: usize) -> f64 {
+    pub(crate) fn input_pipeline(&self, batch: usize) -> f64 {
         batch as f64 * self.input_pipeline_per_image
     }
 }

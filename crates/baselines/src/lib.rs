@@ -11,7 +11,7 @@
 //! swCaffe *beat* the K40m on AlexNet in Table III despite the GPU's
 //! higher peak.
 
-pub mod device;
+pub(crate) mod device;
 pub mod eval;
 
 pub use device::{

@@ -50,12 +50,11 @@ fn usage() -> String {
     format!(
         "usage: bench <scenario> [--json PATH] [args...]\n       \
          bench check [--fast] [--bless] [--dir D] [--export D] [names...]\n\
-         scenarios: {}",
+         scenarios:{}",
         scenarios::SCENARIOS
             .iter()
-            .map(|s| s.name)
-            .collect::<Vec<_>>()
-            .join(", ")
+            .map(|s| format!("\n  {:<24}{}", s.name, s.about))
+            .collect::<String>()
     )
 }
 

@@ -33,25 +33,25 @@ use swtrain::{
     Recovery, ScalingModel,
 };
 
-pub const SCALES: [usize; 3] = [64, 256, 1024];
+pub(crate) const SCALES: [usize; 3] = [64, 256, 1024];
 
 /// Per-node mean time between failures, in years.
-pub const NODE_MTBF_YEARS: [f64; 3] = [1.0, 5.0, 25.0];
+pub(crate) const NODE_MTBF_YEARS: [f64; 3] = [1.0, 5.0, 25.0];
 
 /// Checkpoint-interval sweep, in seconds.
-pub const INTERVALS_S: [f64; 4] = [600.0, 1800.0, 3600.0, 7200.0];
+pub(crate) const INTERVALS_S: [f64; 4] = [600.0, 1800.0, 3600.0, 7200.0];
 
 const SECONDS_PER_YEAR: f64 = 365.25 * 24.0 * 3600.0;
 
 /// Young's first-order expected overhead fraction: checkpoint rent
 /// `C/tau` plus, once per MTBF, half an interval of lost work and one
 /// restore.
-pub fn overhead_fraction(ckpt_s: f64, restore_s: f64, tau_s: f64, mtbf_s: f64) -> f64 {
+pub(crate) fn overhead_fraction(ckpt_s: f64, restore_s: f64, tau_s: f64, mtbf_s: f64) -> f64 {
     ckpt_s / tau_s + (tau_s / 2.0 + restore_s) / mtbf_s
 }
 
 /// Young's optimal checkpoint interval `sqrt(2*C*M)`.
-pub fn optimal_interval(ckpt_s: f64, mtbf_s: f64) -> f64 {
+pub(crate) fn optimal_interval(ckpt_s: f64, mtbf_s: f64) -> f64 {
     (2.0 * ckpt_s * mtbf_s).sqrt()
 }
 

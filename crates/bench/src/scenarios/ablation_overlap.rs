@@ -20,10 +20,10 @@ use swnet::{Algorithm, NetParams, RankMap, ReduceEngine};
 use swprof::Report;
 use swtrain::{ChipTrainer, OverlapModel, OverlapPoint, DEFAULT_BUCKET_BYTES};
 
-pub const SCALES: [usize; 3] = [64, 256, 1024];
+pub(crate) const SCALES: [usize; 3] = [64, 256, 1024];
 
 /// Bucket-size sweep (bytes) for the 1024-node study.
-pub const SWEEP_BYTES: [usize; 5] = [
+pub(crate) const SWEEP_BYTES: [usize; 5] = [
     8 << 20,
     DEFAULT_BUCKET_BYTES,
     64 << 20,
@@ -33,7 +33,7 @@ pub const SWEEP_BYTES: [usize; 5] = [
 
 /// The three networks of the study: display label, metric key, per-CG
 /// def (chip batch / 4).
-pub fn configs() -> Vec<(&'static str, &'static str, NetDef)> {
+pub(crate) fn configs() -> Vec<(&'static str, &'static str, NetDef)> {
     vec![
         ("AlexNet B=64", "alexnet_b64", models::alexnet_bn(16)),
         ("VGG-16 B=64", "vgg16_b64", models::vgg16(16)),

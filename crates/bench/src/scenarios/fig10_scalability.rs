@@ -9,9 +9,9 @@ use swnet::{Algorithm, NetParams, RankMap, ReduceEngine};
 use swprof::Report;
 use swtrain::{ChipTrainer, ScalingModel};
 
-pub const SCALES: [usize; 6] = [2, 8, 32, 128, 512, 1024];
+pub(crate) const SCALES: [usize; 6] = [2, 8, 32, 128, 512, 1024];
 
-pub fn node_model(cg_def: &NetDef) -> (f64, usize) {
+pub(crate) fn node_model(cg_def: &NetDef) -> (f64, usize) {
     let mut t =
         ChipTrainer::new(cg_def, SolverConfig::default(), ExecMode::TimingOnly).expect("net build");
     let r = t.iteration(None);
@@ -21,7 +21,7 @@ pub fn node_model(cg_def: &NetDef) -> (f64, usize) {
 /// The five Fig. 10 / Fig. 11 configurations: display label, metric key,
 /// per-CG def (chip batch / 4), paper numbers at 1024 nodes
 /// (speedup, comm %).
-pub fn configs() -> Vec<(&'static str, &'static str, NetDef, f64, f64)> {
+pub(crate) fn configs() -> Vec<(&'static str, &'static str, NetDef, f64, f64)> {
     vec![
         (
             "AlexNet B=64",

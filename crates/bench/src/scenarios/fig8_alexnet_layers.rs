@@ -79,7 +79,11 @@ pub fn run(_args: &[String]) -> (String, Report) {
 
 /// A per-layer timing breakdown as one phase tree (zero-cost layers are
 /// dropped to keep the baselines readable).
-pub fn layer_phase(name: &str, entries: &[(String, sw26010::SimTime)], total: f64) -> PhaseTiming {
+pub(crate) fn layer_phase(
+    name: &str,
+    entries: &[(String, sw26010::SimTime)],
+    total: f64,
+) -> PhaseTiming {
     let mut p = PhaseTiming::new(name, total);
     for (layer, t) in entries {
         if t.seconds() > 0.0 {

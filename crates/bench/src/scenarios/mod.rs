@@ -5,28 +5,29 @@
 //! Scenarios are plain functions so `bench check` can run them
 //! in-process (no subprocess plumbing).
 
-pub mod ablation_faults;
-pub mod ablation_overlap;
+pub(crate) mod ablation_faults;
+pub(crate) mod ablation_overlap;
 pub mod ablation_tune;
-pub mod ablations;
-pub mod fig10_scalability;
-pub mod fig11_comm_fraction;
-pub mod fig2_dma;
+pub(crate) mod ablations;
+pub(crate) mod fig10_scalability;
+pub(crate) mod fig11_comm_fraction;
+pub(crate) mod fig2_dma;
 pub mod fig5_algorithm1;
-pub mod fig6_p2p;
+pub(crate) mod fig6_p2p;
 pub mod fig7_allreduce;
-pub mod fig8_alexnet_layers;
-pub mod fig9_vgg_layers;
-pub mod serve_faults;
-pub mod serve_qps;
-pub mod table1_specs;
-pub mod table2_conv;
+pub(crate) mod fig8_alexnet_layers;
+pub(crate) mod fig9_vgg_layers;
+pub(crate) mod serve_faults;
+pub(crate) mod serve_qps;
+pub(crate) mod table1_specs;
+pub(crate) mod table2_conv;
 pub mod table3_networks;
 
 /// One registered experiment.
 pub struct Scenario {
     /// Registry key: the `bench <name>` argument and the baseline file stem.
     pub name: &'static str,
+    /// One-line description, listed by `bench --help`.
     pub about: &'static str,
     /// Member of the fast regression subset CI runs on every push.
     pub fast: bool,

@@ -31,10 +31,10 @@ use swserve::graph::{optimize, FrozenGraph};
 use swserve::{Cluster, ResilienceConfig};
 
 /// Load factors of nominal cluster capacity the sweep steps through.
-pub const LOAD_STEPS: [(u64, f64); 3] = [(25, 0.25), (50, 0.5), (100, 1.0)];
+pub(crate) const LOAD_STEPS: [(u64, f64); 3] = [(25, 0.25), (50, 0.5), (100, 1.0)];
 
 /// Requests per sweep cell.
-pub const REQUESTS: usize = 240;
+pub(crate) const REQUESTS: usize = 240;
 
 const MAX_BATCH: usize = 16;
 

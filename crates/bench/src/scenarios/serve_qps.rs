@@ -28,10 +28,10 @@ use swserve::graph::optimize;
 use swserve::Cluster;
 
 /// Load factors of nominal cluster capacity the sweep steps through.
-pub const LOAD_STEPS: [(u64, f64); 3] = [(25, 0.25), (50, 0.5), (100, 1.0)];
+pub(crate) const LOAD_STEPS: [(u64, f64); 3] = [(25, 0.25), (50, 0.5), (100, 1.0)];
 
 /// Requests per sweep step.
-pub const REQUESTS: usize = 240;
+pub(crate) const REQUESTS: usize = 240;
 
 struct ModelSpec {
     key: &'static str,

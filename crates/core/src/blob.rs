@@ -27,7 +27,7 @@ impl Blob {
     }
 
     /// A shape-only (timing-mode) blob.
-    pub fn shell(shape: &[usize]) -> Self {
+    pub(crate) fn shell(shape: &[usize]) -> Self {
         Blob {
             shape: shape.to_vec(),
             data: Vec::new(),
@@ -57,20 +57,8 @@ impl Blob {
         self.len() == 0
     }
 
-    pub fn materialized(&self) -> bool {
+    pub(crate) fn materialized(&self) -> bool {
         self.materialized
-    }
-
-    /// Resize, preserving mode. Contents are zeroed.
-    pub fn reshape(&mut self, shape: &[usize]) {
-        let len: usize = shape.iter().product();
-        self.shape = shape.to_vec();
-        if self.materialized {
-            self.data.clear();
-            self.data.resize(len, 0.0);
-            self.diff.clear();
-            self.diff.resize(len, 0.0);
-        }
     }
 
     /// Leading dimension (mini-batch size for data blobs).
@@ -81,11 +69,6 @@ impl Blob {
     /// Channels (second axis), 1 if absent.
     pub fn channels(&self) -> usize {
         self.shape.get(1).copied().unwrap_or(1)
-    }
-
-    /// Product of trailing axes from `axis`.
-    pub fn count_from(&self, axis: usize) -> usize {
-        self.shape[axis..].iter().product()
     }
 
     pub fn data(&self) -> &[f32] {
@@ -109,13 +92,13 @@ impl Blob {
     }
 
     /// Split borrow: `(data, diff_mut)` — the common backward-pass pattern.
-    pub fn data_and_diff_mut(&mut self) -> (&[f32], &mut [f32]) {
+    pub(crate) fn data_and_diff_mut(&mut self) -> (&[f32], &mut [f32]) {
         debug_assert!(self.materialized, "access on a shell blob");
         (&self.data, &mut self.diff)
     }
 
     /// Split borrow the other way: `(diff, data_mut)` — optimizer updates.
-    pub fn diff_and_data_mut(&mut self) -> (&[f32], &mut [f32]) {
+    pub(crate) fn diff_and_data_mut(&mut self) -> (&[f32], &mut [f32]) {
         debug_assert!(self.materialized, "access on a shell blob");
         (&self.diff, &mut self.data)
     }
@@ -125,15 +108,10 @@ impl Blob {
         self.data_mut().copy_from_slice(values);
     }
 
-    pub fn zero_diff(&mut self) {
+    pub(crate) fn zero_diff(&mut self) {
         if self.materialized {
             self.diff.fill(0.0);
         }
-    }
-
-    /// Sum of squared data entries (diagnostics, weight-decay tests).
-    pub fn sumsq_data(&self) -> f64 {
-        self.data.iter().map(|v| (*v as f64) * (*v as f64)).sum()
     }
 
     /// L1 norm of the gradient (diagnostics).
@@ -154,7 +132,6 @@ mod tests {
         assert!(b.data().iter().all(|v| *v == 0.0));
         assert_eq!(b.num(), 2);
         assert_eq!(b.channels(), 3);
-        assert_eq!(b.count_from(2), 20);
     }
 
     #[test]
@@ -165,25 +142,10 @@ mod tests {
     }
 
     #[test]
-    fn reshape_preserves_mode() {
-        let mut b = Blob::new(&[4]);
-        b.data_mut()[0] = 5.0;
-        b.reshape(&[2, 8]);
-        assert_eq!(b.len(), 16);
-        assert!(b.materialized());
-        assert_eq!(b.data()[0], 0.0);
-
-        let mut s = Blob::shell(&[4]);
-        s.reshape(&[32]);
-        assert!(!s.materialized());
-    }
-
-    #[test]
     fn norms() {
         let mut b = Blob::new(&[3]);
         b.set_data(&[1.0, -2.0, 2.0]);
         b.diff_mut().copy_from_slice(&[0.5, -0.5, 1.0]);
-        assert_eq!(b.sumsq_data(), 9.0);
         assert_eq!(b.asum_diff(), 2.0);
     }
 }

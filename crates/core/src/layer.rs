@@ -87,7 +87,10 @@ pub trait Layer: Send {
 
 /// Helper shared by layer implementations: 4-D shape destructuring with a
 /// clear error.
-pub fn expect_4d(shape: &[usize], who: &str) -> Result<(usize, usize, usize, usize), String> {
+pub(crate) fn expect_4d(
+    shape: &[usize],
+    who: &str,
+) -> Result<(usize, usize, usize, usize), String> {
     if shape.len() == 4 {
         Ok((shape[0], shape[1], shape[2], shape[3]))
     } else {

@@ -14,7 +14,7 @@ use crate::layer::{expect_4d, Layer};
 use crate::netdef::ConvFormat;
 
 /// Convolution layer parameters and state.
-pub struct ConvLayer {
+pub(crate) struct ConvLayer {
     name: String,
     num_output: usize,
     kernel: usize,
@@ -54,17 +54,13 @@ impl ConvLayer {
 
     /// Re-derive the filler seed from an explicit run-level base seed
     /// (see [`crate::rng::layer_seed`]). Must be called before `setup`.
-    pub fn with_base_seed(mut self, base: u64) -> Self {
+    pub(crate) fn with_base_seed(mut self, base: u64) -> Self {
         self.seed = crate::rng::layer_seed(base, &self.name);
         self
     }
 
-    pub fn conv_shape(&self) -> ConvShape {
+    pub(crate) fn conv_shape(&self) -> ConvShape {
         self.shape.expect("layer not set up")
-    }
-
-    pub fn format(&self) -> ConvFormat {
-        self.format
     }
 }
 

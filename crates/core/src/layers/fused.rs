@@ -13,7 +13,7 @@ use crate::blob::Blob;
 use crate::filler::Filler;
 use crate::layer::{expect_4d, Layer};
 
-pub struct FusedConvBnReluLayer {
+pub(crate) struct FusedConvBnReluLayer {
     name: String,
     num_output: usize,
     kernel: usize,
@@ -60,7 +60,7 @@ impl FusedConvBnReluLayer {
         }
     }
 
-    pub fn with_base_seed(mut self, base: u64) -> Self {
+    pub(crate) fn with_base_seed(mut self, base: u64) -> Self {
         self.seed = crate::rng::layer_seed(base, &self.name);
         self
     }

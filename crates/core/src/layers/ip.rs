@@ -37,7 +37,7 @@ impl InnerProductLayer {
 
     /// Re-derive the filler seed from an explicit run-level base seed
     /// (see [`crate::rng::layer_seed`]). Must be called before `setup`.
-    pub fn with_base_seed(mut self, base: u64) -> Self {
+    pub(crate) fn with_base_seed(mut self, base: u64) -> Self {
         self.seed = crate::rng::layer_seed(base, &self.name);
         self
     }

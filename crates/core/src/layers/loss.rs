@@ -8,7 +8,7 @@ use crate::layer::Layer;
 
 /// Softmax + multinomial cross-entropy (Caffe's `SoftmaxWithLoss`).
 /// Bottoms: `[logits (B, C), labels (B)]`; top: `[loss (1)]`.
-pub struct SoftmaxLossLayer {
+pub(crate) struct SoftmaxLossLayer {
     name: String,
     batch: usize,
     classes: usize,
@@ -25,11 +25,6 @@ impl SoftmaxLossLayer {
             probs: Vec::new(),
             losses: Vec::new(),
         }
-    }
-
-    /// Class probabilities of the last forward pass (for inspection).
-    pub fn probs(&self) -> &[f32] {
-        &self.probs
     }
 }
 
@@ -121,7 +116,7 @@ impl Layer for SoftmaxLossLayer {
 }
 
 /// Top-k accuracy metric (host-evaluated; no backward).
-pub struct AccuracyLayer {
+pub(crate) struct AccuracyLayer {
     name: String,
     top_k: usize,
     batch: usize,

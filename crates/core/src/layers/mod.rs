@@ -4,17 +4,17 @@ pub mod conv;
 pub mod fused;
 pub mod ip;
 pub mod loss;
-pub mod norm;
+pub(crate) mod norm;
 pub mod pool;
-pub mod simple;
+pub(crate) mod simple;
 
-pub use conv::ConvLayer;
-pub use fused::FusedConvBnReluLayer;
+pub(crate) use conv::ConvLayer;
+pub(crate) use fused::FusedConvBnReluLayer;
 pub use ip::InnerProductLayer;
-pub use loss::{AccuracyLayer, SoftmaxLossLayer};
-pub use norm::{BatchNormLayer, LrnLayer};
-pub use pool::PoolLayer;
-pub use simple::{
+pub(crate) use loss::{AccuracyLayer, SoftmaxLossLayer};
+pub(crate) use norm::{BatchNormLayer, LrnLayer};
+pub(crate) use pool::PoolLayer;
+pub(crate) use simple::{
     ConcatLayer, DropoutLayer, EltwiseSumLayer, InputLayer, ReluLayer, TransformLayer,
 };
 
@@ -29,7 +29,7 @@ pub fn build(def: &LayerDef) -> Box<dyn Layer> {
 /// Instantiate a layer from its definition; `base_seed` parameterises
 /// every filler-initialised layer (convolution, inner product) so a whole
 /// network's weights are reproducible from one explicit seed.
-pub fn build_seeded(def: &LayerDef, base_seed: u64) -> Box<dyn Layer> {
+pub(crate) fn build_seeded(def: &LayerDef, base_seed: u64) -> Box<dyn Layer> {
     let name = def.name.as_str();
     match &def.kind {
         LayerKind::Input { shape, with_labels } => {

@@ -10,7 +10,7 @@ use crate::layer::{expect_4d, Layer, Phase};
 
 /// Batch normalisation with learnable scale/shift (gamma, beta) and
 /// running statistics for inference.
-pub struct BatchNormLayer {
+pub(crate) struct BatchNormLayer {
     name: String,
     eps: f32,
     momentum: f32,
@@ -39,10 +39,6 @@ impl BatchNormLayer {
             save_istd: Vec::new(),
             phase: Phase::Train,
         }
-    }
-
-    pub fn running_stats(&self) -> (&[f32], &[f32]) {
-        (&self.running_mean, &self.running_var)
     }
 }
 
@@ -185,7 +181,7 @@ impl Layer for BatchNormLayer {
 }
 
 /// Across-channel local response normalisation.
-pub struct LrnLayer {
+pub(crate) struct LrnLayer {
     name: String,
     params: LrnParams,
     dims: (usize, usize, usize, usize),

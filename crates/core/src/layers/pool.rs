@@ -8,7 +8,7 @@ use crate::blob::Blob;
 use crate::layer::{expect_4d, Layer};
 use crate::netdef::PoolKind;
 
-pub struct PoolLayer {
+pub(crate) struct PoolLayer {
     name: String,
     kernel: usize,
     stride: usize,

@@ -13,7 +13,7 @@ use crate::netdef::TransDir;
 
 /// Source layer: produces the data blob (and optionally a label blob);
 /// contents are injected by the trainer.
-pub struct InputLayer {
+pub(crate) struct InputLayer {
     name: String,
     shape: Vec<usize>,
     with_labels: bool,
@@ -61,7 +61,7 @@ impl Layer for InputLayer {
 // ---------------------------------------------------------------------
 
 /// Rectified linear unit.
-pub struct ReluLayer {
+pub(crate) struct ReluLayer {
     name: String,
     len: usize,
 }
@@ -120,7 +120,7 @@ impl Layer for ReluLayer {
 
 /// Dropout: the mask is drawn host-side each forward pass (Bernoulli,
 /// scaled by `1/(1-ratio)`), applied on the CPE cluster.
-pub struct DropoutLayer {
+pub(crate) struct DropoutLayer {
     name: String,
     ratio: f32,
     len: usize,
@@ -248,7 +248,7 @@ impl Layer for DropoutLayer {
 // ---------------------------------------------------------------------
 
 /// Element-wise sum of two bottoms (ResNet shortcut join).
-pub struct EltwiseSumLayer {
+pub(crate) struct EltwiseSumLayer {
     name: String,
     len: usize,
 }
@@ -318,7 +318,7 @@ impl Layer for EltwiseSumLayer {
 // ---------------------------------------------------------------------
 
 /// Channel-axis concatenation (GoogLeNet inception joins).
-pub struct ConcatLayer {
+pub(crate) struct ConcatLayer {
     name: String,
     batch: usize,
     spatial: usize,
@@ -430,7 +430,7 @@ impl Layer for ConcatLayer {
 /// Tensor-transformation layer (Sec. IV-C): NCHW <-> RCNB around implicit
 /// convolution regions. Shapes are carried in NCHW terms regardless of
 /// the physical layout.
-pub struct TransformLayer {
+pub(crate) struct TransformLayer {
     name: String,
     dir: TransDir,
     shape: TransShape,

@@ -17,14 +17,8 @@ use swdnn::{conv_explicit, conv_implicit, transform, ConvShape};
 
 use crate::netdef::{ConvFormat, LayerKind, NetDef, PoolKind, TransDir};
 
-/// Paper batch sizes (Table III).
-pub const ALEXNET_BATCH: usize = 256;
-pub const VGG_BATCH: usize = 64;
-pub const RESNET50_BATCH: usize = 32;
-pub const GOOGLENET_BATCH: usize = 128;
-
 /// Number of ImageNet classes.
-pub const IMAGENET_CLASSES: usize = 1000;
+pub(crate) const IMAGENET_CLASSES: usize = 1000;
 
 /// Network builder that tracks the current activation layout and inserts
 /// tensor-transformation layers around implicit-convolution regions, the
@@ -134,7 +128,7 @@ impl NetBuilder {
     }
 
     /// Insert a transform back to NCHW if the current region is RCNB.
-    pub fn ensure_nchw(&mut self) {
+    pub(crate) fn ensure_nchw(&mut self) {
         if matches!(self.format, ConvFormat::Rcnb) {
             self.counter += 1;
             let name = format!("trans{}_to_nchw", self.counter);

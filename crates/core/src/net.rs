@@ -149,10 +149,6 @@ impl Net {
         &self.name
     }
 
-    pub fn materialized(&self) -> bool {
-        self.materialize
-    }
-
     /// Blob lookup by name.
     pub fn blob(&self, name: &str) -> std::cell::Ref<'_, Blob> {
         self.blobs[self.blob_index[name]].borrow()
@@ -341,27 +337,15 @@ impl Net {
         }
     }
 
-    /// Per-layer spans of the packed parameter/gradient vector, in layer
-    /// (== `params()` / `pack_gradients`) order. Parameter-less layers
-    /// are omitted; the spans partition `0..param_len()`.
-    pub fn param_layout(&self) -> Vec<(String, std::ops::Range<usize>)> {
-        let mut offset = 0;
-        let mut out = Vec::new();
-        for l in &self.layers {
-            let len: usize = l.params().iter().map(|p| p.len()).sum();
-            if len > 0 {
-                out.push((l.name().to_string(), offset..offset + len));
-            }
-            offset += len;
-        }
-        out
-    }
-
     /// Backward pass invoking `hook` whenever a parameterised layer's
     /// gradient becomes ready, with the layer's packed span and the
     /// simulated time on `cg` at that moment. The hook is observation
     /// only — the pass itself is identical to [`Net::backward`].
-    pub fn backward_with_hook(&mut self, cg: &mut CoreGroup, mut hook: impl FnMut(GradReady)) {
+    pub(crate) fn backward_with_hook(
+        &mut self,
+        cg: &mut CoreGroup,
+        mut hook: impl FnMut(GradReady),
+    ) {
         let mut spans: Vec<Option<std::ops::Range<usize>>> = Vec::with_capacity(self.layers.len());
         let mut offset = 0;
         for l in &self.layers {
@@ -448,11 +432,6 @@ impl Net {
     /// Layer count (diagnostics).
     pub fn layer_count(&self) -> usize {
         self.layers.len()
-    }
-
-    /// Layer names in topological order.
-    pub fn layer_names(&self) -> Vec<&str> {
-        self.layers.iter().map(|l| l.name()).collect()
     }
 
     /// Freeze hook: capture every layer's learnable parameters and
@@ -576,11 +555,27 @@ mod event_tests {
     use crate::models;
     use sw26010::ExecMode;
 
+    /// Per-layer spans of the packed parameter/gradient vector, in layer
+    /// (== `params()` / `pack_gradients`) order, parameter-less layers
+    /// omitted: the oracle the gradient-ready events are checked against.
+    fn param_layout(net: &Net) -> Vec<(String, std::ops::Range<usize>)> {
+        let mut offset = 0;
+        let mut out = Vec::new();
+        for l in &net.layers {
+            let len: usize = l.params().iter().map(|p| p.len()).sum();
+            if len > 0 {
+                out.push((l.name().to_string(), offset..offset + len));
+            }
+            offset += len;
+        }
+        out
+    }
+
     #[test]
     fn param_layout_partitions_packed_vector() {
         let def = models::alexnet_bn(2);
         let net = Net::from_def(&def, false).unwrap();
-        let layout = net.param_layout();
+        let layout = param_layout(&net);
         assert!(!layout.is_empty());
         let mut offset = 0;
         for (name, span) in &layout {
@@ -605,7 +600,7 @@ mod event_tests {
         let start = cg.elapsed();
         let events = net.backward_with_events(&mut cg);
         // Backward order: last parameterised layer's gradient first.
-        let layout = net.param_layout();
+        let layout = param_layout(&net);
         let reversed: Vec<&str> = layout.iter().rev().map(|(n, _)| n.as_str()).collect();
         let emitted: Vec<&str> = events.iter().map(|e| e.layer.as_str()).collect();
         assert_eq!(emitted, reversed);

@@ -46,7 +46,7 @@ impl SplitMix64 {
 /// the base. Distinct names get uncorrelated streams (unlike a byte sum,
 /// which collides on anagrams like `conv12`/`conv21`), and the whole
 /// initialisation is reproducible from the one base seed.
-pub fn layer_seed(base: u64, name: &str) -> u64 {
+pub(crate) fn layer_seed(base: u64, name: &str) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for b in name.bytes() {
         h ^= u64::from(b);

@@ -61,7 +61,7 @@ impl Default for SolverConfig {
 
 impl SolverConfig {
     /// Learning rate at an iteration.
-    pub fn lr_at(&self, iter: usize) -> f32 {
+    pub(crate) fn lr_at(&self, iter: usize) -> f32 {
         match self.policy {
             LrPolicy::Fixed => self.base_lr,
             LrPolicy::Step { gamma, step } => {

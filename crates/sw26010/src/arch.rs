@@ -13,22 +13,13 @@ pub const CORE_GROUPS: usize = 4;
 pub const MESH_DIM: usize = 8;
 
 /// Computing processing elements per core group.
-pub const CPES_PER_CG: usize = MESH_DIM * MESH_DIM;
+pub(crate) const CPES_PER_CG: usize = MESH_DIM * MESH_DIM;
 
 /// Clock frequency of both MPE and CPE cores, in Hz (1.45 GHz).
 pub const CLOCK_HZ: f64 = 1.45e9;
 
 /// Local directive memory (scratch pad) per CPE, in bytes (64 KB).
 pub const LDM_BYTES: usize = 64 * 1024;
-
-/// Main memory per core group, in bytes (8 GB DDR3).
-pub const CG_MEMORY_BYTES: usize = 8 * 1024 * 1024 * 1024;
-
-/// SIMD width in bits (256-bit vector registers).
-pub const SIMD_BITS: usize = 256;
-
-/// Double-precision lanes per SIMD register.
-pub const SIMD_DP_LANES: usize = SIMD_BITS / 64;
 
 /// Peak double-precision throughput of one CPE, flops/cycle
 /// (256-bit fused multiply-add: 4 lanes x 2 flops).
@@ -39,51 +30,33 @@ pub const CPE_DP_FLOPS_PER_CYCLE: f64 = 8.0;
 pub const CPE_CLUSTER_PEAK_FLOPS: f64 = CPES_PER_CG as f64 * CPE_DP_FLOPS_PER_CYCLE * CLOCK_HZ;
 
 /// Peak performance of the management processing element (11.6 GFlops).
-pub const MPE_PEAK_FLOPS: f64 = 11.6e9;
-
-/// Whole-chip peak (4 CGs, MPE + CPE cluster): 3.02 TFlops⁠—⁠wired to the
-/// published figure rather than derived, for reporting parity with Table I.
-pub const CHIP_PEAK_FLOPS: f64 = 3.02e12;
-
-/// The SW26010 has no native single-precision arithmetic or single-precision
-/// register communication: single data is widened to double. Hence the
-/// float and double peaks in Table I are identical.
-pub const SP_EQUALS_DP: bool = true;
+pub(crate) const MPE_PEAK_FLOPS: f64 = 11.6e9;
 
 /// Theoretical memory bandwidth per core group (one 128-bit DDR3 channel),
 /// in bytes/second. 4 channels give the chip-level 136 GB/s figure.
-pub const CG_MEM_BANDWIDTH: f64 = 34.0e9;
+pub(crate) const CG_MEM_BANDWIDTH: f64 = 34.0e9;
 
 /// Measured saturating DMA bandwidth per core group (Fig. 2): ~28 GB/s for
 /// both get and put when all 64 CPEs issue large continuous transfers.
 pub const DMA_PEAK_BANDWIDTH: f64 = 28.0e9;
 
 /// Bandwidth of MPE-mediated memory-to-memory copies (Principle 2): 9.9 GB/s.
-pub const MPE_MEMCPY_BANDWIDTH: f64 = 9.9e9;
+pub(crate) const MPE_MEMCPY_BANDWIDTH: f64 = 9.9e9;
 
 /// Per-CPE DMA link bandwidth (the single-CPE saturation level in Fig. 2).
-pub const DMA_CPE_LINK_BANDWIDTH: f64 = 6.0e9;
+pub(crate) const DMA_CPE_LINK_BANDWIDTH: f64 = 6.0e9;
 
 /// DMA start-up latency per request ("hundreds of cycles" of LDM transfer
 /// latency, paper Principle 3). ~1450 cycles at 1.45 GHz.
-pub const DMA_STARTUP_SECONDS: f64 = 1.0e-6;
+pub(crate) const DMA_STARTUP_SECONDS: f64 = 1.0e-6;
 
 /// Extra fixed overhead per strided block (descriptor processing + DRAM
 /// row activation), calibrated so that <256-byte blocks lose most of the
 /// bandwidth, matching the right half of Fig. 2.
-pub const DMA_STRIDED_BLOCK_OVERHEAD_SECONDS: f64 = 2.0e-7;
+pub(crate) const DMA_STRIDED_BLOCK_OVERHEAD_SECONDS: f64 = 2.0e-7;
 
-/// Register-level communication: bytes moved per cycle per CPE lane
-/// (one 256-bit register per cycle).
-pub const RLC_BYTES_PER_CYCLE: f64 = 32.0;
-
-/// Aggregate pipelined P2P RLC bandwidth across the mesh (2549 GB/s) and
-/// broadcast bandwidth (4461 GB/s), from Xu et al. \[7\]; used for reporting.
-pub const RLC_P2P_AGG_BANDWIDTH: f64 = 2549.0e9;
-pub const RLC_BCAST_AGG_BANDWIDTH: f64 = 4461.0e9;
-
-/// RLC message granularity in bytes (256-bit packets).
-pub const RLC_PACKET_BYTES: usize = 32;
+/// RLC message granularity in bytes (one 256-bit vector register).
+pub(crate) const RLC_PACKET_BYTES: usize = 32;
 
 /// Depth of the RLC send/receive FIFOs, in 256-bit packets. Senders stall
 /// when the receiving FIFO is full (anonymous producer-consumer semantics).
@@ -106,7 +79,7 @@ pub fn flop_per_byte_ratio() -> f64 {
 
 /// Cycles to seconds at the SW26010 clock.
 #[inline]
-pub fn cycles_to_seconds(cycles: f64) -> f64 {
+pub(crate) fn cycles_to_seconds(cycles: f64) -> f64 {
     cycles / CLOCK_HZ
 }
 
@@ -132,6 +105,6 @@ mod tests {
 
     #[test]
     fn rlc_packet_is_256_bits() {
-        assert_eq!(RLC_PACKET_BYTES * 8, SIMD_BITS);
+        assert_eq!(RLC_PACKET_BYTES * 8, 256);
     }
 }

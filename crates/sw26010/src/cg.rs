@@ -21,7 +21,6 @@
 use crate::arch::MPE_PEAK_FLOPS;
 use crate::check::{CheckMode, KernelTrace};
 use crate::cpe::Cpe;
-use crate::dma;
 use crate::mesh;
 use crate::plan::{KernelPlan, PlanViolation, RlcPattern};
 use crate::stats::{LaunchReport, Stats};
@@ -69,11 +68,6 @@ impl CoreGroup {
     /// Current sanitizer mode.
     pub fn check_mode(&self) -> CheckMode {
         self.check
-    }
-
-    /// Switch sanitizer recording on or off for subsequent launches.
-    pub fn set_check(&mut self, check: CheckMode) {
-        self.check = check;
     }
 
     /// Drain the kernel traces recorded since the last call.
@@ -153,13 +147,6 @@ impl CoreGroup {
         report
     }
 
-    /// MPE-mediated memory copy (Principle 2's slow path, 9.9 GB/s).
-    pub fn mpe_memcpy(&mut self, bytes: usize) -> SimTime {
-        let t = dma::mpe_memcpy_time(bytes);
-        self.elapsed += t;
-        t
-    }
-
     /// Scalar compute on the MPE (11.6 GFlops peak).
     pub fn mpe_compute(&mut self, flops: u64) -> SimTime {
         let t = SimTime::from_seconds(flops as f64 / MPE_PEAK_FLOPS);
@@ -183,13 +170,6 @@ impl CoreGroup {
     pub fn stats(&self) -> &Stats {
         &self.stats
     }
-
-    /// Reset time and counters (e.g. between benchmark repetitions).
-    /// Recorded traces are kept; drain them with [`CoreGroup::take_traces`].
-    pub fn reset(&mut self) {
-        self.stats = Stats::default();
-        self.elapsed = SimTime::ZERO;
-    }
 }
 
 #[cfg(test)]
@@ -205,19 +185,16 @@ mod tests {
         assert_eq!(cg.stats().flops, 2 * 64 * 1000);
         assert_eq!(cg.stats().launches, 2);
         assert!(cg.elapsed().seconds() > 0.0);
-        cg.reset();
-        assert_eq!(cg.stats().flops, 0);
-        assert_eq!(cg.elapsed(), SimTime::ZERO);
     }
 
     #[test]
     fn mpe_paths_charge_time() {
         let mut cg = CoreGroup::new(ExecMode::TimingOnly);
-        let t1 = cg.mpe_memcpy(9_900_000); // ~1 ms at 9.9 GB/s
-        assert!((t1.seconds() - 1.0e-3).abs() < 1e-9);
-        let t2 = cg.mpe_compute(11_600_000); // ~1 ms at 11.6 GFlops
-        assert!((t2.seconds() - 1.0e-3).abs() < 1e-9);
+        let t = cg.mpe_compute(11_600_000); // ~1 ms at 11.6 GFlops
+        assert!((t.seconds() - 1.0e-3).abs() < 1e-9);
+        cg.charge(t);
         assert!((cg.elapsed().seconds() - 2.0e-3).abs() < 1e-8);
+        assert_eq!(cg.stats().mpe_flops, 11_600_000);
     }
 
     #[test]
@@ -232,9 +209,9 @@ mod tests {
         assert_eq!(traces[1].name, "unnamed");
         assert_eq!(traces[0].per_cpe.len(), 8);
         assert!(cg.take_traces().is_empty(), "traces drain once");
-        cg.set_check(CheckMode::Off);
-        cg.run(8, |cpe| cpe.charge_flops(10));
-        assert!(cg.take_traces().is_empty());
+        let mut unchecked = CoreGroup::new(ExecMode::TimingOnly);
+        unchecked.run(8, |cpe| cpe.charge_flops(10));
+        assert!(unchecked.take_traces().is_empty());
     }
 
     #[test]
@@ -304,8 +281,10 @@ mod tests {
 
     /// Launch `kernel` on two CPEs under a plan declaring no RLC.
     fn run_independent(name: &str, check: CheckMode, kernel: impl AsyncFn(&mut Cpe<'_>)) {
-        let mut cg = CoreGroup::new(ExecMode::Functional);
-        cg.set_check(check);
+        let mut cg = match check {
+            CheckMode::Off => CoreGroup::new(ExecMode::Functional),
+            CheckMode::Record => CoreGroup::new_checked(ExecMode::Functional),
+        };
         cg.run_planned_async(&KernelPlan::new(name, 2), kernel);
     }
 

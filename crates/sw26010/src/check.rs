@@ -50,7 +50,7 @@ pub struct MemRange {
 }
 
 impl MemRange {
-    pub fn of_slice<T>(s: &[T]) -> MemRange {
+    pub(crate) fn of_slice<T>(s: &[T]) -> MemRange {
         let lo = s.as_ptr() as usize;
         MemRange {
             lo,
@@ -189,7 +189,7 @@ impl KernelTrace {
 
 /// Per-CPE event log, shared with the LDM allocator of the same CPE so
 /// allocator events interleave with DMA/RLC events in program order.
-pub type EventLog = Rc<RefCell<Vec<CpeEvent>>>;
+pub(crate) type EventLog = Rc<RefCell<Vec<CpeEvent>>>;
 
 #[cfg(test)]
 mod tests {

@@ -7,12 +7,11 @@
 
 use crate::arch::{CG_MEM_BANDWIDTH, CORE_GROUPS};
 use crate::cg::CoreGroup;
-use crate::stats::Stats;
 use crate::time::{ExecMode, SimTime};
 
 /// Cross-CG transfer bandwidth over the network-on-chip. Inter-CG traffic
 /// goes through main memory, so it is bounded by a CG's memory bandwidth.
-pub const NOC_BANDWIDTH: f64 = CG_MEM_BANDWIDTH;
+pub(crate) const NOC_BANDWIDTH: f64 = CG_MEM_BANDWIDTH;
 
 /// One SW26010 chip: 4 core groups.
 #[derive(Debug, Default)]
@@ -36,13 +35,6 @@ impl Chip {
         }
     }
 
-    /// Switch sanitizer recording for every core group.
-    pub fn set_check(&mut self, check: crate::check::CheckMode) {
-        for cg in &mut self.cgs {
-            cg.set_check(check);
-        }
-    }
-
     /// Drain recorded kernel traces from all core groups, in CG order.
     pub fn take_traces(&mut self) -> Vec<crate::check::KernelTrace> {
         self.cgs
@@ -55,30 +47,6 @@ impl Chip {
     pub fn noc_transfer_time(bytes: usize) -> SimTime {
         SimTime::from_seconds(bytes as f64 / NOC_BANDWIDTH)
     }
-
-    /// Counters summed over the four core groups.
-    pub fn total_stats(&self) -> Stats {
-        let mut s = Stats::default();
-        for cg in &self.cgs {
-            s.merge(cg.stats());
-        }
-        s
-    }
-
-    /// The chip's critical-path time: the slowest core group (the CGs run
-    /// concurrently in Algorithm 1).
-    pub fn max_elapsed(&self) -> SimTime {
-        self.cgs
-            .iter()
-            .map(|c| c.elapsed())
-            .fold(SimTime::ZERO, SimTime::max)
-    }
-
-    pub fn reset(&mut self) {
-        for cg in &mut self.cgs {
-            cg.reset();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -89,16 +57,6 @@ mod tests {
     fn chip_has_four_core_groups() {
         let chip = Chip::new(ExecMode::TimingOnly);
         assert_eq!(chip.cgs.len(), 4);
-    }
-
-    #[test]
-    fn max_elapsed_is_critical_path() {
-        let mut chip = Chip::new(ExecMode::TimingOnly);
-        chip.cgs[2].charge(SimTime::from_seconds(5.0));
-        chip.cgs[0].charge(SimTime::from_seconds(1.0));
-        assert_eq!(chip.max_elapsed().seconds(), 5.0);
-        chip.reset();
-        assert_eq!(chip.max_elapsed(), SimTime::ZERO);
     }
 
     #[test]

@@ -209,12 +209,6 @@ impl<'l> Cpe<'l> {
         self.idx
     }
 
-    /// Number of CPEs participating in this launch (affects the DMA
-    /// bandwidth share).
-    pub fn n_active(&self) -> usize {
-        self.n_active
-    }
-
     /// True when the kernel should actually move/compute data.
     pub fn functional(&self) -> bool {
         self.mode.is_functional()
@@ -328,7 +322,12 @@ impl<'l> Cpe<'l> {
     }
 
     /// Asynchronous continuous DMA put.
-    pub fn dma_put_async(&mut self, dst: MemViewMut<'_>, offset: usize, src: &[f32]) -> DmaHandle {
+    pub(crate) fn dma_put_async(
+        &mut self,
+        dst: MemViewMut<'_>,
+        offset: usize,
+        src: &[f32],
+    ) -> DmaHandle {
         let bytes = std::mem::size_of_val(src);
         if self.functional() {
             dst.write(offset, src);
@@ -547,12 +546,6 @@ impl<'l> Cpe<'l> {
         self.send("rlc_row_send", Axis::Row, once(peer), data).await;
     }
 
-    /// P2P send on the column bus to `(dst_row, self.col)`.
-    pub async fn rlc_col_send(&mut self, dst_row: usize, data: &[f64]) {
-        let peer = dst_row * MESH_DIM + self.col;
-        self.send("rlc_col_send", Axis::Col, once(peer), data).await;
-    }
-
     /// Broadcast on the row bus to the other active CPEs in this row.
     ///
     /// The bus is occupied once regardless of receiver count, which is what
@@ -662,12 +655,6 @@ impl<'l> Cpe<'l> {
         self.clock += SimTime::from_cycles(ops as f64);
     }
 
-    /// Advance the local clock by an explicit duration (fixed-function
-    /// costs such as SIMD shuffles modelled at a coarser grain).
-    pub fn charge_time(&mut self, t: SimTime) {
-        self.clock += t;
-    }
-
     // ---- synchronisation -------------------------------------------------
 
     /// Mesh-wide barrier; local clocks are reconciled to the maximum.
@@ -696,8 +683,9 @@ mod tests {
     use crate::plan::{KernelPlan, RlcPattern};
 
     /// Each CPE's clock after each of its barriers, when CPE `i` of `n`
-    /// charges `before(i)` before the first and `after(i)` before each of
-    /// the `rounds - 1` later ones.
+    /// charges `before(i)` seconds of scalar work before the first and
+    /// `after(i)` before each of the `rounds - 1` later ones. Every
+    /// duration used is a whole number of cycles, so the clocks are exact.
     fn barrier_clocks(
         n: usize,
         rounds: usize,
@@ -708,10 +696,11 @@ mod tests {
         let plan = KernelPlan::new("barrier", n).rlc(RlcPattern::PointToPoint);
         CoreGroup::new(ExecMode::TimingOnly).run_planned_async(&plan, async |cpe| {
             let i = cpe.idx();
-            cpe.charge_time(SimTime::from_seconds(before(i)));
+            let cycles = |s: f64| (s * crate::arch::CLOCK_HZ) as u64;
+            cpe.charge_scalar_ops(cycles(before(i)));
             for round in 0..rounds {
                 if round > 0 {
-                    cpe.charge_time(SimTime::from_seconds(after(i)));
+                    cpe.charge_scalar_ops(cycles(after(i)));
                 }
                 cpe.sync().await;
                 seen.borrow_mut()[i].push(cpe.now().seconds());

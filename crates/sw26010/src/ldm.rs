@@ -25,7 +25,7 @@ use crate::check::{CpeEvent, EventLog, MemRange};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LdmOverflow {
     /// Bytes the failed allocation asked for.
-    pub requested: usize,
+    pub(crate) requested: usize,
     /// Bytes already resident when the request arrived.
     pub used: usize,
     /// Total LDM capacity.
@@ -88,7 +88,7 @@ impl Ldm {
     }
 
     /// Maximum bytes ever allocated simultaneously (working-set size).
-    pub fn high_water(&self) -> usize {
+    pub(crate) fn high_water(&self) -> usize {
         self.high_water.get()
     }
 
@@ -96,14 +96,10 @@ impl Ldm {
         self.capacity
     }
 
-    pub fn remaining(&self) -> usize {
-        self.capacity - self.used.get()
-    }
-
     /// Allocate a zeroed buffer of `n` `f32` elements.
     ///
     /// Panics with the [`LdmOverflow`] message when the working set no
-    /// longer fits; use [`Ldm::try_alloc_f32`] to handle that case.
+    /// longer fits.
     pub fn alloc_f32(&self, n: usize) -> LdmBuf<f32> {
         self.try_alloc_f32(n).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -115,12 +111,12 @@ impl Ldm {
     }
 
     /// Fallible variant of [`Ldm::alloc_f32`].
-    pub fn try_alloc_f32(&self, n: usize) -> Result<LdmBuf<f32>, LdmOverflow> {
+    pub(crate) fn try_alloc_f32(&self, n: usize) -> Result<LdmBuf<f32>, LdmOverflow> {
         self.try_alloc(n, 0.0f32)
     }
 
     /// Fallible variant of [`Ldm::alloc_f64`].
-    pub fn try_alloc_f64(&self, n: usize) -> Result<LdmBuf<f64>, LdmOverflow> {
+    pub(crate) fn try_alloc_f64(&self, n: usize) -> Result<LdmBuf<f64>, LdmOverflow> {
         self.try_alloc(n, 0.0f64)
     }
 
@@ -206,11 +202,6 @@ impl<T> Drop for LdmBuf<T> {
             });
         }
     }
-}
-
-/// Plan helper: does a set of buffer sizes (in bytes) fit in one CPE's LDM?
-pub fn working_set_fits(buffer_bytes: &[usize]) -> bool {
-    buffer_bytes.iter().sum::<usize>() <= LDM_BYTES
 }
 
 #[cfg(test)]
@@ -313,18 +304,5 @@ mod tests {
             }
             other => panic!("unexpected event sequence: {other:?}"),
         }
-    }
-
-    #[test]
-    fn working_set_edge_cases() {
-        assert!(working_set_fits(&[]));
-        assert!(working_set_fits(&[0]));
-        assert!(working_set_fits(&[0, 0, 0]));
-        assert!(working_set_fits(&[LDM_BYTES]));
-        assert!(!working_set_fits(&[LDM_BYTES, 1]));
-        assert!(working_set_fits(&[LDM_BYTES / 2, LDM_BYTES / 2]));
-        assert!(!working_set_fits(&[LDM_BYTES / 2, LDM_BYTES / 2 + 1]));
-        // Zero-byte buffers consume nothing even when numerous.
-        assert!(working_set_fits(&[0; 1000]));
     }
 }

@@ -462,10 +462,10 @@ mod tests {
             if sync {
                 // Skewed on both sides of the barrier, so the launch time
                 // depends on the barrier reconciling every clock to the max.
-                let (idx, last) = (cpe.idx() as u64, cpe.n_active() as u64 - 1);
+                let idx = cpe.idx() as u64;
                 cpe.charge_flops(100 * idx);
                 cpe.sync().await;
-                cpe.charge_flops(100 * (last - idx));
+                cpe.charge_flops(100 * (63 - idx));
             }
             cpe.dma_put_strided(out, base, 16, 32, 2, &buf[..n / 2]);
             let h = cpe.dma_put_async(out, base + 16, &buf[n / 2..3 * n / 4]);

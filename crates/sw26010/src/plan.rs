@@ -49,7 +49,7 @@ pub struct KernelPlan {
     pub buffers: Vec<PlanBuffer>,
     pub rlc: RlcPattern,
     /// Maximum DMA requests the kernel keeps un-waited at any time.
-    pub max_inflight_dma: usize,
+    pub(crate) max_inflight_dma: usize,
 }
 
 /// Why a [`KernelPlan`] was rejected.
@@ -156,7 +156,7 @@ impl KernelPlan {
 
     /// Panic with the violation message if the plan is invalid. Kernel
     /// entry points call this so bad shapes fail *before* the launch.
-    pub fn assert_valid(&self) {
+    pub(crate) fn assert_valid(&self) {
         if let Err(v) = self.validate() {
             panic!("{v}");
         }

@@ -42,9 +42,9 @@ pub enum Axis {
 }
 
 /// One in-flight register-communication message.
-pub struct RlcMsg {
+pub(crate) struct RlcMsg {
     /// Sender's local clock at the moment the send completed.
-    pub sent_at: SimTime,
+    pub(crate) sent_at: SimTime,
     /// Payload; `None` in timing-only mode.
     pub data: Option<Box<[f64]>>,
 }

@@ -72,15 +72,6 @@ impl Stats {
         let bytes = self.dma_bytes();
         (bytes > 0).then(|| self.flops as f64 / bytes as f64)
     }
-
-    /// Achieved CPE flop rate over the busy window, flops/s.
-    pub fn achieved_flops(&self) -> f64 {
-        if self.busy.seconds() > 0.0 {
-            self.flops as f64 / self.busy.seconds()
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Result of one mesh kernel launch.

@@ -1,10 +1,11 @@
-//! # swbackend — the host path's worker pool
+//! # swbackend — the host path's fork/join helper
 //!
 //! A kernel's backend is the `sw26010::ExecMode` of the core group it
 //! launches on; each `swdnn` kernel branches on that value directly
 //! (`if let ExecMode::HostNative { threads } = cg.mode()`). The
 //! host-native path splits its work with [`par_tasks`] over
-//! [`resolve_threads`] workers.
+//! [`resolve_threads`] workers. There is no pool: every `par_tasks` call
+//! spawns its scoped threads and joins them before it returns.
 
 /// Resolve a requested worker count (0 = one per available host core).
 pub fn resolve_threads(threads: usize) -> usize {

@@ -54,7 +54,7 @@ use swnet::{
 
 /// Largest rank count verified by full exact-mode dataflow. Above this,
 /// [`check_spec`] switches to the algebraic scale mode.
-pub const EXACT_MAX_RANKS: usize = 128;
+pub(crate) const EXACT_MAX_RANKS: usize = 128;
 
 /// Cap on collected violations: a badly mutated schedule should produce
 /// a readable report, not millions of lines.

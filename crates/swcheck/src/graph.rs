@@ -44,7 +44,7 @@ pub fn check_net_def(def: &NetDef) -> GraphOutcome {
 }
 
 /// The complete zoo at the paper's batch sizes plus the tiny test nets.
-pub fn zoo_defs() -> Vec<NetDef> {
+pub(crate) fn zoo_defs() -> Vec<NetDef> {
     vec![
         models::alexnet_bn(8),
         models::vgg16(4),

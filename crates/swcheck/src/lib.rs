@@ -3,7 +3,7 @@
 //! Correctness tooling for the simulated SW26010 kernel zoo, in two
 //! halves:
 //!
-//! * **Dynamic sanitizer** ([`sanitize`]): replays the typed event
+//! * **Dynamic sanitizer** (`sanitize`): replays the typed event
 //!   traces a [`sw26010::CheckMode::Record`] core group captures
 //!   (every DMA issue/wait, register-communication send/recv, mesh
 //!   barrier, and LDM alloc/free on every CPE) and proves
@@ -26,15 +26,12 @@ pub mod comm;
 pub mod graph;
 pub mod lint;
 pub mod report;
-pub mod sanitize;
+pub(crate) mod sanitize;
 pub mod suite;
 
 pub use comm::{check_schedule, check_spec, CheckMode, CommOutcome, CommViolation};
 pub use graph::{check_model_zoo, check_net_def, GraphOutcome};
-pub use lint::{conv_shape_plans, lint_benchmark_sweep, lint_plans, LintOutcome};
-pub use report::{
-    comm_report_json, comm_violation_json, graph_report_json, report_json, violation_json,
-    violations_json,
-};
-pub use sanitize::{check_trace, check_trace_against_plan, check_traces, Violation, ViolationKind};
+pub use lint::{lint_benchmark_sweep, lint_plans, LintOutcome};
+pub use report::{comm_report_json, graph_report_json, report_json};
+pub use sanitize::{check_trace_against_plan, check_traces, Violation, ViolationKind};
 pub use suite::{drive_kernel_zoo, run_suite, summarize, SuiteOutcome};

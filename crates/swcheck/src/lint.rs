@@ -31,7 +31,7 @@ impl LintOutcome {
 /// training: the explicit path's im2col/GEMM/col2im plans plus (when the
 /// strategy gate allows it) the implicit-GEMM plans and their layout
 /// transforms.
-pub fn conv_shape_plans(shape: &ConvShape) -> Vec<KernelPlan> {
+pub(crate) fn conv_shape_plans(shape: &ConvShape) -> Vec<KernelPlan> {
     let mut plans = Vec::new();
     // Explicit path: forward GEMM is (out_c x col_rows) * (col_rows x
     // col_cols); the backward GEMMs transpose the same three extents, so
@@ -69,7 +69,7 @@ pub fn conv_shape_plans(shape: &ConvShape) -> Vec<KernelPlan> {
 
 /// Representative plans for the non-convolution kernel zoo at the
 /// largest extents the five benchmark networks reach.
-pub fn auxiliary_plans() -> Vec<KernelPlan> {
+pub(crate) fn auxiliary_plans() -> Vec<KernelPlan> {
     let pool_shape = PoolShape {
         batch: 128,
         channels: 64,
@@ -132,20 +132,6 @@ pub fn lint_benchmark_sweep() -> LintOutcome {
     lint_plans(labelled.iter().map(|(l, p)| (l.clone(), p)))
 }
 
-/// Lint the *searched* plan zoo: every kernel plan the `swtune`
-/// candidate enumeration can emit for every Table II layer. A clean
-/// outcome proves the tuner cannot hand the runtime an LDM-overflowing
-/// plan, independent of which candidate wins.
-pub fn lint_tuned_zoo() -> LintOutcome {
-    let mut labelled: Vec<(String, KernelPlan)> = Vec::new();
-    for (layer, shape) in vgg_conv_shapes() {
-        for (label, plan) in swtune::space::zoo_plans(&shape) {
-            labelled.push((format!("conv{layer}/{label}"), plan));
-        }
-    }
-    lint_plans(labelled.iter().map(|(l, p)| (l.clone(), p)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,9 +147,19 @@ mod tests {
         assert!(outcome.is_clean(), "rejected plans: {:?}", outcome.rejected);
     }
 
+    /// Lint the *searched* plan zoo: every kernel plan the `swtune`
+    /// candidate enumeration can emit for every Table II layer. A clean
+    /// outcome proves the tuner cannot hand the runtime an LDM-overflowing
+    /// plan, independent of which candidate wins.
     #[test]
     fn searched_plan_zoo_is_clean() {
-        let outcome = lint_tuned_zoo();
+        let mut labelled: Vec<(String, KernelPlan)> = Vec::new();
+        for (layer, shape) in vgg_conv_shapes() {
+            for (label, plan) in swtune::space::zoo_plans(&shape) {
+                labelled.push((format!("conv{layer}/{label}"), plan));
+            }
+        }
+        let outcome = lint_plans(labelled.iter().map(|(l, p)| (l.clone(), p)));
         assert!(
             outcome.checked > 10_000,
             "zoo too small: {}",

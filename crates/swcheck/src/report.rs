@@ -25,7 +25,7 @@ fn kind_slug(kind: &ViolationKind) -> &'static str {
 
 /// One violation as a JSON object: machine-readable kind plus the full
 /// human diagnostic.
-pub fn violation_json(v: &Violation) -> Json {
+pub(crate) fn violation_json(v: &Violation) -> Json {
     let mut b = obj()
         .field("kernel", v.kernel.as_str())
         .field("kind", kind_slug(&v.kind));
@@ -35,7 +35,7 @@ pub fn violation_json(v: &Violation) -> Json {
     b.field("message", v.kind.to_string()).build()
 }
 
-pub fn violations_json(violations: &[Violation]) -> Json {
+pub(crate) fn violations_json(violations: &[Violation]) -> Json {
     Json::Arr(violations.iter().map(violation_json).collect())
 }
 
@@ -85,7 +85,7 @@ pub fn report_json(suite: &SuiteOutcome, lint: &LintOutcome, overhead_ratio: Opt
 }
 
 /// One collective-schedule violation as a JSON object.
-pub fn comm_violation_json(v: &CommViolation) -> Json {
+pub(crate) fn comm_violation_json(v: &CommViolation) -> Json {
     obj()
         .field("kind", v.kind())
         .field("message", v.to_string())

@@ -393,7 +393,7 @@ fn classify_stall(trace: &KernelTrace, out: &mut Vec<Violation>) {
 
 /// Analyze one kernel launch trace. Returns every detected hazard, CPE
 /// hazards first, mesh-wide findings after.
-pub fn check_trace(trace: &KernelTrace) -> Vec<Violation> {
+pub(crate) fn check_trace(trace: &KernelTrace) -> Vec<Violation> {
     let mut out = Vec::new();
     let stalled = trace.stalled();
     for cpe in &trace.per_cpe {
@@ -409,7 +409,7 @@ pub fn check_trace(trace: &KernelTrace) -> Vec<Violation> {
     out
 }
 
-/// [`check_trace`] plus cross-checking the execution against the claims
+/// `check_trace` plus cross-checking the execution against the claims
 /// of its [`KernelPlan`]: the observed LDM high water must not exceed
 /// the planned working set.
 pub fn check_trace_against_plan(trace: &KernelTrace, plan: &KernelPlan) -> Vec<Violation> {

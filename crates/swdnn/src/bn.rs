@@ -455,7 +455,7 @@ pub fn forward_time(batch: usize, channels: usize, spatial: usize) -> SimTime {
 }
 
 /// Duration of the BN backward pass (mirrors the two launch phases).
-pub fn backward_time(batch: usize, channels: usize, spatial: usize) -> SimTime {
+pub(crate) fn backward_time(batch: usize, channels: usize, spatial: usize) -> SimTime {
     use crate::elementwise::{chunk_walk_time, CHUNK};
     let launch = sw26010::arch::ATHREAD_LAUNCH_OVERHEAD_SECONDS;
     // Phase A: per-channel dgamma/dbeta: 2 scalar gets, the data sweep,
@@ -680,7 +680,7 @@ mod tests {
 
 /// Operands of [`forward_inference`]:
 /// `(input, gamma, beta, running_mean, running_var, output)`.
-pub type InferenceIo<'a> = (
+pub(crate) type InferenceIo<'a> = (
     &'a [f32],
     &'a [f32],
     &'a [f32],

@@ -4,67 +4,15 @@
 //! direction: the implicit plan where its channel gates admit it and it
 //! models/measures faster, the explicit plan otherwise. The paper does the
 //! measurement online during the first two training iterations; the
-//! [`AutoTuner`] reproduces that protocol, while [`choose_forward`] /
-//! [`choose_backward`] give the model-predicted answer directly (identical
-//! in the simulator, where measurements *are* the model).
+//! [`AutoTuner`] reproduces that protocol (`examples/conv_autotune.rs`).
 
 use sw26010::SimTime;
-
-use crate::shapes::ConvShape;
-use crate::{conv_explicit, conv_implicit};
 
 /// Which convolution plan to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     Explicit,
     Implicit,
-}
-
-/// Model-predicted best forward strategy.
-pub fn choose_forward(shape: &ConvShape) -> Strategy {
-    if conv_implicit::supports_forward(shape)
-        && conv_implicit::forward_time(shape) < conv_explicit::forward_time(shape)
-    {
-        Strategy::Implicit
-    } else {
-        Strategy::Explicit
-    }
-}
-
-/// Model-predicted best backward strategy (both gradients considered
-/// together, as swCaffe schedules them as one phase).
-pub fn choose_backward(shape: &ConvShape) -> Strategy {
-    if conv_implicit::supports_backward(shape)
-        && implicit_backward_total(shape) < explicit_backward_total(shape)
-    {
-        Strategy::Implicit
-    } else {
-        Strategy::Explicit
-    }
-}
-
-fn implicit_backward_total(shape: &ConvShape) -> SimTime {
-    conv_implicit::backward_weights_time(shape) + conv_implicit::backward_input_time(shape)
-}
-
-fn explicit_backward_total(shape: &ConvShape) -> SimTime {
-    conv_explicit::backward_weights_time(shape) + conv_explicit::backward_input_time(shape)
-}
-
-/// Best-available forward duration.
-pub fn forward_time_best(shape: &ConvShape) -> SimTime {
-    match choose_forward(shape) {
-        Strategy::Explicit => conv_explicit::forward_time(shape),
-        Strategy::Implicit => conv_implicit::forward_time(shape),
-    }
-}
-
-/// Best-available backward duration (both gradients).
-pub fn backward_time_best(shape: &ConvShape) -> SimTime {
-    match choose_backward(shape) {
-        Strategy::Explicit => explicit_backward_total(shape),
-        Strategy::Implicit => implicit_backward_total(shape),
-    }
 }
 
 /// Online autotuner reproducing the paper's protocol: run both candidate
@@ -141,6 +89,8 @@ impl AutoTuner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shapes::ConvShape;
+    use crate::{conv_explicit, conv_implicit};
 
     fn vgg_layer(ni: usize, no: usize, hw: usize) -> ConvShape {
         ConvShape {
@@ -152,6 +102,32 @@ mod tests {
             k: 3,
             stride: 1,
             pad: 1,
+        }
+    }
+
+    /// Model-predicted best forward plan: implicit where its channel gates
+    /// admit it and its model is faster (Table II).
+    fn choose_forward(shape: &ConvShape) -> Strategy {
+        if conv_implicit::supports_forward(shape)
+            && conv_implicit::forward_time(shape) < conv_explicit::forward_time(shape)
+        {
+            Strategy::Implicit
+        } else {
+            Strategy::Explicit
+        }
+    }
+
+    /// Model-predicted best backward plan, both gradients together, as
+    /// swCaffe schedules them as one phase.
+    fn choose_backward(shape: &ConvShape) -> Strategy {
+        let implicit =
+            conv_implicit::backward_weights_time(shape) + conv_implicit::backward_input_time(shape);
+        let explicit =
+            conv_explicit::backward_weights_time(shape) + conv_explicit::backward_input_time(shape);
+        if conv_implicit::supports_backward(shape) && implicit < explicit {
+            Strategy::Implicit
+        } else {
+            Strategy::Explicit
         }
     }
 

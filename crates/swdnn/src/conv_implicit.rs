@@ -23,9 +23,9 @@
 //! broadcast GEMMs over different index spaces, so each keeps its own
 //! loop nest and its own addressing into the `(R, C, N, B)` / `(K, K,
 //! N_o, N_i)` layouts — that is all this module writes out. Inside a
-//! launch every pass runs the tile core of [`crate::tile`], the same one
+//! launch every pass runs the tile core of `tile`, the same one
 //! [`crate::gemm`] runs: the LDM buffers and the [`KernelPlan`] come from
-//! one [`TileLayout`] ([`ConvTiles::kernel_plan`]), tiles are loaded,
+//! one `TileLayout` ([`ConvTiles::kernel_plan`]), tiles are loaded,
 //! multiplied over the buses and stored by its operations, and the time
 //! models below are sums of its per-phase cost terms weighted by each
 //! pass's trip counts. Counter (`Stats`) models do not exist for these

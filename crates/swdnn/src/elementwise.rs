@@ -188,7 +188,7 @@ fn map2(
 
 /// Duration of a streaming kernel over `len` elements with `reads` input
 /// streams and `writes` output streams.
-pub fn stream_time(len: usize, reads: usize, writes: usize, flops_per_elem: u64) -> SimTime {
+pub(crate) fn stream_time(len: usize, reads: usize, writes: usize, flops_per_elem: u64) -> SimTime {
     // Chunk-exact: walk the makespan CPE's (CPE 0's) actual chunk
     // sequence, so small tensors are not billed for full 16 KB chunks.
     let mut t = sw26010::arch::ATHREAD_LAUNCH_OVERHEAD_SECONDS;
@@ -205,7 +205,7 @@ pub fn stream_time(len: usize, reads: usize, writes: usize, flops_per_elem: u64)
 /// Duration of a row-wise streaming kernel, excluding the launch
 /// overhead: the makespan CPE handles `ceil(rows/64)` rows, each streamed
 /// in `chunk`-element pieces with `streams` DMA transfers per piece.
-pub fn row_stream_time(
+pub(crate) fn row_stream_time(
     rows: usize,
     row_len: usize,
     chunk: usize,
@@ -216,7 +216,12 @@ pub fn row_stream_time(
 }
 
 /// Cost of streaming one `row_len`-element row in `chunk`-sized pieces.
-pub fn chunk_walk_time(row_len: usize, chunk: usize, streams: usize, flops_per_elem: u64) -> f64 {
+pub(crate) fn chunk_walk_time(
+    row_len: usize,
+    chunk: usize,
+    streams: usize,
+    flops_per_elem: u64,
+) -> f64 {
     let chunk = chunk.max(1);
     let mut per_row = 0.0;
     let mut off = 0;
@@ -677,7 +682,7 @@ pub fn col_sums(
 
 /// Operands of [`copy_blocks`]:
 /// `(src, src_off, src_stride, dst, dst_off, dst_stride)`.
-pub type CopyBlocksIo<'a> = (&'a [f32], usize, usize, &'a mut [f32], usize, usize);
+pub(crate) type CopyBlocksIo<'a> = (&'a [f32], usize, usize, &'a mut [f32], usize, usize);
 
 /// Copy `nblocks` blocks of `block_len` elements from strided positions in
 /// `src` to strided positions in `dst` (concat / split plumbing).

@@ -60,7 +60,7 @@ pub fn epilogue_plan(channels: usize, spatial: usize) -> KernelPlan {
 /// Analytic time of the fused epilogue: one launch, the channel-vector
 /// stages, and a single read+write streaming pass at 5 flops/element
 /// (bias add, the three BN ops, the ReLU max).
-pub fn epilogue_time(batch: usize, channels: usize, spatial: usize) -> SimTime {
+pub(crate) fn epilogue_time(batch: usize, channels: usize, spatial: usize) -> SimTime {
     SimTime::from_seconds(
         arch::ATHREAD_LAUNCH_OVERHEAD_SECONDS
             + 5.0 * dma::continuous_time(channels * 4, 64).seconds()

@@ -17,23 +17,23 @@
 //!
 //! ## One body, one plan, one model
 //!
-//! There is one mesh kernel, [`execute_mesh`], whose K-panel loop is
+//! There is one mesh kernel, `execute_mesh`, whose K-panel loop is
 //! written once. The [`TilingScheme`] parameterises it: [`Buffering`]
 //! chooses whether a panel's tiles are fetched synchronously or were
 //! prefetched while the previous panel multiplied, [`Broadcast`] whether
 //! the panel product is the 8 bus steps above or one product over
 //! DMA-replicated strips (the Principle 4 control). The loop is built
-//! from the operations of [`crate::tile`], which the implicit
+//! from the operations of `tile`, which the implicit
 //! convolutions share.
 //!
 //! Everything else about a scheme is derived, not mirrored by hand:
 //!
 //! * the LDM buffers the kernel allocates and the
 //!   [`TilingScheme::kernel_plan`] it is validated against are two
-//!   readings of one [`TileLayout`] table;
+//!   readings of one `TileLayout` table;
 //! * [`TilingScheme::time_model`] (what timing-only execution charges and
-//!   the tuner searches with) and [`TilingScheme::stats_model`] are
-//!   assembled from the per-phase terms of [`crate::tile`] — tile load,
+//!   the tuner searches with) and `TilingScheme::stats_model` are
+//!   assembled from the per-phase terms of `tile` — tile load,
 //!   bus step, C preload/store, launch — the same terms the
 //!   `conv_implicit` models use.
 //!
@@ -65,14 +65,14 @@ pub struct TilePlan {
 /// Largest square tile edge that keeps the working set
 /// (3 owned tiles + 2 receive buffers in f64, one f32 staging buffer)
 /// inside the 64 KB LDM.
-pub const MAX_TILE: usize = 32;
+pub(crate) const MAX_TILE: usize = 32;
 
 impl TilePlan {
     /// Choose tile extents for a problem size: full 32-wide tiles when the
     /// dimensions allow, shrunk to `ceil(dim / 8)` for small dimensions so
     /// no CPE is left entirely idle unless the dimension is smaller than
     /// the mesh itself. The result is always feasible: the pick is run
-    /// through [`TilePlan::shrink_to_fit`], a *checked* path that holds in
+    /// through `TilePlan::shrink_to_fit`, a *checked* path that holds in
     /// release builds too (this used to be a `debug_assert!` only).
     pub fn choose(dims: GemmDims) -> TilePlan {
         let pick = |d: usize| d.div_ceil(MESH_DIM).clamp(1, MAX_TILE);
@@ -89,7 +89,7 @@ impl TilePlan {
     /// (synchronous loads, bus broadcasts) against the LDM capacity,
     /// through the same [`TilingScheme::validate`] the launch path
     /// enforces.
-    pub fn check_ldm(&self) -> Result<(), PlanViolation> {
+    pub(crate) fn check_ldm(&self) -> Result<(), PlanViolation> {
         TilingScheme {
             tile: *self,
             buffering: Buffering::Single,
@@ -101,7 +101,7 @@ impl TilePlan {
     /// Shrink the largest extent (halving, ties broken `kt`, `nt`, `mt`)
     /// until the single-buffered working set fits LDM. Returns `None`
     /// only for a zero extent, which no amount of shrinking repairs.
-    pub fn shrink_to_fit(mut self) -> Option<TilePlan> {
+    pub(crate) fn shrink_to_fit(mut self) -> Option<TilePlan> {
         if self.mt == 0 || self.nt == 0 || self.kt == 0 {
             return None;
         }
@@ -122,13 +122,13 @@ impl TilePlan {
     }
 
     /// Panel extents across the whole mesh.
-    pub fn panel_m(&self) -> usize {
+    pub(crate) fn panel_m(&self) -> usize {
         self.mt * MESH_DIM
     }
-    pub fn panel_n(&self) -> usize {
+    pub(crate) fn panel_n(&self) -> usize {
         self.nt * MESH_DIM
     }
-    pub fn panel_k(&self) -> usize {
+    pub(crate) fn panel_k(&self) -> usize {
         self.kt * MESH_DIM
     }
 }
@@ -376,7 +376,7 @@ impl TilingScheme {
     /// kernel's charges. Flops and bytes are exact; the DMA request count
     /// is the full-mesh figure (edge CPEs with an empty valid region skip
     /// theirs — per-request startup already dominates edge effects).
-    pub fn stats_model(&self, dims: GemmDims, beta: f32) -> Stats {
+    pub(crate) fn stats_model(&self, dims: GemmDims, beta: f32) -> Stats {
         let plan = self.tile;
         let TilePlan { mt, nt, kt } = plan;
         let panels_m = dims.m.div_ceil(plan.panel_m());
@@ -421,12 +421,6 @@ impl TilingScheme {
     }
 }
 
-/// Effective flop rate of the *useful* (un-padded) work for a problem size:
-/// `2mnk / time`. This is the "Gflops" column of Table II.
-pub fn effective_gflops(dims: GemmDims, elapsed: SimTime) -> f64 {
-    dims.flops() as f64 / elapsed.seconds() / 1.0e9
-}
-
 /// Principle 4 ablation: a GEMM where each CPE DMA-loads the full A
 /// row-strip and B column-strip itself instead of sharing tiles over the
 /// register buses. Same compute, ~8x the A/B traffic. This is the
@@ -456,6 +450,12 @@ mod tests {
     use super::*;
     use crate::reference;
     use sw26010::ExecMode;
+
+    /// Effective flop rate of the *useful* (un-padded) work for a problem
+    /// size: `2mnk / time`. This is the "Gflops" column of Table II.
+    fn effective_gflops(dims: GemmDims, elapsed: SimTime) -> f64 {
+        dims.flops() as f64 / elapsed.seconds() / 1.0e9
+    }
 
     pub(super) fn pattern(len: usize, seed: u64) -> Vec<f32> {
         (0..len)

@@ -2,7 +2,7 @@
 //! explicit and implicit convolution, and the im2col/col2im the explicit
 //! plan runs).
 //!
-//! Every reduction here goes through [`accumulate`], the function the
+//! Every reduction here goes through `accumulate`, the function the
 //! mesh's block product calls, so host and mesh agree bit for bit by
 //! construction: what this module adds is staging — packing, the seed
 //! and rounding of each accumulator, and the tap walk of the implicit
@@ -13,7 +13,7 @@
 //! The packed GEMM body is generic over its panel width and compiled
 //! twice: for the baseline target at [`GEMM_NR`] columns and, on x86-64,
 //! for AVX2 at [`GEMM_NR_AVX2`]. Each product runs the widest one the
-//! CPU supports. Both run the same [`accumulate`] per element of C, and
+//! CPU supports. Both run the same `accumulate` per element of C, and
 //! the panel width only decides which columns share a call, so the two
 //! agree bit for bit; the unit tests below check that.
 //!
@@ -69,7 +69,7 @@ thread_local! {
 
 /// `C = A*B + beta*C`, as the mesh GEMM computes it: per-element f64
 /// accumulator seeded with the f32 product `beta * c`, then
-/// [`accumulate`] over the whole of k.
+/// `accumulate` over the whole of k.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm(
     threads: usize,
@@ -373,7 +373,7 @@ fn tap_source(i: usize, tap: usize, stride: usize, pad: usize, out_dim: usize) -
 /// Explicit-plan forward over the whole batch: per image, im2col then
 /// `W x cols`. The weights are packed once for the batch and `cols`
 /// lives in the thread's scratch (im2col overwrites all of it).
-pub fn conv_explicit_forward(
+pub(crate) fn conv_explicit_forward(
     threads: usize,
     shape: &ConvShape,
     input: &[f32],
@@ -398,7 +398,7 @@ pub fn conv_explicit_forward(
 /// image 0 stores `dY_0 x cols_0^T`, every later image adds its own
 /// through the GEMM's beta, rounding to f32 in between as the mesh does.
 /// `in_grad` is `col2im(W^T x dY_b)` per image, `W^T` packed once.
-pub fn conv_explicit_backward(
+pub(crate) fn conv_explicit_backward(
     threads: usize,
     shape: &ConvShape,
     input: &[f32],
@@ -442,7 +442,7 @@ pub fn conv_explicit_backward(
 /// weight row against the pixel's `N_i x B` input block. A row tap
 /// outside the image is skipped and a column tap outside it is a zero
 /// operand, as on the mesh.
-pub fn conv_implicit_forward(
+pub(crate) fn conv_implicit_forward(
     threads: usize,
     shape: &ConvShape,
     input: &[f32],
@@ -487,7 +487,7 @@ pub fn conv_implicit_forward(
 /// weights (a strided column of the tap's `N_o x N_i` block) against the
 /// `N_o x B` output-gradient block the tap reaches; padding as in
 /// [`conv_implicit_forward`].
-pub fn conv_implicit_backward_input(
+pub(crate) fn conv_implicit_backward_input(
     threads: usize,
     shape: &ConvShape,
     weights: &[f32],
@@ -533,7 +533,7 @@ pub fn conv_implicit_backward_input(
 /// transposed copy, or zeros for a column tap outside the image) meets
 /// one [`accumulate`] per output channel, its `dY` fibre the left
 /// operand; row taps outside the image are skipped.
-pub fn conv_implicit_backward_weights(
+pub(crate) fn conv_implicit_backward_weights(
     threads: usize,
     shape: &ConvShape,
     input: &[f32],

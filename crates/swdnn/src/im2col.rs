@@ -31,15 +31,17 @@ use crate::shapes::ConvShape;
 const LDM_BUDGET: usize = 48 * 1024;
 
 /// True when the small-image (whole-channel) plan applies.
-pub fn channel_plan_applies(shape: &ConvShape) -> bool {
+pub(crate) fn channel_plan_applies(shape: &ConvShape) -> bool {
     let img = shape.in_h * shape.in_w * 4;
     let line = shape.out_h() * shape.out_w() * 4;
     img + line <= LDM_BUDGET
 }
 
 /// Data-movement strategy of the lowering kernels. [`Im2colStrategy::Auto`]
-/// is the size-adaptive default; the forced variants expose the choice to
-/// the `swtune` searcher as one more scheme axis.
+/// is the size-adaptive default and the only one the kernels run; the
+/// forced variants exist for the unit tests, where the row plan is the
+/// independent oracle for the channel plan on small images
+/// (`forced_row_strategy_matches_auto_bitwise`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Im2colStrategy {
     /// Channel plan when the whole image fits the LDM budget, row plan
@@ -77,7 +79,7 @@ pub fn im2col_plan(shape: &ConvShape) -> KernelPlan {
 }
 
 /// [`im2col_plan`] under an explicit strategy.
-pub fn im2col_plan_with(shape: &ConvShape, strategy: Im2colStrategy) -> KernelPlan {
+pub(crate) fn im2col_plan_with(shape: &ConvShape, strategy: Im2colStrategy) -> KernelPlan {
     if strategy.channel(shape) {
         KernelPlan::new("swdnn.im2col.channel", 64)
             .buffer("img", shape.in_h * shape.in_w * 4)
@@ -97,7 +99,7 @@ pub fn col2im_plan(shape: &ConvShape) -> KernelPlan {
 }
 
 /// [`col2im_plan`] under an explicit strategy.
-pub fn col2im_plan_with(shape: &ConvShape, strategy: Im2colStrategy) -> KernelPlan {
+pub(crate) fn col2im_plan_with(shape: &ConvShape, strategy: Im2colStrategy) -> KernelPlan {
     if strategy.channel(shape) {
         KernelPlan::new("swdnn.col2im.channel", 64)
             .buffer("acc", shape.in_h * shape.in_w * 4)
@@ -134,7 +136,7 @@ pub fn im2col(
 }
 
 /// Mesh im2col for one image under an explicit strategy.
-pub fn im2col_with_strategy(
+pub(crate) fn im2col_with_strategy(
     cg: &mut CoreGroup,
     shape: &ConvShape,
     strategy: Im2colStrategy,
@@ -255,7 +257,7 @@ pub fn col2im(
 }
 
 /// Mesh col2im for one image under an explicit strategy.
-pub fn col2im_with_strategy(
+pub(crate) fn col2im_with_strategy(
     cg: &mut CoreGroup,
     shape: &ConvShape,
     strategy: Im2colStrategy,
@@ -361,12 +363,12 @@ fn col2im_channel_plan(cpe: &mut Cpe, shape: &ConvShape, cols: MemView<'_>, imag
 }
 
 /// Closed-form duration of [`im2col`].
-pub fn time_model_im2col(shape: &ConvShape) -> SimTime {
+pub(crate) fn time_model_im2col(shape: &ConvShape) -> SimTime {
     time_model_im2col_with(shape, Im2colStrategy::Auto)
 }
 
 /// [`time_model_im2col`] under an explicit strategy.
-pub fn time_model_im2col_with(shape: &ConvShape, strategy: Im2colStrategy) -> SimTime {
+pub(crate) fn time_model_im2col_with(shape: &ConvShape, strategy: Im2colStrategy) -> SimTime {
     let (oh, ow) = (shape.out_h(), shape.out_w());
     let kk = shape.k;
     let per_cpe_time = if strategy.channel(shape) {
@@ -386,12 +388,12 @@ pub fn time_model_im2col_with(shape: &ConvShape, strategy: Im2colStrategy) -> Si
 }
 
 /// Closed-form duration of [`col2im`].
-pub fn time_model_col2im(shape: &ConvShape) -> SimTime {
+pub(crate) fn time_model_col2im(shape: &ConvShape) -> SimTime {
     time_model_col2im_with(shape, Im2colStrategy::Auto)
 }
 
 /// [`time_model_col2im`] under an explicit strategy.
-pub fn time_model_col2im_with(shape: &ConvShape, strategy: Im2colStrategy) -> SimTime {
+pub(crate) fn time_model_col2im_with(shape: &ConvShape, strategy: Im2colStrategy) -> SimTime {
     let (oh, ow) = (shape.out_h(), shape.out_w());
     let kk = shape.k;
     let per_cpe_time = if strategy.channel(shape) {

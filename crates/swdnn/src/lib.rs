@@ -54,7 +54,7 @@ pub(crate) const FUNCTIONAL_MODES: [sw26010::ExecMode; 2] = [
 
 /// Duration of `flops` vector operations at the tuned-kernel rate — the
 /// unit the per-kernel timing models are built from.
-pub fn gemm_flop_time(flops: u64) -> SimTime {
+pub(crate) fn gemm_flop_time(flops: u64) -> SimTime {
     SimTime::from_cycles(flop_cycles(flops))
 }
 

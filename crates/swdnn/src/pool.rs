@@ -336,7 +336,7 @@ pub fn forward_time(shape: &PoolShape) -> SimTime {
 }
 
 /// Closed-form duration of pooling backward.
-pub fn backward_time(shape: &PoolShape) -> SimTime {
+pub(crate) fn backward_time(shape: &PoolShape) -> SimTime {
     let s = *shape;
     let (oh, ow) = (s.out_h(), s.out_w());
     let items = s.batch * s.channels * s.in_h;

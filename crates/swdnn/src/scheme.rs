@@ -8,7 +8,7 @@
 //! one kernel body the scheme parameterises and derives the rest from
 //! it there — [`TilingScheme::kernel_plan`] from the LDM buffer table
 //! the kernel allocates, [`TilingScheme::time_model`] and
-//! [`TilingScheme::stats_model`] from the shared per-phase cost terms.
+//! `TilingScheme::stats_model` from the shared per-phase cost terms.
 //! The strategy enums are parameters of that one body, not selectors
 //! between sibling kernels. The `swtune` searcher enumerates the space;
 //! the hand-picked default is just one point in it

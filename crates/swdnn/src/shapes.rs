@@ -83,7 +83,7 @@ pub enum Trans {
 }
 
 impl Trans {
-    pub fn is_trans(self) -> bool {
+    pub(crate) fn is_trans(self) -> bool {
         matches!(self, Trans::Yes)
     }
 }

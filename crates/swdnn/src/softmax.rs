@@ -190,7 +190,7 @@ pub fn forward_time(batch: usize, classes: usize) -> SimTime {
 }
 
 /// Duration of the backward pass.
-pub fn backward_time(batch: usize, classes: usize) -> SimTime {
+pub(crate) fn backward_time(batch: usize, classes: usize) -> SimTime {
     let per_item = dma::continuous_time(classes * 4, 64).seconds() * 2.0
         + crate::gemm_flop_time(2 * classes as u64).seconds();
     SimTime::from_seconds(

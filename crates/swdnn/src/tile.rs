@@ -41,7 +41,7 @@ pub(crate) struct TileLayout {
     /// K extent of the A and B tiles one CPE holds: `kt` when tiles are
     /// shared over the buses, the whole `8 * kt` panel strip when every
     /// CPE replicates them by DMA.
-    pub kw: usize,
+    pub(crate) kw: usize,
     buffering: Buffering,
     broadcast: Broadcast,
 }
@@ -119,7 +119,7 @@ impl TileLayout {
     }
 
     /// Allocate the table in `cpe`'s LDM.
-    pub fn alloc(&self, cpe: &Cpe) -> Tiles {
+    pub(crate) fn alloc(&self, cpe: &Cpe) -> Tiles {
         let mut tiles = Tiles {
             layout: *self,
             wide: Vec::new(),
@@ -157,13 +157,13 @@ pub(crate) struct TileAddr {
     pub block: usize,
     pub stride: usize,
     pub rows: usize,
-    pub transpose: bool,
+    pub(crate) transpose: bool,
 }
 
 impl TileAddr {
     /// The logical `vr x vc` tile at `(r0, c0)` of a row-major
     /// `rows_total x cols_total` matrix, stored transposed when `trans`.
-    pub fn of_matrix(
+    pub(crate) fn of_matrix(
         trans: Trans,
         (rows_total, cols_total): (usize, usize),
         (r0, c0): (usize, usize),
@@ -237,7 +237,7 @@ impl Tiles {
     /// Widen the data staged by a completed [`Tiles::issue`] into the
     /// zero-padded f64 tile (the chip has no single-precision register
     /// communication).
-    pub fn widen(&mut self, cpe: &mut Cpe, op: Operand, slot: usize, load: TileAddr) {
+    pub(crate) fn widen(&mut self, cpe: &mut Cpe, op: Operand, slot: usize, load: TileAddr) {
         let (stage, tile, tr, tc) = self.operand(op, slot);
         let TileAddr { block, rows, .. } = load;
         cpe.compute((tr * tc) as u64, || {
@@ -273,7 +273,7 @@ impl Tiles {
     /// them the CPE holds the whole panel strips itself and multiplies
     /// them in one go — same products, same ascending-k order, so the
     /// two are bitwise interchangeable.
-    pub async fn panel_product(&mut self, cpe: &mut Cpe<'_>) {
+    pub(crate) async fn panel_product(&mut self, cpe: &mut Cpe<'_>) {
         let nt = self.layout.nt;
         match &mut self.wide[..] {
             [a64, b64, c64] => tile_product(cpe, a64, b64, c64, nt),
@@ -300,14 +300,14 @@ impl Tiles {
     }
 
     /// Start the C tile at zero.
-    pub fn zero_c(&mut self, cpe: &mut Cpe) {
+    pub(crate) fn zero_c(&mut self, cpe: &mut Cpe) {
         let (_, c64) = self.c_tile();
         cpe.compute(c64.len() as u64, || c64.fill(0.0));
     }
 
     /// Start the C tile at `beta * C` (zero when `beta` is, or when the
     /// CPE owns no valid output).
-    pub fn preload_c(&mut self, cpe: &mut Cpe, src: MemView<'_>, at: TileAddr, beta: f32) {
+    pub(crate) fn preload_c(&mut self, cpe: &mut Cpe, src: MemView<'_>, at: TileAddr, beta: f32) {
         let (vm, vn) = (at.rows, at.block);
         if beta == 0.0 || vm == 0 || vn == 0 {
             return self.zero_c(cpe);
@@ -325,7 +325,7 @@ impl Tiles {
     }
 
     /// Narrow the C tile's valid region to f32 and write it back.
-    pub fn store_c(&mut self, cpe: &mut Cpe, dst: MemViewMut<'_>, at: TileAddr) {
+    pub(crate) fn store_c(&mut self, cpe: &mut Cpe, dst: MemViewMut<'_>, at: TileAddr) {
         let (vm, vn) = (at.rows, at.block);
         let nt = self.layout.nt;
         let (stage, c64) = self.c_tile();
@@ -384,7 +384,7 @@ pub(crate) fn accumulate<T: Copy + Into<f64>>(
 /// blocks of `block` f32, and the f32 <-> f64 conversion pass.
 pub(crate) struct LoadCost {
     pub dma: f64,
-    pub widen: f64,
+    pub(crate) widen: f64,
 }
 
 pub(crate) fn load_cost(block: usize, rows: usize) -> LoadCost {

@@ -256,8 +256,11 @@ pub fn filters_oikk_to_kkon(no: usize, ni: usize, k: usize, w: &[f32]) -> Vec<f3
     out
 }
 
-/// Inverse filter layout conversion `(K, K, N_o, N_i)` -> `(N_o, N_i, K, K)`.
-pub fn filters_kkon_to_oikk(no: usize, ni: usize, k: usize, w: &[f32]) -> Vec<f32> {
+/// Inverse filter layout conversion `(K, K, N_o, N_i)` -> `(N_o, N_i, K, K)`:
+/// the independent oracle that the layout and implicit-dW tests read
+/// `(K, K, N_o, N_i)` results back through.
+#[cfg(test)]
+pub(crate) fn filters_kkon_to_oikk(no: usize, ni: usize, k: usize, w: &[f32]) -> Vec<f32> {
     assert_eq!(w.len(), no * ni * k * k);
     let mut out = vec![0.0f32; w.len()];
     for o in 0..no {

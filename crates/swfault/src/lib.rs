@@ -237,7 +237,7 @@ pub(crate) fn unit(key: u64) -> f64 {
 
 /// How many multiples of the base interval the decorrelated-jitter
 /// backoff may grow to before it saturates.
-pub const BACKOFF_CAP_FACTOR: f64 = 1024.0;
+pub(crate) const BACKOFF_CAP_FACTOR: f64 = 1024.0;
 
 /// Decorrelated-jitter backoff (the AWS "decorrelated jitter" schedule):
 /// attempt `k` waits `min(cap, base + u_k * (3*prev - base))` where
@@ -250,7 +250,7 @@ pub const BACKOFF_CAP_FACTOR: f64 = 1024.0;
 /// The interval is computed iteratively from `sleep_0 = base`, so it is
 /// deterministic for every `(seed, key, attempt)` triple and bounded in
 /// `[base, base * BACKOFF_CAP_FACTOR]`.
-pub fn decorrelated_backoff_s(seed: u64, key: u64, base_s: f64, attempt: u32) -> f64 {
+pub(crate) fn decorrelated_backoff_s(seed: u64, key: u64, base_s: f64, attempt: u32) -> f64 {
     let cap = base_s * BACKOFF_CAP_FACTOR;
     let mut sleep = base_s;
     for k in 1..=attempt {
@@ -326,10 +326,6 @@ impl FaultSession {
         let s = self.seq;
         self.seq += 1;
         s
-    }
-
-    pub fn is_dead(&self, node: usize) -> bool {
-        self.dead.binary_search(&node).is_ok()
     }
 
     pub fn dead_nodes(&self) -> &[usize] {
@@ -504,9 +500,9 @@ mod tests {
     fn crash_takes_effect_at_its_iteration() {
         let mut s = FaultSession::new(FaultPlan::new(7).crash(2, 3));
         s.begin_iteration(2);
-        assert!(!s.is_dead(2));
+        assert!(!s.dead_nodes().contains(&2));
         s.begin_iteration(3);
-        assert!(s.is_dead(2));
+        assert_eq!(s.dead_nodes(), [2]);
         assert_eq!(s.report.crashes, 1);
         // Idempotent across iterations.
         s.begin_iteration(4);

@@ -242,7 +242,7 @@ impl ServeFaultSession {
     /// time `t` (`1.0` = no straggle). Each active straggle window draws
     /// independently, keyed on the plan seed, the window's index, the
     /// replica and the batch sequence number.
-    pub fn straggle_factor(&self, replica: usize, batch_seq: u64, t: f64) -> f64 {
+    pub(crate) fn straggle_factor(&self, replica: usize, batch_seq: u64, t: f64) -> f64 {
         let mut f = 1.0;
         for (i, ev) in self.plan.events.iter().enumerate() {
             if let ServeFaultEvent::Straggle {
@@ -269,7 +269,7 @@ impl ServeFaultSession {
     /// dispatch at time `t`, corrupted in flight? Independent per batch
     /// sequence number, so a retried execution (new sequence number)
     /// usually comes back clean.
-    pub fn corrupts_output(&self, replica: usize, batch_seq: u64, t: f64) -> bool {
+    pub(crate) fn corrupts_output(&self, replica: usize, batch_seq: u64, t: f64) -> bool {
         for (i, ev) in self.plan.events.iter().enumerate() {
             if let ServeFaultEvent::CorruptOutput {
                 replica: r,

@@ -9,7 +9,7 @@
 
 /// Bytes of one decoded training record (0.75 MB, per Sec. V-B's
 /// "mini-batch of 256 is around 192 MB").
-pub const RECORD_BYTES: usize = 768 * 1024;
+pub(crate) const RECORD_BYTES: usize = 768 * 1024;
 
 /// ImageNet class count.
 pub const CLASSES: usize = 1000;
@@ -26,11 +26,6 @@ impl SyntheticImageNet {
         SyntheticImageNet { images }
     }
 
-    /// ImageNet-1k sized instance.
-    pub fn imagenet_1k() -> Self {
-        SyntheticImageNet { images: 1_281_167 }
-    }
-
     /// Total dataset size on disk, in bytes.
     pub fn total_bytes(&self) -> usize {
         self.images * RECORD_BYTES
@@ -44,7 +39,7 @@ impl SyntheticImageNet {
 
     /// Fill `data` (one image of `c*h*w` floats) for a record, with a
     /// class-correlated stripe so learning is possible.
-    pub fn fill_image(&self, idx: usize, c: usize, h: usize, w: usize, data: &mut [f32]) {
+    pub(crate) fn fill_image(&self, idx: usize, c: usize, h: usize, w: usize, data: &mut [f32]) {
         assert_eq!(data.len(), c * h * w);
         let label = self.label(idx);
         let len = data.len();
@@ -148,7 +143,7 @@ mod tests {
 
     #[test]
     fn batch_of_256_is_about_192mb() {
-        let ds = SyntheticImageNet::imagenet_1k();
+        let ds = SyntheticImageNet::new(1_281_167); // ImageNet-1k
         let mb = ds.batch_bytes(256) as f64 / (1 << 20) as f64;
         assert_eq!(mb, 192.0);
     }

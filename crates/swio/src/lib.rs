@@ -9,8 +9,8 @@
 
 pub mod dataset;
 pub mod prefetch;
-pub mod stripefs;
+pub(crate) mod stripefs;
 
-pub use dataset::{EpochSampler, SyntheticImageNet, CLASSES, RECORD_BYTES};
-pub use prefetch::{io_stall, Batch, BatchReader, Prefetcher, ReadError};
+pub use dataset::{EpochSampler, SyntheticImageNet, CLASSES};
+pub use prefetch::{io_stall, Batch, Prefetcher, ReadError};
 pub use stripefs::{IoModel, Layout};

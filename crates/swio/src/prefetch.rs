@@ -54,7 +54,7 @@ impl From<ReadError> for String {
 /// [`SyntheticImageNet`] never fails; real dataset readers surface
 /// corrupt records or lost stripes as errors, which the prefetcher
 /// forwards to the consumer and then stops.
-pub trait BatchReader: Send + 'static {
+pub(crate) trait BatchReader: Send + 'static {
     #[allow(clippy::too_many_arguments)]
     fn read(
         &mut self,
@@ -113,7 +113,7 @@ impl Prefetcher {
     /// error is delivered in stream order — batches before it are still
     /// consumable — and ends the stream.
     #[allow(clippy::too_many_arguments)]
-    pub fn spawn_reader<B: BatchReader>(
+    pub(crate) fn spawn_reader<B: BatchReader>(
         mut reader: B,
         io: IoModel,
         batch_bytes: usize,

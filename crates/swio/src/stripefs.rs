@@ -33,11 +33,11 @@ impl Layout {
 #[derive(Debug, Clone, Copy)]
 pub struct IoModel {
     /// Disk arrays available to the job.
-    pub arrays: usize,
+    pub(crate) arrays: usize,
     /// Sustained read bandwidth of one array (bytes/s).
-    pub array_bandwidth: f64,
+    pub(crate) array_bandwidth: f64,
     /// Per-node NIC ceiling for filesystem traffic (bytes/s).
-    pub nic_bandwidth: f64,
+    pub(crate) nic_bandwidth: f64,
     pub layout: Layout,
 }
 
@@ -53,7 +53,7 @@ impl IoModel {
     }
 
     /// Arrays a single contiguous read of `bytes` touches.
-    pub fn arrays_touched(&self, bytes: usize) -> usize {
+    pub(crate) fn arrays_touched(&self, bytes: usize) -> usize {
         match self.layout {
             Layout::SingleSplit => 1,
             Layout::Striped {
@@ -69,7 +69,7 @@ impl IoModel {
 
     /// Concurrent readers per (touched) array when `nprocs` processes each
     /// issue one mini-batch read at independent offsets.
-    pub fn readers_per_array(&self, nprocs: usize, bytes: usize) -> usize {
+    pub(crate) fn readers_per_array(&self, nprocs: usize, bytes: usize) -> usize {
         match self.layout {
             // Everyone hits the single array holding the file.
             Layout::SingleSplit => nprocs,
@@ -89,13 +89,6 @@ impl IoModel {
         let bw = (k * self.array_bandwidth / r).min(self.nic_bandwidth);
         SimTime::from_seconds(bytes as f64 / bw)
     }
-
-    /// Aggregate bandwidth across all processes (bytes/s) — the quantity
-    /// whose collapse under single-split motivates Sec. V-B.
-    pub fn aggregate_bandwidth(&self, nprocs: usize, bytes: usize) -> f64 {
-        let t = self.batch_read_time(nprocs, bytes).seconds();
-        nprocs as f64 * bytes as f64 / t
-    }
 }
 
 #[cfg(test)]
@@ -104,11 +97,18 @@ mod tests {
 
     const BATCH: usize = 192 << 20; // 192 MB (256 ImageNet images)
 
+    /// Aggregate bandwidth across all processes (bytes/s) — the quantity
+    /// whose collapse under single-split motivates Sec. V-B.
+    fn aggregate_bandwidth(io: &IoModel, nprocs: usize, bytes: usize) -> f64 {
+        let t = io.batch_read_time(nprocs, bytes).seconds();
+        nprocs as f64 * bytes as f64 / t
+    }
+
     #[test]
     fn single_split_saturates_one_array() {
         let io = IoModel::taihulight(Layout::SingleSplit);
         for n in [1, 8, 64, 512] {
-            let agg = io.aggregate_bandwidth(n, BATCH);
+            let agg = aggregate_bandwidth(&io, n, BATCH);
             assert!(
                 agg <= io.array_bandwidth * 1.001,
                 "single split exceeded one array: {agg} at {n} procs"
@@ -119,12 +119,12 @@ mod tests {
     #[test]
     fn striped_scales_until_arrays_saturate() {
         let io = IoModel::taihulight(Layout::paper_striped());
-        let a8 = io.aggregate_bandwidth(8, BATCH);
-        let a64 = io.aggregate_bandwidth(64, BATCH);
+        let a8 = aggregate_bandwidth(&io, 8, BATCH);
+        let a64 = aggregate_bandwidth(&io, 64, BATCH);
         assert!(a64 > 3.0 * a8 || a64 > 0.8 * io.arrays as f64 * io.array_bandwidth);
         // Never exceeds total array capability.
         for n in [1, 32, 256, 1024] {
-            let agg = io.aggregate_bandwidth(n, BATCH);
+            let agg = aggregate_bandwidth(&io, n, BATCH);
             assert!(agg <= io.arrays as f64 * io.array_bandwidth * 1.001);
         }
     }

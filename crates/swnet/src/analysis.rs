@@ -20,7 +20,13 @@ pub struct EqInputs {
 
 /// Eq. 3: original reduce-scatter.
 /// `log p * alpha + (q-1) beta1 n/p + (p-q) beta2 n/p + (p-1)/p n gamma`.
-pub fn original_reduce_scatter(i: EqInputs, alpha: f64, beta1: f64, beta2: f64, gamma: f64) -> f64 {
+pub(crate) fn original_reduce_scatter(
+    i: EqInputs,
+    alpha: f64,
+    beta1: f64,
+    beta2: f64,
+    gamma: f64,
+) -> f64 {
     let (p, q, n) = (i.p as f64, i.q as f64, i.n as f64);
     p.log2() * alpha
         + (q - 1.0) * beta1 * n / p
@@ -29,14 +35,20 @@ pub fn original_reduce_scatter(i: EqInputs, alpha: f64, beta1: f64, beta2: f64, 
 }
 
 /// Eq. 4: original allgather (no reduction term).
-pub fn original_allgather(i: EqInputs, alpha: f64, beta1: f64, beta2: f64) -> f64 {
+pub(crate) fn original_allgather(i: EqInputs, alpha: f64, beta1: f64, beta2: f64) -> f64 {
     let (p, q, n) = (i.p as f64, i.q as f64, i.n as f64);
     p.log2() * alpha + (q - 1.0) * beta1 * n / p + (p - q) * beta2 * n / p
 }
 
 /// Eq. 5: improved (round-robin) reduce-scatter.
 /// `log p * alpha + (p - p/q) beta1 n/p + (p/q - 1) beta2 n/p + (p-1)/p n gamma`.
-pub fn improved_reduce_scatter(i: EqInputs, alpha: f64, beta1: f64, beta2: f64, gamma: f64) -> f64 {
+pub(crate) fn improved_reduce_scatter(
+    i: EqInputs,
+    alpha: f64,
+    beta1: f64,
+    beta2: f64,
+    gamma: f64,
+) -> f64 {
     let (p, q, n) = (i.p as f64, i.q as f64, i.n as f64);
     p.log2() * alpha
         + (p - p / q) * beta1 * n / p
@@ -45,7 +57,7 @@ pub fn improved_reduce_scatter(i: EqInputs, alpha: f64, beta1: f64, beta2: f64, 
 }
 
 /// Eq. 6: improved allgather.
-pub fn improved_allgather(i: EqInputs, alpha: f64, beta1: f64, beta2: f64) -> f64 {
+pub(crate) fn improved_allgather(i: EqInputs, alpha: f64, beta1: f64, beta2: f64) -> f64 {
     let (p, q, n) = (i.p as f64, i.q as f64, i.n as f64);
     p.log2() * alpha + (p - p / q) * beta1 * n / p + (p / q - 1.0) * beta2 * n / p
 }

@@ -34,7 +34,7 @@ pub enum ReduceEngine {
 #[derive(Debug, Clone, Copy)]
 pub struct NetParams {
     /// Start-up latency for messages up to `eager_limit` bytes.
-    pub alpha_eager: f64,
+    pub(crate) alpha_eager: f64,
     /// Start-up latency beyond the eager limit (rendezvous handshake).
     pub alpha_rendezvous: f64,
     pub eager_limit: usize,
@@ -316,7 +316,7 @@ pub fn step_time(topo: &Topology, params: &NetParams, transfers: &[Transfer]) ->
 /// touches it, and a straggling endpoint stretches its whole transfer.
 /// With no active perturbation the arithmetic is bit-identical to the
 /// healthy path.
-pub fn step_time_faulty(
+pub(crate) fn step_time_faulty(
     topo: &Topology,
     params: &NetParams,
     transfers: &[Transfer],

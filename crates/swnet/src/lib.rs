@@ -16,14 +16,14 @@
 //! against the machinery.
 
 pub mod analysis;
-pub mod collectives;
+pub(crate) mod collectives;
 pub mod cost;
-pub mod primitives;
+pub(crate) mod primitives;
 pub mod schedule;
 pub mod topology;
 
 pub use collectives::{allreduce, allreduce_segment_ft, Algorithm, AllreduceReport};
-pub use cost::{step_time_faulty, NetParams, ReduceEngine, Route, Transfer, TransferClass};
+pub use cost::{NetParams, ReduceEngine, Route, Transfer, TransferClass};
 pub use primitives::{broadcast, parameter_server_round, reduce, CollectiveReport};
 pub use schedule::{
     ChunkSpan, CommPhase, CommSchedule, CommSpec, RankOp, ScheduleError, StepClasses, StepOps,

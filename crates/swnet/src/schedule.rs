@@ -1,5 +1,5 @@
 //! Symbolic per-rank communication schedules for the all-reduce
-//! algorithms in [`crate::collectives`].
+//! algorithms in `collectives`.
 //!
 //! A [`CommSpec`] names a collective configuration (topology, rank map,
 //! algorithm, buffer geometry); this module derives, in closed form, the

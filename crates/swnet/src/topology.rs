@@ -76,7 +76,7 @@ impl Topology {
     }
 
     /// Checked [`Topology::new`].
-    pub fn try_new(nodes: usize) -> Result<Self, TopologyError> {
+    pub(crate) fn try_new(nodes: usize) -> Result<Self, TopologyError> {
         Topology::try_with_supernode(nodes, SUPERNODE_SIZE)
     }
 
@@ -86,7 +86,10 @@ impl Topology {
     }
 
     /// Checked [`Topology::with_supernode`].
-    pub fn try_with_supernode(nodes: usize, supernode_size: usize) -> Result<Self, TopologyError> {
+    pub(crate) fn try_with_supernode(
+        nodes: usize,
+        supernode_size: usize,
+    ) -> Result<Self, TopologyError> {
         if nodes == 0 {
             return Err(TopologyError::ZeroNodes);
         }
@@ -147,7 +150,11 @@ impl RankMap {
     }
 
     /// Checked [`RankMap::physical`].
-    pub fn try_physical(&self, topo: &Topology, logical: usize) -> Result<usize, TopologyError> {
+    pub(crate) fn try_physical(
+        &self,
+        topo: &Topology,
+        logical: usize,
+    ) -> Result<usize, TopologyError> {
         if logical >= topo.nodes {
             return Err(TopologyError::RankOutOfRange {
                 logical,

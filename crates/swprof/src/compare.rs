@@ -12,14 +12,14 @@
 use crate::report::{MetricValue, Report};
 
 /// Default relative tolerance for timing-class metrics.
-pub const DEFAULT_TIMING_REL_TOL: f64 = 0.02;
+pub(crate) const DEFAULT_TIMING_REL_TOL: f64 = 0.02;
 
 /// Per-class tolerances. Counters are always exact by construction.
 #[derive(Debug, Clone, Copy)]
 pub struct Tolerance {
     /// Allowed relative error `|fresh - base| / |base|` for timing
     /// metrics; the boundary itself passes.
-    pub timing_rel: f64,
+    pub(crate) timing_rel: f64,
 }
 
 impl Default for Tolerance {
@@ -51,9 +51,9 @@ pub struct Drift {
     pub baseline: Option<f64>,
     pub fresh: Option<f64>,
     /// Realised relative error (`f64::INFINITY` when undefined).
-    pub rel_err: f64,
+    pub(crate) rel_err: f64,
     /// Tolerance that applied.
-    pub allowed: f64,
+    pub(crate) allowed: f64,
 }
 
 impl std::fmt::Display for Drift {

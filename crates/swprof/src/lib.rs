@@ -14,7 +14,7 @@
 //! * derived **roofline attribution** ([`Bound`]): whether a kernel or
 //!   layer is bandwidth- or compute-bound on a given machine balance,
 //! * flat **metrics** that `bench check` diffs against checked-in
-//!   baselines with per-class tolerances ([`compare`]).
+//!   baselines with per-class tolerances ([`compare()`]).
 //!
 //! Counter metrics are exact (`u64`, 0% tolerance — the simulator is
 //! deterministic); timing metrics carry a relative tolerance so small,
@@ -24,8 +24,6 @@ pub mod compare;
 pub mod report;
 pub mod serve;
 
-pub use compare::{compare, Drift, DriftKind, Tolerance, DEFAULT_TIMING_REL_TOL};
-pub use report::{
-    Bound, KernelRecord, Metric, MetricValue, PhaseTiming, Report, StatsSnap, SCHEMA_VERSION,
-};
+pub use compare::{compare, Drift, DriftKind, Tolerance};
+pub use report::{Bound, KernelRecord, Metric, MetricValue, PhaseTiming, Report, StatsSnap};
 pub use serve::ServeHealthCounters;

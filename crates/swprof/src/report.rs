@@ -5,7 +5,7 @@ use swjson::{obj, Json};
 
 /// Bumped whenever the JSON layout changes incompatibly; `bench check`
 /// refuses to compare across versions.
-pub const SCHEMA_VERSION: i64 = 1;
+pub(crate) const SCHEMA_VERSION: i64 = 1;
 
 /// One named duration, possibly refined into sub-phases (e.g. `compute`
 /// under one iteration, `forward`/`backward` under `compute`).
@@ -75,10 +75,6 @@ pub struct StatsSnap {
     pub mpe_flops: u64,
     pub launches: u64,
     pub busy_seconds: f64,
-    /// Peak LDM working set in bytes, per CPE, when the scope ran under
-    /// the `swcheck` sanitizer; 0 (and omitted from JSON) otherwise, so
-    /// reports from unchecked runs are byte-identical to schema-1 files.
-    pub ldm_high_water: u64,
 }
 
 impl From<&Stats> for StatsSnap {
@@ -93,7 +89,6 @@ impl From<&Stats> for StatsSnap {
             mpe_flops: s.mpe_flops,
             launches: s.launches,
             busy_seconds: s.busy.seconds(),
-            ldm_high_water: 0,
         }
     }
 }
@@ -103,13 +98,6 @@ impl StatsSnap {
         self.dma_get_bytes + self.dma_put_bytes
     }
 
-    /// Attach the LDM high-water mark observed by the sanitizer (builder
-    /// style, used by checked benchmark/`swcheck` runs).
-    pub fn with_ldm_high_water(mut self, bytes: u64) -> Self {
-        self.ldm_high_water = bytes;
-        self
-    }
-
     /// Flops per DMA byte, `None` without DMA traffic.
     pub fn arithmetic_intensity(&self) -> Option<f64> {
         let bytes = self.dma_bytes();
@@ -117,7 +105,7 @@ impl StatsSnap {
     }
 
     fn to_json(self) -> Json {
-        let mut b = obj()
+        obj()
             .field("dma_get_bytes", self.dma_get_bytes)
             .field("dma_put_bytes", self.dma_put_bytes)
             .field("dma_requests", self.dma_requests)
@@ -126,11 +114,8 @@ impl StatsSnap {
             .field("flops", self.flops)
             .field("mpe_flops", self.mpe_flops)
             .field("launches", self.launches)
-            .field("busy_seconds", self.busy_seconds);
-        if self.ldm_high_water > 0 {
-            b = b.field("ldm_high_water", self.ldm_high_water);
-        }
-        b.build()
+            .field("busy_seconds", self.busy_seconds)
+            .build()
     }
 
     fn from_json(v: &Json) -> Result<Self, String> {
@@ -144,9 +129,6 @@ impl StatsSnap {
             mpe_flops: u64_field(v, "mpe_flops")?,
             launches: u64_field(v, "launches")?,
             busy_seconds: f64_field(v, "busy_seconds")?,
-            // Absent in reports from unchecked runs (and all schema-1
-            // files written before the sanitizer existed).
-            ldm_high_water: v.get("ldm_high_water").and_then(Json::as_u64).unwrap_or(0),
         })
     }
 }
@@ -163,7 +145,7 @@ pub enum Bound {
 impl Bound {
     /// Classify work of `flops` floating-point operations moving `bytes`
     /// of memory traffic on a machine with the given peaks.
-    pub fn attribute(flops: f64, bytes: f64, peak_flops: f64, mem_bw: f64) -> Bound {
+    pub(crate) fn attribute(flops: f64, bytes: f64, peak_flops: f64, mem_bw: f64) -> Bound {
         if bytes / mem_bw >= flops / peak_flops {
             Bound::Bandwidth
         } else {
@@ -172,7 +154,7 @@ impl Bound {
     }
 
     /// Classification straight from a counter snapshot.
-    pub fn from_snap(snap: &StatsSnap, peak_flops: f64, mem_bw: f64) -> Bound {
+    pub(crate) fn from_snap(snap: &StatsSnap, peak_flops: f64, mem_bw: f64) -> Bound {
         Bound::attribute(
             snap.flops as f64,
             snap.dma_bytes() as f64,
@@ -290,7 +272,7 @@ pub struct Report {
     pub name: String,
     /// Free-form configuration echo (batch sizes, node counts, ...).
     pub config: Vec<(String, String)>,
-    pub phases: Vec<PhaseTiming>,
+    pub(crate) phases: Vec<PhaseTiming>,
     pub kernels: Vec<KernelRecord>,
     pub metrics: Vec<Metric>,
 }
@@ -508,7 +490,6 @@ mod tests {
             mpe_flops: 42,
             launches: 13,
             busy_seconds: 1.875,
-            ldm_high_water: 48 * 1024,
         };
         r.kernel_with_metrics(KernelRecord::new("gemm", snap).with_roofline(3.02e12, 28.0e9));
         r.count("allreduce.cross_bytes", 999);
@@ -603,25 +584,5 @@ mod tests {
         assert_eq!(snap.flops, 600);
         assert_eq!(snap.busy_seconds, 0.5);
         assert_eq!(snap.arithmetic_intensity(), Some(20.0));
-    }
-
-    #[test]
-    fn ldm_high_water_is_omitted_when_zero() {
-        // Unchecked runs must keep producing byte-identical reports, so a
-        // zero high-water mark is not serialized at all...
-        let mut r = Report::new("hw");
-        r.kernel(KernelRecord::new("k", StatsSnap::default()));
-        assert!(!r.to_json_string().contains("ldm_high_water"));
-        // ...while a checked run's non-zero value round-trips losslessly.
-        let mut r = Report::new("hw");
-        r.kernel(KernelRecord::new(
-            "k",
-            StatsSnap::default().with_ldm_high_water(51_200),
-        ));
-        let text = r.to_json_string();
-        assert!(text.contains("\"ldm_high_water\": 51200"), "{text}");
-        let back = Report::from_json_str(&text).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.kernels[0].stats.ldm_high_water, 51_200);
     }
 }

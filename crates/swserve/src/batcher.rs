@@ -97,7 +97,7 @@ pub struct ServeOutcome {
 
 impl ServeOutcome {
     /// Sorted per-request latencies of admitted requests.
-    pub fn latencies(&self) -> Vec<f64> {
+    pub(crate) fn latencies(&self) -> Vec<f64> {
         let mut v: Vec<f64> = self.served.iter().map(|s| s.latency()).collect();
         v.sort_by(f64::total_cmp);
         v

@@ -84,14 +84,14 @@ pub struct HealthTransition {
 pub struct BrownoutPolicy {
     /// Tier 1 — multiply the coalescing timeout by this factor while any
     /// replica is down (trade batch efficiency for queueing headroom).
-    pub horizon_shrink: f64,
+    pub(crate) horizon_shrink: f64,
     /// Tier 2 — cap `max_batch` at this fraction (rounded up, min 1)
     /// while ≤ 50% of replicas are live (smaller worst-case execution
     /// widens every request's queueing budget).
-    pub batch_cap_frac: f64,
+    pub(crate) batch_cap_frac: f64,
     /// Tier 3 — while ≤ 25% of replicas are live, shed requests with
     /// `tier <` this at admission (lowest tiers first).
-    pub shed_below_tier: u8,
+    pub(crate) shed_below_tier: u8,
 }
 
 impl Default for BrownoutPolicy {

@@ -71,7 +71,7 @@ impl GradBucket {
 /// same network — with the *slowest* replica's ready time, since the
 /// bucket cannot leave the chip before every core group's contribution
 /// is in.
-pub fn merge_events(per_replica: &[Vec<GradReady>]) -> Vec<GradReady> {
+pub(crate) fn merge_events(per_replica: &[Vec<GradReady>]) -> Vec<GradReady> {
     let mut merged: Vec<GradReady> = per_replica.first().map(|e| e.to_vec()).unwrap_or_default();
     for events in per_replica.iter().skip(1) {
         assert_eq!(
@@ -130,10 +130,7 @@ pub fn build_buckets(events: &[GradReady], bucket_bytes: usize) -> Vec<GradBucke
 pub struct OverlapOutcome {
     /// When the last bucket's reduction finishes, relative to iteration
     /// start (`= max(ready, previous finish) + reduce time`, per bucket).
-    pub comm_finish: SimTime,
-    /// Total time the communication channel was busy (sum of per-bucket
-    /// reduce times — what a serialized bucketed reduce would cost).
-    pub bucket_comm_total: SimTime,
+    pub(crate) comm_finish: SimTime,
     pub buckets: usize,
     pub total_bytes: u64,
     pub cross_bytes: u64,
@@ -161,7 +158,6 @@ pub fn overlapped_allreduce_ft(
     mut faults: Option<&mut FaultSession>,
 ) -> Result<OverlapOutcome, CollectiveFault> {
     let mut clock = SimTime::ZERO;
-    let mut busy = SimTime::ZERO;
     let mut total_bytes = 0u64;
     let mut cross_bytes = 0u64;
     for b in buckets {
@@ -177,13 +173,11 @@ pub fn overlapped_allreduce_ft(
         )?;
         let start = clock.max(b.ready);
         clock = start + r.elapsed;
-        busy += r.elapsed;
         total_bytes += r.total_bytes;
         cross_bytes += r.cross_bytes;
     }
     Ok(OverlapOutcome {
         comm_finish: clock,
-        bucket_comm_total: busy,
         buckets: buckets.len(),
         total_bytes,
         cross_bytes,
@@ -202,8 +196,6 @@ pub struct OverlapPoint {
     pub serial_comm: SimTime,
     /// Comm time not hidden behind backward compute.
     pub exposed_comm: SimTime,
-    /// Channel-busy time of the bucketed reduce (its serialized cost).
-    pub bucket_comm_total: SimTime,
     pub buckets: usize,
 }
 
@@ -241,7 +233,6 @@ impl OverlapModel {
                 overlapped_iter: self.node_time,
                 serial_comm: SimTime::ZERO,
                 exposed_comm: SimTime::ZERO,
-                bucket_comm_total: SimTime::ZERO,
                 buckets: 0,
             };
         }
@@ -274,7 +265,6 @@ impl OverlapModel {
             overlapped_iter: self.node_time + exposed,
             serial_comm,
             exposed_comm: exposed,
-            bucket_comm_total: o.bucket_comm_total,
             buckets: o.buckets,
         }
     }
@@ -428,10 +418,8 @@ mod tests {
         )
         .unwrap();
         // The second bucket is gated on its ready time (10 s), far past
-        // the first bucket's finish, so the channel idles in between:
-        // finish > 10 s but busy time stays well below it.
+        // the first bucket's finish, so the channel idles in between.
         assert!(o.comm_finish.seconds() > 10.0);
-        assert!(o.bucket_comm_total.seconds() < 1.0);
         assert_eq!(o.buckets, 2);
     }
 

@@ -28,13 +28,12 @@ pub mod sync;
 pub mod trainer;
 
 pub use buckets::{
-    build_buckets, merge_events, overlapped_allreduce_ft, GradBucket, OverlapModel, OverlapOutcome,
-    OverlapPoint, DEFAULT_BUCKET_BYTES,
+    build_buckets, overlapped_allreduce_ft, GradBucket, OverlapModel, OverlapOutcome, OverlapPoint,
+    DEFAULT_BUCKET_BYTES,
 };
 pub use cluster::{ClusterConfig, ClusterIteration, ClusterTrainer, CommMode, Recovery};
 pub use packing::{pack_gradients, pack_params, unpack_gradients, unpack_params};
 pub use scaling::{ScalingModel, ScalingPoint};
 pub use ssgd::{evaluate, CgBatch, ChipIteration, ChipTrainer};
 pub use swnet::{CollectiveFault, FaultPlan, FaultReport, FaultSession};
-pub use sync::HandshakeBarrier;
 pub use trainer::{TrainConfig, TrainRecord, Trainer};

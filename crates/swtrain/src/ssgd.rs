@@ -92,7 +92,7 @@ impl ChipTrainer {
         &self.nets[0]
     }
 
-    pub fn net_mut(&mut self) -> &mut Net {
+    pub(crate) fn net_mut(&mut self) -> &mut Net {
         &mut self.nets[0]
     }
 
@@ -105,7 +105,7 @@ impl ChipTrainer {
     /// needs (see [`swcaffe_core::snapshot::SolverState`]). The weights
     /// and persistent layer state travel separately, via the primary
     /// replica ([`ChipTrainer::net`]) and the snapshot body.
-    pub fn solver_state(&self) -> SolverState {
+    pub(crate) fn solver_state(&self) -> SolverState {
         SolverState {
             iteration: self.solver.iter() as u64,
             momentum: self.solver.history().to_vec(),

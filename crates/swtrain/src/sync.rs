@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Reusable N-party handshake barrier.
-pub struct HandshakeBarrier {
+pub(crate) struct HandshakeBarrier {
     parties: usize,
     /// Initiation count for the current generation.
     arrived: AtomicUsize,
@@ -50,16 +50,11 @@ impl HandshakeBarrier {
             }
         }
     }
-
-    /// Completed barrier count (diagnostics).
-    pub fn generations(&self) -> usize {
-        self.generation.load(Ordering::Acquire)
-    }
 }
 
 /// Simulated cost of one 4-CG handshake through shared memory
 /// (a few hundred nanoseconds of semaphore traffic).
-pub const HANDSHAKE_SECONDS: f64 = 5.0e-7;
+pub(crate) const HANDSHAKE_SECONDS: f64 = 5.0e-7;
 
 #[cfg(test)]
 mod tests {
@@ -90,7 +85,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(barrier.generations(), 16);
+        assert_eq!(barrier.generation.load(Ordering::Acquire), 16);
     }
 
     #[test]
@@ -99,7 +94,7 @@ mod tests {
         for _ in 0..100 {
             b.wait();
         }
-        assert_eq!(b.generations(), 100);
+        assert_eq!(b.generation.load(Ordering::Acquire), 100);
     }
 
     #[test]
@@ -117,6 +112,6 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::Relaxed), 8 * 500);
-        assert_eq!(barrier.generations(), 500);
+        assert_eq!(barrier.generation.load(Ordering::Acquire), 500);
     }
 }

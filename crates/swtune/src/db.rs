@@ -19,11 +19,11 @@ use crate::shapes::shape_key;
 use crate::space::SPACE_VERSION;
 
 /// Schema version of the DB layout itself.
-pub const DB_VERSION: i64 = 1;
+pub(crate) const DB_VERSION: i64 = 1;
 
 /// The key a DB must match to be usable on this build: machine model
 /// extents plus the candidate-space version.
-pub fn invalidation_key() -> String {
+pub(crate) fn invalidation_key() -> String {
     format!(
         "ldm={};mesh={};space={}",
         sw26010::arch::LDM_BYTES,

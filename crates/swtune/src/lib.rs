@@ -30,7 +30,5 @@ pub mod shapes;
 pub mod space;
 
 pub use db::TuneDb;
-pub use search::{
-    tune_all, tune_layer, tune_pass, LayerTuning, PassTuning, TunedPlan, DEFAULT_SEED,
-};
-pub use shapes::{shape_key, vgg_conv_shapes};
+pub use search::{tune_all, LayerTuning, PassTuning, TunedPlan, DEFAULT_SEED};
+pub use shapes::vgg_conv_shapes;

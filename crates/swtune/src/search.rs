@@ -87,7 +87,7 @@ pub struct LayerTuning {
 impl LayerTuning {
     /// The passes a training step actually runs: the first layer of a
     /// network (raw image input) never needs an input gradient.
-    pub fn training_passes(&self) -> impl Iterator<Item = &PassTuning> {
+    pub(crate) fn training_passes(&self) -> impl Iterator<Item = &PassTuning> {
         let first_layer = self.shape.in_c == 3;
         self.passes
             .iter()
@@ -122,7 +122,7 @@ pub fn gemm_dims_for(shape: &ConvShape, pass: ImplicitPass) -> GemmDims {
 
 /// The hand-picked implicit tiles for `pass` — the chooser's pre-tuner
 /// defaults, always present in the candidate set.
-pub fn hand_tiles(shape: &ConvShape, pass: ImplicitPass) -> ConvTiles {
+pub(crate) fn hand_tiles(shape: &ConvShape, pass: ImplicitPass) -> ConvTiles {
     match pass {
         ImplicitPass::Forward => ConvTiles::hand_forward(shape),
         ImplicitPass::BackwardWeights => ConvTiles::hand_backward_weights(shape),
@@ -164,7 +164,7 @@ fn implicit_seconds(shape: &ConvShape, pass: ImplicitPass, tiles: ConvTiles) -> 
 /// Search one pass of one layer. `seed` steers only the candidate visit
 /// order; the returned winner is the order-independent argmin over
 /// `(seconds, label)`.
-pub fn tune_pass(shape: &ConvShape, pass: ImplicitPass, seed: u64) -> PassTuning {
+pub(crate) fn tune_pass(shape: &ConvShape, pass: ImplicitPass, seed: u64) -> PassTuning {
     let dims = gemm_dims_for(shape, pass);
     let hand_explicit = explicit_seconds(shape, pass, TilingScheme::hand(dims));
     let hand_seconds = if implicit_allowed(shape, pass) {
@@ -210,7 +210,7 @@ pub fn tune_pass(shape: &ConvShape, pass: ImplicitPass, seed: u64) -> PassTuning
 }
 
 /// Search all three passes of one layer.
-pub fn tune_layer(name: &str, shape: &ConvShape, seed: u64) -> LayerTuning {
+pub(crate) fn tune_layer(name: &str, shape: &ConvShape, seed: u64) -> LayerTuning {
     LayerTuning {
         name: name.to_string(),
         shape: *shape,

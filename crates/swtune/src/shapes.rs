@@ -120,7 +120,7 @@ pub fn vgg_conv_shapes() -> Vec<(&'static str, ConvShape)> {
 /// Canonical tune-DB key of a conv shape, e.g.
 /// `b128_c3x224x224_o64_k3s1p1`. Two shapes share an entry iff they are
 /// field-for-field equal.
-pub fn shape_key(shape: &ConvShape) -> String {
+pub(crate) fn shape_key(shape: &ConvShape) -> String {
     format!(
         "b{}_c{}x{}x{}_o{}_k{}s{}p{}",
         shape.batch,

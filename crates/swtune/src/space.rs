@@ -5,7 +5,7 @@
 //! a pure function of the layer shape — candidates come off fixed
 //! ladders, filtered through the same `validate()` the launch path
 //! enforces, so the set can never contain an LDM-overflowing or
-//! non-batch-dividing plan. The *order* is seedable: [`shuffle`] is a
+//! non-batch-dividing plan. The *order* is seedable: `shuffle` is a
 //! splitmix64-driven Fisher–Yates, so two runs with the same seed visit
 //! candidates identically, while the argmin in [`crate::search`] makes
 //! the winner independent of the order altogether.
@@ -20,15 +20,15 @@ use crate::search;
 /// Version tag of the enumeration below. Part of the tune-DB
 /// invalidation key: bump it whenever the ladders or variants change so
 /// stale DBs are rejected rather than silently reused.
-pub const SPACE_VERSION: &str = "gemm-v1.conv-v1";
+pub(crate) const SPACE_VERSION: &str = "gemm-v1.conv-v1";
 
 /// Tile-extent ladder for the GEMM block search. Spans the feasible
 /// range (`MAX_TILE` = 32) with denser coverage at the small end where
 /// the LDM trade-offs bite.
-pub const GEMM_EXTENTS: [usize; 9] = [1, 2, 4, 6, 8, 12, 16, 24, 32];
+pub(crate) const GEMM_EXTENTS: [usize; 9] = [1, 2, 4, 6, 8, 12, 16, 24, 32];
 
 /// Channel-tile ladder for the implicit-conv search.
-pub const CONV_EXTENTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
+pub(crate) const CONV_EXTENTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
 /// Kernel-variant axis of the GEMM space. `(DmaReplicate, Double)` is
 /// excluded: the no-RLC kernel has a single staging depth, so that
@@ -139,7 +139,7 @@ pub fn zoo_plans(shape: &ConvShape) -> Vec<(String, KernelPlan)> {
 
 /// Deterministic seeded Fisher–Yates driven by splitmix64. Same seed,
 /// same order; the empty and single-element cases are no-ops.
-pub fn shuffle<T>(v: &mut [T], seed: u64) {
+pub(crate) fn shuffle<T>(v: &mut [T], seed: u64) {
     let mut state = seed;
     let mut next = move || {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
