@@ -17,6 +17,14 @@
 //! is an `AsyncFn(&mut Cpe)` launched through
 //! [`CoreGroup::run_planned_async`], whose plan declares the
 //! [`RlcPattern`] that builds the register buses and the barrier.
+//!
+//! A core group also owns its main-memory scratch, the [`Workspace`]
+//! that kernels stage intermediate operands in (the column matrix of the
+//! explicit convolution, the host GEMM's packed operands). It lives as
+//! long as the core group, so a trainer or serving engine that keeps its
+//! core groups reuses the same buffers on every iteration.
+
+use std::fmt;
 
 use crate::arch::MPE_PEAK_FLOPS;
 use crate::check::{CheckMode, KernelTrace};
@@ -34,6 +42,34 @@ pub struct CoreGroup {
     elapsed: SimTime,
     check: CheckMode,
     traces: Vec<KernelTrace>,
+    workspace: Workspace,
+}
+
+/// A core group's main-memory scratch: the counterpart of a launch's LDM
+/// buffers, for what a kernel stages in main memory between launches or
+/// on the host path. Its contents are unspecified when a kernel starts:
+/// every kernel writes each element it reads first. The buffers keep
+/// their capacity across calls, so the largest operands a core group has
+/// staged stay allocated until the core group is dropped.
+#[derive(Default)]
+pub struct Workspace {
+    /// Packed A rows, widened to f64 (host GEMM).
+    pub a: Vec<f64>,
+    /// Packed B panels, widened to f64 (host GEMM).
+    pub b: Vec<f64>,
+    /// The explicit convolution's column matrix.
+    pub cols: Vec<f32>,
+}
+
+/// Byte counts only: the contents are scratch.
+impl fmt::Debug for Workspace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Workspace")
+            .field("a_bytes", &(self.a.capacity() * size_of::<f64>()))
+            .field("b_bytes", &(self.b.capacity() * size_of::<f64>()))
+            .field("cols_bytes", &(self.cols.capacity() * size_of::<f32>()))
+            .finish()
+    }
 }
 
 impl Default for CoreGroup {
@@ -50,6 +86,7 @@ impl CoreGroup {
             elapsed: SimTime::ZERO,
             check: CheckMode::Off,
             traces: Vec::new(),
+            workspace: Workspace::default(),
         }
     }
 
@@ -73,6 +110,11 @@ impl CoreGroup {
     /// Drain the kernel traces recorded since the last call.
     pub fn take_traces(&mut self) -> Vec<KernelTrace> {
         std::mem::take(&mut self.traces)
+    }
+
+    /// This core group's main-memory scratch.
+    pub fn workspace(&mut self) -> &mut Workspace {
+        &mut self.workspace
     }
 
     /// Launch a kernel on `n_cpes` CPEs of this core group's mesh and

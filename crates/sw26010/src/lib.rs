@@ -56,19 +56,16 @@ pub mod cpe;
 pub mod dma;
 pub mod ldm;
 pub mod mesh;
-pub mod phase;
 pub mod plan;
 pub mod rlc;
 pub mod stats;
 pub mod time;
 pub mod view;
 
-pub use cg::CoreGroup;
+pub use cg::{CoreGroup, Workspace};
 pub use check::{BlockedOn, CheckMode, CpeEvent, CpeTrace, KernelTrace, MemRange};
-pub use chip::Chip;
 pub use cpe::{Cpe, DmaHandle};
 pub use ldm::{Ldm, LdmBuf, LdmOverflow};
-pub use phase::{PhaseRecorder, ScopeRecord};
 pub use plan::{KernelPlan, PlanBuffer, PlanViolation, RlcPattern};
 pub use stats::{LaunchReport, Stats};
 pub use time::{ExecMode, SimTime};

@@ -295,44 +295,6 @@ impl Sink {
     }
 }
 
-/// Deterministic 64-bit fingerprint of a spec's full schedule, folding
-/// every step descriptor. Extraction is a pure function of the spec, so
-/// equal fingerprints across runs (and across machines) witness
-/// reduction-order determinism of the *emission*; the dataflow checker
-/// separately proves no step has ambiguous fold order internally.
-pub fn schedule_fingerprint(spec: &CommSpec) -> u64 {
-    let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut fold = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h ^= h >> 31;
-    };
-    fold(spec.nodes() as u64);
-    fold(spec.total_elems as u64);
-    fold(spec.seg_lo as u64);
-    fold(spec.seg_hi as u64);
-    let mut ops = Vec::new();
-    for step in 0..spec.num_steps() {
-        match spec.step_descriptor(step) {
-            StepOps::Uniform(u) => {
-                fold(u.peer_delta as u64);
-                fold(u.chunk_shift as u64);
-                fold(u64::from(u.reduce));
-            }
-            StepOps::Explicit { ops: step_ops, .. } => {
-                ops.clear();
-                ops.extend(step_ops);
-                for op in &ops {
-                    fold((op.rank as u64) << 32 | op.peer as u64);
-                    fold((op.chunks.lo as u64) << 32 | op.chunks.hi as u64);
-                    fold(u64::from(op.is_send) << 1 | u64::from(op.reduce));
-                }
-            }
-        }
-    }
-    h
-}
-
 // ---------------------------------------------------------------------
 // Spec-level geometry checks (both modes)
 // ---------------------------------------------------------------------
@@ -1478,15 +1440,6 @@ mod tests {
             assert_eq!(out.mode, CheckMode::Scale);
             assert!(out.is_clean(), "{algo:?}: {:?}", out.violations);
         }
-    }
-
-    #[test]
-    fn fingerprints_are_deterministic_and_distinguish_configs() {
-        let a = schedule_fingerprint(&spec(Algorithm::Ring, 16, 8));
-        let b = schedule_fingerprint(&spec(Algorithm::Ring, 16, 8));
-        assert_eq!(a, b, "extraction must be a pure function of the spec");
-        let c = schedule_fingerprint(&spec(Algorithm::RecursiveHalvingDoubling, 16, 8));
-        assert_ne!(a, c);
     }
 
     #[test]

@@ -99,12 +99,15 @@ pub fn forward_with_scheme(
     if let ExecMode::HostNative { threads } = cg.mode() {
         im2col::guard_shape(shape);
         gemm::check_scheme(scheme);
-        crate::host::conv_explicit_forward(threads, shape, ops.input, ops.weights, ops.output);
+        let ws = cg.workspace();
+        crate::host::conv_explicit_forward(ws, threads, shape, ops.input, ops.weights, ops.output);
         return LaunchReport::default();
     }
     let per_in = shape.in_c * shape.in_h * shape.in_w;
     let per_out = shape.out_c * shape.out_h() * shape.out_w();
-    let mut cols = vec![0.0f32; shape.col_rows() * shape.col_cols()];
+    // The column matrix is the core group's: im2col overwrites all of it.
+    let mut cols = std::mem::take(&mut cg.workspace().cols);
+    cols.resize(shape.col_rows() * shape.col_cols(), 0.0);
     let mut total = LaunchReport::default();
     for b in 0..shape.batch {
         total.merge(&im2col::im2col(
@@ -129,6 +132,7 @@ pub fn forward_with_scheme(
             }),
         ));
     }
+    cg.workspace().cols = cols;
     total
 }
 
@@ -171,6 +175,7 @@ pub fn backward_with_schemes(
         gemm::check_scheme(schemes.backward_weights);
         gemm::check_scheme(schemes.backward_input);
         crate::host::conv_explicit_backward(
+            cg.workspace(),
             threads,
             shape,
             ops.input,
@@ -183,8 +188,10 @@ pub fn backward_with_schemes(
     }
     let per_in = shape.in_c * shape.in_h * shape.in_w;
     let per_out = shape.out_c * shape.out_h() * shape.out_w();
-    let col_len = shape.col_rows() * shape.col_cols();
-    let mut cols = vec![0.0f32; col_len];
+    // The column matrix is the core group's: each pass overwrites all of
+    // it (im2col, or the beta-0 GEMM) before reading it.
+    let mut cols = std::mem::take(&mut cg.workspace().cols);
+    cols.resize(shape.col_rows() * shape.col_cols(), 0.0);
     let mut total = LaunchReport::default();
 
     if let Some(w_grad) = ops.w_grad.as_deref_mut() {
@@ -240,6 +247,7 @@ pub fn backward_with_schemes(
             ));
         }
     }
+    cg.workspace().cols = cols;
     total
 }
 

@@ -177,7 +177,17 @@ pub fn gemm_with_scheme(
         assert_eq!(ops.b.len(), dims.k * dims.n, "B size");
         assert_eq!(ops.c.len(), dims.m * dims.n, "C size");
         if let ExecMode::HostNative { threads } = cg.mode() {
-            crate::host::gemm(threads, dims, ta, tb, beta, ops.a, ops.b, ops.c);
+            crate::host::gemm(
+                cg.workspace(),
+                threads,
+                dims,
+                ta,
+                tb,
+                beta,
+                ops.a,
+                ops.b,
+                ops.c,
+            );
             return LaunchReport::default();
         }
         execute_mesh(cg, dims, ta, tb, beta, scheme, ops)

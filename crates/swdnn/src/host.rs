@@ -17,14 +17,20 @@
 //! the panel width only decides which columns share a call, so the two
 //! agree bit for bit; the unit tests below check that.
 //!
+//! The GEMM and the explicit convolution stage their packed operands and
+//! column matrix in the launching core group's [`Workspace`], which the
+//! caller passes in: the buffers live as long as that core group and are
+//! reused by every call on it. The implicit passes allocate their small
+//! accumulators per task. Every staged element is written before it is
+//! read, so whatever a buffer held before never reaches a result.
+//!
 //! Parallelism comes from [`swbackend::par_tasks`]: work is split into
 //! units whose results are fully determined by the unit itself (a run of
 //! C's columns, an output row, a filter tap), so the thread count never
 //! affects results. `tests/backend_agreement.rs` pins that staging
 //! against the mesh.
 
-use std::cell::RefCell;
-
+use sw26010::Workspace;
 use swbackend::{par_tasks, resolve_threads};
 
 use crate::conv_explicit;
@@ -49,29 +55,12 @@ pub const GEMM_NR_AVX2: usize = 48;
 /// fork costs about as long as this much work takes.
 pub const GEMM_FORK_FLOPS: usize = 1 << 20;
 
-/// Per-thread buffers the host passes reuse across calls: the packed A
-/// rows, one packed B panel per task and the explicit conv plan's column
-/// matrix; the implicit passes' accumulators, and their zero operand or
-/// transposed input block in `cols`. Whoever reads a buffer has
-/// overwritten that part of it first, so a previous call's contents never
-/// reach a result.
-#[derive(Default)]
-struct Scratch {
-    a: Vec<f64>,
-    b: Vec<f64>,
-    cols: Vec<f32>,
-    acc: Vec<f64>,
-}
-
-thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::default();
-}
-
 /// `C = A*B + beta*C`, as the mesh GEMM computes it: per-element f64
 /// accumulator seeded with the f32 product `beta * c`, then
-/// `accumulate` over the whole of k.
+/// `accumulate` over the whole of k. A and B are packed into `ws`.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm(
+pub(crate) fn gemm(
+    ws: &mut Workspace,
     threads: usize,
     dims: GemmDims,
     ta: Trans,
@@ -81,10 +70,8 @@ pub fn gemm(
     b: &[f32],
     c: &mut [f32],
 ) {
-    SCRATCH.with_borrow_mut(|s| {
-        pack_a(ta, dims, a, &mut s.a);
-        gemm_packed(threads, dims, tb, beta, &s.a, b, c, &mut s.b);
-    });
+    pack_a(ta, dims, a, &mut ws.a);
+    gemm_packed(threads, dims, tb, beta, &ws.a, b, c, &mut ws.b);
 }
 
 /// Widen rows (A) or columns (B) `x0..x1` of an operand into `W`-wide
@@ -371,9 +358,10 @@ fn tap_source(i: usize, tap: usize, stride: usize, pad: usize, out_dim: usize) -
 // ---------------------------------------------------------------------
 
 /// Explicit-plan forward over the whole batch: per image, im2col then
-/// `W x cols`. The weights are packed once for the batch and `cols`
-/// lives in the thread's scratch (im2col overwrites all of it).
+/// `W x cols`. The weights are packed once for the batch into `ws.a`,
+/// and `cols` is `ws.cols` (im2col overwrites all of it).
 pub(crate) fn conv_explicit_forward(
+    ws: &mut Workspace,
     threads: usize,
     shape: &ConvShape,
     input: &[f32],
@@ -383,22 +371,24 @@ pub(crate) fn conv_explicit_forward(
     let dims = conv_explicit::fwd_gemm_dims(shape);
     let per_in = shape.in_c * shape.in_h * shape.in_w;
     let per_out = shape.out_c * shape.col_cols();
-    SCRATCH.with_borrow_mut(|Scratch { a, b, cols, .. }| {
-        pack_a(Trans::No, dims, weights, a);
-        cols.resize(dims.k * dims.n, 0.0);
-        for bi in 0..shape.batch {
-            im2col(threads, shape, &input[bi * per_in..][..per_in], cols);
-            let out = &mut output[bi * per_out..][..per_out];
-            gemm_packed(threads, dims, Trans::No, 0.0, a, cols, out, b);
-        }
-    });
+    let Workspace { a, b, cols } = ws;
+    pack_a(Trans::No, dims, weights, a);
+    cols.resize(dims.k * dims.n, 0.0);
+    for bi in 0..shape.batch {
+        im2col(threads, shape, &input[bi * per_in..][..per_in], cols);
+        let out = &mut output[bi * per_out..][..per_out];
+        gemm_packed(threads, dims, Trans::No, 0.0, a, cols, out, b);
+    }
 }
 
 /// Explicit-plan backward over the whole batch. `w_grad` is overwritten:
 /// image 0 stores `dY_0 x cols_0^T`, every later image adds its own
 /// through the GEMM's beta, rounding to f32 in between as the mesh does.
-/// `in_grad` is `col2im(W^T x dY_b)` per image, `W^T` packed once.
+/// `in_grad` is `col2im(W^T x dY_b)` per image, `W^T` packed once. The
+/// packed operands and `cols` live in `ws`, as in the forward pass.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn conv_explicit_backward(
+    ws: &mut Workspace,
     threads: usize,
     shape: &ConvShape,
     input: &[f32],
@@ -409,27 +399,26 @@ pub(crate) fn conv_explicit_backward(
 ) {
     let per_in = shape.in_c * shape.in_h * shape.in_w;
     let per_out = shape.out_c * shape.col_cols();
-    SCRATCH.with_borrow_mut(|Scratch { a, b, cols, .. }| {
-        cols.resize(shape.col_rows() * shape.col_cols(), 0.0);
-        if let Some(w_grad) = w_grad {
-            let dims = conv_explicit::bwd_weights_gemm_dims(shape);
-            for bi in 0..shape.batch {
-                im2col(threads, shape, &input[bi * per_in..][..per_in], cols);
-                pack_a(Trans::No, dims, &out_grad[bi * per_out..][..per_out], a);
-                let beta = if bi == 0 { 0.0 } else { 1.0 };
-                gemm_packed(threads, dims, Trans::Yes, beta, a, cols, w_grad, b);
-            }
+    let Workspace { a, b, cols } = ws;
+    cols.resize(shape.col_rows() * shape.col_cols(), 0.0);
+    if let Some(w_grad) = w_grad {
+        let dims = conv_explicit::bwd_weights_gemm_dims(shape);
+        for bi in 0..shape.batch {
+            im2col(threads, shape, &input[bi * per_in..][..per_in], cols);
+            pack_a(Trans::No, dims, &out_grad[bi * per_out..][..per_out], a);
+            let beta = if bi == 0 { 0.0 } else { 1.0 };
+            gemm_packed(threads, dims, Trans::Yes, beta, a, cols, w_grad, b);
         }
-        if let Some(in_grad) = in_grad {
-            let dims = conv_explicit::bwd_input_gemm_dims(shape);
-            pack_a(Trans::Yes, dims, weights, a);
-            for bi in 0..shape.batch {
-                let dy = &out_grad[bi * per_out..][..per_out];
-                gemm_packed(threads, dims, Trans::No, 0.0, a, dy, cols, b);
-                col2im(threads, shape, cols, &mut in_grad[bi * per_in..][..per_in]);
-            }
+    }
+    if let Some(in_grad) = in_grad {
+        let dims = conv_explicit::bwd_input_gemm_dims(shape);
+        pack_a(Trans::Yes, dims, weights, a);
+        for bi in 0..shape.batch {
+            let dy = &out_grad[bi * per_out..][..per_out];
+            gemm_packed(threads, dims, Trans::No, 0.0, a, dy, cols, b);
+            col2im(threads, shape, cols, &mut in_grad[bi * per_in..][..per_in]);
         }
-    });
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -452,33 +441,29 @@ pub(crate) fn conv_implicit_forward(
     let (ih, iw, ni, b) = (shape.in_h, shape.in_w, shape.in_c, shape.batch);
     let (k, s, p, no) = (shape.k, shape.stride, shape.pad, shape.out_c);
     let ow = shape.out_w();
+    let zeros = vec![0.0f32; ni * b];
     let rows: Vec<(usize, &mut [f32])> = output.chunks_mut(ow * no * b).enumerate().collect();
     par_tasks(threads, rows, |(oy, orow)| {
-        SCRATCH.with_borrow_mut(|scratch| {
-            let (acc, zeros) = (&mut scratch.acc, &mut scratch.cols);
-            acc.resize(b, 0.0);
-            zeros.clear();
-            zeros.resize(ni * b, 0.0);
-            for (xo, pixel) in orow.chunks_exact_mut(no * b).enumerate() {
-                for (oc, out) in pixel.chunks_exact_mut(b).enumerate() {
-                    acc.fill(0.0);
-                    for ky in 0..k {
-                        let Some(y) = tap_target(oy, ky, s, p, ih) else {
-                            continue;
+        let mut acc = vec![0.0f64; b];
+        for (xo, pixel) in orow.chunks_exact_mut(no * b).enumerate() {
+            for (oc, out) in pixel.chunks_exact_mut(b).enumerate() {
+                acc.fill(0.0);
+                for ky in 0..k {
+                    let Some(y) = tap_target(oy, ky, s, p, ih) else {
+                        continue;
+                    };
+                    for kx in 0..k {
+                        let w = &weights[((ky * k + kx) * no + oc) * ni..][..ni];
+                        let x = match tap_target(xo, kx, s, p, iw) {
+                            Some(x) => &input[(y * iw + x) * ni * b..][..ni * b],
+                            None => &zeros,
                         };
-                        for kx in 0..k {
-                            let w = &weights[((ky * k + kx) * no + oc) * ni..][..ni];
-                            let x = match tap_target(xo, kx, s, p, iw) {
-                                Some(x) => &input[(y * iw + x) * ni * b..][..ni * b],
-                                None => zeros,
-                            };
-                            accumulate(acc, w.iter().map(|&v| v as f64), x);
-                        }
+                        accumulate(&mut acc, w.iter().map(|&v| v as f64), x);
                     }
-                    round(out, acc);
                 }
+                round(out, &acc);
             }
-        });
+        }
     });
 }
 
@@ -497,34 +482,30 @@ pub(crate) fn conv_implicit_backward_input(
     let (iw, ni, b) = (shape.in_w, shape.in_c, shape.batch);
     let (k, s, p, no) = (shape.k, shape.stride, shape.pad, shape.out_c);
     let (oh, ow) = (shape.out_h(), shape.out_w());
+    let zeros = vec![0.0f32; no * b];
     let rows: Vec<(usize, &mut [f32])> = in_grad.chunks_mut(iw * ni * b).enumerate().collect();
     par_tasks(threads, rows, |(y, grow)| {
-        SCRATCH.with_borrow_mut(|scratch| {
-            let (acc, zeros) = (&mut scratch.acc, &mut scratch.cols);
-            acc.resize(b, 0.0);
-            zeros.clear();
-            zeros.resize(no * b, 0.0);
-            for (x, pixel) in grow.chunks_exact_mut(ni * b).enumerate() {
-                for (ic, out) in pixel.chunks_exact_mut(b).enumerate() {
-                    acc.fill(0.0);
-                    for ky in 0..k {
-                        let Some(oy) = tap_source(y, ky, s, p, oh) else {
-                            continue;
+        let mut acc = vec![0.0f64; b];
+        for (x, pixel) in grow.chunks_exact_mut(ni * b).enumerate() {
+            for (ic, out) in pixel.chunks_exact_mut(b).enumerate() {
+                acc.fill(0.0);
+                for ky in 0..k {
+                    let Some(oy) = tap_source(y, ky, s, p, oh) else {
+                        continue;
+                    };
+                    for kx in 0..k {
+                        let w = &weights[(ky * k + kx) * no * ni..][..no * ni];
+                        let dy = match tap_source(x, kx, s, p, ow) {
+                            Some(ox) => &out_grad[(oy * ow + ox) * no * b..][..no * b],
+                            None => &zeros,
                         };
-                        for kx in 0..k {
-                            let w = &weights[(ky * k + kx) * no * ni..][..no * ni];
-                            let dy = match tap_source(x, kx, s, p, ow) {
-                                Some(ox) => &out_grad[(oy * ow + ox) * no * b..][..no * b],
-                                None => zeros,
-                            };
-                            let wt = w[ic..].iter().step_by(ni).map(|&v| v as f64);
-                            accumulate(acc, wt, dy);
-                        }
+                        let wt = w[ic..].iter().step_by(ni).map(|&v| v as f64);
+                        accumulate(&mut acc, wt, dy);
                     }
-                    round(out, acc);
                 }
+                round(out, &acc);
             }
-        });
+        }
     });
 }
 
@@ -543,36 +524,35 @@ pub(crate) fn conv_implicit_backward_weights(
     let (ih, iw, ni, b) = (shape.in_h, shape.in_w, shape.in_c, shape.batch);
     let (k, s, p, no) = (shape.k, shape.stride, shape.pad, shape.out_c);
     let (oh, ow) = (shape.out_h(), shape.out_w());
+    let zeros = vec![0.0f32; b * ni];
     let taps: Vec<(usize, &mut [f32])> = w_grad.chunks_mut(no * ni).enumerate().collect();
     par_tasks(threads, taps, |(tap, dw)| {
-        SCRATCH.with_borrow_mut(|Scratch { acc, cols: xt, .. }| {
-            acc.clear();
-            acc.resize(no * ni, 0.0);
-            xt.resize(b * ni, 0.0);
-            for oy in 0..oh {
-                let Some(y) = tap_target(oy, tap / k, s, p, ih) else {
-                    continue;
-                };
-                for xo in 0..ow {
-                    match tap_target(xo, tap % k, s, p, iw) {
-                        Some(x) => {
-                            let block = &input[(y * iw + x) * ni * b..][..ni * b];
-                            for (ic, fibre) in block.chunks_exact(b).enumerate() {
-                                for (bi, v) in fibre.iter().enumerate() {
-                                    xt[bi * ni + ic] = *v;
-                                }
+        let mut acc = vec![0.0f64; no * ni];
+        let mut xt = vec![0.0f32; b * ni];
+        for oy in 0..oh {
+            let Some(y) = tap_target(oy, tap / k, s, p, ih) else {
+                continue;
+            };
+            for xo in 0..ow {
+                let x = match tap_target(xo, tap % k, s, p, iw) {
+                    Some(x) => {
+                        let block = &input[(y * iw + x) * ni * b..][..ni * b];
+                        for (ic, fibre) in block.chunks_exact(b).enumerate() {
+                            for (bi, v) in fibre.iter().enumerate() {
+                                xt[bi * ni + ic] = *v;
                             }
                         }
-                        None => xt.fill(0.0),
+                        &xt
                     }
-                    let dy = &out_grad[(oy * ow + xo) * no * b..][..no * b];
-                    for (sums, fibre) in acc.chunks_exact_mut(ni).zip(dy.chunks_exact(b)) {
-                        accumulate(sums, fibre.iter().map(|&v| v as f64), xt);
-                    }
+                    None => &zeros,
+                };
+                let dy = &out_grad[(oy * ow + xo) * no * b..][..no * b];
+                for (sums, fibre) in acc.chunks_exact_mut(ni).zip(dy.chunks_exact(b)) {
+                    accumulate(sums, fibre.iter().map(|&v| v as f64), x);
                 }
             }
-            round(dw, acc);
-        });
+        }
+        round(dw, &acc);
     });
 }
 
@@ -750,5 +730,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The workspace lives and dies with its core group: a new one starts
+    /// empty whatever another core group on this thread has staged, and
+    /// repeating a product reuses its buffers in place.
+    #[test]
+    fn workspace_lives_with_its_core_group() {
+        use sw26010::{CoreGroup, ExecMode};
+        let mode = ExecMode::HostNative { threads: 2 };
+        let dims = GemmDims::new(64, 300, 200);
+        let (a, b) = (values(64 * 200, 1, true), values(200 * 300, 2, false));
+        let mut c = vec![0.0f32; 64 * 300];
+        let mut run = |cg: &mut CoreGroup| {
+            let ops = crate::gemm::GemmOperands {
+                a: &a,
+                b: &b,
+                c: &mut c,
+            };
+            crate::gemm::gemm(cg, dims, Trans::No, Trans::No, 0.0, Some(ops));
+        };
+        let mut big = CoreGroup::new(mode);
+        run(&mut big);
+        let held = |cg: &mut CoreGroup| {
+            let ws = cg.workspace();
+            (ws.a.capacity(), ws.b.capacity(), ws.cols.capacity())
+        };
+        let ptrs = |cg: &mut CoreGroup| {
+            let ws = cg.workspace();
+            (ws.a.as_ptr(), ws.b.as_ptr())
+        };
+        let first = held(&mut big);
+        assert!(first.0 >= 64 * 200 && first.1 >= 200 * GEMM_NR, "{first:?}");
+        let at = ptrs(&mut big);
+        run(&mut big);
+        assert_eq!(
+            held(&mut big),
+            first,
+            "an identical product grew the workspace"
+        );
+        assert_eq!(
+            ptrs(&mut big),
+            at,
+            "an identical product moved the workspace"
+        );
+        let mut fresh = CoreGroup::new(mode);
+        assert_eq!(held(&mut fresh), (0, 0, 0));
+        assert_eq!(
+            format!("{:?}", fresh.workspace()),
+            "Workspace { a_bytes: 0, b_bytes: 0, cols_bytes: 0 }"
+        );
     }
 }

@@ -16,6 +16,13 @@
 //! contract. Both are checked against the scalar oracles in
 //! [`mod@reference`] and against inline f64 oracles, and the timing models
 //! against mesh execution.
+//!
+//! A kernel keeps no state of its own between calls. What it stages in
+//! main memory (the explicit convolution's column matrix, the host
+//! GEMM's packed operands) lives in the launching core group's
+//! [`sw26010::Workspace`], which every kernel reaches through the
+//! `&mut CoreGroup` it already takes: the buffers are reused for as long
+//! as that core group lives, and their contents never reach a result.
 
 pub mod bn;
 pub mod conv;

@@ -707,8 +707,8 @@ fn explicit_passes(shape: &ConvShape, cg: &mut CoreGroup) -> [Vec<f32>; 4] {
     [out, in_grad, w_grad, fused]
 }
 
-/// The host path keeps `cols` and its pack buffers in per-thread scratch
-/// across calls. Two shapes back to back on one core group and thread,
+/// A core group keeps `cols` and the host GEMM's pack buffers in its
+/// workspace across calls. Two shapes back to back on one core group,
 /// the larger first (its GEMMs fork), so the smaller one finds every
 /// buffer full of the other's data: nothing it did not write itself may
 /// reach a result.
@@ -748,6 +748,111 @@ fn explicit_conv_ignores_stale_scratch() {
             {
                 assert_bits_eq(&format!("{mode:?} shape {i} explicit {pass}"), got, want);
             }
+        }
+    }
+}
+
+/// Every pass that can stage operands in the core group's workspace,
+/// on `cg`: the GEMM at beta 0 and 1 (large enough to fork), explicit
+/// conv forward, backward and fused forward, and the implicit passes.
+fn workspace_passes(cg: &mut CoreGroup) -> Vec<Vec<f32>> {
+    let dims = GemmDims::new(24, 100, 240);
+    let a = sparse_values(dims.m * dims.k, 1);
+    let b = values(dims.k * dims.n, 2);
+    let mut results = Vec::new();
+    for beta in [0.0, 1.0] {
+        let mut c = values(dims.m * dims.n, 3);
+        let ops = Some(GemmOperands {
+            a: &a,
+            b: &b,
+            c: &mut c,
+        });
+        swdnn::gemm::gemm(cg, dims, Trans::No, Trans::Yes, beta, ops);
+        results.push(c);
+    }
+    let shape = ConvShape {
+        batch: 2,
+        in_c: 3,
+        in_h: 8,
+        in_w: 8,
+        out_c: 5,
+        k: 3,
+        stride: 1,
+        pad: 1,
+    };
+    results.extend(explicit_passes(&shape, cg));
+    let shape = ConvShape {
+        in_c: 4,
+        out_c: 4,
+        ..shape
+    };
+    let input = values(shape.input_len(), 6);
+    let weights = sparse_values(shape.weight_len(), 7);
+    let out_grad = sparse_values(shape.output_len(), 8);
+    let mut out = vec![f32::NAN; shape.output_len()];
+    let mut in_grad = vec![f32::NAN; shape.input_len()];
+    let mut w_grad = vec![f32::NAN; shape.weight_len()];
+    swdnn::conv_implicit::forward(
+        cg,
+        &shape,
+        Some(ImplicitFwdOperands {
+            input: &input,
+            weights: &weights,
+            output: &mut out,
+        }),
+    );
+    swdnn::conv_implicit::backward(
+        cg,
+        &shape,
+        Some(ImplicitBwdOperands {
+            input: &input,
+            weights: &weights,
+            out_grad: &out_grad,
+            in_grad: Some(&mut in_grad),
+            w_grad: Some(&mut w_grad),
+        }),
+    );
+    results.extend([out, in_grad, w_grad]);
+    results
+}
+
+/// A workspace's contents are unspecified when a kernel starts. Filled
+/// with NaN at the size a fresh core group grows it to, it must change
+/// no bit of any result on either functional backend: every kernel
+/// writes each staged element before it reads it.
+#[test]
+fn dirty_workspace_changes_no_result() {
+    let passes = [
+        "gemm beta=0",
+        "gemm beta=1",
+        "explicit fwd",
+        "explicit bwd-in",
+        "explicit bwd-w",
+        "fused",
+        "implicit fwd",
+        "implicit bwd-in",
+        "implicit bwd-w",
+    ];
+    for mode in [ExecMode::Functional, HOST_MODES[0], HOST_MODES[1]] {
+        let mut fresh = CoreGroup::new(mode);
+        let want = workspace_passes(&mut fresh);
+        let full = fresh.workspace();
+        assert!(!full.cols.is_empty(), "{mode:?}: nothing staged in cols");
+        if mode != ExecMode::Functional {
+            assert!(
+                !full.a.is_empty() && !full.b.is_empty(),
+                "{mode:?}: nothing packed"
+            );
+        }
+        let mut dirty = CoreGroup::new(mode);
+        let ws = dirty.workspace();
+        ws.a = vec![f64::NAN; full.a.capacity()];
+        ws.b = vec![f64::NAN; full.b.capacity()];
+        ws.cols = vec![f32::NAN; full.cols.capacity()];
+        let got = workspace_passes(&mut dirty);
+        assert_host_path(&dirty);
+        for ((pass, got), want) in passes.iter().zip(&got).zip(&want) {
+            assert_bits_eq(&format!("{mode:?} dirty workspace {pass}"), got, want);
         }
     }
 }

@@ -1,14 +1,12 @@
-//! Bridges the trainer's timing breakdowns into `swprof` phase trees.
+//! Bridges the trainer's timing breakdown into a `swprof` phase tree.
 //!
-//! [`ChipIteration`] and [`ClusterIteration`] carry the per-phase
-//! simulated times of Algorithm 1; these helpers render them as the
-//! hierarchical [`PhaseTiming`] the benchmark reports serialise, using
-//! one canonical set of phase names so baselines stay comparable across
-//! binaries.
+//! [`ChipIteration`] carries the per-phase simulated times of
+//! Algorithm 1; [`chip_phase`] renders them as the hierarchical
+//! [`PhaseTiming`] the benchmark reports serialise, using one canonical
+//! set of phase names so baselines stay comparable across binaries.
 
 use swprof::PhaseTiming;
 
-use crate::cluster::ClusterIteration;
 use crate::ssgd::{ChipIteration, ChipTrainer};
 
 /// Phase tree of one single-chip iteration:
@@ -18,17 +16,6 @@ pub fn chip_phase(r: &ChipIteration) -> PhaseTiming {
         .child(PhaseTiming::leaf("compute", r.compute))
         .child(PhaseTiming::leaf("intra", r.intra))
         .child(PhaseTiming::leaf("update", r.update))
-}
-
-/// Phase tree of one cluster iteration:
-/// `iteration{compute, intra, allreduce, update, io_stall}`.
-pub fn cluster_phase(r: &ClusterIteration) -> PhaseTiming {
-    PhaseTiming::new("iteration", r.total().seconds())
-        .child(PhaseTiming::leaf("compute", r.compute))
-        .child(PhaseTiming::leaf("intra", r.intra))
-        .child(PhaseTiming::leaf("allreduce", r.comm))
-        .child(PhaseTiming::leaf("update", r.update))
-        .child(PhaseTiming::leaf("io_stall", r.io_stall))
 }
 
 #[cfg(test)]
@@ -49,25 +36,5 @@ mod tests {
         let child_sum: f64 = p.children.iter().map(|c| c.seconds).sum();
         assert!((p.seconds - child_sum).abs() < 1e-12);
         assert!((p.seconds - 2.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cluster_phase_includes_comm_and_io() {
-        let r = ClusterIteration {
-            loss: 0.5,
-            compute: SimTime::from_seconds(2.0),
-            comm: SimTime::from_seconds(0.5),
-            intra: SimTime::from_seconds(0.3),
-            update: SimTime::from_seconds(0.1),
-            io_stall: SimTime::from_seconds(0.05),
-        };
-        let p = cluster_phase(&r);
-        let names: Vec<&str> = p.children.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(
-            names,
-            ["compute", "intra", "allreduce", "update", "io_stall"]
-        );
-        let child_sum: f64 = p.children.iter().map(|c| c.seconds).sum();
-        assert!((p.seconds - child_sum).abs() < 1e-12);
     }
 }

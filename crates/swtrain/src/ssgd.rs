@@ -9,7 +9,8 @@
 //! other core groups.
 
 use sw26010::arch::CORE_GROUPS;
-use sw26010::{Chip, CoreGroup, ExecMode, SimTime};
+use sw26010::chip::noc_transfer_time;
+use sw26010::{CoreGroup, ExecMode, SimTime};
 use swcaffe_core::snapshot::SolverState;
 use swcaffe_core::{GradReady, Net, NetDef, SgdSolver, SolverConfig};
 use swdnn::elementwise as ew;
@@ -243,7 +244,7 @@ impl ChipTrainer {
         // CG0 gathers the other CGs' gradients over the NoC and sums them
         // on its CPE cluster.
         let intra_before = self.cgs[0].elapsed();
-        let noc = Chip::noc_transfer_time(self.param_bytes());
+        let noc = noc_transfer_time(self.param_bytes());
         let mut packed = if functional {
             pack_gradients(&self.nets[0])
         } else {
@@ -318,7 +319,7 @@ impl ChipTrainer {
                 }
             }
         }
-        let noc = Chip::noc_transfer_time(self.param_bytes());
+        let noc = noc_transfer_time(self.param_bytes());
         for _ in 1..CORE_GROUPS {
             self.cgs[0].charge(noc);
         }
