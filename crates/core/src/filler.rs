@@ -5,13 +5,10 @@ use crate::rng::SplitMix64;
 /// Initialisation policy for a parameter blob.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Filler {
-    Constant(f32),
     /// Uniform in `[-scale, scale]` with `scale = sqrt(3 / fan_in)`.
     Xavier,
     /// Gaussian with `std = sqrt(2 / fan_in)` (He/MSRA, for ReLU nets).
     Msra,
-    /// Gaussian with explicit standard deviation.
-    Gaussian(f32),
 }
 
 impl Filler {
@@ -20,7 +17,6 @@ impl Filler {
     pub fn fill(&self, data: &mut [f32], fan_in: usize, seed: u64) {
         let mut rng = SplitMix64::new(seed);
         match self {
-            Filler::Constant(v) => data.fill(*v),
             Filler::Xavier => {
                 let scale = (3.0 / fan_in.max(1) as f64).sqrt();
                 for v in data.iter_mut() {
@@ -30,9 +26,6 @@ impl Filler {
             Filler::Msra => {
                 let std = (2.0 / fan_in.max(1) as f64).sqrt();
                 gaussian_fill(data, std, &mut rng);
-            }
-            Filler::Gaussian(std) => {
-                gaussian_fill(data, *std as f64, &mut rng);
             }
         }
     }
@@ -59,13 +52,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constant_fill() {
-        let mut d = vec![0.0; 10];
-        Filler::Constant(2.5).fill(&mut d, 1, 0);
-        assert!(d.iter().all(|v| *v == 2.5));
-    }
-
-    #[test]
     fn xavier_bounds_and_determinism() {
         let mut a = vec![0.0; 1000];
         let mut b = vec![0.0; 1000];
@@ -86,14 +72,5 @@ mod tests {
         let want = 2.0 / 200.0;
         assert!(mean.abs() < 0.005, "mean {mean}");
         assert!((var - want).abs() / want < 0.1, "var {var} vs {want}");
-    }
-
-    #[test]
-    fn different_seeds_differ() {
-        let mut a = vec![0.0; 100];
-        let mut b = vec![0.0; 100];
-        Filler::Gaussian(0.01).fill(&mut a, 1, 1);
-        Filler::Gaussian(0.01).fill(&mut b, 1, 2);
-        assert_ne!(a, b);
     }
 }

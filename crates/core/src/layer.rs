@@ -1,7 +1,10 @@
 //! The `Layer` trait — swCaffe's algorithm-level extension point (one of
 //! the three Caffe components the paper redesigns; Sec. II-C).
 
+use std::sync::Arc;
+
 use sw26010::CoreGroup;
+use swdnn::host::PackedB;
 
 use crate::blob::Blob;
 
@@ -83,6 +86,26 @@ pub trait Layer: Send {
 
     /// Restore the private RNG stream captured by [`Layer::rng_state`].
     fn set_rng_state(&mut self, _state: u64) {}
+
+    /// This layer's weights packed once as the B panels of its
+    /// `HostNative` forward GEMM, for a layer that multiplies by a fixed
+    /// matrix (inner product) and holds data. `None` for every other
+    /// layer.
+    fn pack_weights(&self) -> Option<PackedB> {
+        None
+    }
+
+    /// Multiply by `panels` in `HostNative` forward passes, instead of
+    /// packing the weights on every call. They must have been packed by
+    /// [`Layer::pack_weights`] from weights equal to this layer's. The
+    /// layer drops them the next time [`Layer::params_mut`] hands its
+    /// weights out, so new weights are never multiplied by stale panels.
+    fn share_packed_weights(&mut self, _panels: Arc<PackedB>) -> Result<(), String> {
+        Err(format!(
+            "{} layers take no packed weights",
+            self.layer_type()
+        ))
+    }
 }
 
 /// Helper shared by layer implementations: 4-D shape destructuring with a

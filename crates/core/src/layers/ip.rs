@@ -1,9 +1,12 @@
 //! Inner-product (fully-connected) layer: the register-communication GEMM
 //! applied to `(batch, features)` matrices (Sec. IV-A).
 
+use std::sync::Arc;
+
 use sw26010::CoreGroup;
 use swdnn::elementwise as ew;
 use swdnn::gemm::{self, GemmOperands};
+use swdnn::host::PackedB;
 use swdnn::{GemmDims, Trans};
 
 use crate::blob::Blob;
@@ -19,6 +22,9 @@ pub struct InnerProductLayer {
     /// `(num_output, in_features)` row-major, Caffe's layout.
     weights: Blob,
     bias: Option<Blob>,
+    /// `weights` as the forward GEMM's B panels, shared with every other
+    /// net a frozen graph builds (see [`Layer::share_packed_weights`]).
+    packed: Option<Arc<PackedB>>,
     seed: u64,
 }
 
@@ -31,6 +37,7 @@ impl InnerProductLayer {
             batch: 0,
             weights: Blob::default(),
             bias: bias.then(Blob::default),
+            packed: None,
             seed: crate::rng::layer_seed(0, name),
         }
     }
@@ -76,22 +83,15 @@ impl Layer for InnerProductLayer {
     fn forward(&mut self, cg: &mut CoreGroup, bottoms: &[&Blob], tops: &mut [&mut Blob]) {
         let functional = cg.mode().is_functional();
         let dims = GemmDims::new(self.batch, self.num_output, self.in_features);
-        if functional {
-            gemm::gemm(
-                cg,
-                dims,
-                Trans::No,
-                Trans::Yes,
-                0.0,
-                Some(GemmOperands {
-                    a: bottoms[0].data(),
-                    b: self.weights.data(),
-                    c: tops[0].data_mut(),
-                }),
-            );
-        } else {
-            gemm::gemm(cg, dims, Trans::No, Trans::Yes, 0.0, None);
-        }
+        let ops = functional.then(|| GemmOperands {
+            a: bottoms[0].data(),
+            b: self.weights.data(),
+            c: tops[0].data_mut(),
+        });
+        match &self.packed {
+            Some(p) => gemm::gemm_prepacked(cg, dims, Trans::No, Trans::Yes, 0.0, ops, p),
+            None => gemm::gemm(cg, dims, Trans::No, Trans::Yes, 0.0, ops),
+        };
         if let Some(bias) = &self.bias {
             let io = functional.then(|| (bias.data(), tops[0].data_mut()));
             ew::bias_rows(cg, self.batch, self.num_output, io);
@@ -158,6 +158,9 @@ impl Layer for InnerProductLayer {
     }
 
     fn params_mut(&mut self) -> Vec<&mut Blob> {
+        // The weights may change from here on: panels packed from them
+        // would be stale.
+        self.packed = None;
         let mut out = vec![&mut self.weights];
         if let Some(b) = &mut self.bias {
             out.push(b);
@@ -171,5 +174,25 @@ impl Layer for InnerProductLayer {
             out.push(b);
         }
         out
+    }
+
+    fn pack_weights(&self) -> Option<PackedB> {
+        self.weights.materialized().then(|| {
+            let (k, n) = (self.in_features, self.num_output);
+            PackedB::new(Trans::Yes, k, n, self.weights.data())
+        })
+    }
+
+    fn share_packed_weights(&mut self, panels: Arc<PackedB>) -> Result<(), String> {
+        let want = (self.in_features, self.num_output);
+        if panels.dims() != want {
+            return Err(format!(
+                "layer '{}': packed weights are {:?} (k, n), the layer multiplies by {want:?}",
+                self.name,
+                panels.dims()
+            ));
+        }
+        self.packed = Some(panels);
+        Ok(())
     }
 }

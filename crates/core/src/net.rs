@@ -3,9 +3,11 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use sw26010::{CoreGroup, SimTime};
 use swdnn::elementwise as ew;
+use swdnn::host::PackedB;
 
 use crate::blob::Blob;
 use crate::layer::{Layer, Phase};
@@ -26,6 +28,10 @@ pub struct Net {
     materialize: bool,
     loss_blob: Option<usize>,
 }
+
+/// Layers' weights packed as `HostNative` GEMM B panels, by layer name
+/// (what [`Net::pack_weights`] returns).
+pub type PackedWeights = Vec<(String, Arc<PackedB>)>;
 
 /// Per-layer timing breakdown of one pass (Figs. 8/9 raw data).
 #[derive(Debug, Clone)]
@@ -503,6 +509,38 @@ impl Net {
                 }
                 vec.copy_from_slice(data);
             }
+        }
+        Ok(())
+    }
+
+    /// Every layer's weights packed as the B panels of its `HostNative`
+    /// forward GEMM ([`Layer::pack_weights`]: the inner-product layers
+    /// of a net that holds data), by layer name. A serving engine packs
+    /// them once per frozen graph and hands them to every net it builds
+    /// through [`Net::share_packed_weights`].
+    pub fn pack_weights(&self) -> PackedWeights {
+        self.layers
+            .iter()
+            .filter_map(|l| Some((l.name().to_string(), Arc::new(l.pack_weights()?))))
+            .collect()
+    }
+
+    /// Hand each named layer its shared panels, packed by
+    /// [`Net::pack_weights`] on a net holding the same weights. Fails if
+    /// a name is not a layer of this net that takes panels of that shape.
+    /// A layer drops its panels when its parameters are next borrowed
+    /// mutably (a snapshot load, a solver step).
+    pub fn share_packed_weights(
+        &mut self,
+        panels: &[(String, Arc<PackedB>)],
+    ) -> Result<(), String> {
+        for (name, p) in panels {
+            let layer = self
+                .layers
+                .iter_mut()
+                .find(|l| l.name() == name)
+                .ok_or_else(|| format!("no layer '{name}' to take packed weights"))?;
+            layer.share_packed_weights(Arc::clone(p))?;
         }
         Ok(())
     }

@@ -47,6 +47,7 @@ use sw26010::{
     SimTime, Stats,
 };
 
+use crate::host::{self, PackedB, Panels};
 use crate::scheme::{Broadcast, Buffering, TilingScheme};
 use crate::shapes::{GemmDims, Trans};
 use crate::tile::{self, Operand, TileAddr, TileLayout, Tiles};
@@ -170,6 +171,37 @@ pub fn gemm_with_scheme(
     scheme: TilingScheme,
     ops: Option<GemmOperands<'_>>,
 ) -> LaunchReport {
+    run(cg, dims, ta, tb, beta, scheme, ops, None)
+}
+
+/// [`gemm`] whose B is also at hand as `packed`, packed once from `ops.b`
+/// under `tb`. The `HostNative` path multiplies by those panels instead
+/// of packing B on every call; the mesh and the timing model read B as
+/// [`gemm`] does. The result is the same bits either way.
+pub fn gemm_prepacked(
+    cg: &mut CoreGroup,
+    dims: GemmDims,
+    ta: Trans,
+    tb: Trans,
+    beta: f32,
+    ops: Option<GemmOperands<'_>>,
+    packed: &PackedB,
+) -> LaunchReport {
+    let scheme = TilingScheme::hand(dims);
+    run(cg, dims, ta, tb, beta, scheme, ops, Some(packed))
+}
+
+#[allow(clippy::too_many_arguments)]
+fn run(
+    cg: &mut CoreGroup,
+    dims: GemmDims,
+    ta: Trans,
+    tb: Trans,
+    beta: f32,
+    scheme: TilingScheme,
+    ops: Option<GemmOperands<'_>>,
+    packed: Option<&PackedB>,
+) -> LaunchReport {
     check_scheme(scheme);
     if cg.mode().is_functional() {
         let ops = ops.expect("functional GEMM requires operands");
@@ -177,17 +209,11 @@ pub fn gemm_with_scheme(
         assert_eq!(ops.b.len(), dims.k * dims.n, "B size");
         assert_eq!(ops.c.len(), dims.m * dims.n, "C size");
         if let ExecMode::HostNative { threads } = cg.mode() {
-            crate::host::gemm(
-                cg.workspace(),
-                threads,
-                dims,
-                ta,
-                tb,
-                beta,
-                ops.a,
-                ops.b,
-                ops.c,
-            );
+            let b = match packed {
+                Some(p) => Panels::Prepacked(p),
+                None => Panels::PerCall(tb, ops.b),
+            };
+            host::gemm(cg.workspace(), threads, dims, ta, beta, ops.a, b, ops.c);
             return LaunchReport::default();
         }
         execute_mesh(cg, dims, ta, tb, beta, scheme, ops)

@@ -17,12 +17,22 @@
 //! the panel width only decides which columns share a call, so the two
 //! agree bit for bit; the unit tests below check that.
 //!
-//! The GEMM and the explicit convolution stage their packed operands and
-//! column matrix in the launching core group's [`Workspace`], which the
-//! caller passes in: the buffers live as long as that core group and are
-//! reused by every call on it. The implicit passes allocate their small
-//! accumulators per task. Every staged element is written before it is
-//! read, so whatever a buffer held before never reaches a result.
+//! A product's B panels come one of two ways, and the one panel loop
+//! takes either. Most products pack them per call, widened to f64. A B
+//! that never changes (an inner-product layer's weights, in a frozen
+//! serving graph) can instead come pre-packed as a [`PackedB`]: f32
+//! panels at the width of the instantiation this CPU runs, packed once
+//! and widened in the micro-kernel's load. Widening is exact, so the two
+//! give the same bits.
+//!
+//! The GEMM and the explicit convolution stage their per-call packed
+//! operands and column matrix in the launching core group's
+//! [`Workspace`], which the caller passes in: the buffers live as long as
+//! that core group and are reused by every call on it. Pre-packed panels
+//! are not scratch: their owner holds them. The implicit passes allocate
+//! their small accumulators per task. Every staged element is written
+//! before it is read, so whatever a buffer held before never reaches a
+//! result.
 //!
 //! Parallelism comes from [`swbackend::par_tasks`]: work is split into
 //! units whose results are fully determined by the unit itself (a run of
@@ -57,21 +67,110 @@ pub const GEMM_FORK_FLOPS: usize = 1 << 20;
 
 /// `C = A*B + beta*C`, as the mesh GEMM computes it: per-element f64
 /// accumulator seeded with the f32 product `beta * c`, then
-/// `accumulate` over the whole of k. A and B are packed into `ws`.
+/// `accumulate` over the whole of k. A, and B unless it comes
+/// pre-packed, are packed into `ws`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm(
     ws: &mut Workspace,
     threads: usize,
     dims: GemmDims,
     ta: Trans,
-    tb: Trans,
     beta: f32,
     a: &[f32],
-    b: &[f32],
+    b: Panels<'_>,
     c: &mut [f32],
 ) {
     pack_a(ta, dims, a, &mut ws.a);
-    gemm_packed(threads, dims, tb, beta, &ws.a, b, c, &mut ws.b);
+    gemm_packed(threads, dims, b, beta, &ws.a, c, &mut ws.b);
+}
+
+/// Where a product's B panels come from.
+#[derive(Clone, Copy)]
+pub(crate) enum Panels<'a> {
+    /// Packed from B, transposed as the flag says, one panel at a time
+    /// into the task's slice of the workspace.
+    PerCall(Trans, &'a [f32]),
+    /// Packed ahead of the product.
+    Prepacked(&'a PackedB),
+}
+
+/// A GEMM's `k x n` B packed once, ahead of the products that read it:
+/// f32 panels of the width the instantiation this CPU runs consumes
+/// ([`GEMM_NR`] or [`GEMM_NR_AVX2`]), in the layout the per-call packer
+/// writes, widened to f64 in the micro-kernel's load. A product over
+/// them equals one that packs B per call, bit for bit.
+pub struct PackedB {
+    width: usize,
+    k: usize,
+    n: usize,
+    panels: Vec<f32>,
+}
+
+impl PackedB {
+    /// Pack the B of `C = A * op(B)`, given as `b` with `op` = `tb`.
+    pub fn new(tb: Trans, k: usize, n: usize, b: &[f32]) -> PackedB {
+        let width = if avx2() { GEMM_NR_AVX2 } else { GEMM_NR };
+        PackedB::at_width(width, tb, k, n, b)
+    }
+
+    fn at_width(width: usize, tb: Trans, k: usize, n: usize, b: &[f32]) -> PackedB {
+        assert_eq!(b.len(), k * n, "B size");
+        let mut panels = vec![0.0; n.div_ceil(width) * width * k];
+        if k > 0 {
+            let (k_major, cols) = (!tb.is_trans(), (0, n));
+            match width {
+                GEMM_NR => pack::<GEMM_NR, _>(k_major, n, k, b, cols, &mut panels),
+                GEMM_NR_AVX2 => pack::<GEMM_NR_AVX2, _>(k_major, n, k, b, cols, &mut panels),
+                _ => unreachable!("no instantiation reads {width}-wide panels"),
+            }
+        }
+        PackedB {
+            width,
+            k,
+            n,
+            panels,
+        }
+    }
+
+    /// `(k, n)` of the B these panels hold.
+    pub fn dims(&self) -> (usize, usize) {
+        (self.k, self.n)
+    }
+
+    /// Bytes the panels occupy.
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.panels.as_slice())
+    }
+
+    /// Panel `p`: columns `p * width..` over the whole of `k`.
+    fn panel(&self, p: usize) -> &[f32] {
+        &self.panels[p * self.width * self.k..][..self.width * self.k]
+    }
+}
+
+impl std::fmt::Debug for PackedB {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PackedB")
+            .field("width", &self.width)
+            .field("k", &self.k)
+            .field("n", &self.n)
+            .field("bytes", &self.bytes())
+            .finish()
+    }
+}
+
+/// Whether this CPU runs the AVX2 instantiation. std caches the CPUID
+/// probe behind `is_x86_feature_detected!`, so asking costs a load and a
+/// test.
+fn avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
 }
 
 /// Widen rows (A) or columns (B) `x0..x1` of an operand into `W`-wide
@@ -79,15 +178,16 @@ pub(crate) fn gemm(
 /// `[kk * W + (x - x0) % W]` of panel `(x - x0) / W`, and a ragged last
 /// panel is zero-filled. `k_major` says `src` holds that entry at
 /// `[kk * extent + x]` rather than `[x * k + kk]` — the only place a
-/// transposition flag is looked at.
+/// transposition flag is looked at. Per-call panels are f64, pre-packed
+/// ones f32.
 #[inline(always)]
-fn pack<const W: usize>(
+fn pack<const W: usize, T: Copy + Default + From<f32>>(
     k_major: bool,
     extent: usize,
     k: usize,
     src: &[f32],
     (x0, x1): (usize, usize),
-    out: &mut [f64],
+    out: &mut [T],
 ) {
     // f32 per cache line: the transposing gather below takes that many
     // k-steps of every source row at a time, so each line is fetched
@@ -99,7 +199,7 @@ fn pack<const W: usize>(
         if k_major {
             for (kk, step) in panel.chunks_exact_mut(W).enumerate() {
                 for (d, s) in step[..valid].iter_mut().zip(&src[kk * extent + base..]) {
-                    *d = *s as f64;
+                    *d = T::from(*s);
                 }
             }
         } else {
@@ -107,14 +207,14 @@ fn pack<const W: usize>(
                 for x in 0..valid {
                     let line = &src[(base + x) * k + blk * LINE..];
                     for (step, s) in steps.chunks_exact_mut(W).zip(line) {
-                        step[x] = *s as f64;
+                        step[x] = T::from(*s);
                     }
                 }
             }
         }
         if valid < W {
             for step in panel.chunks_exact_mut(W) {
-                step[valid..].fill(0.0);
+                step[valid..].fill(T::default());
             }
         }
     }
@@ -125,26 +225,27 @@ fn pack<const W: usize>(
 fn pack_a(ta: Trans, dims: GemmDims, a: &[f32], out: &mut Vec<f64>) {
     out.resize(dims.m * dims.k, 0.0);
     if dims.k > 0 {
-        pack::<1>(ta.is_trans(), dims.m, dims.k, a, (0, dims.m), out);
+        pack::<1, _>(ta.is_trans(), dims.m, dims.k, a, (0, dims.m), out);
     }
 }
 
 /// The GEMM behind [`gemm`], on an A already packed by [`pack_a`] (the
 /// explicit conv plan packs its weights once for the whole batch), at
-/// the widest panel width the CPU supports. std caches the CPUID probe
-/// behind `is_x86_feature_detected!`, so the choice costs a load and a
-/// test per call.
+/// the widest panel width the CPU supports. `bp` is where per-call B
+/// panels are packed; a pre-packed B leaves it untouched.
 #[allow(clippy::too_many_arguments)]
 fn gemm_packed(
     threads: usize,
     dims: GemmDims,
-    tb: Trans,
+    b: Panels<'_>,
     beta: f32,
     ap: &[f64],
-    b: &[f32],
     c: &mut [f32],
     bp: &mut Vec<f64>,
 ) {
+    if let Panels::Prepacked(p) = b {
+        assert_eq!(p.dims(), (dims.k, dims.n), "pre-packed B dims");
+    }
     if dims.m == 0 || dims.n == 0 {
         return;
     }
@@ -155,17 +256,11 @@ fn gemm_packed(
         }
         return;
     }
-    let ops = Product {
-        dims,
-        tb,
-        beta,
-        ap,
-        b,
-    };
+    let ops = Product { dims, beta, ap, b };
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the guard above found AVX2 on this CPU, the one target
-        // feature `gemm_avx2` is compiled for.
+    if avx2() {
+        // SAFETY: `avx2()` found AVX2 on this CPU, the one target feature
+        // `gemm_avx2` is compiled for.
         return unsafe { gemm_avx2(threads, ops, c, bp) };
     }
     gemm_baseline(threads, ops, c, bp);
@@ -195,18 +290,17 @@ fn gemm_avx2(threads: usize, ops: Product<'_>, c: &mut [f32], bp: &mut Vec<f64>)
 #[derive(Clone, Copy)]
 struct Product<'a> {
     dims: GemmDims,
-    tb: Trans,
     beta: f32,
     ap: &'a [f64],
-    b: &'a [f32],
+    b: Panels<'a>,
 }
 
 impl Product<'_> {
     /// Split C into tasks of whole `NR`-column panels over all rows,
-    /// each with its own slice of `bp` to pack B panels into. Every
-    /// element of C is produced by one [`tile`] call whatever the
-    /// partition or `NR`, so neither the thread count nor the
-    /// instantiation can change a bit.
+    /// each with its own slice of `bp` to pack B panels into (an empty
+    /// one when B comes pre-packed). Every element of C is produced by
+    /// one [`tile`] call whatever the partition or `NR`, so neither the
+    /// thread count nor the instantiation can change a bit.
     fn column_runs<'c, const NR: usize>(
         &self,
         threads: usize,
@@ -222,9 +316,19 @@ impl Product<'_> {
         };
         // Columns per task, in whole panels.
         let span = panels.div_ceil(ntasks) * NR;
-        bp.resize(n.div_ceil(span) * k * NR, 0.0);
-        let mut tasks: Vec<ColumnRun<'_>> = bp
-            .chunks_exact_mut(k * NR)
+        let runs = n.div_ceil(span);
+        let bpanels: Vec<&mut [f64]> = match self.b {
+            Panels::PerCall(..) => {
+                bp.resize(runs * k * NR, 0.0);
+                bp.chunks_exact_mut(k * NR).collect()
+            }
+            Panels::Prepacked(p) => {
+                assert_eq!(p.width, NR, "B panels packed for another instantiation");
+                (0..runs).map(|_| Default::default()).collect()
+            }
+        };
+        let mut tasks: Vec<ColumnRun<'_>> = bpanels
+            .into_iter()
             .enumerate()
             .map(|(t, bpanel)| ColumnRun {
                 j0: t * span,
@@ -240,19 +344,37 @@ impl Product<'_> {
         tasks
     }
 
-    /// One task's panel loop: pack a panel of B, sweep it down the rows
-    /// of A.
+    /// One task's panel loop: take a panel of B, packing it unless it
+    /// comes pre-packed, and sweep it down the rows of A.
     #[inline(always)]
     fn sweep<const NR: usize>(&self, mut task: ColumnRun<'_>) {
         let GemmDims { n, k, .. } = self.dims;
         let width = task.rows[0].len();
         for j in (0..width).step_by(NR) {
             let vn = NR.min(width - j);
-            let cols = (task.j0 + j, task.j0 + j + vn);
-            pack::<NR>(!self.tb.is_trans(), n, k, self.b, cols, task.bpanel);
-            for (arow, crow) in self.ap.chunks_exact(k).zip(task.rows.iter_mut()) {
-                tile::<NR>(self.beta, arow, task.bpanel, &mut crow[j..j + vn]);
+            let j0 = task.j0 + j;
+            match self.b {
+                Panels::PerCall(tb, b) => {
+                    pack::<NR, _>(!tb.is_trans(), n, k, b, (j0, j0 + vn), task.bpanel);
+                    self.down::<NR, _>(task.bpanel, &mut task.rows, j, vn);
+                }
+                Panels::Prepacked(p) => self.down::<NR, _>(p.panel(j0 / NR), &mut task.rows, j, vn),
             }
+        }
+    }
+
+    /// Sweep one panel of B down the rows of A, into columns `j..j + vn`
+    /// of the task's rows of C.
+    #[inline(always)]
+    fn down<const NR: usize, T: Copy + Into<f64>>(
+        &self,
+        bpanel: &[T],
+        rows: &mut [&mut [f32]],
+        j: usize,
+        vn: usize,
+    ) {
+        for (arow, crow) in self.ap.chunks_exact(self.dims.k).zip(rows.iter_mut()) {
+            tile::<NR, T>(self.beta, arow, bpanel, &mut crow[j..j + vn]);
         }
     }
 }
@@ -266,11 +388,12 @@ struct ColumnRun<'a> {
 }
 
 /// The micro-kernel: `crow`, at most `NR` columns of one row of C, from
-/// a whole-`k` row of A and panel of B. The accumulator is seeded with
-/// the f32 product `beta * c` (or +0.0), runs [`accumulate`] and is
-/// rounded to f32 once, as the mesh's C tile is.
+/// a whole-`k` row of A and panel of B (f64, or f32 widened as it is
+/// loaded). The accumulator is seeded with the f32 product `beta * c`
+/// (or +0.0), runs [`accumulate`] and is rounded to f32 once, as the
+/// mesh's C tile is.
 #[inline(always)]
-fn tile<const NR: usize>(beta: f32, arow: &[f64], bp: &[f64], crow: &mut [f32]) {
+fn tile<const NR: usize, T: Copy + Into<f64>>(beta: f32, arow: &[f64], bp: &[T], crow: &mut [f32]) {
     let mut acc = [0.0f64; NR];
     if beta != 0.0 {
         for (s, v) in acc.iter_mut().zip(crow.iter()) {
@@ -377,7 +500,8 @@ pub(crate) fn conv_explicit_forward(
     for bi in 0..shape.batch {
         im2col(threads, shape, &input[bi * per_in..][..per_in], cols);
         let out = &mut output[bi * per_out..][..per_out];
-        gemm_packed(threads, dims, Trans::No, 0.0, a, cols, out, b);
+        let cols = Panels::PerCall(Trans::No, cols);
+        gemm_packed(threads, dims, cols, 0.0, a, out, b);
     }
 }
 
@@ -407,15 +531,16 @@ pub(crate) fn conv_explicit_backward(
             im2col(threads, shape, &input[bi * per_in..][..per_in], cols);
             pack_a(Trans::No, dims, &out_grad[bi * per_out..][..per_out], a);
             let beta = if bi == 0 { 0.0 } else { 1.0 };
-            gemm_packed(threads, dims, Trans::Yes, beta, a, cols, w_grad, b);
+            let cols = Panels::PerCall(Trans::Yes, cols);
+            gemm_packed(threads, dims, cols, beta, a, w_grad, b);
         }
     }
     if let Some(in_grad) = in_grad {
         let dims = conv_explicit::bwd_input_gemm_dims(shape);
         pack_a(Trans::Yes, dims, weights, a);
         for bi in 0..shape.batch {
-            let dy = &out_grad[bi * per_out..][..per_out];
-            gemm_packed(threads, dims, Trans::No, 0.0, a, dy, cols, b);
+            let dy = Panels::PerCall(Trans::No, &out_grad[bi * per_out..][..per_out]);
+            gemm_packed(threads, dims, dy, 0.0, a, cols, b);
             col2im(threads, shape, cols, &mut in_grad[bi * per_in..][..per_in]);
         }
     }
@@ -576,11 +701,45 @@ mod tests {
             .collect()
     }
 
+    /// Which instantiation runs a product, and where its B panels come
+    /// from.
+    #[derive(Clone, Copy, Debug)]
+    struct Run {
+        baseline: bool,
+        prepacked: bool,
+    }
+
+    /// The product every other run must match: the baseline
+    /// instantiation, packing B per call.
+    const REFERENCE: Run = Run {
+        baseline: true,
+        prepacked: false,
+    };
+
+    /// The widest instantiation this CPU supports, packing B per call or
+    /// reading it pre-packed, and the baseline one on pre-packed B.
+    const RUNS: [Run; 3] = [
+        Run {
+            baseline: false,
+            prepacked: false,
+        },
+        Run {
+            baseline: false,
+            prepacked: true,
+        },
+        Run {
+            baseline: true,
+            prepacked: true,
+        },
+    ];
+
     /// `C = A*B + beta*C` through [`gemm_packed`], which runs the widest
-    /// instantiation this CPU supports, or through [`gemm_baseline`].
+    /// instantiation this CPU supports, or through [`gemm_baseline`]; B
+    /// packed per call, or into a [`PackedB`] at the instantiation's
+    /// width first (by [`PackedB::new`] for the widest).
     #[allow(clippy::too_many_arguments)]
     fn product(
-        baseline: bool,
+        run: Run,
         threads: usize,
         dims: GemmDims,
         (ta, tb): (Trans, Trans),
@@ -591,20 +750,34 @@ mod tests {
     ) -> Vec<f32> {
         let (mut ap, mut bp) = (Vec::new(), Vec::new());
         pack_a(ta, dims, a, &mut ap);
+        let packed = run.prepacked.then(|| match run.baseline {
+            true => PackedB::at_width(GEMM_NR, tb, dims.k, dims.n, b),
+            false => PackedB::new(tb, dims.k, dims.n, b),
+        });
+        let panels = match &packed {
+            Some(p) => Panels::Prepacked(p),
+            None => Panels::PerCall(tb, b),
+        };
         let mut c = c0.to_vec();
-        if baseline {
+        if run.baseline {
             let ops = Product {
                 dims,
-                tb,
                 beta,
                 ap: &ap,
-                b,
+                b: panels,
             };
             gemm_baseline(threads, ops, &mut c, &mut bp);
         } else {
-            gemm_packed(threads, dims, tb, beta, &ap, b, &mut c, &mut bp);
+            gemm_packed(threads, dims, panels, beta, &ap, &mut c, &mut bp);
         }
         c
+    }
+
+    /// The runs a product at `beta` is checked on: pre-packed B is
+    /// checked at the two betas a layer uses, 0 and 1.
+    fn runs(beta: f32) -> impl Iterator<Item = Run> {
+        RUNS.into_iter()
+            .filter(move |r| !r.prepacked || beta == 0.0 || beta == 1.0)
     }
 
     /// Same bits, except that any NaN matches any NaN.
@@ -638,7 +811,7 @@ mod tests {
     /// `m` and `n` on both sides of both panel widths, and C wide enough
     /// to fork on either side of a whole number of either width's panels,
     /// in all four transpositions, with dead, plain and scaling betas, on
-    /// one, two and three threads.
+    /// one, two and three threads, with B packed per call or pre-packed.
     #[test]
     fn instantiations_agree_across_panel_edges() {
         let mut edges = vec![1];
@@ -667,13 +840,17 @@ mod tests {
             let c0 = values(m * n, 3, true);
             for trans in TRANS {
                 for beta in [0.0, 1.0, -0.5] {
-                    let want = product(true, 1, dims, trans, beta, &a, &b, &c0);
+                    let want = product(REFERENCE, 1, dims, trans, beta, &a, &b, &c0);
                     for &threads in thread_counts(dims) {
-                        assert_same(
-                            &format!("{dims:?} {trans:?} beta={beta} threads={threads}"),
-                            &product(false, threads, dims, trans, beta, &a, &b, &c0),
-                            &want,
-                        );
+                        for run in runs(beta) {
+                            assert_same(
+                                &format!(
+                                    "{dims:?} {trans:?} beta={beta} threads={threads} {run:?}"
+                                ),
+                                &product(run, threads, dims, trans, beta, &a, &b, &c0),
+                                &want,
+                            );
+                        }
                     }
                 }
             }
@@ -682,7 +859,8 @@ mod tests {
 
     /// Zeros of both signs in A opposite NaN and infinite rows of B
     /// (skipped, so finite), the same rows met by non-zeros (non-finite),
-    /// and all-zero rows of A over `-0.0` seeds (kept as `-0.0`).
+    /// and all-zero rows of A over `-0.0` seeds (kept as `-0.0`), with B
+    /// packed per call or pre-packed.
     #[test]
     fn instantiations_agree_on_non_finite_and_signed_zeros() {
         let hostile = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
@@ -709,27 +887,60 @@ mod tests {
             let dims = GemmDims::new(m, n, k);
             for beta in [0.0, 1.0, -0.5] {
                 let trans = (Trans::No, Trans::No);
-                let want = product(true, 1, dims, trans, beta, &a, &b, &c0);
+                let want = product(REFERENCE, 1, dims, trans, beta, &a, &b, &c0);
                 for threads in [1, 2, 3] {
-                    let got = product(false, threads, dims, trans, beta, &a, &b, &c0);
-                    assert!(got[..n].iter().all(|v| v.is_finite()), "n={n}");
-                    assert!(got[2 * n..3 * n].iter().all(|v| !v.is_finite()), "n={n}");
-                    // Rows 1 and 3 add nothing and keep their seeds,
-                    // beta * (-0.0) and beta * (+0.0), or +0.0 at beta 0.
-                    let seed = |c: f32| if beta != 0.0 { beta * c } else { 0.0 };
-                    for (row, c) in [(1, -0.0), (3, 0.0)] {
-                        let want = seed(c).to_bits();
-                        let row_got = &got[row * n..][..n];
-                        assert!(
-                            row_got.iter().all(|v| v.to_bits() == want),
-                            "n={n} row {row}"
-                        );
+                    for run in runs(beta) {
+                        let got = product(run, threads, dims, trans, beta, &a, &b, &c0);
+                        assert!(got[..n].iter().all(|v| v.is_finite()), "n={n}");
+                        assert!(got[2 * n..3 * n].iter().all(|v| !v.is_finite()), "n={n}");
+                        // Rows 1 and 3 add nothing and keep their seeds,
+                        // beta * (-0.0) and beta * (+0.0), or +0.0 at beta 0.
+                        let seed = |c: f32| if beta != 0.0 { beta * c } else { 0.0 };
+                        for (row, c) in [(1, -0.0), (3, 0.0)] {
+                            let want = seed(c).to_bits();
+                            let row_got = &got[row * n..][..n];
+                            assert!(
+                                row_got.iter().all(|v| v.to_bits() == want),
+                                "n={n} row {row}"
+                            );
+                        }
+                        let tag = format!("hostile n={n} beta={beta} threads={threads} {run:?}");
+                        assert_same(&tag, &got, &want);
                     }
-                    let tag = format!("hostile n={n} beta={beta} threads={threads}");
-                    assert_same(&tag, &got, &want);
                 }
             }
         }
+    }
+
+    /// A pre-packed B holds every entry of B where the per-call packer
+    /// writes it, and zeros in a ragged last panel's extra columns, at
+    /// both widths, in both transpositions, for ragged and whole column
+    /// counts. The per-call packer, run into a buffer of NaN, agrees.
+    #[test]
+    fn prepacked_panels_hold_b_then_zeros() {
+        fn check<const W: usize>() {
+            for (k, n) in [(1, 1), (7, W - 1), (5, W), (17, 2 * W + 1)] {
+                let b = values(k * n, 6, true);
+                for tb in [Trans::No, Trans::Yes] {
+                    let packed = PackedB::at_width(W, tb, k, n, &b);
+                    let mut per_call = vec![f64::NAN; packed.panels.len()];
+                    pack::<W, _>(!tb.is_trans(), n, k, &b, (0, n), &mut per_call);
+                    for (i, (p, q)) in packed.panels.iter().zip(&per_call).enumerate() {
+                        let (col, kk) = (i / (W * k) * W + i % W, i / W % k);
+                        let want = match (col < n, tb) {
+                            (false, _) => 0.0,
+                            (true, Trans::No) => b[kk * n + col],
+                            (true, Trans::Yes) => b[col * k + kk],
+                        };
+                        let tag = format!("W={W} k={k} n={n} {tb:?} entry {i}");
+                        assert_eq!(p.to_bits(), want.to_bits(), "pre-packed {tag}");
+                        assert_eq!(q.to_bits(), f64::from(want).to_bits(), "per call {tag}");
+                    }
+                }
+            }
+        }
+        check::<GEMM_NR>();
+        check::<GEMM_NR_AVX2>();
     }
 
     /// The workspace lives and dies with its core group: a new one starts

@@ -82,7 +82,9 @@ impl Engine {
     /// Run `batch` images (row-major, `graph.per_image` floats each)
     /// through the frozen graph and return their output rows. Pads the
     /// batch with zero rows up to its bucket. Requires a functional
-    /// backend (`Sw26010` functional or `HostNative`).
+    /// backend (`ExecMode::Functional` or `HostNative`). A `HostNative`
+    /// net multiplies by the graph's shared pre-packed inner-product
+    /// weights.
     pub fn infer(&mut self, batch: usize, input: &[f32]) -> Result<Vec<f32>, ServeError> {
         if !self.mode.is_functional() {
             return Err(ServeError::NonFunctionalBackend { mode: self.mode });
@@ -105,6 +107,11 @@ impl Engine {
                 net.set_phase(Phase::Test);
                 net.load_layer_snapshots(&self.graph.weights)
                     .map_err(ServeError::Snapshot)?;
+                if let ExecMode::HostNative { .. } = self.mode {
+                    let panels = self.graph.packed_weights(&net);
+                    net.share_packed_weights(panels)
+                        .map_err(ServeError::Snapshot)?;
+                }
                 self.nets.push((b, net));
                 self.nets.len() - 1
             }
@@ -144,4 +151,130 @@ impl Engine {
 /// Verify a response payload against its Fletcher-64 tag.
 pub fn verify_response(payload: &[f32], tag: u64) -> bool {
     swfault::checksum(payload) == tag
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use swcaffe_core::models::NetBuilder;
+    use swcaffe_core::NetDef;
+    use swdnn::host::PackedB;
+
+    use super::*;
+    use crate::Cluster;
+
+    const MODE: ExecMode = ExecMode::HostNative { threads: 2 };
+    const BUCKETS: [usize; 5] = [1, 2, 4, 8, 16];
+    const PER_IMAGE: usize = 3 * 8 * 8;
+    const CLASSES: usize = 10;
+
+    /// Conv+BN+ReLU (fused when frozen) into two inner products. `fc1`
+    /// (512 -> 130 features) is ragged against both panel widths and
+    /// forks at buckets 8 and 16.
+    fn def(batch: usize) -> NetDef {
+        NetBuilder::new("packed", batch, 3, 8)
+            .force_nchw()
+            .conv("conv1", 8, 3, 1, 1)
+            .bn("bn1")
+            .relu("relu1")
+            .fc("fc1", 130)
+            .relu("relu2")
+            .fc("fc", CLASSES)
+            .loss()
+    }
+
+    fn source_net(batch: usize, seed: u64) -> Net {
+        let mut net = Net::from_def_mode_seeded(&def(batch), MODE, seed).unwrap();
+        net.set_phase(Phase::Test);
+        net
+    }
+
+    fn frozen(seed: u64) -> FrozenGraph {
+        FrozenGraph::freeze(&def(16), &source_net(16, seed)).unwrap()
+    }
+
+    fn images(batch: usize) -> Vec<f32> {
+        (0..batch * PER_IMAGE)
+            .map(|i| ((i * 37 % 101) as f32 - 50.0) / 25.0)
+            .collect()
+    }
+
+    /// Logits of a plain source net at `input`'s bucket, padding rows
+    /// included: no panels, so every inner product packs per call.
+    fn source_logits(input: &[f32], seed: u64) -> Vec<u32> {
+        let batch = input.len() / PER_IMAGE;
+        let b = bucket(batch);
+        let mut padded = vec![0.0; b * PER_IMAGE];
+        padded[..input.len()].copy_from_slice(input);
+        let mut net = source_net(b, seed);
+        net.set_input("data", &padded);
+        net.forward(&mut CoreGroup::new(MODE));
+        let logits = bits(&net.blob("fc").data()[..batch * CLASSES]);
+        logits
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn cluster_replicas_share_one_panel_set() {
+        let mut cluster = Cluster::new(&frozen(7), MODE);
+        let x = images(16);
+        for engine in cluster.engines_mut() {
+            for b in BUCKETS {
+                engine.infer(b, &x[..b * PER_IMAGE]).unwrap();
+            }
+        }
+        let sets: Vec<&[(String, Arc<PackedB>)]> = cluster
+            .engines
+            .iter()
+            .map(|e| {
+                e.graph
+                    .panels
+                    .get()
+                    .expect("packed at first use")
+                    .as_slice()
+            })
+            .collect();
+        let names: Vec<&str> = sets[0].iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["fc1", "fc"]);
+        for set in &sets {
+            for ((_, p), (_, first)) in set.iter().zip(sets[0]) {
+                assert!(Arc::ptr_eq(p, first), "a replica packed its own panels");
+            }
+        }
+        // The graph's copy, and one handle per bucket net of each replica.
+        for (name, p) in sets[0] {
+            let holders = 1 + cluster.replicas() * BUCKETS.len();
+            assert_eq!(Arc::strong_count(p), holders, "{name}");
+        }
+    }
+
+    #[test]
+    fn engine_logits_match_the_source_net_at_every_bucket() {
+        let mut engine = Engine::new(frozen(7), MODE);
+        let x = images(16);
+        for batch in [1, 2, 3, 7, 13] {
+            let input = &x[..batch * PER_IMAGE];
+            let got = engine.infer(batch, input).unwrap();
+            assert_eq!(bits(&got), source_logits(input, 7), "batch {batch}");
+        }
+        assert_eq!(engine.graph.panels.get().map(Vec::len), Some(2));
+    }
+
+    #[test]
+    fn new_weights_drop_the_packed_panels() {
+        let mut engine = Engine::new(frozen(7), MODE);
+        let x = images(1);
+        assert_eq!(bits(&engine.infer(1, &x).unwrap()), source_logits(&x, 7));
+        let other = frozen(8);
+        engine.nets[0]
+            .1
+            .load_layer_snapshots(&other.weights)
+            .unwrap();
+        let got = engine.infer(1, &x).unwrap();
+        assert_eq!(bits(&got), source_logits(&x, 8));
+    }
 }

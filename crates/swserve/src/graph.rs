@@ -27,9 +27,10 @@
 //!    then a Kahn topological sort produces the eval schedule (and
 //!    rejects cycles and orphaned inputs).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::{Arc, OnceLock};
 
-use swcaffe_core::net::LayerSnapshot;
+use swcaffe_core::net::{LayerSnapshot, PackedWeights};
 use swcaffe_core::{ConvFormat, GraphViolation, LayerDef, LayerKind, Net, NetDef};
 
 /// What the optimizer did, for reporting and regression gating.
@@ -65,7 +66,13 @@ pub struct FrozenGraph {
     pub def: NetDef,
     /// Weight payload for the optimized layers, keyed by layer name.
     /// Fused layers carry snapshots assembled from their source chain.
-    pub weights: Vec<LayerSnapshot>,
+    /// Fixed once frozen: the packed panels below are read from it.
+    pub(crate) weights: Vec<LayerSnapshot>,
+    /// The inner-product matrices of `weights` as `HostNative` GEMM B
+    /// panels, one copy per graph: packed when the first `HostNative`
+    /// engine builds a net, then shared by every clone of this graph —
+    /// each replica of a `Cluster`, each bucket net of each engine.
+    pub(crate) panels: Arc<OnceLock<PackedWeights>>,
     /// Topological eval order over `def.layers` (identity after the
     /// final reorder, kept explicit so executors need not re-derive it).
     pub schedule: Vec<usize>,
@@ -103,7 +110,7 @@ impl FrozenGraph {
         def.validate()?;
         let snaps = net.layer_snapshots();
         let mut graph = optimize(def)?;
-        let by_name: HashMap<&str, &LayerSnapshot> =
+        let by_name: BTreeMap<&str, &LayerSnapshot> =
             snaps.iter().map(|s| (s.name.as_str(), s)).collect();
 
         let mut weights = Vec::new();
@@ -123,7 +130,7 @@ impl FrozenGraph {
                 state: bn.state.clone(),
             });
         }
-        let kept: HashSet<&str> = graph.def.layers.iter().map(|l| l.name.as_str()).collect();
+        let kept: BTreeSet<&str> = graph.def.layers.iter().map(|l| l.name.as_str()).collect();
         weights.extend(
             snaps
                 .iter()
@@ -133,9 +140,16 @@ impl FrozenGraph {
         graph.weights = weights;
         Ok(graph)
     }
+
+    /// The shared panels, packed from `net` (built from this graph and
+    /// loaded with its weights) if no clone of this graph has packed
+    /// them yet.
+    pub(crate) fn packed_weights(&self, net: &Net) -> &PackedWeights {
+        self.panels.get_or_init(|| net.pack_weights())
+    }
 }
 
-fn resolve(alias: &HashMap<String, String>, name: &str) -> String {
+fn resolve(alias: &BTreeMap<String, String>, name: &str) -> String {
     let mut n = name.to_string();
     let mut hops = 0;
     while let Some(next) = alias.get(&n) {
@@ -146,7 +160,7 @@ fn resolve(alias: &HashMap<String, String>, name: &str) -> String {
     n
 }
 
-fn apply_aliases(layers: &mut [LayerDef], alias: &HashMap<String, String>) {
+fn apply_aliases(layers: &mut [LayerDef], alias: &BTreeMap<String, String>) {
     for l in layers.iter_mut() {
         for b in l.bottoms.iter_mut() {
             *b = resolve(alias, b);
@@ -155,8 +169,8 @@ fn apply_aliases(layers: &mut [LayerDef], alias: &HashMap<String, String>) {
 }
 
 /// Count how many remaining layers consume each blob.
-fn consumer_counts(layers: &[LayerDef]) -> HashMap<String, usize> {
-    let mut c: HashMap<String, usize> = HashMap::new();
+fn consumer_counts(layers: &[LayerDef]) -> BTreeMap<String, usize> {
+    let mut c: BTreeMap<String, usize> = BTreeMap::new();
     for l in layers {
         for b in &l.bottoms {
             *c.entry(b.clone()).or_insert(0) += 1;
@@ -167,7 +181,7 @@ fn consumer_counts(layers: &[LayerDef]) -> HashMap<String, usize> {
 
 /// The single blob that is produced but never consumed (the logits).
 fn sole_output(layers: &[LayerDef]) -> Result<String, String> {
-    let consumed: HashSet<&str> = layers
+    let consumed: BTreeSet<&str> = layers
         .iter()
         .flat_map(|l| l.bottoms.iter().map(|b| b.as_str()))
         .collect();
@@ -188,7 +202,7 @@ fn sole_output(layers: &[LayerDef]) -> Result<String, String> {
 /// Kahn topological sort over layers (producer → consumer edges).
 /// Errors on orphaned bottoms (no producer) and on cycles.
 pub fn topo_schedule(layers: &[LayerDef]) -> Result<Vec<usize>, String> {
-    let mut producer: HashMap<&str, usize> = HashMap::new();
+    let mut producer: BTreeMap<&str, usize> = BTreeMap::new();
     for (i, l) in layers.iter().enumerate() {
         for t in &l.tops {
             producer.insert(t.as_str(), i);
@@ -268,7 +282,7 @@ pub fn optimize(def: &NetDef) -> Result<FrozenGraph, String> {
         ..Default::default()
     };
     let mut layers: Vec<LayerDef> = def.layers.clone();
-    let mut alias: HashMap<String, String> = HashMap::new();
+    let mut alias: BTreeMap<String, String> = BTreeMap::new();
 
     // Pass 1: training-only nodes.
     layers.retain(|l| {
@@ -434,7 +448,7 @@ pub fn optimize(def: &NetDef) -> Result<FrozenGraph, String> {
     }
 
     // Pass 4: dead-node elimination (reverse reachability from output).
-    let mut needed: HashSet<String> = HashSet::new();
+    let mut needed: BTreeSet<String> = BTreeSet::new();
     needed.insert(output.clone());
     let before = layers.len();
     let mut kept: Vec<LayerDef> = Vec::with_capacity(layers.len());
@@ -484,6 +498,7 @@ pub fn optimize(def: &NetDef) -> Result<FrozenGraph, String> {
     Ok(FrozenGraph {
         def,
         weights: Vec::new(),
+        panels: Arc::default(),
         schedule: (0..stats.scheduled_nodes).collect(),
         input,
         output,

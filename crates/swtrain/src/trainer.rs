@@ -45,8 +45,8 @@ pub struct Trainer {
 
 impl Trainer {
     /// Build a trainer on a specific compute backend; `def` is at the
-    /// per-CG batch size. `ExecMode::Functional` is the Sw26010 mesh
-    /// simulation (timed); `ExecMode::HostNative` runs the same arithmetic
+    /// per-CG batch size. `ExecMode::Functional` runs the simulated
+    /// SW26010 mesh (timed); `ExecMode::HostNative` runs the same arithmetic
     /// on host threads with zero simulated time, so `iter_time` reflects
     /// only the I/O model.
     pub fn with_mode(
