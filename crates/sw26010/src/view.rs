@@ -67,18 +67,6 @@ impl<'a> MemView<'a> {
         // SAFETY: bounds checked above.
         unsafe { *self.ptr.add(idx) }
     }
-
-    /// Sub-view starting at `offset` with `len` elements.
-    #[inline]
-    pub fn slice(&self, offset: usize, len: usize) -> MemView<'a> {
-        assert!(offset + len <= self.len, "subview out of bounds");
-        // SAFETY: in-bounds sub-range of a valid region.
-        MemView {
-            ptr: unsafe { self.ptr.add(offset) },
-            len,
-            _marker: PhantomData,
-        }
-    }
 }
 
 /// Mutable view of a `[f32]` region of simulated main memory.
@@ -168,18 +156,6 @@ impl<'a> MemViewMut<'a> {
             _marker: PhantomData,
         }
     }
-
-    /// Mutable sub-view.
-    #[inline]
-    pub fn slice(&self, offset: usize, len: usize) -> MemViewMut<'a> {
-        assert!(offset + len <= self.len, "subview out of bounds");
-        // SAFETY: in-bounds sub-range.
-        MemViewMut {
-            ptr: unsafe { self.ptr.add(offset) },
-            len,
-            _marker: PhantomData,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -214,16 +190,5 @@ mod tests {
         let view = MemView::new(&mem);
         let mut dst = [0.0f32; 8];
         view.read(0, &mut dst);
-    }
-
-    #[test]
-    fn subviews() {
-        let mut mem: Vec<f32> = (0..10).map(|i| i as f32).collect();
-        let v = MemViewMut::new(&mut mem);
-        let sub = v.slice(5, 3);
-        assert_eq!(sub.len(), 3);
-        let mut got = [0.0; 2];
-        sub.read(1, &mut got);
-        assert_eq!(got, [6.0, 7.0]);
     }
 }

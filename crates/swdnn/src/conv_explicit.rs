@@ -106,8 +106,8 @@ pub fn forward_with_scheme(
     let per_in = shape.in_c * shape.in_h * shape.in_w;
     let per_out = shape.out_c * shape.out_h() * shape.out_w();
     // The column matrix is the core group's: im2col overwrites all of it.
-    let mut cols = std::mem::take(&mut cg.workspace().cols);
-    cols.resize(shape.col_rows() * shape.col_cols(), 0.0);
+    let mut held = std::mem::take(&mut cg.workspace().cols);
+    let cols = crate::host::staged(&mut held, shape.col_rows() * shape.col_cols());
     let mut total = LaunchReport::default();
     for b in 0..shape.batch {
         total.merge(&im2col::im2col(
@@ -115,7 +115,7 @@ pub fn forward_with_scheme(
             shape,
             Some(Im2colOperands {
                 image: &ops.input[b * per_in..][..per_in],
-                cols: &mut cols,
+                cols,
             }),
         ));
         total.merge(&gemm::gemm_with_scheme(
@@ -127,12 +127,12 @@ pub fn forward_with_scheme(
             scheme,
             Some(GemmOperands {
                 a: ops.weights,
-                b: &cols,
+                b: cols,
                 c: &mut ops.output[b * per_out..][..per_out],
             }),
         ));
     }
-    cg.workspace().cols = cols;
+    cg.workspace().cols = held;
     total
 }
 
@@ -190,8 +190,8 @@ pub fn backward_with_schemes(
     let per_out = shape.out_c * shape.out_h() * shape.out_w();
     // The column matrix is the core group's: each pass overwrites all of
     // it (im2col, or the beta-0 GEMM) before reading it.
-    let mut cols = std::mem::take(&mut cg.workspace().cols);
-    cols.resize(shape.col_rows() * shape.col_cols(), 0.0);
+    let mut held = std::mem::take(&mut cg.workspace().cols);
+    let cols = crate::host::staged(&mut held, shape.col_rows() * shape.col_cols());
     let mut total = LaunchReport::default();
 
     if let Some(w_grad) = ops.w_grad.as_deref_mut() {
@@ -201,7 +201,7 @@ pub fn backward_with_schemes(
                 shape,
                 Some(Im2colOperands {
                     image: &ops.input[b * per_in..][..per_in],
-                    cols: &mut cols,
+                    cols,
                 }),
             ));
             // dW (No x KKNi) += dY_b (No x CoRo) * cols_b^T.
@@ -214,7 +214,7 @@ pub fn backward_with_schemes(
                 schemes.backward_weights,
                 Some(GemmOperands {
                     a: &ops.out_grad[b * per_out..][..per_out],
-                    b: &cols,
+                    b: cols,
                     c: w_grad,
                 }),
             ));
@@ -234,20 +234,20 @@ pub fn backward_with_schemes(
                 Some(GemmOperands {
                     a: ops.weights,
                     b: &ops.out_grad[b * per_out..][..per_out],
-                    c: &mut cols,
+                    c: cols,
                 }),
             ));
             total.merge(&im2col::col2im(
                 cg,
                 shape,
                 Some(Col2imOperands {
-                    cols: &cols,
+                    cols,
                     image: &mut in_grad[b * per_in..][..per_in],
                 }),
             ));
         }
     }
-    cg.workspace().cols = cols;
+    cg.workspace().cols = held;
     total
 }
 

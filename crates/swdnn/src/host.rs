@@ -28,17 +28,19 @@
 //! The GEMM and the explicit convolution stage their per-call packed
 //! operands and column matrix in the launching core group's
 //! [`Workspace`], which the caller passes in: the buffers live as long as
-//! that core group and are reused by every call on it. Pre-packed panels
-//! are not scratch: their owner holds them. The implicit passes allocate
-//! their small accumulators per task. Every staged element is written
-//! before it is read, so whatever a buffer held before never reaches a
-//! result.
+//! that core group, grow only when a call needs more than they hold, and
+//! are reused by every call on it. Pre-packed panels are not scratch:
+//! their owner holds them. The implicit passes allocate their small
+//! accumulators per task. Every staged element is written before it is
+//! read, so whatever a buffer held before never reaches a result.
 //!
 //! Parallelism comes from [`swbackend::par_tasks`]: work is split into
 //! units whose results are fully determined by the unit itself (a run of
-//! C's columns, an output row, a filter tap), so the thread count never
-//! affects results. `tests/backend_agreement.rs` pins that staging
-//! against the mesh.
+//! C's columns, a row of the column matrix, an input channel plane, an
+//! output row, a filter tap), so the thread count never affects results.
+//! `tests/backend_agreement.rs` pins that staging against the mesh.
+
+use std::ops::Range;
 
 use sw26010::Workspace;
 use swbackend::{par_tasks, resolve_threads};
@@ -80,8 +82,8 @@ pub(crate) fn gemm(
     b: Panels<'_>,
     c: &mut [f32],
 ) {
-    pack_a(ta, dims, a, &mut ws.a);
-    gemm_packed(threads, dims, b, beta, &ws.a, c, &mut ws.b);
+    let ap = pack_a(ta, dims, a, &mut ws.a);
+    gemm_packed(threads, dims, b, beta, ap, c, &mut ws.b);
 }
 
 /// Where a product's B panels come from.
@@ -221,12 +223,24 @@ fn pack<const W: usize, T: Copy + Default + From<f32>>(
 }
 
 /// All of A widened to f64, one run of `k` per row (what [`gemm_packed`]
-/// multiplies by).
-fn pack_a(ta: Trans, dims: GemmDims, a: &[f32], out: &mut Vec<f64>) {
-    out.resize(dims.m * dims.k, 0.0);
+/// multiplies by), staged in `out`.
+fn pack_a<'w>(ta: Trans, dims: GemmDims, a: &[f32], out: &'w mut Vec<f64>) -> &'w [f64] {
+    let ap = staged(out, dims.m * dims.k);
     if dims.k > 0 {
-        pack::<1, _>(ta.is_trans(), dims.m, dims.k, a, (0, dims.m), out);
+        pack::<1, _>(ta.is_trans(), dims.m, dims.k, a, (0, dims.m), ap);
     }
+    ap
+}
+
+/// The first `len` elements of a workspace buffer, which grows only
+/// when it is shorter. A buffer keeps the length of the largest call it
+/// served, so a larger call after a smaller one fills no tail it is
+/// about to overwrite; the caller writes every element it then reads.
+pub(crate) fn staged<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+    if buf.len() < len {
+        buf.resize(len, T::default());
+    }
+    &mut buf[..len]
 }
 
 /// The GEMM behind [`gemm`], on an A already packed by [`pack_a`] (the
@@ -318,10 +332,7 @@ impl Product<'_> {
         let span = panels.div_ceil(ntasks) * NR;
         let runs = n.div_ceil(span);
         let bpanels: Vec<&mut [f64]> = match self.b {
-            Panels::PerCall(..) => {
-                bp.resize(runs * k * NR, 0.0);
-                bp.chunks_exact_mut(k * NR).collect()
-            }
+            Panels::PerCall(..) => staged(bp, runs * k * NR).chunks_exact_mut(k * NR).collect(),
             Panels::Prepacked(p) => {
                 assert_eq!(p.width, NR, "B panels packed for another instantiation");
                 (0..runs).map(|_| Default::default()).collect()
@@ -416,52 +427,113 @@ fn round(out: &mut [f32], acc: &[f64]) {
 // im2col / col2im
 // ---------------------------------------------------------------------
 
-/// im2col for one image (pure movement, so ordering is free).
-pub fn im2col(threads: usize, shape: &ConvShape, image: &[f32], cols: &mut [f32]) {
+/// im2col for one image (pure movement, so ordering is free). One task
+/// per column row `(c, ky, kx)`: `tap_range` gives the output rows and
+/// columns whose tap reads inside the image, the rest are zero-filled,
+/// and the inside is a strided copy with no per-element test.
+pub(crate) fn im2col(threads: usize, shape: &ConvShape, image: &[f32], cols: &mut [f32]) {
     let (ih, iw, k, s, p) = (shape.in_h, shape.in_w, shape.k, shape.stride, shape.pad);
     let (oh, ow) = (shape.out_h(), shape.out_w());
     let rows: Vec<(usize, &mut [f32])> = cols.chunks_mut(oh * ow).enumerate().collect();
     par_tasks(threads, rows, |(r, row)| {
-        let c = r / (k * k);
-        let ky = (r / k) % k;
-        let kx = r % k;
-        for oy in 0..oh {
-            let y = tap_target(oy, ky, s, p, ih);
-            for ox in 0..ow {
-                row[oy * ow + ox] = match (y, tap_target(ox, kx, s, p, iw)) {
-                    (Some(y), Some(x)) => image[(c * ih + y) * iw + x],
-                    _ => 0.0,
-                };
-            }
+        let (c, ky, kx) = (r / (k * k), (r / k) % k, r % k);
+        let (ys, xs) = (tap_range(ky, s, p, ih, oh), tap_range(kx, s, p, iw, ow));
+        if xs.is_empty() {
+            row.fill(0.0);
+            return;
+        }
+        row[..ys.start * ow].fill(0.0);
+        row[ys.end * ow..].fill(0.0);
+        for oy in ys {
+            let line = &mut row[oy * ow..][..ow];
+            line[..xs.start].fill(0.0);
+            line[xs.end..].fill(0.0);
+            let y = oy * s + ky - p;
+            let src = &image[(c * ih + y) * iw + xs.start * s + kx - p..];
+            gather(&mut line[xs.clone()], src, s);
         }
     });
 }
 
 /// col2im for one image: per input element, one f32 addition per valid
-/// `(ky, kx)` tap in ascending order — the mesh plans both reduce to this.
-pub fn col2im(threads: usize, shape: &ConvShape, cols: &[f32], image: &mut [f32]) {
+/// `(ky, kx)` tap in ascending order, from +0.0 — the mesh plans both
+/// reduce to this. It is [`reference::col2im`](crate::reference::col2im)'s
+/// scatter with its bounds hoisted: one task per input channel plane
+/// zeroes the plane, then adds rows `(ky, kx)` in ascending order over
+/// the output range `tap_range` gives each tap. A plane belongs to one
+/// task, so the thread count cannot change a bit.
+pub(crate) fn col2im(threads: usize, shape: &ConvShape, cols: &[f32], image: &mut [f32]) {
     let (ih, iw, k, s, p) = (shape.in_h, shape.in_w, shape.k, shape.stride, shape.pad);
     let (oh, ow) = (shape.out_h(), shape.out_w());
-    let rows: Vec<(usize, &mut [f32])> = image.chunks_mut(iw).enumerate().collect();
-    par_tasks(threads, rows, |(ri, row)| {
-        let c = ri / ih;
-        let y = ri % ih;
-        for (x, out) in row.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for ky in 0..k {
-                let Some(oy) = tap_source(y, ky, s, p, oh) else {
+    let planes: Vec<(usize, &mut [f32])> = image.chunks_mut(ih * iw).enumerate().collect();
+    par_tasks(threads, planes, |(c, plane)| {
+        plane.fill(0.0);
+        for ky in 0..k {
+            let ys = tap_range(ky, s, p, ih, oh);
+            for kx in 0..k {
+                let xs = tap_range(kx, s, p, iw, ow);
+                if xs.is_empty() {
                     continue;
-                };
-                for kx in 0..k {
-                    let Some(ox) = tap_source(x, kx, s, p, ow) else {
-                        continue;
-                    };
-                    acc += cols[((c * k + ky) * k + kx) * (oh * ow) + oy * ow + ox];
+                }
+                let src = &cols[((c * k + ky) * k + kx) * (oh * ow)..][..oh * ow];
+                for oy in ys.clone() {
+                    let y = oy * s + ky - p;
+                    let dst = &mut plane[y * iw + xs.start * s + kx - p..];
+                    scatter_add(dst, &src[oy * ow..][xs.clone()], s);
                 }
             }
-            *out = acc;
         }
     });
+}
+
+/// `dst[j] = src[j * stride]` for every `j` of `dst`.
+#[inline(always)]
+fn gather(dst: &mut [f32], src: &[f32], stride: usize) {
+    let src = &src[..strided_len(dst.len(), stride)];
+    for (j, d) in dst.iter_mut().enumerate() {
+        // SAFETY: the slice above panics unless `src` holds
+        // `strided_len(dst.len(), stride)` elements, which exceeds
+        // `j * stride` for every `j < dst.len()`.
+        *d = unsafe { *src.get_unchecked(j * stride) };
+    }
+}
+
+/// `dst[j * stride] += src[j]` for every `j` of `src`, in order.
+#[inline(always)]
+fn scatter_add(dst: &mut [f32], src: &[f32], stride: usize) {
+    let dst = &mut dst[..strided_len(src.len(), stride)];
+    for (j, v) in src.iter().enumerate() {
+        // SAFETY: the slice above panics unless `dst` holds
+        // `strided_len(src.len(), stride)` elements, which exceeds
+        // `j * stride` for every `j < src.len()`.
+        unsafe { *dst.get_unchecked_mut(j * stride) += *v };
+    }
+}
+
+/// The length a run of `n` elements `stride` apart spans, its one
+/// overflow check: every index `j * stride` with `j < n` is below it.
+/// [`gather`] and [`scatter_add`] slice their strided side to it once,
+/// so their loops carry no bounds check, and the compiler vectorises
+/// them for a unit stride.
+fn strided_len(n: usize, stride: usize) -> usize {
+    n.checked_sub(1).map_or(0, |last| {
+        last.checked_mul(stride)
+            .and_then(|span| span.checked_add(1))
+            .expect("strided run overflows usize")
+    })
+}
+
+/// The output coordinates `o` whose tap `tap` reads inside the input,
+/// `0 <= o * stride + tap - pad < in_dim`, within `0..out_dim`: an empty
+/// range when every one reads padding. Each bound is a division per
+/// tap, so the loops over the range need no test of their own.
+fn tap_range(tap: usize, stride: usize, pad: usize, in_dim: usize, out_dim: usize) -> Range<usize> {
+    let hi = (in_dim + pad)
+        .saturating_sub(tap)
+        .div_ceil(stride)
+        .min(out_dim);
+    let lo = pad.saturating_sub(tap).div_ceil(stride).min(hi);
+    lo..hi
 }
 
 /// The input coordinate that tap `tap` of output coordinate `o` reads,
@@ -495,13 +567,13 @@ pub(crate) fn conv_explicit_forward(
     let per_in = shape.in_c * shape.in_h * shape.in_w;
     let per_out = shape.out_c * shape.col_cols();
     let Workspace { a, b, cols } = ws;
-    pack_a(Trans::No, dims, weights, a);
-    cols.resize(dims.k * dims.n, 0.0);
+    let ap = pack_a(Trans::No, dims, weights, a);
+    let cols = staged(cols, dims.k * dims.n);
     for bi in 0..shape.batch {
         im2col(threads, shape, &input[bi * per_in..][..per_in], cols);
         let out = &mut output[bi * per_out..][..per_out];
         let cols = Panels::PerCall(Trans::No, cols);
-        gemm_packed(threads, dims, cols, 0.0, a, out, b);
+        gemm_packed(threads, dims, cols, 0.0, ap, out, b);
     }
 }
 
@@ -524,23 +596,23 @@ pub(crate) fn conv_explicit_backward(
     let per_in = shape.in_c * shape.in_h * shape.in_w;
     let per_out = shape.out_c * shape.col_cols();
     let Workspace { a, b, cols } = ws;
-    cols.resize(shape.col_rows() * shape.col_cols(), 0.0);
+    let cols = staged(cols, shape.col_rows() * shape.col_cols());
     if let Some(w_grad) = w_grad {
         let dims = conv_explicit::bwd_weights_gemm_dims(shape);
         for bi in 0..shape.batch {
             im2col(threads, shape, &input[bi * per_in..][..per_in], cols);
-            pack_a(Trans::No, dims, &out_grad[bi * per_out..][..per_out], a);
+            let ap = pack_a(Trans::No, dims, &out_grad[bi * per_out..][..per_out], a);
             let beta = if bi == 0 { 0.0 } else { 1.0 };
             let cols = Panels::PerCall(Trans::Yes, cols);
-            gemm_packed(threads, dims, cols, beta, a, w_grad, b);
+            gemm_packed(threads, dims, cols, beta, ap, w_grad, b);
         }
     }
     if let Some(in_grad) = in_grad {
         let dims = conv_explicit::bwd_input_gemm_dims(shape);
-        pack_a(Trans::Yes, dims, weights, a);
+        let ap = pack_a(Trans::Yes, dims, weights, a);
         for bi in 0..shape.batch {
             let dy = Panels::PerCall(Trans::No, &out_grad[bi * per_out..][..per_out]);
-            gemm_packed(threads, dims, dy, 0.0, a, cols, b);
+            gemm_packed(threads, dims, dy, 0.0, ap, cols, b);
             col2im(threads, shape, cols, &mut in_grad[bi * per_in..][..per_in]);
         }
     }
@@ -748,8 +820,8 @@ mod tests {
         b: &[f32],
         c0: &[f32],
     ) -> Vec<f32> {
-        let (mut ap, mut bp) = (Vec::new(), Vec::new());
-        pack_a(ta, dims, a, &mut ap);
+        let (mut aw, mut bp) = (Vec::new(), Vec::new());
+        let ap = pack_a(ta, dims, a, &mut aw);
         let packed = run.prepacked.then(|| match run.baseline {
             true => PackedB::at_width(GEMM_NR, tb, dims.k, dims.n, b),
             false => PackedB::new(tb, dims.k, dims.n, b),
@@ -763,12 +835,12 @@ mod tests {
             let ops = Product {
                 dims,
                 beta,
-                ap: &ap,
+                ap,
                 b: panels,
             };
             gemm_baseline(threads, ops, &mut c, &mut bp);
         } else {
-            gemm_packed(threads, dims, panels, beta, &ap, &mut c, &mut bp);
+            gemm_packed(threads, dims, panels, beta, ap, &mut c, &mut bp);
         }
         c
     }
@@ -941,6 +1013,58 @@ mod tests {
         }
         check::<GEMM_NR>();
         check::<GEMM_NR_AVX2>();
+    }
+
+    /// Every two-channel shape [`ConvShape::validate`] accepts with
+    /// `in_h, in_w` in 1..=6, `k` in 1..=4, stride in 1..=3 and pad in
+    /// 0..=3 — stride past the kernel, and pad at or past it, which is
+    /// what gives output rows and columns that read only padding, among
+    /// them — on one, two and three threads, into NaN-filled outputs:
+    /// im2col and col2im equal the reference bit for bit.
+    #[test]
+    fn im2col_col2im_match_reference_on_edge_shapes() {
+        let (mut shapes, mut pad_past_k, mut stride_past_k) = (0, 0, 0);
+        for (in_h, in_w) in (1..=6).flat_map(|h| (1..=6).map(move |w| (h, w))) {
+            for (k, stride, pad) in
+                (1..=4).flat_map(|k| (1..=3).flat_map(move |s| (0..=3).map(move |p| (k, s, p))))
+            {
+                let shape = ConvShape {
+                    batch: 1,
+                    in_c: 2,
+                    in_h,
+                    in_w,
+                    out_c: 1,
+                    k,
+                    stride,
+                    pad,
+                };
+                if shape.validate().is_err() {
+                    continue;
+                }
+                shapes += 1;
+                pad_past_k += usize::from(pad >= k);
+                stride_past_k += usize::from(stride > k);
+                let image = values(2 * in_h * in_w, 3, true);
+                let cols = values(shape.col_rows() * shape.col_cols(), 4, true);
+                let mut want_cols = vec![0.0; cols.len()];
+                let mut want_image = vec![0.0; image.len()];
+                crate::reference::im2col(&shape, &image, &mut want_cols);
+                crate::reference::col2im(&shape, &cols, &mut want_image);
+                for threads in [1, 2, 3] {
+                    let tag = format!("{shape:?} on {threads} threads");
+                    let mut got = vec![f32::NAN; cols.len()];
+                    im2col(threads, &shape, &image, &mut got);
+                    assert_same(&format!("im2col {tag}"), &got, &want_cols);
+                    let mut got = vec![f32::NAN; image.len()];
+                    col2im(threads, &shape, &cols, &mut got);
+                    assert_same(&format!("col2im {tag}"), &got, &want_image);
+                }
+            }
+        }
+        assert!(
+            shapes > 0 && pad_past_k > 0 && stride_past_k > 0,
+            "{shapes} shapes, {pad_past_k} with pad >= k, {stride_past_k} with stride > k"
+        );
     }
 
     /// The workspace lives and dies with its core group: a new one starts
