@@ -23,6 +23,12 @@
 //! explicit convolution, the host GEMM's packed operands). It lives as
 //! long as the core group, so a trainer or serving engine that keeps its
 //! core groups reuses the same buffers on every iteration.
+//!
+//! Beside it, a core group owns the host threads its `HostNative`
+//! kernels fork onto, its [`Workers`]: started by the first kernel that
+//! forks, blocked (not spinning) between kernels, and joined when the
+//! core group is dropped. A `threads: 1` core group, and one in any
+//! simulated mode, never starts a thread.
 
 use std::fmt;
 
@@ -33,6 +39,7 @@ use crate::mesh;
 use crate::plan::{KernelPlan, PlanViolation, RlcPattern};
 use crate::stats::{LaunchReport, Stats};
 use crate::time::{ExecMode, SimTime};
+use crate::workers::Workers;
 
 /// One SW26010 core group.
 #[derive(Debug)]
@@ -43,6 +50,7 @@ pub struct CoreGroup {
     check: CheckMode,
     traces: Vec<KernelTrace>,
     workspace: Workspace,
+    workers: Workers,
 }
 
 /// A core group's main-memory scratch: the counterpart of a launch's LDM
@@ -87,6 +95,10 @@ impl CoreGroup {
             check: CheckMode::Off,
             traces: Vec::new(),
             workspace: Workspace::default(),
+            workers: Workers::new(match mode {
+                ExecMode::HostNative { threads } => threads,
+                ExecMode::Functional | ExecMode::TimingOnly => 1,
+            }),
         }
     }
 
@@ -115,6 +127,17 @@ impl CoreGroup {
     /// This core group's main-memory scratch.
     pub fn workspace(&mut self) -> &mut Workspace {
         &mut self.workspace
+    }
+
+    /// The host threads this core group's `HostNative` kernels fork onto.
+    pub fn workers(&mut self) -> &mut Workers {
+        &mut self.workers
+    }
+
+    /// [`CoreGroup::workspace`] and [`CoreGroup::workers`] at once, for a
+    /// host kernel that stages operands and forks.
+    pub fn workspace_and_workers(&mut self) -> (&mut Workspace, &mut Workers) {
+        (&mut self.workspace, &mut self.workers)
     }
 
     /// Launch a kernel on `n_cpes` CPEs of this core group's mesh and

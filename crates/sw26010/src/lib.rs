@@ -61,6 +61,7 @@ pub mod rlc;
 pub mod stats;
 pub mod time;
 pub mod view;
+pub mod workers;
 
 pub use cg::{CoreGroup, Workspace};
 pub use check::{BlockedOn, CheckMode, CpeEvent, CpeTrace, KernelTrace, MemRange};
@@ -70,3 +71,4 @@ pub use plan::{KernelPlan, PlanBuffer, PlanViolation, RlcPattern};
 pub use stats::{LaunchReport, Stats};
 pub use time::{ExecMode, SimTime};
 pub use view::{MemView, MemViewMut};
+pub use workers::Workers;

@@ -94,7 +94,7 @@ pub enum ExecMode {
     TimingOnly,
     HostNative {
         /// Worker threads for the host execution path (0 = one per
-        /// available core, resolved at dispatch time).
+        /// available core, resolved when the core group is built).
         threads: usize,
     },
 }

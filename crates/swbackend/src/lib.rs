@@ -1,56 +1,26 @@
-//! # swbackend — the host path's fork/join helper
+//! # swbackend — a one-shot host fork/join
 //!
 //! A kernel's backend is the `sw26010::ExecMode` of the core group it
 //! launches on; each `swdnn` kernel branches on that value directly
-//! (`if let ExecMode::HostNative { threads } = cg.mode()`). The
-//! host-native path splits its work with [`par_tasks`] over
-//! [`resolve_threads`] workers. There is no pool: every `par_tasks` call
-//! spawns its scoped threads and joins them before it returns.
+//! (`if let ExecMode::HostNative { .. } = cg.mode()`) and forks onto the
+//! core group's own `sw26010::Workers`, threads that live as long as the
+//! core group. [`par_tasks`] is that same fork for a caller with no core
+//! group: it builds a worker set, runs one call on it and drops it, so
+//! every call starts its threads and joins them.
 
-/// Resolve a requested worker count (0 = one per available host core).
-pub fn resolve_threads(threads: usize) -> usize {
-    if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-}
+use sw26010::Workers;
 
-/// Run independent work units on `threads` threads: the caller's own
-/// plus `threads - 1` scoped OS threads, so no worker is spawned only to
-/// have the caller sleep in the join.
-///
-/// Units are distributed round-robin; since every unit's result is
-/// fully determined by the unit itself (host mirrors never share
-/// accumulators across units), the partition does not affect results —
-/// output is bit-identical for any thread count, including 1.
+/// Run independent work units on `threads` threads (0 = one per
+/// available host core): the caller's own plus `threads - 1` worker
+/// threads started for this call alone and joined before it returns.
+/// Units are dealt round-robin; see [`Workers::run`] for the contract,
+/// which this shares.
 pub fn par_tasks<I, F>(threads: usize, tasks: Vec<I>, f: F)
 where
     I: Send,
     F: Fn(I) + Sync,
 {
-    let threads = resolve_threads(threads).min(tasks.len()).max(1);
-    if threads == 1 {
-        for t in tasks {
-            f(t);
-        }
-        return;
-    }
-    let mut buckets: Vec<Vec<I>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, t) in tasks.into_iter().enumerate() {
-        buckets[i % threads].push(t);
-    }
-    let f = &f;
-    let mut buckets = buckets.into_iter();
-    let own = buckets.next().expect("at least two buckets");
-    std::thread::scope(|s| {
-        for bucket in buckets {
-            s.spawn(move || bucket.into_iter().for_each(f));
-        }
-        own.into_iter().for_each(f);
-    });
+    Workers::new(threads).run(tasks, f);
 }
 
 #[cfg(test)]

@@ -6,7 +6,6 @@
 //! phase streams rows like the element-wise kernels.
 
 use sw26010::{dma, CoreGroup, ExecMode, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
-use swbackend::par_tasks;
 
 use crate::elementwise::CHUNK;
 
@@ -107,7 +106,8 @@ pub fn forward(
     assert_eq!(ops.save_istd.len(), channels);
     let n_per_c = (batch * spatial) as f64;
     let row_chunk = CHUNK.min(spatial.max(1));
-    if let ExecMode::HostNative { threads } = cg.mode() {
+    if let ExecMode::HostNative { .. } = cg.mode() {
+        let workers = cg.workers();
         let BnFwdOperands {
             input,
             gamma,
@@ -121,7 +121,7 @@ pub fn forward(
             .zip(save_istd.iter_mut())
             .enumerate()
             .collect();
-        par_tasks(threads, chans, |(c, (mean, istd))| {
+        workers.run(chans, |(c, (mean, istd))| {
             let (mut sum, mut sq) = (0.0f64, 0.0f64);
             for b in 0..batch {
                 for chunk in input[(b * channels + c) * spatial..][..spatial].chunks(row_chunk) {
@@ -134,7 +134,7 @@ pub fn forward(
         });
         let (save_mean, save_istd) = (&*save_mean, &*save_istd);
         let rows: Vec<_> = output.chunks_mut(spatial.max(1)).enumerate().collect();
-        par_tasks(threads, rows, |(row, orow)| {
+        workers.run(rows, |(row, orow)| {
             let c = row % channels;
             let (g, be, m, is) = (gamma[c], beta[c], save_mean[c], save_istd[c]);
             for (o, v) in orow.iter_mut().zip(&input[row * spatial..]) {
@@ -228,7 +228,8 @@ pub fn backward(
     assert_eq!(ops.in_grad.len(), len);
     let n_per_c = (batch * spatial) as f64;
     let row_chunk = CHUNK.min(spatial.max(1));
-    if let ExecMode::HostNative { threads } = cg.mode() {
+    if let ExecMode::HostNative { .. } = cg.mode() {
+        let workers = cg.workers();
         let BnBwdOperands {
             input,
             gamma,
@@ -244,7 +245,7 @@ pub fn backward(
             .zip(beta_grad.iter_mut())
             .enumerate()
             .collect();
-        par_tasks(threads, chans, |(c, (dgc, dbc))| {
+        workers.run(chans, |(c, (dgc, dbc))| {
             let (m, is) = (save_mean[c] as f64, save_istd[c] as f64);
             let (mut dg, mut db) = (0.0f64, 0.0f64);
             for b in 0..batch {
@@ -260,7 +261,7 @@ pub fn backward(
         });
         let (gamma_grad, beta_grad) = (&*gamma_grad, &*beta_grad);
         let rows: Vec<_> = in_grad.chunks_mut(spatial.max(1)).enumerate().collect();
-        par_tasks(threads, rows, |(row, drow)| {
+        workers.run(rows, |(row, drow)| {
             let c = row % channels;
             let coeffs = InputGrad::new(
                 n_per_c,
@@ -721,9 +722,9 @@ pub fn forward_inference(
     assert_eq!(beta.len(), channels);
     assert_eq!(mean.len(), channels);
     assert_eq!(var.len(), channels);
-    if let ExecMode::HostNative { threads } = cg.mode() {
+    if let ExecMode::HostNative { .. } = cg.mode() {
         let rows: Vec<_> = output.chunks_mut(spatial.max(1)).enumerate().collect();
-        par_tasks(threads, rows, |(row, orow)| {
+        cg.workers().run(rows, |(row, orow)| {
             let c = row % channels;
             let istd = running_istd(var[c], eps);
             for (o, v) in orow.iter_mut().zip(&input[row * spatial..]) {

@@ -96,11 +96,11 @@ pub fn forward_with_scheme(
     assert_eq!(ops.input.len(), shape.input_len());
     assert_eq!(ops.weights.len(), shape.weight_len());
     assert_eq!(ops.output.len(), shape.output_len());
-    if let ExecMode::HostNative { threads } = cg.mode() {
+    if let ExecMode::HostNative { .. } = cg.mode() {
         im2col::guard_shape(shape);
         gemm::check_scheme(scheme);
-        let ws = cg.workspace();
-        crate::host::conv_explicit_forward(ws, threads, shape, ops.input, ops.weights, ops.output);
+        let (ws, workers) = cg.workspace_and_workers();
+        crate::host::conv_explicit_forward(ws, workers, shape, ops.input, ops.weights, ops.output);
         return LaunchReport::default();
     }
     let per_in = shape.in_c * shape.in_h * shape.in_w;
@@ -169,14 +169,15 @@ pub fn backward_with_schemes(
     if let Some(in_grad) = &ops.in_grad {
         assert_eq!(in_grad.len(), shape.input_len());
     }
-    if let ExecMode::HostNative { threads } = cg.mode() {
+    if let ExecMode::HostNative { .. } = cg.mode() {
         // The rejections the per-image kernels make on the mesh path.
         im2col::guard_shape(shape);
         gemm::check_scheme(schemes.backward_weights);
         gemm::check_scheme(schemes.backward_input);
+        let (ws, workers) = cg.workspace_and_workers();
         crate::host::conv_explicit_backward(
-            cg.workspace(),
-            threads,
+            ws,
+            workers,
             shape,
             ops.input,
             ops.weights,

@@ -231,8 +231,8 @@ pub fn forward_with_tiles(
     assert_eq!(ops.input.len(), shape.input_len());
     assert_eq!(ops.weights.len(), shape.weight_len());
     assert_eq!(ops.output.len(), shape.output_len());
-    if let ExecMode::HostNative { threads } = cg.mode() {
-        crate::host::conv_implicit_forward(threads, shape, ops.input, ops.weights, ops.output);
+    if let ExecMode::HostNative { .. } = cg.mode() {
+        crate::host::conv_implicit_forward(cg.workers(), shape, ops.input, ops.weights, ops.output);
         return LaunchReport::default();
     }
 
@@ -354,13 +354,14 @@ pub fn backward_with_tiles(
         );
     }
     let mut ops = ops.expect("functional conv requires operands");
-    if let ExecMode::HostNative { threads } = cg.mode() {
+    if let ExecMode::HostNative { .. } = cg.mode() {
+        let workers = cg.workers();
         if let Some(w_grad) = ops.w_grad.as_deref_mut() {
             assert_eq!(ops.input.len(), shape.input_len());
             assert_eq!(ops.out_grad.len(), shape.output_len());
             assert_eq!(w_grad.len(), shape.weight_len());
             crate::host::conv_implicit_backward_weights(
-                threads,
+                workers,
                 shape,
                 ops.input,
                 ops.out_grad,
@@ -372,7 +373,7 @@ pub fn backward_with_tiles(
             assert_eq!(ops.out_grad.len(), shape.output_len());
             assert_eq!(in_grad.len(), shape.input_len());
             crate::host::conv_implicit_backward_input(
-                threads,
+                workers,
                 shape,
                 ops.weights,
                 ops.out_grad,

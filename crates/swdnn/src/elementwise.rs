@@ -5,8 +5,9 @@
 //! textbook Principle 2/3 pattern (DMA in, vector op, DMA out, blocks of
 //! several KB per CPE).
 
-use sw26010::{dma, CoreGroup, ExecMode, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
-use swbackend::par_tasks;
+use sw26010::{
+    dma, CoreGroup, ExecMode, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime, Workers,
+};
 
 /// Elements each CPE stages per chunk (16 KB of f32 — large enough to
 /// amortise the DMA start-up latency per Fig. 2).
@@ -78,8 +79,8 @@ pub fn unary_map(
     let (input, output) = io.expect("functional map requires operands");
     assert_eq!(input.len(), len);
     assert_eq!(output.len(), len);
-    if let ExecMode::HostNative { threads } = cg.mode() {
-        host_pieces(threads, output, |at, ys| {
+    if let ExecMode::HostNative { .. } = cg.mode() {
+        host_pieces(cg.workers(), output, |at, ys| {
             for (y, x) in ys.iter_mut().zip(&input[at..]) {
                 *y = f(*x);
             }
@@ -105,8 +106,8 @@ pub fn binary_map(
     assert_eq!(a.len(), len);
     assert_eq!(b.len(), len);
     assert_eq!(out.len(), len);
-    if let ExecMode::HostNative { threads } = cg.mode() {
-        host_pieces(threads, out, |at, os| {
+    if let ExecMode::HostNative { .. } = cg.mode() {
+        host_pieces(cg.workers(), out, |at, os| {
             for ((o, a), b) in os.iter_mut().zip(&a[at..]).zip(&b[at..]) {
                 *o = f(*a, *b);
             }
@@ -119,9 +120,9 @@ pub fn binary_map(
 
 /// The host side of the streaming kernels: `f(start, piece)` on each
 /// `CHUNK`-element piece of `out`, in parallel.
-fn host_pieces(threads: usize, out: &mut [f32], f: impl Fn(usize, &mut [f32]) + Sync) {
+fn host_pieces(workers: &mut Workers, out: &mut [f32], f: impl Fn(usize, &mut [f32]) + Sync) {
     let pieces: Vec<_> = out.chunks_mut(CHUNK).enumerate().collect();
-    par_tasks(threads, pieces, |(i, piece)| f(i * CHUNK, piece));
+    workers.run(pieces, |(i, piece)| f(i * CHUNK, piece));
 }
 
 /// The mesh side of the one-input streaming kernels: `dst = f(src)`,
@@ -290,8 +291,8 @@ pub fn axpy(
     assert_eq!(x.len(), len);
     assert_eq!(y.len(), len);
     let f = move |x: f32, y: f32| y + alpha * x;
-    if let ExecMode::HostNative { threads } = cg.mode() {
-        host_pieces(threads, y, |at, ys| {
+    if let ExecMode::HostNative { .. } = cg.mode() {
+        host_pieces(cg.workers(), y, |at, ys| {
             for (y, x) in ys.iter_mut().zip(&x[at..]) {
                 *y = f(*x, *y);
             }
@@ -357,11 +358,10 @@ pub fn bias_forward(
     let (bias, data) = io.expect("functional bias requires operands");
     assert_eq!(bias.len(), channels);
     assert_eq!(data.len(), len);
-    if let ExecMode::HostNative { threads } = cg.mode() {
+    if let ExecMode::HostNative { .. } = cg.mode() {
         let rows: Vec<_> = data.chunks_mut(spatial.max(1)).enumerate().collect();
-        par_tasks(threads, rows, |(row, drow)| {
-            add_bias(drow, bias[row % channels])
-        });
+        cg.workers()
+            .run(rows, |(row, drow)| add_bias(drow, bias[row % channels]));
         return LaunchReport::default();
     }
     let bv = MemView::new(bias);
@@ -409,9 +409,9 @@ pub fn bias_backward(
     assert_eq!(dy.len(), len);
     assert_eq!(db.len(), channels);
     let row_chunk = CHUNK.min(spatial.max(1));
-    if let ExecMode::HostNative { threads } = cg.mode() {
+    if let ExecMode::HostNative { .. } = cg.mode() {
         let chans: Vec<_> = db.iter_mut().enumerate().collect();
-        par_tasks(threads, chans, |(c, out)| {
+        cg.workers().run(chans, |(c, out)| {
             let mut acc = 0.0f64;
             for b in 0..batch {
                 for chunk in dy[(b * channels + c) * spatial..][..spatial].chunks(row_chunk) {
@@ -589,9 +589,9 @@ pub fn bias_rows(
     let (bias, data) = io.expect("functional bias requires operands");
     assert_eq!(bias.len(), row_len);
     assert_eq!(data.len(), rows * row_len);
-    if let ExecMode::HostNative { threads } = cg.mode() {
+    if let ExecMode::HostNative { .. } = cg.mode() {
         let tasks: Vec<_> = data.chunks_mut(row_len.max(1)).collect();
-        par_tasks(threads, tasks, |drow| add_assign(drow, bias));
+        cg.workers().run(tasks, |drow| add_assign(drow, bias));
         return LaunchReport::default();
     }
     let bv = MemView::new(bias);
@@ -638,9 +638,9 @@ pub fn col_sums(
     let (m, out) = io.expect("functional col_sums requires operands");
     assert_eq!(m.len(), rows * cols);
     assert_eq!(out.len(), cols);
-    if let ExecMode::HostNative { threads } = cg.mode() {
+    if let ExecMode::HostNative { .. } = cg.mode() {
         let chunks: Vec<_> = out.chunks_mut(COL_CHUNK).enumerate().collect();
-        par_tasks(threads, chunks, |(chunk, acc)| {
+        cg.workers().run(chunks, |(chunk, acc)| {
             acc.fill(0.0);
             for row in m.chunks_exact(cols) {
                 add_assign(acc, &row[chunk * COL_CHUNK..]);
@@ -805,8 +805,10 @@ pub fn scale(cg: &mut CoreGroup, len: usize, alpha: f32, io: Option<&mut [f32]>)
     let x = io.expect("functional scale requires operands");
     assert_eq!(x.len(), len);
     let f = move |v: f32| v * alpha;
-    if let ExecMode::HostNative { threads } = cg.mode() {
-        host_pieces(threads, x, |_, xs| xs.iter_mut().for_each(|v| *v = f(*v)));
+    if let ExecMode::HostNative { .. } = cg.mode() {
+        host_pieces(cg.workers(), x, |_, xs| {
+            xs.iter_mut().for_each(|v| *v = f(*v))
+        });
         return LaunchReport::default();
     }
     let xv = MemViewMut::new(x);
@@ -826,9 +828,9 @@ pub fn sumsq(cg: &mut CoreGroup, len: usize, io: Option<&[f32]>) -> (f64, Launch
     let x = io.expect("functional sumsq requires operands");
     assert_eq!(x.len(), len);
     let mut partials = [0.0f32; 64];
-    let report = if let ExecMode::HostNative { threads } = cg.mode() {
+    let report = if let ExecMode::HostNative { .. } = cg.mode() {
         let lanes: Vec<_> = partials.iter_mut().enumerate().collect();
-        par_tasks(threads, lanes, |(l, out)| {
+        cg.workers().run(lanes, |(l, out)| {
             let mut acc = 0.0f64;
             for start in (l * CHUNK..len).step_by(64 * CHUNK) {
                 acc += sumsq_f64(&x[start..][..CHUNK.min(len - start)]);

@@ -23,8 +23,6 @@ use sw26010::{
     arch, dma, CoreGroup, ExecMode, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime,
 };
 
-use swbackend::par_tasks;
-
 use crate::elementwise::{relu, row_stream_time, CHUNK};
 use crate::shapes::ConvShape;
 use crate::{bn, conv_explicit};
@@ -110,9 +108,9 @@ pub fn forward(
             output: ops.output,
         }),
     );
-    if let ExecMode::HostNative { threads } = cg.mode() {
+    if let ExecMode::HostNative { .. } = cg.mode() {
         let rows: Vec<_> = ops.output.chunks_mut(spatial.max(1)).enumerate().collect();
-        par_tasks(threads, rows, |(row, drow)| {
+        cg.workers().run(rows, |(row, drow)| {
             let c = row % channels;
             let bias = ops.bias.map(|b| b[c]);
             let istd = bn::running_istd(ops.var[c], eps);

@@ -208,12 +208,13 @@ fn run(
         assert_eq!(ops.a.len(), dims.m * dims.k, "A size");
         assert_eq!(ops.b.len(), dims.k * dims.n, "B size");
         assert_eq!(ops.c.len(), dims.m * dims.n, "C size");
-        if let ExecMode::HostNative { threads } = cg.mode() {
+        if let ExecMode::HostNative { .. } = cg.mode() {
             let b = match packed {
                 Some(p) => Panels::Prepacked(p),
                 None => Panels::PerCall(tb, ops.b),
             };
-            host::gemm(cg.workspace(), threads, dims, ta, beta, ops.a, b, ops.c);
+            let (ws, workers) = cg.workspace_and_workers();
+            host::gemm(ws, workers, dims, ta, beta, ops.a, b, ops.c);
             return LaunchReport::default();
         }
         execute_mesh(cg, dims, ta, tb, beta, scheme, ops)

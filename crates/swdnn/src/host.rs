@@ -34,16 +34,16 @@
 //! accumulators per task. Every staged element is written before it is
 //! read, so whatever a buffer held before never reaches a result.
 //!
-//! Parallelism comes from [`swbackend::par_tasks`]: work is split into
-//! units whose results are fully determined by the unit itself (a run of
-//! C's columns, a row of the column matrix, an input channel plane, an
+//! Parallelism comes from the launching core group's [`Workers`], which
+//! the caller passes in beside the workspace: work is split into units
+//! whose results are fully determined by the unit itself (a run of C's
+//! columns, a row of the column matrix, an input channel plane, an
 //! output row, a filter tap), so the thread count never affects results.
 //! `tests/backend_agreement.rs` pins that staging against the mesh.
 
 use std::ops::Range;
 
-use sw26010::Workspace;
-use swbackend::{par_tasks, resolve_threads};
+use sw26010::{Workers, Workspace};
 
 use crate::conv_explicit;
 use crate::shapes::{ConvShape, GemmDims, Trans};
@@ -63,8 +63,11 @@ pub const GEMM_NR: usize = 24;
 /// Columns per micro-kernel call in the AVX2 instantiation: the same
 /// twelve registers, each a ymm of four f64.
 pub const GEMM_NR_AVX2: usize = 48;
-/// Products below this many flops (`2mnk`) run on the calling thread: a
-/// fork costs about as long as this much work takes.
+/// Products below this many flops (`2mnk`) run on the calling thread. A
+/// warm hand-off to the core group's workers costs 17-19 µs on a 2-vCPU
+/// x86-64 guest, about 2^18 flops of work at the host GEMM's 11-17
+/// Gflop/s, so a forked product does at least four hand-offs' worth of
+/// work.
 pub const GEMM_FORK_FLOPS: usize = 1 << 20;
 
 /// `C = A*B + beta*C`, as the mesh GEMM computes it: per-element f64
@@ -74,7 +77,7 @@ pub const GEMM_FORK_FLOPS: usize = 1 << 20;
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm(
     ws: &mut Workspace,
-    threads: usize,
+    workers: &mut Workers,
     dims: GemmDims,
     ta: Trans,
     beta: f32,
@@ -83,7 +86,7 @@ pub(crate) fn gemm(
     c: &mut [f32],
 ) {
     let ap = pack_a(ta, dims, a, &mut ws.a);
-    gemm_packed(threads, dims, b, beta, ap, c, &mut ws.b);
+    gemm_packed(workers, dims, b, beta, ap, c, &mut ws.b);
 }
 
 /// Where a product's B panels come from.
@@ -249,7 +252,7 @@ pub(crate) fn staged<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T
 /// panels are packed; a pre-packed B leaves it untouched.
 #[allow(clippy::too_many_arguments)]
 fn gemm_packed(
-    threads: usize,
+    workers: &mut Workers,
     dims: GemmDims,
     b: Panels<'_>,
     beta: f32,
@@ -275,15 +278,15 @@ fn gemm_packed(
     if avx2() {
         // SAFETY: `avx2()` found AVX2 on this CPU, the one target feature
         // `gemm_avx2` is compiled for.
-        return unsafe { gemm_avx2(threads, ops, c, bp) };
+        return unsafe { gemm_avx2(workers, ops, c, bp) };
     }
-    gemm_baseline(threads, ops, c, bp);
+    gemm_baseline(workers, ops, c, bp);
 }
 
 /// [`gemm_packed`] at [`GEMM_NR`] columns, for the baseline target.
-fn gemm_baseline(threads: usize, ops: Product<'_>, c: &mut [f32], bp: &mut Vec<f64>) {
-    let tasks = ops.column_runs::<GEMM_NR>(threads, c, bp);
-    par_tasks(threads, tasks, |task| ops.sweep::<GEMM_NR>(task));
+fn gemm_baseline(workers: &mut Workers, ops: Product<'_>, c: &mut [f32], bp: &mut Vec<f64>) {
+    let tasks = ops.column_runs::<GEMM_NR>(workers.threads(), c, bp);
+    workers.run(tasks, |task| ops.sweep::<GEMM_NR>(task));
 }
 
 /// [`gemm_packed`] at [`GEMM_NR_AVX2`] columns, compiled for AVX2. The
@@ -294,9 +297,9 @@ fn gemm_baseline(threads: usize, ops: Product<'_>, c: &mut [f32], bp: &mut Vec<f
 /// separate multiply and add into one if it were.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn gemm_avx2(threads: usize, ops: Product<'_>, c: &mut [f32], bp: &mut Vec<f64>) {
-    let tasks = ops.column_runs::<GEMM_NR_AVX2>(threads, c, bp);
-    par_tasks(threads, tasks, |task| ops.sweep::<GEMM_NR_AVX2>(task));
+fn gemm_avx2(workers: &mut Workers, ops: Product<'_>, c: &mut [f32], bp: &mut Vec<f64>) {
+    let tasks = ops.column_runs::<GEMM_NR_AVX2>(workers.threads(), c, bp);
+    workers.run(tasks, |task| ops.sweep::<GEMM_NR_AVX2>(task));
 }
 
 /// The read-only operands of a packed product with a non-empty C and a
@@ -326,7 +329,7 @@ impl Product<'_> {
         let ntasks = if 2 * m * n * k < GEMM_FORK_FLOPS {
             1
         } else {
-            resolve_threads(threads).min(panels)
+            threads.min(panels)
         };
         // Columns per task, in whole panels.
         let span = panels.div_ceil(ntasks) * NR;
@@ -431,11 +434,11 @@ fn round(out: &mut [f32], acc: &[f64]) {
 /// per column row `(c, ky, kx)`: `tap_range` gives the output rows and
 /// columns whose tap reads inside the image, the rest are zero-filled,
 /// and the inside is a strided copy with no per-element test.
-pub(crate) fn im2col(threads: usize, shape: &ConvShape, image: &[f32], cols: &mut [f32]) {
+pub(crate) fn im2col(workers: &mut Workers, shape: &ConvShape, image: &[f32], cols: &mut [f32]) {
     let (ih, iw, k, s, p) = (shape.in_h, shape.in_w, shape.k, shape.stride, shape.pad);
     let (oh, ow) = (shape.out_h(), shape.out_w());
     let rows: Vec<(usize, &mut [f32])> = cols.chunks_mut(oh * ow).enumerate().collect();
-    par_tasks(threads, rows, |(r, row)| {
+    workers.run(rows, |(r, row)| {
         let (c, ky, kx) = (r / (k * k), (r / k) % k, r % k);
         let (ys, xs) = (tap_range(ky, s, p, ih, oh), tap_range(kx, s, p, iw, ow));
         if xs.is_empty() {
@@ -462,11 +465,11 @@ pub(crate) fn im2col(threads: usize, shape: &ConvShape, image: &[f32], cols: &mu
 /// zeroes the plane, then adds rows `(ky, kx)` in ascending order over
 /// the output range `tap_range` gives each tap. A plane belongs to one
 /// task, so the thread count cannot change a bit.
-pub(crate) fn col2im(threads: usize, shape: &ConvShape, cols: &[f32], image: &mut [f32]) {
+pub(crate) fn col2im(workers: &mut Workers, shape: &ConvShape, cols: &[f32], image: &mut [f32]) {
     let (ih, iw, k, s, p) = (shape.in_h, shape.in_w, shape.k, shape.stride, shape.pad);
     let (oh, ow) = (shape.out_h(), shape.out_w());
     let planes: Vec<(usize, &mut [f32])> = image.chunks_mut(ih * iw).enumerate().collect();
-    par_tasks(threads, planes, |(c, plane)| {
+    workers.run(planes, |(c, plane)| {
         plane.fill(0.0);
         for ky in 0..k {
             let ys = tap_range(ky, s, p, ih, oh);
@@ -557,7 +560,7 @@ fn tap_source(i: usize, tap: usize, stride: usize, pad: usize, out_dim: usize) -
 /// and `cols` is `ws.cols` (im2col overwrites all of it).
 pub(crate) fn conv_explicit_forward(
     ws: &mut Workspace,
-    threads: usize,
+    workers: &mut Workers,
     shape: &ConvShape,
     input: &[f32],
     weights: &[f32],
@@ -570,10 +573,10 @@ pub(crate) fn conv_explicit_forward(
     let ap = pack_a(Trans::No, dims, weights, a);
     let cols = staged(cols, dims.k * dims.n);
     for bi in 0..shape.batch {
-        im2col(threads, shape, &input[bi * per_in..][..per_in], cols);
+        im2col(workers, shape, &input[bi * per_in..][..per_in], cols);
         let out = &mut output[bi * per_out..][..per_out];
         let cols = Panels::PerCall(Trans::No, cols);
-        gemm_packed(threads, dims, cols, 0.0, ap, out, b);
+        gemm_packed(workers, dims, cols, 0.0, ap, out, b);
     }
 }
 
@@ -585,7 +588,7 @@ pub(crate) fn conv_explicit_forward(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv_explicit_backward(
     ws: &mut Workspace,
-    threads: usize,
+    workers: &mut Workers,
     shape: &ConvShape,
     input: &[f32],
     weights: &[f32],
@@ -600,11 +603,11 @@ pub(crate) fn conv_explicit_backward(
     if let Some(w_grad) = w_grad {
         let dims = conv_explicit::bwd_weights_gemm_dims(shape);
         for bi in 0..shape.batch {
-            im2col(threads, shape, &input[bi * per_in..][..per_in], cols);
+            im2col(workers, shape, &input[bi * per_in..][..per_in], cols);
             let ap = pack_a(Trans::No, dims, &out_grad[bi * per_out..][..per_out], a);
             let beta = if bi == 0 { 0.0 } else { 1.0 };
             let cols = Panels::PerCall(Trans::Yes, cols);
-            gemm_packed(threads, dims, cols, beta, ap, w_grad, b);
+            gemm_packed(workers, dims, cols, beta, ap, w_grad, b);
         }
     }
     if let Some(in_grad) = in_grad {
@@ -612,8 +615,8 @@ pub(crate) fn conv_explicit_backward(
         let ap = pack_a(Trans::Yes, dims, weights, a);
         for bi in 0..shape.batch {
             let dy = Panels::PerCall(Trans::No, &out_grad[bi * per_out..][..per_out]);
-            gemm_packed(threads, dims, dy, 0.0, ap, cols, b);
-            col2im(threads, shape, cols, &mut in_grad[bi * per_in..][..per_in]);
+            gemm_packed(workers, dims, dy, 0.0, ap, cols, b);
+            col2im(workers, shape, cols, &mut in_grad[bi * per_in..][..per_in]);
         }
     }
 }
@@ -629,7 +632,7 @@ pub(crate) fn conv_explicit_backward(
 /// outside the image is skipped and a column tap outside it is a zero
 /// operand, as on the mesh.
 pub(crate) fn conv_implicit_forward(
-    threads: usize,
+    workers: &mut Workers,
     shape: &ConvShape,
     input: &[f32],
     weights: &[f32],
@@ -640,7 +643,7 @@ pub(crate) fn conv_implicit_forward(
     let ow = shape.out_w();
     let zeros = vec![0.0f32; ni * b];
     let rows: Vec<(usize, &mut [f32])> = output.chunks_mut(ow * no * b).enumerate().collect();
-    par_tasks(threads, rows, |(oy, orow)| {
+    workers.run(rows, |(oy, orow)| {
         let mut acc = vec![0.0f64; b];
         for (xo, pixel) in orow.chunks_exact_mut(no * b).enumerate() {
             for (oc, out) in pixel.chunks_exact_mut(b).enumerate() {
@@ -670,7 +673,7 @@ pub(crate) fn conv_implicit_forward(
 /// `N_o x B` output-gradient block the tap reaches; padding as in
 /// [`conv_implicit_forward`].
 pub(crate) fn conv_implicit_backward_input(
-    threads: usize,
+    workers: &mut Workers,
     shape: &ConvShape,
     weights: &[f32],
     out_grad: &[f32],
@@ -681,7 +684,7 @@ pub(crate) fn conv_implicit_backward_input(
     let (oh, ow) = (shape.out_h(), shape.out_w());
     let zeros = vec![0.0f32; no * b];
     let rows: Vec<(usize, &mut [f32])> = in_grad.chunks_mut(iw * ni * b).enumerate().collect();
-    par_tasks(threads, rows, |(y, grow)| {
+    workers.run(rows, |(y, grow)| {
         let mut acc = vec![0.0f64; b];
         for (x, pixel) in grow.chunks_exact_mut(ni * b).enumerate() {
             for (ic, out) in pixel.chunks_exact_mut(b).enumerate() {
@@ -712,7 +715,7 @@ pub(crate) fn conv_implicit_backward_input(
 /// one [`accumulate`] per output channel, its `dY` fibre the left
 /// operand; row taps outside the image are skipped.
 pub(crate) fn conv_implicit_backward_weights(
-    threads: usize,
+    workers: &mut Workers,
     shape: &ConvShape,
     input: &[f32],
     out_grad: &[f32],
@@ -723,7 +726,7 @@ pub(crate) fn conv_implicit_backward_weights(
     let (oh, ow) = (shape.out_h(), shape.out_w());
     let zeros = vec![0.0f32; b * ni];
     let taps: Vec<(usize, &mut [f32])> = w_grad.chunks_mut(no * ni).enumerate().collect();
-    par_tasks(threads, taps, |(tap, dw)| {
+    workers.run(taps, |(tap, dw)| {
         let mut acc = vec![0.0f64; no * ni];
         let mut xt = vec![0.0f32; b * ni];
         for oy in 0..oh {
@@ -831,6 +834,7 @@ mod tests {
             None => Panels::PerCall(tb, b),
         };
         let mut c = c0.to_vec();
+        let workers = &mut Workers::new(threads);
         if run.baseline {
             let ops = Product {
                 dims,
@@ -838,9 +842,9 @@ mod tests {
                 ap,
                 b: panels,
             };
-            gemm_baseline(threads, ops, &mut c, &mut bp);
+            gemm_baseline(workers, ops, &mut c, &mut bp);
         } else {
-            gemm_packed(threads, dims, panels, beta, ap, &mut c, &mut bp);
+            gemm_packed(workers, dims, panels, beta, ap, &mut c, &mut bp);
         }
         c
     }
@@ -1024,6 +1028,7 @@ mod tests {
     #[test]
     fn im2col_col2im_match_reference_on_edge_shapes() {
         let (mut shapes, mut pad_past_k, mut stride_past_k) = (0, 0, 0);
+        let mut sets = [1, 2, 3].map(Workers::new);
         for (in_h, in_w) in (1..=6).flat_map(|h| (1..=6).map(move |w| (h, w))) {
             for (k, stride, pad) in
                 (1..=4).flat_map(|k| (1..=3).flat_map(move |s| (0..=3).map(move |p| (k, s, p))))
@@ -1050,13 +1055,13 @@ mod tests {
                 let mut want_image = vec![0.0; image.len()];
                 crate::reference::im2col(&shape, &image, &mut want_cols);
                 crate::reference::col2im(&shape, &cols, &mut want_image);
-                for threads in [1, 2, 3] {
-                    let tag = format!("{shape:?} on {threads} threads");
+                for workers in &mut sets {
+                    let tag = format!("{shape:?} on {} threads", workers.threads());
                     let mut got = vec![f32::NAN; cols.len()];
-                    im2col(threads, &shape, &image, &mut got);
+                    im2col(workers, &shape, &image, &mut got);
                     assert_same(&format!("im2col {tag}"), &got, &want_cols);
                     let mut got = vec![f32::NAN; image.len()];
-                    col2im(threads, &shape, &cols, &mut got);
+                    col2im(workers, &shape, &cols, &mut got);
                     assert_same(&format!("col2im {tag}"), &got, &want_image);
                 }
             }

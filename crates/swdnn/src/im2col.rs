@@ -149,8 +149,8 @@ pub(crate) fn im2col_with_strategy(
     let ops = ops.expect("functional im2col requires operands");
     assert_eq!(ops.image.len(), shape.in_c * shape.in_h * shape.in_w);
     assert_eq!(ops.cols.len(), shape.col_rows() * shape.col_cols());
-    if let ExecMode::HostNative { threads } = cg.mode() {
-        crate::host::im2col(threads, shape, ops.image, ops.cols);
+    if let ExecMode::HostNative { .. } = cg.mode() {
+        crate::host::im2col(cg.workers(), shape, ops.image, ops.cols);
         return LaunchReport::default();
     }
     let image = MemView::new(ops.image);
@@ -270,8 +270,8 @@ pub(crate) fn col2im_with_strategy(
     let ops = ops.expect("functional col2im requires operands");
     assert_eq!(ops.image.len(), shape.in_c * shape.in_h * shape.in_w);
     assert_eq!(ops.cols.len(), shape.col_rows() * shape.col_cols());
-    if let ExecMode::HostNative { threads } = cg.mode() {
-        crate::host::col2im(threads, shape, ops.cols, ops.image);
+    if let ExecMode::HostNative { .. } = cg.mode() {
+        crate::host::col2im(cg.workers(), shape, ops.cols, ops.image);
         return LaunchReport::default();
     }
     let cols = MemView::new(ops.cols);

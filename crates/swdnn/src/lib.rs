@@ -23,6 +23,8 @@
 //! [`sw26010::Workspace`], which every kernel reaches through the
 //! `&mut CoreGroup` it already takes: the buffers are reused for as long
 //! as that core group lives, and their contents never reach a result.
+//! The host path forks onto that core group's [`sw26010::Workers`] the
+//! same way, so a kernel starts no thread of its own.
 
 pub mod bn;
 pub mod conv;

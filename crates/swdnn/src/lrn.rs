@@ -9,7 +9,6 @@
 //! window is entirely LDM-resident.
 
 use sw26010::{dma, CoreGroup, ExecMode, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
-use swbackend::par_tasks;
 
 /// LRN hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -127,9 +126,9 @@ pub fn forward(
     assert_eq!(input.len(), len);
     assert_eq!(output.len(), len);
     let per_img = channels * height * width;
-    if let ExecMode::HostNative { threads } = cg.mode() {
+    if let ExecMode::HostNative { .. } = cg.mode() {
         let imgs: Vec<_> = output.chunks_mut(per_img.max(1)).enumerate().collect();
-        par_tasks(threads, imgs, |(bi, out)| {
+        cg.workers().run(imgs, |(bi, out)| {
             let x = &input[bi * per_img..];
             for row in 0..height {
                 for xi in 0..width {
@@ -210,9 +209,9 @@ pub fn backward(
     assert_eq!(out_grad.len(), len);
     assert_eq!(in_grad.len(), len);
     let per_img = channels * height * width;
-    if let ExecMode::HostNative { threads } = cg.mode() {
+    if let ExecMode::HostNative { .. } = cg.mode() {
         let imgs: Vec<_> = in_grad.chunks_mut(per_img.max(1)).enumerate().collect();
-        par_tasks(threads, imgs, |(bi, dimg)| {
+        cg.workers().run(imgs, |(bi, dimg)| {
             let (x, dy) = (&input[bi * per_img..], &out_grad[bi * per_img..]);
             for row in 0..height {
                 for xi in 0..width {

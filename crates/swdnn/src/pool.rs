@@ -13,7 +13,6 @@
 use std::ops::Range;
 
 use sw26010::{dma, CoreGroup, ExecMode, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
-use swbackend::par_tasks;
 
 use crate::shapes::{PoolMethod, PoolShape};
 
@@ -82,7 +81,7 @@ pub fn forward(
     let s = *shape;
     let (ih, iw, oh, ow) = (s.in_h, s.in_w, s.out_h(), s.out_w());
     let input = ops.input;
-    if let ExecMode::HostNative { threads } = cg.mode() {
+    if let ExecMode::HostNative { .. } = cg.mode() {
         let mut arows = ops.argmax.map(|am| am.chunks_mut(ow));
         let rows: Vec<_> = ops
             .output
@@ -90,7 +89,7 @@ pub fn forward(
             .map(|orow| (orow, arows.as_mut().and_then(Iterator::next)))
             .enumerate()
             .collect();
-        par_tasks(threads, rows, |(item, (orow, arow))| {
+        cg.workers().run(rows, |(item, (orow, arow))| {
             let (bc, oy) = (item / oh, item % oh);
             let row = |y: usize| &input[(bc * ih + y) * iw..][..iw];
             forward_row(&s, oy, row, orow, arow);
@@ -220,9 +219,9 @@ pub fn backward(
     let s = *shape;
     let (ih, iw, oh, ow) = (s.in_h, s.in_w, s.out_h(), s.out_w());
     let (out_grad, argmax) = (ops.out_grad, ops.argmax);
-    if let ExecMode::HostNative { threads } = cg.mode() {
+    if let ExecMode::HostNative { .. } = cg.mode() {
         let rows: Vec<_> = ops.in_grad.chunks_mut(iw).enumerate().collect();
-        par_tasks(threads, rows, |(item, acc)| {
+        cg.workers().run(rows, |(item, acc)| {
             let (bc, y) = (item / ih, item % ih);
             acc.fill(0.0);
             for oy in covering_rows(&s, y) {

@@ -5,7 +5,6 @@
 //! stable softmax, and emits the probability row plus its per-image loss.
 
 use sw26010::{dma, CoreGroup, ExecMode, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
-use swbackend::par_tasks;
 
 /// Static LDM descriptor of the softmax forward kernel (one class row).
 pub fn forward_plan(classes: usize) -> KernelPlan {
@@ -49,14 +48,14 @@ pub fn forward(
     assert_eq!(ops.probs.len(), batch * classes);
     assert_eq!(ops.losses.len(), batch);
     check_labels(ops.labels, classes);
-    if let ExecMode::HostNative { threads } = cg.mode() {
+    if let ExecMode::HostNative { .. } = cg.mode() {
         let rows: Vec<_> = ops
             .probs
             .chunks_mut(classes)
             .zip(ops.losses.iter_mut())
             .enumerate()
             .collect();
-        par_tasks(threads, rows, |(b, (prow, loss))| {
+        cg.workers().run(rows, |(b, (prow, loss))| {
             prow.copy_from_slice(&ops.logits[b * classes..][..classes]);
             *loss = forward_row(prow, ops.labels[b] as usize);
         });
@@ -153,9 +152,9 @@ pub fn backward(
     assert_eq!(ops.in_grad.len(), batch * classes);
     assert_eq!(ops.labels.len(), batch);
     check_labels(ops.labels, classes);
-    if let ExecMode::HostNative { threads } = cg.mode() {
+    if let ExecMode::HostNative { .. } = cg.mode() {
         let rows: Vec<_> = ops.in_grad.chunks_mut(classes).enumerate().collect();
-        par_tasks(threads, rows, |(b, drow)| {
+        cg.workers().run(rows, |(b, drow)| {
             drow.copy_from_slice(&ops.probs[b * classes..][..classes]);
             backward_row(drow, ops.labels[b] as usize, loss_weight);
         });

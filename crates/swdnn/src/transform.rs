@@ -13,7 +13,6 @@
 //! layout as layer-local state).
 
 use sw26010::{dma, CoreGroup, ExecMode, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
-use swbackend::par_tasks;
 
 /// Dimensions of an NCHW <-> RCNB transformation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,9 +62,9 @@ pub fn nchw_to_rcnb(
     assert_eq!(input.len(), shape.len());
     assert_eq!(output.len(), shape.len());
     let (b_tot, n_tot, h, w) = (shape.batch, shape.channels, shape.height, shape.width);
-    if let ExecMode::HostNative { threads } = cg.mode() {
+    if let ExecMode::HostNative { .. } = cg.mode() {
         let planes: Vec<_> = output.chunks_mut(w * n_tot * b_tot).enumerate().collect();
-        par_tasks(threads, planes, |(y, plane)| {
+        cg.workers().run(planes, |(y, plane)| {
             for x in 0..w {
                 for n in 0..n_tot {
                     for bi in 0..b_tot {
@@ -137,9 +136,9 @@ pub fn rcnb_to_nchw(
     assert_eq!(input.len(), shape.len());
     assert_eq!(output.len(), shape.len());
     let (b_tot, n_tot, h, w) = (shape.batch, shape.channels, shape.height, shape.width);
-    if let ExecMode::HostNative { threads } = cg.mode() {
+    if let ExecMode::HostNative { .. } = cg.mode() {
         let imgs: Vec<_> = output.chunks_mut(h * w).enumerate().collect();
-        par_tasks(threads, imgs, |(img, out)| {
+        cg.workers().run(imgs, |(img, out)| {
             let (bi, n) = (img / n_tot, img % n_tot);
             for y in 0..h {
                 for x in 0..w {

@@ -92,52 +92,6 @@ fn splitmix(mut x: u64) -> u64 {
 }
 
 #[cfg(test)]
-mod sampler_tests {
-    use super::*;
-
-    #[test]
-    fn epoch_sampler_visits_each_record_once() {
-        let ds = SyntheticImageNet::new(64);
-        let mut seen = std::collections::HashSet::new();
-        // 4 workers x 16 records each must cover all 64 exactly once.
-        for rank in 0..4 {
-            let mut s = EpochSampler::new(&ds, 4, rank);
-            for _ in 0..16 {
-                assert!(seen.insert(s.next_index()), "duplicate within an epoch");
-            }
-            assert_eq!(s.epoch(), 0);
-        }
-        assert_eq!(seen.len(), 64);
-    }
-
-    #[test]
-    fn epoch_sampler_seed_reproduces_and_varies() {
-        let ds = SyntheticImageNet::new(64);
-        let order = |seed: u64| {
-            let mut s = EpochSampler::with_seed(&ds, 1, 0, seed);
-            (0..64).map(|_| s.next_index()).collect::<Vec<_>>()
-        };
-        assert_eq!(order(7), order(7), "same seed must reproduce");
-        assert_ne!(order(7), order(8), "different seeds must reshuffle");
-    }
-
-    #[test]
-    fn epoch_sampler_reshuffles_between_epochs() {
-        let ds = SyntheticImageNet::new(32);
-        let mut s = EpochSampler::new(&ds, 1, 0);
-        let first: Vec<usize> = (0..32).map(|_| s.next_index()).collect();
-        let second: Vec<usize> = (0..32).map(|_| s.next_index()).collect();
-        assert_eq!(s.epoch(), 1);
-        assert_ne!(first, second, "epochs must reshuffle");
-        let mut a = first.clone();
-        let mut b = second.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "both epochs cover the same records");
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -189,75 +143,5 @@ mod tests {
         assert_eq!(l1, l2);
         ds.fill_batch(43, 4, 3, 4, 4, &mut d2, &mut l2);
         assert_ne!(d1, d2);
-    }
-}
-
-/// Epoch-based sampler: a seeded permutation of the dataset, partitioned
-/// across distributed workers (each record visited exactly once per epoch,
-/// each worker sees a disjoint shard — the sampling discipline real
-/// ImageNet training uses, vs. the paper's simpler random sampling).
-#[derive(Debug)]
-pub struct EpochSampler {
-    images: usize,
-    workers: usize,
-    rank: usize,
-    epoch: u64,
-    seed: u64,
-    perm: Vec<u32>,
-    cursor: usize,
-}
-
-impl EpochSampler {
-    pub fn new(dataset: &SyntheticImageNet, workers: usize, rank: usize) -> Self {
-        Self::with_seed(dataset, workers, rank, 0)
-    }
-
-    /// Like [`EpochSampler::new`] with an explicit shuffle seed: all
-    /// workers of one run must share it (they derive the same epoch
-    /// permutation from it), and varying it re-randomises the epoch order
-    /// without touching the dataset.
-    pub fn with_seed(dataset: &SyntheticImageNet, workers: usize, rank: usize, seed: u64) -> Self {
-        assert!(rank < workers);
-        let mut s = EpochSampler {
-            images: dataset.images,
-            workers,
-            rank,
-            epoch: 0,
-            seed,
-            perm: Vec::new(),
-            cursor: 0,
-        };
-        s.reshuffle();
-        s
-    }
-
-    fn reshuffle(&mut self) {
-        // Seeded Fisher-Yates so every worker derives the same permutation.
-        self.perm = (0..self.images as u32).collect();
-        let mut state = splitmix(self.epoch ^ splitmix(self.seed) ^ 0x0E90_C45E_ED00);
-        for i in (1..self.perm.len()).rev() {
-            state = splitmix(state);
-            let j = (state % (i as u64 + 1)) as usize;
-            self.perm.swap(i, j);
-        }
-        self.cursor = 0;
-    }
-
-    /// Current epoch number.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Next record index for this worker; advances the epoch when the
-    /// shard is exhausted.
-    pub fn next_index(&mut self) -> usize {
-        let shard = self.images / self.workers;
-        if self.cursor >= shard {
-            self.epoch += 1;
-            self.reshuffle();
-        }
-        let idx = self.perm[self.rank * shard + self.cursor] as usize;
-        self.cursor += 1;
-        idx
     }
 }

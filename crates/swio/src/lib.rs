@@ -11,6 +11,6 @@ pub mod dataset;
 pub mod prefetch;
 pub(crate) mod stripefs;
 
-pub use dataset::{EpochSampler, SyntheticImageNet, CLASSES};
+pub use dataset::{SyntheticImageNet, CLASSES};
 pub use prefetch::{io_stall, Batch, Prefetcher, ReadError};
 pub use stripefs::{IoModel, Layout};

@@ -264,6 +264,22 @@ mod tests {
         assert_eq!(engine.graph.panels.get().map(Vec::len), Some(2));
     }
 
+    /// Requests fork their host kernels onto the engine's core group's
+    /// workers: the first request starts its one worker thread, and no
+    /// later request starts another.
+    #[test]
+    fn requests_after_the_first_start_no_thread() {
+        let mut engine = Engine::new(frozen(7), MODE);
+        let x = images(16);
+        assert_eq!(engine.cg.workers().started(), 0);
+        engine.infer(1, &x[..PER_IMAGE]).unwrap();
+        assert_eq!(engine.cg.workers().started(), 1, "a batch-1 request forks");
+        for batch in [1, 16, 1, 1] {
+            engine.infer(batch, &x[..batch * PER_IMAGE]).unwrap();
+        }
+        assert_eq!(engine.cg.workers().started(), 1);
+    }
+
     #[test]
     fn new_weights_drop_the_packed_panels() {
         let mut engine = Engine::new(frozen(7), MODE);
