@@ -61,16 +61,6 @@ impl Blob {
         self.materialized
     }
 
-    /// Leading dimension (mini-batch size for data blobs).
-    pub fn num(&self) -> usize {
-        self.shape.first().copied().unwrap_or(0)
-    }
-
-    /// Channels (second axis), 1 if absent.
-    pub fn channels(&self) -> usize {
-        self.shape.get(1).copied().unwrap_or(1)
-    }
-
     pub fn data(&self) -> &[f32] {
         debug_assert!(self.materialized, "data access on a shell blob");
         &self.data
@@ -113,11 +103,6 @@ impl Blob {
             self.diff.fill(0.0);
         }
     }
-
-    /// L1 norm of the gradient (diagnostics).
-    pub fn asum_diff(&self) -> f64 {
-        self.diff.iter().map(|v| (*v as f64).abs()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -130,8 +115,6 @@ mod tests {
         assert_eq!(b.len(), 120);
         assert_eq!(b.shape(), &[2, 3, 4, 5]);
         assert!(b.data().iter().all(|v| *v == 0.0));
-        assert_eq!(b.num(), 2);
-        assert_eq!(b.channels(), 3);
     }
 
     #[test]
@@ -139,13 +122,5 @@ mod tests {
         let b = Blob::shell(&[128, 3, 224, 224]);
         assert_eq!(b.len(), 128 * 3 * 224 * 224);
         assert!(!b.materialized());
-    }
-
-    #[test]
-    fn norms() {
-        let mut b = Blob::new(&[3]);
-        b.set_data(&[1.0, -2.0, 2.0]);
-        b.diff_mut().copy_from_slice(&[0.5, -0.5, 1.0]);
-        assert_eq!(b.asum_diff(), 2.0);
     }
 }

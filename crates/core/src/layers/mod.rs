@@ -21,11 +21,6 @@ pub(crate) use simple::{
 use crate::layer::Layer;
 use crate::netdef::{LayerDef, LayerKind};
 
-/// Instantiate a layer from its definition with the default base seed.
-pub fn build(def: &LayerDef) -> Box<dyn Layer> {
-    build_seeded(def, 0)
-}
-
 /// Instantiate a layer from its definition; `base_seed` parameterises
 /// every filler-initialised layer (convolution, inner product) so a whole
 /// network's weights are reproducible from one explicit seed.

@@ -62,16 +62,6 @@ impl NetBuilder {
         self
     }
 
-    /// Current top blob name.
-    pub fn top(&self) -> &str {
-        &self.top
-    }
-
-    /// Current activation shape (NCHW bookkeeping).
-    pub fn shape(&self) -> &[usize] {
-        &self.shape
-    }
-
     fn push(&mut self, name: &str, kind: LayerKind, bottoms: Vec<String>, top: &str) {
         let def = std::mem::replace(&mut self.def, NetDef::new(""));
         let b: Vec<&str> = bottoms.iter().map(|s| s.as_str()).collect();
@@ -222,24 +212,6 @@ impl NetBuilder {
         self
     }
 
-    /// LRN (NCHW).
-    pub fn lrn(mut self, name: &str) -> Self {
-        self.ensure_nchw();
-        let bottom = self.top.clone();
-        self.push(
-            name,
-            LayerKind::Lrn {
-                local_size: 5,
-                alpha: 1e-4,
-                beta: 0.75,
-                k: 1.0,
-            },
-            vec![bottom],
-            name,
-        );
-        self
-    }
-
     /// Pooling (NCHW).
     pub fn pool(
         mut self,
@@ -324,14 +296,6 @@ impl NetBuilder {
             &["accuracy_top5"],
         )
     }
-
-    /// Access the raw definition for DAG-structured models (ResNet /
-    /// GoogLeNet), which wire branches manually.
-    pub fn into_parts(mut self) -> (NetDef, String, Vec<usize>) {
-        self.ensure_nchw();
-        let def = std::mem::replace(&mut self.def, NetDef::new(""));
-        (def, self.top.clone(), self.shape.clone())
-    }
 }
 
 /// [`tiny_cnn`] plus a dropout layer: the checkpoint/restore tests use
@@ -384,6 +348,6 @@ mod tests {
             0,
             PoolKind::Max,
         );
-        assert_eq!(b.shape(), &[2, 8, 16, 16]);
+        assert_eq!(b.shape, [2, 8, 16, 16]);
     }
 }

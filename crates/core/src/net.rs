@@ -151,10 +151,6 @@ impl Net {
         Ok(net)
     }
 
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Blob lookup by name.
     pub fn blob(&self, name: &str) -> std::cell::Ref<'_, Blob> {
         self.blobs[self.blob_index[name]].borrow()
@@ -433,11 +429,6 @@ impl Net {
         for l in &mut self.layers {
             l.set_phase(phase);
         }
-    }
-
-    /// Layer count (diagnostics).
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
     }
 
     /// Freeze hook: capture every layer's learnable parameters and

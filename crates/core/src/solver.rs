@@ -100,10 +100,6 @@ impl SgdSolver {
         self.iter
     }
 
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
-    }
-
     /// Momentum buffers, one per parameter blob — empty until the first
     /// [`step`](Self::step). Checkpoint payload.
     pub fn history(&self) -> &[Vec<f32>] {

@@ -294,45 +294,66 @@ fn branched_dag_gradient_fan_in() {
     // A blob consumed by two branches (ResNet shortcut pattern): the
     // bottom's gradient must be the *sum* of both consumers' gradients.
     // Verified against finite differences through the loss.
-    use swcaffe_core::models::NetBuilder;
     let def = {
         // data -> conv -> relu -> (branch A: conv2) + (shortcut) -> sum -> fc -> loss
-        let b = NetBuilder::new("branchy", 2, 2, 6).force_nchw();
-        let (def, _, _) = b.conv("conv1", 4, 3, 1, 1).relu("relu1").into_parts();
-        def.layer(
-            "conv2",
-            LayerKind::Convolution {
-                num_output: 4,
-                kernel: 3,
-                stride: 1,
-                pad: 1,
-                bias: false,
-                format: ConvFormat::Nchw,
-            },
-            &["relu1"],
-            &["conv2"],
-        )
-        .layer(
-            "join",
-            LayerKind::EltwiseSum,
-            &["conv2", "relu1"],
-            &["join"],
-        )
-        .layer(
-            "fc",
-            LayerKind::InnerProduct {
-                num_output: 3,
-                bias: false,
-            },
-            &["join"],
-            &["fc"],
-        )
-        .layer(
-            "loss",
-            LayerKind::SoftmaxWithLoss,
-            &["fc", "label"],
-            &["loss"],
-        )
+        NetDef::new("branchy")
+            .layer(
+                "data",
+                LayerKind::Input {
+                    shape: vec![2, 2, 6, 6],
+                    with_labels: true,
+                },
+                &[],
+                &["data", "label"],
+            )
+            .layer(
+                "conv1",
+                LayerKind::Convolution {
+                    num_output: 4,
+                    kernel: 3,
+                    stride: 1,
+                    pad: 1,
+                    bias: true,
+                    format: ConvFormat::Nchw,
+                },
+                &["data"],
+                &["conv1"],
+            )
+            .layer("relu1", LayerKind::ReLU, &["conv1"], &["relu1"])
+            .layer(
+                "conv2",
+                LayerKind::Convolution {
+                    num_output: 4,
+                    kernel: 3,
+                    stride: 1,
+                    pad: 1,
+                    bias: false,
+                    format: ConvFormat::Nchw,
+                },
+                &["relu1"],
+                &["conv2"],
+            )
+            .layer(
+                "join",
+                LayerKind::EltwiseSum,
+                &["conv2", "relu1"],
+                &["join"],
+            )
+            .layer(
+                "fc",
+                LayerKind::InnerProduct {
+                    num_output: 3,
+                    bias: false,
+                },
+                &["join"],
+                &["fc"],
+            )
+            .layer(
+                "loss",
+                LayerKind::SoftmaxWithLoss,
+                &["fc", "label"],
+                &["loss"],
+            )
     };
     def.validate().unwrap();
 

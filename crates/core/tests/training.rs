@@ -89,7 +89,7 @@ fn gradients_flow_to_every_parameter() {
     net.backward(&mut cg);
     for (i, p) in net.params().iter().enumerate() {
         assert!(
-            p.asum_diff() > 0.0,
+            p.diff().iter().any(|g| *g != 0.0),
             "parameter blob {i} received no gradient"
         );
         assert!(
@@ -124,7 +124,7 @@ fn timing_mode_runs_all_five_networks() {
             b > 0.8 * f,
             "{name}: backward {b} implausibly small vs forward {f}"
         );
-        assert_eq!(fwd.entries.len(), net.layer_count());
+        assert_eq!(fwd.entries.len(), def.layers.len());
     }
 }
 

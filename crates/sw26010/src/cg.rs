@@ -11,9 +11,8 @@
 //!
 //! Every launch runs its CPE bodies on the calling thread (see
 //! [`crate::mesh`]). A kernel whose CPEs never wait for each other is a
-//! `Fn(&mut Cpe)` and may be launched planned ([`CoreGroup::run_planned`]
-//! / [`CoreGroup::try_run_planned`]) or unplanned ([`CoreGroup::run`] /
-//! [`CoreGroup::run_named`]). A kernel that communicates or synchronises
+//! `Fn(&mut Cpe)` and may be launched planned ([`CoreGroup::run_planned`])
+//! or unplanned ([`CoreGroup::run`] / [`CoreGroup::run_named`]). A kernel that communicates or synchronises
 //! is an `AsyncFn(&mut Cpe)` launched through
 //! [`CoreGroup::run_planned_async`], whose plan declares the
 //! [`RlcPattern`] that builds the register buses and the barrier.
@@ -36,7 +35,7 @@ use crate::arch::MPE_PEAK_FLOPS;
 use crate::check::{CheckMode, KernelTrace};
 use crate::cpe::Cpe;
 use crate::mesh;
-use crate::plan::{KernelPlan, PlanViolation, RlcPattern};
+use crate::plan::{KernelPlan, RlcPattern};
 use crate::stats::{LaunchReport, Stats};
 use crate::time::{ExecMode, SimTime};
 use crate::workers::Workers;
@@ -181,23 +180,6 @@ impl CoreGroup {
         self.launch(&plan.name, plan.n_cpes, plan.rlc, &kernel)
     }
 
-    /// Like [`CoreGroup::run_planned`], but an invalid plan is returned
-    /// as the structured [`PlanViolation`] instead of panicking — the
-    /// entry point for callers (like the autotuner's verification pass)
-    /// that probe machine-generated plans.
-    pub fn try_run_planned<F>(
-        &mut self,
-        plan: &KernelPlan,
-        kernel: F,
-    ) -> Result<LaunchReport, PlanViolation>
-    where
-        F: Fn(&mut Cpe),
-    {
-        plan.validate()?;
-        let kernel = async |cpe: &mut Cpe<'_>| kernel(cpe);
-        Ok(self.launch(&plan.name, plan.n_cpes, plan.rlc, &kernel))
-    }
-
     /// Run one launch (`rlc`: the plan's pattern, [`RlcPattern::None`]
     /// when unplanned) and accumulate its time, counters and trace.
     fn launch<F>(&mut self, name: &str, n_cpes: usize, rlc: RlcPattern, kernel: &F) -> LaunchReport
@@ -284,23 +266,6 @@ mod tests {
         let mut cg = CoreGroup::new(ExecMode::TimingOnly);
         cg.run(8, |cpe| cpe.charge_flops(10));
         assert!(cg.take_traces().is_empty());
-    }
-
-    #[test]
-    fn try_run_planned_returns_violation_instead_of_panicking() {
-        let mut cg = CoreGroup::new(ExecMode::TimingOnly);
-        let good = KernelPlan::new("ok", 4).buffer("buf", 1024);
-        let report = cg
-            .try_run_planned(&good, |cpe| cpe.charge_flops(1))
-            .unwrap();
-        assert_eq!(report.stats.flops, 4);
-        let bad = KernelPlan::new("huge", 4).buffer("buf", 1 << 20);
-        let before = cg.stats().launches;
-        assert!(matches!(
-            cg.try_run_planned(&bad, |cpe| cpe.charge_flops(1)),
-            Err(PlanViolation::LdmOverflow { .. })
-        ));
-        assert_eq!(cg.stats().launches, before, "rejected plan must not run");
     }
 
     #[test]

@@ -58,10 +58,6 @@ impl MemRange {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.hi - self.lo
-    }
-
     pub fn is_empty(&self) -> bool {
         self.lo == self.hi
     }
@@ -176,15 +172,6 @@ impl KernelTrace {
     pub fn stalled(&self) -> bool {
         self.per_cpe.iter().any(|c| c.stall.is_some())
     }
-
-    /// Mesh-wide LDM high water mark.
-    pub fn ldm_high_water(&self) -> usize {
-        self.per_cpe
-            .iter()
-            .map(|c| c.ldm_high_water)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Per-CPE event log, shared with the LDM allocator of the same CPE so
@@ -203,7 +190,7 @@ mod tests {
         assert!(a.overlaps(&b));
         assert!(b.overlaps(&a));
         assert!(!a.overlaps(&c), "half-open ranges: touching is disjoint");
-        assert_eq!(a.len(), 100);
+        assert_eq!(a.hi - a.lo, 100);
     }
 
     #[test]
@@ -219,7 +206,7 @@ mod tests {
     fn of_slice_covers_the_bytes() {
         let v = vec![0.0f32; 16];
         let r = MemRange::of_slice(&v);
-        assert_eq!(r.len(), 64);
+        assert_eq!(r.hi - r.lo, 64);
         let empty: &[f32] = &[];
         assert!(MemRange::of_slice(empty).is_empty());
     }

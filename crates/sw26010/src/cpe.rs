@@ -214,11 +214,6 @@ impl<'l> Cpe<'l> {
         self.mode.is_functional()
     }
 
-    /// Local simulated clock.
-    pub fn now(&self) -> SimTime {
-        self.clock
-    }
-
     pub(crate) fn finish(self) -> (SimTime, Stats, Option<CpeTrace>) {
         let mut stats = self.stats;
         stats.busy = self.clock;
@@ -339,28 +334,6 @@ impl<'l> Cpe<'l> {
             dma::DmaDir::Put,
             MemRange::of_slice(src),
         )
-    }
-
-    /// DMA put that *accumulates* into main memory (`dst += src`).
-    ///
-    /// Hardware has no add-to-memory DMA; this models the common
-    /// read-modify-write plan (get + vector add + put) as a single call
-    /// charged as two transfers plus the adds.
-    pub fn dma_accumulate(&mut self, dst: MemViewMut<'_>, offset: usize, src: &[f32]) {
-        let bytes = std::mem::size_of_val(src);
-        if self.functional() {
-            dst.accumulate(offset, src);
-        }
-        let t = dma::continuous_time(bytes, self.n_active);
-        let h1 = self.charge_dma(
-            bytes,
-            bytes,
-            SimTime::from_seconds(2.0 * t.seconds()),
-            dma::DmaDir::Put,
-            MemRange::of_slice(src),
-        );
-        self.charge_flops(src.len() as u64);
-        self.dma_wait(h1);
     }
 
     /// Asynchronous strided DMA get (double-buffering support): the copy
@@ -703,7 +676,7 @@ mod tests {
                     cpe.charge_scalar_ops(cycles(after(i)));
                 }
                 cpe.sync().await;
-                seen.borrow_mut()[i].push(cpe.now().seconds());
+                seen.borrow_mut()[i].push(cpe.clock.seconds());
             }
         });
         seen.into_inner()

@@ -82,18 +82,9 @@ impl Ldm {
         self.log = Some(log);
     }
 
-    /// Bytes currently allocated.
-    pub fn used(&self) -> usize {
-        self.used.get()
-    }
-
     /// Maximum bytes ever allocated simultaneously (working-set size).
     pub(crate) fn high_water(&self) -> usize {
         self.high_water.get()
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Allocate a zeroed buffer of `n` `f32` elements.
@@ -152,12 +143,6 @@ impl Ldm {
             id,
         })
     }
-
-    /// True if a hypothetical working set of `bytes` fits alongside what is
-    /// currently allocated. Used by blocking planners.
-    pub fn fits(&self, bytes: usize) -> bool {
-        self.used.get() + bytes <= self.capacity
-    }
 }
 
 /// An LDM-resident buffer. Dereferences to a slice; releases its LDM
@@ -169,12 +154,6 @@ pub struct LdmBuf<T> {
     used: Rc<Cell<usize>>,
     log: Option<EventLog>,
     id: u64,
-}
-
-impl<T> LdmBuf<T> {
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
 }
 
 impl<T> Deref for LdmBuf<T> {
@@ -212,15 +191,15 @@ mod tests {
     #[test]
     fn alloc_and_reclaim() {
         let ldm = Ldm::new();
-        assert_eq!(ldm.capacity(), 64 * 1024);
+        assert_eq!(ldm.capacity, 64 * 1024);
         {
             let a = ldm.alloc_f32(1024); // 4 KB
             let b = ldm.alloc_f64(1024); // 8 KB
             assert_eq!(a.len(), 1024);
             assert_eq!(b.len(), 1024);
-            assert_eq!(ldm.used(), 12 * 1024);
+            assert_eq!(ldm.used.get(), 12 * 1024);
         }
-        assert_eq!(ldm.used(), 0);
+        assert_eq!(ldm.used.get(), 0);
         assert_eq!(ldm.high_water(), 12 * 1024);
     }
 
@@ -250,7 +229,7 @@ mod tests {
         assert!(msg.contains("49152 B already resident"), "{msg}");
         assert!(msg.contains("65536 B capacity"), "{msg}");
         // A failed allocation must not consume budget.
-        assert_eq!(ldm.used(), 48 * 1024);
+        assert_eq!(ldm.used.get(), 48 * 1024);
         assert!(ldm.try_alloc_f64(2 * 1024).is_ok());
     }
 
@@ -267,8 +246,8 @@ mod tests {
     fn fits_accounts_for_residents() {
         let ldm = Ldm::new();
         let _a = ldm.alloc_f32(8 * 1024); // 32 KB
-        assert!(ldm.fits(32 * 1024));
-        assert!(!ldm.fits(32 * 1024 + 1));
+        assert!(ldm.try_alloc_f32(8 * 1024).is_ok());
+        assert!(ldm.try_alloc_f32(8 * 1024 + 1).is_err());
     }
 
     #[test]

@@ -382,7 +382,7 @@ mod tests {
             let lo = ((*id as usize) << 32) | (r.lo - buf.lo);
             MemRange {
                 lo,
-                hi: lo + r.len(),
+                hi: lo + (r.hi - r.lo),
             }
         }
         let mut live: Vec<(u64, MemRange)> = Vec::new();
@@ -428,14 +428,14 @@ mod tests {
     #[test]
     fn traced_run_is_bit_identical_and_records_events() {
         /// Every operation an independent body may use: async and sync
-        /// DMA, strided DMA, accumulate, LDM alloc/free and compute. With
+        /// DMA, strided DMA, LDM alloc/free and compute. With
         /// `sync`, the CPEs also skew their clocks and meet at the mesh
         /// barrier, which needs a plan declaring register communication.
         async fn body(
             cpe: &mut Cpe<'_>,
             src: MemView<'_>,
             out: MemViewMut<'_>,
-            acc: MemViewMut<'_>,
+            copy: MemViewMut<'_>,
             sync: bool,
         ) {
             let n = 64;
@@ -471,7 +471,7 @@ mod tests {
             let h = cpe.dma_put_async(out, base + 16, &buf[n / 2..3 * n / 4]);
             cpe.dma_wait(h);
             cpe.dma_put(out, base + 48, &tail);
-            cpe.dma_accumulate(acc, base, &buf);
+            cpe.dma_put(copy, base, &buf);
         }
         let src_data: Vec<f32> = (0..4096).map(|i| i as f32).collect();
         let src = MemView::new(&src_data);
@@ -479,8 +479,8 @@ mod tests {
             for mode in [ExecMode::Functional, ExecMode::TimingOnly] {
                 let run = |entry: Entry, traced: bool, sync: bool| {
                     let mut out = vec![0.0f32; 64 * n_cpes];
-                    let mut acc: Vec<f32> = (0..64 * n_cpes).map(|i| i as f32 * 0.5).collect();
-                    let (o, a) = (MemViewMut::new(&mut out), MemViewMut::new(&mut acc));
+                    let mut copy = vec![0.0f32; 64 * n_cpes];
+                    let (o, c) = (MemViewMut::new(&mut out), MemViewMut::new(&mut copy));
                     let mut cg = match traced {
                         true => CoreGroup::new_checked(mode),
                         false => CoreGroup::new(mode),
@@ -488,17 +488,17 @@ mod tests {
                     let plan = KernelPlan::new("equiv", n_cpes);
                     let report = match entry {
                         Entry::Unplanned => cg.run_named("equiv", n_cpes, |cpe| {
-                            now(body(cpe, src, o, a, sync));
+                            now(body(cpe, src, o, c, sync));
                         }),
                         Entry::Planned => {
-                            cg.run_planned(&plan, |cpe| now(body(cpe, src, o, a, sync)))
+                            cg.run_planned(&plan, |cpe| now(body(cpe, src, o, c, sync)))
                         }
                         Entry::Async(rlc) => cg.run_planned_async(&plan.rlc(rlc), async |cpe| {
-                            body(cpe, src, o, a, sync).await
+                            body(cpe, src, o, c, sync).await
                         }),
                     };
                     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    (bits(&out), bits(&acc), report, cg.take_traces().pop())
+                    (bits(&out), bits(&copy), report, cg.take_traces().pop())
                 };
                 let reference = run(Entry::Unplanned, false, false);
                 let what = format!("{n_cpes} CPEs, {mode:?}");
@@ -516,7 +516,7 @@ mod tests {
                     let other = run(entry, traced, false);
                     let path = format!("{what}, {entry:?}, traced {traced}");
                     assert_eq!(reference.0, other.0, "{path}: output");
-                    assert_eq!(reference.1, other.1, "{path}: accumulated output");
+                    assert_eq!(reference.1, other.1, "{path}: copied output");
                     assert_eq!(
                         reference.2.elapsed.seconds().to_bits(),
                         other.2.elapsed.seconds().to_bits(),
@@ -550,7 +550,7 @@ mod tests {
                         assert!(y.stall.is_none());
                     }
                 }
-                assert_eq!(a.ldm_high_water(), (64 + 32) * 4);
+                assert!(a.per_cpe.iter().all(|c| c.ldm_high_water == (64 + 32) * 4));
                 let events = &a.per_cpe[0].events;
                 assert!(events
                     .iter()
@@ -562,10 +562,10 @@ mod tests {
                 // A synchronising kernel: the checked barrier must
                 // reconcile clocks exactly as the unchecked one.
                 let plain = run(Entry::Async(p2p), false, true);
-                let (o, acc, report, trace) = run(Entry::Async(p2p), true, true);
+                let (o, copied, report, trace) = run(Entry::Async(p2p), true, true);
                 let trace = trace.expect("traced launch returns a trace");
                 assert_eq!(plain.0, o, "{what}, sync: output");
-                assert_eq!(plain.1, acc, "{what}, sync: accumulated output");
+                assert_eq!(plain.1, copied, "{what}, sync: copied output");
                 assert_eq!(
                     plain.2.elapsed.seconds().to_bits(),
                     report.elapsed.seconds().to_bits(),

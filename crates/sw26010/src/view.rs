@@ -31,16 +31,6 @@ impl<'a> MemView<'a> {
         }
     }
 
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Copy `dst.len()` elements starting at `offset` into `dst`.
     ///
     /// Panics if the range is out of bounds (DMA beyond the region is a bug
@@ -58,14 +48,6 @@ impl<'a> MemView<'a> {
         unsafe {
             std::ptr::copy_nonoverlapping(self.ptr.add(offset), dst.as_mut_ptr(), dst.len());
         }
-    }
-
-    /// Read a single element (used by gather-style reference paths).
-    #[inline]
-    pub fn at(&self, idx: usize) -> f32 {
-        assert!(idx < self.len, "index {idx} out of bounds {}", self.len);
-        // SAFETY: bounds checked above.
-        unsafe { *self.ptr.add(idx) }
     }
 }
 
@@ -90,16 +72,6 @@ impl<'a> MemViewMut<'a> {
         }
     }
 
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Copy `src` into the region starting at `offset`.
     #[inline]
     pub fn write(&self, offset: usize, src: &[f32]) {
@@ -114,36 +86,6 @@ impl<'a> MemViewMut<'a> {
         // slice while it exists (module docs).
         unsafe {
             std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.add(offset), src.len());
-        }
-    }
-
-    /// Accumulate `src` into the region starting at `offset` (`dst += src`).
-    ///
-    /// Used by col2im-style scatter-add plans where a CPE owns the whole
-    /// destination range it accumulates into.
-    #[inline]
-    pub fn accumulate(&self, offset: usize, src: &[f32]) {
-        assert!(
-            offset + src.len() <= self.len,
-            "DMA accumulate out of bounds"
-        );
-        // SAFETY: bounds checked; exclusive ownership of the range is the
-        // caller's contract.
-        unsafe {
-            let base = self.ptr.add(offset);
-            for (i, v) in src.iter().enumerate() {
-                *base.add(i) += *v;
-            }
-        }
-    }
-
-    /// Read back `dst.len()` elements (DMA get from a mutable region).
-    #[inline]
-    pub fn read(&self, offset: usize, dst: &mut [f32]) {
-        assert!(offset + dst.len() <= self.len, "DMA get out of bounds");
-        // SAFETY: bounds checked.
-        unsafe {
-            std::ptr::copy_nonoverlapping(self.ptr.add(offset), dst.as_mut_ptr(), dst.len());
         }
     }
 
@@ -168,19 +110,9 @@ mod tests {
         let view = MemViewMut::new(&mut mem);
         view.write(4, &[1.0, 2.0, 3.0]);
         let mut out = [0.0f32; 3];
-        view.read(4, &mut out);
+        view.as_view().read(4, &mut out);
         assert_eq!(out, [1.0, 2.0, 3.0]);
-        assert_eq!(view.as_view().at(5), 2.0);
-    }
-
-    #[test]
-    fn accumulate_adds() {
-        let mut mem = vec![1.0f32; 8];
-        let view = MemViewMut::new(&mut mem);
-        view.accumulate(2, &[0.5, 0.5]);
-        assert_eq!(mem[2], 1.5);
-        assert_eq!(mem[3], 1.5);
-        assert_eq!(mem[1], 1.0);
+        assert_eq!(mem[5], 2.0);
     }
 
     #[test]

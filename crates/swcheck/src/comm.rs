@@ -789,7 +789,7 @@ fn check_ring_scale(spec: &CommSpec, sink: &mut Sink) -> usize {
     let steps = spec.num_steps();
     let half = p - 1;
     let segment_bytes = 4 * (spec.seg_hi - spec.seg_lo);
-    let mut table = spec.transfer_classes(None);
+    let mut table = spec.transfer_classes();
     let mut classes = Vec::new();
     let mut first_crossing: Option<usize> = None;
     let mut prev_shift: Option<usize> = None;

@@ -33,5 +33,5 @@ pub use comm::{check_schedule, check_spec, CheckMode, CommOutcome, CommViolation
 pub use graph::{check_model_zoo, check_net_def, GraphOutcome};
 pub use lint::{lint_benchmark_sweep, lint_plans, LintOutcome};
 pub use report::{comm_report_json, graph_report_json, report_json};
-pub use sanitize::{check_trace_against_plan, check_traces, Violation, ViolationKind};
+pub use sanitize::{check_traces, Violation, ViolationKind};
 pub use suite::{drive_kernel_zoo, run_suite, summarize, SuiteOutcome};

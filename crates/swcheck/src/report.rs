@@ -18,7 +18,6 @@ fn kind_slug(kind: &ViolationKind) -> &'static str {
         ViolationKind::SendRecvMismatch { .. } => "send_recv_mismatch",
         ViolationKind::Deadlock { .. } => "deadlock",
         ViolationKind::BarrierDivergence { .. } => "barrier_divergence",
-        ViolationKind::PlanExceeded { .. } => "plan_exceeded",
         ViolationKind::UnusedRlcDeclared { .. } => "unused_rlc_declared",
     }
 }

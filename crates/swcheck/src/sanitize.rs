@@ -15,7 +15,7 @@
 use sw26010::arch::MESH_DIM;
 use sw26010::dma::DmaDir;
 use sw26010::rlc::Axis;
-use sw26010::{BlockedOn, CpeEvent, CpeTrace, KernelPlan, KernelTrace, MemRange, RlcPattern};
+use sw26010::{BlockedOn, CpeEvent, CpeTrace, KernelTrace, MemRange, RlcPattern};
 
 /// Where and what went wrong in one kernel launch.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,12 +55,6 @@ pub enum ViolationKind {
     /// Some CPEs entered the mesh barrier while others exited the
     /// kernel (or the arrival counts differ).
     BarrierDivergence { detail: String },
-    /// The recorded execution exceeded a claim its [`KernelPlan`] made.
-    PlanExceeded {
-        what: String,
-        observed: usize,
-        planned: usize,
-    },
     /// The plan declares register communication but no CPE sent,
     /// received or entered the barrier: the plan misdescribes its kernel,
     /// which should declare [`RlcPattern::None`].
@@ -115,15 +109,6 @@ impl std::fmt::Display for ViolationKind {
             ViolationKind::BarrierDivergence { detail } => {
                 write!(f, "barrier divergence: {detail}")
             }
-            ViolationKind::PlanExceeded {
-                what,
-                observed,
-                planned,
-            } => write!(
-                f,
-                "execution exceeded its kernel plan: {what} observed {observed} \
-                 vs {planned} planned"
-            ),
             ViolationKind::UnusedRlcDeclared { pattern } => write!(
                 f,
                 "plan declares RlcPattern::{pattern:?} but no CPE used a register bus \
@@ -409,27 +394,6 @@ pub(crate) fn check_trace(trace: &KernelTrace) -> Vec<Violation> {
     out
 }
 
-/// `check_trace` plus cross-checking the execution against the claims
-/// of its [`KernelPlan`]: the observed LDM high water must not exceed
-/// the planned working set.
-pub fn check_trace_against_plan(trace: &KernelTrace, plan: &KernelPlan) -> Vec<Violation> {
-    let mut out = check_trace(trace);
-    let observed = trace.ldm_high_water();
-    let planned = plan.ldm_bytes();
-    if observed > planned {
-        out.push(Violation {
-            kernel: trace.name.clone(),
-            cpe: None,
-            kind: ViolationKind::PlanExceeded {
-                what: "LDM working set (bytes)".to_string(),
-                observed,
-                planned,
-            },
-        });
-    }
-    out
-}
-
 /// Analyze a batch of traces (the usual `take_traces()` result).
 pub fn check_traces(traces: &[KernelTrace]) -> Vec<Violation> {
     traces.iter().flat_map(check_trace).collect()
@@ -576,23 +540,6 @@ mod tests {
                 to: 1,
                 sent: 2,
                 received: 1,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn plan_high_water_cross_check() {
-        let mut t = trace_with(vec![]);
-        t.per_cpe[0].ldm_high_water = 4096;
-        let plan = KernelPlan::new("t", 1).buffer("b", 1024);
-        let v = check_trace_against_plan(&t, &plan);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(matches!(
-            v[0].kind,
-            ViolationKind::PlanExceeded {
-                observed: 4096,
-                planned: 1024,
                 ..
             }
         ));

@@ -23,6 +23,12 @@ fn materialize(algo: Algorithm, p: usize) -> CommSchedule {
     .extract()
 }
 
+/// The collective a cluster's monolithic gradient reduce of `elems`
+/// elements runs under its current configuration.
+fn comm_spec(config: &ClusterConfig, elems: usize) -> CommSpec {
+    CommSpec::monolithic(config.topology(), config.rank_map, config.algorithm, elems).unwrap()
+}
+
 fn kinds(sched: &CommSchedule) -> Vec<&'static str> {
     check_schedule(sched)
         .violations
@@ -203,7 +209,7 @@ fn shrink_and_continue_yields_a_verifiably_clean_schedule() {
         ExecMode::Functional,
     )
     .unwrap();
-    let pre = cluster.config.comm_spec(100_000).unwrap();
+    let pre = comm_spec(&cluster.config, 100_000);
     assert_eq!(pre.algo, Algorithm::RecursiveHalvingDoubling);
     assert!(check_spec(&pre).is_clean());
 
@@ -216,7 +222,7 @@ fn shrink_and_continue_yields_a_verifiably_clean_schedule() {
         .unwrap();
     assert_eq!(cluster.config.nodes, 3);
 
-    let post = cluster.config.comm_spec(100_000).unwrap();
+    let post = comm_spec(&cluster.config, 100_000);
     assert_eq!(post.algo, Algorithm::Ring);
     assert_eq!(post.map, RankMap::Natural);
     let out = check_spec(&post);
@@ -239,7 +245,7 @@ fn shrink_and_continue_yields_a_verifiably_clean_schedule() {
     cluster8
         .recover(&mut faults8, Recovery::ShrinkAndContinue, None)
         .unwrap();
-    let post8 = cluster8.config.comm_spec(50_000).unwrap();
+    let post8 = comm_spec(&cluster8.config, 50_000);
     assert_eq!(post8.topo.nodes, 7);
     assert!(check_spec(&post8).is_clean());
 }

@@ -201,33 +201,6 @@ fn barrier_divergence_is_caught() {
 }
 
 #[test]
-fn plan_high_water_mismatch_is_caught() {
-    let src = vec![0.0f32; 2048];
-    let sv = MemView::new(&src);
-    let plan = sw26010::KernelPlan::new("inject.undersized_plan", 1).buffer("buf", 1024);
-    let mut cg = CoreGroup::new_checked(ExecMode::Functional);
-    // Launch via run_named so the (valid but dishonest) plan is not
-    // enforced at launch; the sanitizer cross-checks the trace instead.
-    cg.run_named("inject.undersized_plan", 1, move |cpe| {
-        let mut buf = cpe.ldm.alloc_f32(2048); // 8 KB > 1 KB planned
-        cpe.dma_get(sv, 0, &mut buf);
-    });
-    let traces = cg.take_traces();
-    let v = swcheck::check_trace_against_plan(&traces[0], &plan);
-    assert!(
-        v.iter().any(|v| matches!(
-            v.kind,
-            ViolationKind::PlanExceeded {
-                observed: 8192,
-                planned: 1024,
-                ..
-            }
-        )),
-        "{v:?}"
-    );
-}
-
-#[test]
 fn unused_rlc_declaration_is_caught() {
     let src = vec![1.0f32; 64 * 16];
     let sv = MemView::new(&src);

@@ -489,7 +489,8 @@ mod tests {
         // And conv1_1's effective rate must be far below peak (the paper
         // reports single-digit Gflops there vs ~740 peak).
         let dims = fwd_gemm_dims(&conv1_1);
-        let gflops = dims.flops() as f64 / forward_time(&conv1_1).seconds() / 1e9;
+        let flops = 2.0 * dims.m as f64 * dims.n as f64 * dims.k as f64;
+        let gflops = flops / forward_time(&conv1_1).seconds() / 1e9;
         assert!(
             gflops < 120.0,
             "conv1_1 at {gflops:.0} Gflops is implausibly fast"

@@ -66,14 +66,6 @@ pub(crate) fn epilogue_time(batch: usize, channels: usize, spatial: usize) -> Si
     )
 }
 
-/// Analytic time of the whole fused forward: the explicit-plan conv plus
-/// the epilogue. Strictly below the unfused sum, which pays three
-/// separate round trips (bias, BN, ReLU) over the same tensor.
-pub fn forward_time(shape: &ConvShape) -> SimTime {
-    conv_explicit::forward_time(shape)
-        + epilogue_time(shape.batch, shape.out_c, shape.out_h() * shape.out_w())
-}
-
 /// Fused conv+BN+ReLU forward (explicit conv plan, NCHW).
 pub fn forward(
     cg: &mut CoreGroup,
@@ -242,7 +234,7 @@ mod tests {
                 + bn::forward_inference(&mut cg, shape.batch, shape.out_c, spatial, 1e-5, None)
                     .elapsed
                 + ew::relu_forward(&mut cg, len, None).elapsed;
-            let fused = forward_time(&shape);
+            let fused = forward(&mut cg, &shape, 1e-5, None).elapsed;
             assert!(
                 fused.seconds() < unfused.seconds(),
                 "fused {} !< unfused {} for {shape:?}",
@@ -257,8 +249,11 @@ mod tests {
         let shape = small_shape();
         let mut cg = CoreGroup::new(ExecMode::TimingOnly);
         let r = forward(&mut cg, &shape, 1e-5, None);
-        assert_eq!(r.elapsed, forward_time(&shape));
-        assert_eq!(cg.elapsed(), forward_time(&shape));
+        // The explicit-plan conv plus the epilogue.
+        let model = conv_explicit::forward_time(&shape)
+            + epilogue_time(shape.batch, shape.out_c, shape.out_h() * shape.out_w());
+        assert_eq!(r.elapsed, model);
+        assert_eq!(cg.elapsed(), model);
     }
 
     #[test]

@@ -491,7 +491,7 @@ mod tests {
     /// Effective flop rate of the *useful* (un-padded) work for a problem
     /// size: `2mnk / time`. This is the "Gflops" column of Table II.
     fn effective_gflops(dims: GemmDims, elapsed: SimTime) -> f64 {
-        dims.flops() as f64 / elapsed.seconds() / 1.0e9
+        2.0 * dims.m as f64 * dims.n as f64 * dims.k as f64 / elapsed.seconds() / 1.0e9
     }
 
     pub(super) fn pattern(len: usize, seed: u64) -> Vec<f32> {

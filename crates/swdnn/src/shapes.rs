@@ -66,11 +66,6 @@ impl GemmDims {
     pub fn new(m: usize, n: usize, k: usize) -> Self {
         GemmDims { m, n, k }
     }
-
-    /// Multiply-add flop count (2mnk).
-    pub fn flops(&self) -> u64 {
-        2 * self.m as u64 * self.n as u64 * self.k as u64
-    }
 }
 
 /// Whether an operand is stored transposed (row-major storage throughout;
@@ -323,11 +318,6 @@ mod tests {
         };
         assert_eq!(p.out_h(), 27);
         assert_eq!(p.out_w(), 27);
-    }
-
-    #[test]
-    fn gemm_flops() {
-        assert_eq!(GemmDims::new(2, 3, 4).flops(), 48);
     }
 
     #[test]

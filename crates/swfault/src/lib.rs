@@ -1,15 +1,18 @@
 //! Deterministic, seeded fault injection for the cluster simulation.
 //!
 //! A [`FaultPlan`] declares *what can go wrong* in a run — node crashes at
-//! a given iteration, degraded inter-supernode links, straggling nodes,
-//! and a transient per-message corruption rate. A [`FaultSession`] walks
-//! the plan iteration by iteration and answers the questions the network
-//! layer asks on its functional and timing paths:
+//! a given iteration and a transient per-message corruption rate. A
+//! [`FaultSession`] walks the plan iteration by iteration and answers the
+//! two questions that change a collective's control flow:
 //!
-//! * is this node dead? (crash at iteration k)
-//! * by how much is this supernode's over-subscribed uplink degraded?
-//! * how much slower is this node than its peers right now?
+//! * is this node dead? (crash at iteration k: the collective aborts
+//!   after the detection timeout)
 //! * is this particular message, on this particular attempt, corrupted?
+//!   (checksum mismatch: the message is retransmitted)
+//!
+//! Neither changes how a step is priced (a detection or a retransmission
+//! is charged on top), so collective pricing depends only on the topology
+//! and the transfer list.
 //!
 //! Every answer is a pure function of the plan seed and the coordinates
 //! of the question (iteration, collective sequence number, step, source,
@@ -26,95 +29,45 @@ use std::fmt;
 
 pub mod serve;
 
-/// One declared fault.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultEvent {
-    /// Physical node `node` dies at the start of iteration `at_iter` and
-    /// stays dead until a recovery action removes or replaces it.
-    NodeCrash { node: usize, at_iter: u64 },
-    /// The over-subscribed uplink of `supernode` runs `factor >= 1`
-    /// times slower for iterations in `[from_iter, until_iter)`.
-    LinkDegrade {
-        supernode: usize,
-        factor: f64,
-        from_iter: u64,
-        until_iter: u64,
-    },
-    /// Node `node` runs `slowdown >= 1` times slower for iterations in
-    /// `[from_iter, until_iter)` (OS jitter, thermal throttling).
-    Straggler {
-        node: usize,
-        slowdown: f64,
-        from_iter: u64,
-        until_iter: u64,
-    },
-}
+/// Seconds charged to detect an unresponsive rank (MPI-style keep-alive
+/// timeout), added to the α-β-γ cost when a collective aborts on a dead
+/// peer.
+pub(crate) const DETECT_TIMEOUT_S: f64 = 0.25;
+
+/// Base of the retransmission backoff: attempt `k` (1-based) waits a
+/// decorrelated-jitter interval derived from the plan seed, bounded below
+/// by this base (see `decorrelated_backoff_s`).
+pub(crate) const BACKOFF_BASE_S: f64 = 50.0e-6;
 
 /// A seeded fault schedule. Build with the fluent methods, then open a
 /// [`FaultSession`] to consume it.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     seed: u64,
-    events: Vec<FaultEvent>,
+    /// `(node, at_iter)`: physical node `node` dies at the start of
+    /// iteration `at_iter` and stays dead until a recovery action removes
+    /// or replaces it.
+    crashes: Vec<(usize, u64)>,
     /// Probability that any single message is corrupted in flight.
     corruption_rate: f64,
-    /// Seconds charged to detect an unresponsive rank (MPI-style
-    /// keep-alive timeout), added to the α-β-γ cost when a collective
-    /// aborts on a dead peer.
-    detect_timeout_s: f64,
     /// Maximum retransmissions per message before the collective gives
     /// up with [`CollectiveFault::RetriesExhausted`].
     max_retries: u32,
-    /// Base of the retransmission backoff: attempt `k` (1-based) waits a
-    /// decorrelated-jitter interval derived from the plan seed, bounded
-    /// below by `backoff_base_s` (see [`decorrelated_backoff_s`]).
-    backoff_base_s: f64,
 }
 
 impl FaultPlan {
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
-            events: Vec::new(),
+            crashes: Vec::new(),
             corruption_rate: 0.0,
-            detect_timeout_s: 0.25,
             max_retries: 3,
-            backoff_base_s: 50.0e-6,
         }
     }
 
     /// Crash `node` at the start of iteration `at_iter`.
     pub fn crash(mut self, node: usize, at_iter: u64) -> Self {
-        self.events.push(FaultEvent::NodeCrash { node, at_iter });
-        self
-    }
-
-    /// Degrade `supernode`'s uplink by `factor` for iterations in `iters`.
-    pub fn degrade_link(
-        mut self,
-        supernode: usize,
-        factor: f64,
-        iters: std::ops::Range<u64>,
-    ) -> Self {
-        assert!(factor >= 1.0, "degradation factor must be >= 1");
-        self.events.push(FaultEvent::LinkDegrade {
-            supernode,
-            factor,
-            from_iter: iters.start,
-            until_iter: iters.end,
-        });
-        self
-    }
-
-    /// Slow `node` down by `slowdown` for iterations in `iters`.
-    pub fn straggle(mut self, node: usize, slowdown: f64, iters: std::ops::Range<u64>) -> Self {
-        assert!(slowdown >= 1.0, "straggler slowdown must be >= 1");
-        self.events.push(FaultEvent::Straggler {
-            node,
-            slowdown,
-            from_iter: iters.start,
-            until_iter: iters.end,
-        });
+        self.crashes.push((node, at_iter));
         self
     }
 
@@ -125,27 +78,9 @@ impl FaultPlan {
         self
     }
 
-    pub fn detect_timeout_s(mut self, s: f64) -> Self {
-        self.detect_timeout_s = s;
-        self
-    }
-
     pub fn max_retries(mut self, n: u32) -> Self {
         self.max_retries = n;
         self
-    }
-
-    pub fn backoff_base_s(mut self, s: f64) -> Self {
-        self.backoff_base_s = s;
-        self
-    }
-
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
     }
 }
 
@@ -185,16 +120,6 @@ pub enum CollectiveFault {
         step: usize,
         elapsed_s: f64,
     },
-}
-
-impl CollectiveFault {
-    /// Simulated seconds spent before the abort.
-    pub fn elapsed_s(&self) -> f64 {
-        match self {
-            CollectiveFault::DeadRank { elapsed_s, .. } => *elapsed_s,
-            CollectiveFault::RetriesExhausted { elapsed_s, .. } => *elapsed_s,
-        }
-    }
 }
 
 impl fmt::Display for CollectiveFault {
@@ -276,7 +201,7 @@ pub struct FaultSession {
     seq: u64,
     /// Physical nodes currently dead, sorted.
     dead: Vec<usize>,
-    /// Indices of crash events already applied: a crash fires once, so a
+    /// Indices of crashes already applied: a crash fires once, so a
     /// recovery that clears the dead set (shrink or restore) is not
     /// re-killed by the same event on the next iteration.
     fired_crashes: Vec<usize>,
@@ -295,26 +220,16 @@ impl FaultSession {
         }
     }
 
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    pub fn iter(&self) -> u64 {
-        self.iter
-    }
-
     /// Enter iteration `iter`: crashes scheduled at or before it take
     /// effect (a crash during a long repair window must not be missed).
     pub fn begin_iteration(&mut self, iter: u64) {
         self.iter = iter;
-        for (i, ev) in self.plan.events.iter().enumerate() {
-            if let FaultEvent::NodeCrash { node, at_iter } = *ev {
-                if at_iter <= iter && !self.fired_crashes.contains(&i) {
-                    self.fired_crashes.push(i);
-                    if !self.dead.contains(&node) {
-                        self.dead.push(node);
-                        self.report.crashes += 1;
-                    }
+        for (i, &(node, at_iter)) in self.plan.crashes.iter().enumerate() {
+            if at_iter <= iter && !self.fired_crashes.contains(&i) {
+                self.fired_crashes.push(i);
+                if !self.dead.contains(&node) {
+                    self.dead.push(node);
+                    self.report.crashes += 1;
                 }
             }
         }
@@ -342,8 +257,8 @@ impl FaultSession {
     /// returns it in seconds.
     pub fn detect(&mut self) -> f64 {
         self.report.detections += 1;
-        self.report.detect_latency_s += self.plan.detect_timeout_s;
-        self.plan.detect_timeout_s
+        self.report.detect_latency_s += DETECT_TIMEOUT_S;
+        DETECT_TIMEOUT_S
     }
 
     pub fn corruption_rate(&self) -> f64 {
@@ -363,7 +278,7 @@ impl FaultSession {
         let key = mix(seq.wrapping_mul(0x517c_c1b7_2722_0a95))
             .wrapping_add(mix(step as u64 ^ 0xda94_2042_e4dd_58b5))
             .wrapping_add(mix((src as u64) << 32 | dst as u64));
-        decorrelated_backoff_s(self.plan.seed, key, self.plan.backoff_base_s, attempt)
+        decorrelated_backoff_s(self.plan.seed, key, BACKOFF_BASE_S, attempt)
     }
 
     /// Is the message `(src -> dst)` of `step` within collective `seq`
@@ -383,65 +298,6 @@ impl FaultSession {
             .wrapping_add(mix((src as u64) << 32 | dst as u64))
             .wrapping_add(mix(u64::from(attempt) ^ 0x2545_f491_4f6c_dd1d));
         unit(key) < self.plan.corruption_rate
-    }
-
-    /// Multiplicative slowdown of `supernode`'s uplink this iteration
-    /// (`1.0` = healthy). Concurrent degradations compound.
-    pub fn link_factor(&self, supernode: usize) -> f64 {
-        let mut f = 1.0;
-        for ev in &self.plan.events {
-            if let FaultEvent::LinkDegrade {
-                supernode: s,
-                factor,
-                from_iter,
-                until_iter,
-            } = *ev
-            {
-                if s == supernode && (from_iter..until_iter).contains(&self.iter) {
-                    f *= factor;
-                }
-            }
-        }
-        f
-    }
-
-    /// Multiplicative slowdown of `node` this iteration (`1.0` = healthy).
-    pub fn straggler_factor(&self, node: usize) -> f64 {
-        let mut f = 1.0;
-        for ev in &self.plan.events {
-            if let FaultEvent::Straggler {
-                node: n,
-                slowdown,
-                from_iter,
-                until_iter,
-            } = *ev
-            {
-                if n == node && (from_iter..until_iter).contains(&self.iter) {
-                    f *= slowdown;
-                }
-            }
-        }
-        f
-    }
-
-    /// True if any declared fault can perturb *timing* this iteration —
-    /// lets hot paths skip per-transfer factor lookups in the common
-    /// healthy case.
-    pub fn perturbs_timing(&self) -> bool {
-        self.plan.events.iter().any(|ev| {
-            matches!(
-                ev,
-                FaultEvent::LinkDegrade {
-                    from_iter,
-                    until_iter,
-                    ..
-                } | FaultEvent::Straggler {
-                    from_iter,
-                    until_iter,
-                    ..
-                } if (*from_iter..*until_iter).contains(&self.iter)
-            )
-        })
     }
 }
 
@@ -507,6 +363,8 @@ mod tests {
         // Idempotent across iterations.
         s.begin_iteration(4);
         assert_eq!(s.report.crashes, 1);
+        assert_eq!(s.detect(), DETECT_TIMEOUT_S);
+        assert_eq!(s.report.detect_latency_s, DETECT_TIMEOUT_S);
         s.clear_dead();
         assert!(s.dead_nodes().is_empty());
     }
@@ -550,29 +408,11 @@ mod tests {
     }
 
     #[test]
-    fn degradation_windows_apply() {
-        let plan = FaultPlan::new(1)
-            .degrade_link(2, 3.0, 5..10)
-            .straggle(7, 2.0, 0..3);
-        let mut s = FaultSession::new(plan);
-        s.begin_iteration(0);
-        assert_eq!(s.link_factor(2), 1.0);
-        assert_eq!(s.straggler_factor(7), 2.0);
-        assert!(s.perturbs_timing());
-        s.begin_iteration(5);
-        assert_eq!(s.link_factor(2), 3.0);
-        assert_eq!(s.straggler_factor(7), 1.0);
-        s.begin_iteration(10);
-        assert_eq!(s.link_factor(2), 1.0);
-        assert!(!s.perturbs_timing());
-    }
-
-    #[test]
     fn backoff_is_jittered_deterministic_and_bounded() {
-        let plan = FaultPlan::new(77).backoff_base_s(50.0e-6);
+        let plan = FaultPlan::new(77);
         let a = FaultSession::new(plan.clone());
         let b = FaultSession::new(plan);
-        let base = 50.0e-6;
+        let base = BACKOFF_BASE_S;
         let mut distinct = std::collections::BTreeSet::new();
         for attempt in 1..=6u32 {
             for (seq, step, src, dst) in

@@ -4,14 +4,13 @@
 //! The training half of this crate reasons in *iterations*; a serving
 //! cluster reasons in *virtual seconds* and *batch dispatches*. A
 //! [`ServeFaultPlan`] declares what goes wrong with the chip's CG
-//! replicas — a crash at virtual time `t`, a latency-degradation window,
-//! a probabilistic per-batch straggle, a transient output-corruption
-//! window — and a [`ServeFaultSession`] answers the resilience layer's
-//! questions as pure functions of the plan seed and the coordinates of
-//! the question (replica, virtual time, batch sequence number):
+//! replicas — a crash at virtual time `t`, a probabilistic per-batch
+//! straggle, a transient output-corruption window — and a
+//! [`ServeFaultSession`] answers the resilience layer's questions as pure
+//! functions of the plan seed and the coordinates of the question
+//! (replica, virtual time, batch sequence number):
 //!
 //! * when does this replica crash, if ever?
-//! * by how much is this replica's execution stretched at time `t`?
 //! * does this particular batch execution straggle?
 //! * is this particular response payload corrupted in flight?
 //!
@@ -24,19 +23,11 @@ use crate::{decorrelated_backoff_s, mix, unit};
 
 /// One declared serving fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ServeFaultEvent {
+pub(crate) enum ServeFaultEvent {
     /// Replica `replica` dies at virtual time `at_s` and stays dead
     /// until the resilience layer re-warms it. A crash fires once: a
     /// re-warmed replica is not re-killed by the same event.
     ReplicaCrash { replica: usize, at_s: f64 },
-    /// Every batch dispatched to `replica` in `[from_s, until_s)` runs
-    /// `factor >= 1` times slower (thermal throttling, noisy neighbour).
-    Degrade {
-        replica: usize,
-        factor: f64,
-        from_s: f64,
-        until_s: f64,
-    },
     /// Each batch dispatched to `replica` in the window independently
     /// straggles with probability `prob`, running `slowdown >= 1` times
     /// slower (OS jitter tail). Seed-pure per batch sequence number.
@@ -90,18 +81,6 @@ impl ServeFaultPlan {
         self
     }
 
-    /// Stretch `replica`'s executions by `factor` for `window` seconds.
-    pub fn degrade(mut self, replica: usize, factor: f64, window: std::ops::Range<f64>) -> Self {
-        assert!(factor >= 1.0, "degradation factor must be >= 1");
-        self.events.push(ServeFaultEvent::Degrade {
-            replica,
-            factor,
-            from_s: window.start,
-            until_s: window.end,
-        });
-        self
-    }
-
     /// Straggle each of `replica`'s batches in `window` independently
     /// with probability `prob`, by `slowdown`.
     pub fn straggle(
@@ -152,14 +131,6 @@ impl ServeFaultPlan {
         self.backoff_base_s = s;
         self
     }
-
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    pub fn events(&self) -> &[ServeFaultEvent] {
-        &self.events
-    }
 }
 
 /// Injection counters a serving session accumulates; flattened into the
@@ -168,8 +139,6 @@ impl ServeFaultPlan {
 pub struct ServeFaultReport {
     /// Replica crashes observed (first dispatch or probe after `at_s`).
     pub crashes: u64,
-    /// Batch executions stretched by an active degradation window.
-    pub degraded_batches: u64,
     /// Batch executions that straggled.
     pub straggled_batches: u64,
     /// Responses the corruption model damaged in flight.
@@ -193,10 +162,6 @@ impl ServeFaultSession {
         }
     }
 
-    pub fn plan(&self) -> &ServeFaultPlan {
-        &self.plan
-    }
-
     /// Earliest declared crash time of `replica`, if any.
     pub fn crash_time(&self, replica: usize) -> Option<f64> {
         self.plan
@@ -213,29 +178,6 @@ impl ServeFaultSession {
     /// declared dead.
     pub fn detect_timeout_s(&self) -> f64 {
         self.plan.detect_timeout_s
-    }
-
-    /// Multiplicative execution stretch of `replica` for a batch
-    /// dispatched at virtual time `t` (`1.0` = healthy). Concurrent
-    /// degradation windows compound. Pure; does not touch the report —
-    /// use [`charge_execution`](Self::charge_execution) on the path that
-    /// actually executes.
-    pub fn degrade_factor(&self, replica: usize, t: f64) -> f64 {
-        let mut f = 1.0;
-        for ev in &self.plan.events {
-            if let ServeFaultEvent::Degrade {
-                replica: r,
-                factor,
-                from_s,
-                until_s,
-            } = *ev
-            {
-                if r == replica && t >= from_s && t < until_s {
-                    f *= factor;
-                }
-            }
-        }
-        f
     }
 
     /// Straggle stretch of batch `batch_seq` dispatched on `replica` at
@@ -290,18 +232,14 @@ impl ServeFaultSession {
         false
     }
 
-    /// Resolve one batch execution: the total stretch factor (degrade ×
-    /// straggle) with the injection counters charged. `1.0` = clean.
+    /// Resolve one batch execution: the straggle stretch factor with the
+    /// injection counter charged. `1.0` = clean.
     pub fn charge_execution(&mut self, replica: usize, batch_seq: u64, t: f64) -> f64 {
-        let degrade = self.degrade_factor(replica, t);
-        if degrade > 1.0 {
-            self.report.degraded_batches += 1;
-        }
         let straggle = self.straggle_factor(replica, batch_seq, t);
         if straggle > 1.0 {
             self.report.straggled_batches += 1;
         }
-        degrade * straggle
+        straggle
     }
 
     /// Resolve one response delivery: true (and charged) if corrupted.
@@ -340,7 +278,6 @@ mod tests {
     fn sessions_from_same_plan_replay_identically() {
         let plan = ServeFaultPlan::new(42)
             .crash(1, 0.5)
-            .degrade(2, 3.0, 0.2..0.9)
             .straggle(0, 0.3, 4.0, 0.0..1.0)
             .corrupt_output(3, 0.25, 0.0..2.0);
         let a = ServeFaultSession::new(plan.clone());
@@ -349,7 +286,6 @@ mod tests {
             assert_eq!(a.crash_time(replica), b.crash_time(replica));
             for seq in 0..64u64 {
                 let t = seq as f64 * 0.03;
-                assert_eq!(a.degrade_factor(replica, t), b.degrade_factor(replica, t));
                 assert_eq!(
                     a.straggle_factor(replica, seq, t),
                     b.straggle_factor(replica, seq, t)
@@ -369,17 +305,15 @@ mod tests {
     fn windows_gate_every_fault_kind() {
         let s = ServeFaultSession::new(
             ServeFaultPlan::new(7)
-                .degrade(0, 2.0, 1.0..2.0)
                 .straggle(0, 0.999, 5.0, 1.0..2.0)
                 .corrupt_output(0, 0.999, 1.0..2.0),
         );
         // Outside the window: clean.
-        assert_eq!(s.degrade_factor(0, 0.5), 1.0);
         assert_eq!(s.straggle_factor(0, 0, 0.5), 1.0);
         assert!(!s.corrupts_output(0, 0, 0.5));
-        assert_eq!(s.degrade_factor(0, 2.0), 1.0, "half-open window");
-        // Inside: degrade always, straggle/corrupt at ~0.999.
-        assert_eq!(s.degrade_factor(0, 1.5), 2.0);
+        assert_eq!(s.straggle_factor(0, 0, 2.0), 1.0, "half-open window");
+        assert!(!s.corrupts_output(0, 0, 2.0), "half-open window");
+        // Inside: straggle/corrupt at ~0.999.
         let straggled = (0..64)
             .filter(|&q| s.straggle_factor(0, q, 1.5) > 1.0)
             .count();
@@ -387,7 +321,8 @@ mod tests {
         assert!(straggled > 56, "straggled only {straggled}/64");
         assert!(corrupted > 56, "corrupted only {corrupted}/64");
         // The wrong replica is untouched.
-        assert_eq!(s.degrade_factor(1, 1.5), 1.0);
+        assert_eq!(s.straggle_factor(1, 0, 1.5), 1.0);
+        assert!(!s.corrupts_output(1, 0, 1.5));
     }
 
     #[test]
@@ -405,11 +340,11 @@ mod tests {
     fn charges_accumulate_in_the_report() {
         let mut s = ServeFaultSession::new(
             ServeFaultPlan::new(9)
-                .degrade(0, 2.0, 0.0..1.0)
+                .straggle(0, 0.999, 2.0, 0.0..1.0)
                 .corrupt_output(1, 0.999, 0.0..1.0),
         );
         assert_eq!(s.charge_execution(0, 0, 0.5), 2.0);
-        assert_eq!(s.report.degraded_batches, 1);
+        assert_eq!(s.report.straggled_batches, 1);
         assert!(s.charge_response(1, 0, 0.5));
         assert_eq!(s.report.corrupted_responses, 1);
         assert!(!s.charge_response(1, 0, 5.0), "outside the window");

@@ -26,11 +26,6 @@ impl SyntheticImageNet {
         SyntheticImageNet { images }
     }
 
-    /// Total dataset size on disk, in bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.images * RECORD_BYTES
-    }
-
     /// Label of a record.
     pub fn label(&self, idx: usize) -> usize {
         // Deterministic but scrambled so adjacent records differ in class.

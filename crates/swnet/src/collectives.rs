@@ -90,12 +90,13 @@ pub fn allreduce(
 /// The cost model charges each segment run its own start-up latencies
 /// and per-step straggler jitter — the realistic price of bucketing.
 ///
-/// With a fault session (`faults: Some`), both the timing path (degraded
-/// links, stragglers, detection timeouts, retry cost) and the functional
-/// path (checksummed messages, deterministic retransmission) consult it,
-/// and the collective aborts with a [`CollectiveFault`] instead of
-/// silently computing garbage when a peer is dead or a message exhausts
-/// its retry budget. With `faults: None` it cannot fail.
+/// With a fault session (`faults: Some`), both the timing path (detection
+/// timeouts, retry cost) and the functional path (checksummed messages,
+/// deterministic retransmission) consult it, and the collective aborts
+/// with a [`CollectiveFault`] instead of silently computing garbage when a
+/// peer is dead or a message exhausts its retry budget. The session never
+/// changes the price of a step that completes. With `faults: None` it
+/// cannot fail.
 #[allow(clippy::too_many_arguments)]
 pub fn allreduce_segment_ft(
     topo: &Topology,
@@ -185,7 +186,7 @@ fn run_schedule(
     let mut classes = Vec::new();
     let corrupts = faults.as_deref().is_some_and(|f| f.corruption_rate() > 0.0);
     if data.is_none() && !corrupts {
-        let mut table = spec.transfer_classes(faults.as_deref());
+        let mut table = spec.transfer_classes();
         for step in 0..spec.num_steps() {
             table.step_into(step, &mut classes);
             acc.price(&classes);
@@ -211,7 +212,7 @@ fn run_schedule(
                 reduce_bytes: if op.reduce { bytes } else { 0 },
             });
         }
-        fold_transfers(topo, &transfers, faults.as_deref(), &mut classes);
+        fold_transfers(topo, &transfers, &mut classes);
         let si = acc.price(&classes);
         if let Some(f) = faults.as_deref_mut() {
             acc.retransmit(&transfers, f, si)?;
@@ -384,7 +385,7 @@ impl<'a> StepAccum<'a> {
 /// Deliver one message in place: fold (`+=`) or copy `data[src][range]`
 /// into `data[dst][range]`. Every functional collective moves its data
 /// through here.
-pub(crate) fn deliver(
+fn deliver(
     data: &mut [Vec<f32>],
     src: usize,
     dst: usize,
@@ -838,7 +839,7 @@ mod fault_tests {
         let p = 8;
         let topo = Topology::with_supernode(p, 4);
         let params = NetParams::sunway(ReduceEngine::CpeClusters);
-        let mut session = FaultSession::new(FaultPlan::new(1).crash(3, 2).detect_timeout_s(0.5));
+        let mut session = FaultSession::new(FaultPlan::new(1).crash(3, 2));
         session.begin_iteration(1);
         let mut data = rough_data(p, 64);
         assert!(allreduce_segment_ft(
@@ -867,12 +868,12 @@ mod fault_tests {
         match err {
             CollectiveFault::DeadRank { rank, elapsed_s } => {
                 assert_eq!(rank, 3);
-                assert_eq!(elapsed_s, 0.5);
+                assert!(elapsed_s > 0.0);
+                assert_eq!(session.report.detect_latency_s, elapsed_s);
             }
             other => panic!("expected DeadRank, got {other}"),
         }
         assert_eq!(session.report.detections, 1);
-        assert_eq!(session.report.detect_latency_s, 0.5);
     }
 
     #[test]
@@ -894,90 +895,10 @@ mod fault_tests {
             Some(&mut session),
         )
         .unwrap_err();
-        assert!(matches!(err, CollectiveFault::RetriesExhausted { .. }));
+        assert!(matches!(
+            err,
+            CollectiveFault::RetriesExhausted { elapsed_s, .. } if elapsed_s > 0.0
+        ));
         assert_eq!(session.report.retries_exhausted, 1);
-        assert!(err.elapsed_s() > 0.0);
-    }
-
-    #[test]
-    fn degraded_uplink_slows_only_affected_iterations() {
-        let p = 8;
-        let elems = 1 << 16;
-        let topo = Topology::with_supernode(p, 4);
-        let params = NetParams::sunway(ReduceEngine::CpeClusters);
-        let healthy = allreduce(
-            &topo,
-            &params,
-            RankMap::Natural,
-            Algorithm::RecursiveHalvingDoubling,
-            elems,
-            None,
-        );
-        let mut session = FaultSession::new(FaultPlan::new(9).degrade_link(0, 4.0, 5..6));
-        session.begin_iteration(4);
-        let before = allreduce_segment_ft(
-            &topo,
-            &params,
-            RankMap::Natural,
-            Algorithm::RecursiveHalvingDoubling,
-            elems,
-            0..elems,
-            None,
-            Some(&mut session),
-        )
-        .unwrap();
-        assert_eq!(
-            before.elapsed.seconds().to_bits(),
-            healthy.elapsed.seconds().to_bits(),
-            "outside the window the timing must be bit-identical"
-        );
-        session.begin_iteration(5);
-        let during = allreduce_segment_ft(
-            &topo,
-            &params,
-            RankMap::Natural,
-            Algorithm::RecursiveHalvingDoubling,
-            elems,
-            0..elems,
-            None,
-            Some(&mut session),
-        )
-        .unwrap();
-        assert!(
-            during.elapsed.seconds() > 1.5 * healthy.elapsed.seconds(),
-            "degraded uplink must dominate the cross steps: {} vs {}",
-            during.elapsed.seconds(),
-            healthy.elapsed.seconds()
-        );
-    }
-
-    #[test]
-    fn straggler_stretches_the_step() {
-        let p = 8;
-        let elems = 1 << 16;
-        let topo = Topology::with_supernode(p, 4);
-        let params = NetParams::sunway(ReduceEngine::CpeClusters);
-        let healthy = allreduce(
-            &topo,
-            &params,
-            RankMap::Natural,
-            Algorithm::Ring,
-            elems,
-            None,
-        );
-        let mut session = FaultSession::new(FaultPlan::new(11).straggle(2, 3.0, 0..100));
-        session.begin_iteration(1);
-        let slow = allreduce_segment_ft(
-            &topo,
-            &params,
-            RankMap::Natural,
-            Algorithm::Ring,
-            elems,
-            0..elems,
-            None,
-            Some(&mut session),
-        )
-        .unwrap();
-        assert!(slow.elapsed.seconds() > 1.5 * healthy.elapsed.seconds());
     }
 }

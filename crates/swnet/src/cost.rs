@@ -15,7 +15,6 @@
 //!   CPE clusters (the paper's improvement).
 
 use sw26010::SimTime;
-use swfault::FaultSession;
 
 use crate::topology::{Topology, OVERSUBSCRIPTION};
 
@@ -156,9 +155,9 @@ pub struct Transfer {
 }
 
 /// Everything about a transfer's path that the cost model prices, apart
-/// from its size: the switch crossing, its share of the source uplink and
-/// the fault factors at its endpoints. Within one step these depend only
-/// on the endpoints and on how many crossing flows leave each supernode.
+/// from its size: the switch crossing and its share of the source uplink.
+/// Within one step these depend only on the endpoints and on how many
+/// crossing flows leave each supernode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Route {
     /// Whether the transfer crosses the central switch.
@@ -166,11 +165,6 @@ pub struct Route {
     /// Congestion factor (>= 1) on the per-byte term: 1 inside a
     /// supernode, the flow's share of the source uplink across it.
     pub share: f64,
-    /// Degradation of the worse endpoint supernode's uplink (1 when
-    /// healthy; only crossing transfers pay it).
-    pub link_factor: f64,
-    /// Slowdown of the slower endpoint (1 when healthy).
-    pub straggler_factor: f64,
 }
 
 /// Transfers of one step that the cost model cannot tell apart: `count`
@@ -201,15 +195,8 @@ pub(crate) fn uplink_flows(
 }
 
 /// The route of a `src -> dst` transfer in a step whose crossing flows per
-/// supernode are `outflows` (see [`uplink_flows`]). Fault factors are read
-/// only from a session that perturbs timing in its current iteration.
-pub(crate) fn route(
-    topo: &Topology,
-    outflows: &[usize],
-    src: usize,
-    dst: usize,
-    faults: Option<&FaultSession>,
-) -> Route {
+/// supernode are `outflows` (see [`uplink_flows`]).
+pub(crate) fn route(topo: &Topology, outflows: &[usize], src: usize, dst: usize) -> Route {
     let (from, to) = (topo.supernode_of(src), topo.supernode_of(dst));
     let crosses = from != to;
     let share = if crosses {
@@ -220,37 +207,15 @@ pub(crate) fn route(
     } else {
         1.0
     };
-    let (link_factor, straggler_factor) = match faults.filter(|f| f.perturbs_timing()) {
-        Some(f) => (
-            if crosses {
-                f.link_factor(from).max(f.link_factor(to))
-            } else {
-                1.0
-            },
-            f.straggler_factor(src).max(f.straggler_factor(dst)),
-        ),
-        None => (1.0, 1.0),
-    };
-    Route {
-        crosses,
-        share,
-        link_factor,
-        straggler_factor,
-    }
+    Route { crosses, share }
 }
 
 /// Fold a step's transfer list into its classes, replacing `classes`.
-pub fn fold_transfers(
-    topo: &Topology,
-    transfers: &[Transfer],
-    faults: Option<&FaultSession>,
-    classes: &mut Vec<TransferClass>,
-) {
+pub fn fold_transfers(topo: &Topology, transfers: &[Transfer], classes: &mut Vec<TransferClass>) {
     classes.clear();
-    let faults = faults.filter(|f| f.perturbs_timing());
     let outflows = uplink_flows(topo, transfers.iter().map(|t| (t.src, t.dst)));
     for t in transfers {
-        let route = route(topo, &outflows, t.src, t.dst, faults);
+        let route = route(topo, &outflows, t.src, t.dst);
         // A step has a handful of classes, so a linear scan (newest
         // first) beats hashing.
         match classes
@@ -270,20 +235,12 @@ pub fn fold_transfers(
 }
 
 impl NetParams {
-    /// Seconds one transfer of a class takes, start-up, local reduction
-    /// and fault perturbations included: the one float expression every
-    /// step is priced with.
+    /// Seconds one transfer of a class takes, start-up and local
+    /// reduction included: the one float expression every step is priced
+    /// with.
     fn transfer_seconds(&self, class: &TransferClass) -> f64 {
-        let r = &class.route;
-        let wire = class.bytes as f64 * self.beta1 * r.share / self.collective_efficiency;
-        let mut time = self.alpha(class.bytes) + wire + class.reduce_bytes as f64 * self.gamma();
-        if r.crosses && r.link_factor > 1.0 {
-            time += wire * (r.link_factor - 1.0);
-        }
-        if r.straggler_factor > 1.0 {
-            time *= r.straggler_factor;
-        }
-        time
+        let wire = class.bytes as f64 * self.beta1 * class.route.share / self.collective_efficiency;
+        self.alpha(class.bytes) + wire + class.reduce_bytes as f64 * self.gamma()
     }
 }
 
@@ -308,22 +265,8 @@ pub fn class_step_time(topo: &Topology, params: &NetParams, classes: &[TransferC
 /// their source supernode; the step ends when the slowest transfer (plus
 /// its local reduction) completes.
 pub fn step_time(topo: &Topology, params: &NetParams, transfers: &[Transfer]) -> SimTime {
-    step_time_faulty(topo, params, transfers, None)
-}
-
-/// [`step_time`] with fault-plan perturbations: a degraded supernode
-/// uplink stretches the per-byte term of every crossing transfer that
-/// touches it, and a straggling endpoint stretches its whole transfer.
-/// With no active perturbation the arithmetic is bit-identical to the
-/// healthy path.
-pub(crate) fn step_time_faulty(
-    topo: &Topology,
-    params: &NetParams,
-    transfers: &[Transfer],
-    faults: Option<&FaultSession>,
-) -> SimTime {
     let mut classes = Vec::new();
-    fold_transfers(topo, transfers, faults, &mut classes);
+    fold_transfers(topo, transfers, &mut classes);
     class_step_time(topo, params, &classes)
 }
 

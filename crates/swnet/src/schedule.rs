@@ -31,8 +31,6 @@
 //! span, mirroring the block geometry of the runtime exactly (including
 //! the ring's empty clamped blocks under segmented reduction).
 
-use swfault::FaultSession;
-
 use crate::collectives::Algorithm;
 use crate::cost::{fold_transfers, route, uplink_flows, Route, Transfer, TransferClass};
 use crate::topology::{RankMap, Topology, TopologyError};
@@ -105,15 +103,6 @@ pub struct UniformStep {
 pub enum StepOps {
     Uniform(UniformStep),
     Explicit { phase: CommPhase, ops: Vec<RankOp> },
-}
-
-impl StepOps {
-    pub fn phase(&self) -> CommPhase {
-        match self {
-            StepOps::Uniform(u) => u.phase,
-            StepOps::Explicit { phase, .. } => *phase,
-        }
-    }
 }
 
 /// Rejection of an unschedulable configuration.
@@ -288,11 +277,6 @@ impl CommSpec {
                 2 * p.trailing_zeros() as usize
             }
         }
-    }
-
-    /// Number of reduce-phase steps (the first half of the schedule).
-    pub fn reduce_steps(&self) -> usize {
-        self.num_steps() / 2
     }
 
     /// Chunks owned (fully reduced) by `rank` at the end of the reduce
@@ -513,17 +497,14 @@ impl CommSpec {
     }
 
     /// The per-step transfer classes the cost model prices (see
-    /// [`StepClasses`]). `faults`, when it perturbs timing, puts its
-    /// endpoint factors into the classes' routes.
-    pub fn transfer_classes<'f>(&self, faults: Option<&'f FaultSession>) -> StepClasses<'f> {
+    /// [`StepClasses`]).
+    pub fn transfer_classes(&self) -> StepClasses {
         let p = self.topo.nodes;
         let phys: Vec<usize> = (0..p).map(|r| self.map.physical(&self.topo, r)).collect();
         let chunks = self.chunk_table();
-        let ring =
-            (self.algo == Algorithm::Ring).then(|| RingClasses::new(self, &phys, &chunks, faults));
+        let ring = (self.algo == Algorithm::Ring).then(|| RingClasses::new(self, &phys, &chunks));
         StepClasses {
             spec: *self,
-            faults,
             phys,
             chunks,
             ring,
@@ -559,9 +540,8 @@ impl CommSpec {
 ///   counts of each route over the ranks: O(runs × routes) per step.
 /// * **RHD and binomial.** Pairings change every step, so each step's
 ///   O(p) op list is generated in closed form and folded into classes.
-pub struct StepClasses<'f> {
+pub struct StepClasses {
     spec: CommSpec,
-    faults: Option<&'f FaultSession>,
     /// Physical node of each logical rank.
     phys: Vec<usize>,
     chunks: Vec<(usize, usize)>,
@@ -570,7 +550,7 @@ pub struct StepClasses<'f> {
     transfers: Vec<Transfer>,
 }
 
-impl StepClasses<'_> {
+impl StepClasses {
     /// Classes of step `step`, replacing `out`.
     pub fn step_into(&mut self, step: usize, out: &mut Vec<TransferClass>) -> CommPhase {
         out.clear();
@@ -597,7 +577,7 @@ impl StepClasses<'_> {
                 reduce_bytes: if op.reduce { bytes } else { 0 },
             });
         }
-        fold_transfers(&self.spec.topo, &self.transfers, self.faults, out);
+        fold_transfers(&self.spec.topo, &self.transfers, out);
         phase
     }
 }
@@ -614,12 +594,7 @@ struct RingClasses {
 }
 
 impl RingClasses {
-    fn new(
-        spec: &CommSpec,
-        phys: &[usize],
-        chunks: &[(usize, usize)],
-        faults: Option<&FaultSession>,
-    ) -> Self {
+    fn new(spec: &CommSpec, phys: &[usize], chunks: &[(usize, usize)]) -> Self {
         let p = phys.len();
         let topo = &spec.topo;
         let pair = |r: usize| (phys[r], phys[if r + 1 == p { 0 } else { r + 1 }]);
@@ -628,7 +603,7 @@ impl RingClasses {
         let mut group = Vec::with_capacity(p);
         for r in 0..p {
             let (src, dst) = pair(r);
-            let rt = route(topo, &outflows, src, dst, faults);
+            let rt = route(topo, &outflows, src, dst);
             let g = match routes.iter().position(|x| *x == rt) {
                 Some(g) => g,
                 None => {

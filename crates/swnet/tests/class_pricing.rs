@@ -10,8 +10,7 @@
 //! * `reference_step_time`, a copy of the original per-transfer `max`
 //!   loop, kept here as the reference.
 //!
-//! The fault-path tests pin perturbed timing to values recorded before
-//! class pricing existed.
+//! A fault session that fires nothing must not move a bit either.
 
 use sw26010::SimTime;
 use swnet::cost::{class_step_time, fold_transfers};
@@ -23,16 +22,10 @@ use swnet::{
 
 /// The original step pricing: one float expression per transfer, the
 /// step ends with the slowest.
-fn reference_step_time(
-    topo: &Topology,
-    params: &NetParams,
-    transfers: &[Transfer],
-    faults: Option<&FaultSession>,
-) -> SimTime {
+fn reference_step_time(topo: &Topology, params: &NetParams, transfers: &[Transfer]) -> SimTime {
     if transfers.is_empty() {
         return SimTime::ZERO;
     }
-    let perturb = faults.filter(|f| f.perturbs_timing());
     let mut outflows = vec![0usize; topo.supernodes()];
     for t in transfers {
         if topo.crosses(t.src, t.dst) {
@@ -48,21 +41,7 @@ fn reference_step_time(
             1.0
         };
         let wire = t.bytes as f64 * params.beta1 * share / params.collective_efficiency;
-        let mut time = params.alpha(t.bytes) + wire + t.reduce_bytes as f64 * params.gamma();
-        if let Some(f) = perturb {
-            if topo.crosses(t.src, t.dst) {
-                let lf = f
-                    .link_factor(topo.supernode_of(t.src))
-                    .max(f.link_factor(topo.supernode_of(t.dst)));
-                if lf > 1.0 {
-                    time += wire * (lf - 1.0);
-                }
-            }
-            let sf = f.straggler_factor(t.src).max(f.straggler_factor(t.dst));
-            if sf > 1.0 {
-                time *= sf;
-            }
-        }
+        let time = params.alpha(t.bytes) + wire + t.reduce_bytes as f64 * params.gamma();
         worst = worst.max(time);
     }
     worst += params.straggler_coeff * (topo.nodes.max(2) as f64).ln();
@@ -109,16 +88,14 @@ fn canonical(classes: &[TransferClass]) -> Vec<TransferClass> {
             c.reduce_bytes,
             c.route.crosses,
             c.route.share.to_bits(),
-            c.route.link_factor.to_bits(),
-            c.route.straggler_factor.to_bits(),
         )
     };
     merged.sort_by_key(key);
     merged
 }
 
-/// Check one configuration three ways; `faults` applies to all three.
-fn check(spec: &CommSpec, params: &NetParams, mut faults: Option<&mut FaultSession>) {
+/// Check one configuration three ways.
+fn check(spec: &CommSpec, params: &NetParams) {
     let topo = &spec.topo;
     let what = format!(
         "{:?}/{:?} p={} ss={} elems={} seg={}..{}",
@@ -138,7 +115,7 @@ fn check(spec: &CommSpec, params: &NetParams, mut faults: Option<&mut FaultSessi
         spec.total_elems,
         spec.seg_lo..spec.seg_hi,
         None,
-        faults.as_deref_mut(),
+        None,
     )
     .unwrap_or_else(|e| panic!("{what}: {e:?}"));
     let symbolic = (
@@ -147,20 +124,19 @@ fn check(spec: &CommSpec, params: &NetParams, mut faults: Option<&mut FaultSessi
         symbolic.cross_bytes,
         symbolic.total_bytes,
     );
-    let faults = faults.as_deref();
 
     // Walk the expanded transfers once, pricing each step by folding and
     // by the reference loop, and compare the folded classes with the
     // symbolic ones.
-    let mut table = spec.transfer_classes(faults);
+    let mut table = spec.transfer_classes();
     let (mut derived, mut folded) = (Vec::new(), Vec::new());
     let (mut by_fold, mut by_reference) = (SimTime::ZERO, SimTime::ZERO);
     let (mut cross, mut total) = (0u64, 0u64);
     for step in 0..spec.num_steps() {
         let transfers = expanded_transfers(spec, step);
-        fold_transfers(topo, &transfers, faults, &mut folded);
+        fold_transfers(topo, &transfers, &mut folded);
         by_fold += class_step_time(topo, params, &folded);
-        by_reference += reference_step_time(topo, params, &transfers, faults);
+        by_reference += reference_step_time(topo, params, &transfers);
         table.step_into(step, &mut derived);
         assert_eq!(
             canonical(&derived),
@@ -230,7 +206,7 @@ fn check_grid(p: usize, pick: &mut impl FnMut() -> bool) {
                     let spec =
                         CommSpec::new(Topology::with_supernode(p, ss), map, algo, total, seg)
                             .unwrap();
-                    check(&spec, &params(), None);
+                    check(&spec, &params());
                 }
             }
         }
@@ -270,29 +246,6 @@ fn class_pricing_matches_the_walk_up_to_4096_ranks() {
     }
 }
 
-#[test]
-fn timing_faults_price_the_same_three_ways() {
-    for (p, ss) in [(8usize, 4usize), (12, 5), (32, 8), (64, 16)] {
-        for algo in [Algorithm::Ring, Algorithm::RecursiveHalvingDoubling] {
-            if algo != Algorithm::Ring && !p.is_power_of_two() {
-                continue;
-            }
-            for map in [RankMap::Natural, RankMap::RoundRobin] {
-                let spec =
-                    CommSpec::monolithic(Topology::with_supernode(p, ss), map, algo, 100 * p + 7)
-                        .unwrap();
-                let plan =
-                    FaultPlan::new(3)
-                        .degrade_link(1, 2.5, 0..4)
-                        .straggle(p / 2 + 1, 1.75, 0..4);
-                let mut session = FaultSession::new(plan);
-                session.begin_iteration(1);
-                check(&spec, &params(), Some(&mut session));
-            }
-        }
-    }
-}
-
 fn summary(
     algo: Algorithm,
     topo: &Topology,
@@ -328,71 +281,21 @@ fn inert_fault_session_prices_like_no_session() {
             Topology::with_supernode(128, 16)
         };
         let healthy = summary(algo, &topo, 50_001, None);
-        // No events at all, and events outside the current iteration or
-        // on nodes outside the allocation: nothing perturbs or corrupts.
+        // No events at all, a crash outside the allocation, a crash at a
+        // later iteration and a corruption rate of 0: nothing fires.
         for plan in [
             FaultPlan::new(1),
-            FaultPlan::new(2)
-                .degrade_link(1, 4.0, 10..20)
-                .straggle(3, 3.0, 10..20)
-                .crash(100_000, 0),
+            FaultPlan::new(2).crash(100_000, 0),
+            FaultPlan::new(3).crash(5, 10),
+            FaultPlan::new(4).corruption(0.0),
         ] {
             let mut session = FaultSession::new(plan);
             session.begin_iteration(2);
-            assert!(!session.perturbs_timing());
             assert_eq!(
                 summary(algo, &topo, 50_001, Some(&mut session)),
                 healthy,
                 "{algo:?}"
             );
         }
-    }
-}
-
-/// Degraded-uplink and straggler timing at 1,024 round-robin ranks.
-/// The expected values were recorded at commit 0a84b91, whose pricing
-/// walked every transfer of every step.
-#[test]
-fn perturbed_timing_is_pinned_at_1024_ranks() {
-    let topo = Topology::new(1024);
-    let elems = 1_000_003;
-    let cases = [
-        (
-            Algorithm::Ring,
-            FaultPlan::new(7).degrade_link(1, 3.0, 0..4),
-            0x403c_85fc_d795_ac51u64,
-            2046,
-            8_184_024_552u64,
-        ),
-        (
-            Algorithm::Ring,
-            FaultPlan::new(7).straggle(517, 2.5, 0..4),
-            0x403c_854f_d547_d335,
-            2046,
-            8_184_024_552,
-        ),
-        (
-            Algorithm::RecursiveHalvingDoubling,
-            FaultPlan::new(7).degrade_link(1, 3.0, 0..4),
-            0x3fd2_8f8c_a3b3_42ac,
-            20,
-            24_000_072,
-        ),
-        (
-            Algorithm::RecursiveHalvingDoubling,
-            FaultPlan::new(7).straggle(517, 2.5, 0..4),
-            0x3fd3_bd51_5c1a_f20b,
-            20,
-            24_000_072,
-        ),
-    ];
-    for (algo, plan, bits, steps, cross) in cases {
-        let mut session = FaultSession::new(plan);
-        session.begin_iteration(1);
-        assert_eq!(
-            summary(algo, &topo, elems, Some(&mut session)),
-            (bits, steps, cross, 8_184_024_552),
-            "{algo:?}"
-        );
     }
 }

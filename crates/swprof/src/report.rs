@@ -98,12 +98,6 @@ impl StatsSnap {
         self.dma_get_bytes + self.dma_put_bytes
     }
 
-    /// Flops per DMA byte, `None` without DMA traffic.
-    pub fn arithmetic_intensity(&self) -> Option<f64> {
-        let bytes = self.dma_bytes();
-        (bytes > 0).then(|| self.flops as f64 / bytes as f64)
-    }
-
     fn to_json(self) -> Json {
         obj()
             .field("dma_get_bytes", self.dma_get_bytes)
@@ -583,6 +577,5 @@ mod tests {
         assert_eq!(snap.dma_bytes(), 30);
         assert_eq!(snap.flops, 600);
         assert_eq!(snap.busy_seconds, 0.5);
-        assert_eq!(snap.arithmetic_intensity(), Some(20.0));
     }
 }

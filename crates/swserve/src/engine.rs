@@ -13,7 +13,7 @@
 //! Every fallible path returns a typed [`ServeError`] value — injected
 //! faults and malformed inputs surface as data, never as aborts.
 
-use sw26010::{CoreGroup, ExecMode, SimTime};
+use sw26010::{CoreGroup, ExecMode};
 use swcaffe_core::{Net, Phase};
 
 use crate::error::ServeError;
@@ -46,14 +46,6 @@ impl Engine {
         }
     }
 
-    pub fn graph(&self) -> &FrozenGraph {
-        &self.graph
-    }
-
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
     /// Simulated seconds one forward pass of `batch` images takes,
     /// evaluated at the batch's bucket on the `TimingOnly` twin and
     /// memoized per bucket. Fails with [`ServeError::Graph`] if the
@@ -72,11 +64,6 @@ impl Engine {
         let s = (self.timing_cg.elapsed() - before).seconds();
         self.latencies.push((b, s));
         Ok(s)
-    }
-
-    /// [`Engine::latency_seconds`] as a [`SimTime`].
-    pub fn latency(&mut self, batch: usize) -> Result<SimTime, ServeError> {
-        Ok(SimTime::from_seconds(self.latency_seconds(batch)?))
     }
 
     /// Run `batch` images (row-major, `graph.per_image` floats each)
@@ -247,7 +234,7 @@ mod tests {
         }
         // The graph's copy, and one handle per bucket net of each replica.
         for (name, p) in sets[0] {
-            let holders = 1 + cluster.replicas() * BUCKETS.len();
+            let holders = 1 + cluster.engines.len() * BUCKETS.len();
             assert_eq!(Arc::strong_count(p), holders, "{name}");
         }
     }

@@ -61,10 +61,6 @@ impl Cluster {
         }
     }
 
-    pub fn replicas(&self) -> usize {
-        self.engines.len()
-    }
-
     pub fn engines_mut(&mut self) -> &mut [Engine] {
         &mut self.engines
     }

@@ -151,18 +151,6 @@ pub struct FtServeOutcome {
     pub faults: ServeFaultReport,
 }
 
-impl FtServeOutcome {
-    /// Final health of `replica` after the trace drained.
-    pub fn final_health(&self, replica: usize) -> Health {
-        self.transitions
-            .iter()
-            .rev()
-            .find(|t| t.replica == replica)
-            .map(|t| t.to)
-            .unwrap_or(Health::Healthy)
-    }
-}
-
 /// A queued request attempt.
 #[derive(Debug, Clone, Copy)]
 struct QReq {
@@ -515,7 +503,7 @@ impl<'a> Sim<'a> {
         let crash = self.crash_pending[replica];
         let detect = self.session.detect_timeout_s();
         if let Some(ct) = crash {
-            if ct <= now + base * self.session.degrade_factor(replica, now) {
+            if ct <= now + base {
                 // The replica dies before this execution completes: the
                 // response never arrives. The dispatcher notices when
                 // the expected completion plus the deadline slack

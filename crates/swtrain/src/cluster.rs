@@ -67,15 +67,6 @@ impl ClusterConfig {
     pub fn topology(&self) -> Topology {
         Topology::with_supernode(self.nodes, self.supernode_size)
     }
-
-    /// The symbolic collective configuration this cluster's gradient
-    /// reduce runs — including after [`ClusterTrainer::recover`] has
-    /// shrunk the topology and switched algorithm/rank-map. This is the
-    /// hook `swcheck::comm` uses to statically verify the schedule a
-    /// post-failure cluster will actually execute.
-    pub fn comm_spec(&self, grad_elems: usize) -> Result<swnet::CommSpec, swnet::ScheduleError> {
-        swnet::CommSpec::monolithic(self.topology(), self.rank_map, self.algorithm, grad_elems)
-    }
 }
 
 /// Per-iteration cluster report.

@@ -36,7 +36,6 @@ pub struct TrainRecord {
 /// Single-node trainer with a real prefetch pipeline.
 pub struct Trainer {
     chip: ChipTrainer,
-    dataset: SyntheticImageNet,
     prefetcher: Prefetcher,
     config: TrainConfig,
     input_chw: (usize, usize, usize),
@@ -83,7 +82,6 @@ impl Trainer {
         }
         Ok(Trainer {
             chip,
-            dataset,
             prefetcher,
             config,
             input_chw: (c, h, w),
@@ -133,16 +131,8 @@ impl Trainer {
         Ok(log)
     }
 
-    pub fn chip(&self) -> &ChipTrainer {
-        &self.chip
-    }
-
     pub fn chip_mut(&mut self) -> &mut ChipTrainer {
         &mut self.chip
-    }
-
-    pub fn dataset(&self) -> &SyntheticImageNet {
-        &self.dataset
     }
 }
 

@@ -68,13 +68,6 @@ pub struct PassTuning {
     pub candidates: usize,
 }
 
-impl PassTuning {
-    /// Did the search strictly beat the hand-picked blocking?
-    pub fn is_win(&self) -> bool {
-        self.tuned_seconds < self.hand_seconds
-    }
-}
-
 /// The tuning result for one layer: forward, weight-gradient and
 /// input-gradient passes, in that order.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,9 +1,8 @@
-//! Conformance properties of the searched plans (the ISSUE's acceptance
-//! gates):
+//! Conformance properties of the searched plans:
 //!
-//! 1. Every plan the candidate enumeration can emit launches through the
-//!    checked `CoreGroup::try_run_planned` path — the searcher and the
-//!    launch-time validator agree on feasibility.
+//! 1. Every plan the candidate enumeration can emit passes
+//!    `KernelPlan::validate` and launches through `CoreGroup::run_planned`
+//!    — the searcher and the launch-time validator agree on feasibility.
 //! 2. A searched winner computes *bit-identical* results to the hand
 //!    blocking, on the simulated mesh and on the host-native backend:
 //!    re-tiling changes the schedule, never the arithmetic.
@@ -89,8 +88,9 @@ fn every_searchable_plan_launches_through_the_checked_path() {
     assert!(zoo.len() > 2_000, "zoo too small: {}", zoo.len());
     let mut cg = CoreGroup::new(ExecMode::TimingOnly);
     for (label, plan) in &zoo {
-        cg.try_run_planned(plan, |cpe| cpe.charge_flops(1))
+        plan.validate()
             .unwrap_or_else(|v| panic!("{label} rejected at launch: {v}"));
+        cg.run_planned(plan, |cpe| cpe.charge_flops(1));
     }
     assert_eq!(cg.stats().launches as usize, zoo.len());
 }
