@@ -163,9 +163,6 @@ pub fn run(_args: &[String]) -> (String, Report) {
             report.count(&format!("{k}.transitions"), o.transitions.len() as u64);
             o.health.export(&mut report, &format!("{k}.health"));
             report.count(&format!("{k}.faults.crashes"), o.faults.crashes);
-            // No serving fault kind stretches a replica's batches any more;
-            // the row stays at 0 so the blessed report keeps its shape.
-            report.count(&format!("{k}.faults.degraded_batches"), 0);
             report.count(
                 &format!("{k}.faults.straggled_batches"),
                 o.faults.straggled_batches,

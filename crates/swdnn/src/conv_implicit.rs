@@ -10,7 +10,12 @@
 //! Zero padding is handled by *coordinate mapping* (the paper's padding
 //! optimisation): a row tap outside the image is skipped, a column tap
 //! loads a zero tile with no DMA and multiplies it like any other (so an
-//! infinite weight makes a NaN there), and `crate::host` does the same.
+//! infinite weight makes a NaN there).
+//!
+//! The plan exists for the CPE mesh and has no host body: under
+//! `HostNative` each pass runs this mesh body on a functional core group
+//! of its own and reports no time and no counters, so it is the one body
+//! every backend runs.
 //!
 //! The strategy degrades for small channel counts — tiles shrink below
 //! what the register buses and vector pipelines need (the paper gates it
@@ -222,6 +227,9 @@ pub fn forward_with_tiles(
     tiles: ConvTiles,
     ops: Option<ImplicitFwdOperands<'_>>,
 ) -> LaunchReport {
+    if let ExecMode::HostNative { .. } = cg.mode() {
+        return crate::run_mesh_body(|mesh| forward_with_tiles(mesh, shape, tiles, ops));
+    }
     guard_shape(shape);
     guard_tiles(tiles, ImplicitPass::Forward, shape);
     if !cg.mode().is_functional() {
@@ -231,10 +239,6 @@ pub fn forward_with_tiles(
     assert_eq!(ops.input.len(), shape.input_len());
     assert_eq!(ops.weights.len(), shape.weight_len());
     assert_eq!(ops.output.len(), shape.output_len());
-    if let ExecMode::HostNative { .. } = cg.mode() {
-        crate::host::conv_implicit_forward(cg.workers(), shape, ops.input, ops.weights, ops.output);
-        return LaunchReport::default();
-    }
 
     let s = *shape;
     let b = s.batch;
@@ -343,6 +347,11 @@ pub fn backward_with_tiles(
     weight_tiles: ConvTiles,
     ops: Option<ImplicitBwdOperands<'_>>,
 ) -> LaunchReport {
+    if let ExecMode::HostNative { .. } = cg.mode() {
+        return crate::run_mesh_body(|mesh| {
+            backward_with_tiles(mesh, shape, input_tiles, weight_tiles, ops)
+        });
+    }
     guard_shape(shape);
     guard_tiles(input_tiles, ImplicitPass::BackwardInput, shape);
     guard_tiles(weight_tiles, ImplicitPass::BackwardWeights, shape);
@@ -354,34 +363,6 @@ pub fn backward_with_tiles(
         );
     }
     let mut ops = ops.expect("functional conv requires operands");
-    if let ExecMode::HostNative { .. } = cg.mode() {
-        let workers = cg.workers();
-        if let Some(w_grad) = ops.w_grad.as_deref_mut() {
-            assert_eq!(ops.input.len(), shape.input_len());
-            assert_eq!(ops.out_grad.len(), shape.output_len());
-            assert_eq!(w_grad.len(), shape.weight_len());
-            crate::host::conv_implicit_backward_weights(
-                workers,
-                shape,
-                ops.input,
-                ops.out_grad,
-                w_grad,
-            );
-        }
-        if let Some(in_grad) = ops.in_grad.as_deref_mut() {
-            assert_eq!(ops.weights.len(), shape.weight_len());
-            assert_eq!(ops.out_grad.len(), shape.output_len());
-            assert_eq!(in_grad.len(), shape.input_len());
-            crate::host::conv_implicit_backward_input(
-                workers,
-                shape,
-                ops.weights,
-                ops.out_grad,
-                in_grad,
-            );
-        }
-        return LaunchReport::default();
-    }
     let mut total = LaunchReport::default();
     if let Some(w_grad) = ops.w_grad.as_deref_mut() {
         total.merge(&backward_weights_mesh(
@@ -765,26 +746,24 @@ mod tests {
         let mut input_rcnb = vec![0.0; s.input_len()];
         nchw_to_rcnb_host(&in_trans(&s), &input_nchw, &mut input_rcnb);
         let weights = filters_oikk_to_kkon(s.out_c, s.in_c, s.k, &weights_oikk);
-        for mode in crate::FUNCTIONAL_MODES {
-            let mut out_rcnb = vec![0.0; s.output_len()];
-            let mut cg = CoreGroup::new(mode);
-            forward(
-                &mut cg,
-                &s,
-                Some(ImplicitFwdOperands {
-                    input: &input_rcnb,
-                    weights: &weights,
-                    output: &mut out_rcnb,
-                }),
+        let mut out_rcnb = vec![0.0; s.output_len()];
+        let mut cg = CoreGroup::new(ExecMode::Functional);
+        forward(
+            &mut cg,
+            &s,
+            Some(ImplicitFwdOperands {
+                input: &input_rcnb,
+                weights: &weights,
+                output: &mut out_rcnb,
+            }),
+        );
+        let mut got = vec![0.0; s.output_len()];
+        rcnb_to_nchw_host(&out_trans(&s), &out_rcnb, &mut got);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert!(
+                (g - w).abs() < 1e-3 * w.abs().max(1.0),
+                "implicit fwd {s:?} elem {i}: {g} vs {w}"
             );
-            let mut got = vec![0.0; s.output_len()];
-            rcnb_to_nchw_host(&out_trans(&s), &out_rcnb, &mut got);
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert!(
-                    (g - w).abs() < 1e-3 * w.abs().max(1.0),
-                    "{mode:?} implicit fwd {s:?} elem {i}: {g} vs {w}"
-                );
-            }
         }
     }
 
@@ -809,37 +788,35 @@ mod tests {
         nchw_to_rcnb_host(&out_trans(&s), &dy_nchw, &mut dy_rcnb);
         let weights = filters_oikk_to_kkon(s.out_c, s.in_c, s.k, &weights_oikk);
 
-        for mode in crate::FUNCTIONAL_MODES {
-            let mut dx_rcnb = vec![0.0; s.input_len()];
-            let mut dw_kkon = vec![0.0; s.weight_len()];
-            let mut cg = CoreGroup::new(mode);
-            backward(
-                &mut cg,
-                &s,
-                Some(ImplicitBwdOperands {
-                    input: &input_rcnb,
-                    weights: &weights,
-                    out_grad: &dy_rcnb,
-                    in_grad: Some(&mut dx_rcnb),
-                    w_grad: Some(&mut dw_kkon),
-                }),
-            );
+        let mut dx_rcnb = vec![0.0; s.input_len()];
+        let mut dw_kkon = vec![0.0; s.weight_len()];
+        let mut cg = CoreGroup::new(ExecMode::Functional);
+        backward(
+            &mut cg,
+            &s,
+            Some(ImplicitBwdOperands {
+                input: &input_rcnb,
+                weights: &weights,
+                out_grad: &dy_rcnb,
+                in_grad: Some(&mut dx_rcnb),
+                w_grad: Some(&mut dw_kkon),
+            }),
+        );
 
-            let mut got_dx = vec![0.0; s.input_len()];
-            rcnb_to_nchw_host(&in_trans(&s), &dx_rcnb, &mut got_dx);
-            let got_dw = crate::transform::filters_kkon_to_oikk(s.out_c, s.in_c, s.k, &dw_kkon);
-            for (i, (g, w)) in got_dx.iter().zip(&want_dx).enumerate() {
-                assert!(
-                    (g - w).abs() < 1e-2 * w.abs().max(1.0),
-                    "{mode:?} implicit dX {s:?} elem {i}: {g} vs {w}"
-                );
-            }
-            for (i, (g, w)) in got_dw.iter().zip(&want_dw).enumerate() {
-                assert!(
-                    (g - w).abs() < 1e-2 * w.abs().max(1.0),
-                    "{mode:?} implicit dW {s:?} elem {i}: {g} vs {w}"
-                );
-            }
+        let mut got_dx = vec![0.0; s.input_len()];
+        rcnb_to_nchw_host(&in_trans(&s), &dx_rcnb, &mut got_dx);
+        let got_dw = crate::transform::filters_kkon_to_oikk(s.out_c, s.in_c, s.k, &dw_kkon);
+        for (i, (g, w)) in got_dx.iter().zip(&want_dx).enumerate() {
+            assert!(
+                (g - w).abs() < 1e-2 * w.abs().max(1.0),
+                "implicit dX {s:?} elem {i}: {g} vs {w}"
+            );
+        }
+        for (i, (g, w)) in got_dw.iter().zip(&want_dw).enumerate() {
+            assert!(
+                (g - w).abs() < 1e-2 * w.abs().max(1.0),
+                "implicit dW {s:?} elem {i}: {g} vs {w}"
+            );
         }
     }
 

@@ -333,7 +333,7 @@ pub(crate) fn sum_f64(chunk: &[f32]) -> f64 {
 }
 
 /// Sum of squares of one staged chunk, in f64.
-pub(crate) fn sumsq_f64(chunk: &[f32]) -> f64 {
+fn sumsq_f64(chunk: &[f32]) -> f64 {
     chunk.iter().map(|v| *v as f64 * *v as f64).sum()
 }
 
@@ -692,6 +692,9 @@ pub fn copy_blocks(
     nblocks: usize,
     io: Option<CopyBlocksIo<'_>>,
 ) -> LaunchReport {
+    if let ExecMode::HostNative { .. } = cg.mode() {
+        return crate::run_mesh_body(|mesh| copy_blocks(mesh, block_len, nblocks, io));
+    }
     if !cg.mode().is_functional() {
         let t = sw26010::arch::ATHREAD_LAUNCH_OVERHEAD_SECONDS
             + row_stream_time(nblocks, block_len, CHUNK, 2, 0);
@@ -699,14 +702,6 @@ pub fn copy_blocks(
     }
     let (src, src_off, src_stride, dst, dst_off, dst_stride) =
         io.expect("functional copy requires operands");
-    if let ExecMode::HostNative { .. } = cg.mode() {
-        // Pure movement, memory-bound: serial.
-        for blk in 0..nblocks {
-            dst[dst_off + blk * dst_stride..][..block_len]
-                .copy_from_slice(&src[src_off + blk * src_stride..][..block_len]);
-        }
-        return LaunchReport::default();
-    }
     let sv = MemView::new(src);
     let dv = MemViewMut::new(dst);
     cg.run_planned(&copy_blocks_plan(block_len), move |cpe| {
@@ -774,18 +769,16 @@ mod tests_extra {
     fn copy_blocks_moves_strided_regions() {
         // Copy 3 blocks of 5 from stride-8 positions to stride-10 positions.
         let src: Vec<f32> = (0..32).map(|i| i as f32).collect();
-        for mode in crate::FUNCTIONAL_MODES {
-            let mut cg = CoreGroup::new(mode);
-            let mut dst = vec![0.0f32; 40];
-            copy_blocks(&mut cg, 5, 3, Some((&src, 1, 8, &mut dst, 2, 10)));
-            for b in 0..3 {
-                for i in 0..5 {
-                    assert_eq!(dst[2 + b * 10 + i], src[1 + b * 8 + i]);
-                }
+        let mut cg = CoreGroup::new(ExecMode::Functional);
+        let mut dst = vec![0.0f32; 40];
+        copy_blocks(&mut cg, 5, 3, Some((&src, 1, 8, &mut dst, 2, 10)));
+        for b in 0..3 {
+            for i in 0..5 {
+                assert_eq!(dst[2 + b * 10 + i], src[1 + b * 8 + i]);
             }
-            assert_eq!(dst[0], 0.0);
-            assert_eq!(dst[7], 0.0);
         }
+        assert_eq!(dst[0], 0.0);
+        assert_eq!(dst[7], 0.0);
     }
 
     #[test]
@@ -820,6 +813,15 @@ pub fn scale(cg: &mut CoreGroup, len: usize, alpha: f32, io: Option<&mut [f32]>)
 /// f32; the MPE sums the partials in f64 in lane order (LARS norm
 /// computations, gradient diagnostics).
 pub fn sumsq(cg: &mut CoreGroup, len: usize, io: Option<&[f32]>) -> (f64, LaunchReport) {
+    if let ExecMode::HostNative { .. } = cg.mode() {
+        let mut sum = 0.0;
+        let report = crate::run_mesh_body(|mesh| {
+            let (s, report) = sumsq(mesh, len, io);
+            sum = s;
+            report
+        });
+        return (sum, report);
+    }
     if !cg.mode().is_functional() {
         let report = crate::charge_model(cg, stream_time(len, 1, 0, 2));
         cg.mpe_compute(64);
@@ -828,34 +830,21 @@ pub fn sumsq(cg: &mut CoreGroup, len: usize, io: Option<&[f32]>) -> (f64, Launch
     let x = io.expect("functional sumsq requires operands");
     assert_eq!(x.len(), len);
     let mut partials = [0.0f32; 64];
-    let report = if let ExecMode::HostNative { .. } = cg.mode() {
-        let lanes: Vec<_> = partials.iter_mut().enumerate().collect();
-        cg.workers().run(lanes, |(l, out)| {
-            let mut acc = 0.0f64;
-            for start in (l * CHUNK..len).step_by(64 * CHUNK) {
-                acc += sumsq_f64(&x[start..][..CHUNK.min(len - start)]);
-            }
-            *out = acc as f32;
-        });
-        LaunchReport::default()
-    } else {
-        let xv = MemView::new(x);
-        let pv = MemViewMut::new(&mut partials);
-        let report = cg.run_planned(&stream_plan("swdnn.sumsq", 1), move |cpe| {
-            let mut buf = cpe.ldm.alloc_f32(CHUNK);
-            let mut acc = 0.0f64;
-            let mut start = cpe.idx() * CHUNK;
-            while start < len {
-                let n = CHUNK.min(len - start);
-                cpe.dma_get(xv, start, &mut buf[..n]);
-                acc += cpe.compute(2 * n as u64, || sumsq_f64(&buf[..n]));
-                start += 64 * CHUNK;
-            }
-            cpe.dma_put(pv, cpe.idx(), &[acc as f32]);
-        });
-        cg.mpe_compute(64);
-        report
-    };
+    let xv = MemView::new(x);
+    let pv = MemViewMut::new(&mut partials);
+    let report = cg.run_planned(&stream_plan("swdnn.sumsq", 1), move |cpe| {
+        let mut buf = cpe.ldm.alloc_f32(CHUNK);
+        let mut acc = 0.0f64;
+        let mut start = cpe.idx() * CHUNK;
+        while start < len {
+            let n = CHUNK.min(len - start);
+            cpe.dma_get(xv, start, &mut buf[..n]);
+            acc += cpe.compute(2 * n as u64, || sumsq_f64(&buf[..n]));
+            start += 64 * CHUNK;
+        }
+        cpe.dma_put(pv, cpe.idx(), &[acc as f32]);
+    });
+    cg.mpe_compute(64);
     (partials.iter().map(|v| *v as f64).sum(), report)
 }
 
@@ -867,10 +856,8 @@ mod sumsq_tests {
     fn sumsq_matches_host() {
         let x: Vec<f32> = (0..10_000).map(|i| ((i % 13) as f32 - 6.0) * 0.5).collect();
         let want: f64 = x.iter().map(|v| *v as f64 * *v as f64).sum();
-        for mode in crate::FUNCTIONAL_MODES {
-            let mut cg = CoreGroup::new(mode);
-            let (got, _) = sumsq(&mut cg, x.len(), Some(&x));
-            assert!((got - want).abs() < 1e-2 * want, "{got} vs {want}");
-        }
+        let mut cg = CoreGroup::new(ExecMode::Functional);
+        let (got, _) = sumsq(&mut cg, x.len(), Some(&x));
+        assert!((got - want).abs() < 1e-2 * want, "{got} vs {want}");
     }
 }

@@ -1,14 +1,15 @@
-//! Host-native GEMM family (the `ExecMode::HostNative` packed GEMM,
-//! explicit and implicit convolution, and the im2col/col2im the explicit
-//! plan runs).
+//! Host-native GEMM family (the `ExecMode::HostNative` packed GEMM, the
+//! explicit convolution, and the im2col/col2im that plan runs).
 //!
 //! Every reduction here goes through `accumulate`, the function the
 //! mesh's block product calls, so host and mesh agree bit for bit by
-//! construction: what this module adds is staging — packing, the seed
-//! and rounding of each accumulator, and the tap walk of the implicit
-//! passes, which is the mesh kernel's own. It carries no timing model —
+//! construction: what this module adds is staging — packing, and the
+//! seed and rounding of each accumulator. It carries no timing model —
 //! callers return `LaunchReport::default()` (zero time, zero counters) —
-//! and no `KernelPlan` validation; it exists purely for wall-clock speed.
+//! and no `KernelPlan` validation; it exists purely for wall-clock speed,
+//! for the kernels the benchmark's `HostNative` workloads run. The
+//! implicit convolution is not one of them: it is a mesh plan, and under
+//! `HostNative` it runs its mesh body (see `crate::conv_implicit`).
 //!
 //! The packed GEMM body is generic over its panel width and compiled
 //! twice: for the baseline target at [`GEMM_NR`] columns and, on x86-64,
@@ -30,15 +31,14 @@
 //! [`Workspace`], which the caller passes in: the buffers live as long as
 //! that core group, grow only when a call needs more than they hold, and
 //! are reused by every call on it. Pre-packed panels are not scratch:
-//! their owner holds them. The implicit passes allocate their small
-//! accumulators per task. Every staged element is written before it is
+//! their owner holds them. Every staged element is written before it is
 //! read, so whatever a buffer held before never reaches a result.
 //!
 //! Parallelism comes from the launching core group's [`Workers`], which
 //! the caller passes in beside the workspace: work is split into units
 //! whose results are fully determined by the unit itself (a run of C's
-//! columns, a row of the column matrix, an input channel plane, an
-//! output row, a filter tap), so the thread count never affects results.
+//! columns, a row of the column matrix, an input channel plane), so the
+//! thread count never affects results.
 //! `tests/backend_agreement.rs` pins that staging against the mesh.
 
 use std::ops::Range;
@@ -539,18 +539,6 @@ fn tap_range(tap: usize, stride: usize, pad: usize, in_dim: usize, out_dim: usiz
     lo..hi
 }
 
-/// The input coordinate that tap `tap` of output coordinate `o` reads,
-/// unless it is padding.
-fn tap_target(o: usize, tap: usize, stride: usize, pad: usize, in_dim: usize) -> Option<usize> {
-    (o * stride + tap).checked_sub(pad).filter(|&i| i < in_dim)
-}
-
-/// The output coordinate whose tap `tap` reads input coordinate `i`.
-fn tap_source(i: usize, tap: usize, stride: usize, pad: usize, out_dim: usize) -> Option<usize> {
-    let num = (i + pad).checked_sub(tap)?;
-    (num.is_multiple_of(stride) && num / stride < out_dim).then_some(num / stride)
-}
-
 // ---------------------------------------------------------------------
 // Explicit convolution (im2col -> GEMM -> col2im, NCHW)
 // ---------------------------------------------------------------------
@@ -619,141 +607,6 @@ pub(crate) fn conv_explicit_backward(
             col2im(workers, shape, cols, &mut in_grad[bi * per_in..][..per_in]);
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Implicit convolution (RCNB layouts)
-// ---------------------------------------------------------------------
-
-/// Implicit-plan forward. Input/output RCNB, weights KKON. Each output
-/// pixel and channel runs the mesh kernel's reduction over main memory:
-/// taps in ascending `(ky, kx)`, each one [`accumulate`] of the tap's
-/// weight row against the pixel's `N_i x B` input block. A row tap
-/// outside the image is skipped and a column tap outside it is a zero
-/// operand, as on the mesh.
-pub(crate) fn conv_implicit_forward(
-    workers: &mut Workers,
-    shape: &ConvShape,
-    input: &[f32],
-    weights: &[f32],
-    output: &mut [f32],
-) {
-    let (ih, iw, ni, b) = (shape.in_h, shape.in_w, shape.in_c, shape.batch);
-    let (k, s, p, no) = (shape.k, shape.stride, shape.pad, shape.out_c);
-    let ow = shape.out_w();
-    let zeros = vec![0.0f32; ni * b];
-    let rows: Vec<(usize, &mut [f32])> = output.chunks_mut(ow * no * b).enumerate().collect();
-    workers.run(rows, |(oy, orow)| {
-        let mut acc = vec![0.0f64; b];
-        for (xo, pixel) in orow.chunks_exact_mut(no * b).enumerate() {
-            for (oc, out) in pixel.chunks_exact_mut(b).enumerate() {
-                acc.fill(0.0);
-                for ky in 0..k {
-                    let Some(y) = tap_target(oy, ky, s, p, ih) else {
-                        continue;
-                    };
-                    for kx in 0..k {
-                        let w = &weights[((ky * k + kx) * no + oc) * ni..][..ni];
-                        let x = match tap_target(xo, kx, s, p, iw) {
-                            Some(x) => &input[(y * iw + x) * ni * b..][..ni * b],
-                            None => &zeros,
-                        };
-                        accumulate(&mut acc, w.iter().map(|&v| v as f64), x);
-                    }
-                }
-                round(out, &acc);
-            }
-        }
-    });
-}
-
-/// Implicit-plan backward data gradient (RCNB `in_grad`): per input
-/// pixel and channel, one [`accumulate`] per tap of the transposed
-/// weights (a strided column of the tap's `N_o x N_i` block) against the
-/// `N_o x B` output-gradient block the tap reaches; padding as in
-/// [`conv_implicit_forward`].
-pub(crate) fn conv_implicit_backward_input(
-    workers: &mut Workers,
-    shape: &ConvShape,
-    weights: &[f32],
-    out_grad: &[f32],
-    in_grad: &mut [f32],
-) {
-    let (iw, ni, b) = (shape.in_w, shape.in_c, shape.batch);
-    let (k, s, p, no) = (shape.k, shape.stride, shape.pad, shape.out_c);
-    let (oh, ow) = (shape.out_h(), shape.out_w());
-    let zeros = vec![0.0f32; no * b];
-    let rows: Vec<(usize, &mut [f32])> = in_grad.chunks_mut(iw * ni * b).enumerate().collect();
-    workers.run(rows, |(y, grow)| {
-        let mut acc = vec![0.0f64; b];
-        for (x, pixel) in grow.chunks_exact_mut(ni * b).enumerate() {
-            for (ic, out) in pixel.chunks_exact_mut(b).enumerate() {
-                acc.fill(0.0);
-                for ky in 0..k {
-                    let Some(oy) = tap_source(y, ky, s, p, oh) else {
-                        continue;
-                    };
-                    for kx in 0..k {
-                        let w = &weights[(ky * k + kx) * no * ni..][..no * ni];
-                        let dy = match tap_source(x, kx, s, p, ow) {
-                            Some(ox) => &out_grad[(oy * ow + ox) * no * b..][..no * b],
-                            None => &zeros,
-                        };
-                        let wt = w[ic..].iter().step_by(ni).map(|&v| v as f64);
-                        accumulate(&mut acc, wt, dy);
-                    }
-                }
-                round(out, &acc);
-            }
-        }
-    });
-}
-
-/// Implicit-plan backward weight gradient (KKON `w_grad`, overwritten).
-/// Per filter tap, every output pixel's `B x N_i` input block (a
-/// transposed copy, or zeros for a column tap outside the image) meets
-/// one [`accumulate`] per output channel, its `dY` fibre the left
-/// operand; row taps outside the image are skipped.
-pub(crate) fn conv_implicit_backward_weights(
-    workers: &mut Workers,
-    shape: &ConvShape,
-    input: &[f32],
-    out_grad: &[f32],
-    w_grad: &mut [f32],
-) {
-    let (ih, iw, ni, b) = (shape.in_h, shape.in_w, shape.in_c, shape.batch);
-    let (k, s, p, no) = (shape.k, shape.stride, shape.pad, shape.out_c);
-    let (oh, ow) = (shape.out_h(), shape.out_w());
-    let zeros = vec![0.0f32; b * ni];
-    let taps: Vec<(usize, &mut [f32])> = w_grad.chunks_mut(no * ni).enumerate().collect();
-    workers.run(taps, |(tap, dw)| {
-        let mut acc = vec![0.0f64; no * ni];
-        let mut xt = vec![0.0f32; b * ni];
-        for oy in 0..oh {
-            let Some(y) = tap_target(oy, tap / k, s, p, ih) else {
-                continue;
-            };
-            for xo in 0..ow {
-                let x = match tap_target(xo, tap % k, s, p, iw) {
-                    Some(x) => {
-                        let block = &input[(y * iw + x) * ni * b..][..ni * b];
-                        for (ic, fibre) in block.chunks_exact(b).enumerate() {
-                            for (bi, v) in fibre.iter().enumerate() {
-                                xt[bi * ni + ic] = *v;
-                            }
-                        }
-                        &xt
-                    }
-                    None => &zeros,
-                };
-                let dy = &out_grad[(oy * ow + xo) * no * b..][..no * b];
-                for (sums, fibre) in acc.chunks_exact_mut(ni).zip(dy.chunks_exact(b)) {
-                    accumulate(sums, fibre.iter().map(|&v| v as f64), x);
-                }
-            }
-        }
-        round(dw, &acc);
-    });
 }
 
 #[cfg(test)]

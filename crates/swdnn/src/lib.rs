@@ -10,12 +10,16 @@
 //! core group's [`sw26010::ExecMode`] (each kernel matches on
 //! `cg.mode()` itself): `Functional` runs the mesh on the `sw26010`
 //! simulator, `HostNative { threads }` runs on the host's own cores, and
-//! `TimingOnly` charges the analytic timing model. The mesh and host paths of every non-GEMM kernel call one shared
-//! per-item function, so they agree bit for bit by construction; the GEMM
-//! family's host side ([`mod@host`]) agrees with the mesh by written
-//! contract. Both are checked against the scalar oracles in
-//! [`mod@reference`] and against inline f64 oracles, and the timing models
-//! against mesh execution.
+//! `TimingOnly` charges the analytic timing model. A kernel has a host
+//! body only if a benchmark workload or probe runs it on `HostNative`;
+//! the rest (the implicit convolution, LRN, RCNB -> NCHW, `copy_blocks`,
+//! `sumsq`) run their mesh body there, on a `Functional` core group of
+//! their own, and charge the caller nothing. The mesh and host paths of
+//! every other non-GEMM kernel call one shared per-item function, so they
+//! agree bit for bit by construction; the GEMM family's host side
+//! ([`mod@host`]) agrees with the mesh by written contract. Both are
+//! checked against the scalar oracles in [`mod@reference`] and against
+//! inline f64 oracles, and the timing models against mesh execution.
 //!
 //! A kernel keeps no state of its own between calls. What it stages in
 //! main memory (the explicit convolution's column matrix, the host
@@ -51,10 +55,10 @@ pub use scheme::{Broadcast, Buffering, TilingScheme};
 pub use shapes::{ConvShape, GemmDims, PoolMethod, PoolShape, ShapeError, Trans};
 
 use sw26010::arch::{CPE_DP_FLOPS_PER_CYCLE, KERNEL_COMPUTE_EFFICIENCY};
-use sw26010::{CoreGroup, LaunchReport, SimTime};
+use sw26010::{CoreGroup, ExecMode, LaunchReport, SimTime};
 
-/// Both functional backends: the unit tests run each kernel on both
-/// against their independent oracles.
+/// Both functional backends: the unit tests run each kernel with a host
+/// body on both against their independent oracles.
 #[cfg(test)]
 pub(crate) const FUNCTIONAL_MODES: [sw26010::ExecMode; 2] = [
     sw26010::ExecMode::Functional,
@@ -81,4 +85,13 @@ pub(crate) fn charge_model(cg: &mut CoreGroup, elapsed: SimTime) -> LaunchReport
         elapsed,
         stats: Default::default(),
     }
+}
+
+/// What a kernel without a host body does in `HostNative` mode: run its
+/// mesh body (`kernel`, called on a `Functional` core group of its own)
+/// and report what a host body would, no time and no counters. The
+/// caller's core group is left untouched: no clock, no trace, no thread.
+pub(crate) fn run_mesh_body(kernel: impl FnOnce(&mut CoreGroup) -> LaunchReport) -> LaunchReport {
+    kernel(&mut CoreGroup::new(ExecMode::Functional));
+    LaunchReport::default()
 }

