@@ -93,10 +93,7 @@ pub fn run(_args: &[String]) -> (String, Report) {
         slo: 4.0 * worst,
         timeout: 0.5 * worst,
     };
-    let res = ResilienceConfig {
-        rewarm_s,
-        ..ResilienceConfig::default()
-    };
+    let res = ResilienceConfig { rewarm_s };
 
     report
         .config("backend", "timing")

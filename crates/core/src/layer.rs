@@ -19,19 +19,13 @@ pub enum Phase {
 }
 
 /// A network layer. Implementations wrap one or more `swdnn` kernels and
-/// own their learnable parameters.
+/// own their learnable parameters. A layer is built fully in one step
+/// from its definition and its bottom shapes, which the graph lint has
+/// already checked (`layers::build_seeded`), so it has no setup phase.
 pub trait Layer: Send {
     fn name(&self) -> &str;
 
     fn layer_type(&self) -> &'static str;
-
-    /// Infer top shapes from bottom shapes and allocate parameters.
-    /// Called exactly once before the first forward pass.
-    fn setup(
-        &mut self,
-        bottom_shapes: &[Vec<usize>],
-        materialize: bool,
-    ) -> Result<Vec<Vec<usize>>, String>;
 
     /// Forward pass: fill `tops` from `bottoms`, charging the core group.
     fn forward(&mut self, cg: &mut CoreGroup, bottoms: &[&Blob], tops: &mut [&mut Blob]);
@@ -105,29 +99,5 @@ pub trait Layer: Send {
             "{} layers take no packed weights",
             self.layer_type()
         ))
-    }
-}
-
-/// Helper shared by layer implementations: 4-D shape destructuring with a
-/// clear error.
-pub(crate) fn expect_4d(
-    shape: &[usize],
-    who: &str,
-) -> Result<(usize, usize, usize, usize), String> {
-    if shape.len() == 4 {
-        Ok((shape[0], shape[1], shape[2], shape[3]))
-    } else {
-        Err(format!("{who} expects a 4-D bottom, got {shape:?}"))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn expect_4d_accepts_and_rejects() {
-        assert_eq!(expect_4d(&[1, 2, 3, 4], "t").unwrap(), (1, 2, 3, 4));
-        assert!(expect_4d(&[1, 2, 3], "t").is_err());
     }
 }

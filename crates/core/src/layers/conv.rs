@@ -10,57 +10,46 @@ use swdnn::{conv_explicit, conv_implicit, ConvShape};
 
 use crate::blob::Blob;
 use crate::filler::Filler;
-use crate::layer::{expect_4d, Layer};
+use crate::layer::Layer;
 use crate::netdef::ConvFormat;
 
 /// Convolution layer parameters and state.
 pub(crate) struct ConvLayer {
     name: String,
-    num_output: usize,
-    kernel: usize,
-    stride: usize,
-    pad: usize,
     format: ConvFormat,
-    shape: Option<ConvShape>,
+    shape: ConvShape,
     /// `(N_o, N_i, K, K)` for NCHW, `(K, K, N_o, N_i)` for RCNB.
     weights: Blob,
     bias: Option<Blob>,
-    seed: u64,
 }
 
 impl ConvLayer {
+    /// A convolution of `shape` in `format`, its weights MSRA-filled from
+    /// `seed` when `materialize` is set.
     pub fn new(
         name: &str,
-        num_output: usize,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
+        shape: ConvShape,
         bias: bool,
         format: ConvFormat,
+        materialize: bool,
+        seed: u64,
     ) -> Self {
+        let dims = match format {
+            ConvFormat::Nchw => [shape.out_c, shape.in_c, shape.k, shape.k],
+            ConvFormat::Rcnb => [shape.k, shape.k, shape.out_c, shape.in_c],
+        };
+        let mut weights = Blob::with_mode(&dims, materialize);
+        if materialize {
+            let fan_in = shape.in_c * shape.k * shape.k;
+            Filler::Msra.fill(weights.data_mut(), fan_in, seed);
+        }
         ConvLayer {
             name: name.into(),
-            num_output,
-            kernel,
-            stride,
-            pad,
             format,
-            shape: None,
-            weights: Blob::default(),
-            bias: bias.then(Blob::default),
-            seed: crate::rng::layer_seed(0, name),
+            shape,
+            weights,
+            bias: bias.then(|| Blob::with_mode(&[shape.out_c], materialize)),
         }
-    }
-
-    /// Re-derive the filler seed from an explicit run-level base seed
-    /// (see [`crate::rng::layer_seed`]). Must be called before `setup`.
-    pub(crate) fn with_base_seed(mut self, base: u64) -> Self {
-        self.seed = crate::rng::layer_seed(base, &self.name);
-        self
-    }
-
-    pub(crate) fn conv_shape(&self) -> ConvShape {
-        self.shape.expect("layer not set up")
     }
 }
 
@@ -73,43 +62,8 @@ impl Layer for ConvLayer {
         "Convolution"
     }
 
-    fn setup(
-        &mut self,
-        bottoms: &[Vec<usize>],
-        materialize: bool,
-    ) -> Result<Vec<Vec<usize>>, String> {
-        let (b, c, h, w) = expect_4d(&bottoms[0], "Convolution")?;
-        let shape = ConvShape {
-            batch: b,
-            in_c: c,
-            in_h: h,
-            in_w: w,
-            out_c: self.num_output,
-            k: self.kernel,
-            stride: self.stride,
-            pad: self.pad,
-        };
-        shape.validate()?;
-        self.shape = Some(shape);
-        self.weights = Blob::with_mode(
-            &match self.format {
-                ConvFormat::Nchw => vec![shape.out_c, shape.in_c, shape.k, shape.k],
-                ConvFormat::Rcnb => vec![shape.k, shape.k, shape.out_c, shape.in_c],
-            },
-            materialize,
-        );
-        if materialize {
-            let fan_in = shape.in_c * shape.k * shape.k;
-            Filler::Msra.fill(self.weights.data_mut(), fan_in, self.seed);
-        }
-        if let Some(bias) = &mut self.bias {
-            *bias = Blob::with_mode(&[shape.out_c], materialize);
-        }
-        Ok(vec![vec![b, shape.out_c, shape.out_h(), shape.out_w()]])
-    }
-
     fn forward(&mut self, cg: &mut CoreGroup, bottoms: &[&Blob], tops: &mut [&mut Blob]) {
-        let shape = self.conv_shape();
+        let shape = self.shape;
         let functional = cg.mode().is_functional();
         match self.format {
             ConvFormat::Nchw => {
@@ -152,7 +106,7 @@ impl Layer for ConvLayer {
         bottoms: &mut [&mut Blob],
         pd: &[bool],
     ) {
-        let shape = self.conv_shape();
+        let shape = self.shape;
         let functional = cg.mode().is_functional();
         let spatial = shape.out_h() * shape.out_w();
         if let Some(bias) = &mut self.bias {

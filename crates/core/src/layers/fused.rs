@@ -11,16 +11,12 @@ use swdnn::ConvShape;
 
 use crate::blob::Blob;
 use crate::filler::Filler;
-use crate::layer::{expect_4d, Layer};
+use crate::layer::Layer;
 
 pub(crate) struct FusedConvBnReluLayer {
     name: String,
-    num_output: usize,
-    kernel: usize,
-    stride: usize,
-    pad: usize,
     eps: f32,
-    shape: Option<ConvShape>,
+    shape: ConvShape,
     /// `(N_o, N_i, K, K)` — the fused path always runs the explicit
     /// (NCHW) conv plan.
     weights: Blob,
@@ -29,40 +25,41 @@ pub(crate) struct FusedConvBnReluLayer {
     beta: Blob,
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
-    seed: u64,
 }
 
 impl FusedConvBnReluLayer {
+    /// A fused convolution of `shape`, its weights MSRA-filled from
+    /// `seed` and its BN at the identity when `materialize` is set.
     pub fn new(
         name: &str,
-        num_output: usize,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
+        shape: ConvShape,
         bias: bool,
         eps: f32,
+        materialize: bool,
+        seed: u64,
     ) -> Self {
+        let mut weights =
+            Blob::with_mode(&[shape.out_c, shape.in_c, shape.k, shape.k], materialize);
+        let mut gamma = Blob::with_mode(&[shape.out_c], materialize);
+        let (mut running_mean, mut running_var) = (Vec::new(), Vec::new());
+        if materialize {
+            let fan_in = shape.in_c * shape.k * shape.k;
+            Filler::Msra.fill(weights.data_mut(), fan_in, seed);
+            gamma.data_mut().fill(1.0);
+            running_mean = vec![0.0; shape.out_c];
+            running_var = vec![1.0; shape.out_c];
+        }
         FusedConvBnReluLayer {
             name: name.into(),
-            num_output,
-            kernel,
-            stride,
-            pad,
             eps,
-            shape: None,
-            weights: Blob::default(),
-            bias: bias.then(Blob::default),
-            gamma: Blob::default(),
-            beta: Blob::default(),
-            running_mean: Vec::new(),
-            running_var: Vec::new(),
-            seed: crate::rng::layer_seed(0, name),
+            shape,
+            weights,
+            bias: bias.then(|| Blob::with_mode(&[shape.out_c], materialize)),
+            gamma,
+            beta: Blob::with_mode(&[shape.out_c], materialize),
+            running_mean,
+            running_var,
         }
-    }
-
-    pub(crate) fn with_base_seed(mut self, base: u64) -> Self {
-        self.seed = crate::rng::layer_seed(base, &self.name);
-        self
     }
 }
 
@@ -75,44 +72,8 @@ impl Layer for FusedConvBnReluLayer {
         "FusedConvBnRelu"
     }
 
-    fn setup(
-        &mut self,
-        bottoms: &[Vec<usize>],
-        materialize: bool,
-    ) -> Result<Vec<Vec<usize>>, String> {
-        let (b, c, h, w) = expect_4d(&bottoms[0], "FusedConvBnRelu")?;
-        let shape = ConvShape {
-            batch: b,
-            in_c: c,
-            in_h: h,
-            in_w: w,
-            out_c: self.num_output,
-            k: self.kernel,
-            stride: self.stride,
-            pad: self.pad,
-        };
-        shape.validate()?;
-        self.shape = Some(shape);
-        self.weights = Blob::with_mode(&[shape.out_c, shape.in_c, shape.k, shape.k], materialize);
-        if materialize {
-            let fan_in = shape.in_c * shape.k * shape.k;
-            Filler::Msra.fill(self.weights.data_mut(), fan_in, self.seed);
-        }
-        if let Some(bias) = &mut self.bias {
-            *bias = Blob::with_mode(&[shape.out_c], materialize);
-        }
-        self.gamma = Blob::with_mode(&[shape.out_c], materialize);
-        self.beta = Blob::with_mode(&[shape.out_c], materialize);
-        if materialize {
-            self.gamma.data_mut().fill(1.0);
-            self.running_mean = vec![0.0; shape.out_c];
-            self.running_var = vec![1.0; shape.out_c];
-        }
-        Ok(vec![vec![b, shape.out_c, shape.out_h(), shape.out_w()]])
-    }
-
     fn forward(&mut self, cg: &mut CoreGroup, bottoms: &[&Blob], tops: &mut [&mut Blob]) {
-        let shape = self.shape.expect("layer not set up");
+        let shape = self.shape;
         let ops = cg.mode().is_functional().then(|| ConvBnReluOperands {
             input: bottoms[0].data(),
             weights: self.weights.data(),

@@ -25,28 +25,35 @@ pub struct InnerProductLayer {
     /// `weights` as the forward GEMM's B panels, shared with every other
     /// net a frozen graph builds (see [`Layer::share_packed_weights`]).
     packed: Option<Arc<PackedB>>,
-    seed: u64,
 }
 
 impl InnerProductLayer {
-    pub fn new(name: &str, num_output: usize, bias: bool) -> Self {
+    /// A `num_output`-wide layer over `bottom` (the batch axis first,
+    /// every later axis flattened into the features), its weights
+    /// Xavier-filled from `seed` when `materialize` is set. `bottom`
+    /// needs at least one axis.
+    pub fn new(
+        name: &str,
+        num_output: usize,
+        bias: bool,
+        bottom: &[usize],
+        materialize: bool,
+        seed: u64,
+    ) -> Self {
+        let in_features = bottom[1..].iter().product();
+        let mut weights = Blob::with_mode(&[num_output, in_features], materialize);
+        if materialize {
+            Filler::Xavier.fill(weights.data_mut(), in_features, seed);
+        }
         InnerProductLayer {
             name: name.into(),
             num_output,
-            in_features: 0,
-            batch: 0,
-            weights: Blob::default(),
-            bias: bias.then(Blob::default),
+            in_features,
+            batch: bottom[0],
+            weights,
+            bias: bias.then(|| Blob::with_mode(&[num_output], materialize)),
             packed: None,
-            seed: crate::rng::layer_seed(0, name),
         }
-    }
-
-    /// Re-derive the filler seed from an explicit run-level base seed
-    /// (see [`crate::rng::layer_seed`]). Must be called before `setup`.
-    pub(crate) fn with_base_seed(mut self, base: u64) -> Self {
-        self.seed = crate::rng::layer_seed(base, &self.name);
-        self
     }
 }
 
@@ -57,27 +64,6 @@ impl Layer for InnerProductLayer {
 
     fn layer_type(&self) -> &'static str {
         "InnerProduct"
-    }
-
-    fn setup(
-        &mut self,
-        bottoms: &[Vec<usize>],
-        materialize: bool,
-    ) -> Result<Vec<Vec<usize>>, String> {
-        let shape = &bottoms[0];
-        if shape.is_empty() {
-            return Err("InnerProduct bottom must have at least one axis".into());
-        }
-        self.batch = shape[0];
-        self.in_features = shape[1..].iter().product();
-        self.weights = Blob::with_mode(&[self.num_output, self.in_features], materialize);
-        if materialize {
-            Filler::Xavier.fill(self.weights.data_mut(), self.in_features, self.seed);
-        }
-        if let Some(bias) = &mut self.bias {
-            *bias = Blob::with_mode(&[self.num_output], materialize);
-        }
-        Ok(vec![vec![self.batch, self.num_output]])
     }
 
     fn forward(&mut self, cg: &mut CoreGroup, bottoms: &[&Blob], tops: &mut [&mut Blob]) {

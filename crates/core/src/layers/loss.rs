@@ -17,13 +17,20 @@ pub(crate) struct SoftmaxLossLayer {
 }
 
 impl SoftmaxLossLayer {
-    pub fn new(name: &str) -> Self {
+    pub fn new(name: &str, logits: &[usize], materialize: bool) -> Self {
+        let batch = logits[0];
+        let classes = logits[1..].iter().product();
+        let (probs, losses) = if materialize {
+            (vec![0.0; batch * classes], vec![0.0; batch])
+        } else {
+            (Vec::new(), Vec::new())
+        };
         SoftmaxLossLayer {
             name: name.into(),
-            batch: 0,
-            classes: 0,
-            probs: Vec::new(),
-            losses: Vec::new(),
+            batch,
+            classes,
+            probs,
+            losses,
         }
     }
 }
@@ -39,26 +46,6 @@ impl Layer for SoftmaxLossLayer {
 
     fn is_loss(&self) -> bool {
         true
-    }
-
-    fn setup(
-        &mut self,
-        bottoms: &[Vec<usize>],
-        materialize: bool,
-    ) -> Result<Vec<Vec<usize>>, String> {
-        if bottoms.len() != 2 {
-            return Err("SoftmaxWithLoss needs [logits, labels]".into());
-        }
-        self.batch = bottoms[0][0];
-        self.classes = bottoms[0][1..].iter().product();
-        if bottoms[1] != vec![self.batch] {
-            return Err(format!("label blob must be [batch], got {:?}", bottoms[1]));
-        }
-        if materialize {
-            self.probs = vec![0.0; self.batch * self.classes];
-            self.losses = vec![0.0; self.batch];
-        }
-        Ok(vec![vec![1]])
     }
 
     fn forward(&mut self, cg: &mut CoreGroup, bottoms: &[&Blob], tops: &mut [&mut Blob]) {
@@ -124,12 +111,12 @@ pub(crate) struct AccuracyLayer {
 }
 
 impl AccuracyLayer {
-    pub fn new(name: &str, top_k: usize) -> Self {
+    pub fn new(name: &str, top_k: usize, scores: &[usize]) -> Self {
         AccuracyLayer {
             name: name.into(),
             top_k: top_k.max(1),
-            batch: 0,
-            classes: 0,
+            batch: scores[0],
+            classes: scores[1..].iter().product(),
         }
     }
 }
@@ -141,15 +128,6 @@ impl Layer for AccuracyLayer {
 
     fn layer_type(&self) -> &'static str {
         "Accuracy"
-    }
-
-    fn setup(&mut self, bottoms: &[Vec<usize>], _m: bool) -> Result<Vec<Vec<usize>>, String> {
-        if bottoms.len() != 2 {
-            return Err("Accuracy needs [scores, labels]".into());
-        }
-        self.batch = bottoms[0][0];
-        self.classes = bottoms[0][1..].iter().product();
-        Ok(vec![vec![1]])
     }
 
     fn forward(&mut self, cg: &mut CoreGroup, bottoms: &[&Blob], tops: &mut [&mut Blob]) {

@@ -6,7 +6,7 @@ use swdnn::bn::{self, BnBwdOperands, BnFwdOperands};
 use swdnn::lrn::{self, LrnParams};
 
 use crate::blob::Blob;
-use crate::layer::{expect_4d, Layer, Phase};
+use crate::layer::{Layer, Phase};
 
 /// Batch normalisation with learnable scale/shift (gamma, beta) and
 /// running statistics for inference.
@@ -25,18 +25,24 @@ pub(crate) struct BatchNormLayer {
 }
 
 impl BatchNormLayer {
-    pub fn new(name: &str, eps: f32, momentum: f32) -> Self {
+    pub fn new(name: &str, eps: f32, momentum: f32, bottom: &[usize], materialize: bool) -> Self {
+        let c = bottom[1];
+        let mut gamma = Blob::with_mode(&[c], materialize);
+        let stat = |v: f32| if materialize { vec![v; c] } else { Vec::new() };
+        if materialize {
+            gamma.data_mut().fill(1.0);
+        }
         BatchNormLayer {
             name: name.into(),
             eps,
             momentum,
-            dims: (0, 0, 0),
-            gamma: Blob::default(),
-            beta: Blob::default(),
-            running_mean: Vec::new(),
-            running_var: Vec::new(),
-            save_mean: Vec::new(),
-            save_istd: Vec::new(),
+            dims: (bottom[0], c, bottom[2] * bottom[3]),
+            gamma,
+            beta: Blob::with_mode(&[c], materialize),
+            running_mean: stat(0.0),
+            running_var: stat(1.0),
+            save_mean: stat(0.0),
+            save_istd: stat(0.0),
             phase: Phase::Train,
         }
     }
@@ -49,25 +55,6 @@ impl Layer for BatchNormLayer {
 
     fn layer_type(&self) -> &'static str {
         "BatchNorm"
-    }
-
-    fn setup(
-        &mut self,
-        bottoms: &[Vec<usize>],
-        materialize: bool,
-    ) -> Result<Vec<Vec<usize>>, String> {
-        let (b, c, h, w) = expect_4d(&bottoms[0], "BatchNorm")?;
-        self.dims = (b, c, h * w);
-        self.gamma = Blob::with_mode(&[c], materialize);
-        self.beta = Blob::with_mode(&[c], materialize);
-        if materialize {
-            self.gamma.data_mut().fill(1.0);
-            self.running_mean = vec![0.0; c];
-            self.running_var = vec![1.0; c];
-            self.save_mean = vec![0.0; c];
-            self.save_istd = vec![0.0; c];
-        }
-        Ok(vec![bottoms[0].clone()])
     }
 
     fn forward(&mut self, cg: &mut CoreGroup, bottoms: &[&Blob], tops: &mut [&mut Blob]) {
@@ -188,16 +175,11 @@ pub(crate) struct LrnLayer {
 }
 
 impl LrnLayer {
-    pub fn new(name: &str, local_size: usize, alpha: f32, beta: f32, k: f32) -> Self {
+    pub fn new(name: &str, params: LrnParams, bottom: &[usize]) -> Self {
         LrnLayer {
             name: name.into(),
-            params: LrnParams {
-                local_size,
-                alpha,
-                beta,
-                k,
-            },
-            dims: (0, 0, 0, 0),
+            params,
+            dims: (bottom[0], bottom[1], bottom[2], bottom[3]),
         }
     }
 }
@@ -209,12 +191,6 @@ impl Layer for LrnLayer {
 
     fn layer_type(&self) -> &'static str {
         "LRN"
-    }
-
-    fn setup(&mut self, bottoms: &[Vec<usize>], _m: bool) -> Result<Vec<Vec<usize>>, String> {
-        let (b, c, h, w) = expect_4d(&bottoms[0], "LRN")?;
-        self.dims = (b, c, h, w);
-        Ok(vec![bottoms[0].clone()])
     }
 
     fn forward(&mut self, cg: &mut CoreGroup, bottoms: &[&Blob], tops: &mut [&mut Blob]) {

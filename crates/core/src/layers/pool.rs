@@ -5,35 +5,27 @@ use swdnn::pool::{self, PoolBwdOperands, PoolFwdOperands};
 use swdnn::{PoolMethod, PoolShape};
 
 use crate::blob::Blob;
-use crate::layer::{expect_4d, Layer};
-use crate::netdef::PoolKind;
+use crate::layer::Layer;
 
 pub(crate) struct PoolLayer {
     name: String,
-    kernel: usize,
-    stride: usize,
-    pad: usize,
-    method: PoolKind,
-    shape: Option<PoolShape>,
+    shape: PoolShape,
     /// Max-pooling argmax (f32-encoded indices), kept for the backward pass.
     argmax: Vec<f32>,
 }
 
 impl PoolLayer {
-    pub fn new(name: &str, kernel: usize, stride: usize, pad: usize, method: PoolKind) -> Self {
+    pub fn new(name: &str, shape: PoolShape, materialize: bool) -> Self {
+        let keeps_argmax = materialize && matches!(shape.method, PoolMethod::Max);
         PoolLayer {
             name: name.into(),
-            kernel,
-            stride,
-            pad,
-            method,
-            shape: None,
-            argmax: Vec::new(),
+            shape,
+            argmax: if keeps_argmax {
+                vec![0.0; shape.output_len()]
+            } else {
+                Vec::new()
+            },
         }
-    }
-
-    fn pool_shape(&self) -> PoolShape {
-        self.shape.expect("layer not set up")
     }
 }
 
@@ -46,34 +38,8 @@ impl Layer for PoolLayer {
         "Pooling"
     }
 
-    fn setup(
-        &mut self,
-        bottoms: &[Vec<usize>],
-        materialize: bool,
-    ) -> Result<Vec<Vec<usize>>, String> {
-        let (b, c, h, w) = expect_4d(&bottoms[0], "Pooling")?;
-        let shape = PoolShape {
-            batch: b,
-            channels: c,
-            in_h: h,
-            in_w: w,
-            k: self.kernel,
-            stride: self.stride,
-            pad: self.pad,
-            method: match self.method {
-                PoolKind::Max => PoolMethod::Max,
-                PoolKind::Average => PoolMethod::Average,
-            },
-        };
-        self.shape = Some(shape);
-        if materialize && matches!(shape.method, PoolMethod::Max) {
-            self.argmax = vec![0.0; shape.output_len()];
-        }
-        Ok(vec![vec![b, c, shape.out_h(), shape.out_w()]])
-    }
-
     fn forward(&mut self, cg: &mut CoreGroup, bottoms: &[&Blob], tops: &mut [&mut Blob]) {
-        let shape = self.pool_shape();
+        let shape = self.shape;
         if cg.mode().is_functional() {
             let is_max = matches!(shape.method, PoolMethod::Max);
             pool::forward(
@@ -100,7 +66,7 @@ impl Layer for PoolLayer {
         if !pd[0] {
             return;
         }
-        let shape = self.pool_shape();
+        let shape = self.shape;
         if cg.mode().is_functional() {
             let is_max = matches!(shape.method, PoolMethod::Max);
             pool::backward(

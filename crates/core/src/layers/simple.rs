@@ -6,7 +6,7 @@ use swdnn::elementwise as ew;
 use swdnn::transform::{self, TransShape};
 
 use crate::blob::Blob;
-use crate::layer::{expect_4d, Layer, Phase};
+use crate::layer::{Layer, Phase};
 use crate::netdef::TransDir;
 
 // ---------------------------------------------------------------------
@@ -15,17 +15,11 @@ use crate::netdef::TransDir;
 /// contents are injected by the trainer.
 pub(crate) struct InputLayer {
     name: String,
-    shape: Vec<usize>,
-    with_labels: bool,
 }
 
 impl InputLayer {
-    pub fn new(name: &str, shape: Vec<usize>, with_labels: bool) -> Self {
-        InputLayer {
-            name: name.into(),
-            shape,
-            with_labels,
-        }
+    pub fn new(name: &str) -> Self {
+        InputLayer { name: name.into() }
     }
 }
 
@@ -36,21 +30,6 @@ impl Layer for InputLayer {
 
     fn layer_type(&self) -> &'static str {
         "Input"
-    }
-
-    fn setup(
-        &mut self,
-        bottoms: &[Vec<usize>],
-        _materialize: bool,
-    ) -> Result<Vec<Vec<usize>>, String> {
-        if !bottoms.is_empty() {
-            return Err("Input layer takes no bottoms".into());
-        }
-        let mut tops = vec![self.shape.clone()];
-        if self.with_labels {
-            tops.push(vec![self.shape[0]]);
-        }
-        Ok(tops)
     }
 
     fn forward(&mut self, _cg: &mut CoreGroup, _bottoms: &[&Blob], _tops: &mut [&mut Blob]) {}
@@ -67,10 +46,10 @@ pub(crate) struct ReluLayer {
 }
 
 impl ReluLayer {
-    pub fn new(name: &str) -> Self {
+    pub fn new(name: &str, bottom: &[usize]) -> Self {
         ReluLayer {
             name: name.into(),
-            len: 0,
+            len: bottom.iter().product(),
         }
     }
 }
@@ -82,11 +61,6 @@ impl Layer for ReluLayer {
 
     fn layer_type(&self) -> &'static str {
         "ReLU"
-    }
-
-    fn setup(&mut self, bottoms: &[Vec<usize>], _m: bool) -> Result<Vec<Vec<usize>>, String> {
-        self.len = bottoms[0].iter().product();
-        Ok(vec![bottoms[0].clone()])
     }
 
     fn forward(&mut self, cg: &mut CoreGroup, bottoms: &[&Blob], tops: &mut [&mut Blob]) {
@@ -130,16 +104,21 @@ pub(crate) struct DropoutLayer {
 }
 
 impl DropoutLayer {
-    pub fn new(name: &str, ratio: f32) -> Self {
+    pub fn new(name: &str, ratio: f32, bottom: &[usize], materialize: bool) -> Self {
         assert!(
             (0.0..1.0).contains(&ratio),
             "dropout ratio must be in [0, 1)"
         );
+        let len = bottom.iter().product();
         DropoutLayer {
             name: name.into(),
             ratio,
-            len: 0,
-            mask: Vec::new(),
+            len,
+            mask: if materialize {
+                vec![0.0; len]
+            } else {
+                Vec::new()
+            },
             rng_state: 0x1234_5678,
             phase: Phase::Train,
         }
@@ -167,18 +146,6 @@ impl Layer for DropoutLayer {
 
     fn layer_type(&self) -> &'static str {
         "Dropout"
-    }
-
-    fn setup(
-        &mut self,
-        bottoms: &[Vec<usize>],
-        materialize: bool,
-    ) -> Result<Vec<Vec<usize>>, String> {
-        self.len = bottoms[0].iter().product();
-        if materialize {
-            self.mask = vec![0.0; self.len];
-        }
-        Ok(vec![bottoms[0].clone()])
     }
 
     fn forward(&mut self, cg: &mut CoreGroup, bottoms: &[&Blob], tops: &mut [&mut Blob]) {
@@ -254,10 +221,10 @@ pub(crate) struct EltwiseSumLayer {
 }
 
 impl EltwiseSumLayer {
-    pub fn new(name: &str) -> Self {
+    pub fn new(name: &str, bottom: &[usize]) -> Self {
         EltwiseSumLayer {
             name: name.into(),
-            len: 0,
+            len: bottom.iter().product(),
         }
     }
 }
@@ -269,16 +236,6 @@ impl Layer for EltwiseSumLayer {
 
     fn layer_type(&self) -> &'static str {
         "EltwiseSum"
-    }
-
-    fn setup(&mut self, bottoms: &[Vec<usize>], _m: bool) -> Result<Vec<Vec<usize>>, String> {
-        if bottoms.len() != 2 || bottoms[0] != bottoms[1] {
-            return Err(format!(
-                "EltwiseSum needs two equal-shaped bottoms, got {bottoms:?}"
-            ));
-        }
-        self.len = bottoms[0].iter().product();
-        Ok(vec![bottoms[0].clone()])
     }
 
     fn forward(&mut self, cg: &mut CoreGroup, bottoms: &[&Blob], tops: &mut [&mut Blob]) {
@@ -326,12 +283,12 @@ pub(crate) struct ConcatLayer {
 }
 
 impl ConcatLayer {
-    pub fn new(name: &str) -> Self {
+    pub fn new(name: &str, bottoms: &[&[usize]]) -> Self {
         ConcatLayer {
             name: name.into(),
-            batch: 0,
-            spatial: 0,
-            channels: Vec::new(),
+            batch: bottoms[0][0],
+            spatial: bottoms[0][2] * bottoms[0][3],
+            channels: bottoms.iter().map(|b| b[1]).collect(),
         }
     }
 }
@@ -343,25 +300,6 @@ impl Layer for ConcatLayer {
 
     fn layer_type(&self) -> &'static str {
         "Concat"
-    }
-
-    fn setup(&mut self, bottoms: &[Vec<usize>], _m: bool) -> Result<Vec<Vec<usize>>, String> {
-        if bottoms.is_empty() {
-            return Err("Concat needs at least one bottom".into());
-        }
-        let (b, _, h, w) = expect_4d(&bottoms[0], "Concat")?;
-        self.batch = b;
-        self.spatial = h * w;
-        self.channels.clear();
-        for shape in bottoms {
-            let (bb, c, hh, ww) = expect_4d(shape, "Concat")?;
-            if bb != b || hh * ww != self.spatial {
-                return Err(format!("Concat bottoms disagree: {bottoms:?}"));
-            }
-            self.channels.push(c);
-        }
-        let total: usize = self.channels.iter().sum();
-        Ok(vec![vec![b, total, bottoms[0][2], bottoms[0][3]]])
     }
 
     fn forward(&mut self, cg: &mut CoreGroup, bottoms: &[&Blob], tops: &mut [&mut Blob]) {
@@ -437,15 +375,15 @@ pub(crate) struct TransformLayer {
 }
 
 impl TransformLayer {
-    pub fn new(name: &str, dir: TransDir) -> Self {
+    pub fn new(name: &str, dir: TransDir, bottom: &[usize]) -> Self {
         TransformLayer {
             name: name.into(),
             dir,
             shape: TransShape {
-                batch: 0,
-                channels: 0,
-                height: 0,
-                width: 0,
+                batch: bottom[0],
+                channels: bottom[1],
+                height: bottom[2],
+                width: bottom[3],
             },
         }
     }
@@ -458,17 +396,6 @@ impl Layer for TransformLayer {
 
     fn layer_type(&self) -> &'static str {
         "TensorTransform"
-    }
-
-    fn setup(&mut self, bottoms: &[Vec<usize>], _m: bool) -> Result<Vec<Vec<usize>>, String> {
-        let (b, c, h, w) = expect_4d(&bottoms[0], "TensorTransform")?;
-        self.shape = TransShape {
-            batch: b,
-            channels: c,
-            height: h,
-            width: w,
-        };
-        Ok(vec![bottoms[0].clone()])
     }
 
     fn forward(&mut self, cg: &mut CoreGroup, bottoms: &[&Blob], tops: &mut [&mut Blob]) {

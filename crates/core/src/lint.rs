@@ -1,20 +1,18 @@
 //! Static net-graph lint: shape inference and structural analysis over a
 //! [`NetDef`], *before* any layer is instantiated.
 //!
-//! Layer `setup()` discovers geometry errors one layer at a time, at net
-//! build, and some (pooling windows larger than the padded input) used
-//! to surface as `usize` underflow panics deep in the shape arithmetic.
-//! This module re-derives every layer's output shape from the same rules
-//! the layers themselves apply, so a malformed definition is rejected
-//! with a typed [`GraphViolation`] naming the layer and the rule — at
-//! def-load time via [`infer_shapes`] (wired into `Net::from_def*`), and
-//! exhaustively via [`lint_def`], which additionally reports dangling
-//! and dead blobs, in-place aliasing, NCHW/RCNB layout mismatches across
-//! transform boundaries, and fusion-legality preconditions. The
-//! `swserve` graph optimizer runs [`lint_def`] before and after its
-//! passes, and `swcheck --graph` sweeps the model zoo with it.
+//! This module holds the only shape rule of every layer kind. A
+//! malformed definition is rejected with a typed [`GraphViolation`]
+//! naming the layer and the rule: at def-load time via [`infer_shapes`],
+//! whose blob-shape table `Net::from_def*` allocates every blob from and
+//! builds every layer against, and exhaustively via [`lint_def`], which
+//! additionally reports dangling and dead blobs, in-place aliasing,
+//! NCHW/RCNB layout mismatches across transform boundaries, and
+//! fusion-legality preconditions. The `swserve` graph optimizer runs
+//! [`lint_def`] before and after its passes, and `swcheck --graph`
+//! sweeps the model zoo with it.
 
-use crate::netdef::{ConvFormat, LayerDef, LayerKind, NetDef, TransDir};
+use crate::netdef::{ConvFormat, LayerDef, LayerKind, NetDef, PoolKind, TransDir};
 use swdnn::{ConvShape, PoolMethod, PoolShape};
 
 /// One defect found in a net definition.
@@ -177,10 +175,56 @@ fn expect_4d(layer: &str, shape: &[usize], what: &str) -> Result<[usize; 4], Gra
     Ok([shape[0], shape[1], shape[2], shape[3]])
 }
 
-/// Output shapes of one layer given its bottom shapes — the same rules
-/// each layer's `setup()` applies, with the panic paths (pooling window
-/// underflow, empty input shapes) converted into typed violations.
-fn layer_out_shapes(l: &LayerDef, bottoms: &[&[usize]]) -> Result<Vec<Vec<usize>>, GraphViolation> {
+/// The convolution a `Convolution` or `FusedConvBnRelu` layer runs on
+/// its 4-d NCHW `bottom`.
+pub(crate) fn conv_shape(
+    bottom: &[usize],
+    num_output: usize,
+    kernel: usize,
+    stride: usize,
+    pad: usize,
+) -> ConvShape {
+    ConvShape {
+        batch: bottom[0],
+        in_c: bottom[1],
+        in_h: bottom[2],
+        in_w: bottom[3],
+        out_c: num_output,
+        k: kernel,
+        stride,
+        pad,
+    }
+}
+
+/// The pooling a `Pooling` layer runs on its 4-d NCHW `bottom`.
+pub(crate) fn pool_shape(
+    bottom: &[usize],
+    kernel: usize,
+    stride: usize,
+    pad: usize,
+    method: PoolKind,
+) -> PoolShape {
+    PoolShape {
+        batch: bottom[0],
+        channels: bottom[1],
+        in_h: bottom[2],
+        in_w: bottom[3],
+        k: kernel,
+        stride,
+        pad,
+        method: match method {
+            PoolKind::Max => PoolMethod::Max,
+            PoolKind::Average => PoolMethod::Average,
+        },
+    }
+}
+
+/// Output shapes of one layer given its bottom shapes: the shape rule of
+/// every layer kind. A layer is built only from bottoms this accepted.
+pub(crate) fn layer_out_shapes(
+    l: &LayerDef,
+    bottoms: &[&[usize]],
+) -> Result<Vec<Vec<usize>>, GraphViolation> {
     let name = l.name.as_str();
     let arity = |expected: &'static str, want: usize| -> Result<(), GraphViolation> {
         if bottoms.len() != want {
@@ -226,40 +270,32 @@ fn layer_out_shapes(l: &LayerDef, bottoms: &[&[usize]]) -> Result<Vec<Vec<usize>
             ..
         } => {
             arity("1", 1)?;
-            let [b, c, h, w] = expect_4d(name, bottoms[0], "Convolution")?;
-            let shape = ConvShape {
-                batch: b,
-                in_c: c,
-                in_h: h,
-                in_w: w,
-                out_c: *num_output,
-                k: *kernel,
-                stride: *stride,
-                pad: *pad,
-            };
+            expect_4d(name, bottoms[0], "Convolution")?;
+            let shape = conv_shape(bottoms[0], *num_output, *kernel, *stride, *pad);
             shape.validate().map_err(|e| shape_err(e.to_string()))?;
-            Ok(vec![vec![b, *num_output, shape.out_h(), shape.out_w()]])
+            Ok(vec![vec![
+                shape.batch,
+                shape.out_c,
+                shape.out_h(),
+                shape.out_w(),
+            ]])
         }
         LayerKind::Pooling {
             kernel,
             stride,
             pad,
-            ..
+            method,
         } => {
             arity("1", 1)?;
-            let [b, c, h, w] = expect_4d(name, bottoms[0], "Pooling")?;
-            let shape = PoolShape {
-                batch: b,
-                channels: c,
-                in_h: h,
-                in_w: w,
-                k: *kernel,
-                stride: *stride,
-                pad: *pad,
-                method: PoolMethod::Max,
-            };
+            expect_4d(name, bottoms[0], "Pooling")?;
+            let shape = pool_shape(bottoms[0], *kernel, *stride, *pad, *method);
             shape.validate().map_err(|e| shape_err(e.to_string()))?;
-            Ok(vec![vec![b, c, shape.out_h(), shape.out_w()]])
+            Ok(vec![vec![
+                shape.batch,
+                shape.channels,
+                shape.out_h(),
+                shape.out_w(),
+            ]])
         }
         LayerKind::InnerProduct { num_output, .. } => {
             arity("1", 1)?;
@@ -343,9 +379,8 @@ fn layer_out_shapes(l: &LayerDef, bottoms: &[&[usize]]) -> Result<Vec<Vec<usize>
 }
 
 /// Structure + shape pass. Returns the first violation, or every blob's
-/// inferred shape in definition order. This is the `Net::from_def*`
-/// pre-flight: any definition it rejects would have panicked or errored
-/// inside layer setup.
+/// inferred shape in definition order. `Net::from_def*` builds exactly
+/// the definitions this accepts, with these shapes.
 pub fn infer_shapes(def: &NetDef) -> Result<Vec<(String, Vec<usize>)>, GraphViolation> {
     let mut out = Vec::new();
     let mut first_err = None;

@@ -44,7 +44,7 @@ mod tests {
 
     #[test]
     fn alexnet_is_valid() {
-        alexnet_bn(256).validate().unwrap();
+        crate::lint::infer_shapes(&alexnet_bn(256)).unwrap();
     }
 
     #[test]

@@ -15,6 +15,7 @@ pub use vgg::{vgg16, vgg19};
 use swdnn::transform::TransShape;
 use swdnn::{conv_explicit, conv_implicit, transform, ConvShape};
 
+use crate::lint;
 use crate::netdef::{ConvFormat, LayerKind, NetDef, PoolKind, TransDir};
 
 /// Number of ImageNet classes.
@@ -26,7 +27,7 @@ pub(crate) const IMAGENET_CLASSES: usize = 1000;
 pub struct NetBuilder {
     def: NetDef,
     top: String,
-    /// Current activation shape in NCHW terms.
+    /// Current activation shape in NCHW terms, from the lint's shape rule.
     shape: Vec<usize>,
     format: ConvFormat,
     /// When true, convolutions always use the explicit plan (used for the
@@ -62,24 +63,16 @@ impl NetBuilder {
         self
     }
 
-    fn push(&mut self, name: &str, kind: LayerKind, bottoms: Vec<String>, top: &str) {
+    /// Append layer `name` on the current top; its output, shaped by the
+    /// lint's rule, becomes the new top.
+    fn push(&mut self, name: &str, kind: LayerKind) {
         let def = std::mem::replace(&mut self.def, NetDef::new(""));
-        let b: Vec<&str> = bottoms.iter().map(|s| s.as_str()).collect();
-        self.def = def.layer(name, kind, &b, &[top]);
-        self.top = top.to_string();
-    }
-
-    fn conv_shape(&self, num_output: usize, k: usize, stride: usize, pad: usize) -> ConvShape {
-        ConvShape {
-            batch: self.shape[0],
-            in_c: self.shape[1],
-            in_h: self.shape[2],
-            in_w: self.shape[3],
-            out_c: num_output,
-            k,
-            stride,
-            pad,
-        }
+        self.def = def.layer(name, kind, &[&self.top], &[name]);
+        let layer = self.def.layers.last().expect("a layer was just pushed");
+        self.shape = lint::layer_out_shapes(layer, &[&self.shape])
+            .unwrap_or_else(|v| panic!("NetBuilder: {v}"))
+            .swap_remove(0);
+        self.top = name.to_string();
     }
 
     /// Should this convolution run in the implicit (RCNB) layout, given
@@ -122,14 +115,11 @@ impl NetBuilder {
         if matches!(self.format, ConvFormat::Rcnb) {
             self.counter += 1;
             let name = format!("trans{}_to_nchw", self.counter);
-            let bottom = self.top.clone();
             self.push(
-                &name.clone(),
+                &name,
                 LayerKind::TensorTransform {
                     dir: TransDir::RcnbToNchw,
                 },
-                vec![bottom],
-                &name,
             );
             self.format = ConvFormat::Nchw;
         }
@@ -139,14 +129,11 @@ impl NetBuilder {
         if matches!(self.format, ConvFormat::Nchw) {
             self.counter += 1;
             let name = format!("trans{}_to_rcnb", self.counter);
-            let bottom = self.top.clone();
             self.push(
-                &name.clone(),
+                &name,
                 LayerKind::TensorTransform {
                     dir: TransDir::NchwToRcnb,
                 },
-                vec![bottom],
-                &name,
             );
             self.format = ConvFormat::Rcnb;
         }
@@ -161,7 +148,7 @@ impl NetBuilder {
         stride: usize,
         pad: usize,
     ) -> Self {
-        let shape = self.conv_shape(num_output, k, stride, pad);
+        let shape = lint::conv_shape(&self.shape, num_output, k, stride, pad);
         let format = if self.wants_rcnb(&shape) {
             ConvFormat::Rcnb
         } else {
@@ -171,7 +158,6 @@ impl NetBuilder {
             ConvFormat::Rcnb => self.ensure_rcnb(),
             ConvFormat::Nchw => self.ensure_nchw(),
         }
-        let bottom = self.top.clone();
         self.push(
             name,
             LayerKind::Convolution {
@@ -182,32 +168,25 @@ impl NetBuilder {
                 bias: true,
                 format,
             },
-            vec![bottom],
-            name,
         );
-        self.shape = vec![shape.batch, num_output, shape.out_h(), shape.out_w()];
         self
     }
 
     /// ReLU (layout-agnostic).
     pub fn relu(mut self, name: &str) -> Self {
-        let bottom = self.top.clone();
-        self.push(name, LayerKind::ReLU, vec![bottom], name);
+        self.push(name, LayerKind::ReLU);
         self
     }
 
     /// Batch normalisation (NCHW).
     pub fn bn(mut self, name: &str) -> Self {
         self.ensure_nchw();
-        let bottom = self.top.clone();
         self.push(
             name,
             LayerKind::BatchNorm {
                 eps: 1e-5,
                 momentum: 0.9,
             },
-            vec![bottom],
-            name,
         );
         self
     }
@@ -222,7 +201,6 @@ impl NetBuilder {
         method: PoolKind,
     ) -> Self {
         self.ensure_nchw();
-        let bottom = self.top.clone();
         self.push(
             name,
             LayerKind::Pooling {
@@ -231,44 +209,25 @@ impl NetBuilder {
                 pad,
                 method,
             },
-            vec![bottom],
-            name,
         );
-        let (b, c, h, w) = (self.shape[0], self.shape[1], self.shape[2], self.shape[3]);
-        let p = swdnn::PoolShape {
-            batch: b,
-            channels: c,
-            in_h: h,
-            in_w: w,
-            k,
-            stride,
-            pad,
-            method: swdnn::PoolMethod::Max,
-        };
-        self.shape = vec![b, c, p.out_h(), p.out_w()];
         self
     }
 
     /// Fully-connected layer (flattens; NCHW).
     pub fn fc(mut self, name: &str, num_output: usize) -> Self {
         self.ensure_nchw();
-        let bottom = self.top.clone();
         self.push(
             name,
             LayerKind::InnerProduct {
                 num_output,
                 bias: true,
             },
-            vec![bottom],
-            name,
         );
-        self.shape = vec![self.shape[0], num_output];
         self
     }
 
     pub fn dropout(mut self, name: &str, ratio: f32) -> Self {
-        let bottom = self.top.clone();
-        self.push(name, LayerKind::Dropout { ratio }, vec![bottom], name);
+        self.push(name, LayerKind::Dropout { ratio });
         self
     }
 
@@ -336,7 +295,7 @@ mod tests {
 
     #[test]
     fn tiny_cnn_is_valid() {
-        tiny_cnn(4, 10).validate().unwrap();
+        lint::infer_shapes(&tiny_cnn(4, 10)).unwrap();
     }
 
     #[test]

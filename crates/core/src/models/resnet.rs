@@ -195,7 +195,7 @@ mod tests {
 
     #[test]
     fn resnet50_is_valid() {
-        resnet50(32).validate().unwrap();
+        crate::lint::infer_shapes(&resnet50(32)).unwrap();
     }
 
     #[test]

@@ -91,55 +91,44 @@ impl Net {
     /// filler-initialised parameter blob: two nets built from the same
     /// definition and seed are bit-identical, and the seed can be varied
     /// per replica/run without touching the definition.
+    ///
+    /// The definition is checked once, by [`crate::lint::infer_shapes`]:
+    /// a malformed one is rejected with its typed, layer-anchored
+    /// violation. Every blob is allocated from the shape table it returns,
+    /// and every layer is built in one step from its checked bottom
+    /// shapes.
     pub fn from_def_seeded(def: &NetDef, materialize: bool, base_seed: u64) -> Result<Net, String> {
-        def.validate()?;
-        // Static shape inference up front: a malformed definition is
-        // rejected with a typed, layer-anchored error here instead of a
-        // panic (or a late setup error) deep inside layer construction.
-        crate::lint::infer_shapes(def).map_err(|v| format!("net lint: {v}"))?;
+        let shapes = crate::lint::infer_shapes(def).map_err(|v| format!("net lint: {v}"))?;
         let mut net = Net {
             name: def.name.clone(),
             def: def.clone(),
-            layers: Vec::new(),
-            layer_bottoms: Vec::new(),
-            layer_tops: Vec::new(),
-            blobs: Vec::new(),
-            blob_index: HashMap::new(),
-            needs_grad: Vec::new(),
+            layers: Vec::with_capacity(def.layers.len()),
+            layer_bottoms: Vec::with_capacity(def.layers.len()),
+            layer_tops: Vec::with_capacity(def.layers.len()),
+            blobs: shapes
+                .iter()
+                .map(|(_, shape)| RefCell::new(Blob::with_mode(shape, materialize)))
+                .collect(),
+            blob_index: shapes
+                .iter()
+                .enumerate()
+                .map(|(id, (name, _))| (name.clone(), id))
+                .collect(),
+            needs_grad: vec![true; shapes.len()],
             materialize,
             loss_blob: None,
         };
         for ldef in &def.layers {
-            let mut layer = layers::build_seeded(ldef, base_seed);
-            let bottom_ids: Vec<usize> = ldef
-                .bottoms
-                .iter()
-                .map(|b| net.blob_index[b.as_str()])
-                .collect();
-            let bottom_shapes: Vec<Vec<usize>> = bottom_ids
-                .iter()
-                .map(|&i| net.blobs[i].borrow().shape().to_vec())
-                .collect();
-            let top_shapes = layer
-                .setup(&bottom_shapes, materialize)
-                .map_err(|e| format!("layer '{}': {e}", ldef.name))?;
-            if top_shapes.len() != ldef.tops.len() {
-                return Err(format!(
-                    "layer '{}' produced {} tops, definition names {}",
-                    ldef.name,
-                    top_shapes.len(),
-                    ldef.tops.len()
-                ));
-            }
-            let is_input = matches!(ldef.kind, LayerKind::Input { .. });
-            let mut top_ids = Vec::new();
-            for (name, shape) in ldef.tops.iter().zip(&top_shapes) {
-                let id = net.blobs.len();
-                net.blobs
-                    .push(RefCell::new(Blob::with_mode(shape, materialize)));
-                net.blob_index.insert(name.clone(), id);
-                net.needs_grad.push(!is_input);
-                top_ids.push(id);
+            let ids = |names: &[String]| -> Vec<usize> {
+                names.iter().map(|n| net.blob_index[n.as_str()]).collect()
+            };
+            let (bottom_ids, top_ids) = (ids(&ldef.bottoms), ids(&ldef.tops));
+            let bottoms: Vec<&[usize]> = bottom_ids.iter().map(|&i| &shapes[i].1[..]).collect();
+            let layer = layers::build_seeded(ldef, &bottoms, materialize, base_seed);
+            if matches!(ldef.kind, LayerKind::Input { .. }) {
+                for &t in &top_ids {
+                    net.needs_grad[t] = false;
+                }
             }
             if layer.is_loss() {
                 net.loss_blob = Some(top_ids[0]);

@@ -398,25 +398,6 @@ impl NetDef {
                 .collect::<Result<_, _>>()?,
         })
     }
-
-    /// Structural validation: every bottom must be produced by an earlier
-    /// layer, and top names must not collide (no in-place rewrites).
-    pub fn validate(&self) -> Result<(), String> {
-        let mut known = std::collections::HashSet::new();
-        for l in &self.layers {
-            for b in &l.bottoms {
-                if !known.contains(b.as_str()) {
-                    return Err(format!("layer '{}' consumes undefined blob '{b}'", l.name));
-                }
-            }
-            for t in &l.tops {
-                if !known.insert(t.as_str()) {
-                    return Err(format!("layer '{}' redefines blob '{t}'", l.name));
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 fn str_arr(items: &[String]) -> Json {
@@ -604,15 +585,22 @@ mod tests {
         assert!(NetDef::from_json(bad).unwrap_err().contains("warp_drive"));
     }
 
+    // A definition is validated by the graph lint's structure and shape
+    // pass, `lint::infer_shapes`.
+    use crate::lint::{infer_shapes, GraphViolation};
+
     #[test]
     fn validate_accepts_well_formed() {
-        tiny().validate().unwrap();
+        infer_shapes(&tiny()).unwrap();
     }
 
     #[test]
     fn validate_rejects_undefined_bottom() {
         let def = NetDef::new("bad").layer("relu", LayerKind::ReLU, &["ghost"], &["out"]);
-        assert!(def.validate().is_err());
+        assert!(matches!(
+            infer_shapes(&def),
+            Err(GraphViolation::UndefinedBlob { .. })
+        ));
     }
 
     #[test]
@@ -627,7 +615,11 @@ mod tests {
                 &[],
                 &["x"],
             )
-            .layer("b", LayerKind::ReLU, &["x"], &["x"]);
-        assert!(def.validate().is_err());
+            .layer("b", LayerKind::ReLU, &["x"], &["y"])
+            .layer("c", LayerKind::ReLU, &["y"], &["x"]);
+        assert!(matches!(
+            infer_shapes(&def),
+            Err(GraphViolation::RedefinedBlob { .. })
+        ));
     }
 }

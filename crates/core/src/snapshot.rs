@@ -8,8 +8,7 @@
 //! network structure itself travels as the JSON `NetDef` (the
 //! "prototxt"); loading checks that the blob layout matches the target
 //! network, bounds-checks every length-prefixed read, and verifies the
-//! trailing checksum. Files written by the previous format revision
-//! (`SWCAFFE2`, no checksum) still load.
+//! trailing checksum.
 //!
 //! A checkpoint ([`write_checkpoint`]/[`read_checkpoint`]) extends the
 //! weight snapshot with the [`SolverState`]: the iteration counter
@@ -22,8 +21,6 @@ use std::io::{self, Read, Write};
 
 use crate::net::Net;
 
-/// Legacy format: no trailing checksum.
-const MAGIC_V2: &[u8; 8] = b"SWCAFFE2";
 /// Current weight-snapshot format: trailing CRC32 over the body.
 const MAGIC_V3: &[u8; 8] = b"SWCAFFE3";
 /// Full-solver checkpoint: weight body + solver section + CRC32.
@@ -241,18 +238,13 @@ pub fn write_weights<W: Write>(net: &Net, mut w: W) -> io::Result<()> {
     w.write_all(&crc.to_le_bytes())
 }
 
-/// Load parameter blobs into a (materialised) net. Fails when the blob
-/// layout does not match, any section is truncated, or (for
-/// current-format files) the trailing checksum does not verify. Legacy
-/// `SWCAFFE2` files — written before the checksum existed — still load.
+/// Load parameter blobs into a (materialised) net. Fails when the magic
+/// is not the current format's, the blob layout does not match, any
+/// section is truncated, or the trailing checksum does not verify.
 pub fn read_weights<R: Read>(net: &mut Net, mut r: R) -> Result<(), String> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)
         .map_err(|e| format!("truncated reading magic: {e}"))?;
-    if &magic == MAGIC_V2 {
-        // Legacy format: no checksum trailer.
-        return read_body(net, &mut r);
-    }
     if &magic != MAGIC_V3 {
         return Err("not a swcaffe weight file".into());
     }
@@ -452,23 +444,20 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v2_files_still_load() {
+    fn legacy_v2_files_fail_as_bad_magic() {
+        // The checksum-less `SWCAFFE2` revision is no longer read: its
+        // magic is rejected like any other foreign file's.
         let def = models::tiny_cnn(2, 3);
         let net = Net::from_def(&def, true).unwrap();
-
-        // Hand-assemble a legacy file: old magic, same body, no trailer.
         let mut legacy = Vec::new();
-        legacy.extend_from_slice(MAGIC_V2);
+        legacy.extend_from_slice(b"SWCAFFE2");
         write_body(&net, &mut legacy).unwrap();
 
         let mut loaded = Net::from_def(&def, true).unwrap();
-        for p in loaded.params_mut() {
-            p.data_mut().fill(0.0);
-        }
-        read_weights(&mut loaded, &legacy[..]).unwrap();
-        for (a, b) in net.params().iter().zip(loaded.params()) {
-            assert_eq!(a.data(), b.data());
-        }
+        assert_eq!(
+            read_weights(&mut loaded, &legacy[..]).unwrap_err(),
+            "not a swcaffe weight file"
+        );
     }
 
     #[test]

@@ -225,8 +225,7 @@ fn inner_product_gradient_check() {
 
     let input_data = [0.5f32, -1.0, 2.0, 1.5, 0.0, -0.5];
     let forward_sum = |w: &[f32]| -> f64 {
-        let mut layer = InnerProductLayer::new("fc", 2, true);
-        layer.setup(&[vec![2, 3]], true).unwrap();
+        let mut layer = InnerProductLayer::new("fc", 2, true, &[2, 3], true, 0);
         layer.params_mut()[0].set_data(w);
         let mut bottom = Blob::new(&[2, 3]);
         bottom.set_data(&input_data);
@@ -236,8 +235,7 @@ fn inner_product_gradient_check() {
         total
     };
 
-    let mut layer = InnerProductLayer::new("fc", 2, true);
-    layer.setup(&[vec![2, 3]], true).unwrap();
+    let mut layer = InnerProductLayer::new("fc", 2, true, &[2, 3], true, 0);
     let w0: Vec<f32> = layer.params()[0].data().to_vec();
     let mut bottom = Blob::new(&[2, 3]);
     bottom.set_data(&input_data);
@@ -355,7 +353,7 @@ fn branched_dag_gradient_fan_in() {
                 &["loss"],
             )
     };
-    def.validate().unwrap();
+    swcaffe_core::lint::infer_shapes(&def).unwrap();
 
     let input: Vec<f32> = (0..2 * 2 * 36)
         .map(|i| ((i * 7) % 13) as f32 * 0.1 - 0.6)
@@ -473,7 +471,7 @@ fn inception_module_trains_functionally() {
             &["fc", "label"],
             &["loss"],
         );
-    def.validate().unwrap();
+    swcaffe_core::lint::infer_shapes(&def).unwrap();
 
     let mut net = Net::from_def(&def, true).unwrap();
     assert_eq!(net.blob("cat").shape(), &[4, 9, 6, 6]);

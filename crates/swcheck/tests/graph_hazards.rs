@@ -30,7 +30,7 @@ fn clean_baseline_stays_clean() {
 
 #[test]
 fn shape_mismatch_is_reported() {
-    // Pooling window larger than the feature map: the runtime setup
+    // Pooling window larger than the feature map: its output extent
     // would underflow; the lint reports it as a typed shape violation.
     let def = NetDef::new("bad_pool")
         .layer("data", input(&[2, 3, 8, 8]), &[], &["data"])
@@ -205,7 +205,7 @@ fn bottom_arity_violation_is_reported() {
 #[test]
 fn typed_errors_reach_net_construction_and_the_optimizer() {
     // `Net::from_def` must reject an ill-formed definition with the
-    // lint's message instead of panicking deep in layer setup.
+    // lint's message instead of building a layer from it.
     let def = NetDef::new("bad_pool")
         .layer("data", input(&[2, 3, 8, 8]), &[], &["data"])
         .layer(

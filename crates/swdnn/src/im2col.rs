@@ -37,50 +37,16 @@ pub(crate) fn channel_plan_applies(shape: &ConvShape) -> bool {
     img + line <= LDM_BUDGET
 }
 
-/// Data-movement strategy of the lowering kernels. [`Im2colStrategy::Auto`]
-/// is the size-adaptive default and the only one the kernels run; the
-/// forced variants exist for the unit tests, where the row plan is the
-/// independent oracle for the channel plan on small images
-/// (`forced_row_strategy_matches_auto_bitwise`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Im2colStrategy {
-    /// Channel plan when the whole image fits the LDM budget, row plan
-    /// otherwise — the shipped heuristic.
-    Auto,
-    /// Force the whole-channel plan (infeasible on large images).
-    Channel,
-    /// Force the sliding-row plan (always feasible).
-    Row,
-}
-
-impl Im2colStrategy {
-    /// Whether this strategy runs the channel plan on `shape`.
-    pub fn channel(self, shape: &ConvShape) -> bool {
-        match self {
-            Im2colStrategy::Auto => channel_plan_applies(shape),
-            Im2colStrategy::Channel => true,
-            Im2colStrategy::Row => false,
-        }
-    }
-
-    /// Whether this strategy's working set fits LDM on `shape` — the
-    /// tuner's candidate filter (a forced channel plan can overflow).
-    pub fn applies(self, shape: &ConvShape) -> bool {
-        im2col_plan_with(shape, self).validate().is_ok()
-            && col2im_plan_with(shape, self).validate().is_ok()
-    }
-}
-
 /// Static LDM descriptor of the im2col kernel that `shape` selects:
 /// whole image + one output line for the channel plan, `K` input rows +
 /// one output row for the sliding-row plan.
 pub fn im2col_plan(shape: &ConvShape) -> KernelPlan {
-    im2col_plan_with(shape, Im2colStrategy::Auto)
+    im2col_plan_with(shape, channel_plan_applies(shape))
 }
 
-/// [`im2col_plan`] under an explicit strategy.
-pub(crate) fn im2col_plan_with(shape: &ConvShape, strategy: Im2colStrategy) -> KernelPlan {
-    if strategy.channel(shape) {
+/// [`im2col_plan`] of the channel plan (`channel`) or the row plan.
+fn im2col_plan_with(shape: &ConvShape, channel: bool) -> KernelPlan {
+    if channel {
         KernelPlan::new("swdnn.im2col.channel", 64)
             .buffer("img", shape.in_h * shape.in_w * 4)
             .buffer("line", shape.out_h() * shape.out_w() * 4)
@@ -95,12 +61,12 @@ pub(crate) fn im2col_plan_with(shape: &ConvShape, strategy: Im2colStrategy) -> K
 
 /// Static LDM descriptor of the col2im kernel that `shape` selects.
 pub fn col2im_plan(shape: &ConvShape) -> KernelPlan {
-    col2im_plan_with(shape, Im2colStrategy::Auto)
+    col2im_plan_with(shape, channel_plan_applies(shape))
 }
 
-/// [`col2im_plan`] under an explicit strategy.
-pub(crate) fn col2im_plan_with(shape: &ConvShape, strategy: Im2colStrategy) -> KernelPlan {
-    if strategy.channel(shape) {
+/// [`col2im_plan`] of the channel plan (`channel`) or the row plan.
+fn col2im_plan_with(shape: &ConvShape, channel: bool) -> KernelPlan {
+    if channel {
         KernelPlan::new("swdnn.col2im.channel", 64)
             .buffer("acc", shape.in_h * shape.in_w * 4)
             .buffer("line", shape.out_h() * shape.out_w() * 4)
@@ -132,19 +98,20 @@ pub fn im2col(
     shape: &ConvShape,
     ops: Option<Im2colOperands<'_>>,
 ) -> LaunchReport {
-    im2col_with_strategy(cg, shape, Im2colStrategy::Auto, ops)
+    guard_shape(shape);
+    im2col_with(cg, shape, channel_plan_applies(shape), ops)
 }
 
-/// Mesh im2col for one image under an explicit strategy.
-pub(crate) fn im2col_with_strategy(
+/// Mesh im2col for one image, by the channel plan (`channel`) or the
+/// row plan, on a `shape` that passed `guard_shape`.
+fn im2col_with(
     cg: &mut CoreGroup,
     shape: &ConvShape,
-    strategy: Im2colStrategy,
+    channel: bool,
     ops: Option<Im2colOperands<'_>>,
 ) -> LaunchReport {
-    guard_shape(shape);
     if !cg.mode().is_functional() {
-        return crate::charge_model(cg, time_model_im2col_with(shape, strategy));
+        return crate::charge_model(cg, time_model_im2col_with(shape, channel));
     }
     let ops = ops.expect("functional im2col requires operands");
     assert_eq!(ops.image.len(), shape.in_c * shape.in_h * shape.in_w);
@@ -155,8 +122,8 @@ pub(crate) fn im2col_with_strategy(
     }
     let image = MemView::new(ops.image);
     let cols = MemViewMut::new(ops.cols);
-    let kplan = im2col_plan_with(shape, strategy);
-    if strategy.channel(shape) {
+    let kplan = im2col_plan_with(shape, channel);
+    if channel {
         let shape = *shape;
         cg.run_planned(&kplan, move |cpe| {
             im2col_channel_plan(cpe, &shape, image, cols)
@@ -253,19 +220,20 @@ pub fn col2im(
     shape: &ConvShape,
     ops: Option<Col2imOperands<'_>>,
 ) -> LaunchReport {
-    col2im_with_strategy(cg, shape, Im2colStrategy::Auto, ops)
+    guard_shape(shape);
+    col2im_with(cg, shape, channel_plan_applies(shape), ops)
 }
 
-/// Mesh col2im for one image under an explicit strategy.
-pub(crate) fn col2im_with_strategy(
+/// Mesh col2im for one image, by the channel plan (`channel`) or the
+/// row plan, on a `shape` that passed `guard_shape`.
+fn col2im_with(
     cg: &mut CoreGroup,
     shape: &ConvShape,
-    strategy: Im2colStrategy,
+    channel: bool,
     ops: Option<Col2imOperands<'_>>,
 ) -> LaunchReport {
-    guard_shape(shape);
     if !cg.mode().is_functional() {
-        return crate::charge_model(cg, time_model_col2im_with(shape, strategy));
+        return crate::charge_model(cg, time_model_col2im_with(shape, channel));
     }
     let ops = ops.expect("functional col2im requires operands");
     assert_eq!(ops.image.len(), shape.in_c * shape.in_h * shape.in_w);
@@ -276,8 +244,8 @@ pub(crate) fn col2im_with_strategy(
     }
     let cols = MemView::new(ops.cols);
     let image = MemViewMut::new(ops.image);
-    let kplan = col2im_plan_with(shape, strategy);
-    if strategy.channel(shape) {
+    let kplan = col2im_plan_with(shape, channel);
+    if channel {
         let shape = *shape;
         cg.run_planned(&kplan, move |cpe| {
             col2im_channel_plan(cpe, &shape, cols, image)
@@ -364,14 +332,14 @@ fn col2im_channel_plan(cpe: &mut Cpe, shape: &ConvShape, cols: MemView<'_>, imag
 
 /// Closed-form duration of [`im2col`].
 pub(crate) fn time_model_im2col(shape: &ConvShape) -> SimTime {
-    time_model_im2col_with(shape, Im2colStrategy::Auto)
+    time_model_im2col_with(shape, channel_plan_applies(shape))
 }
 
-/// [`time_model_im2col`] under an explicit strategy.
-pub(crate) fn time_model_im2col_with(shape: &ConvShape, strategy: Im2colStrategy) -> SimTime {
+/// [`time_model_im2col`] of the channel plan (`channel`) or the row plan.
+fn time_model_im2col_with(shape: &ConvShape, channel: bool) -> SimTime {
     let (oh, ow) = (shape.out_h(), shape.out_w());
     let kk = shape.k;
-    let per_cpe_time = if strategy.channel(shape) {
+    let per_cpe_time = if channel {
         let per_channel = dma::continuous_time(shape.in_h * shape.in_w * 4, 64).seconds()
             + (kk * kk) as f64
                 * (crate::gemm_flop_time((oh * ow) as u64).seconds()
@@ -389,14 +357,14 @@ pub(crate) fn time_model_im2col_with(shape: &ConvShape, strategy: Im2colStrategy
 
 /// Closed-form duration of [`col2im`].
 pub(crate) fn time_model_col2im(shape: &ConvShape) -> SimTime {
-    time_model_col2im_with(shape, Im2colStrategy::Auto)
+    time_model_col2im_with(shape, channel_plan_applies(shape))
 }
 
-/// [`time_model_col2im`] under an explicit strategy.
-pub(crate) fn time_model_col2im_with(shape: &ConvShape, strategy: Im2colStrategy) -> SimTime {
+/// [`time_model_col2im`] of the channel plan (`channel`) or the row plan.
+fn time_model_col2im_with(shape: &ConvShape, channel: bool) -> SimTime {
     let (oh, ow) = (shape.out_h(), shape.out_w());
     let kk = shape.k;
-    let per_cpe_time = if strategy.channel(shape) {
+    let per_cpe_time = if channel {
         let per_channel = (kk * kk) as f64
             * (dma::continuous_time(oh * ow * 4, 64).seconds()
                 + crate::gemm_flop_time((oh * ow) as u64).seconds())
@@ -585,20 +553,21 @@ mod tests {
 
     #[test]
     fn forced_row_strategy_matches_auto_bitwise() {
-        // Small image: Auto picks the channel plan. Forcing the row plan
-        // must produce the identical column matrix (pure data movement).
+        // Small image: the size-adaptive choice is the channel plan. The
+        // row plan must produce the identical column matrix (pure data
+        // movement), so it is the channel plan's oracle.
         let s = shape(1, 3, 8, 3, 1, 1);
         assert!(channel_plan_applies(&s));
         let image: Vec<f32> = (0..s.in_c * s.in_h * s.in_w)
             .map(|i| ((i * 13) % 31) as f32 - 15.0)
             .collect();
-        let run = |strategy| {
+        let run = |channel| {
             let mut cols = vec![f32::NAN; s.col_rows() * s.col_cols()];
             let mut cg = CoreGroup::new(ExecMode::Functional);
-            im2col_with_strategy(
+            im2col_with(
                 &mut cg,
                 &s,
-                strategy,
+                channel,
                 Some(Im2colOperands {
                     image: &image,
                     cols: &mut cols,
@@ -606,17 +575,21 @@ mod tests {
             );
             cols
         };
-        assert_eq!(run(Im2colStrategy::Row), run(Im2colStrategy::Auto));
+        assert_eq!(run(false), run(true));
     }
 
     #[test]
     fn forced_channel_plan_is_infeasible_on_large_images() {
+        let fits = |s: &ConvShape, channel| {
+            im2col_plan_with(s, channel).validate().is_ok()
+                && col2im_plan_with(s, channel).validate().is_ok()
+        };
         let big = shape(1, 3, 224, 3, 1, 1);
-        assert!(!Im2colStrategy::Channel.applies(&big));
-        assert!(Im2colStrategy::Row.applies(&big));
-        assert!(Im2colStrategy::Auto.applies(&big));
+        assert!(!fits(&big, true));
+        assert!(fits(&big, false));
+        assert!(fits(&big, channel_plan_applies(&big)));
         let small = shape(1, 16, 28, 3, 1, 1);
-        assert!(Im2colStrategy::Channel.applies(&small));
+        assert!(fits(&small, true));
     }
 
     #[test]

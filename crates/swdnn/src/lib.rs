@@ -50,7 +50,6 @@ pub mod transform;
 
 pub use conv_explicit::ExplicitSchemes;
 pub use conv_implicit::{ConvTiles, ImplicitPass};
-pub use im2col::Im2colStrategy;
 pub use scheme::{Broadcast, Buffering, TilingScheme};
 pub use shapes::{ConvShape, GemmDims, PoolMethod, PoolShape, ShapeError, Trans};
 

@@ -8,9 +8,9 @@
 //! as strided DMA plus in-LDM transposes (standing in for the SIMD shuffle
 //! sequence on silicon).
 //!
-//! Filters `(N_o, N_i, K, K)` -> `(K, K, N_o, N_i)` are converted once at
-//! layer setup (host-side helper, not charged — the paper treats filter
-//! layout as layer-local state).
+//! Filters `(N_o, N_i, K, K)` -> `(K, K, N_o, N_i)` are converted once,
+//! when a layer is built (host-side helper, not charged — the paper
+//! treats filter layout as layer-local state).
 
 use sw26010::{dma, CoreGroup, ExecMode, KernelPlan, LaunchReport, MemView, MemViewMut, SimTime};
 
@@ -230,7 +230,7 @@ pub fn rcnb_to_nchw_host(shape: &TransShape, input: &[f32], output: &mut [f32]) 
 }
 
 /// Filter layout conversion `(N_o, N_i, K, K)` -> `(K, K, N_o, N_i)`,
-/// done once at layer setup.
+/// done once, when a layer is built.
 pub fn filters_oikk_to_kkon(no: usize, ni: usize, k: usize, w: &[f32]) -> Vec<f32> {
     assert_eq!(w.len(), no * ni * k * k);
     let mut out = vec![0.0f32; w.len()];

@@ -107,7 +107,6 @@ impl FrozenGraph {
     /// Freeze `net`'s weights against its definition and optimize the
     /// graph for inference. `net` must have been built from `def`.
     pub fn freeze(def: &NetDef, net: &Net) -> Result<FrozenGraph, String> {
-        def.validate()?;
         let snaps = net.layer_snapshots();
         let mut graph = optimize(def)?;
         let by_name: BTreeMap<&str, &LayerSnapshot> =
@@ -248,7 +247,7 @@ pub fn topo_schedule(layers: &[LayerDef]) -> Result<Vec<usize>, String> {
 }
 
 /// Rewrite the Input layer of `def` to a new batch size (all other
-/// shapes derive from it at `Net` setup time).
+/// shapes derive from it when a `Net` is built).
 pub fn def_with_batch(def: &NetDef, batch: usize) -> NetDef {
     let mut out = def.clone();
     for l in out.layers.iter_mut() {
@@ -487,8 +486,6 @@ pub fn optimize(def: &NetDef) -> Result<FrozenGraph, String> {
 
     let mut def = NetDef::new(format!("{}.frozen", def.name));
     def.layers = layers;
-    def.validate()
-        .map_err(|e| format!("optimized graph failed validation: {e}"))?;
     // Lint post-pass, fully strict: the frozen graph must be free of
     // *every* violation class — the optimizer may not manufacture
     // dangling blobs, dead layers, layout breaks, or illegal fusions.

@@ -39,9 +39,7 @@ pub use batcher::{
 pub use engine::{bucket, verify_response, Engine};
 pub use error::ServeError;
 pub use graph::{def_with_batch, optimize, topo_schedule, FrozenGraph, OptimizeStats};
-pub use resilient::{
-    simulate_ft, BrownoutPolicy, FtServeOutcome, Health, HealthTransition, ResilienceConfig,
-};
+pub use resilient::{simulate_ft, FtServeOutcome, Health, HealthTransition, ResilienceConfig};
 
 use sw26010::{arch, ExecMode};
 use swfault::serve::{ServeFaultPlan, ServeFaultSession};

@@ -77,60 +77,44 @@ pub struct HealthTransition {
     pub to: Health,
 }
 
-/// Escalating brown-out responses to capacity loss. The thresholds are
-/// fixed fractions of healthy replicas (any loss / ≤ 50% / ≤ 25%); the
-/// knobs say what each tier does.
-#[derive(Debug, Clone, Copy)]
-pub struct BrownoutPolicy {
-    /// Tier 1 — multiply the coalescing timeout by this factor while any
-    /// replica is down (trade batch efficiency for queueing headroom).
-    pub(crate) horizon_shrink: f64,
-    /// Tier 2 — cap `max_batch` at this fraction (rounded up, min 1)
-    /// while ≤ 50% of replicas are live (smaller worst-case execution
-    /// widens every request's queueing budget).
-    pub(crate) batch_cap_frac: f64,
-    /// Tier 3 — while ≤ 25% of replicas are live, shed requests with
-    /// `tier <` this at admission (lowest tiers first).
-    pub(crate) shed_below_tier: u8,
-}
+/// Total dispatch attempts per request (1 would be no retry).
+pub(crate) const MAX_ATTEMPTS: u32 = 3;
 
-impl Default for BrownoutPolicy {
-    fn default() -> Self {
-        BrownoutPolicy {
-            horizon_shrink: 0.5,
-            batch_cap_frac: 0.5,
-            shed_below_tier: 1,
-        }
-    }
-}
+/// Clean on-time winner batches a Degraded replica must serve before it
+/// is Healthy again.
+pub(crate) const PROBATION: u32 = 3;
 
-/// Configuration of the resilience layer.
+// Escalating brown-out responses to capacity loss. The thresholds are
+// fixed fractions of healthy replicas (any loss / ≤ 50% / ≤ 25%); these
+// say what each tier does.
+
+/// Tier 1: multiply the coalescing timeout by this factor while any
+/// replica is down (trade batch efficiency for queueing headroom).
+pub(crate) const BROWNOUT_HORIZON_SHRINK: f64 = 0.5;
+
+/// Tier 2: cap `max_batch` at this fraction (rounded up, min 1) while
+/// ≤ 50% of replicas are live (smaller worst-case execution widens every
+/// request's queueing budget).
+pub(crate) const BROWNOUT_BATCH_CAP_FRAC: f64 = 0.5;
+
+/// Tier 3: while ≤ 25% of replicas are live, shed requests with
+/// `tier <` this at admission (lowest tiers first).
+pub(crate) const BROWNOUT_SHED_BELOW_TIER: u8 = 1;
+
+/// Configuration of the resilience layer. Retry, probation and brown-out
+/// are the crate's fixed policy; hedging is always on.
 #[derive(Debug, Clone, Copy)]
 pub struct ResilienceConfig {
-    /// Total dispatch attempts per request (1 = no retry).
-    pub max_attempts: u32,
-    /// Race suspect (Degraded) replicas against an idle healthy one.
-    pub hedge: bool,
     /// Virtual seconds a dead replica spends reloading its frozen
     /// snapshot before rejoining — model with the same striped-
     /// filesystem read-back the training checkpoints pay (see
     /// [`crate::FrozenGraph::snapshot_bytes`]).
     pub rewarm_s: f64,
-    /// Clean on-time winner batches a Degraded replica must serve before
-    /// it is Healthy again.
-    pub probation: u32,
-    pub brownout: BrownoutPolicy,
 }
 
 impl Default for ResilienceConfig {
     fn default() -> Self {
-        ResilienceConfig {
-            max_attempts: 3,
-            hedge: true,
-            rewarm_s: 0.05,
-            probation: 3,
-            brownout: BrownoutPolicy::default(),
-        }
+        ResilienceConfig { rewarm_s: 0.05 }
     }
 }
 
@@ -307,18 +291,17 @@ impl<'a> Sim<'a> {
         let mut timeout = self.cfg.timeout;
         let mut max_batch = self.cfg.max_batch;
         if frac < 1.0 {
-            timeout *= self.res.brownout.horizon_shrink;
+            timeout *= BROWNOUT_HORIZON_SHRINK;
         }
         if frac <= 0.5 {
-            max_batch =
-                ((max_batch as f64 * self.res.brownout.batch_cap_frac).ceil() as usize).max(1);
+            max_batch = ((max_batch as f64 * BROWNOUT_BATCH_CAP_FRAC).ceil() as usize).max(1);
         }
         (timeout, max_batch)
     }
 
     /// Is admission currently shedding `tier` (brown-out tier 3)?
     fn brownout_sheds(&self, tier: u8) -> bool {
-        self.live_frac <= 0.25 && tier < self.res.brownout.shed_below_tier
+        self.live_frac <= 0.25 && tier < BROWNOUT_SHED_BELOW_TIER
     }
 
     fn shed(&mut self, req: Request, brownout: bool) {
@@ -377,7 +360,7 @@ impl<'a> Sim<'a> {
             .unwrap_or(0);
         for q in reqs {
             let attempts = q.attempts + 1;
-            if attempts >= self.res.max_attempts {
+            if attempts >= MAX_ATTEMPTS {
                 self.shed(q.req, false);
                 continue;
             }
@@ -434,7 +417,7 @@ impl<'a> Sim<'a> {
             self.mark_degraded(f.replica, f.completion);
         } else if self.state[f.replica] == Health::Degraded {
             self.clean_streak[f.replica] += 1;
-            if self.clean_streak[f.replica] >= self.res.probation {
+            if self.clean_streak[f.replica] >= PROBATION {
                 self.health.recovered_transitions += 1;
                 self.record(f.replica, f.completion, Health::Healthy);
             }
@@ -618,7 +601,7 @@ impl<'a> Sim<'a> {
             // Hedge a suspect primary onto an idle healthy replica when
             // the budget covers a second copy (it does by construction:
             // dispatch implies deadline >= now + eff_worst).
-            if self.res.hedge && self.state[replica] == Health::Degraded {
+            if self.state[replica] == Health::Degraded {
                 let second = (0..self.replicas)
                     .filter(|&r| {
                         r != replica && self.state[r] == Health::Healthy && self.free[r] <= now

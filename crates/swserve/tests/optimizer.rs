@@ -146,7 +146,7 @@ fn inverse_transform_pairs_fold_away() {
             &["t2"],
         )
         .layer("relu", LayerKind::ReLU, &["t2"], &["out"]);
-    def.validate().unwrap();
+    swcaffe_core::lint::infer_shapes(&def).unwrap();
     let graph = optimize(&def).unwrap();
     assert_eq!(graph.stats.folded, 1);
     assert_eq!(graph.def.layers.len(), 2);
@@ -170,7 +170,7 @@ fn single_input_concat_collapses() {
         )
         .layer("cat", LayerKind::Concat, &["data"], &["catted"])
         .layer("relu", LayerKind::ReLU, &["catted"], &["out"]);
-    def.validate().unwrap();
+    swcaffe_core::lint::infer_shapes(&def).unwrap();
     let graph = optimize(&def).unwrap();
     assert_eq!(graph.stats.folded, 1);
     assert_eq!(graph.def.layers.len(), 2);

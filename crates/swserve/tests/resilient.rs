@@ -90,10 +90,7 @@ fn crash_mid_trace_stays_inside_slo_with_zero_shed() {
         .crash(1, 0.03)
         .detect_timeout_s(0.0005)
         .backoff_base_s(20.0e-6);
-    let res = ResilienceConfig {
-        rewarm_s: 0.02,
-        ..ResilienceConfig::default()
-    };
+    let res = ResilienceConfig { rewarm_s: 0.02 };
     let out = run_plan(&trace, 4, &res, &plan);
     assert_invariants(&out, n);
 
@@ -185,11 +182,7 @@ fn corrupted_responses_are_retried_and_the_replica_recovers() {
         .corrupt_output(0, 0.5, 0.0..0.015)
         .detect_timeout_s(0.0005)
         .backoff_base_s(20.0e-6);
-    let res = ResilienceConfig {
-        max_attempts: 4,
-        probation: 2,
-        ..ResilienceConfig::default()
-    };
+    let res = ResilienceConfig::default();
     let out = run_plan(&trace, 2, &res, &plan);
     assert_invariants(&out, n);
     assert!(out.faults.corrupted_responses >= 1, "window must corrupt");
@@ -246,10 +239,7 @@ fn capacity_loss_escalates_brownout_and_sheds_lowest_tier_first() {
         .crash(2, 0.004)
         .detect_timeout_s(0.0004)
         .backoff_base_s(20.0e-6);
-    let res = ResilienceConfig {
-        rewarm_s: 10.0,
-        ..ResilienceConfig::default()
-    };
+    let res = ResilienceConfig { rewarm_s: 10.0 };
     let out = run_plan(&trace, 4, &res, &plan);
     assert_invariants(&out, n);
     assert_eq!(out.faults.crashes, 3);
@@ -294,10 +284,7 @@ fn replica_loss_and_rejoin_keeps_fifo_slo_and_determinism() {
         .crash(2, 0.02)
         .detect_timeout_s(0.0005)
         .backoff_base_s(20.0e-6);
-    let res = ResilienceConfig {
-        rewarm_s: 0.015,
-        ..ResilienceConfig::default()
-    };
+    let res = ResilienceConfig { rewarm_s: 0.015 };
     let a = run_plan(&trace, 4, &res, &plan);
     let b = run_plan(&trace, 4, &res, &plan);
     assert_invariants(&a, n);
@@ -426,7 +413,6 @@ fn fault_tolerant_serving_is_backend_independent() {
         };
         let res = ResilienceConfig {
             rewarm_s: 4.0 * worst,
-            ..ResilienceConfig::default()
         };
         outcomes.push(cluster.serve_ft(&trace, &cfg, &res, &plan).unwrap());
     }

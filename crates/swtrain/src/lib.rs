@@ -1,7 +1,7 @@
 //! # swtrain — scaling swCaffe across the (simulated) TaihuLight
 //!
 //! Section V of the paper: Algorithm 1's four-core-group synchronous SGD
-//! with the handshake barrier (Fig. 5), gradient packing, the
+//! with its priced handshake (Fig. 5), gradient packing, the
 //! topology-aware all-reduce across nodes, and the scaling analytics
 //! behind Figs. 10 and 11.
 //!
@@ -24,7 +24,6 @@ pub mod packing;
 pub mod profile;
 pub mod scaling;
 pub mod ssgd;
-pub mod sync;
 pub mod trainer;
 
 pub use buckets::{

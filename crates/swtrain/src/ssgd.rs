@@ -3,10 +3,11 @@
 //! Four threads — one per core group — each run forward/backward on a
 //! quarter of the mini-batch against their own model replica (each CG has
 //! its own memory space on the real chip). The threads meet in the
-//! handshake barrier, CG0 gathers and sums the gradients over the NoC and
-//! its CPE cluster, the (optional) cross-node reduction runs, the solver
-//! updates CG0's weights, and the new weights are re-broadcast to the
-//! other core groups.
+//! handshake (the join of the four threads; each core group is charged
+//! `HANDSHAKE_SECONDS` for it), CG0 gathers and sums the gradients over
+//! the NoC and its CPE cluster, the (optional) cross-node reduction
+//! runs, the solver updates CG0's weights, and the new weights are
+//! re-broadcast to the other core groups.
 
 use sw26010::arch::CORE_GROUPS;
 use sw26010::chip::noc_transfer_time;
@@ -16,7 +17,11 @@ use swcaffe_core::{GradReady, Net, NetDef, SgdSolver, SolverConfig};
 use swdnn::elementwise as ew;
 
 use crate::packing::{pack_gradients, pack_params, unpack_gradients, unpack_params};
-use crate::sync::{HandshakeBarrier, HANDSHAKE_SECONDS};
+
+/// Simulated cost of one 4-CG handshake through shared memory (a few
+/// hundred nanoseconds of semaphore traffic), charged to every core
+/// group once per iteration.
+pub(crate) const HANDSHAKE_SECONDS: f64 = 5.0e-7;
 
 /// One core group's `(data, labels)` input pair.
 pub type CgBatch = (Vec<f32>, Vec<f32>);
@@ -185,7 +190,6 @@ impl ChipTrainer {
             let inputs = inputs.expect("functional training needs per-CG inputs");
             assert_eq!(inputs.len(), CORE_GROUPS);
         }
-        let barrier = HandshakeBarrier::new(CORE_GROUPS);
         let before: Vec<SimTime> = self.cgs.iter().map(|c| c.elapsed()).collect();
 
         // pthread_create over the 4 CGs (Fig. 5).
@@ -196,7 +200,6 @@ impl ChipTrainer {
                 .zip(self.cgs.iter_mut())
                 .enumerate()
                 .map(|(i, (net, cg))| {
-                    let barrier = &barrier;
                     let input = inputs.map(|inp| &inp[i]);
                     let start = before[i];
                     s.spawn(move || {
@@ -216,7 +219,6 @@ impl ChipTrainer {
                             net.backward(cg);
                             Vec::new()
                         };
-                        barrier.wait();
                         cg.charge(SimTime::from_seconds(HANDSHAKE_SECONDS));
                         (loss, events)
                     })
