@@ -66,11 +66,10 @@ pub fn intel_knl_spec() -> DeviceSpec {
 /// A comparator device with the calibration knobs of its software stack.
 #[derive(Debug, Clone, Copy)]
 pub struct Device {
-    pub name: &'static str,
     /// Peak single-precision flops/s.
-    pub peak_flops: f64,
+    pub(crate) peak_flops: f64,
     /// Device memory bandwidth, bytes/s.
-    pub mem_bw: f64,
+    pub(crate) mem_bw: f64,
     /// Best-case fraction of peak the conv/GEMM library achieves on
     /// large, well-shaped problems.
     pub(crate) gemm_eff: f64,
@@ -91,7 +90,6 @@ pub struct Device {
 /// Caffe + cuDNN v5.1 on a K40m, calibrated to Table III.
 pub fn gpu_k40m() -> Device {
     Device {
-        name: "K40m",
         peak_flops: 4.29e12,
         mem_bw: 288.0e9,
         gemm_eff: 0.33,
@@ -105,7 +103,6 @@ pub fn gpu_k40m() -> Device {
 /// Caffe + OpenBLAS on the 12-core E5-2680 v3, calibrated to Table III.
 pub fn cpu_e5_2680v3() -> Device {
     Device {
-        name: "12-core CPU",
         peak_flops: 1.28e12,
         mem_bw: 68.0e9,
         gemm_eff: 0.085,

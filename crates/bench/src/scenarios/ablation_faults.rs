@@ -30,7 +30,7 @@ use swnet::{Algorithm, NetParams, RankMap, ReduceEngine};
 use swprof::Report;
 use swtrain::{
     pack_params, CgBatch, ClusterConfig, ClusterTrainer, CollectiveFault, FaultPlan, FaultSession,
-    Recovery, ScalingModel,
+    ScalingModel,
 };
 
 pub(crate) const SCALES: [usize; 3] = [64, 256, 1024];
@@ -252,7 +252,7 @@ pub fn run(_args: &[String]) -> (String, Report) {
         .expect_err("rank 1 crashes at iteration 2");
     let detected_dead = matches!(fault, CollectiveFault::DeadRank { rank: 1, .. });
     faulty
-        .recover(&mut faults, Recovery::RestoreFromCheckpoint, Some(&ckpt))
+        .recover(&mut faults, &ckpt)
         .expect("restore succeeds");
     for it in 2..4 {
         faulty

@@ -97,10 +97,10 @@ pub fn run(_args: &[String]) -> (String, Report) {
         out,
         "  {:<30} {:>8.3} s  (one port serialises all traffic; Sec. V-A's rejected design)",
         "parameter server",
-        ps.elapsed.seconds()
+        ps.seconds()
     )
     .unwrap();
-    report.real("allreduce.parameter_server.elapsed_s", ps.elapsed.seconds());
+    report.real("allreduce.parameter_server.elapsed_s", ps.seconds());
 
     writeln!(out).unwrap();
     writeln!(

@@ -87,12 +87,6 @@ impl Blob {
         (&self.data, &mut self.diff)
     }
 
-    /// Split borrow the other way: `(diff, data_mut)` — optimizer updates.
-    pub(crate) fn diff_and_data_mut(&mut self) -> (&[f32], &mut [f32]) {
-        debug_assert!(self.materialized, "access on a shell blob");
-        (&self.diff, &mut self.data)
-    }
-
     pub fn set_data(&mut self, values: &[f32]) {
         assert_eq!(values.len(), self.len(), "set_data length mismatch");
         self.data_mut().copy_from_slice(values);

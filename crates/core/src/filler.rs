@@ -4,7 +4,7 @@ use crate::rng::SplitMix64;
 
 /// Initialisation policy for a parameter blob.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Filler {
+pub(crate) enum Filler {
     /// Uniform in `[-scale, scale]` with `scale = sqrt(3 / fan_in)`.
     Xavier,
     /// Gaussian with `std = sqrt(2 / fan_in)` (He/MSRA, for ReLU nets).

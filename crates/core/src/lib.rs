@@ -27,4 +27,4 @@ pub use layer::{Layer, Phase};
 pub use lint::{infer_shapes, lint_def, GraphViolation};
 pub use net::{GradReady, LayerOp, LayerSnapshot, LayerTimes, Net};
 pub use netdef::{ConvFormat, LayerDef, LayerKind, NetDef, PoolKind, TransDir};
-pub use solver::{LrPolicy, SgdSolver, SolverConfig};
+pub use solver::{SgdSolver, SolverConfig};

@@ -26,6 +26,9 @@ pub enum GraphViolation {
     /// rewrite): the scheduler assumes write-once blobs, so aliasing
     /// would silently corrupt every other consumer of the bottom.
     InPlaceAlias { layer: String, blob: String },
+    /// A layer naming the same blob twice among its bottoms: backward
+    /// would write that blob's gradient through two aliasing borrows.
+    RepeatedBottom { layer: String, blob: String },
     /// Wrong number of bottoms for the layer kind.
     BottomArity {
         layer: String,
@@ -39,7 +42,7 @@ pub enum GraphViolation {
         got: usize,
     },
     /// Shape rule violated (dimension counts, window geometry,
-    /// mismatched operands).
+    /// mismatched operands, a layer parameter out of range).
     ShapeMismatch { layer: String, detail: String },
     /// A produced blob no layer consumes and that is not a recognised
     /// network output.
@@ -66,6 +69,7 @@ impl GraphViolation {
             GraphViolation::UndefinedBlob { layer, .. }
             | GraphViolation::RedefinedBlob { layer, .. }
             | GraphViolation::InPlaceAlias { layer, .. }
+            | GraphViolation::RepeatedBottom { layer, .. }
             | GraphViolation::BottomArity { layer, .. }
             | GraphViolation::TopArity { layer, .. }
             | GraphViolation::ShapeMismatch { layer, .. }
@@ -82,6 +86,7 @@ impl GraphViolation {
             GraphViolation::UndefinedBlob { .. } => "undefined_blob",
             GraphViolation::RedefinedBlob { .. } => "redefined_blob",
             GraphViolation::InPlaceAlias { .. } => "in_place_alias",
+            GraphViolation::RepeatedBottom { .. } => "repeated_bottom",
             GraphViolation::BottomArity { .. } => "bottom_arity",
             GraphViolation::TopArity { .. } => "top_arity",
             GraphViolation::ShapeMismatch { .. } => "shape_mismatch",
@@ -107,6 +112,9 @@ impl std::fmt::Display for GraphViolation {
                     f,
                     "layer '{layer}' rewrites its own bottom '{blob}' in place"
                 )
+            }
+            GraphViolation::RepeatedBottom { layer, blob } => {
+                write!(f, "layer '{layer}' names blob '{blob}' twice as a bottom")
             }
             GraphViolation::BottomArity {
                 layer,
@@ -306,8 +314,17 @@ pub(crate) fn layer_out_shapes(
             }
             Ok(vec![vec![bottoms[0][0], *num_output]])
         }
-        LayerKind::ReLU | LayerKind::Dropout { .. } => {
+        LayerKind::ReLU => {
             arity("1", 1)?;
+            Ok(vec![bottoms[0].to_vec()])
+        }
+        LayerKind::Dropout { ratio } => {
+            arity("1", 1)?;
+            if !(0.0..1.0).contains(ratio) {
+                return Err(shape_err(format!(
+                    "dropout ratio must be in [0, 1), got {ratio}"
+                )));
+            }
             Ok(vec![bottoms[0].to_vec()])
         }
         LayerKind::BatchNorm { .. } => {
@@ -415,7 +432,13 @@ fn analyze_structure(
     for l in &def.layers {
         let mut bottoms: Vec<&[usize]> = Vec::with_capacity(l.bottoms.len());
         let mut poisoned = false;
-        for b in &l.bottoms {
+        for (i, b) in l.bottoms.iter().enumerate() {
+            if l.bottoms[..i].contains(b) {
+                report(GraphViolation::RepeatedBottom {
+                    layer: l.name.clone(),
+                    blob: b.clone(),
+                });
+            }
             match blob_shapes.get(b.as_str()) {
                 Some(Some(s)) => bottoms.push(s.as_slice()),
                 Some(None) => poisoned = true,

@@ -8,42 +8,17 @@ use swdnn::elementwise as ew;
 
 use crate::net::Net;
 
-/// Learning-rate schedule (Caffe's `lr_policy`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LrPolicy {
-    Fixed,
-    /// `base * gamma^(iter / step)`.
-    Step {
-        gamma: f32,
-        step: usize,
-    },
-    /// `base * (1 + gamma * iter)^(-power)`.
-    Inv {
-        gamma: f32,
-        power: f32,
-    },
-    /// `base * (1 - iter/max_iter)^power`.
-    Poly {
-        power: f32,
-        max_iter: usize,
-    },
-}
-
 /// Solver hyper-parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct SolverConfig {
     pub base_lr: f32,
     pub momentum: f32,
     pub weight_decay: f32,
-    pub policy: LrPolicy,
     /// Layer-wise adaptive rate scaling (You et al. \[12\], the large-batch
     /// method the paper points to for scaling beyond 32K): when set, each
     /// parameter blob's learning rate is multiplied by
     /// `trust * ||w|| / (||g|| + decay * ||w||)`.
     pub lars_trust: Option<f32>,
-    /// Nesterov momentum (Sutskever formulation): the update applies
-    /// `momentum * v + lr * grad` instead of `v`.
-    pub nesterov: bool,
 }
 
 impl Default for SolverConfig {
@@ -52,28 +27,7 @@ impl Default for SolverConfig {
             base_lr: 0.01,
             momentum: 0.9,
             weight_decay: 5e-4,
-            policy: LrPolicy::Fixed,
             lars_trust: None,
-            nesterov: false,
-        }
-    }
-}
-
-impl SolverConfig {
-    /// Learning rate at an iteration.
-    pub(crate) fn lr_at(&self, iter: usize) -> f32 {
-        match self.policy {
-            LrPolicy::Fixed => self.base_lr,
-            LrPolicy::Step { gamma, step } => {
-                self.base_lr * gamma.powi((iter / step.max(1)) as i32)
-            }
-            LrPolicy::Inv { gamma, power } => {
-                self.base_lr * (1.0 + gamma * iter as f32).powf(-power)
-            }
-            LrPolicy::Poly { power, max_iter } => {
-                let frac = 1.0 - (iter as f32 / max_iter.max(1) as f32).min(1.0);
-                self.base_lr * frac.powf(power)
-            }
         }
     }
 }
@@ -107,8 +61,7 @@ impl SgdSolver {
     }
 
     /// Restore optimiser state captured from another solver: the
-    /// iteration counter (which also positions the LR schedule, since
-    /// every policy is a pure function of it) and the momentum buffers.
+    /// iteration counter and the momentum buffers.
     pub fn restore(&mut self, iter: usize, history: Vec<Vec<f32>>) {
         self.iter = iter;
         self.history = history;
@@ -120,7 +73,7 @@ impl SgdSolver {
     /// The vector arithmetic runs on the CPE cluster (charged through
     /// `cg`); the momentum state is host-managed.
     pub fn step(&mut self, cg: &mut CoreGroup, net: &mut Net) {
-        let lr = self.config.lr_at(self.iter);
+        let lr = self.config.base_lr;
         let momentum = self.config.momentum;
         let decay = self.config.weight_decay;
         let mut params = net.params_mut();
@@ -162,18 +115,9 @@ impl SgdSolver {
                 // Momentum: v = momentum * v + local_lr * grad.
                 ew::scale(cg, len, momentum, Some(hist));
                 ew::axpy(cg, len, lr * local, Some((p.diff(), hist)));
-                if self.config.nesterov {
-                    // w -= momentum * v + lr * grad (look-ahead step).
-                    let hist_ref: &[f32] = hist;
-                    ew::axpy(cg, len, -momentum, Some((hist_ref, p.data_mut())));
-                    // axpy reads x (= diff) and updates y (= data).
-                    let (diff, data) = p.diff_and_data_mut();
-                    ew::axpy(cg, len, -(lr * local), Some((diff, data)));
-                } else {
-                    // Update: w -= v.
-                    let hist_ref: &[f32] = hist;
-                    ew::axpy(cg, len, -1.0, Some((hist_ref, p.data_mut())));
-                }
+                // Update: w -= v.
+                let hist_ref: &[f32] = hist;
+                ew::axpy(cg, len, -1.0, Some((hist_ref, p.data_mut())));
             } else {
                 if self.config.lars_trust.is_some() {
                     ew::sumsq(cg, len, None);
@@ -183,9 +127,6 @@ impl SgdSolver {
                 ew::scale(cg, len, momentum, None);
                 ew::axpy(cg, len, lr, None);
                 ew::axpy(cg, len, -1.0, None);
-                if self.config.nesterov {
-                    ew::axpy(cg, len, -1.0, None);
-                }
             }
         }
         self.iter += 1;
@@ -213,7 +154,6 @@ mod tests {
                 momentum: 0.0,
                 weight_decay: 0.0,
                 lars_trust: lars,
-                ..Default::default()
             });
             for p in net.params_mut() {
                 for (i, g) in p.diff_mut().iter_mut().enumerate() {
@@ -230,65 +170,5 @@ mod tests {
         let lars = run(Some(0.01));
         assert_ne!(plain, lars, "LARS must change the update");
         assert!(lars.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn nesterov_differs_from_plain_momentum() {
-        let def = models::tiny_cnn(2, 3);
-        let run = |nesterov: bool| -> Vec<f32> {
-            let mut net = Net::from_def(&def, true).unwrap();
-            let mut cg = CoreGroup::new(ExecMode::Functional);
-            let mut solver = SgdSolver::new(SolverConfig {
-                base_lr: 0.1,
-                momentum: 0.9,
-                weight_decay: 0.0,
-                nesterov,
-                ..Default::default()
-            });
-            for _ in 0..2 {
-                for p in net.params_mut() {
-                    for (i, g) in p.diff_mut().iter_mut().enumerate() {
-                        *g = ((i % 3) as f32 - 1.0) * 0.05;
-                    }
-                }
-                solver.step(&mut cg, &mut net);
-            }
-            net.params()
-                .iter()
-                .flat_map(|p| p.data().to_vec().into_iter())
-                .collect()
-        };
-        let plain = run(false);
-        let nest = run(true);
-        assert_ne!(plain, nest);
-        assert!(nest.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn lr_policies() {
-        let mut c = SolverConfig {
-            base_lr: 1.0,
-            ..Default::default()
-        };
-        c.policy = LrPolicy::Fixed;
-        assert_eq!(c.lr_at(100), 1.0);
-        c.policy = LrPolicy::Step {
-            gamma: 0.1,
-            step: 10,
-        };
-        assert!((c.lr_at(0) - 1.0).abs() < 1e-6);
-        assert!((c.lr_at(10) - 0.1).abs() < 1e-6);
-        assert!((c.lr_at(25) - 0.01).abs() < 1e-6);
-        c.policy = LrPolicy::Poly {
-            power: 1.0,
-            max_iter: 100,
-        };
-        assert!((c.lr_at(50) - 0.5).abs() < 1e-6);
-        assert!((c.lr_at(200) - 0.0).abs() < 1e-6);
-        c.policy = LrPolicy::Inv {
-            gamma: 1.0,
-            power: 1.0,
-        };
-        assert!((c.lr_at(1) - 0.5).abs() < 1e-6);
     }
 }

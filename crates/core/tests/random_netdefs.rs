@@ -1,15 +1,18 @@
 //! Seeded random net definitions: a definition builds exactly when the
-//! graph lint's shape pass accepts it, and every blob of the built net
-//! has the shape the lint's table gives it.
+//! graph lint's shape pass accepts it, every blob of the built net has
+//! the shape the lint's table gives it, and a built net with no
+//! inference-only layer runs forward and backward.
 //!
 //! The generator draws small NCHW nets from every layer family a trainer
 //! uses (convolution, pooling, ReLU, batch norm, inner product, dropout,
 //! concat, eltwise sum, TensorTransform pairs, loss heads), with bad
 //! parameters (zero kernel or stride, a window larger than the padded
 //! input, mismatched eltwise and concat operands, 2-d blobs fed to 4-d
-//! layers) and bad wiring (undefined bottoms, duplicate and in-place
-//! tops, wrong top and bottom counts) mixed in.
+//! layers, dropout ratios outside `[0, 1)`) and bad wiring (undefined
+//! bottoms, a blob named twice as a bottom, duplicate and in-place tops,
+//! wrong top and bottom counts) mixed in.
 
+use sw26010::{CoreGroup, ExecMode};
 use swcaffe_core::lint::infer_shapes;
 use swcaffe_core::rng::SplitMix64;
 use swcaffe_core::{ConvFormat, LayerKind, Net, NetDef, PoolKind, TransDir};
@@ -162,19 +165,37 @@ impl Gen {
                 self.push(kind, bottoms);
             }
             6 => {
-                let ratio = self.below(9) as f32 / 10.0;
+                let ratio = if self.chance(0.1) {
+                    [-0.5, 1.0, 1.5, f32::NAN][self.below(4)]
+                } else {
+                    self.below(9) as f32 / 10.0
+                };
                 let bottoms = self.one();
                 self.push(LayerKind::Dropout { ratio }, bottoms);
             }
             7 => {
-                let bottoms = (0..self.below(4)).map(|_| self.bottom()).collect();
+                let mut bottoms: Vec<String> = Vec::new();
+                for _ in 0..self.below(4) {
+                    let b = self.bottom();
+                    if !bottoms.contains(&b) {
+                        bottoms.push(b);
+                    }
+                }
+                if self.chance(0.15) && !bottoms.is_empty() {
+                    let i = self.below(bottoms.len());
+                    bottoms.push(bottoms[i].clone());
+                }
                 self.push(LayerKind::Concat, bottoms);
             }
             8 => {
-                // Usually two views of one blob, sometimes two blobs.
+                // Usually a blob and a ReLU of it (a shortcut), sometimes
+                // two drawn blobs, and now and then one blob twice.
                 let a = self.bottom();
-                let b = if self.chance(0.6) {
+                let b = if self.chance(0.15) {
                     a.clone()
+                } else if self.chance(0.7) {
+                    self.push(LayerKind::ReLU, vec![a.clone()]);
+                    self.blobs.last().unwrap().clone()
                 } else {
                     self.bottom()
                 };
@@ -267,14 +288,14 @@ fn random_def(seed: u64) -> NetDef {
 
 #[test]
 fn a_definition_builds_iff_it_lints_clean() {
-    let (mut built, mut rejected) = (0, 0);
+    let (mut built, mut rejected, mut trained) = (0, 0, 0);
     for seed in 0..SEEDS {
         let def = random_def(seed);
         let table = infer_shapes(&def);
         for materialize in [false, true] {
             let net = Net::from_def_seeded(&def, materialize, seed);
-            match (&table, &net) {
-                (Ok(table), Ok(net)) => {
+            match (&table, net) {
+                (Ok(table), Ok(mut net)) => {
                     for (name, shape) in table {
                         assert_eq!(
                             net.blob(name).shape(),
@@ -282,6 +303,18 @@ fn a_definition_builds_iff_it_lints_clean() {
                             "seed {seed}: blob '{name}' of {}",
                             def.to_json()
                         );
+                    }
+                    // The fused layer is inference-only: it has no
+                    // backward pass to run.
+                    let inference_only = def
+                        .layers
+                        .iter()
+                        .any(|l| matches!(l.kind, LayerKind::FusedConvBnRelu { .. }));
+                    if materialize && !inference_only {
+                        let mut cg = CoreGroup::new(ExecMode::Functional);
+                        net.forward(&mut cg);
+                        net.backward(&mut cg);
+                        trained += 1;
                     }
                 }
                 (Err(_), Err(_)) => {}
@@ -303,6 +336,10 @@ fn a_definition_builds_iff_it_lints_clean() {
     assert!(
         built >= SEEDS / 5,
         "only {built} of {SEEDS} definitions build"
+    );
+    assert!(
+        trained >= SEEDS / 5,
+        "only {trained} of {SEEDS} definitions train"
     );
     assert!(
         rejected >= SEEDS / 5,

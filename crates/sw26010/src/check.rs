@@ -144,7 +144,6 @@ impl std::fmt::Display for BlockedOn {
 /// Everything the sanitizer learned about one CPE during a launch.
 #[derive(Debug, Clone, Default)]
 pub struct CpeTrace {
-    pub idx: usize,
     pub row: usize,
     pub col: usize,
     pub events: Vec<CpeEvent>,
@@ -152,8 +151,6 @@ pub struct CpeTrace {
     pub leaked_dma: Vec<u64>,
     /// Set when the launch deadlocked with this CPE blocked.
     pub stall: Option<BlockedOn>,
-    /// LDM working-set high water mark in bytes.
-    pub ldm_high_water: usize,
 }
 
 /// The complete trace of one mesh kernel launch.

@@ -218,13 +218,11 @@ impl<'l> Cpe<'l> {
         let mut stats = self.stats;
         stats.busy = self.clock;
         let trace = self.log.as_ref().map(|log| CpeTrace {
-            idx: self.idx,
             row: self.row,
             col: self.col,
             events: log.borrow_mut().split_off(0),
             leaked_dma: self.outstanding.clone(),
             stall: self.blocked_on,
-            ldm_high_water: self.ldm.high_water(),
         });
         (self.clock, stats, trace)
     }

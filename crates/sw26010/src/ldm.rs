@@ -27,9 +27,9 @@ pub struct LdmOverflow {
     /// Bytes the failed allocation asked for.
     pub(crate) requested: usize,
     /// Bytes already resident when the request arrived.
-    pub used: usize,
+    pub(crate) used: usize,
     /// Total LDM capacity.
-    pub capacity: usize,
+    pub(crate) capacity: usize,
 }
 
 impl std::fmt::Display for LdmOverflow {
@@ -49,7 +49,6 @@ impl std::error::Error for LdmOverflow {}
 pub struct Ldm {
     capacity: usize,
     used: Rc<Cell<usize>>,
-    high_water: Rc<Cell<usize>>,
     log: Option<EventLog>,
     next_id: Cell<u64>,
 }
@@ -69,7 +68,6 @@ impl Ldm {
         Ldm {
             capacity,
             used: Rc::new(Cell::new(0)),
-            high_water: Rc::new(Cell::new(0)),
             log: None,
             next_id: Cell::new(0),
         }
@@ -80,11 +78,6 @@ impl Ldm {
     /// DMA/RLC events in program order.
     pub(crate) fn attach_log(&mut self, log: EventLog) {
         self.log = Some(log);
-    }
-
-    /// Maximum bytes ever allocated simultaneously (working-set size).
-    pub(crate) fn high_water(&self) -> usize {
-        self.high_water.get()
     }
 
     /// Allocate a zeroed buffer of `n` `f32` elements.
@@ -122,7 +115,6 @@ impl Ldm {
             });
         }
         self.used.set(used + bytes);
-        self.high_water.set(self.high_water.get().max(used + bytes));
         let data = vec![zero; n];
         let mut id = 0;
         if let Some(log) = &self.log {
@@ -200,7 +192,6 @@ mod tests {
             assert_eq!(ldm.used.get(), 12 * 1024);
         }
         assert_eq!(ldm.used.get(), 0);
-        assert_eq!(ldm.high_water(), 12 * 1024);
     }
 
     #[test]

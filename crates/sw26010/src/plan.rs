@@ -16,8 +16,8 @@ use crate::arch::{CPES_PER_CG, LDM_BYTES};
 /// One named LDM buffer a kernel plans to allocate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanBuffer {
-    pub name: String,
-    pub bytes: usize,
+    pub(crate) name: String,
+    pub(crate) bytes: usize,
 }
 
 /// The register-communication schedule class of a kernel. Coarse on
@@ -45,9 +45,9 @@ pub enum RlcPattern {
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelPlan {
     pub name: String,
-    pub n_cpes: usize,
-    pub buffers: Vec<PlanBuffer>,
-    pub rlc: RlcPattern,
+    pub(crate) n_cpes: usize,
+    pub(crate) buffers: Vec<PlanBuffer>,
+    pub(crate) rlc: RlcPattern,
     /// Maximum DMA requests the kernel keeps un-waited at any time.
     pub(crate) max_inflight_dma: usize,
 }

@@ -46,7 +46,7 @@ pub(crate) struct RlcMsg {
     /// Sender's local clock at the moment the send completed.
     pub(crate) sent_at: SimTime,
     /// Payload; `None` in timing-only mode.
-    pub data: Option<Box<[f64]>>,
+    pub(crate) data: Option<Box<[f64]>>,
 }
 
 /// Cycles a message of `bytes` occupies a register bus endpoint.

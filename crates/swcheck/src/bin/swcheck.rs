@@ -34,10 +34,9 @@ fn write_json(path: &str, doc: &swjson::Json) {
 
 /// The `--comm` verification suite: every algorithm over a
 /// power-of-two-complete topology, a topology with a partial trailing
-/// supernode, and the configuration a `ShrinkAndContinue` recovery
-/// produces (non-power-of-two survivor count, which sends the tree
-/// algorithms back to the ring with the natural mapping — the rule
-/// `swtrain::ClusterTrainer::recover` applies).
+/// supernode, and the job shrunk to the survivors of a crash (a
+/// non-power-of-two rank count, which sends the tree algorithms back to
+/// the ring with the natural mapping).
 fn comm_cases(ranks: usize) -> Vec<(String, CommSpec)> {
     let ranks = ranks.max(8);
     let tree_ranks = ranks.next_power_of_two();
@@ -85,8 +84,7 @@ fn comm_cases(ranks: usize) -> Vec<(String, CommSpec)> {
             .expect("partial-supernode configuration schedules"),
         ));
         // Post-shrink: a few ranks died; the survivor count is not a
-        // power of two, so trees fall back to Ring/Natural exactly as
-        // `ClusterTrainer::recover` reconfigures them.
+        // power of two, so trees fall back to Ring/Natural.
         let survivors = full - 3;
         let (shrunk_algo, shrunk_map) = if survivors.is_power_of_two() {
             (algo, RankMap::RoundRobin)

@@ -253,9 +253,9 @@ impl std::fmt::Display for CheckMode {
 /// Result of checking one collective configuration.
 #[derive(Debug, Clone)]
 pub struct CommOutcome {
-    pub algo: Algorithm,
-    pub nodes: usize,
-    pub supernode_size: usize,
+    pub(crate) algo: Algorithm,
+    pub(crate) nodes: usize,
+    pub(crate) supernode_size: usize,
     pub mode: CheckMode,
     /// Bulk-synchronous steps examined.
     pub steps: usize,

@@ -21,9 +21,9 @@ use sw26010::{BlockedOn, CpeEvent, CpeTrace, KernelTrace, MemRange, RlcPattern};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// Kernel name from the launch (`run_named` / `run_planned`).
-    pub kernel: String,
+    pub(crate) kernel: String,
     /// `(row, col)` of the offending CPE; `None` for mesh-wide findings.
-    pub cpe: Option<(usize, usize)>,
+    pub(crate) cpe: Option<(usize, usize)>,
     pub kind: ViolationKind,
 }
 
@@ -409,13 +409,11 @@ mod tests {
             n_cpes: 1,
             rlc: RlcPattern::None,
             per_cpe: vec![CpeTrace {
-                idx: 0,
                 row: 0,
                 col: 0,
                 events,
                 leaked_dma: vec![],
                 stall: None,
-                ldm_high_water: 0,
             }],
         }
     }
@@ -498,7 +496,6 @@ mod tests {
             rlc: RlcPattern::PointToPoint,
             per_cpe: vec![
                 CpeTrace {
-                    idx: 0,
                     row: 0,
                     col: 0,
                     events: vec![
@@ -518,7 +515,6 @@ mod tests {
                     ..Default::default()
                 },
                 CpeTrace {
-                    idx: 1,
                     row: 0,
                     col: 1,
                     events: vec![CpeEvent::RlcRecv {

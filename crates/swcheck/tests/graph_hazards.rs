@@ -12,6 +12,18 @@ fn input(shape: &[usize]) -> LayerKind {
     }
 }
 
+fn bad_dropout(ratio: f32) -> NetDef {
+    NetDef::new("bad_dropout")
+        .layer("data", input(&[2, 3, 8, 8]), &[], &["data"])
+        .layer("drop", LayerKind::Dropout { ratio }, &["data"], &["out"])
+}
+
+fn repeated_bottom(kind: LayerKind) -> NetDef {
+    NetDef::new("repeated")
+        .layer("data", input(&[2, 3, 8, 8]), &[], &["data"])
+        .layer("join", kind, &["data", "data"], &["out"])
+}
+
 fn kinds(def: &NetDef) -> Vec<&'static str> {
     check_net_def(def)
         .violations
@@ -55,6 +67,15 @@ fn shape_mismatch_is_reported() {
         .layer("sum", LayerKind::EltwiseSum, &["a", "b"], &["out"]);
     let found = kinds(&def);
     assert!(found.contains(&"shape_mismatch"), "{found:?}");
+
+    // A dropout ratio outside [0, 1).
+    for ratio in [-0.5, 1.0, 1.5, f32::NAN] {
+        let found = kinds(&bad_dropout(ratio));
+        assert!(
+            found.contains(&"shape_mismatch"),
+            "ratio {ratio}: {found:?}"
+        );
+    }
 }
 
 #[test]
@@ -203,10 +224,21 @@ fn bottom_arity_violation_is_reported() {
 }
 
 #[test]
+fn repeated_bottom_is_reported() {
+    // Backward would take two mutable borrows of the one bottom blob.
+    for kind in [LayerKind::EltwiseSum, LayerKind::Concat] {
+        let found = kinds(&repeated_bottom(kind));
+        assert_eq!(found, ["repeated_bottom"]);
+    }
+}
+
+#[test]
 fn typed_errors_reach_net_construction_and_the_optimizer() {
     // `Net::from_def` must reject an ill-formed definition with the
-    // lint's message instead of building a layer from it.
-    let def = NetDef::new("bad_pool")
+    // lint's message instead of building a layer from it (a dropout
+    // layer would assert on its ratio, and backward would double-borrow
+    // a repeated bottom).
+    let bad_pool = NetDef::new("bad_pool")
         .layer("data", input(&[2, 3, 8, 8]), &[], &["data"])
         .layer(
             "pool",
@@ -219,14 +251,21 @@ fn typed_errors_reach_net_construction_and_the_optimizer() {
             &["data"],
             &["pooled"],
         );
-    let err = match swcaffe_core::Net::from_def_mode_seeded(&def, sw26010::ExecMode::Functional, 0)
-    {
-        Err(e) => e,
-        Ok(_) => panic!("lint must reject the window underflow"),
-    };
-    assert!(err.contains("net lint"), "{err}");
+    for def in [
+        bad_pool,
+        bad_dropout(1.5),
+        repeated_bottom(LayerKind::EltwiseSum),
+        repeated_bottom(LayerKind::Concat),
+    ] {
+        let err =
+            match swcaffe_core::Net::from_def_mode_seeded(&def, sw26010::ExecMode::Functional, 0) {
+                Err(e) => e,
+                Ok(_) => panic!("lint must reject {}", def.name),
+            };
+        assert!(err.contains("net lint"), "{err}");
 
-    // The serving optimizer runs the same pre-pass.
-    let err = swserve::optimize(&def).expect_err("optimizer pre-pass must reject");
-    assert!(err.contains("lint"), "{err}");
+        // The serving optimizer runs the same pre-pass.
+        let err = swserve::optimize(&def).expect_err("optimizer pre-pass must reject");
+        assert!(err.contains("lint"), "{err}");
+    }
 }

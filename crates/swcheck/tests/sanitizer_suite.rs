@@ -1,7 +1,7 @@
 //! Tier: the full swdnn kernel zoo must run clean under the sanitizer,
 //! and recording must not perturb results or simulated time.
 
-use sw26010::{CheckMode, CoreGroup, ExecMode, KernelPlan};
+use sw26010::{CheckMode, CoreGroup, CpeEvent, ExecMode, KernelPlan};
 use swcheck::suite;
 use swdnn::conv_implicit::{self, ImplicitBwdOperands, ImplicitFwdOperands};
 use swdnn::{gemm, ConvShape, ConvTiles, GemmDims, ImplicitPass, Trans};
@@ -116,8 +116,17 @@ fn assert_high_water_is_planned(plans: &[KernelPlan], drive: impl FnOnce(&mut Co
             .unwrap_or_else(|| panic!("no plan for launch `{}`", trace.name));
         let violations = swcheck::check_traces(std::slice::from_ref(trace));
         assert!(violations.is_empty(), "{}: {violations:?}", trace.name);
+        let high_water = trace
+            .per_cpe
+            .iter()
+            .flat_map(|c| &c.events)
+            .filter_map(|e| match e {
+                CpeEvent::LdmAlloc { used_after, .. } => Some(*used_after),
+                _ => None,
+            })
+            .max();
         assert_eq!(
-            trace.per_cpe.iter().map(|c| c.ldm_high_water).max(),
+            high_water,
             Some(plan.ldm_bytes()),
             "{}: observed LDM high water vs planned bytes",
             trace.name

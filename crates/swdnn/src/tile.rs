@@ -153,10 +153,10 @@ pub(crate) enum Operand {
 /// and never touches memory.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TileAddr {
-    pub base: usize,
-    pub block: usize,
-    pub stride: usize,
-    pub rows: usize,
+    pub(crate) base: usize,
+    pub(crate) block: usize,
+    pub(crate) stride: usize,
+    pub(crate) rows: usize,
     pub(crate) transpose: bool,
 }
 
@@ -383,7 +383,7 @@ pub(crate) fn accumulate<T: Copy + Into<f64>>(
 /// double-buffered schedule takes apart: the strided DMA of `rows`
 /// blocks of `block` f32, and the f32 <-> f64 conversion pass.
 pub(crate) struct LoadCost {
-    pub dma: f64,
+    pub(crate) dma: f64,
     pub(crate) widen: f64,
 }
 

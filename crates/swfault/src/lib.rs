@@ -202,7 +202,7 @@ pub struct FaultSession {
     /// Physical nodes currently dead, sorted.
     dead: Vec<usize>,
     /// Indices of crashes already applied: a crash fires once, so a
-    /// recovery that clears the dead set (shrink or restore) is not
+    /// recovery that clears the dead set (a checkpoint restore) is not
     /// re-killed by the same event on the next iteration.
     fired_crashes: Vec<usize>,
     pub report: FaultReport,

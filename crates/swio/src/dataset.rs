@@ -18,7 +18,7 @@ pub const CLASSES: usize = 1000;
 #[derive(Debug, Clone, Copy)]
 pub struct SyntheticImageNet {
     /// Number of training records (ImageNet-1k: ~1.28 M).
-    pub images: usize,
+    pub(crate) images: usize,
 }
 
 impl SyntheticImageNet {

@@ -23,8 +23,6 @@ pub struct Batch {
     pub labels: Vec<f32>,
     /// Simulated disk time this read would take.
     pub io_time: SimTime,
-    /// Sampling seed used (iteration number).
-    pub seed: u64,
 }
 
 /// A failed background read, surfaced to the training loop instead of
@@ -32,8 +30,8 @@ pub struct Batch {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadError {
     /// Sampling seed (iteration number) of the read that failed.
-    pub seed: u64,
-    pub msg: String,
+    pub(crate) seed: u64,
+    pub(crate) msg: String,
 }
 
 impl fmt::Display for ReadError {
@@ -138,7 +136,6 @@ impl Prefetcher {
                             data,
                             labels,
                             io_time,
-                            seed,
                         }))
                     }
                     Err(msg) => {
@@ -198,18 +195,16 @@ mod tests {
         let ds = SyntheticImageNet::new(1000);
         let io = IoModel::taihulight(Layout::paper_striped());
         let p = Prefetcher::spawn(ds, io, 4, 2, 3, 4, 4, 100);
-        let b1 = p.next().unwrap();
-        let b2 = p.next().unwrap();
-        assert_eq!(b1.seed, 100);
-        assert_eq!(b2.seed, 101);
-        assert_ne!(b1.data, b2.data);
-        // Same as a direct fill with the same seed.
-        let mut want = vec![0.0f32; 2 * 3 * 4 * 4];
-        let mut wl = vec![0.0f32; 2];
-        ds.fill_batch(100, 2, 3, 4, 4, &mut want, &mut wl);
-        assert_eq!(b1.data, want);
-        assert_eq!(b1.labels, wl);
-        assert!(b1.io_time.seconds() > 0.0);
+        // Batch i is a direct fill with seed 100 + i.
+        for seed in [100, 101] {
+            let b = p.next().unwrap();
+            let mut want = vec![0.0f32; 2 * 3 * 4 * 4];
+            let mut wl = vec![0.0f32; 2];
+            ds.fill_batch(seed, 2, 3, 4, 4, &mut want, &mut wl);
+            assert_eq!(b.data, want, "seed {seed}");
+            assert_eq!(b.labels, wl, "seed {seed}");
+            assert!(b.io_time.seconds() > 0.0);
+        }
     }
 
     #[test]
@@ -264,8 +259,9 @@ mod tests {
     fn reader_failure_is_surfaced_in_stream_order() {
         let io = IoModel::taihulight(Layout::paper_striped());
         let p = Prefetcher::spawn_reader(FlakyDisk { fail_at: 2 }, io, 1024, 1, 1, 1, 2, 2, 0);
-        assert_eq!(p.next().unwrap().seed, 0);
-        assert_eq!(p.next().unwrap().seed, 1);
+        // `FlakyDisk` fills each batch with its seed.
+        assert_eq!(p.next().unwrap().data, [0.0; 4]);
+        assert_eq!(p.next().unwrap().data, [1.0; 4]);
         let err = p.next().unwrap_err();
         assert_eq!(err.seed, 2);
         assert!(err.msg.contains("lost stripe"), "{err}");

@@ -38,7 +38,7 @@ pub struct IoModel {
     pub(crate) array_bandwidth: f64,
     /// Per-node NIC ceiling for filesystem traffic (bytes/s).
     pub(crate) nic_bandwidth: f64,
-    pub layout: Layout,
+    pub(crate) layout: Layout,
 }
 
 impl IoModel {

@@ -22,8 +22,8 @@ use std::fmt::{self, Write as _};
 /// callers can point at the exact spot in a file or an editor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
-    pub offset: usize,
-    pub msg: String,
+    pub(crate) offset: usize,
+    pub(crate) msg: String,
 }
 
 impl fmt::Display for ParseError {

@@ -40,7 +40,7 @@ pub struct NetParams {
     /// Per-byte time inside a supernode (s/B).
     pub beta1: f64,
     /// Reduction engine for gamma.
-    pub reduce: ReduceEngine,
+    pub(crate) reduce: ReduceEngine,
     /// Fraction of the raw link bandwidth a *collective* step actually
     /// achieves (pipelining gaps, intermediate copies, progress-engine
     /// overheads). 1.0 for raw P2P benchmarks; calibrated to ~0.055 for

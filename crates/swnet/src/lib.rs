@@ -24,7 +24,7 @@ pub mod topology;
 
 pub use collectives::{allreduce, allreduce_segment_ft, Algorithm, AllreduceReport};
 pub use cost::{NetParams, ReduceEngine, Route, Transfer, TransferClass};
-pub use primitives::{parameter_server_round, CollectiveReport};
+pub use primitives::parameter_server_round;
 pub use schedule::{
     ChunkSpan, CommPhase, CommSchedule, CommSpec, RankOp, ScheduleError, StepClasses, StepOps,
     UniformStep,

@@ -7,23 +7,16 @@ use sw26010::SimTime;
 use crate::cost::{step_time, NetParams, Transfer};
 use crate::topology::Topology;
 
-/// Outcome of a parameter-server round.
-#[derive(Debug, Clone, Copy)]
-pub struct CollectiveReport {
-    pub elapsed: SimTime,
-    pub steps: usize,
-}
-
 /// The parameter-server-style synchronisation the paper argues *against*
 /// (Sec. V-A): every worker sends its gradient to one server rank, which
 /// sums and sends updated state back. All traffic funnels through one
-/// node's single network port.
+/// node's single network port. Returns the round's simulated time.
 pub fn parameter_server_round(
     topo: &Topology,
     params: &NetParams,
     server_phys: usize,
     elems: usize,
-) -> CollectiveReport {
+) -> SimTime {
     let p = topo.nodes;
     let bytes = elems * 4;
     // Inbound: p-1 simultaneous sends into one port — serialised.
@@ -53,10 +46,7 @@ pub fn parameter_server_round(
             }],
         );
     }
-    CollectiveReport {
-        elapsed,
-        steps: 2 * (p - 1),
-    }
+    elapsed
 }
 
 #[cfg(test)]
@@ -83,9 +73,9 @@ mod tests {
             None,
         );
         assert!(
-            ps.elapsed.seconds() > 10.0 * ar.elapsed.seconds(),
+            ps.seconds() > 10.0 * ar.elapsed.seconds(),
             "parameter server {} vs all-reduce {}",
-            ps.elapsed.seconds(),
+            ps.seconds(),
             ar.elapsed.seconds()
         );
     }

@@ -13,9 +13,8 @@ pub const OVERSUBSCRIPTION: usize = 4;
 
 /// Typed rejection of an invalid allocation or rank mapping. Construction
 /// and mapping used to `assert!`; the checked constructors below return
-/// this instead so callers (the cluster trainer's shrink path, the
-/// `swcheck::comm` static verifier) can surface configuration errors
-/// without aborting the process.
+/// this instead so callers (the `swcheck::comm` static verifier) can
+/// surface configuration errors without aborting the process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyError {
     /// An allocation of zero nodes.

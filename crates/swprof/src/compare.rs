@@ -46,10 +46,10 @@ pub enum DriftKind {
 /// One detected regression.
 #[derive(Debug, Clone)]
 pub struct Drift {
-    pub metric: String,
-    pub kind: DriftKind,
-    pub baseline: Option<f64>,
-    pub fresh: Option<f64>,
+    pub(crate) metric: String,
+    pub(crate) kind: DriftKind,
+    pub(crate) baseline: Option<f64>,
+    pub(crate) fresh: Option<f64>,
     /// Realised relative error (`f64::INFINITY` when undefined).
     pub(crate) rel_err: f64,
     /// Tolerance that applied.

@@ -178,9 +178,9 @@ impl Bound {
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelRecord {
     /// Attribution tag, e.g. `"conv_explicit"` or `"alexnet/conv2.fwd"`.
-    pub name: String,
-    pub stats: StatsSnap,
-    pub bound: Option<Bound>,
+    pub(crate) name: String,
+    pub(crate) stats: StatsSnap,
+    pub(crate) bound: Option<Bound>,
 }
 
 impl KernelRecord {
@@ -255,7 +255,7 @@ impl MetricValue {
 /// One named metric of a report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
-    pub name: String,
+    pub(crate) name: String,
     pub value: MetricValue,
 }
 
@@ -265,9 +265,9 @@ pub struct Metric {
 pub struct Report {
     pub name: String,
     /// Free-form configuration echo (batch sizes, node counts, ...).
-    pub config: Vec<(String, String)>,
+    pub(crate) config: Vec<(String, String)>,
     pub(crate) phases: Vec<PhaseTiming>,
-    pub kernels: Vec<KernelRecord>,
+    pub(crate) kernels: Vec<KernelRecord>,
     pub metrics: Vec<Metric>,
 }
 

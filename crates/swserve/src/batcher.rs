@@ -90,9 +90,6 @@ pub struct ServeOutcome {
     pub busy: Vec<f64>,
     /// Completion time of the last batch (virtual seconds).
     pub makespan: f64,
-    /// The queueing budget the simulation ran with: SLO minus the
-    /// worst-case (full-bucket) execution time.
-    pub queue_budget: f64,
 }
 
 impl ServeOutcome {
@@ -170,8 +167,7 @@ pub fn poisson_trace_tiered(seed: u64, qps: f64, n: usize, tiers: &[u8]) -> Vec<
 /// The admission check of the serving event loop: at least one replica,
 /// a non-zero batch limit, an SLO a full batch can meet, and arrival
 /// times that are finite and non-negative. Returns the trace in
-/// processing order — `(arrival, id)` ascending — and the queueing
-/// budget (SLO minus the worst-case full-batch execution time).
+/// processing order — `(arrival, id)` ascending.
 ///
 /// `-0.0` counts as negative, so on the accepted domain `total_cmp` and
 /// numeric order coincide and hostile inputs are a typed error instead
@@ -181,7 +177,7 @@ pub(crate) fn admit(
     replicas: usize,
     cfg: &BatchConfig,
     latency: &mut dyn FnMut(usize) -> f64,
-) -> Result<(Vec<Request>, f64), ServeError> {
+) -> Result<Vec<Request>, ServeError> {
     if replicas == 0 {
         return Err(ServeError::NoReplicas);
     }
@@ -206,7 +202,7 @@ pub(crate) fn admit(
     }
     let mut requests: Vec<Request> = trace.to_vec();
     requests.sort_by(|a, b| a.arrival.total_cmp(&b.arrival).then(a.id.cmp(&b.id)));
-    Ok((requests, budget))
+    Ok(requests)
 }
 
 /// Simulate fault-free serving of `trace` on `replicas` identical

@@ -53,13 +53,12 @@ pub struct OptimizeStats {
 /// A conv+bn+relu chain the optimizer replaced with one fused layer.
 #[derive(Debug, Clone)]
 pub struct FusionRecord {
-    pub fused: String,
+    pub(crate) fused: String,
     pub conv: String,
     pub bn: String,
-    pub relu: String,
 }
 
-/// A frozen, optimized inference graph: definition, weights, schedule.
+/// A frozen, optimized inference graph: definition and weights.
 #[derive(Debug, Clone)]
 pub struct FrozenGraph {
     /// Optimized inference definition (layers in schedule order).
@@ -73,15 +72,10 @@ pub struct FrozenGraph {
     /// engine builds a net, then shared by every clone of this graph —
     /// each replica of a `Cluster`, each bucket net of each engine.
     pub(crate) panels: Arc<OnceLock<PackedWeights>>,
-    /// Topological eval order over `def.layers` (identity after the
-    /// final reorder, kept explicit so executors need not re-derive it).
-    pub schedule: Vec<usize>,
     /// Name of the data input blob.
     pub input: String,
     /// Name of the output (logits) blob.
     pub output: String,
-    /// Batch size the definition was frozen at.
-    pub batch: usize,
     /// Per-image input length (product of the non-batch input dims).
     pub per_image: usize,
     pub fusions: Vec<FusionRecord>,
@@ -435,7 +429,6 @@ pub fn optimize(def: &NetDef) -> Result<FrozenGraph, String> {
             fused: fused_name,
             conv: conv.name,
             bn: bn.name,
-            relu: relu.name,
         });
         let mut drop = [ci, bi, ri];
         drop.sort_unstable();
@@ -472,14 +465,12 @@ pub fn optimize(def: &NetDef) -> Result<FrozenGraph, String> {
     layers = scheduled;
     stats.scheduled_nodes = layers.len();
 
-    let (input, batch, per_image) = layers
+    let (input, per_image) = layers
         .iter()
         .find_map(|l| match &l.kind {
-            LayerKind::Input { shape, .. } => Some((
-                l.tops[0].clone(),
-                shape.first().copied().unwrap_or(0),
-                shape.iter().skip(1).product::<usize>(),
-            )),
+            LayerKind::Input { shape, .. } => {
+                Some((l.tops[0].clone(), shape.iter().skip(1).product::<usize>()))
+            }
             _ => None,
         })
         .ok_or_else(|| "optimized graph has no Input layer".to_string())?;
@@ -496,10 +487,8 @@ pub fn optimize(def: &NetDef) -> Result<FrozenGraph, String> {
         def,
         weights: Vec::new(),
         panels: Arc::default(),
-        schedule: (0..stats.scheduled_nodes).collect(),
         input,
         output,
-        batch,
         per_image,
         fusions,
         stats,

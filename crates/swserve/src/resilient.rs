@@ -125,8 +125,6 @@ pub struct FtServeOutcome {
     /// Served/shed/batches/busy/makespan, in resolution order. `shed`
     /// holds every dropped request id regardless of reason.
     pub outcome: ServeOutcome,
-    /// Shed counts grouped by request tier, ascending.
-    pub shed_by_tier: Vec<(u8, u64)>,
     /// Every health transition, in virtual-time order.
     pub transitions: Vec<HealthTransition>,
     /// Health/retry/hedge/shed counters (exported through swprof).
@@ -251,7 +249,6 @@ struct Sim<'a> {
     batch_seq: u64,
 
     out: ServeOutcome,
-    shed_by_tier: Vec<(u8, u64)>,
     transitions: Vec<HealthTransition>,
     health: ServeHealthCounters,
 }
@@ -306,10 +303,6 @@ impl<'a> Sim<'a> {
 
     fn shed(&mut self, req: Request, brownout: bool) {
         self.out.shed.push(req.id);
-        match self.shed_by_tier.binary_search_by_key(&req.tier, |e| e.0) {
-            Ok(i) => self.shed_by_tier[i].1 += 1,
-            Err(i) => self.shed_by_tier.insert(i, (req.tier, 1)),
-        }
         if brownout {
             self.health.brownout_shed += 1;
         } else {
@@ -663,7 +656,6 @@ impl<'a> Sim<'a> {
         debug_assert!(self.queue.is_empty(), "event loop drained with queued work");
         FtServeOutcome {
             outcome: self.out,
-            shed_by_tier: self.shed_by_tier,
             transitions: self.transitions,
             health: self.health,
             faults: self.session.report,
@@ -684,7 +676,7 @@ pub fn simulate_ft(
     session: &mut ServeFaultSession,
     latency: &mut dyn FnMut(usize) -> f64,
 ) -> Result<FtServeOutcome, ServeError> {
-    let (trace, budget) = crate::batcher::admit(trace, replicas, cfg, latency)?;
+    let trace = crate::batcher::admit(trace, replicas, cfg, latency)?;
     if (0..replicas).all(|r| session.crash_time(r).is_some_and(|t| t <= 0.0)) {
         return Err(ServeError::AllReplicasDead);
     }
@@ -692,7 +684,6 @@ pub fn simulate_ft(
     let out = ServeOutcome {
         served: Vec::with_capacity(trace.len()),
         busy: vec![0.0; replicas],
-        queue_budget: budget,
         ..Default::default()
     };
     let sim = Sim {
@@ -715,7 +706,6 @@ pub fn simulate_ft(
         ev_seq: 0,
         batch_seq: 0,
         out,
-        shed_by_tier: Vec::new(),
         transitions: Vec::new(),
         health: ServeHealthCounters::default(),
     };

@@ -161,7 +161,6 @@ fn fault_outcomes_replay_bit_identically() {
     assert_eq!(a.transitions, b.transitions);
     assert_eq!(a.health, b.health);
     assert_eq!(a.faults, b.faults);
-    assert_eq!(a.shed_by_tier, b.shed_by_tier);
     assert_invariants(&a, n);
     // A different plan seed perturbs the schedule.
     let c = run_plan(
@@ -247,18 +246,11 @@ fn capacity_loss_escalates_brownout_and_sheds_lowest_tier_first() {
         out.health.brownout_shed >= 1,
         "25% capacity must shed tier-0 traffic at admission"
     );
-    let shed_t0 = out
-        .shed_by_tier
-        .iter()
-        .find(|e| e.0 == 0)
-        .map(|e| e.1)
-        .unwrap_or(0);
-    let shed_t1 = out
-        .shed_by_tier
-        .iter()
-        .find(|e| e.0 == 1)
-        .map(|e| e.1)
-        .unwrap_or(0);
+    let shed_of_tier = |tier| {
+        let of_tier = |&&id: &&u64| trace[id as usize].tier == tier;
+        out.outcome.shed.iter().filter(of_tier).count()
+    };
+    let (shed_t0, shed_t1) = (shed_of_tier(0), shed_of_tier(1));
     assert!(
         shed_t0 > shed_t1,
         "brown-out must shed tier 0 before tier 1 ({shed_t0} vs {shed_t1})"

@@ -48,12 +48,12 @@ pub const DEFAULT_BUCKET_BYTES: usize = 25 << 20;
 #[derive(Debug, Clone)]
 pub struct GradBucket {
     /// Span of the packed vector (the `pack_gradients` layout).
-    pub range: std::ops::Range<usize>,
+    pub(crate) range: std::ops::Range<usize>,
     /// Member layer names, in ready (backward execution) order.
-    pub layers: Vec<String>,
+    pub(crate) layers: Vec<String>,
     /// Simulated time (relative to iteration start) at which the whole
     /// bucket is ready — the slowest member's gradient-ready time.
-    pub ready: SimTime,
+    pub(crate) ready: SimTime,
 }
 
 impl GradBucket {
@@ -131,9 +131,7 @@ pub struct OverlapOutcome {
     /// When the last bucket's reduction finishes, relative to iteration
     /// start (`= max(ready, previous finish) + reduce time`, per bucket).
     pub(crate) comm_finish: SimTime,
-    pub buckets: usize,
-    pub total_bytes: u64,
-    pub cross_bytes: u64,
+    pub(crate) buckets: usize,
 }
 
 /// Run one segmented all-reduce per bucket on a single communication
@@ -158,8 +156,6 @@ pub fn overlapped_allreduce_ft(
     mut faults: Option<&mut FaultSession>,
 ) -> Result<OverlapOutcome, CollectiveFault> {
     let mut clock = SimTime::ZERO;
-    let mut total_bytes = 0u64;
-    let mut cross_bytes = 0u64;
     for b in buckets {
         let r = allreduce_segment_ft(
             topo,
@@ -173,21 +169,16 @@ pub fn overlapped_allreduce_ft(
         )?;
         let start = clock.max(b.ready);
         clock = start + r.elapsed;
-        total_bytes += r.total_bytes;
-        cross_bytes += r.cross_bytes;
     }
     Ok(OverlapOutcome {
         comm_finish: clock,
         buckets: buckets.len(),
-        total_bytes,
-        cross_bytes,
     })
 }
 
 /// One point of the serialized-vs-overlapped comparison.
 #[derive(Debug, Clone, Copy)]
 pub struct OverlapPoint {
-    pub nodes: usize,
     /// Paper-faithful iteration: node time + monolithic packed reduce.
     pub serialized_iter: SimTime,
     /// Overlapped iteration: node time + comm exposed past backward.
@@ -228,7 +219,6 @@ impl OverlapModel {
         let topo = Topology::with_supernode(nodes, self.supernode_size);
         if nodes <= 1 {
             return OverlapPoint {
-                nodes,
                 serialized_iter: self.node_time,
                 overlapped_iter: self.node_time,
                 serial_comm: SimTime::ZERO,
@@ -260,7 +250,6 @@ impl OverlapModel {
         let exposed =
             SimTime::from_seconds((o.comm_finish.seconds() - self.compute.seconds()).max(0.0));
         OverlapPoint {
-            nodes,
             serialized_iter: self.node_time + serial_comm,
             overlapped_iter: self.node_time + exposed,
             serial_comm,

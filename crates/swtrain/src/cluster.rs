@@ -82,7 +82,7 @@ pub struct ClusterIteration {
     pub comm: SimTime,
     pub intra: SimTime,
     pub update: SimTime,
-    pub io_stall: SimTime,
+    pub(crate) io_stall: SimTime,
 }
 
 impl ClusterIteration {
@@ -104,7 +104,7 @@ impl ClusterIteration {
 
 /// A fully-materialised multi-node trainer (small scales, tests).
 pub struct ClusterTrainer {
-    pub config: ClusterConfig,
+    pub(crate) config: ClusterConfig,
     pub chips: Vec<ChipTrainer>,
 }
 
@@ -137,7 +137,8 @@ impl ClusterTrainer {
     /// links, stragglers, checksummed retransmission). A dead rank or an
     /// exhausted retry budget aborts the iteration *before* any weight
     /// update — the survivors still hold the previous iteration's
-    /// synchronised state — and the caller picks a [`Recovery`].
+    /// synchronised state — and the caller can
+    /// [`recover`](Self::recover) from a checkpoint.
     pub fn iteration_ft(
         &mut self,
         inputs: Option<&[Vec<CgBatch>]>,
@@ -269,74 +270,29 @@ impl ClusterTrainer {
         Ok(state.iteration)
     }
 
-    /// Rebuild the job after a fault aborted an iteration, charging the
-    /// simulated recovery wall-clock to the session's
+    /// Rebuild the job after a fault aborted an iteration: reload the last
+    /// full-solver checkpoint into the full-size job (the dead rank is
+    /// assumed re-assigned to a spare node) and replay from there —
+    /// bit-identical to a run that never faulted. The simulated recovery
+    /// wall-clock is charged to the session's
     /// [`FaultReport::recovery_s`](swnet::FaultReport).
-    pub fn recover(
-        &mut self,
-        faults: &mut FaultSession,
-        action: Recovery,
-        checkpoint: Option<&[u8]>,
-    ) -> Result<(), String> {
-        match action {
-            Recovery::ShrinkAndContinue => {
-                let dead: Vec<usize> = faults
-                    .dead_nodes()
-                    .iter()
-                    .copied()
-                    .filter(|&r| r < self.config.nodes)
-                    .collect();
-                if dead.is_empty() {
-                    return Err("no dead ranks to shrink away".into());
-                }
-                if dead.len() >= self.config.nodes {
-                    return Err("no surviving nodes".into());
-                }
-                for &r in dead.iter().rev() {
-                    self.chips.remove(r);
-                }
-                self.config.nodes = self.chips.len();
-                // RHD and binomial require a power-of-two rank count, so
-                // an awkward survivor count falls back to the ring with
-                // the natural mapping.
-                if !self.config.nodes.is_power_of_two()
-                    && matches!(
-                        self.config.algorithm,
-                        Algorithm::RecursiveHalvingDoubling | Algorithm::Binomial
-                    )
-                {
-                    self.config.algorithm = Algorithm::Ring;
-                    self.config.rank_map = RankMap::Natural;
-                }
-                faults.clear_dead();
-                // The survivors still hold the last completed iteration's
-                // synchronised weights (the faulted iteration aborted
-                // before any update), so shrinking costs only the
-                // membership agreement: one tiny collective over the new
-                // topology. Gradient averaging rescales automatically —
-                // `iteration` divides by the live node count.
-                faults.report.recovery_s += self.resync_seconds(1);
-            }
-            Recovery::RestoreFromCheckpoint => {
-                let bytes = checkpoint.ok_or("RestoreFromCheckpoint needs the checkpoint bytes")?;
-                self.restore_checkpoint(bytes)?;
-                faults.clear_dead();
-                // Every node re-reads the checkpoint from the shared
-                // filesystem (when an I/O model is configured) and the
-                // job re-synchronises with a full-parameter collective.
-                if let Some((model, _)) = self.config.io {
-                    faults.report.recovery_s += model
-                        .batch_read_time(self.config.nodes, bytes.len())
-                        .seconds();
-                }
-                faults.report.recovery_s += self.resync_seconds(self.chips[0].param_elems());
-            }
+    pub fn recover(&mut self, faults: &mut FaultSession, checkpoint: &[u8]) -> Result<(), String> {
+        self.restore_checkpoint(checkpoint)?;
+        faults.clear_dead();
+        // Every node re-reads the checkpoint from the shared filesystem
+        // (when an I/O model is configured) and the job re-synchronises
+        // with a full-parameter collective.
+        if let Some((model, _)) = self.config.io {
+            faults.report.recovery_s += model
+                .batch_read_time(self.config.nodes, checkpoint.len())
+                .seconds();
         }
+        faults.report.recovery_s += self.resync_seconds(self.chips[0].param_elems());
         Ok(())
     }
 
-    /// Cost of one fault-free collective over the current topology —
-    /// the re-synchronisation step every recovery path ends with.
+    /// Cost of one fault-free collective over the topology — the
+    /// re-synchronisation step a recovery ends with.
     fn resync_seconds(&self, elems: usize) -> f64 {
         allreduce(
             &self.config.topology(),
@@ -349,23 +305,6 @@ impl ClusterTrainer {
         .elapsed
         .seconds()
     }
-}
-
-/// What to do after [`ClusterTrainer::iteration_ft`] aborts with a
-/// [`CollectiveFault`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Recovery {
-    /// Drop the dead ranks and continue on the survivors: chips are
-    /// removed, the topology shrinks, the algorithm falls back to
-    /// Ring/Natural when the survivor count stops being a power of two
-    /// (RHD and binomial need one), and gradient averaging
-    /// rescales to the live node count. Training continues from the last
-    /// completed iteration — no work is lost, but parallelism degrades.
-    ShrinkAndContinue,
-    /// Reload the last full-solver checkpoint into the full-size job
-    /// (the dead rank is assumed re-assigned to a spare node) and replay
-    /// from there — bit-identical to a run that never faulted.
-    RestoreFromCheckpoint,
 }
 
 #[cfg(test)]
@@ -582,59 +521,6 @@ mod fault_tests {
     use swnet::FaultPlan;
 
     #[test]
-    fn crash_shrinks_the_job_and_training_continues() {
-        let def = models::tiny_cnn(1, 3);
-        let img = 3 * 16 * 16;
-        let mut cluster = ClusterTrainer::new(
-            &def,
-            SolverConfig::default(),
-            ClusterConfig {
-                supernode_size: 2,
-                ..ClusterConfig::swcaffe(4)
-            },
-            ExecMode::Functional,
-        )
-        .unwrap();
-        let mut faults = FaultSession::new(FaultPlan::new(11).crash(3, 1));
-
-        let inputs = synth_cluster_inputs(4, 1, 3, img, 0);
-        cluster
-            .iteration_ft(Some(&inputs), Some(&mut faults))
-            .expect("iteration 0 predates the crash");
-
-        let err = cluster
-            .iteration_ft(Some(&inputs), Some(&mut faults))
-            .expect_err("node 3 is dead at iteration 1");
-        assert!(matches!(err, CollectiveFault::DeadRank { rank: 3, .. }));
-        assert_eq!(faults.report.crashes, 1);
-        assert_eq!(faults.report.detections, 1);
-
-        cluster
-            .recover(&mut faults, Recovery::ShrinkAndContinue, None)
-            .unwrap();
-        assert_eq!(cluster.config.nodes, 3);
-        assert_eq!(cluster.chips.len(), 3);
-        // 3 survivors: RHD needs a power of two, so the job falls back
-        // to the ring with the natural mapping.
-        assert_eq!(cluster.config.algorithm, Algorithm::Ring);
-        assert_eq!(cluster.config.rank_map, RankMap::Natural);
-        assert!(faults.report.recovery_s > 0.0);
-
-        // Training continues on the survivors, and they stay in sync.
-        let inputs = synth_cluster_inputs(3, 1, 3, img, 1);
-        let r = cluster
-            .iteration_ft(Some(&inputs), Some(&mut faults))
-            .expect("shrunken job must train");
-        assert!(r.loss.is_finite());
-        let reference = pack_params(cluster.chips[0].net());
-        for (i, chip) in cluster.chips.iter().enumerate().skip(1) {
-            assert_eq!(pack_params(chip.net()), reference, "survivor {i} diverged");
-        }
-        // The crash event fired once; the rebuilt job is not re-killed.
-        assert_eq!(faults.report.crashes, 1);
-    }
-
-    #[test]
     fn restore_from_checkpoint_replays_bit_identically() {
         // A run that crashes at iteration 2 and restores from the
         // checkpoint taken after iteration 1 must end bit-identical to a
@@ -677,9 +563,7 @@ mod fault_tests {
             .iteration_ft(Some(&inputs2), Some(&mut faults))
             .expect_err("node 2 dies at iteration 2");
         assert!(matches!(err, CollectiveFault::DeadRank { rank: 2, .. }));
-        faulty
-            .recover(&mut faults, Recovery::RestoreFromCheckpoint, Some(&ckpt))
-            .unwrap();
+        faulty.recover(&mut faults, &ckpt).unwrap();
         assert!(faults.report.recovery_s > 0.0);
         assert_eq!(faulty.chips[0].solver().iter(), 2, "solver repositioned");
         for it in 2..4 {

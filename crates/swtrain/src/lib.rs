@@ -30,7 +30,7 @@ pub use buckets::{
     build_buckets, overlapped_allreduce_ft, GradBucket, OverlapModel, OverlapOutcome, OverlapPoint,
     DEFAULT_BUCKET_BYTES,
 };
-pub use cluster::{ClusterConfig, ClusterIteration, ClusterTrainer, CommMode, Recovery};
+pub use cluster::{ClusterConfig, ClusterIteration, ClusterTrainer, CommMode};
 pub use packing::{pack_gradients, pack_params, unpack_gradients, unpack_params};
 pub use scaling::{ScalingModel, ScalingPoint};
 pub use ssgd::{evaluate, CgBatch, ChipIteration, ChipTrainer};

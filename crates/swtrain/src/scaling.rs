@@ -17,7 +17,6 @@ pub struct ScalingPoint {
     pub nodes: usize,
     /// Per-iteration wall time.
     pub iter_time: SimTime,
-    pub compute: SimTime,
     pub comm: SimTime,
     pub io_stall: SimTime,
     /// Throughput speedup over one node (weak scaling: same per-node
@@ -81,7 +80,6 @@ impl ScalingModel {
         ScalingPoint {
             nodes,
             iter_time,
-            compute: self.node_time,
             comm,
             io_stall,
             speedup,

@@ -24,7 +24,6 @@ pub struct TrainConfig {
 /// One row of the training log.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainRecord {
-    pub iter: usize,
     pub train_loss: f32,
     pub eval_loss: Option<f32>,
     pub eval_accuracy: Option<f32>,
@@ -121,7 +120,6 @@ impl Trainer {
                 (None, None)
             };
             log.push(TrainRecord {
-                iter,
                 train_loss: report.loss,
                 eval_loss,
                 eval_accuracy,

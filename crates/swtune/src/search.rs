@@ -73,7 +73,7 @@ pub struct PassTuning {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerTuning {
     pub name: String,
-    pub shape: ConvShape,
+    pub(crate) shape: ConvShape,
     pub passes: Vec<PassTuning>,
 }
 
