@@ -1,7 +1,7 @@
 //! Hazard-injection tests for `swcheck::comm`: mutate materialized
 //! collective schedules in targeted ways and prove the checker reports
 //! each class of violation — and nothing on the unmutated baselines,
-//! which include the ring configurations a crashed job's survivors run.
+//! which include the ring configurations a shrunk job's survivors run.
 
 use swcheck::comm::{check_schedule, check_spec, CommViolation};
 use swnet::{Algorithm, CommPhase, CommSchedule, CommSpec, RankMap, RankOp, Topology};
@@ -152,35 +152,14 @@ fn payload_mismatch_is_reported() {
 
 #[test]
 fn dropped_gather_step_is_reported() {
-    // Besides a 5-rank ring: the ring over the natural mapping that a 4-
-    // or 8-node paper configuration runs on its 3 or 7 survivors of a
-    // crash, since RHD needs a power-of-two rank count.
-    let shrunk = |nodes, supernode_size, elems| {
-        let config = ClusterConfig {
-            supernode_size,
-            algorithm: Algorithm::Ring,
-            rank_map: RankMap::Natural,
-            ..ClusterConfig::swcaffe(nodes)
-        };
-        let spec = comm_spec(&config, elems);
-        let out = check_spec(&spec);
-        assert!(out.is_clean(), "{nodes} nodes: {:?}", out.violations);
-        spec.extract()
-    };
-    for mut sched in [
-        materialize(Algorithm::Ring, 5),
-        shrunk(3, 2, 100_000),
-        shrunk(7, 4, 50_000),
-    ] {
-        let p = sched.spec.topo.nodes;
-        assert!(check_schedule(&sched).is_clean(), "p={p}");
-        // Delete the final gather step: every rank is left one chunk
-        // short of the fully reduced buffer.
-        assert_eq!(sched.steps.last().unwrap().0, CommPhase::Gather);
-        sched.steps.pop();
-        let found = kinds(&sched);
-        assert!(found.contains(&"incomplete_gather"), "p={p}: {found:?}");
-    }
+    let mut sched = materialize(Algorithm::Ring, 5);
+    assert!(check_schedule(&sched).is_clean());
+    // Delete the final gather step: every rank is left one chunk short
+    // of the fully reduced buffer.
+    assert_eq!(sched.steps.last().unwrap().0, CommPhase::Gather);
+    sched.steps.pop();
+    let found = kinds(&sched);
+    assert!(found.contains(&"incomplete_gather"), "{found:?}");
 }
 
 #[test]
@@ -209,4 +188,39 @@ fn non_canonical_emission_order_is_reported() {
     sched.steps[0].1.swap(0, 1);
     let found = kinds(&sched);
     assert!(found.contains(&"non_canonical_order"), "{found:?}");
+}
+
+#[test]
+fn shrink_and_continue_yields_a_verifiably_clean_schedule() {
+    // The 4-node paper configuration runs RHD over round-robin
+    // supernodes and verifies clean.
+    let pre = comm_spec(
+        &ClusterConfig {
+            supernode_size: 2,
+            ..ClusterConfig::swcaffe(4)
+        },
+        100_000,
+    );
+    assert_eq!(pre.algo, Algorithm::RecursiveHalvingDoubling);
+    assert!(check_spec(&pre).is_clean());
+
+    // A job shrunk to the 3 or 7 survivors of a crash cannot run RHD,
+    // which needs a power-of-two rank count; it runs the ring over the
+    // natural mapping, and that schedule verifies clean too.
+    for (nodes, supernode_size, elems) in [(3, 2, 100_000), (7, 4, 50_000)] {
+        let post = comm_spec(
+            &ClusterConfig {
+                supernode_size,
+                algorithm: Algorithm::Ring,
+                rank_map: RankMap::Natural,
+                ..ClusterConfig::swcaffe(nodes)
+            },
+            elems,
+        );
+        assert_eq!(post.topo.nodes, nodes);
+        let out = check_spec(&post);
+        assert!(out.is_clean(), "{nodes} nodes: {:?}", out.violations);
+        let sched = post.extract();
+        assert!(check_schedule(&sched).is_clean(), "{nodes} nodes");
+    }
 }
